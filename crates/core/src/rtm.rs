@@ -18,7 +18,9 @@
 //!   application targets — exactly the priority the paper describes at
 //!   t = 15 s of Fig 2.
 
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use eml_dnn::profile::DnnProfile;
 use eml_platform::soc::{ClusterId, CoreKind, Soc};
@@ -336,12 +338,19 @@ impl Rtm {
         let mut order: Vec<usize> = (0..apps.len()).collect();
         order.sort_by_key(|&i| std::cmp::Reverse(apps[i].priority()));
 
-        let req_of = |name: &str| -> Option<&Requirements> {
-            apps.iter().find_map(|a| match a {
-                AppSpec::Dnn(d) if d.name == name => Some(&d.requirements),
-                _ => None,
-            })
-        };
+        // DNN specs by name, indexed once (first spec wins a duplicated
+        // name, as a front-to-back search would).
+        let mut specs: HashMap<&str, &DnnAppSpec> = HashMap::new();
+        for app in apps {
+            if let AppSpec::Dnn(d) = app {
+                specs.entry(d.name.as_str()).or_insert(d);
+            }
+        }
+        // Evaluated candidate lists, shared between tenants whose
+        // profiles describe the same model. Local to this pass: the
+        // SoC and the feedback are fixed for its duration, so there is
+        // nothing to invalidate and nothing outlives the call.
+        let mut memo = CandidateMemo::new();
 
         let mut ledger = Ledger::new(soc);
         let mut rigid_allocs = Vec::new();
@@ -361,8 +370,9 @@ impl Rtm {
                         spec,
                         cap,
                         &dnn_allocs,
-                        &req_of,
+                        &specs,
                         feedback,
+                        &mut memo,
                     )? {
                         Some(alloc) => dnn_allocs.push(alloc),
                         None => unplaced.push(spec.name.clone()),
@@ -383,11 +393,7 @@ impl Rtm {
         }
         // Violations against each app's requirements with final latencies.
         for alloc in &mut dnn_allocs {
-            let spec = apps.iter().find_map(|a| match a {
-                AppSpec::Dnn(d) if d.name == alloc.app => Some(d),
-                _ => None,
-            });
-            if let Some(spec) = spec {
+            if let Some(spec) = specs.get(alloc.app.as_str()) {
                 alloc.violations = spec.requirements.violations(&alloc.point);
             }
         }
@@ -470,19 +476,22 @@ impl Rtm {
         Ok(None)
     }
 
-    #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-    fn place_dnn<'r>(
+    #[allow(clippy::too_many_arguments)]
+    fn place_dnn<'a>(
         &self,
         soc: &Soc,
         ledger: &mut Ledger,
-        spec: &DnnAppSpec,
+        spec: &'a DnnAppSpec,
         cap: Power,
         existing: &[DnnAllocation],
-        req_of: &dyn Fn(&str) -> Option<&'r Requirements>,
+        specs: &HashMap<&str, &DnnAppSpec>,
         feedback: Option<&LatencyFeedback>,
+        memo: &mut CandidateMemo<'a>,
     ) -> Result<Option<DnnAllocation>> {
         let objective = spec.objective.unwrap_or(self.cfg.objective);
         let mut best: Option<(CandidateScore, EvaluatedPoint, usize)> = None;
+        // The ledger does not move while candidates are compared.
+        let power_before = ledger.total_power(soc);
 
         for (id, cluster) in soc.clusters() {
             let entry = ledger.entry(id).clone();
@@ -494,74 +503,65 @@ impl Rtm {
             if !is_accel && free_cores == 0 {
                 continue;
             }
-
-            // Build the restricted space for this cluster.
-            let mut cfg = OpSpaceConfig::default().with_clusters(vec![id]);
             let sharers_after = entry.dnn_sharers + 1;
-            if let Some(opp) = entry.pinned_opp {
-                cfg = cfg.with_opp_restriction(id, vec![opp]);
-            }
-            if is_accel {
-                if sharers_after > 1 {
-                    cfg = cfg.with_sharing_penalty(id, sharers_after as f64);
+
+            // Everything the evaluated candidates depend on besides the
+            // pass-wide constants (SoC, feedback, `partial_cores`).
+            let key = CandidateKey {
+                model: SameModel(&spec.profile),
+                cluster: id,
+                pinned_opp: entry.pinned_opp,
+                time_shares: if is_accel { sharers_after } else { 1 },
+                max_cores: if is_accel {
+                    cluster.cores()
+                } else {
+                    free_cores
+                },
+            };
+            let candidates = match memo.entry(key) {
+                Entry::Occupied(hit) => hit.into_mut(),
+                Entry::Vacant(miss) => {
+                    let key = miss.key();
+                    let evaluated = self.evaluate_candidates(soc, &spec.profile, key, feedback)?;
+                    miss.insert(evaluated)
                 }
-            } else if self.cfg.partial_cores {
-                cfg = cfg.with_partial_cores();
-            }
-            if let Some(fb) = feedback {
-                // Monitor-learned corrections compose multiplicatively
-                // with the sharing penalty already in the config.
-                cfg = fb.apply(cfg);
-            }
-            let space = match OpSpace::new(soc, &spec.profile, cfg) {
-                Ok(s) => s,
-                Err(RtmError::EmptySpace { .. }) => continue,
-                Err(e) => return Err(e),
             };
 
-            for op in space.iter() {
-                // CPU clusters: only as many cores as are free.
-                if !is_accel && op.cores > free_cores {
-                    continue;
-                }
-                let pt = space.evaluate(op)?;
-
-                // Sharing admission: co-runners on this cluster must stay
-                // feasible with one more sharer.
-                if is_accel && entry.dnn_sharers > 0 {
-                    let breaks_corunner = existing.iter().any(|other| {
-                        if other.point.op.cluster != id {
-                            return false;
-                        }
-                        let scaled =
-                            other.point.latency * (sharers_after as f64 / other.sharers as f64);
-                        let mut hyp = other.point;
-                        hyp.latency = scaled;
-                        match req_of(&other.app) {
-                            // A co-runner that was feasible must remain so.
-                            Some(req) => !req.violations(&hyp).is_empty(),
-                            None => false,
-                        }
-                    });
-                    if breaks_corunner {
-                        continue;
+            // Sharing admission: co-runners on this cluster must stay
+            // feasible with one more sharer — a property of the cluster,
+            // not of the candidate.
+            if is_accel && entry.dnn_sharers > 0 {
+                let breaks_corunner = existing.iter().any(|other| {
+                    if other.point.op.cluster != id {
+                        return false;
                     }
+                    let mut hyp = other.point;
+                    hyp.latency =
+                        other.point.latency * (sharers_after as f64 / other.sharers as f64);
+                    // A co-runner that was feasible must remain so.
+                    specs
+                        .get(other.app.as_str())
+                        .is_some_and(|s| !s.requirements.violations(&hyp).is_empty())
+                });
+                if breaks_corunner {
+                    continue;
                 }
+            }
 
+            for pt in candidates.iter() {
                 // Power admission: strict cap.
-                let incremental = self.incremental_power(soc, ledger, id, op, is_accel);
-                let total_after = ledger.total_power(soc) + incremental;
-                if total_after > cap {
+                let incremental = self.incremental_power(soc, ledger, id, pt.op, is_accel);
+                if power_before + incremental > cap {
                     continue;
                 }
 
-                let score = CandidateScore::new(&spec.requirements, objective, &pt);
+                let score = CandidateScore::new(&spec.requirements, objective, pt);
                 let better = match &best {
                     None => true,
                     Some((bs, _, _)) => score < *bs,
                 };
                 if better {
-                    best = Some((score, pt, sharers_after));
+                    best = Some((score, *pt, sharers_after));
                 }
             }
         }
@@ -599,6 +599,45 @@ impl Rtm {
         }))
     }
 
+    /// Builds the restricted operating-point space `key` describes and
+    /// evaluates the points a placement may use, in enumeration order
+    /// (empty when the restrictions leave no point on the cluster).
+    fn evaluate_candidates(
+        &self,
+        soc: &Soc,
+        profile: &DnnProfile,
+        key: &CandidateKey<'_>,
+        feedback: Option<&LatencyFeedback>,
+    ) -> Result<Vec<EvaluatedPoint>> {
+        let id = key.cluster;
+        let mut cfg = OpSpaceConfig::default().with_clusters(vec![id]);
+        if let Some(opp) = key.pinned_opp {
+            cfg = cfg.with_opp_restriction(id, vec![opp]);
+        }
+        if key.time_shares > 1 {
+            cfg = cfg.with_sharing_penalty(id, key.time_shares as f64);
+        }
+        if self.cfg.partial_cores {
+            cfg = cfg.with_partial_cores(); // CPU clusters only; accelerators are whole
+        }
+        if let Some(fb) = feedback {
+            // Monitor-learned corrections compose multiplicatively
+            // with the sharing penalty already in the config.
+            cfg = fb.apply(cfg);
+        }
+        let space = match OpSpace::new(soc, profile, cfg) {
+            Ok(s) => s,
+            Err(RtmError::EmptySpace { .. }) => return Ok(Vec::new()),
+            Err(e) => return Err(e),
+        };
+        space
+            .iter()
+            // CPU clusters: only as many cores as are free.
+            .filter(|op| op.cores <= key.max_cores)
+            .map(|op| space.evaluate(op))
+            .collect()
+    }
+
     fn incremental_power(
         &self,
         soc: &Soc,
@@ -624,6 +663,44 @@ impl Rtm {
         after - before
     }
 }
+
+/// A profile compared by what it models — its levels — not by its
+/// name: two tenants running the same network share evaluated points.
+#[derive(Debug, Clone, Copy)]
+struct SameModel<'a>(&'a DnnProfile);
+
+impl PartialEq for SameModel<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.levels().eq(other.0.levels())
+    }
+}
+
+impl Eq for SameModel<'_> {}
+
+impl Hash for SameModel<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // `+ 0.0` folds -0.0 into 0.0, which `eq` calls equal.
+        for (_, level) in self.0.levels() {
+            (level.cost_fraction + 0.0).to_bits().hash(state);
+            (level.workload.macs() + 0.0).to_bits().hash(state);
+        }
+    }
+}
+
+/// What one cluster's evaluated candidate list depends on within a pass.
+#[derive(Debug, PartialEq, Eq, Hash)]
+struct CandidateKey<'a> {
+    model: SameModel<'a>,
+    cluster: ClusterId,
+    pinned_opp: Option<usize>,
+    /// Applications time-sharing the cluster after the placement
+    /// (the latency multiplier); 1 on CPU clusters.
+    time_shares: usize,
+    /// Largest core count a candidate may use.
+    max_cores: u32,
+}
+
+type CandidateMemo<'a> = HashMap<CandidateKey<'a>, Vec<EvaluatedPoint>>;
 
 /// Ranking of a candidate: feasible first, then smallest normalised
 /// constraint excess, then objective score.

@@ -33,7 +33,7 @@
 //! ([`PressurePolicy::forget_ladders`]) rather than "restoring" onto a
 //! configuration that no longer exists.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use eml_core::feedback::{LatencyFeedback, MissTracker};
 use eml_core::knobs::KnobCommand;
@@ -43,8 +43,9 @@ use eml_nn::Precision;
 use eml_platform::Soc;
 
 use crate::error::Result;
-use crate::executor::Executor;
+use crate::executor::{snapshot_named, Executor};
 use crate::health::{self, EventWatermark, HealthConfig};
+use crate::stats::AppStatsSnapshot;
 
 /// Control-loop tuning.
 #[derive(Debug, Clone, Copy)]
@@ -225,7 +226,23 @@ impl PressurePolicy {
     /// its next batch — so ticks should run at batch granularity or
     /// coarser.
     pub fn tick(&mut self, exec: &Executor, app: &str) -> Option<PressureAction> {
-        let Ok(snap) = exec.stats(app) else {
+        let snap = exec.stats(app).ok();
+        self.tick_on(exec, app, snap.as_ref(), exec.pool_pressure())
+    }
+
+    /// [`PressurePolicy::tick`] on readings the caller already holds:
+    /// `snap` is the app's snapshot (`None` = unknown to the executor)
+    /// and `pool_pressure` the pool-wide backlog fraction — one read
+    /// of which takes every tenant's queue lock under the scheduler
+    /// lock, so a control epoch reads it once, not once per app.
+    fn tick_on(
+        &mut self,
+        exec: &Executor,
+        app: &str,
+        snap: Option<&AppStatsSnapshot>,
+        pool_pressure: f32,
+    ) -> Option<PressureAction> {
+        let Some(snap) = snap else {
             self.ladders.remove(app);
             return None;
         };
@@ -236,14 +253,14 @@ impl PressurePolicy {
             .or_insert_with(|| AppLadder {
                 steps: Vec::new(),
                 calm: MissTracker::new(cfg.recover_ticks.max(1), 1.0),
-                mark: EventWatermark::seeded(&snap),
+                mark: EventWatermark::seeded(snap),
             });
-        let fresh = ladder.mark.advance(&snap);
+        let fresh = ladder.mark.advance(snap);
         let score = health::score(
             &cfg.health,
-            &snap,
+            snap,
             exec.config().queue_capacity,
-            exec.pool_pressure(),
+            pool_pressure,
             &fresh,
         );
         if score < cfg.degrade_below {
@@ -409,6 +426,11 @@ impl ServeController {
             self.raw_predictions
                 .insert(d.app.clone(), (cluster, d.point.latency * (1.0 / corr)));
         }
+        // Per-app state follows the managed roster: churn under fresh
+        // names must not grow these maps without bound.
+        let managed: HashSet<&str> = self.apps.iter().map(AppSpec::name).collect();
+        self.seen.retain(|n, _| managed.contains(n.as_str()));
+        self.trackers.retain(|n, _| managed.contains(n.as_str()));
         for t in self.trackers.values_mut() {
             t.reset();
         }
@@ -427,15 +449,33 @@ impl ServeController {
     ///
     /// Propagates structural RTM errors from a triggered re-allocation.
     pub fn control_epoch(&mut self, exec: &Executor) -> Result<EpochOutcome> {
+        // One bulk read for the whole epoch (what `Executor::stats`
+        // would return per name, minus the p99 nothing here consumes),
+        // resolved per spec below so apps are still accounted in spec
+        // order — the per-cluster EWMA is order-sensitive.
+        let roster = exec.dnn_snapshots(true, false);
         let mut observed = 0usize;
         let mut triggered = false;
         for spec in &self.apps {
             let AppSpec::Dnn(d) = spec else { continue };
-            let Ok(snap) = exec.stats(&d.name) else {
+            let Some(snap) = snapshot_named(&roster, &d.name) else {
                 continue; // not registered with this executor
             };
-            let (last_completed, last_missed) = self.seen.get(&d.name).copied().unwrap_or((0, 0));
-            let delta_completed = snap.completed.saturating_sub(last_completed);
+            let (last_completed, last_missed) = match self.seen.get(&d.name) {
+                // Cumulative counters below their last reading: the
+                // name was deregistered and registered again. The new
+                // lifetime counts from zero and is judged on its own
+                // outcomes.
+                Some(&(completed, _)) if snap.completed < completed => {
+                    if let Some(t) = self.trackers.get_mut(&d.name) {
+                        t.reset();
+                    }
+                    (0, 0)
+                }
+                Some(&last) => last,
+                None => (0, 0),
+            };
+            let delta_completed = snap.completed - last_completed;
             if delta_completed == 0 {
                 continue;
             }
@@ -472,9 +512,11 @@ impl ServeController {
             // the ladder (see `allocate_and_apply`).
             self.allocate_and_apply(exec)?;
         } else if let Some(mut policy) = self.pressure.take() {
+            let pool_pressure = exec.pool_pressure();
             for spec in &self.apps {
                 let AppSpec::Dnn(d) = spec else { continue };
-                match policy.tick(exec, &d.name) {
+                let snap = snapshot_named(&roster, &d.name);
+                match policy.tick_on(exec, &d.name, snap, pool_pressure) {
                     Some(PressureAction::Degraded { .. }) => degraded += 1,
                     Some(PressureAction::Restored { .. }) => restored += 1,
                     None => {}
@@ -644,6 +686,97 @@ mod tests {
         );
         let s = exec.stats("cam").unwrap();
         assert_eq!((s.level, s.precision), (3, Precision::F32));
+    }
+
+    fn cam_controller(exec: &Executor) -> ServeController {
+        let spec = |name: &str| {
+            AppSpec::Dnn(eml_core::rtm::DnnAppSpec {
+                name: name.into(),
+                profile: testbed::tiny_dnn(1).profile().clone(),
+                requirements: Requirements::new().with_max_latency(TimeSpan::from_millis(500.0)),
+                priority: 1,
+                objective: None,
+            })
+        };
+        let mut ctl = ServeController::new(
+            Rtm::new(eml_core::rtm::RtmConfig::default()),
+            testbed::quad_core_soc(),
+            vec![spec("cam"), spec("never-registered")],
+            ControllerConfig::default(),
+        );
+        ctl.allocate_and_apply(exec).unwrap();
+        ctl
+    }
+
+    #[test]
+    fn a_reregistered_tenant_is_heard_from_its_first_epoch() {
+        let exec = ladder_exec(500.0);
+        let mut ctl = cam_controller(&exec);
+        pump(&exec, 6);
+        assert_eq!(ctl.control_epoch(&exec).unwrap().observed, 1);
+        assert_eq!(ctl.trackers["cam"].observed(), 6);
+        assert_eq!(ctl.control_epoch(&exec).unwrap().observed, 0, "nothing new");
+
+        // Same name, new lifetime: its counters restart below the old
+        // lifetime's 6 and must not be mistaken for "nothing new".
+        exec.deregister_dnn("cam").unwrap();
+        let req = Requirements::new().with_max_latency(TimeSpan::from_millis(500.0));
+        exec.register_dnn("cam", testbed::tiny_dnn(1), &req)
+            .unwrap();
+        assert_eq!(
+            ctl.control_epoch(&exec).unwrap().observed,
+            0,
+            "reborn, idle"
+        );
+        pump(&exec, 2);
+        assert_eq!(ctl.control_epoch(&exec).unwrap().observed, 1);
+        assert_eq!(ctl.seen["cam"].0, 2);
+        assert_eq!(
+            ctl.trackers["cam"].observed(),
+            2,
+            "the new lifetime is judged on its own outcomes"
+        );
+        pump(&exec, 1);
+        assert_eq!(ctl.control_epoch(&exec).unwrap().observed, 1);
+        assert_eq!(ctl.seen["cam"].0, 3);
+    }
+
+    #[test]
+    fn per_app_state_is_pruned_to_the_managed_specs() {
+        let exec = ladder_exec(500.0);
+        let mut ctl = cam_controller(&exec);
+        pump(&exec, 2);
+        ctl.control_epoch(&exec).unwrap();
+        assert!(ctl.seen.contains_key("cam") && ctl.trackers.contains_key("cam"));
+        ctl.apps_mut().retain(|a| a.name() != "cam");
+        ctl.allocate_and_apply(&exec).unwrap();
+        assert!(ctl.seen.is_empty() && ctl.trackers.is_empty());
+        assert!(ctl.raw_predictions.keys().all(|n| n != "cam"));
+    }
+
+    #[test]
+    fn an_epoch_hands_its_pool_pressure_reading_to_every_tick() {
+        let exec = ladder_exec(500.0);
+        // Only the pool term can sink the score: the app itself is idle.
+        let mut policy = PressurePolicy::new(PressureConfig {
+            health: HealthConfig {
+                w_pool_queue: 100.0,
+                ..HealthConfig::default()
+            },
+            ..PressureConfig::default()
+        });
+        let snap = exec.stats("cam").unwrap();
+        assert!(
+            policy.tick(&exec, "cam").is_none(),
+            "the live pool is empty"
+        );
+        let a = policy.tick_on(&exec, "cam", Some(&snap), 1.0);
+        assert!(
+            matches!(a, Some(PressureAction::Degraded { .. })),
+            "the handed-down reading is the one scored: {a:?}"
+        );
+        assert!(policy.tick_on(&exec, "cam", None, 0.0).is_none());
+        assert_eq!(policy.depth("cam"), 0, "an unknown app drops its ladder");
     }
 
     #[test]

@@ -884,7 +884,7 @@ impl Executor {
             .roster
             .retain(|a| !Arc::ptr_eq(a, &d));
         d.rt.shared.idle.notify_all();
-        Ok(snapshot_of(&d))
+        Ok(snapshot_of(&d, &mut Vec::new(), true))
     }
 
     /// Resolves a *live* DNN app. A departed name gets the distinct
@@ -985,34 +985,33 @@ impl Executor {
     /// finishes on the old operating point. Failures surface in
     /// [`AppStatsSnapshot::knob_errors`].
     pub fn apply_allocation(&self, alloc: &Allocation) {
+        // Walk the allocation, not the registry: each addressed app is
+        // one hash lookup, and its knob commands are grouped once.
         let cmds = commands_for(alloc);
+        let mut knobs: HashMap<&str, Vec<KnobCommand>> = HashMap::new();
+        for cmd in &cmds {
+            if let KnobCommand::SetWidth { app, .. } | KnobCommand::SetPrecision { app, .. } = cmd {
+                knobs.entry(app).or_default().push(cmd.clone());
+            }
+        }
         {
             let apps = self.apps.lock();
-            for (name, entry) in apps.iter() {
-                let AppEntry::Dnn(app) = entry else { continue };
-                let placed = alloc.dnn(name);
-                let unplaced = alloc.unplaced.iter().any(|u| u == name);
-                if placed.is_none() && !unplaced {
+            for name in &alloc.unplaced {
+                if let Some(AppEntry::Dnn(app)) = apps.get(name) {
+                    lock_state(&app.rt.shared).admitted = false;
+                }
+            }
+            for d in &alloc.dnns {
+                let Some(AppEntry::Dnn(app)) = apps.get(&d.app) else {
                     continue;
-                }
+                };
                 let mut st = lock_state(&app.rt.shared);
-                if let Some(d) = placed {
-                    st.band_cap = d.point.op.cores as usize;
-                    st.predicted = Some(d.point.latency);
-                    st.cluster = Some(d.point.op.cluster);
-                    st.admitted = true;
-                    st.knobs.extend(
-                        cmds.iter()
-                            .filter(|c| {
-                                matches!(c,
-                            KnobCommand::SetWidth { app, .. }
-                            | KnobCommand::SetPrecision { app, .. } if app == name)
-                            })
-                            .cloned(),
-                    );
-                } else {
-                    st.admitted = false;
-                }
+                st.band_cap = d.point.op.cores as usize;
+                st.predicted = Some(d.point.latency);
+                st.cluster = Some(d.point.op.cluster);
+                st.admitted = true;
+                st.knobs
+                    .extend(knobs.remove(d.app.as_str()).unwrap_or_default());
             }
         }
         // One pool-wide ring after all apps are updated: every driver
@@ -1108,7 +1107,43 @@ impl Executor {
     /// [`ServeError::UnknownApp`] for unregistered or rigid names.
     pub fn stats(&self, app: &str) -> Result<AppStatsSnapshot> {
         let entry = self.dnn_app_any(app)?;
-        Ok(snapshot_of(&entry))
+        Ok(snapshot_of(&entry, &mut Vec::new(), true))
+    }
+
+    /// The control plane's bulk read: every DNN app's snapshot in
+    /// **sorted-name** order from one pass — the registry lock taken
+    /// once (not once per name, and only to clone the roster's handles:
+    /// submitters resolve names under the same lock) and one percentile
+    /// scratch shared by every tenant. Rigid apps have no serving
+    /// surface and are skipped; tombstones are visited only when
+    /// `departed_too` (the [`Executor::stats`] view) and
+    /// `want_p99 = false` leaves `p99` unselected for readers that only
+    /// consume the median. Each snapshot is field-for-field what
+    /// [`Executor::stats`] returns.
+    pub(crate) fn dnn_snapshots(
+        &self,
+        departed_too: bool,
+        want_p99: bool,
+    ) -> Vec<(String, AppStatsSnapshot)> {
+        let mut roster: Vec<Arc<DnnApp>> = {
+            let apps = self.apps.lock();
+            apps.values()
+                .filter_map(|entry| match entry {
+                    AppEntry::Dnn(d) => Some(Arc::clone(d)),
+                    AppEntry::Departed(d) if departed_too => Some(Arc::clone(d)),
+                    _ => None,
+                })
+                .collect()
+        };
+        roster.sort_unstable_by(|a, b| a.rt.name.cmp(&b.rt.name));
+        let mut scratch = Vec::with_capacity(self.cfg.stats_window);
+        roster
+            .iter()
+            .map(|app| {
+                let snap = snapshot_of(app, &mut scratch, want_p99);
+                (app.rt.name.clone(), snap)
+            })
+            .collect()
     }
 
     /// Blocks until `app`'s queue is empty and nothing is in flight.
@@ -1205,10 +1240,21 @@ impl Drop for Executor {
     }
 }
 
+/// Looks `name` up in a bulk read ([`Executor::dnn_snapshots`] returns
+/// its rows sorted by name).
+pub(crate) fn snapshot_named<'a>(
+    roster: &'a [(String, AppStatsSnapshot)],
+    name: &str,
+) -> Option<&'a AppStatsSnapshot> {
+    let at = roster.binary_search_by(|(n, _)| n.as_str().cmp(name));
+    at.ok().map(|i| &roster[i].1)
+}
+
 /// A consistent statistics snapshot of one app (shared by
-/// [`Executor::stats`] and the final snapshot
-/// [`Executor::deregister_dnn`] returns).
-fn snapshot_of(entry: &DnnApp) -> AppStatsSnapshot {
+/// [`Executor::stats`], the bulk [`Executor::dnn_snapshots`] and the
+/// final snapshot [`Executor::deregister_dnn`] returns). `scratch` and
+/// `want_p99` are [`AppStats::snapshot_with`]'s.
+fn snapshot_of(entry: &DnnApp, scratch: &mut Vec<f64>, want_p99: bool) -> AppStatsSnapshot {
     // Lock order everywhere: queue state before stats (the serve
     // path's completion section nests them in that order).
     struct QueueView {
@@ -1241,7 +1287,7 @@ fn snapshot_of(entry: &DnnApp) -> AppStatsSnapshot {
         }
     };
     let stats = entry.rt.lock_stats();
-    let win = stats.snapshot();
+    let win = stats.snapshot_with(scratch, want_p99);
     AppStatsSnapshot {
         completed: stats.completed,
         rejected: q.rejected,
@@ -1982,6 +2028,59 @@ mod tests {
         assert!(s.admitted);
         assert_eq!(s.restarts + s.stalls, 0);
         assert_accounting(&s, 1);
+    }
+
+    #[test]
+    fn bulk_read_equals_per_name_stats_sorted_and_filtered() {
+        let exec = Executor::new(ExecutorConfig::default());
+        let req = Requirements::new().with_max_latency(TimeSpan::from_millis(50.0));
+        for (i, name) in ["zeta", "alpha", "mid", "gone"].iter().enumerate() {
+            exec.register_dnn(*name, testbed::tiny_dnn(i as u64 + 1), &req)
+                .unwrap();
+        }
+        exec.register_rigid("render").unwrap();
+        // Different histories per app, then quiesce: the two views are
+        // only comparable field for field when nothing is moving.
+        for (name, n) in [("zeta", 5), ("alpha", 1), ("gone", 3)] {
+            for k in 0..n {
+                exec.submit(name, &sample(0.1 * k as f32))
+                    .unwrap()
+                    .wait_timeout(TIMEOUT)
+                    .unwrap();
+            }
+        }
+        exec.drain();
+        exec.deregister_dnn("gone").unwrap();
+
+        let live = exec.dnn_snapshots(false, true);
+        let names: Vec<&str> = live.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(
+            names,
+            ["alpha", "mid", "zeta"],
+            "sorted, rigid and departed skipped"
+        );
+        for (name, snap) in &live {
+            let solo = exec.stats(name).unwrap();
+            assert_eq!(format!("{snap:?}"), format!("{solo:?}"), "{name}");
+        }
+        assert_eq!(live[2].1.completed, 5);
+        assert!(live[2].1.p99.is_some() && live[1].1.p50.is_none());
+
+        // The `stats()` view keeps the tombstone readable; the median-
+        // only read differs from it in `p99` alone.
+        let all = exec.dnn_snapshots(true, false);
+        let names: Vec<&str> = all.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["alpha", "gone", "mid", "zeta"]);
+        for (name, snap) in &all {
+            let mut solo = exec.stats(name).unwrap();
+            assert_eq!(snap.p99, None);
+            solo.p99 = None;
+            assert_eq!(format!("{snap:?}"), format!("{solo:?}"), "{name}");
+        }
+        assert_eq!(
+            all[1].1.completed, 3,
+            "final statistics of the departed app"
+        );
     }
 
     #[test]

@@ -1,8 +1,17 @@
 //! Per-app health scoring and executor-wide health telemetry.
 //!
 //! Every counter this module reads already exists in
-//! [`AppStatsSnapshot`] — the executor pays nothing new. The score
-//! folds them into a single `0–100` number per app:
+//! [`AppStatsSnapshot`], so the serving path records nothing extra —
+//! but *reading* them is not free, and the reader runs on the cores it
+//! manages. One [`HealthMonitor::observe`] costs: one registry lock for
+//! the whole roster (not one per tenant), per tenant one queue-state
+//! and one statistics lock plus an O(window) percentile selection (see
+//! [`crate::stats`]), and no allocation beyond the report itself and
+//! one percentile scratch shared by every tenant. That is linear in
+//! the tenant count with a ~2 µs constant at the default 256-sample
+//! window; [`crate::Executor::pool_pressure`] (every tenant's queue
+//! lock under the scheduler lock) is read once per observation. The
+//! score folds the counters into a single `0–100` number per app:
 //!
 //! - **windowed miss rate** (gated on enough outcomes to be evidence),
 //! - **queue pressure** (depth as a fraction of capacity),
@@ -16,8 +25,8 @@
 //! healthy. [`EventWatermark`] turns the cumulative counters into
 //! fresh deltas, so the score describes the *present*.
 //!
-//! [`HealthMonitor`] evaluates every registered app (in
-//! [`crate::Executor::app_names`]'s sorted, deterministic order),
+//! [`HealthMonitor`] evaluates every registered DNN app (in sorted-name,
+//! deterministic order — the order of [`crate::Executor::app_names`]),
 //! aggregates the worst score as the executor's own, smooths the
 //! aggregate with an [`eml_core::feedback::Ewma`], and renders the
 //! whole report as JSON ([`HealthReport::to_json`], hand-rolled — this
@@ -29,7 +38,7 @@ use std::collections::HashMap;
 
 use eml_core::feedback::Ewma;
 
-use crate::executor::Executor;
+use crate::executor::{snapshot_named, Executor};
 use crate::stats::AppStatsSnapshot;
 
 /// Tuning of the health score: one weight per signal, each the number
@@ -345,21 +354,23 @@ impl HealthMonitor {
     /// are skipped; watermarks of apps that have departed the roster
     /// are pruned.
     pub fn observe(&mut self, exec: &Executor) -> HealthReport {
-        let names = exec.app_names();
-        self.marks.retain(|n, _| names.iter().any(|m| m == n));
+        let roster = exec.dnn_snapshots(false, true);
+        self.marks
+            .retain(|n, _| snapshot_named(&roster, n).is_some());
         let capacity = exec.config().queue_capacity;
         let pool_pressure = exec.pool_pressure();
-        let mut apps = Vec::with_capacity(names.len());
+        let mut apps = Vec::with_capacity(roster.len());
         let mut aggregate = 100.0f32;
-        for name in names {
-            let Ok(snap) = exec.stats(&name) else {
-                continue; // rigid: allocation bookkeeping only
+        for (name, snap) in roster {
+            let fresh = match self.marks.get_mut(&name) {
+                Some(mark) => mark.advance(&snap),
+                None => {
+                    // Seeded level with `snap`: nothing is fresh yet.
+                    self.marks
+                        .insert(name.clone(), EventWatermark::seeded(&snap));
+                    FreshEvents::default()
+                }
             };
-            let mark = self
-                .marks
-                .entry(name.clone())
-                .or_insert_with(|| EventWatermark::seeded(&snap));
-            let fresh = mark.advance(&snap);
             let s = score(&self.cfg, &snap, capacity, pool_pressure, &fresh);
             aggregate = aggregate.min(s);
             apps.push(AppHealth {

@@ -11,6 +11,17 @@
 //! in these counters, where `submitted` counts submission *attempts*
 //! and `storm_injected` the synthetic requests a fault-injection queue
 //! storm enqueued directly).
+//!
+//! Cost model. Recording is O(1) and keeps nothing but the window
+//! itself — no sorted shadow, no per-app percentile buffer. A snapshot
+//! pays for its percentiles when it is read: one copy of the window
+//! into a scratch `Vec<f64>` the *reader* owns, then one selection
+//! (`select_nth_unstable_by`) per requested percentile, the p99 over
+//! the right partition the median selection leaves behind — O(window)
+//! expected, no sort, no allocation beyond the scratch, which a bulk
+//! reader reuses across every tenant. The result is still the *exact*
+//! order statistic at index `round((n-1)·q)` under `f64::total_cmp`,
+//! bit for bit what sorting the window would give.
 
 use std::collections::VecDeque;
 
@@ -112,20 +123,61 @@ impl AppStats {
         self.last_seq = Some(seq);
     }
 
-    fn percentile(&self, q: f64) -> Option<TimeSpan> {
+    /// The copy-and-sort percentile the selection replaced, kept as the
+    /// oracle the property test compares against.
+    #[cfg(test)]
+    fn percentile_by_sort(&self, q: f64) -> Option<TimeSpan> {
         if self.latencies.is_empty() {
             return None;
         }
         let mut sorted: Vec<f64> = self.latencies.iter().copied().collect();
         sorted.sort_by(|a, b| a.total_cmp(b));
-        let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-        Some(TimeSpan::from_secs(sorted[idx]))
+        Some(TimeSpan::from_secs(
+            sorted[percentile_index(sorted.len(), q)],
+        ))
     }
 
+    #[cfg(test)]
     pub(crate) fn snapshot(&self) -> WindowSnapshot {
+        self.snapshot_with(&mut Vec::new(), true)
+    }
+
+    /// The window's (p50, p99) by selection over `scratch`; p99 is
+    /// skipped (`None`) unless `want_p99`. See the module docs.
+    fn percentiles(
+        &self,
+        scratch: &mut Vec<f64>,
+        want_p99: bool,
+    ) -> (Option<TimeSpan>, Option<TimeSpan>) {
+        let n = self.latencies.len();
+        if n == 0 {
+            return (None, None);
+        }
+        let (front, back) = self.latencies.as_slices();
+        scratch.clear();
+        scratch.reserve(n); // one allocation at most, whatever the wrap
+        scratch.extend_from_slice(front);
+        scratch.extend_from_slice(back);
+        // Median first: it halves what the p99 selection has to look at.
+        let i50 = percentile_index(n, 0.50);
+        let (_, median, above) = scratch.select_nth_unstable_by(i50, f64::total_cmp);
+        let p50 = TimeSpan::from_secs(*median);
+        let p99 = want_p99.then(|| match percentile_index(n, 0.99) - i50 {
+            0 => p50, // n ≤ 2: one order statistic serves both
+            up => TimeSpan::from_secs(*above.select_nth_unstable_by(up - 1, f64::total_cmp).1),
+        });
+        (Some(p50), p99)
+    }
+
+    /// The window view of a snapshot. `scratch` is the percentile
+    /// work buffer (contents irrelevant on entry, unspecified on exit);
+    /// `want_p99 = false` leaves `p99` unselected (`None`) for readers
+    /// that only consume the median.
+    pub(crate) fn snapshot_with(&self, scratch: &mut Vec<f64>, want_p99: bool) -> WindowSnapshot {
+        let (p50, p99) = self.percentiles(scratch, want_p99);
         WindowSnapshot {
-            p50: self.percentile(0.50),
-            p99: self.percentile(0.99),
+            p50,
+            p99,
             window_len: self.latencies.len(),
             window_outcomes: self.recent_met.len(),
             window_miss_rate: if self.recent_met.is_empty() {
@@ -135,6 +187,11 @@ impl AppStats {
             },
         }
     }
+}
+
+/// Index of the `q`-quantile order statistic in a window of `n ≥ 1`.
+fn percentile_index(n: usize, q: f64) -> usize {
+    ((n as f64 - 1.0) * q).round() as usize
 }
 
 #[derive(Debug, Clone)]
@@ -291,6 +348,7 @@ impl AppStatsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn window_slides_and_percentiles_sort() {
@@ -331,6 +389,61 @@ mod tests {
         let snap = s.snapshot();
         assert_eq!((snap.window_outcomes, snap.window_len), (0, 0));
         assert_eq!(snap.window_miss_rate, 0.0);
+    }
+
+    /// A hostile latency alphabet: signed zeros, subnormals, the
+    /// largest finite value, heavy duplicates and arbitrary magnitudes.
+    fn hostile_latency(x: u64) -> f64 {
+        match x % 8 {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::from_bits((x >> 8) % (1 << 20) + 1), // subnormal
+            3 => f64::MAX,
+            4 => ((x >> 8) % 5) as f64 * 1e-3, // duplicates
+            5 => -f64::from_bits((x >> 2) % f64::MAX.to_bits()),
+            _ => f64::from_bits((x >> 2) % f64::MAX.to_bits()), // any finite ≥ 0
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+        /// Selection returns the same order statistics as sorting, bit
+        /// for bit, whatever the window holds and however it slid.
+        #[test]
+        fn selected_percentiles_equal_the_sorted_reference(
+            capacity in 1usize..=300,
+            draws in proptest::collection::vec(0u64..u64::MAX, 1..513),
+        ) {
+            let mut s = AppStats::new(capacity, 0, Precision::F32);
+            for (i, &x) in draws.iter().enumerate() {
+                s.record(i as u64, hostile_latency(x), None);
+            }
+            let bits = |t: Option<TimeSpan>| t.map(|t| t.as_secs().to_bits());
+            let want = (bits(s.percentile_by_sort(0.50)), bits(s.percentile_by_sort(0.99)));
+            // One scratch across calls, dirty on entry, as the bulk reader uses it.
+            let mut scratch = vec![f64::NAN; 7];
+            let both = s.snapshot_with(&mut scratch, true);
+            prop_assert_eq!((bits(both.p50), bits(both.p99)), want);
+            prop_assert_eq!(both.window_len, draws.len().min(capacity));
+            let median_only = s.snapshot_with(&mut scratch, false);
+            prop_assert_eq!((bits(median_only.p50), median_only.p99), (want.0, None));
+        }
+    }
+
+    #[test]
+    fn tiny_windows_share_one_order_statistic() {
+        // n ≤ 2 is where round((n-1)·q) gives i50 == i99.
+        let mut s = AppStats::new(4, 0, Precision::F32);
+        assert!(s.snapshot().p50.is_none() && s.snapshot().p99.is_none());
+        s.record(0, 3e-3, None);
+        let one = s.snapshot();
+        assert_eq!((one.p50, one.p99), (s.percentile_by_sort(0.5), one.p50));
+        s.record(1, 1e-3, None);
+        let two = s.snapshot();
+        assert_eq!(two.p50, Some(TimeSpan::from_secs(3e-3)), "round(0.5) = 1");
+        assert_eq!(two.p99, two.p50);
+        assert_eq!(two.p50, s.percentile_by_sort(0.5));
     }
 
     #[test]
