@@ -121,8 +121,8 @@ fn main() {
         }
     }
 
-    // --- Decision latency ablation (cold-cache numbers; see perf_rtm for
-    // criterion statistics) ---
+    // --- Decision latency ablation (cold-cache numbers; the serving
+    // benchmark's `core.rtm_allocate_us` row carries the statistics) ---
     println!("\ndecision latency (single cold decision):");
     for (name, micros) in &timings {
         println!("  {name:>12}: {micros:>9.1} us");

@@ -134,7 +134,7 @@ fn train_step_ns(opts: &Opts, net: &mut Network, x: &Tensor, labels: &[usize]) -
 }
 
 /// The RTM decision-latency scenario: three mixed-priority apps on the
-/// flagship SoC (mirrors `perf_rtm`'s `rtm/allocate_three_apps`).
+/// flagship SoC.
 fn rtm_allocate_ns(opts: &Opts) -> f64 {
     let soc = presets::flagship();
     let rtm = Rtm::new(RtmConfig::default());

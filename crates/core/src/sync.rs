@@ -22,9 +22,9 @@
 //! crash recovery. Lock *data* after a panic is handled at those
 //! layers; the lock itself stays usable.
 //!
-//! The static counterpart of this check is the `lock-order` rule in
-//! `eml-lint` (`cargo run -p eml-lint -- --check`); the invariant
-//! catalogue lives in `docs/INVARIANTS.md`.
+//! This check covers *every* pair of ranked locks and is the lock
+//! order's enforcement of record; the invariant catalogue lives in
+//! `docs/INVARIANTS.md`.
 
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -62,14 +62,14 @@ pub mod rank {
     /// driver is serving right now; the watchdog confiscates through
     /// it).
     pub const EXEC_DRIVER: u32 = 225;
-    /// `eml-serve` per-app queue state — the serving hot path.
+    /// `eml-serve` per-app ledger — queue, in-flight batch, every
+    /// accounting counter and the latency window under one lock; the
+    /// serving hot path.
     pub const EXEC_QUEUE: u32 = 230;
-    /// `eml-serve` per-app model (held across a forward pass).
+    /// `eml-serve` per-app model (held across a forward pass). Above
+    /// the ledger: knob outcomes are recorded after the model lock is
+    /// released, never under it.
     pub const EXEC_MODEL: u32 = 240;
-    /// `eml-serve` per-app statistics. Ranked above the queue: the
-    /// serve loop's completion path settles stats *inside* the queue
-    /// critical section (the one sanctioned nesting).
-    pub const EXEC_STATS: u32 = 250;
     /// `eml-serve` per-app supervision (restart backoff) state.
     pub const EXEC_SUPERVISION: u32 = 260;
 }
@@ -249,11 +249,11 @@ mod tests {
     #[test]
     fn in_order_acquisition_nests_and_releases() {
         let queue = RankedMutex::new(rank::EXEC_QUEUE, "queue", 1u32);
-        let stats = RankedMutex::new(rank::EXEC_STATS, "stats", 2u32);
+        let model = RankedMutex::new(rank::EXEC_MODEL, "model", 2u32);
         {
             let q = queue.lock();
-            let s = stats.lock();
-            assert_eq!(*q + *s, 3);
+            let m = model.lock();
+            assert_eq!(*q + *m, 3);
         }
         // Everything released: the same order works again, and the
         // lower rank is reacquirable on its own.
@@ -286,8 +286,8 @@ mod tests {
     )]
     fn inverted_acquisition_panics_in_debug() {
         let queue = RankedMutex::new(rank::EXEC_QUEUE, "queue-state", ());
-        let stats = RankedMutex::new(rank::EXEC_STATS, "stats", ());
-        let held = stats.lock();
+        let model = RankedMutex::new(rank::EXEC_MODEL, "model", ());
+        let held = model.lock();
         let result = catch_unwind(AssertUnwindSafe(|| {
             let _violation = queue.lock();
         }));
@@ -299,7 +299,7 @@ mod tests {
         assert!(
             msg.contains("lock-order violation")
                 && msg.contains("queue-state")
-                && msg.contains("stats"),
+                && msg.contains("model"),
             "diagnostic names both locks: {msg}"
         );
         drop(held);
@@ -307,7 +307,7 @@ mod tests {
         #[cfg(debug_assertions)]
         assert_eq!(held::held_count(), 0);
         let _q = queue.lock();
-        let _s = stats.lock();
+        let _m = model.lock();
     }
 
     #[test]

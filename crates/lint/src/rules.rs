@@ -63,173 +63,6 @@ impl Rule for UnsafeConfinement {
     }
 }
 
-/// `lock-order`: a syntactic scan for the documented queue-state →
-/// stats acquisition order. A binding created from `lock_state(…)` or
-/// from `.lock()` on a state/queue-named receiver is treated as a live
-/// queue guard until its scope closes or it is `drop`ped; acquiring a
-/// stats lock (`lock_stats(…)` or `.lock()` on a stats-named receiver)
-/// while one is live is a violation. The debug-build counterpart is
-/// `eml_core::sync::RankedMutex`, which catches the same bug class
-/// dynamically; this rule catches it on paths no test happens to walk.
-pub struct LockOrder;
-
-fn ident_contains(file: &SourceFile, i: usize, needles: &[&str]) -> bool {
-    file.tokens
-        .get(i)
-        .is_some_and(|t| t.kind == TokenKind::Ident && needles.iter().any(|n| t.text.contains(n)))
-}
-
-impl Rule for LockOrder {
-    fn id(&self) -> &'static str {
-        "lock-order"
-    }
-
-    fn check_file(&self, file: &SourceFile, out: &mut Vec<Diagnostic>) {
-        if !file.path.starts_with("crates/") {
-            return;
-        }
-        let toks = &file.tokens;
-        let mut depth: i32 = 0;
-        // Live queue-guard bindings: (name, depth at declaration).
-        let mut guards: Vec<(String, i32)> = Vec::new();
-        let mut i = 0;
-        while i < toks.len() {
-            let t = &toks[i];
-            if t.is_punct('{') {
-                depth += 1;
-            } else if t.is_punct('}') {
-                depth -= 1;
-                guards.retain(|&(_, d)| d <= depth);
-            } else if file.is_test_line(t.line) {
-                // Tests nest locks on purpose (the RankedMutex suite
-                // exercises exactly this); the dynamic rank check
-                // covers them at runtime. Braces above still count so
-                // scope depth stays in sync across the test module.
-            } else if t.is_ident("drop") && punct_at(toks, i + 1, '(') {
-                // Only an unconditional drop (same depth as the
-                // declaration) retires the guard; a drop inside a
-                // branch (`if empty { drop(st); continue; }`) leaves
-                // the fallthrough path holding it.
-                if let Some(name) = toks.get(i + 2).filter(|t| t.kind == TokenKind::Ident) {
-                    guards.retain(|(n, d)| n != &name.text || *d != depth);
-                }
-            } else if t.is_ident("let") {
-                // `if let` / `while let` / `else` chains are conditions,
-                // not bindings of lock guards; skip the statement scan
-                // (temporary guards in conditions drop immediately).
-                let in_condition = i > 0
-                    && (toks[i - 1].is_ident("if")
-                        || toks[i - 1].is_ident("while")
-                        || toks[i - 1].is_ident("else"));
-                if !in_condition {
-                    i = self.scan_let(file, i, depth, &mut guards, out);
-                    continue;
-                }
-            } else if !guards.is_empty() && Self::is_stats_acquisition(file, i) {
-                out.push(Diagnostic {
-                    rule: self.id(),
-                    path: file.path.clone(),
-                    line: t.line,
-                    message: format!(
-                        "stats lock acquired while queue-state guard `{}` is live; the \
-                         documented order is queue state first, stats second, and nesting \
-                         them is reserved for the serve loop's completion path",
-                        guards.last().map_or("?", |(n, _)| n)
-                    ),
-                });
-            }
-            i += 1;
-        }
-    }
-}
-
-impl LockOrder {
-    /// True at a stats acquisition: `lock_stats(` or `<…stats…>.lock(`.
-    fn is_stats_acquisition(file: &SourceFile, i: usize) -> bool {
-        let toks = &file.tokens;
-        if ident_at(toks, i, "lock_stats") && punct_at(toks, i + 1, '(') {
-            return true;
-        }
-        ident_contains(file, i, &["stats"])
-            && punct_at(toks, i + 1, '.')
-            && ident_at(toks, i + 2, "lock")
-            && punct_at(toks, i + 3, '(')
-    }
-
-    /// True at a queue-state acquisition: `lock_state(` or
-    /// `<…state|queue…>.lock(`.
-    fn is_queue_acquisition(file: &SourceFile, i: usize) -> bool {
-        let toks = &file.tokens;
-        if ident_at(toks, i, "lock_state") && punct_at(toks, i + 1, '(') {
-            return true;
-        }
-        ident_contains(file, i, &["state", "queue"])
-            && punct_at(toks, i + 1, '.')
-            && ident_at(toks, i + 2, "lock")
-            && punct_at(toks, i + 3, '(')
-    }
-
-    /// Scans one `let` statement. If its top-level initialiser acquires
-    /// a queue-state lock, the bound name becomes a live guard.
-    /// Acquisitions nested in inner braces (`let x = { let g = lock…; …
-    /// };`) belong to the inner scope and do not taint `x`. Returns the
-    /// index to resume at.
-    fn scan_let(
-        &self,
-        file: &SourceFile,
-        let_idx: usize,
-        depth: i32,
-        guards: &mut Vec<(String, i32)>,
-        out: &mut Vec<Diagnostic>,
-    ) -> usize {
-        let toks = &file.tokens;
-        let mut j = let_idx + 1;
-        if ident_at(toks, j, "mut") {
-            j += 1;
-        }
-        let name = toks
-            .get(j)
-            .filter(|t| t.kind == TokenKind::Ident)
-            .map(|t| t.text.clone());
-        let mut rel: i32 = 0;
-        let mut is_queue = false;
-        while j < toks.len() {
-            let t = &toks[j];
-            if t.is_punct('{') || t.is_punct('(') || t.is_punct('[') {
-                rel += 1;
-            } else if t.is_punct('}') || t.is_punct(')') || t.is_punct(']') {
-                rel -= 1;
-                if rel < 0 {
-                    break;
-                }
-            } else if t.is_punct(';') && rel == 0 {
-                break;
-            } else if rel == 0 && Self::is_queue_acquisition(file, j) {
-                is_queue = true;
-            } else if !guards.is_empty() && Self::is_stats_acquisition(file, j) {
-                out.push(Diagnostic {
-                    rule: self.id(),
-                    path: file.path.clone(),
-                    line: t.line,
-                    message: format!(
-                        "stats lock acquired while queue-state guard `{}` is live; the \
-                         documented order is queue state first, stats second, and nesting \
-                         them is reserved for the serve loop's completion path",
-                        guards.last().map_or("?", |(n, _)| n)
-                    ),
-                });
-            }
-            j += 1;
-        }
-        if is_queue {
-            if let Some(name) = name {
-                guards.push((name, depth));
-            }
-        }
-        j + 1
-    }
-}
-
 /// `wall-clock`: `Instant::now`, `SystemTime::now` and `thread_rng` are
 /// forbidden outside an allowlisted set of real-time modules. The
 /// chaos-soak and FaultPlan machinery replays schedules

@@ -47,7 +47,6 @@ pub mod latency;
 pub mod opp;
 pub mod paper;
 pub mod power;
-pub mod power_analytic;
 pub mod presets;
 pub mod soc;
 pub mod thermal;

@@ -7,6 +7,14 @@
 //! the quantity dynamic CMOS power is proportional to, which keeps the curve
 //! physically shaped between anchors and passes through every anchor
 //! exactly.
+//!
+//! Why not fit the textbook closed form `c_dyn·V²f + c_leak·V + p_base`
+//! instead? Because it does not survive the paper's own numbers: a
+//! least-squares fit to the Odroid XU3 A15 triple (326 mW @ 200 MHz,
+//! 846 mW @ 1 GHz, 2120 mW @ 1.8 GHz) yields a *negative* leakage
+//! coefficient — the measurements rise faster than `V²·f` can explain
+//! with any plausible voltage curve. Where the paper's measurements are
+//! the ground truth, empirical fidelity beats closed-form elegance.
 
 use crate::calibration::interp_extrapolate;
 use crate::error::{PlatformError, Result};

@@ -1,0 +1,495 @@
+//! The per-app ledger: every request an app has admitted and every
+//! counter that accounts for one, under **one lock**.
+//!
+//! A request is in exactly one place — `pending`, `inflight`, or counted
+//! in one of `completed` / `errors` / `shed` — and every move between
+//! them happens in this file, inside the ledger's critical section.
+//! That is what keeps
+//! `submitted + storm_injected == completed + errors + rejected + shed`
+//! exact, and what makes [`AppLedger::snapshot`] one instant of the app:
+//! it copies the counters, `queue_depth`, `in_flight` and the latency
+//! window in a single critical section, so no reader can see a batch
+//! both in flight and already completed. The fields that move requests
+//! or count them are private to this file; the scheduling flags the
+//! other executor modules steer by are `pub(super)`.
+//!
+//! Requests leave the ledger by two settlements: [`Ledger::complete`]
+//! (a forward pass answered them) and [`AppLedger::fail`] (anything
+//! else: a failed or confiscated batch, a shed deadline, a stranded
+//! queue) — the only writers of the right-hand side of the equation.
+//!
+//! Lock rank: `EXEC_QUEUE`, above the pool scheduler (a driver peeks at
+//! ledgers during its roster scan) and below the model (`EXEC_MODEL`),
+//! so the ledger is never taken while a model lock is held.
+
+use std::collections::VecDeque;
+use std::sync::{mpsc, Condvar};
+use std::time::{Duration, Instant};
+
+use eml_core::knobs::KnobCommand;
+use eml_core::sync::{rank, RankedGuard, RankedMutex};
+use eml_nn::tensor::Tensor;
+use eml_nn::Precision;
+use eml_platform::soc::ClusterId;
+use eml_platform::units::TimeSpan;
+
+use super::Completion;
+use crate::error::{Result, ServeError};
+use crate::fault::{FaultKind, FaultState, Injected};
+use crate::stats::{percentiles, AppStatsSnapshot, Window};
+
+type Reply = mpsc::Sender<Result<Completion>>;
+
+/// One admitted request, from `submit` to its settlement.
+pub(super) struct PendingRequest {
+    pub(super) seq: u64,
+    input: Box<[f32]>,
+    pub(super) submitted: Instant,
+    tx: Reply,
+}
+
+/// How one knob command ended ([`Ledger::record_knobs`]).
+pub(super) enum KnobOutcome {
+    /// Actuated; the model now runs at this level and precision.
+    Applied(usize, Precision),
+    /// The model refused it (e.g. width out of range).
+    Rejected(String),
+    /// Dropped by an injected actuation fault.
+    Faulted,
+}
+
+/// An app's queue, in-flight batch, counters and latency window. Shared
+/// between submitters, the pool drivers, the watchdog and the control
+/// plane; never held across an inference.
+pub(super) struct Ledger {
+    pending: VecDeque<PendingRequest>,
+    /// The batch currently being served. It stays *here* (not on the
+    /// driver's stack) so the supervisor can fail it with a typed
+    /// error when the driver dies or wedges; the driver takes it back
+    /// after the forward and discards its results if the supervisor
+    /// got there first.
+    inflight: Vec<PendingRequest>,
+    /// Injected-fault state: `None` unless the app has a fault-plan
+    /// slice or has been `inject_fault`ed.
+    faults: Option<Box<FaultState>>,
+    next_seq: u64,
+    last_seq: Option<u64>,
+    /// The cumulative counters and the model's operating point, kept in
+    /// the shape they are read in: a snapshot is a clone of this with
+    /// the depths, the window and the `pub(super)` fields below filled
+    /// in. Those derived fields are meaningless in the stored copy.
+    stats: AppStatsSnapshot,
+    window: Window,
+    /// Supervised restarts charged to this app (the watchdog's count).
+    pub(super) restarts: u64,
+    /// Wedged batches confiscated from this app (the watchdog's count).
+    pub(super) stalls: u64,
+    /// Application-layer knob commands awaiting execution on a pool
+    /// driver (which holds the model lock to actuate).
+    pub(super) knobs: Vec<KnobCommand>,
+    pub(super) band_cap: usize,
+    pub(super) predicted: Option<TimeSpan>,
+    pub(super) cluster: Option<ClusterId>,
+    pub(super) admitted: bool,
+    pub(super) paused: bool,
+    /// Claimed by a pool driver: exactly one driver serves an app at a
+    /// time, which is what preserves per-app FIFO completion order on
+    /// a shared pool. Cleared on release — or by the watchdog when the
+    /// claiming driver dies.
+    pub(super) busy: bool,
+    /// EWMA of per-sample service time (seconds), for deadline-aware
+    /// batch sizing. Lives in shared state (not on a driver's stack)
+    /// because on a shared pool *different* drivers serve consecutive
+    /// batches of the same app; injected spike delays are excluded so
+    /// coalescing stays deterministic across a fault.
+    pub(super) ewma: Option<f64>,
+    /// Active `drain_app` calls; submissions are refused while the
+    /// queue is being drained so the drain terminates.
+    pub(super) draining: u32,
+    /// Set (together with `stopping`) by `deregister_dnn`, so raced
+    /// submissions surface the distinct [`ServeError::AppDeregistered`]
+    /// rather than shutdown's [`ServeError::AppStopped`].
+    pub(super) departing: bool,
+    pub(super) stopping: bool,
+}
+
+impl Ledger {
+    /// Requests queued.
+    pub(super) fn depth(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// Requests taken from the queue but not yet settled.
+    pub(super) fn in_flight(&self) -> usize {
+        self.inflight.len()
+    }
+
+    /// Nothing queued and nothing in flight.
+    pub(super) fn is_drained(&self) -> bool {
+        self.pending.is_empty() && self.inflight.is_empty()
+    }
+
+    /// The oldest queued request (FIFO: the queue's front).
+    pub(super) fn oldest(&self) -> Option<&PendingRequest> {
+        self.pending.front()
+    }
+
+    /// Admission: refuses typed (counting a rejection where the request
+    /// was this app's to take), or queues the sample and returns its
+    /// sequence number and the receiving half of its reply channel.
+    pub(super) fn admit(
+        &mut self,
+        app: &str,
+        sample: &[f32],
+        capacity: usize,
+    ) -> Result<(u64, mpsc::Receiver<Result<Completion>>)> {
+        // `departing` before `stopping`: a submitter that resolved the
+        // app just before the tombstone swap still gets the distinct
+        // deregistration refusal, not shutdown's.
+        if self.departing {
+            return Err(ServeError::AppDeregistered { app: app.into() });
+        }
+        if self.stopping || self.draining > 0 {
+            return Err(ServeError::AppStopped { app: app.into() });
+        }
+        if !self.admitted {
+            self.stats.rejected += 1;
+            return Err(ServeError::NotAdmitted { app: app.into() });
+        }
+        if self.pending.len() >= capacity {
+            self.stats.rejected += 1;
+            return Err(ServeError::QueueFull {
+                app: app.into(),
+                capacity,
+            });
+        }
+        let (tx, rx) = mpsc::channel();
+        Ok((self.enqueue(sample.into(), tx), rx))
+    }
+
+    fn enqueue(&mut self, input: Box<[f32]>, tx: Reply) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.pending.push_back(PendingRequest {
+            seq,
+            input,
+            submitted: Instant::now(),
+            tx,
+        });
+        self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.pending.len());
+        seq
+    }
+
+    /// Enqueues `n` synthetic copies of the queue's front sample (the
+    /// triggering batch's first request) behind it, stopping at
+    /// capacity. Synthetic requests have no ticket; their completions
+    /// land in the counters like any other request.
+    fn inject_storm(&mut self, n: usize, capacity: usize) {
+        let Some(template) = self.pending.front().map(|r| r.input.clone()) else {
+            return;
+        };
+        for _ in 0..n.min(capacity.saturating_sub(self.pending.len())) {
+            let (tx, _rx) = mpsc::channel();
+            self.enqueue(template.clone(), tx);
+            self.stats.storm_injected += 1;
+        }
+    }
+
+    /// Arms a one-shot fault, consumed by the next dispatched batch.
+    pub(super) fn arm_fault(&mut self, kind: FaultKind) {
+        self.faults.get_or_insert_with(Box::default).arm(kind);
+    }
+
+    /// The fault seam of a dispatch of the `k` oldest requests and
+    /// `knobs` knob commands (see [`crate::fault`]). An app without
+    /// fault state — no plan slice, never `inject_fault`ed — runs none
+    /// of it.
+    pub(super) fn on_dispatch(&mut self, k: usize, knobs: usize, capacity: usize) -> Injected {
+        let Some(mut faults) = self.faults.take() else {
+            return Injected::default();
+        };
+        let max_seq = k.checked_sub(1).map(|last| self.pending[last].seq);
+        let injected = faults.on_dispatch(max_seq, knobs, |n| self.inject_storm(n, capacity));
+        self.faults = Some(faults);
+        injected
+    }
+
+    /// Moves the `k` oldest requests into the supervised in-flight
+    /// slot, returning their inputs as one contiguous buffer for the
+    /// batched forward.
+    pub(super) fn dispatch(&mut self, k: usize) -> Vec<f32> {
+        let batch: Vec<PendingRequest> = self.pending.drain(..k).collect();
+        let mut data = Vec::with_capacity(batch.iter().map(|r| r.input.len()).sum());
+        for r in &batch {
+            data.extend_from_slice(&r.input);
+        }
+        self.inflight = batch;
+        data
+    }
+
+    /// Takes the in-flight batch back for settlement. Empty means the
+    /// watchdog confiscated it and already answered the riders.
+    pub(super) fn take_inflight(&mut self) -> Vec<PendingRequest> {
+        std::mem::take(&mut self.inflight)
+    }
+
+    /// Takes everything the app still holds — in-flight, then queued —
+    /// for a lifecycle path to fail as stranded.
+    pub(super) fn take_all(&mut self) -> Vec<PendingRequest> {
+        let mut all = self.take_inflight();
+        all.extend(self.pending.drain(..));
+        all
+    }
+
+    /// Settles a served batch: one `completed` and one window sample
+    /// per rider, one row of `logits` each. `service` is the measured
+    /// forward; `deadline` the app's, for the per-request verdict. The
+    /// completions are returned for the caller to send once the lock is
+    /// released.
+    pub(super) fn complete(
+        &mut self,
+        batch: Vec<PendingRequest>,
+        logits: &Tensor,
+        service: Duration,
+        deadline: Option<TimeSpan>,
+    ) -> Vec<(Reply, Completion)> {
+        let k = batch.len();
+        let classes = logits.shape()[1];
+        let service = TimeSpan::from_secs(service.as_secs_f64());
+        self.stats.batches += 1;
+        self.stats.batched_samples += k as u64;
+        let rows = logits.data();
+        let completions = batch.into_iter().enumerate().map(|(i, req)| {
+            let row = &rows[i * classes..(i + 1) * classes];
+            // Total order: a NaN logit (a client-submitted NaN sample
+            // propagates on the f32 path) must yield *a* prediction,
+            // not a panic — the NaN is visible to the caller in the
+            // logits row.
+            let pred = row
+                .iter()
+                .enumerate()
+                .max_by(|a, b| a.1.total_cmp(b.1))
+                .map_or(0, |(c, _)| c);
+            let latency_s = req.submitted.elapsed().as_secs_f64();
+            let met = deadline.map(|dl| latency_s <= dl.as_secs());
+            self.record(req.seq, latency_s, met);
+            let completion = Completion {
+                seq: req.seq,
+                logits: row.to_vec(),
+                pred,
+                latency: TimeSpan::from_secs(latency_s),
+                service,
+                batch_size: k,
+                deadline_met: met,
+            };
+            (req.tx, completion)
+        });
+        completions.collect()
+    }
+
+    /// Records one completed request.
+    fn record(&mut self, seq: u64, latency_s: f64, met: Option<bool>) {
+        self.window.push(latency_s, met);
+        self.stats.completed += 1;
+        if met == Some(false) {
+            self.stats.missed += 1;
+        }
+        if self.last_seq.is_some_and(|last| seq <= last) {
+            self.stats.out_of_order += 1;
+        }
+        self.last_seq = Some(seq);
+    }
+
+    /// Records how a driver's knob actuations ended, in command order.
+    pub(super) fn record_knobs(&mut self, outcomes: Vec<KnobOutcome>) {
+        let stats = &mut self.stats;
+        for outcome in outcomes {
+            let failure = match outcome {
+                KnobOutcome::Applied(level, precision) => {
+                    if (level, precision) != (stats.level, stats.precision) {
+                        // A new operating point: the latency window now
+                        // describes stale behaviour.
+                        self.window.reset();
+                    }
+                    (stats.level, stats.precision) = (level, precision);
+                    continue;
+                }
+                KnobOutcome::Rejected(why) => {
+                    stats.knob_rejected += 1;
+                    why
+                }
+                KnobOutcome::Faulted => {
+                    stats.knob_faulted += 1;
+                    "injected knob-actuation fault".into()
+                }
+            };
+            stats.knob_errors += 1;
+            stats.last_knob_error = Some(failure);
+        }
+    }
+}
+
+/// A [`Ledger`] behind its lock, with the condvar that announces it
+/// drained.
+pub(super) struct AppLedger {
+    state: RankedMutex<Ledger>,
+    /// Signalled when the queue empties and nothing is in flight.
+    idle: Condvar,
+}
+
+impl AppLedger {
+    /// A fresh ledger for a model at `level` / `precision`, admitted
+    /// and empty, with `faults` as its fault-plan slice.
+    pub(super) fn new(
+        stats_window: usize,
+        level: usize,
+        precision: Precision,
+        faults: Option<Box<FaultState>>,
+    ) -> Self {
+        let ledger = Ledger {
+            pending: VecDeque::new(),
+            inflight: Vec::new(),
+            faults,
+            next_seq: 0,
+            last_seq: None,
+            stats: AppStatsSnapshot {
+                level,
+                precision,
+                ..AppStatsSnapshot::default()
+            },
+            window: Window::new(stats_window),
+            restarts: 0,
+            stalls: 0,
+            knobs: Vec::new(),
+            band_cap: 0,
+            predicted: None,
+            cluster: None,
+            admitted: true,
+            paused: false,
+            busy: false,
+            ewma: None,
+            draining: 0,
+            departing: false,
+            stopping: false,
+        };
+        Self {
+            state: RankedMutex::new(rank::EXEC_QUEUE, "exec-ledger", ledger),
+            idle: Condvar::new(),
+        }
+    }
+
+    /// Locks the ledger. Poisoning is recovered inside `RankedMutex`:
+    /// the ledger is only mutated by short, panic-free critical
+    /// sections; a poisoned lock means a pool driver died mid-batch,
+    /// which the watchdog turns into typed errors and a supervised
+    /// restart.
+    pub(super) fn lock(&self) -> RankedGuard<'_, Ledger> {
+        self.state.lock()
+    }
+
+    /// Blocks until the next drained signal.
+    pub(super) fn wait<'a>(&self, st: RankedGuard<'a, Ledger>) -> RankedGuard<'a, Ledger> {
+        self.state.wait(&self.idle, st)
+    }
+
+    /// [`AppLedger::wait`], giving up after `timeout`.
+    pub(super) fn wait_for<'a>(
+        &self,
+        st: RankedGuard<'a, Ledger>,
+        timeout: Duration,
+    ) -> RankedGuard<'a, Ledger> {
+        self.state.wait_timeout(&self.idle, st, timeout).0
+    }
+
+    /// Wakes the drain watchers if the app has fully drained.
+    pub(super) fn notify_if_drained(&self, st: &Ledger) {
+        if st.is_drained() {
+            self.idle.notify_all();
+        }
+    }
+
+    /// The one failing settlement: answers each of `reqs` (already
+    /// taken out of the queue or the in-flight slot) with its typed
+    /// error, counts it — under `shed` when the answer is
+    /// [`ServeError::DeadlineExpired`], under `errors` otherwise — and
+    /// signals the drain watchers if that emptied the app.
+    pub(super) fn fail(
+        &self,
+        st: &mut Ledger,
+        reqs: Vec<PendingRequest>,
+        error: impl Fn(&PendingRequest) -> ServeError,
+    ) {
+        for req in reqs {
+            let error = error(&req);
+            match error {
+                ServeError::DeadlineExpired { .. } => st.stats.shed += 1,
+                _ => st.stats.errors += 1,
+            }
+            let _ = req.tx.send(Err(error));
+        }
+        self.notify_if_drained(st);
+    }
+
+    /// Sheds the expired prefix of the queue: FIFO order means the
+    /// oldest request is at the front, so once the front is within
+    /// deadline the whole remainder is too. Each shed request completes
+    /// immediately with a typed error — no forward pass is spent on it.
+    pub(super) fn shed_expired(&self, st: &mut Ledger, deadline: TimeSpan, app: &str) {
+        let expired = st
+            .pending
+            .iter()
+            .take_while(|r| r.submitted.elapsed().as_secs_f64() > deadline.as_secs())
+            .count();
+        let doomed = st.pending.drain(..expired).collect();
+        self.fail(st, doomed, |req| ServeError::DeadlineExpired {
+            app: app.into(),
+            seq: req.seq,
+        });
+    }
+
+    /// One instant of the app (shared by [`super::Executor::stats`],
+    /// the bulk `dnn_snapshots` and the final snapshot
+    /// `deregister_dnn` returns): every counter, the depths and the
+    /// latency window are copied in one critical section; the
+    /// percentiles are selected over `scratch` after it, `p99` only if
+    /// `want_p99`.
+    pub(super) fn snapshot(&self, scratch: &mut Vec<f64>, want_p99: bool) -> AppStatsSnapshot {
+        let mut snap = {
+            let st = self.lock();
+            let mut snap = AppStatsSnapshot {
+                queue_depth: st.pending.len(),
+                in_flight: st.inflight.len(),
+                restarts: st.restarts,
+                stalls: st.stalls,
+                predicted: st.predicted,
+                cluster: st.cluster,
+                band_cap: st.band_cap,
+                admitted: st.admitted,
+                ..st.stats.clone()
+            };
+            st.window.read_into(&mut snap, scratch);
+            snap
+        };
+        (snap.p50, snap.p99) = percentiles(scratch, want_p99);
+        snap
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn out_of_order_completions_are_counted() {
+        let ledger = AppLedger::new(8, 0, Precision::F32, None);
+        {
+            let mut st = ledger.lock();
+            st.record(3, 1e-3, Some(true));
+            st.record(2, 9e-3, Some(false));
+        }
+        let s = ledger.snapshot(&mut Vec::new(), true);
+        assert_eq!((s.completed, s.missed, s.out_of_order), (2, 1, 1));
+        assert_eq!((s.window_len, s.window_outcomes), (2, 2));
+        assert!(s.admitted && s.p99 == Some(TimeSpan::from_secs(9e-3)));
+    }
+}

@@ -2,37 +2,38 @@
 //!
 //! [`Executor`] owns a **fixed pool of driver threads** (sized by
 //! [`ExecutorConfig::pool_workers`], *not* by the tenant count) that
-//! serves every registered dynamic-DNN application from a shared
-//! ready-"queue": each driver scans the app roster and claims the most
-//! urgent runnable app under weighted earliest-deadline-first order —
-//! the virtual deadline of an app's oldest queued request is its
-//! arrival time plus the app's latency budget scaled down by its RTM
-//! band allocation (more allocated cores ⇒ less slack ⇒ served
-//! sooner). A claimed app is marked *busy* so exactly one driver works
-//! it at a time, which preserves per-app FIFO completion order and
-//! keeps per-app results bit-identical whether the app runs solo or
-//! among a hundred co-tenants.
+//! serves every registered dynamic-DNN application from a shared ready
+//! order. This file is the public surface and the lifecycle —
+//! registration, submission, allocation, drain, shutdown; each of the
+//! executor's other concerns has one home beneath it:
 //!
-//! Per claim, the driver drains the app's bounded request queue into a
-//! deadline-aware micro-batch (up to [`ExecutorConfig::batch_cap`],
-//! shrunk when the estimated batch service time would blow the oldest
-//! request's deadline) and runs it through the real
-//! [`eml_dnn::DynamicDnn`] kernels — the batch>1 forward path of
-//! `eml_nn`, under a per-app [`eml_nn::workers::with_band_cap`] budget
-//! derived from the cores the RTM allocated. An
-//! [`eml_core::rtm::Allocation`] is *actuated*, not interpreted:
-//! [`Executor::apply_allocation`] translates it through
-//! [`eml_core::knobs::commands_for`] and a pool driver executes the
-//! application-layer commands with
-//! [`eml_core::knobs::apply_app_command`] (width switches re-plan the
-//! int8 chain automatically; precision switches re-select the
-//! backend).
+//! - `ledger` — per app, the queue, the in-flight batch, every counter
+//!   of `submitted + storm_injected == completed + errors + rejected +
+//!   shed` and the latency window, under one lock; the only code that
+//!   moves a request or counts one.
+//! - `sched` — which app a free driver claims next (knob work, then
+//!   weighted earliest-deadline-first; one driver per app at a time).
+//! - `driver` — claim → deadline-aware micro-batch → forward on the
+//!   real [`eml_dnn::DynamicDnn`] kernels → settle → release.
+//! - `supervise` — heartbeats, the watchdog, typed failure of a dead or
+//!   wedged driver's batch, bounded-backoff restart.
+//! - [`crate::fault`] — everything an injected fault does, behind three
+//!   calls from `driver`.
 //!
 //! Requests complete through per-request tickets; queue overflow is a
 //! typed [`crate::ServeError::QueueFull`] at submission, never a block
 //! and never a silent drop. Every admitted request produces exactly one
 //! completion (success or a typed error) in FIFO order per app, a
-//! property the stress and property suites pin.
+//! property the stress and property suites pin. Requests whose deadline
+//! already expired in the queue are **shed** at dequeue with a typed
+//! [`crate::ServeError::DeadlineExpired`] instead of burning a forward
+//! pass on a doomed request — the biggest overload amplifier in a
+//! deadline-driven server.
+//!
+//! An [`eml_core::rtm::Allocation`] is *actuated*, not interpreted:
+//! [`Executor::apply_allocation`] translates it through
+//! [`eml_core::knobs::commands_for`] and a pool driver executes the
+//! application-layer commands before the app's next batch.
 //!
 //! ## Bounded registry
 //!
@@ -42,34 +43,6 @@
 //! distinct from the per-request [`crate::ServeError::QueueFull`].
 //! Deregistered tombstones do not count against the cap, so tenant
 //! churn does not leak capacity.
-//!
-//! ## Fault tolerance
-//!
-//! Pool drivers are *supervised*: each driver stores a heartbeat
-//! beacon before every scan and every forward pass, and a watchdog
-//! thread (one per executor, ticking every
-//! [`ExecutorConfig::watchdog_interval`]) checks every driver. A
-//! driver that died (a panic escaping the forward's containment) has
-//! the claimed app's in-flight batch failed with a typed
-//! [`crate::ServeError::Inference`] error, the app's busy mark
-//! cleared (so the surviving drivers can serve it), and is restarted
-//! with bounded exponential backoff
-//! ([`ExecutorConfig::restart_backoff`] .. `restart_backoff_max`,
-//! doubling per consecutive crash); restarts surface in
-//! [`AppStatsSnapshot::restarts`] of the app whose batch died. A
-//! driver that *wedged* — heartbeat stale past
-//! [`ExecutorConfig::stall_timeout`] with work in flight — has its
-//! batch confiscated and failed the same way
-//! ([`AppStatsSnapshot::stalls`]); if the forward later recovers, its
-//! results are discarded (the riders were already answered).
-//!
-//! At dequeue time, requests whose deadline already expired in the
-//! queue are **shed** with a typed
-//! [`crate::ServeError::DeadlineExpired`] instead of burning a forward
-//! pass on a doomed request — the biggest overload amplifier in a
-//! deadline-driven server. Shed counts keep the extended accounting
-//! invariant exact:
-//! `submitted + storm_injected == completed + errors + rejected + shed`.
 //!
 //! ## Lifecycle
 //!
@@ -88,36 +61,30 @@
 //! [`crate::ServeError::UnknownApp`] until the name is registered
 //! again. The extended accounting invariant holds across the
 //! transition.
-//!
-//! Deterministic hostile schedules come from a seeded
-//! [`crate::FaultPlan`] ([`ExecutorConfig::fault_plan`], off by
-//! default and free when absent) or one-shot
-//! [`Executor::inject_fault`] calls (the simulator's chaos hooks).
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+mod driver;
+mod ledger;
+mod sched;
+mod supervise;
 
-use eml_core::knobs::{apply_app_command, commands_for, KnobCommand};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
+
+use eml_core::knobs::{commands_for, KnobCommand};
 use eml_core::requirements::Requirements;
 use eml_core::rtm::Allocation;
-use eml_core::sync::{rank, RankedGuard, RankedMutex};
+use eml_core::sync::{rank, RankedMutex};
 use eml_dnn::DynamicDnn;
-use eml_nn::tensor::Tensor;
-use eml_platform::soc::ClusterId;
 use eml_platform::units::TimeSpan;
 
+use self::ledger::AppLedger;
+use self::sched::PoolShared;
+use self::supervise::{spawn_driver_thread, Driver, Watchdog};
 use crate::error::{Result, ServeError};
-use crate::fault::{Fault, FaultKind, FaultPlan};
-use crate::stats::{AppStats, AppStatsSnapshot, PoolSnapshot};
-
-/// Virtual-deadline budget (seconds) for apps registered without a
-/// latency requirement: tight enough that best-effort tenants are not
-/// starved behind every deadline-bearing tenant, loose enough that
-/// real deadlines still dominate the EDF order.
-const DEFAULT_EDF_BUDGET_SECS: f64 = 0.1;
+use crate::fault::{FaultKind, FaultPlan};
+use crate::stats::{AppStatsSnapshot, PoolSnapshot};
 
 /// Executor configuration.
 #[derive(Debug, Clone)]
@@ -264,104 +231,17 @@ impl Ticket {
     }
 }
 
-struct PendingRequest {
-    seq: u64,
-    input: Box<[f32]>,
-    submitted: Instant,
-    tx: mpsc::Sender<Result<Completion>>,
-}
-
-/// Queue state shared between submitters, the pool drivers, the
-/// watchdog and the control plane. Never held across an inference.
-struct QueueState {
-    pending: VecDeque<PendingRequest>,
-    /// The batch currently being served. It stays *here* (not on the
-    /// driver's stack) so the supervisor can fail it with a typed
-    /// error when the driver dies or wedges; the driver takes it back
-    /// after the forward and discards its results if the supervisor
-    /// got there first.
-    inflight: Vec<PendingRequest>,
-    /// Application-layer knob commands awaiting execution on a pool
-    /// driver (which holds the model lock to actuate).
-    knobs: Vec<KnobCommand>,
-    /// Runtime-armed one-shot faults ([`Executor::inject_fault`]),
-    /// consumed by the next dispatched batch.
-    armed: Vec<FaultKind>,
-    /// Fired flags of the app's [`FaultPlan`] slice (index-aligned).
-    /// Shared state, not thread-local: a plan fault must not re-fire
-    /// after a supervised restart.
-    fired: Vec<bool>,
-    /// Injected knob-actuation failures not yet consumed by a command.
-    knob_fault_budget: u32,
-    next_seq: u64,
-    rejected: u64,
-    errors: u64,
-    shed: u64,
-    storm_injected: u64,
-    max_depth: usize,
-    band_cap: usize,
-    predicted: Option<TimeSpan>,
-    cluster: Option<ClusterId>,
-    admitted: bool,
-    paused: bool,
-    /// Claimed by a pool driver: exactly one driver serves an app at a
-    /// time, which is what preserves per-app FIFO completion order on
-    /// a shared pool. Cleared on release — or by the watchdog when the
-    /// claiming driver dies.
-    busy: bool,
-    /// EWMA of per-sample service time (seconds), for deadline-aware
-    /// batch sizing. Lives in shared state (not on a driver's stack)
-    /// because on a shared pool *different* drivers serve consecutive
-    /// batches of the same app; injected spike delays are excluded so
-    /// coalescing stays deterministic across a fault.
-    ewma: Option<f64>,
-    /// Active `drain_app` calls; submissions are refused while the
-    /// queue is being drained so the drain terminates.
-    draining: u32,
-    /// Set (together with `stopping`) by `deregister_dnn`, so raced
-    /// submissions surface the distinct [`ServeError::AppDeregistered`]
-    /// rather than shutdown's [`ServeError::AppStopped`].
-    departing: bool,
-    stopping: bool,
-}
-
-struct AppShared {
-    /// Queue state, ranked: the serve path's completion section nests
-    /// `EXEC_STATS` inside this lock (the crate's one sanctioned
-    /// nesting); the debug-build rank check keeps every other path
-    /// honest about the queue-state→stats order.
-    state: RankedMutex<QueueState>,
-    /// Signalled when the queue empties and nothing is in flight.
-    idle: Condvar,
-}
-
-fn lock_state(shared: &AppShared) -> RankedGuard<'_, QueueState> {
-    // Poisoning is recovered inside `RankedMutex`: the state is only
-    // mutated by short, panic-free critical sections; a poisoned lock
-    // means a pool driver died mid-batch, which the watchdog turns
-    // into typed errors and a supervised restart.
-    shared.state.lock()
-}
-
-/// Restart bookkeeping, owned by the watchdog and reset by a pool
-/// driver on every completed batch.
-#[derive(Default)]
-struct Supervision {
-    /// Consecutive restarts without an intervening completed batch —
-    /// the exponent of the restart backoff.
-    streak: u32,
-    /// When the next restart may happen (set at death detection).
-    restart_at: Option<Instant>,
-}
-
 /// Everything the pool drivers, the watchdog and the control plane
-/// share about one app. The model lives *here* (not on a driver's
+/// share about one DNN app. The model lives *here* (not on a driver's
 /// stack) so any driver — including one freshly restarted — serves
 /// the same model.
-struct AppRuntime {
+struct App {
     name: String,
-    shared: AppShared,
-    stats: RankedMutex<AppStats>,
+    ledger: AppLedger,
+    /// A panic mid-forward (injected or organic) poisons this lock;
+    /// recovery (inside `RankedMutex`) is safe because the model's
+    /// scratch is resize-then-overwrite — no torn state survives into
+    /// the next forward.
     model: RankedMutex<DynamicDnn>,
     /// The shared driver pool this app is scheduled on (rung after
     /// every enqueue so a sleeping driver rescans).
@@ -373,138 +253,38 @@ struct AppRuntime {
     batch_cap: usize,
     deadline: Option<TimeSpan>,
     queue_capacity: usize,
-    /// This app's slice of the executor's fault plan (empty ⇒ the
-    /// dispatch path never looks at faults).
-    plan: Vec<Fault>,
-}
-
-impl AppRuntime {
-    fn lock_stats(&self) -> RankedGuard<'_, AppStats> {
-        self.stats.lock()
-    }
-
-    fn lock_model(&self) -> RankedGuard<'_, DynamicDnn> {
-        // A panic mid-forward (injected or organic) poisons this lock;
-        // recovery (inside `RankedMutex`) is safe because the model's
-        // scratch is resize-then-overwrite — no torn state survives
-        // into the next forward.
-        self.model.lock()
-    }
-}
-
-struct DnnApp {
-    rt: Arc<AppRuntime>,
     sample_len: usize,
     sample_shape: Vec<usize>,
 }
 
 enum AppEntry {
-    Dnn(Arc<DnnApp>),
+    Dnn(Arc<App>),
     /// Rigid apps run outside the executor (a GPU renderer, a codec);
     /// registration only makes allocation bookkeeping visible.
     Rigid,
     /// Tombstone left by [`Executor::deregister_dnn`]: keeps the final
     /// statistics readable, makes late lookups fail with the distinct
     /// typed refusal, and frees the name for re-registration.
-    Departed(Arc<DnnApp>),
+    Departed(Arc<App>),
 }
 
-/// The pool scheduler's shared state: the roster of registered DNN
-/// apps the EDF scan walks, and the pool-wide stop flag.
-struct PoolState {
-    roster: Vec<Arc<DnnApp>>,
-    stopping: bool,
-}
-
-/// What every pool driver shares: the scheduler state, the wakeup
-/// condvar, the live-driver census and the EDF epoch.
-struct PoolShared {
-    /// Ranked *below* every per-app lock (`EXEC_POOL` < `EXEC_QUEUE`)
-    /// so a driver may hold the scheduler across its scan while
-    /// peeking at each app's queue state.
-    sched: RankedMutex<PoolState>,
-    /// Signalled on submit / knob push / resume / release / stop.
-    work: Condvar,
-    /// Drivers currently alive (spawned minus reaped-dead). Lifecycle
-    /// paths consult it so a fully-dead pool cannot hang a drain.
-    live_drivers: AtomicUsize,
-    /// The EDF time origin: virtual deadlines are offsets from here,
-    /// so they are totally ordered plain `Duration`s.
-    epoch: Instant,
-}
-
-impl PoolShared {
-    /// Wakes every driver for a rescan, without losing a wakeup: a
-    /// scanning driver holds the scheduler lock continuously from its
-    /// scan until its condvar wait (which releases atomically), so
-    /// taking the lock here guarantees the notify lands after the
-    /// driver either saw the new state or started waiting.
-    fn ring(&self) {
-        drop(self.sched.lock());
-        self.work.notify_all();
+impl AppEntry {
+    fn is_live(&self) -> bool {
+        !matches!(self, AppEntry::Departed(_))
     }
-}
-
-/// One pool driver: its thread handle, its claim slot (which app it
-/// is serving right now — the watchdog confiscates through it), its
-/// supervision record and its heartbeat beacon.
-struct Driver {
-    index: usize,
-    pool: Arc<PoolShared>,
-    /// The app this driver currently has claimed (`busy` set). The
-    /// watchdog reads it to know whose batch to fail when this driver
-    /// dies or wedges.
-    current: RankedMutex<Option<Arc<DnnApp>>>,
-    thread: RankedMutex<Option<JoinHandle<()>>>,
-    supervision: RankedMutex<Supervision>,
-    /// Liveness beacon: nanoseconds since `epoch`, stored by the
-    /// driver before every scan and every forward.
-    heartbeat: AtomicU64,
-    epoch: Instant,
-}
-
-impl Driver {
-    fn beat(&self) {
-        self.heartbeat
-            .store(self.epoch.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    fn heartbeat_age(&self) -> Duration {
-        let last = Duration::from_nanos(self.heartbeat.load(Ordering::Relaxed));
-        self.epoch.elapsed().saturating_sub(last)
-    }
-}
-
-/// Watchdog timing knobs, copied out of [`ExecutorConfig`] at spawn.
-#[derive(Clone, Copy)]
-struct WatchdogCfg {
-    interval: Duration,
-    stall: Duration,
-    backoff: Duration,
-    backoff_max: Duration,
-}
-
-/// The supervisor's view: the fixed driver set (immutable after
-/// construction — supervision never needs a registry lock), plus the
-/// stop signal of the watchdog thread itself.
-struct Watchdog {
-    drivers: Vec<Arc<Driver>>,
-    stop: RankedMutex<bool>,
-    bell: Condvar,
 }
 
 /// The multi-tenant serving executor. See the module docs.
 pub struct Executor {
     cfg: ExecutorConfig,
     /// The app map, ranked *below* every per-app lock so lifecycle
-    /// paths may resolve a name and then touch its queue state while
-    /// still holding the map.
+    /// paths may resolve a name and then touch its ledger while still
+    /// holding the map.
     apps: RankedMutex<HashMap<String, AppEntry>>,
     pool: Arc<PoolShared>,
     drivers: Vec<Arc<Driver>>,
     next_reg_index: AtomicU64,
-    watchdog: Arc<Watchdog>,
-    watchdog_thread: Option<JoinHandle<()>>,
+    watchdog: Watchdog,
 }
 
 impl std::fmt::Debug for Executor {
@@ -525,59 +305,17 @@ impl Executor {
     /// ([`ExecutorConfig::pool_workers`] threads, at least one) and
     /// starts the supervisor watchdog.
     pub fn new(cfg: ExecutorConfig) -> Self {
-        let pool = Arc::new(PoolShared {
-            sched: RankedMutex::new(
-                rank::EXEC_POOL,
-                "exec-pool",
-                PoolState {
-                    roster: Vec::new(),
-                    stopping: false,
-                },
-            ),
-            work: Condvar::new(),
-            live_drivers: AtomicUsize::new(0),
-            epoch: Instant::now(),
-        });
+        let pool = Arc::new(PoolShared::new());
         let drivers: Vec<Arc<Driver>> = (0..cfg.pool_workers.max(1))
-            .map(|index| {
-                Arc::new(Driver {
-                    index,
-                    pool: Arc::clone(&pool),
-                    current: RankedMutex::new(rank::EXEC_DRIVER, "exec-driver-current", None),
-                    thread: RankedMutex::new(rank::EXEC_THREAD, "exec-thread", None),
-                    supervision: RankedMutex::new(
-                        rank::EXEC_SUPERVISION,
-                        "exec-supervision",
-                        Supervision::default(),
-                    ),
-                    heartbeat: AtomicU64::new(0),
-                    epoch: Instant::now(),
-                })
-            })
+            .map(|index| Driver::new(index, &pool))
             .collect();
         for drv in &drivers {
             let handle = spawn_driver_thread(drv).expect("spawn pool driver thread");
             *drv.thread.lock() = Some(handle);
             pool.live_drivers.fetch_add(1, Ordering::SeqCst);
         }
-        let watchdog = Arc::new(Watchdog {
-            drivers: drivers.clone(),
-            stop: RankedMutex::new(rank::EXEC_WATCHDOG, "exec-watchdog-stop", false),
-            bell: Condvar::new(),
-        });
-        let wd_cfg = WatchdogCfg {
-            interval: cfg.watchdog_interval.max(Duration::from_millis(1)),
-            stall: cfg.stall_timeout.max(Duration::from_millis(1)),
-            backoff: cfg.restart_backoff,
-            backoff_max: cfg.restart_backoff_max.max(cfg.restart_backoff),
-        };
-        let watchdog_thread = {
-            let wd = Arc::clone(&watchdog);
-            std::thread::Builder::new()
-                .name("eml-serve-watchdog".into())
-                .spawn(move || watchdog_loop(&wd, wd_cfg))
-                .expect("spawn watchdog thread")
-        };
+        let watchdog =
+            Watchdog::spawn(drivers.clone(), cfg.clone()).expect("spawn watchdog thread");
         Self {
             cfg,
             apps: RankedMutex::new(rank::EXEC_APPS, "exec-apps", HashMap::new()),
@@ -585,7 +323,6 @@ impl Executor {
             drivers,
             next_reg_index: AtomicU64::new(0),
             watchdog,
-            watchdog_thread: Some(watchdog_thread),
         }
     }
 
@@ -603,7 +340,7 @@ impl Executor {
             .apps
             .lock()
             .iter()
-            .filter(|(_, e)| !matches!(e, AppEntry::Departed(_)))
+            .filter(|(_, e)| e.is_live())
             .map(|(n, _)| n.clone())
             .collect();
         names.sort();
@@ -617,19 +354,14 @@ impl Executor {
     pub fn pool_stats(&self) -> PoolSnapshot {
         // Registry occupancy first (rank EXEC_APPS below EXEC_POOL),
         // then the roster scan under the scheduler lock.
-        let apps = {
-            let apps = self.apps.lock();
-            apps.values()
-                .filter(|e| !matches!(e, AppEntry::Departed(_)))
-                .count()
-        };
+        let apps = self.apps.lock().values().filter(|e| e.is_live()).count();
         let ps = self.pool.sched.lock();
         let mut queue_depth = 0;
         let mut in_flight = 0;
         for app in &ps.roster {
-            let st = lock_state(&app.rt.shared);
-            queue_depth += st.pending.len();
-            in_flight += st.inflight.len();
+            let st = app.ledger.lock();
+            queue_depth += st.depth();
+            in_flight += st.in_flight();
         }
         PoolSnapshot {
             drivers: self.drivers.len(),
@@ -684,75 +416,24 @@ impl Executor {
         // Hold the map for the whole registration so a concurrent
         // register/deregister of the same name serialises cleanly.
         let mut apps = self.apps.lock();
-        match apps.get(&name) {
-            None | Some(AppEntry::Departed(_)) => {}
-            Some(_) => return Err(ServeError::DuplicateApp { app: name }),
-        }
-        let live = apps
-            .values()
-            .filter(|e| !matches!(e, AppEntry::Departed(_)))
-            .count();
-        if live >= self.cfg.max_apps {
-            return Err(ServeError::OverCapacity {
-                app: name,
-                capacity: self.cfg.max_apps,
-            });
-        }
+        self.admit_registration(&apps, &name)?;
         let sample_shape: Vec<usize> = dnn.network().input_shape().to_vec();
-        let sample_len = sample_shape.iter().product();
-        let deadline = requirements.max_latency();
-        let plan = self
-            .cfg
-            .fault_plan
-            .as_ref()
-            .map(|p| p.for_app(&name))
-            .unwrap_or_default();
-        let stats = AppStats::new(self.cfg.stats_window, dnn.level().index(), dnn.precision());
-        let rt = Arc::new(AppRuntime {
+        let faults = self.cfg.fault_plan.as_ref().and_then(|p| p.for_app(&name));
+        let app = Arc::new(App {
             name: name.clone(),
-            shared: AppShared {
-                state: RankedMutex::new(
-                    rank::EXEC_QUEUE,
-                    "exec-queue-state",
-                    QueueState {
-                        pending: VecDeque::new(),
-                        inflight: Vec::new(),
-                        knobs: Vec::new(),
-                        armed: Vec::new(),
-                        fired: vec![false; plan.len()],
-                        knob_fault_budget: 0,
-                        next_seq: 0,
-                        rejected: 0,
-                        errors: 0,
-                        shed: 0,
-                        storm_injected: 0,
-                        max_depth: 0,
-                        band_cap: 0,
-                        predicted: None,
-                        cluster: None,
-                        admitted: true,
-                        paused: false,
-                        busy: false,
-                        ewma: None,
-                        draining: 0,
-                        departing: false,
-                        stopping: false,
-                    },
-                ),
-                idle: Condvar::new(),
-            },
-            stats: RankedMutex::new(rank::EXEC_STATS, "exec-stats", stats),
+            ledger: AppLedger::new(
+                self.cfg.stats_window,
+                dnn.level().index(),
+                dnn.precision(),
+                faults,
+            ),
             model: RankedMutex::new(rank::EXEC_MODEL, "exec-model", dnn),
             pool: Arc::clone(&self.pool),
             reg_index: self.next_reg_index.fetch_add(1, Ordering::Relaxed),
             batch_cap: self.cfg.batch_cap.max(1),
-            deadline,
+            deadline: requirements.max_latency(),
             queue_capacity: self.cfg.queue_capacity,
-            plan,
-        });
-        let app = Arc::new(DnnApp {
-            rt,
-            sample_len,
+            sample_len: sample_shape.iter().product(),
             sample_shape,
         });
         // Onto the scheduler roster (ranks: EXEC_APPS 190 < EXEC_POOL
@@ -760,6 +441,22 @@ impl Executor {
         // app has no work yet.
         self.pool.sched.lock().roster.push(Arc::clone(&app));
         apps.insert(name, AppEntry::Dnn(app));
+        Ok(())
+    }
+
+    /// The registry's admission rule, shared by both registration
+    /// surfaces: the name must be free (a tombstone is) and the live
+    /// tenants below the cap.
+    fn admit_registration(&self, apps: &HashMap<String, AppEntry>, name: &str) -> Result<()> {
+        if apps.get(name).is_some_and(AppEntry::is_live) {
+            return Err(ServeError::DuplicateApp { app: name.into() });
+        }
+        if apps.values().filter(|e| e.is_live()).count() >= self.cfg.max_apps {
+            return Err(ServeError::OverCapacity {
+                app: name.into(),
+                capacity: self.cfg.max_apps,
+            });
+        }
         Ok(())
     }
 
@@ -775,20 +472,7 @@ impl Executor {
     pub fn register_rigid(&self, name: impl Into<String>) -> Result<()> {
         let name = name.into();
         let mut apps = self.apps.lock();
-        match apps.get(&name) {
-            None | Some(AppEntry::Departed(_)) => {}
-            Some(_) => return Err(ServeError::DuplicateApp { app: name }),
-        }
-        let live = apps
-            .values()
-            .filter(|e| !matches!(e, AppEntry::Departed(_)))
-            .count();
-        if live >= self.cfg.max_apps {
-            return Err(ServeError::OverCapacity {
-                app: name,
-                capacity: self.cfg.max_apps,
-            });
-        }
+        self.admit_registration(&apps, &name)?;
         apps.insert(name, AppEntry::Rigid);
         Ok(())
     }
@@ -814,31 +498,19 @@ impl Executor {
     pub fn deregister_dnn(&self, app: &str) -> Result<AppStatsSnapshot> {
         let d = {
             let mut apps = self.apps.lock();
-            match apps.remove(app) {
-                Some(AppEntry::Dnn(d)) => {
-                    apps.insert(app.to_string(), AppEntry::Departed(Arc::clone(&d)));
-                    d
-                }
-                Some(entry) => {
-                    let refusal = match &entry {
-                        AppEntry::Departed(_) => ServeError::AppDeregistered { app: app.into() },
-                        _ => ServeError::UnknownApp { app: app.into() },
-                    };
-                    apps.insert(app.to_string(), entry);
-                    return Err(refusal);
-                }
-                None => return Err(ServeError::UnknownApp { app: app.into() }),
-            }
+            let d = Self::live_dnn(&apps, app)?;
+            apps.insert(app.to_string(), AppEntry::Departed(Arc::clone(&d)));
+            d
         };
         // Stop admissions, typed. The pool still drains what the app
         // already admitted: a stopping app with queued work keeps its
         // EDF key until the queue empties.
         {
-            let mut st = lock_state(&d.rt.shared);
+            let mut st = d.ledger.lock();
             st.departing = true;
             st.stopping = true;
         }
-        d.rt.pool.ring();
+        d.pool.ring();
         // Wait for the pool to finish the app's admitted work. A
         // bounded re-check (not a pure condvar wait) because two of
         // the signals that end the wait are not the app's own idle
@@ -846,60 +518,43 @@ impl Executor {
         // until the watchdog clears it) and the whole pool being dead
         // (no drain will ever come — the stranded work is settled
         // below).
-        {
-            let mut st = lock_state(&d.rt.shared);
-            loop {
-                let drained = st.pending.is_empty() && st.inflight.is_empty() && !st.busy;
-                if drained || d.rt.pool.live_drivers.load(Ordering::SeqCst) == 0 {
-                    break;
-                }
-                let (got, _timed_out) =
-                    d.rt.shared
-                        .state
-                        .wait_timeout(&d.rt.shared.idle, st, Duration::from_millis(5));
-                st = got;
-            }
+        let mut st = d.ledger.lock();
+        while (st.busy || !st.is_drained()) && d.pool.live_drivers.load(Ordering::SeqCst) > 0 {
+            st = d.ledger.wait_for(st, Duration::from_millis(5));
         }
         // Anything left had no live driver to drain it. Fail it loud,
         // keep the accounting exact, release the band.
-        let stranded = {
-            let mut st = lock_state(&d.rt.shared);
-            st.busy = false;
-            let mut stranded: Vec<PendingRequest> = st.inflight.drain(..).collect();
-            stranded.extend(st.pending.drain(..));
-            st.errors += stranded.len() as u64;
-            st.band_cap = 0;
-            st.admitted = false;
-            stranded
-        };
-        for req in stranded {
-            let _ = req.tx.send(Err(ServeError::AppDeregistered {
-                app: d.rt.name.clone(),
-            }));
-        }
+        st.busy = false;
+        st.band_cap = 0;
+        st.admitted = false;
+        let stranded = st.take_all();
+        d.ledger
+            .fail(&mut st, stranded, |_| ServeError::AppDeregistered {
+                app: d.name.clone(),
+            });
+        drop(st);
         // Off the scheduler roster: no driver will claim it again.
-        d.rt.pool
-            .sched
-            .lock()
-            .roster
-            .retain(|a| !Arc::ptr_eq(a, &d));
-        d.rt.shared.idle.notify_all();
-        Ok(snapshot_of(&d, &mut Vec::new(), true))
+        d.pool.sched.lock().roster.retain(|a| !Arc::ptr_eq(a, &d));
+        Ok(d.ledger.snapshot(&mut Vec::new(), true))
     }
 
     /// Resolves a *live* DNN app. A departed name gets the distinct
     /// typed refusal; rigid and unknown names are `UnknownApp`.
-    fn dnn_app(&self, app: &str) -> Result<Arc<DnnApp>> {
-        match self.apps.lock().get(app) {
+    fn live_dnn(apps: &HashMap<String, AppEntry>, app: &str) -> Result<Arc<App>> {
+        match apps.get(app) {
             Some(AppEntry::Dnn(d)) => Ok(Arc::clone(d)),
             Some(AppEntry::Departed(_)) => Err(ServeError::AppDeregistered { app: app.into() }),
             _ => Err(ServeError::UnknownApp { app: app.into() }),
         }
     }
 
+    fn dnn_app(&self, app: &str) -> Result<Arc<App>> {
+        Self::live_dnn(&self.apps.lock(), app)
+    }
+
     /// Resolves a DNN app for *observation*, alive or departed — final
     /// statistics stay readable after deregistration.
-    fn dnn_app_any(&self, app: &str) -> Result<Arc<DnnApp>> {
+    fn dnn_app_any(&self, app: &str) -> Result<Arc<App>> {
         match self.apps.lock().get(app) {
             Some(AppEntry::Dnn(d) | AppEntry::Departed(d)) => Ok(Arc::clone(d)),
             _ => Err(ServeError::UnknownApp { app: app.into() }),
@@ -929,40 +584,11 @@ impl Executor {
                 actual: sample.len(),
             });
         }
-        let shared = &entry.rt.shared;
-        let mut st = lock_state(shared);
-        // `departing` before `stopping`: a submitter that resolved the
-        // app just before the tombstone swap still gets the distinct
-        // deregistration refusal, not shutdown's.
-        if st.departing {
-            return Err(ServeError::AppDeregistered { app: app.into() });
-        }
-        if st.stopping || st.draining > 0 {
-            return Err(ServeError::AppStopped { app: app.into() });
-        }
-        if !st.admitted {
-            st.rejected += 1;
-            return Err(ServeError::NotAdmitted { app: app.into() });
-        }
-        if st.pending.len() >= self.cfg.queue_capacity {
-            st.rejected += 1;
-            return Err(ServeError::QueueFull {
-                app: app.into(),
-                capacity: self.cfg.queue_capacity,
-            });
-        }
-        let seq = st.next_seq;
-        st.next_seq += 1;
-        let (tx, rx) = mpsc::channel();
-        st.pending.push_back(PendingRequest {
-            seq,
-            input: sample.into(),
-            submitted: Instant::now(),
-            tx,
-        });
-        st.max_depth = st.max_depth.max(st.pending.len());
-        drop(st);
-        entry.rt.pool.ring();
+        let (seq, rx) = entry
+            .ledger
+            .lock()
+            .admit(app, sample, self.cfg.queue_capacity)?;
+        entry.pool.ring();
         Ok(Ticket {
             app: app.into(),
             seq,
@@ -998,14 +624,14 @@ impl Executor {
             let apps = self.apps.lock();
             for name in &alloc.unplaced {
                 if let Some(AppEntry::Dnn(app)) = apps.get(name) {
-                    lock_state(&app.rt.shared).admitted = false;
+                    app.ledger.lock().admitted = false;
                 }
             }
             for d in &alloc.dnns {
                 let Some(AppEntry::Dnn(app)) = apps.get(&d.app) else {
                     continue;
                 };
-                let mut st = lock_state(&app.rt.shared);
+                let mut st = app.ledger.lock();
                 st.band_cap = d.point.op.cores as usize;
                 st.predicted = Some(d.point.latency);
                 st.cluster = Some(d.point.op.cluster);
@@ -1040,10 +666,8 @@ impl Executor {
             _ => return Ok(KnobRoute::DeviceKnob),
         };
         let entry = self.dnn_app(name)?;
-        let mut st = lock_state(&entry.rt.shared);
-        st.knobs.push(cmd.clone());
-        drop(st);
-        entry.rt.pool.ring();
+        entry.ledger.lock().knobs.push(cmd.clone());
+        entry.pool.ring();
         Ok(KnobRoute::Queued)
     }
 
@@ -1056,10 +680,8 @@ impl Executor {
     /// [`ServeError::UnknownApp`] for unregistered or rigid names.
     pub fn inject_fault(&self, app: &str, fault: FaultKind) -> Result<()> {
         let entry = self.dnn_app(app)?;
-        let mut st = lock_state(&entry.rt.shared);
-        st.armed.push(fault);
-        drop(st);
-        entry.rt.pool.ring();
+        entry.ledger.lock().arm_fault(fault);
+        entry.pool.ring();
         Ok(())
     }
 
@@ -1072,7 +694,7 @@ impl Executor {
     /// [`ServeError::UnknownApp`] for unregistered or rigid names.
     pub fn pause(&self, app: &str) -> Result<()> {
         let entry = self.dnn_app(app)?;
-        lock_state(&entry.rt.shared).paused = true;
+        entry.ledger.lock().paused = true;
         Ok(())
     }
 
@@ -1083,8 +705,8 @@ impl Executor {
     /// [`ServeError::UnknownApp`] for unregistered or rigid names.
     pub fn resume(&self, app: &str) -> Result<()> {
         let entry = self.dnn_app(app)?;
-        lock_state(&entry.rt.shared).paused = false;
-        entry.rt.pool.ring();
+        entry.ledger.lock().paused = false;
+        entry.pool.ring();
         Ok(())
     }
 
@@ -1095,19 +717,24 @@ impl Executor {
     ///
     /// [`ServeError::UnknownApp`] for unregistered or rigid names.
     pub fn deadline(&self, app: &str) -> Result<Option<TimeSpan>> {
-        Ok(self.dnn_app_any(app)?.rt.deadline)
+        Ok(self.dnn_app_any(app)?.deadline)
     }
 
-    /// A consistent statistics snapshot for one app. A *departed* app's
-    /// final statistics remain readable until its name is registered
-    /// again.
+    /// A statistics snapshot of one app — one instant of it: every
+    /// counter, `queue_depth`, `in_flight` and the latency window are
+    /// read in a single critical section of the app's ledger, so the
+    /// accounting equation holds on every read, not only on a quiesced
+    /// executor. A *departed* app's final statistics remain readable
+    /// until its name is registered again.
     ///
     /// # Errors
     ///
     /// [`ServeError::UnknownApp`] for unregistered or rigid names.
     pub fn stats(&self, app: &str) -> Result<AppStatsSnapshot> {
-        let entry = self.dnn_app_any(app)?;
-        Ok(snapshot_of(&entry, &mut Vec::new(), true))
+        Ok(self
+            .dnn_app_any(app)?
+            .ledger
+            .snapshot(&mut Vec::new(), true))
     }
 
     /// The control plane's bulk read: every DNN app's snapshot in
@@ -1125,7 +752,7 @@ impl Executor {
         departed_too: bool,
         want_p99: bool,
     ) -> Vec<(String, AppStatsSnapshot)> {
-        let mut roster: Vec<Arc<DnnApp>> = {
+        let mut roster: Vec<Arc<App>> = {
             let apps = self.apps.lock();
             apps.values()
                 .filter_map(|entry| match entry {
@@ -1135,13 +762,15 @@ impl Executor {
                 })
                 .collect()
         };
-        roster.sort_unstable_by(|a, b| a.rt.name.cmp(&b.rt.name));
+        roster.sort_unstable_by(|a, b| a.name.cmp(&b.name));
         let mut scratch = Vec::with_capacity(self.cfg.stats_window);
         roster
             .iter()
             .map(|app| {
-                let snap = snapshot_of(app, &mut scratch, want_p99);
-                (app.rt.name.clone(), snap)
+                (
+                    app.name.clone(),
+                    app.ledger.snapshot(&mut scratch, want_p99),
+                )
             })
             .collect()
     }
@@ -1156,10 +785,10 @@ impl Executor {
     /// [`ServeError::UnknownApp`] for unregistered or rigid names.
     pub fn drain_app(&self, app: &str) -> Result<()> {
         let entry = self.dnn_app(app)?;
-        let mut st = lock_state(&entry.rt.shared);
+        let mut st = entry.ledger.lock();
         st.draining += 1;
-        while !(st.pending.is_empty() && st.inflight.is_empty()) {
-            st = entry.rt.shared.state.wait(&entry.rt.shared.idle, st);
+        while !st.is_drained() {
+            st = entry.ledger.wait(st);
         }
         st.draining -= 1;
         Ok(())
@@ -1167,14 +796,9 @@ impl Executor {
 
     /// [`Executor::drain_app`] over every registered DNN app.
     pub fn drain(&self) {
-        let names: Vec<String> = {
-            let apps = self.apps.lock();
-            apps.iter()
-                .filter(|(_, e)| matches!(e, AppEntry::Dnn(_)))
-                .map(|(n, _)| n.clone())
-                .collect()
-        };
-        for name in names {
+        for name in self.app_names() {
+            // Rigid names have no queue to drain: their typed refusal
+            // is the skip.
             let _ = self.drain_app(&name);
         }
     }
@@ -1187,24 +811,18 @@ impl Executor {
     /// tests.
     pub fn shutdown(&mut self) {
         // Watchdog first: no restarts may race the driver joins below.
-        *self.watchdog.stop.lock() = true;
-        self.watchdog.bell.notify_all();
-        if let Some(t) = self.watchdog_thread.take() {
-            let _ = t.join();
-        }
+        self.watchdog.stop();
         // Mark every app stopping (drivers drain queued work but take
         // nothing new), then stop the pool itself.
         {
             let apps = self.apps.lock();
             for entry in apps.values() {
                 if let AppEntry::Dnn(app) = entry {
-                    lock_state(&app.rt.shared).stopping = true;
+                    app.ledger.lock().stopping = true;
                 }
             }
         }
-        {
-            self.pool.sched.lock().stopping = true;
-        }
+        self.pool.sched.lock().stopping = true;
         self.pool.work.notify_all();
         for drv in &self.drivers {
             let handle = drv.thread.lock().take();
@@ -1218,18 +836,13 @@ impl Executor {
         let apps = self.apps.lock();
         for entry in apps.values() {
             let AppEntry::Dnn(app) = entry else { continue };
-            let mut st = lock_state(&app.rt.shared);
+            let mut st = app.ledger.lock();
             st.busy = false;
-            let mut stranded: Vec<PendingRequest> = st.inflight.drain(..).collect();
-            stranded.extend(st.pending.drain(..));
-            st.errors += stranded.len() as u64;
-            drop(st);
-            for req in stranded {
-                let _ = req.tx.send(Err(ServeError::AppStopped {
-                    app: app.rt.name.clone(),
-                }));
-            }
-            app.rt.shared.idle.notify_all();
+            let stranded = st.take_all();
+            app.ledger
+                .fail(&mut st, stranded, |_| ServeError::AppStopped {
+                    app: app.name.clone(),
+                });
         }
     }
 }
@@ -1250,740 +863,13 @@ pub(crate) fn snapshot_named<'a>(
     at.ok().map(|i| &roster[i].1)
 }
 
-/// A consistent statistics snapshot of one app (shared by
-/// [`Executor::stats`], the bulk [`Executor::dnn_snapshots`] and the
-/// final snapshot [`Executor::deregister_dnn`] returns). `scratch` and
-/// `want_p99` are [`AppStats::snapshot_with`]'s.
-fn snapshot_of(entry: &DnnApp, scratch: &mut Vec<f64>, want_p99: bool) -> AppStatsSnapshot {
-    // Lock order everywhere: queue state before stats (the serve
-    // path's completion section nests them in that order).
-    struct QueueView {
-        rejected: u64,
-        errors: u64,
-        shed: u64,
-        storm_injected: u64,
-        depth: usize,
-        max_depth: usize,
-        in_flight: usize,
-        band_cap: usize,
-        predicted: Option<TimeSpan>,
-        cluster: Option<ClusterId>,
-        admitted: bool,
-    }
-    let q = {
-        let st = lock_state(&entry.rt.shared);
-        QueueView {
-            rejected: st.rejected,
-            errors: st.errors,
-            shed: st.shed,
-            storm_injected: st.storm_injected,
-            depth: st.pending.len(),
-            max_depth: st.max_depth,
-            in_flight: st.inflight.len(),
-            band_cap: st.band_cap,
-            predicted: st.predicted,
-            cluster: st.cluster,
-            admitted: st.admitted,
-        }
-    };
-    let stats = entry.rt.lock_stats();
-    let win = stats.snapshot_with(scratch, want_p99);
-    AppStatsSnapshot {
-        completed: stats.completed,
-        rejected: q.rejected,
-        errors: q.errors,
-        shed: q.shed,
-        storm_injected: q.storm_injected,
-        missed: stats.missed,
-        queue_depth: q.depth,
-        max_queue_depth: q.max_depth,
-        in_flight: q.in_flight,
-        batches: stats.batches,
-        batched_samples: stats.batched_samples,
-        p50: win.p50,
-        p99: win.p99,
-        window_len: win.window_len,
-        window_outcomes: win.window_outcomes,
-        window_miss_rate: win.window_miss_rate,
-        knob_errors: stats.knob_errors,
-        knob_rejected: stats.knob_rejected,
-        knob_faulted: stats.knob_faulted,
-        last_knob_error: stats.last_knob_error.clone(),
-        out_of_order: stats.out_of_order,
-        restarts: stats.restarts,
-        stalls: stats.stalls,
-        level: stats.level,
-        precision: stats.precision,
-        predicted: q.predicted,
-        cluster: q.cluster,
-        band_cap: q.band_cap,
-        admitted: q.admitted,
-    }
-}
-
-fn spawn_driver_thread(drv: &Arc<Driver>) -> std::io::Result<JoinHandle<()>> {
-    let drv = Arc::clone(drv);
-    drv.beat(); // fresh beacon: a just-spawned driver is never "stale"
-    std::thread::Builder::new()
-        .name(format!("eml-serve-driver-{}", drv.index))
-        .spawn(move || driver_loop(&drv))
-}
-
-/// The supervisor tick loop: scan every pool driver for death or
-/// wedge until told to stop.
-fn watchdog_loop(wd: &Watchdog, cfg: WatchdogCfg) {
-    loop {
-        {
-            let stop = wd.stop.lock();
-            if *stop {
-                return;
-            }
-            let (stop, _timed_out) = wd.stop.wait_timeout(&wd.bell, stop, cfg.interval);
-            if *stop {
-                return;
-            }
-        }
-        for drv in &wd.drivers {
-            supervise_driver(drv, &cfg);
-        }
-    }
-}
-
-/// One supervision pass over one pool driver: join+restart a dead
-/// driver (failing its claimed app's batch and freeing the claim),
-/// confiscate a wedged driver's batch, or respawn after backoff.
-fn supervise_driver(drv: &Arc<Driver>, cfg: &WatchdogCfg) {
-    if drv.pool.sched.lock().stopping {
-        return; // shutdown owns the drivers now
-    }
-    let mut th = drv.thread.lock();
-    match th.as_ref() {
-        Some(handle) if handle.is_finished() => {
-            // The driver died (a panic escaped the forward's
-            // containment). Collect it, fail the claimed app's
-            // in-flight batch with a typed error, free the claim so
-            // the surviving drivers can serve the app, and schedule a
-            // bounded-backoff restart.
-            if let Some(handle) = th.take() {
-                let _ = handle.join();
-            }
-            drop(th);
-            drv.pool.live_drivers.fetch_sub(1, Ordering::SeqCst);
-            let victim = drv.current.lock().take();
-            if let Some(app) = victim {
-                fail_inflight(
-                    &app.rt,
-                    "pool driver died mid-batch; supervised restart pending",
-                );
-                {
-                    let mut st = lock_state(&app.rt.shared);
-                    st.busy = false;
-                }
-                // The restart is charged to the app whose batch killed
-                // the driver — the per-tenant signal the control plane
-                // and the chaos suites key off.
-                app.rt.lock_stats().restarts += 1;
-            }
-            drv.pool.ring();
-            let mut sup = drv.supervision.lock();
-            let delay = cfg
-                .backoff
-                .saturating_mul(2u32.saturating_pow(sup.streak.min(16)))
-                .min(cfg.backoff_max);
-            sup.restart_at = Some(Instant::now() + delay);
-            sup.streak = sup.streak.saturating_add(1);
-        }
-        None => {
-            // Dead and waiting out the backoff: respawn when due.
-            let due = {
-                let mut sup = drv.supervision.lock();
-                if sup.restart_at.is_some_and(|at| Instant::now() >= at) {
-                    sup.restart_at = None;
-                    true
-                } else {
-                    false
-                }
-            };
-            if due {
-                match spawn_driver_thread(drv) {
-                    Ok(handle) => {
-                        *th = Some(handle);
-                        drop(th);
-                        drv.pool.live_drivers.fetch_add(1, Ordering::SeqCst);
-                        drv.pool.ring();
-                    }
-                    Err(_) => {
-                        // The OS refused the thread (descriptor or
-                        // thread exhaustion): re-arm the backoff and
-                        // retry on a later watchdog tick instead of
-                        // taking the supervisor down.
-                        drop(th);
-                        let mut sup = drv.supervision.lock();
-                        let delay = cfg
-                            .backoff
-                            .saturating_mul(2u32.saturating_pow(sup.streak.min(16)))
-                            .min(cfg.backoff_max);
-                        sup.restart_at = Some(Instant::now() + delay);
-                        sup.streak = sup.streak.saturating_add(1);
-                    }
-                }
-            }
-        }
-        Some(_) => {
-            drop(th);
-            // Alive but possibly wedged: a claim in flight with a
-            // stale heartbeat means the forward has been stuck past
-            // the stall budget. Confiscate the batch; if the forward
-            // later recovers, the driver finds the in-flight set
-            // empty and discards its results. (An *idle* driver's
-            // heartbeat also goes stale while it waits for work — but
-            // idle drivers hold no claim, so `current` is `None` and
-            // nothing is confiscated.)
-            if drv.heartbeat_age() > cfg.stall {
-                let current = drv.current.lock().clone();
-                if let Some(app) = current {
-                    let confiscated = {
-                        let st = lock_state(&app.rt.shared);
-                        !st.inflight.is_empty()
-                    };
-                    if confiscated {
-                        fail_inflight(&app.rt, "forward pass stalled past the stall timeout");
-                        app.rt.lock_stats().stalls += 1;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Fails the app's in-flight batch with a typed inference error (the
-/// supervisor's path for dead and wedged drivers).
-fn fail_inflight(rt: &AppRuntime, reason: &str) {
-    let batch = {
-        let mut st = lock_state(&rt.shared);
-        let batch = std::mem::take(&mut st.inflight);
-        st.errors += batch.len() as u64;
-        batch
-    };
-    for req in batch {
-        let _ = req.tx.send(Err(ServeError::Inference {
-            app: rt.name.clone(),
-            reason: reason.into(),
-        }));
-    }
-    let st = lock_state(&rt.shared);
-    if st.pending.is_empty() && st.inflight.is_empty() {
-        rt.shared.idle.notify_all();
-    }
-}
-
-/// Applies queued knob commands on a pool driver (which holds the
-/// model lock) via the core knob executor, recording the resulting
-/// level/precision — and any failure, counted per cause — in the app's
-/// stats. `faulted` is the number of leading commands an injected
-/// actuation fault drops.
-fn apply_knobs(
-    name: &str,
-    dnn: &mut DynamicDnn,
-    knobs: &[KnobCommand],
-    stats: &RankedMutex<AppStats>,
-    mut faulted: u32,
-) {
-    for cmd in knobs {
-        if faulted > 0 {
-            faulted -= 1;
-            let mut s = stats.lock();
-            s.knob_errors += 1;
-            s.knob_faulted += 1;
-            s.last_knob_error = Some("injected knob-actuation fault".into());
-            continue;
-        }
-        let applied = apply_app_command(cmd, name, dnn);
-        let mut s = stats.lock();
-        match applied {
-            Ok(_) => {
-                let (level, precision) = (dnn.level().index(), dnn.precision());
-                if level != s.level || precision != s.precision {
-                    // A new operating point: the latency window now
-                    // describes stale behaviour.
-                    s.reset_window();
-                }
-                s.level = level;
-                s.precision = precision;
-            }
-            Err(e) => {
-                s.knob_errors += 1;
-                s.knob_rejected += 1;
-                s.last_knob_error = Some(e.to_string());
-            }
-        }
-    }
-}
-
-/// Sheds the expired prefix of the queue: FIFO order means the oldest
-/// request is at the front, so once the front is within deadline the
-/// whole remainder is too. Each shed request completes immediately
-/// with a typed error — no forward pass is spent on it.
-fn shed_expired(st: &mut QueueState, deadline: TimeSpan, app: &str) {
-    while st
-        .pending
-        .front()
-        .is_some_and(|front| front.submitted.elapsed().as_secs_f64() > deadline.as_secs())
-    {
-        let Some(req) = st.pending.pop_front() else {
-            break;
-        };
-        st.shed += 1;
-        let _ = req.tx.send(Err(ServeError::DeadlineExpired {
-            app: app.into(),
-            seq: req.seq,
-        }));
-    }
-}
-
-/// Enqueues `n` synthetic copies of the queue's front sample (the
-/// triggering batch's first request) behind it, stopping at capacity.
-/// Synthetic requests have no ticket; their completions land in the
-/// stats like any other request.
-fn inject_storm(st: &mut QueueState, n: usize, capacity: usize) {
-    let Some(template) = st.pending.front().map(|r| r.input.clone()) else {
-        return;
-    };
-    for _ in 0..n {
-        if st.pending.len() >= capacity {
-            break;
-        }
-        let seq = st.next_seq;
-        st.next_seq += 1;
-        let (tx, _rx) = mpsc::channel();
-        st.pending.push_back(PendingRequest {
-            seq,
-            input: template.clone(),
-            submitted: Instant::now(),
-            tx,
-        });
-        st.storm_injected += 1;
-    }
-    st.max_depth = st.max_depth.max(st.pending.len());
-}
-
-/// The shared pool's scheduling key, in *ascending* urgency order:
-/// pending knob work first (cheap, and the control plane's actuation
-/// latency rides on it), then weighted-EDF virtual deadlines —
-/// smaller is sooner. Ties break on registration index, so the order
-/// is total and deterministic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum SchedKey {
-    /// The app has queued knob commands (and is claimable): actuate
-    /// before any batch work, in registration order.
-    Knob(u64),
-    /// Weighted earliest-deadline-first: the virtual deadline of the
-    /// app's oldest pending request (offset from the pool epoch),
-    /// then the registration-order tie-break.
-    Edf(Duration, u64),
-}
-
-/// The claimability and urgency of one app, computed under its queue
-/// lock during a driver's roster scan. `None` means not claimable:
-/// already claimed (`busy`), paused, stopped-and-empty, or simply
-/// idle.
-///
-/// The virtual deadline is `arrival + budget / weight`: an app's
-/// latency budget (its deadline requirement, or
-/// [`DEFAULT_EDF_BUDGET_SECS`] for best-effort apps) scaled down by
-/// its RTM band allocation. A fatter band means less slack added to
-/// the arrival time — the pool serves better-allocated tenants
-/// sooner, which is exactly the weighted share the starvation
-/// regression pins.
-fn sched_key(st: &QueueState, rt: &AppRuntime, pool_epoch: Instant) -> Option<SchedKey> {
-    if st.busy {
-        return None;
-    }
-    if st.stopping && st.pending.is_empty() {
-        return None;
-    }
-    if !st.knobs.is_empty() {
-        return Some(SchedKey::Knob(rt.reg_index));
-    }
-    if (st.paused && !st.stopping) || st.pending.is_empty() {
-        return None;
-    }
-    let oldest = st.pending.front()?;
-    let budget = rt
-        .deadline
-        .map_or(DEFAULT_EDF_BUDGET_SECS, |d| d.as_secs().max(0.0));
-    let weight = st.band_cap.max(1) as f64;
-    let virtual_deadline = oldest.submitted.saturating_duration_since(pool_epoch)
-        + Duration::from_secs_f64(budget / weight);
-    Some(SchedKey::Edf(virtual_deadline, rt.reg_index))
-}
-
-/// Claims the most urgent runnable app for this driver, or blocks
-/// until one appears. Returns `None` only when the pool is stopping
-/// and nothing is left to drain — the driver's exit condition.
-///
-/// The scan holds the pool scheduler lock throughout (ranks: the
-/// scheduler at `EXEC_POOL` below each app's `EXEC_QUEUE`, so peeking
-/// at queue state inside the scan is rank-legal), and the condvar
-/// wait releases it atomically — with [`PoolShared::ring`] taking the
-/// same lock before notifying, a wakeup can never fall between a
-/// driver's decision to sleep and its sleep.
-fn next_app(drv: &Driver) -> Option<Arc<DnnApp>> {
-    let pool = &drv.pool;
-    let mut ps = pool.sched.lock();
-    loop {
-        drv.beat();
-        let mut best: Option<(SchedKey, Arc<DnnApp>)> = None;
-        for app in &ps.roster {
-            let key = {
-                let st = lock_state(&app.rt.shared);
-                sched_key(&st, &app.rt, pool.epoch)
-            };
-            if let Some(key) = key {
-                // `match`, not `map_or`: the strict-less comparison
-                // keeps the earliest key and the earliest-registered
-                // app on ties.
-                match &best {
-                    Some((b, _)) if *b <= key => {}
-                    _ => best = Some((key, Arc::clone(app))),
-                }
-            }
-        }
-        if let Some((_, app)) = best {
-            // Re-verify under the app lock before claiming: another
-            // actor (watchdog confiscation, a racing drain) may have
-            // changed the queue between the scan's peek and now.
-            {
-                let mut st = lock_state(&app.rt.shared);
-                if sched_key(&st, &app.rt, pool.epoch).is_none() {
-                    continue;
-                }
-                st.busy = true;
-            }
-            return Some(app);
-        }
-        if ps.stopping {
-            return None;
-        }
-        ps = pool.sched.wait(&pool.work, ps);
-    }
-}
-
-/// One unit of serving work handed from the locked dispatch section to
-/// the (unlocked) execution section of a driver's claim. The batch
-/// itself stays in `QueueState::inflight`; only the flattened input
-/// data travels.
-struct Dispatch {
-    k: usize,
-    data: Vec<f32>,
-    band_cap: usize,
-    knobs: Vec<KnobCommand>,
-    knob_faults: u32,
-    delay: Duration,
-    panic_forward: bool,
-    crash: bool,
-}
-
-/// The locked half of serving one claim: shed expired requests,
-/// evaluate fault triggers, and move a batch into the in-flight slot.
-/// Returns `None` when the claim has nothing to do (everything shed,
-/// or the app stopped between claim and dispatch) — the caller just
-/// releases the claim.
-fn build_dispatch(rt: &AppRuntime) -> Option<Dispatch> {
-    let mut st = lock_state(&rt.shared);
-    let pausing = st.paused && !st.stopping;
-    if !pausing {
-        if let Some(d) = rt.deadline {
-            shed_expired(&mut st, d, &rt.name);
-            if st.pending.is_empty() && st.inflight.is_empty() {
-                rt.shared.idle.notify_all();
-            }
-        }
-    }
-    let knobs: Vec<KnobCommand> = st.knobs.drain(..).collect();
-    if st.stopping && st.pending.is_empty() {
-        return None;
-    }
-    if pausing || st.pending.is_empty() {
-        // Knob-only claim (or everything shed): no batch dispatched.
-        if knobs.is_empty() {
-            return None;
-        }
-        let knob_faults = st.knob_fault_budget.min(knobs.len() as u32);
-        st.knob_fault_budget -= knob_faults;
-        return Some(Dispatch {
-            k: 0,
-            data: Vec::new(),
-            band_cap: 0,
-            knobs,
-            knob_faults,
-            delay: Duration::ZERO,
-            panic_forward: false,
-            crash: false,
-        });
-    }
-    // Deadline-aware coalescing: take up to `batch_cap` requests, but
-    // no more than the oldest request's remaining budget is estimated
-    // to cover — batching amortises per-pass overhead only while it
-    // does not itself cause the miss.
-    let mut k = st.pending.len().min(rt.batch_cap);
-    if let (Some(d), Some(s)) = (rt.deadline, st.ewma) {
-        let oldest = st
-            .pending
-            .front()
-            .map_or(0.0, |r| r.submitted.elapsed().as_secs_f64());
-        while k > 1 && oldest + s * k as f64 > d.as_secs() {
-            k -= 1;
-        }
-    }
-    // Fault triggers for this batch: scheduled plan entries whose
-    // sequence threshold the batch reaches (each fires once, flag kept
-    // in shared state so restarts do not re-fire), plus any
-    // runtime-armed one-shots.
-    let mut triggered: Vec<FaultKind> = Vec::new();
-    if !rt.plan.is_empty() {
-        let max_seq = st.pending[k - 1].seq;
-        for (i, f) in rt.plan.iter().enumerate() {
-            if !st.fired[i] && f.at_seq <= max_seq {
-                st.fired[i] = true;
-                triggered.push(f.kind.clone());
-            }
-        }
-    }
-    triggered.append(&mut st.armed);
-    let mut delay = Duration::ZERO;
-    let mut panic_forward = false;
-    let mut crash = false;
-    for kind in triggered {
-        match kind {
-            FaultKind::PanicForward => panic_forward = true,
-            FaultKind::CrashThread => crash = true,
-            FaultKind::LatencySpike(t) => {
-                delay += Duration::from_secs_f64(t.as_secs().max(0.0));
-            }
-            FaultKind::KnobFailure => st.knob_fault_budget += 1,
-            FaultKind::QueueStorm(n) => inject_storm(&mut st, n, rt.queue_capacity),
-        }
-    }
-    let knob_faults = st.knob_fault_budget.min(knobs.len() as u32);
-    st.knob_fault_budget -= knob_faults;
-    // Move the batch into the supervised in-flight slot, copying its
-    // inputs into one contiguous buffer for the batched forward.
-    let batch: Vec<PendingRequest> = st.pending.drain(..k).collect();
-    let mut data = Vec::with_capacity(batch.iter().map(|r| r.input.len()).sum());
-    for r in &batch {
-        data.extend_from_slice(&r.input);
-    }
-    st.inflight = batch;
-    Some(Dispatch {
-        k,
-        data,
-        band_cap: st.band_cap,
-        knobs,
-        knob_faults,
-        delay,
-        panic_forward,
-        crash,
-    })
-}
-
-/// Burns CPU for `d` — an injected interference spike. A sleep would
-/// free the core and understate the interference; the spin models a
-/// co-tenant actually occupying it.
-fn spin_for(d: Duration) {
-    let t0 = Instant::now();
-    while t0.elapsed() < d {
-        std::hint::spin_loop();
-    }
-}
-
-/// Releases a driver's claim on an app: clears `busy`, signals idle
-/// watchers if the app has fully drained, and rings the pool — other
-/// drivers may have gone to sleep seeing the app claimed, and its
-/// queue may hold more work.
-fn release(rt: &AppRuntime, pool: &PoolShared) {
-    let mut st = lock_state(&rt.shared);
-    st.busy = false;
-    if st.pending.is_empty() && st.inflight.is_empty() {
-        rt.shared.idle.notify_all();
-    }
-    drop(st);
-    pool.ring();
-}
-
-/// The pool driver loop: claim the most urgent runnable app, publish
-/// the claim (so the watchdog knows whose batch to fail if this
-/// driver dies), serve one dispatch, release, repeat.
-fn driver_loop(drv: &Arc<Driver>) {
-    loop {
-        drv.beat();
-        let Some(app) = next_app(drv) else {
-            return;
-        };
-        *drv.current.lock() = Some(Arc::clone(&app));
-        serve_app(drv, &app);
-        drv.current.lock().take();
-    }
-}
-
-/// Serves one claimed app: one knob drain and/or one micro-batch
-/// forward, then release. The claim (`busy`) is held throughout, so
-/// per-app batches never interleave across drivers.
-fn serve_app(drv: &Driver, app: &DnnApp) {
-    let rt = &app.rt;
-    let Some(d) = build_dispatch(rt) else {
-        release(rt, &drv.pool);
-        return;
-    };
-    if !d.knobs.is_empty() {
-        let mut model = rt.lock_model();
-        apply_knobs(&rt.name, &mut model, &d.knobs, &rt.stats, d.knob_faults);
-    }
-    if d.k == 0 {
-        release(rt, &drv.pool);
-        return;
-    }
-    if d.crash {
-        // Deliberately *outside* the forward's containment: this
-        // kills the pool driver mid-batch, which is exactly the
-        // failure the watchdog supervises.
-        panic!("injected fault: serving thread crash (`{}`)", rt.name);
-    }
-
-    let k = d.k;
-    let mut shape = Vec::with_capacity(1 + app.sample_shape.len());
-    shape.push(k);
-    shape.extend_from_slice(&app.sample_shape);
-    let data = d.data;
-    drv.beat();
-    let t0 = Instant::now();
-    // A panicking model (poisoned weights, a debug assertion in a
-    // kernel) must not wedge the tenant: contain the unwind, turn
-    // it into a typed error for every rider, and keep serving.
-    // The model's internal scratch is resize-then-overwrite, so a
-    // mid-forward unwind leaves no state a later forward reads.
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if !d.delay.is_zero() {
-            spin_for(d.delay);
-        }
-        if d.panic_forward {
-            panic!("injected fault: forward panic");
-        }
-        Tensor::from_vec(&shape, data).and_then(|input| {
-            eml_nn::workers::with_band_cap(d.band_cap, || {
-                rt.lock_model().network_mut().forward(&input, false)
-            })
-        })
-    }))
-    .unwrap_or_else(|panic| {
-        let reason = panic
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_string())
-            .or_else(|| panic.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "<non-string panic payload>".into());
-        Err(eml_nn::NnError::InvalidConfig {
-            reason: format!("forward pass panicked: {reason}"),
-        })
-    });
-    drv.beat();
-    let service = t0.elapsed();
-    let service_span = TimeSpan::from_secs(service.as_secs_f64());
-
-    // Take the batch back from the supervised slot and settle its
-    // accounting inside the same critical section. To a concurrent
-    // observer (`drain_app` watching for idle, `stats()` reading a
-    // snapshot) every request is either still in flight or already
-    // counted — there is no instant where the queue looks empty
-    // while the batch's outcomes are still unrecorded. An empty
-    // slot means the watchdog declared this pass wedged and
-    // already answered the riders — discard the (stale) results
-    // and keep serving.
-    let mut st = lock_state(&rt.shared);
-    let batch = std::mem::take(&mut st.inflight);
-    if batch.is_empty() {
-        drop(st);
-        release(rt, &drv.pool);
-        return;
-    }
-    let k = batch.len();
-
-    match result {
-        Ok(logits) => {
-            let classes = logits.shape()[1];
-            let rows = logits.data();
-            // `st` (queue) then `stats` is the crate's lock order.
-            let mut sends = Vec::with_capacity(k);
-            {
-                let mut s = rt.lock_stats();
-                s.batches += 1;
-                s.batched_samples += k as u64;
-                for (i, req) in batch.into_iter().enumerate() {
-                    let row = rows[i * classes..(i + 1) * classes].to_vec();
-                    // Total order: a NaN logit (a client-submitted
-                    // NaN sample propagates on the f32 path) must
-                    // yield *a* prediction, not a panic — the NaN
-                    // is visible to the caller in the logits row.
-                    let pred = row
-                        .iter()
-                        .enumerate()
-                        .max_by(|a, b| a.1.total_cmp(b.1))
-                        .map_or(0, |(c, _)| c);
-                    let latency_s = req.submitted.elapsed().as_secs_f64();
-                    let met = rt.deadline.map(|dl| latency_s <= dl.as_secs());
-                    s.record(req.seq, latency_s, met);
-                    sends.push((
-                        req.tx,
-                        Completion {
-                            seq: req.seq,
-                            logits: row,
-                            pred,
-                            latency: TimeSpan::from_secs(latency_s),
-                            service: service_span,
-                            batch_size: k,
-                            deadline_met: met,
-                        },
-                    ));
-                }
-            }
-            // The operating point's cost, not the fault's: exclude
-            // injected spike time from the coalescing estimate.
-            let modelled = service.saturating_sub(d.delay);
-            let per_sample = modelled.as_secs_f64() / k as f64;
-            st.ewma = Some(match st.ewma {
-                None => per_sample,
-                Some(prev) => 0.7 * prev + 0.3 * per_sample,
-            });
-            drop(st);
-            for (tx, completion) in sends {
-                let _ = tx.send(Ok(completion));
-            }
-        }
-        Err(e) => {
-            // Loud failure: every rider gets the typed error, and
-            // the error counter keeps the extended accounting
-            // invariant balanced.
-            st.errors += k as u64;
-            drop(st);
-            for req in batch {
-                let _ = req.tx.send(Err(ServeError::Inference {
-                    app: rt.name.clone(),
-                    reason: e.to_string(),
-                }));
-            }
-        }
-    }
-    // A completed pass (even a typed failure) proves the driver
-    // healthy: reset the restart-backoff streak.
-    drv.supervision.lock().streak = 0;
-    release(rt, &drv.pool);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testbed;
     use eml_dnn::{Precision, WidthLevel};
-    use std::time::Duration;
+    use eml_platform::soc::ClusterId;
+    use std::time::Instant;
 
     const TIMEOUT: Duration = Duration::from_secs(20);
 

@@ -1,4 +1,5 @@
-//! Deterministic fault injection for the serving executor.
+//! Deterministic fault injection for the serving executor — the one
+//! file that knows what a fault *does*.
 //!
 //! A [`FaultPlan`] is a seeded, fully explicit schedule of hostile
 //! events — forward panics, serving-thread crashes, latency spikes,
@@ -6,50 +7,39 @@
 //! *sequence numbers* rather than wall-clock time, so the same plan
 //! replayed against the same request schedule produces bit-identical
 //! counter trajectories. Plans are injected through
-//! [`crate::ExecutorConfig::fault_plan`]; the default (`None`) costs
-//! nothing on the hot path — the serving loop consults the plan only
-//! when the per-app slice captured at registration is non-empty.
+//! [`crate::ExecutorConfig::fault_plan`]; runtime one-shots — the path
+//! the simulator's chaos hooks use — through
+//! [`crate::Executor::inject_fault`]. The vocabulary is the simulator's
+//! own: [`FaultKind`] *is* [`eml_sim::ChaosFault`], so a scenario's
+//! chaos action reaches the executor without translation.
 //!
-//! Each scheduled fault fires exactly once: on the first dispatched
-//! batch whose highest sequence number reaches the fault's `at_seq`
-//! (fired state lives in the shared queue state, so a fault does not
-//! re-fire after a supervised thread restart). Runtime one-shot
-//! injection — the path the simulator's chaos hooks use — goes through
-//! [`crate::Executor::inject_fault`].
+//! ## The seam
+//!
+//! Both sources feed one per-app pending list inside a [`FaultState`]
+//! (a runtime one-shot is simply a plan entry that is already due). An
+//! app with no plan slice that was never `inject_fault`ed has no
+//! `FaultState` at all, and its dispatch path runs none of this file.
+//! Otherwise the executor touches faults at exactly three points:
+//!
+//! 1. [`FaultState::on_dispatch`], under the ledger lock, once per
+//!    dispatch: every entry whose `at_seq` the batch's highest sequence
+//!    number reaches fires — exactly once, in list order (plan entries
+//!    in insertion order, then one-shots in arming order; the list is
+//!    shared state, so nothing re-fires after a supervised restart) —
+//!    and folds into one [`Injected`] value the dispatch carries.
+//! 2. [`Injected::crash_if_armed`], *outside* the forward's panic
+//!    containment.
+//! 3. [`Injected::before_forward`], *inside* it.
+
+use std::time::{Duration, Instant};
 
 use eml_platform::units::TimeSpan;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// One kind of injected fault.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum FaultKind {
-    /// Panic inside the batched forward pass, within the executor's
-    /// containment: every rider of the batch receives a typed
-    /// [`crate::ServeError::Inference`] error and the thread keeps
-    /// serving.
-    PanicForward,
-    /// Panic *outside* the forward's containment — kills the serving
-    /// thread mid-batch, exercising the watchdog's supervised restart
-    /// (the in-flight batch is failed with a typed error and the
-    /// restart is counted in [`crate::AppStatsSnapshot::restarts`]).
-    CrashThread,
-    /// Spin-delays the batched forward by the given span (a synthetic
-    /// interference burst). The injected delay is excluded from the
-    /// micro-batcher's service-time estimate so batch coalescing stays
-    /// deterministic across a spike.
-    LatencySpike(TimeSpan),
-    /// Fails the app's next knob actuation (counted in
-    /// [`crate::AppStatsSnapshot::knob_faulted`]; the knob is dropped,
-    /// the model's operating point is left untouched).
-    KnobFailure,
-    /// Enqueues this many synthetic copies of the triggering batch's
-    /// first sample behind it (an overload burst). Injection stops at
-    /// queue capacity; injected requests are counted in
-    /// [`crate::AppStatsSnapshot::storm_injected`].
-    QueueStorm(usize),
-}
+/// One kind of injected fault — the simulator's chaos vocabulary,
+/// re-exported so plans, one-shots and scenario chaos share one type.
+pub use eml_sim::ChaosFault as FaultKind;
 
 /// One scheduled fault: fires once, on the first dispatched batch of
 /// `app` whose highest sequence number is at least `at_seq`.
@@ -125,14 +115,119 @@ impl FaultPlan {
         self.faults.is_empty()
     }
 
-    /// The subset of faults targeting `app` (captured once at
+    /// The fault state `app` starts with: its slice of the plan, or
+    /// `None` when the plan never names it (captured once at
     /// registration, so the hot path never scans foreign apps' faults).
-    pub(crate) fn for_app(&self, app: &str) -> Vec<Fault> {
-        self.faults
+    pub(crate) fn for_app(&self, app: &str) -> Option<Box<FaultState>> {
+        let pending: Vec<(u64, FaultKind)> = self
+            .faults
             .iter()
             .filter(|f| f.app == app)
-            .cloned()
-            .collect()
+            .map(|f| (f.at_seq, f.kind.clone()))
+            .collect();
+        (!pending.is_empty()).then(|| {
+            Box::new(FaultState {
+                pending,
+                knob_budget: 0,
+            })
+        })
+    }
+}
+
+/// One app's injected-fault state, held by its ledger (so under the
+/// ledger lock) and absent until the app has something to inject.
+#[derive(Debug, Default)]
+pub(crate) struct FaultState {
+    /// Faults not yet fired, as `(at_seq, kind)` in firing order.
+    pending: Vec<(u64, FaultKind)>,
+    /// Injected knob-actuation failures not yet consumed by a command.
+    knob_budget: u32,
+}
+
+impl FaultState {
+    /// Arms a one-shot: due at the app's next dispatched batch.
+    pub(crate) fn arm(&mut self, kind: FaultKind) {
+        self.pending.push((0, kind));
+    }
+
+    /// Fires what this dispatch triggers. `max_seq` is the highest
+    /// sequence number of the batch about to run (`None` for a
+    /// knob-only claim, which triggers nothing); `knobs` the number of
+    /// knob commands the claim will actuate, of which the returned
+    /// [`Injected`] fails as many as the budget covers; `storm(n)` must
+    /// enqueue `n` synthetic requests behind the batch.
+    pub(crate) fn on_dispatch(
+        &mut self,
+        max_seq: Option<u64>,
+        knobs: usize,
+        mut storm: impl FnMut(usize),
+    ) -> Injected {
+        let mut injected = Injected::default();
+        let mut i = 0;
+        while i < self.pending.len() {
+            if max_seq.is_none_or(|max| self.pending[i].0 > max) {
+                i += 1;
+                continue;
+            }
+            match self.pending.remove(i).1 {
+                FaultKind::PanicForward => injected.panic_forward = true,
+                FaultKind::CrashThread => injected.crash = true,
+                FaultKind::LatencySpike(t) => {
+                    injected.delay += Duration::from_secs_f64(t.as_secs().max(0.0));
+                }
+                FaultKind::KnobFailure => self.knob_budget += 1,
+                FaultKind::QueueStorm(n) => storm(n),
+            }
+        }
+        injected.knob_faults = self.knob_budget.min(knobs as u32);
+        self.knob_budget -= injected.knob_faults;
+        injected
+    }
+}
+
+/// What one dispatch has to suffer. The default injects nothing.
+#[derive(Debug, Default)]
+pub(crate) struct Injected {
+    /// How many of the dispatch's leading knob commands fail instead of
+    /// actuating.
+    pub(crate) knob_faults: u32,
+    /// The spike [`Injected::before_forward`] burns — the fault's cost,
+    /// not the operating point's, so the micro-batcher's service-time
+    /// estimate excludes it.
+    pub(crate) delay: Duration,
+    panic_forward: bool,
+    crash: bool,
+}
+
+impl Injected {
+    /// Called *outside* the forward's containment: an armed crash kills
+    /// the pool driver mid-batch, which is exactly the failure the
+    /// watchdog supervises.
+    pub(crate) fn crash_if_armed(&self, app: &str) {
+        if self.crash {
+            panic!("injected fault: serving thread crash (`{app}`)");
+        }
+    }
+
+    /// Called *inside* the forward's containment, before the model
+    /// runs: burns the spike, then panics if armed to.
+    pub(crate) fn before_forward(&self) {
+        if !self.delay.is_zero() {
+            spin_for(self.delay);
+        }
+        if self.panic_forward {
+            panic!("injected fault: forward panic");
+        }
+    }
+}
+
+/// Burns CPU for `d` — an injected interference spike. A sleep would
+/// free the core and understate the interference; the spin models a
+/// co-tenant actually occupying it.
+fn spin_for(d: Duration) {
+    let t0 = Instant::now();
+    while t0.elapsed() < d {
+        std::hint::spin_loop();
     }
 }
 
@@ -168,8 +263,34 @@ mod tests {
             .with_fault("cam", 0, FaultKind::PanicForward)
             .with_fault("det", 1, FaultKind::KnobFailure)
             .with_fault("cam", 2, FaultKind::QueueStorm(3));
-        assert_eq!(p.for_app("cam").len(), 2);
-        assert_eq!(p.for_app("det").len(), 1);
-        assert!(p.for_app("ghost").is_empty());
+        let slice = |app| p.for_app(app).map_or(0, |f| f.pending.len());
+        assert_eq!((slice("cam"), slice("det")), (2, 1));
+        assert!(p.for_app("ghost").is_none());
+    }
+
+    #[test]
+    fn due_faults_fire_once_in_list_order_and_one_shots_are_due_at_once() {
+        let mut f = FaultPlan::new()
+            .with_fault("cam", 5, FaultKind::QueueStorm(3))
+            .with_fault("cam", 0, FaultKind::KnobFailure)
+            .with_fault("cam", 9, FaultKind::PanicForward)
+            .for_app("cam")
+            .unwrap();
+        f.arm(FaultKind::QueueStorm(2));
+        // A knob-only claim triggers nothing, whatever is pending.
+        let mut storms = Vec::new();
+        let inj = f.on_dispatch(None, 1, |n| storms.push(n));
+        assert_eq!((inj.knob_faults, storms.len(), f.pending.len()), (0, 0, 4));
+        // seq 5 reaches the storm and the knob failure (plan order),
+        // then the armed one-shot; seq 9's panic stays pending.
+        let inj = f.on_dispatch(Some(5), 0, |n| storms.push(n));
+        assert_eq!(storms, [3, 2]);
+        assert!(!inj.panic_forward && !inj.crash && inj.delay.is_zero());
+        assert_eq!(inj.knob_faults, 0, "no knob in this dispatch: budget kept");
+        // The kept budget fails the next dispatch's first knob only.
+        let inj = f.on_dispatch(Some(6), 2, |_| unreachable!("storms fired once"));
+        assert_eq!((inj.knob_faults, f.knob_budget), (1, 0));
+        assert!(f.on_dispatch(Some(9), 0, |_| {}).panic_forward);
+        assert!(f.pending.is_empty());
     }
 }

@@ -4,12 +4,12 @@
 //! [`AppStatsSnapshot`], so the serving path records nothing extra —
 //! but *reading* them is not free, and the reader runs on the cores it
 //! manages. One [`HealthMonitor::observe`] costs: one registry lock for
-//! the whole roster (not one per tenant), per tenant one queue-state
-//! and one statistics lock plus an O(window) percentile selection (see
+//! the whole roster (not one per tenant), per tenant one ledger lock
+//! plus an O(window) percentile selection after releasing it (see
 //! [`crate::stats`]), and no allocation beyond the report itself and
 //! one percentile scratch shared by every tenant. That is linear in
 //! the tenant count with a ~2 µs constant at the default 256-sample
-//! window; [`crate::Executor::pool_pressure`] (every tenant's queue
+//! window; [`crate::Executor::pool_pressure`] (every tenant's ledger
 //! lock under the scheduler lock) is read once per observation. The
 //! score folds the counters into a single `0–100` number per app:
 //!

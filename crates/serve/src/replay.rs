@@ -27,7 +27,6 @@ use eml_sim::{ChaosFault, ExecutionBackend};
 
 use crate::error::ServeError;
 use crate::executor::Executor;
-use crate::fault::FaultKind;
 
 /// Accumulated final counters of every app lifetime ended by a
 /// scenario departure (the snapshot [`Executor::deregister_dnn`]
@@ -193,17 +192,8 @@ impl ExecutionBackend for ExecutedReplay<'_> {
     fn on_chaos(&mut self, _at_secs: f64, app: &str, fault: &ChaosFault) {
         // Scenario chaos → a one-shot armed fault on the live executor
         // (consumed by the app's next dispatched batch). Unknown apps
-        // and chaos kinds this serving layer has no surface for are
-        // ignored, like unknown apps in `measure`.
-        let kind = match fault {
-            ChaosFault::PanicForward => FaultKind::PanicForward,
-            ChaosFault::CrashThread => FaultKind::CrashThread,
-            ChaosFault::LatencySpike(t) => FaultKind::LatencySpike(*t),
-            ChaosFault::KnobFailure => FaultKind::KnobFailure,
-            ChaosFault::QueueStorm(n) => FaultKind::QueueStorm(*n),
-            _ => return,
-        };
-        let _ = self.exec.inject_fault(app, kind);
+        // are ignored, like unknown apps in `measure`.
+        let _ = self.exec.inject_fault(app, fault.clone());
     }
 
     fn on_arrive(&mut self, _at_secs: f64, spec: &AppSpec) {

@@ -1,12 +1,17 @@
 //! Per-application serving statistics: the executor's monitor surface.
 //!
-//! The serving thread records every completed request here; the control
-//! loop ([`crate::ServeController`]) and tests read consistent
-//! snapshots. Latency percentiles are computed over a bounded sliding
-//! window so long-running servers report *current* behaviour, while the
-//! cumulative counters (completed / errors / missed / rejected / shed)
-//! never reset — they are the invariant surface the stress and property
-//! suites pin ("no request is ever silently dropped" is
+//! [`AppStatsSnapshot`] is what the control loop
+//! ([`crate::ServeController`]), the health monitor and tests read.
+//! Every field of it — the cumulative counters, `queue_depth`,
+//! `in_flight` and the latency window — lives in the app's ledger under
+//! one lock, and a snapshot copies them out in **one critical section**,
+//! so what a reader sees is one instant of the app: a request is never
+//! both `in_flight` and already `completed`. Latency percentiles are
+//! computed over a bounded sliding window so long-running servers
+//! report *current* behaviour, while the cumulative counters
+//! (completed / errors / missed / rejected / shed) never reset — they
+//! are the invariant surface the stress and property suites pin ("no
+//! request is ever silently dropped" is
 //! `submitted + storm_injected == completed + errors + rejected + shed`
 //! in these counters, where `submitted` counts submission *attempts*
 //! and `storm_injected` the synthetic requests a fault-injection queue
@@ -15,7 +20,8 @@
 //! Cost model. Recording is O(1) and keeps nothing but the window
 //! itself — no sorted shadow, no per-app percentile buffer. A snapshot
 //! pays for its percentiles when it is read: one copy of the window
-//! into a scratch `Vec<f64>` the *reader* owns, then one selection
+//! into a scratch `Vec<f64>` the *reader* owns (under the ledger lock),
+//! then, with the lock released, one selection
 //! (`select_nth_unstable_by`) per requested percentile, the p99 over
 //! the right partition the median selection leaves behind — O(window)
 //! expected, no sort, no allocation beyond the scratch, which a bulk
@@ -29,10 +35,12 @@ use eml_nn::Precision;
 use eml_platform::soc::ClusterId;
 use eml_platform::units::TimeSpan;
 
-/// Mutable per-app statistics, updated by the serving thread.
+/// The sliding window of one app's most recent completions: latencies
+/// and deadline outcomes. It lives inside the app's ledger (under the
+/// ledger's lock) beside the cumulative counters.
 #[derive(Debug)]
-pub(crate) struct AppStats {
-    window: usize,
+pub(crate) struct Window {
+    capacity: usize,
     /// Most recent request latencies (seconds), newest at the back.
     latencies: VecDeque<f64>,
     /// Deadline outcomes of the same window (only requests with a
@@ -41,70 +49,37 @@ pub(crate) struct AppStats {
     recent_met: VecDeque<bool>,
     /// Misses currently inside `recent_met`.
     recent_missed: usize,
-    pub(crate) completed: u64,
-    pub(crate) missed: u64,
-    pub(crate) batches: u64,
-    pub(crate) batched_samples: u64,
-    pub(crate) knob_errors: u64,
-    /// Knob commands the model itself refused (e.g. width out of range).
-    pub(crate) knob_rejected: u64,
-    /// Knob commands dropped by an injected actuation fault.
-    pub(crate) knob_faulted: u64,
-    pub(crate) last_knob_error: Option<String>,
-    pub(crate) out_of_order: u64,
-    pub(crate) last_seq: Option<u64>,
-    /// Supervised serving-thread restarts (thread died and was respawned).
-    pub(crate) restarts: u64,
-    /// Wedged-batch confiscations (heartbeat stale past the stall timeout).
-    pub(crate) stalls: u64,
-    pub(crate) level: usize,
-    pub(crate) precision: Precision,
 }
 
-impl AppStats {
-    pub(crate) fn new(window: usize, level: usize, precision: Precision) -> Self {
+impl Window {
+    pub(crate) fn new(capacity: usize) -> Self {
         Self {
-            window: window.max(1),
+            capacity: capacity.max(1),
             latencies: VecDeque::new(),
             recent_met: VecDeque::new(),
             recent_missed: 0,
-            completed: 0,
-            missed: 0,
-            batches: 0,
-            batched_samples: 0,
-            knob_errors: 0,
-            knob_rejected: 0,
-            knob_faulted: 0,
-            last_knob_error: None,
-            out_of_order: 0,
-            last_seq: None,
-            restarts: 0,
-            stalls: 0,
-            level,
-            precision,
         }
     }
 
-    /// Clears the sliding latency/outcome windows (the cumulative
-    /// counters stay). Called when a knob switch changes the operating
-    /// point, so percentiles and the windowed miss rate always describe
-    /// the *current* configuration instead of blending the old point's
-    /// behaviour into the new one's.
-    pub(crate) fn reset_window(&mut self) {
+    /// Empties the window. Called when a knob switch changes the
+    /// operating point, so percentiles and the windowed miss rate
+    /// always describe the *current* configuration instead of blending
+    /// the old point's behaviour into the new one's.
+    pub(crate) fn reset(&mut self) {
         self.latencies.clear();
         self.recent_met.clear();
         self.recent_missed = 0;
     }
 
-    /// Records one completed request.
-    pub(crate) fn record(&mut self, seq: u64, latency_s: f64, met: Option<bool>) {
-        if self.latencies.len() == self.window {
+    /// Slides one completed request into the window.
+    pub(crate) fn push(&mut self, latency_s: f64, met: Option<bool>) {
+        if self.latencies.len() == self.capacity {
             self.latencies.pop_front();
         }
         self.latencies.push_back(latency_s);
-        self.completed += 1;
         if let Some(m) = met {
-            if self.recent_met.len() == self.window && self.recent_met.pop_front() == Some(false) {
+            if self.recent_met.len() == self.capacity && self.recent_met.pop_front() == Some(false)
+            {
                 self.recent_missed -= 1;
             }
             self.recent_met.push_back(m);
@@ -112,81 +87,47 @@ impl AppStats {
                 self.recent_missed += 1;
             }
         }
-        if met == Some(false) {
-            self.missed += 1;
-        }
-        if let Some(last) = self.last_seq {
-            if seq <= last {
-                self.out_of_order += 1;
-            }
-        }
-        self.last_seq = Some(seq);
     }
 
-    /// The copy-and-sort percentile the selection replaced, kept as the
-    /// oracle the property test compares against.
-    #[cfg(test)]
-    fn percentile_by_sort(&self, q: f64) -> Option<TimeSpan> {
-        if self.latencies.is_empty() {
-            return None;
-        }
-        let mut sorted: Vec<f64> = self.latencies.iter().copied().collect();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        Some(TimeSpan::from_secs(
-            sorted[percentile_index(sorted.len(), q)],
-        ))
-    }
-
-    #[cfg(test)]
-    pub(crate) fn snapshot(&self) -> WindowSnapshot {
-        self.snapshot_with(&mut Vec::new(), true)
-    }
-
-    /// The window's (p50, p99) by selection over `scratch`; p99 is
-    /// skipped (`None`) unless `want_p99`. See the module docs.
-    fn percentiles(
-        &self,
-        scratch: &mut Vec<f64>,
-        want_p99: bool,
-    ) -> (Option<TimeSpan>, Option<TimeSpan>) {
-        let n = self.latencies.len();
-        if n == 0 {
-            return (None, None);
-        }
+    /// The window's share of a snapshot, the half that needs the ledger
+    /// lock: fills `snap`'s three `window_*` fields and copies the
+    /// latencies into `scratch` (contents irrelevant on entry), for
+    /// [`percentiles`] to select over once the lock is released.
+    pub(crate) fn read_into(&self, snap: &mut AppStatsSnapshot, scratch: &mut Vec<f64>) {
+        snap.window_len = self.latencies.len();
+        snap.window_outcomes = self.recent_met.len();
+        snap.window_miss_rate = match self.recent_met.len() {
+            0 => 0.0,
+            n => self.recent_missed as f64 / n as f64,
+        };
         let (front, back) = self.latencies.as_slices();
         scratch.clear();
-        scratch.reserve(n); // one allocation at most, whatever the wrap
+        scratch.reserve(front.len() + back.len()); // one allocation at most, whatever the wrap
         scratch.extend_from_slice(front);
         scratch.extend_from_slice(back);
-        // Median first: it halves what the p99 selection has to look at.
-        let i50 = percentile_index(n, 0.50);
-        let (_, median, above) = scratch.select_nth_unstable_by(i50, f64::total_cmp);
-        let p50 = TimeSpan::from_secs(*median);
-        let p99 = want_p99.then(|| match percentile_index(n, 0.99) - i50 {
-            0 => p50, // n ≤ 2: one order statistic serves both
-            up => TimeSpan::from_secs(*above.select_nth_unstable_by(up - 1, f64::total_cmp).1),
-        });
-        (Some(p50), p99)
     }
+}
 
-    /// The window view of a snapshot. `scratch` is the percentile
-    /// work buffer (contents irrelevant on entry, unspecified on exit);
-    /// `want_p99 = false` leaves `p99` unselected (`None`) for readers
-    /// that only consume the median.
-    pub(crate) fn snapshot_with(&self, scratch: &mut Vec<f64>, want_p99: bool) -> WindowSnapshot {
-        let (p50, p99) = self.percentiles(scratch, want_p99);
-        WindowSnapshot {
-            p50,
-            p99,
-            window_len: self.latencies.len(),
-            window_outcomes: self.recent_met.len(),
-            window_miss_rate: if self.recent_met.is_empty() {
-                0.0
-            } else {
-                self.recent_missed as f64 / self.recent_met.len() as f64
-            },
-        }
+/// The (p50, p99) of the window [`Window::read_into`] left in `scratch`
+/// (unspecified order on exit), by selection; p99 is skipped (`None`)
+/// unless `want_p99`. See the module docs.
+pub(crate) fn percentiles(
+    scratch: &mut [f64],
+    want_p99: bool,
+) -> (Option<TimeSpan>, Option<TimeSpan>) {
+    let n = scratch.len();
+    if n == 0 {
+        return (None, None);
     }
+    // Median first: it halves what the p99 selection has to look at.
+    let i50 = percentile_index(n, 0.50);
+    let (_, median, above) = scratch.select_nth_unstable_by(i50, f64::total_cmp);
+    let p50 = TimeSpan::from_secs(*median);
+    let p99 = want_p99.then(|| match percentile_index(n, 0.99) - i50 {
+        0 => p50, // n ≤ 2: one order statistic serves both
+        up => TimeSpan::from_secs(*above.select_nth_unstable_by(up - 1, f64::total_cmp).1),
+    });
+    (Some(p50), p99)
 }
 
 /// Index of the `q`-quantile order statistic in a window of `n ≥ 1`.
@@ -194,17 +135,10 @@ fn percentile_index(n: usize, q: f64) -> usize {
     ((n as f64 - 1.0) * q).round() as usize
 }
 
-#[derive(Debug, Clone)]
-pub(crate) struct WindowSnapshot {
-    pub(crate) p50: Option<TimeSpan>,
-    pub(crate) p99: Option<TimeSpan>,
-    pub(crate) window_len: usize,
-    pub(crate) window_outcomes: usize,
-    pub(crate) window_miss_rate: f64,
-}
-
-/// A consistent view of one application's serving state.
-#[derive(Debug, Clone)]
+/// One instant of one application's serving state (every field read
+/// in the same critical section — see the module docs). The default is
+/// an app that has seen nothing yet.
+#[derive(Debug, Clone, Default)]
 pub struct AppStatsSnapshot {
     /// Requests completed successfully (a logits-bearing completion
     /// was delivered to the ticket). Requests whose batch failed count
@@ -291,7 +225,7 @@ pub struct AppStatsSnapshot {
     pub admitted: bool,
 }
 
-/// A consistent view of the shared worker pool itself, as opposed to
+/// A view of the shared worker pool itself, as opposed to
 /// any one tenant: driver counts, roster occupancy against the bounded
 /// registry, and the pool-wide queue pressure the health monitor folds
 /// into its score. Read via [`crate::Executor::pool_stats`].
@@ -350,12 +284,36 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    impl Window {
+        /// What a snapshot reads of the window, copy-then-select as the
+        /// ledger does it.
+        fn snapshot_with(&self, scratch: &mut Vec<f64>, want_p99: bool) -> AppStatsSnapshot {
+            let mut snap = AppStatsSnapshot::default();
+            self.read_into(&mut snap, scratch);
+            (snap.p50, snap.p99) = percentiles(scratch, want_p99);
+            snap
+        }
+
+        fn snapshot(&self) -> AppStatsSnapshot {
+            self.snapshot_with(&mut Vec::new(), true)
+        }
+
+        /// The copy-and-sort percentile the selection replaced: the
+        /// oracle the property test compares against.
+        fn percentile_by_sort(&self, q: f64) -> Option<TimeSpan> {
+            let mut sorted: Vec<f64> = self.latencies.iter().copied().collect();
+            sorted.sort_by(|a, b| a.total_cmp(b));
+            (!sorted.is_empty())
+                .then(|| TimeSpan::from_secs(sorted[percentile_index(sorted.len(), q)]))
+        }
+    }
+
     #[test]
     fn window_slides_and_percentiles_sort() {
-        let mut s = AppStats::new(4, 3, Precision::F32);
-        for (i, ms) in [5.0, 1.0, 9.0, 3.0, 7.0].iter().enumerate() {
+        let mut s = Window::new(4);
+        for ms in [5.0, 1.0, 9.0, 3.0, 7.0] {
             // A 6 ms deadline: 9 and 7 miss, the rest meet it.
-            s.record(i as u64, ms * 1e-3, Some(*ms <= 6.0));
+            s.push(ms * 1e-3, Some(ms <= 6.0));
         }
         // Window holds the last 4: [1, 9, 3, 7] → p50 ≈ 3ms or 7ms edge.
         let snap = s.snapshot();
@@ -363,29 +321,28 @@ mod tests {
         let p50 = snap.p50.unwrap().as_millis();
         assert!((3.0..=7.0).contains(&p50), "p50 {p50}");
         assert_eq!(snap.p99.unwrap().as_millis().round() as i64, 9);
-        assert_eq!(s.completed, 5);
-        assert_eq!(s.missed, 2);
-        assert_eq!(s.out_of_order, 0);
+        assert_eq!(snap.window_outcomes, 4);
+        assert!((snap.window_miss_rate - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn windowed_miss_rate_tracks_only_deadline_outcomes() {
-        let mut s = AppStats::new(4, 0, Precision::F32);
-        s.record(0, 1e-3, None); // no deadline verdict: latency only
-        s.record(1, 1e-3, Some(true));
-        s.record(2, 9e-3, Some(false));
+        let mut s = Window::new(4);
+        s.push(1e-3, None); // no deadline verdict: latency only
+        s.push(1e-3, Some(true));
+        s.push(9e-3, Some(false));
         let snap = s.snapshot();
         assert_eq!(snap.window_len, 3);
         assert_eq!(snap.window_outcomes, 2);
         assert!((snap.window_miss_rate - 0.5).abs() < 1e-12);
         // The outcome window slides with the same bound as latencies.
-        for i in 0..4 {
-            s.record(3 + i, 1e-3, Some(true));
+        for _ in 0..4 {
+            s.push(1e-3, Some(true));
         }
         let snap = s.snapshot();
         assert_eq!(snap.window_outcomes, 4);
         assert_eq!(snap.window_miss_rate, 0.0);
-        s.reset_window();
+        s.reset();
         let snap = s.snapshot();
         assert_eq!((snap.window_outcomes, snap.window_len), (0, 0));
         assert_eq!(snap.window_miss_rate, 0.0);
@@ -415,9 +372,9 @@ mod tests {
             capacity in 1usize..=300,
             draws in proptest::collection::vec(0u64..u64::MAX, 1..513),
         ) {
-            let mut s = AppStats::new(capacity, 0, Precision::F32);
-            for (i, &x) in draws.iter().enumerate() {
-                s.record(i as u64, hostile_latency(x), None);
+            let mut s = Window::new(capacity);
+            for &x in &draws {
+                s.push(hostile_latency(x), None);
             }
             let bits = |t: Option<TimeSpan>| t.map(|t| t.as_secs().to_bits());
             let want = (bits(s.percentile_by_sort(0.50)), bits(s.percentile_by_sort(0.99)));
@@ -434,23 +391,15 @@ mod tests {
     #[test]
     fn tiny_windows_share_one_order_statistic() {
         // n ≤ 2 is where round((n-1)·q) gives i50 == i99.
-        let mut s = AppStats::new(4, 0, Precision::F32);
+        let mut s = Window::new(4);
         assert!(s.snapshot().p50.is_none() && s.snapshot().p99.is_none());
-        s.record(0, 3e-3, None);
+        s.push(3e-3, None);
         let one = s.snapshot();
         assert_eq!((one.p50, one.p99), (s.percentile_by_sort(0.5), one.p50));
-        s.record(1, 1e-3, None);
+        s.push(1e-3, None);
         let two = s.snapshot();
         assert_eq!(two.p50, Some(TimeSpan::from_secs(3e-3)), "round(0.5) = 1");
         assert_eq!(two.p99, two.p50);
         assert_eq!(two.p50, s.percentile_by_sort(0.5));
-    }
-
-    #[test]
-    fn out_of_order_completions_are_counted() {
-        let mut s = AppStats::new(8, 0, Precision::F32);
-        s.record(3, 1e-3, None);
-        s.record(2, 1e-3, None);
-        assert_eq!(s.out_of_order, 1);
     }
 }

@@ -57,27 +57,37 @@ pub enum Action {
     },
 }
 
-/// A hostile serving-layer event scheduled in a scenario — the
-/// simulator-side vocabulary for fault injection, kept free of any
-/// serving-crate dependency so scenarios stay self-contained. A
-/// backend maps these onto its own fault surface (e.g. `eml-serve`'s
-/// `FaultKind`), making hostile schedules replay bit-reproducibly
-/// alongside arrivals and departures.
+/// A hostile serving-layer event — the one fault vocabulary of the
+/// workspace. It is defined here, free of any serving-crate dependency,
+/// so scenarios stay self-contained; `eml-serve` re-exports it as its
+/// `FaultKind`, so a scheduled fault plan, a runtime one-shot and a
+/// scenario's chaos action all speak this type and hostile schedules
+/// replay bit-reproducibly alongside arrivals and departures.
+/// Exhaustive on purpose: every consumer is in-tree, and a new kind
+/// must not reach the executor as a silent no-op.
 #[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
 pub enum ChaosFault {
-    /// Panic inside the app's next batched forward pass (contained by
-    /// the executor; every rider gets a typed error).
+    /// Panic inside the batched forward pass, within the executor's
+    /// containment: every rider of the batch receives a typed
+    /// inference error and the driver keeps serving.
     PanicForward,
-    /// Kill the app's serving thread mid-batch (exercises supervised
-    /// restart).
+    /// Panic *outside* the forward's containment — kills the serving
+    /// thread mid-batch, exercising the watchdog's supervised restart
+    /// (the in-flight batch is failed with a typed error and the
+    /// restart is counted against the app).
     CrashThread,
-    /// Spin-delay the app's next batched forward by this span.
+    /// Spin-delays the batched forward by the given span (a synthetic
+    /// interference burst). The injected delay is excluded from the
+    /// micro-batcher's service-time estimate so batch coalescing stays
+    /// deterministic across a spike.
     LatencySpike(TimeSpan),
-    /// Fail the app's next knob actuation.
+    /// Fails the app's next knob actuation (counted per cause; the
+    /// knob is dropped, the model's operating point is left untouched).
     KnobFailure,
-    /// Enqueue this many synthetic duplicate requests behind the app's
-    /// next batch.
+    /// Enqueues this many synthetic copies of the triggering batch's
+    /// first sample behind it (an overload burst). Injection stops at
+    /// queue capacity; injected requests are counted apart from
+    /// submitted ones.
     QueueStorm(usize),
 }
 

@@ -118,15 +118,7 @@ impl ExecutionBackend for SocketBackend {
     }
 
     fn on_chaos(&mut self, _at_secs: f64, app: &str, fault: &ChaosFault) {
-        let kind = match fault {
-            ChaosFault::PanicForward => FaultKind::PanicForward,
-            ChaosFault::CrashThread => FaultKind::CrashThread,
-            ChaosFault::LatencySpike(t) => FaultKind::LatencySpike(*t),
-            ChaosFault::KnobFailure => FaultKind::KnobFailure,
-            ChaosFault::QueueStorm(n) => FaultKind::QueueStorm(*n),
-            _ => return,
-        };
-        let _ = self.exec.inject_fault(app, kind);
+        let _ = self.exec.inject_fault(app, fault.clone());
     }
 
     fn on_arrive(&mut self, _at_secs: f64, spec: &AppSpec) {

@@ -182,6 +182,47 @@ fn submit_reaping(
     }
 }
 
+/// A statistics snapshot is one instant of the app, not a consistent
+/// view only once the executor is quiet: while batches are being
+/// dispatched and settled, *every* read must place every attempted
+/// request in exactly one of queued / in flight / completed / errors /
+/// shed / rejected. (A read assembled from two critical sections can
+/// catch a settled batch both `in_flight` and already `completed`.)
+#[test]
+fn every_stats_read_balances_the_ledger() {
+    const ROUNDS: u64 = 2_000;
+    const PER_ROUND: u64 = 32;
+    let exec = Executor::new(ExecutorConfig {
+        pool_workers: 1,
+        batch_cap: 8,
+        ..ExecutorConfig::default()
+    });
+    exec.register_dnn("cam", testbed::tiny_dnn(1), &Requirements::new())
+        .expect("registers");
+    let sample = vec![0.25f32; SAMPLE_LEN];
+    let (mut attempts, mut reads) = (0u64, 0u64);
+    for _ in 0..ROUNDS {
+        for _ in 0..PER_ROUND {
+            // Refusals count too: a rejection is an attempt the ledger
+            // accounts for.
+            let _ = exec.submit("cam", &sample);
+            attempts += 1;
+        }
+        loop {
+            let s = exec.stats("cam").expect("cam lives");
+            reads += 1;
+            let placed =
+                s.completed + s.errors + s.shed + s.rejected + (s.queue_depth + s.in_flight) as u64;
+            assert_eq!(placed, attempts, "torn read #{reads}: {s:?}");
+            if s.queue_depth == 0 && s.in_flight == 0 {
+                break;
+            }
+        }
+    }
+    let s = exec.stats("cam").expect("cam lives");
+    assert_eq!(s.completed + s.rejected, ROUNDS * PER_ROUND, "{s:?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
