@@ -80,12 +80,21 @@ impl std::error::Error for FrameError {}
 /// the serving protocol, whose payloads are capped far below).
 #[must_use]
 pub fn encode(tag: u8, payload: &[u8]) -> Vec<u8> {
-    let len = u32::try_from(payload.len()).expect("payload fits in a u32 length prefix");
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&len.to_le_bytes());
-    out.push(tag);
-    out.extend_from_slice(payload);
+    encode_into(&mut out, tag, |out| out.extend_from_slice(payload));
     out
+}
+
+/// Appends one frame to `out`, its payload written in place by `body`
+/// (no intermediate payload buffer). Panics as [`encode`] does.
+pub(crate) fn encode_into(out: &mut Vec<u8>, tag: u8, body: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0; HEADER_LEN]);
+    body(out);
+    let len = out.len() - start - HEADER_LEN;
+    let len = u32::try_from(len).expect("payload fits in a u32 length prefix");
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4] = tag;
 }
 
 /// Decodes the first frame in `buf`, returning it and the exact number
@@ -98,6 +107,14 @@ pub fn encode(tag: u8, payload: &[u8]) -> Vec<u8> {
 /// [`FrameError::Oversize`] when the header declares a payload above
 /// `max_payload` — returned before any payload-sized allocation.
 pub fn decode(buf: &[u8], max_payload: usize) -> Result<(Frame, usize), FrameError> {
+    let (tag, payload, used) = split(buf, max_payload)?;
+    let payload = payload.to_vec();
+    Ok((Frame { tag, payload }, used))
+}
+
+/// [`decode`] without the copy: the first frame's tag, its payload
+/// borrowed from `buf`, and the bytes the frame occupies.
+pub(crate) fn split(buf: &[u8], max_payload: usize) -> Result<(u8, &[u8], usize), FrameError> {
     if buf.len() < HEADER_LEN {
         return Err(FrameError::Truncated {
             have: buf.len(),
@@ -118,13 +135,7 @@ pub fn decode(buf: &[u8], max_payload: usize) -> Result<(Frame, usize), FrameErr
             need: total,
         });
     }
-    Ok((
-        Frame {
-            tag: buf[4],
-            payload: buf[HEADER_LEN..total].to_vec(),
-        },
-        total,
-    ))
+    Ok((buf[4], &buf[HEADER_LEN..total], total))
 }
 
 #[cfg(test)]

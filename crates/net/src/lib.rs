@@ -16,7 +16,8 @@
 //!   cumulative misbehaviour score with exponential-backoff bans and
 //!   decay-based rehabilitation, in a bounded client registry.
 //! - [`server`] / [`client`] — the threaded [`NetServer`] (one accept
-//!   loop, supervised per-connection threads, graceful
+//!   loop, supervised per-connection threads that pipeline through a
+//!   bounded, in-order reply window, graceful
 //!   drain-and-shutdown reusing the executor's typed `AppStopped`
 //!   semantics) and a small blocking [`NetClient`] for tests, examples
 //!   and tooling.
@@ -37,6 +38,12 @@
 //! - **Slowloris stalls** — a started frame must complete within the
 //!   read deadline; ticked reads mean a half-sent frame cannot pin a
 //!   connection thread, and the stall is scored.
+//! - **Open-window-and-stall readers** — a client that keeps a
+//!   connection's reply window full but never reads its replies holds
+//!   at most that window (32 requests) in the executor; once its socket
+//!   buffers fill, the reply write times out, the stall is scored like
+//!   a stalled half-frame and the connection is closed, so it cannot pin
+//!   a connection thread either.
 //! - **Floods** — requests past the token bucket's sustained rate are
 //!   refused `RateLimited` and scored, so a sustained flood walks the
 //!   client into a ban even though each refusal is cheap.

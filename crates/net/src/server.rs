@@ -28,23 +28,66 @@
 //! Finished handles are reaped on every accept, so the handle list
 //! stays bounded.
 //!
+//! A connection pipelines through a bounded **reply window**: a FIFO
+//! of at most `REPLY_WINDOW` (32) submitted tickets. The handler loops
+//! over three steps:
+//!
+//! 1. Decode and gate every complete frame already read, submitting
+//!    each valid request. A full window stops decoding until its oldest
+//!    ticket settles, so a connection never holds more than the window
+//!    in the executor.
+//! 2. With no complete frame left, take whatever the client has
+//!    already sent without blocking, then block on the *oldest* ticket.
+//! 3. Encode that reply and every later one that has already settled,
+//!    in submission order, into one reused buffer and send them with
+//!    one write.
+//!
+//! Replies leave strictly in submission order: reply *k* answers frame
+//! *k*, across apps, with head-of-line waiting instead of a reorder
+//! buffer. A reply that comes from no ticket (a refusal, ping, hello or
+//! `ShuttingDown`) first waits for the window ahead of it to be
+//! answered, so it keeps its place too. The socket is non-blocking only
+//! while the window is non-empty; the mode switches at the
+//! empty/non-empty edges, so an unpipelined client pays those syscalls
+//! once per request and a pipelined one once per burst.
+//!
 //! Reads are ticked ([`NetConfig::read_tick`]) so a connection thread
 //! is never parked forever: a started frame that does not complete
 //! within [`NetConfig::frame_deadline`] is a scored slowloris
-//! violation ([`WireStatus::Stalled`]), and a silent connection is
-//! closed after [`NetConfig::idle_timeout`].
+//! violation ([`WireStatus::Stalled`]), and a silent connection with
+//! an empty window is closed after [`NetConfig::idle_timeout`].
+//!
+//! Writes are bounded the same way. A failed reply write closes the
+//! connection. One that does not complete within
+//! [`NetConfig::write_timeout`] — a client that keeps sending but stops
+//! reading — is also scored as a [`Violation::Stall`], the class behind
+//! [`WireStatus::Stalled`]; that status itself is not sent, since the
+//! peer is not reading and the stream may be mid-frame. The window's
+//! tickets are still waited for and counted, so the front end's ledger
+//! closes.
+//!
+//! Per-connection memory is bounded. The read buffer rests at
+//! `INBOX_MIN` bytes, grows only to hold one frame of at most
+//! [`NetConfig::max_payload`], and shrinks back once that frame is
+//! consumed. The reply buffer holds at most one window of completions
+//! plus `OUT_HIGH_WATER` bytes of other replies, past which they are
+//! sent at once. The sample buffer holds one decoded sample.
 //!
 //! ## Shutdown
 //!
 //! [`NetServer::shutdown`] stops the accept loop, joins every
-//! connection thread (each finishes its in-flight request — tickets
-//! resolve because the executor is still alive), then drains the
-//! executor ([`eml_serve::Executor::drain`]); requests arriving during
-//! the drain get the typed `AppStopped` semantics of the serving
-//! layer, mapped to [`WireStatus::AppStopped`] on the wire. Nothing
-//! completes silently.
+//! connection thread (each answers its whole window, then sends one
+//! `ShuttingDown` reply — tickets resolve because the executor is still
+//! alive), then drains the executor ([`eml_serve::Executor::drain`]);
+//! requests arriving during the drain get the typed `AppStopped`
+//! semantics of the serving layer, mapped to
+//! [`WireStatus::AppStopped`] on the wire. A connection that closes for
+//! any other reason also answers its window first. Nothing completes
+//! silently and no ticket is lost.
 
-use std::io::{Read, Write};
+use std::collections::VecDeque;
+use std::fmt::Display;
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -52,7 +95,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use eml_core::sync::{rank, RankedGuard, RankedMutex};
-use eml_serve::{Executor, ServeError};
+use eml_serve::{Completion, Executor, ServeError, Ticket};
 
 use crate::admission::{Admission, AdmissionConfig, Gate, Violation};
 use crate::frame::{self, FrameError};
@@ -64,6 +107,20 @@ pub const TAG_HELLO: u8 = 1;
 pub const TAG_PING: u8 = 2;
 /// Request tag: one inference request.
 pub const TAG_SUBMIT: u8 = 3;
+
+/// Submitted requests one connection may hold in the executor at once
+/// (its reply window): four of the executor's default micro-batches
+/// (`batch_cap` 8) and half its default queue (64), so one pipelining
+/// connection keeps batches full without taking the whole queue.
+const REPLY_WINDOW: usize = 32;
+
+/// The read buffer's resting size: a window of small frames fits in a
+/// few reads.
+const INBOX_MIN: usize = 8 << 10;
+
+/// Replies that come from no ticket are sent once this many bytes are
+/// queued, without waiting for the next flush point.
+const OUT_HIGH_WATER: usize = 64 << 10;
 
 /// Front-end configuration.
 #[derive(Debug, Clone)]
@@ -85,8 +142,9 @@ pub struct NetConfig {
     /// Upper bound on the server-side wait for one request's
     /// completion ticket; expiry maps to [`WireStatus::WaitTimeout`].
     pub reply_wait: Duration,
-    /// Socket write timeout (a client that stops reading its replies
-    /// cannot pin a connection thread).
+    /// Bound on one reply write: a client that stops reading its
+    /// replies is scored for a stall and disconnected once a write has
+    /// waited this long, so it cannot pin a connection thread.
     pub write_timeout: Duration,
     /// Maximum concurrently served connections; excess accepts are
     /// turned away with [`WireStatus::RateLimited`].
@@ -393,47 +451,28 @@ fn accept_loop(
     }
 }
 
-fn send_status(mut stream: &TcpStream, status: WireStatus, payload: &[u8]) -> std::io::Result<()> {
+fn send_status(mut stream: &TcpStream, status: WireStatus, payload: &[u8]) -> io::Result<()> {
     stream.write_all(&frame::encode(status.code(), payload))
 }
 
-/// What the handler should do after answering a frame.
-enum Next {
-    Continue,
-    Close,
+/// Why a connection handler stopped: the connection ends, through
+/// [`Conn::close`].
+struct Closed;
+
+/// The handler's control flow: `Err(Closed)` ends the connection.
+type Flow = Result<(), Closed>;
+
+/// A socket error that means "no progress within the timeout".
+fn is_timeout(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
 }
 
-/// Scores a violation, answers it typed, and escalates to a ban reply
-/// when the score crosses the threshold. `force_close` is for
-/// violations after which the byte stream cannot be trusted to
-/// re-synchronise (oversize, stall).
-fn punish(
-    shared: &Shared,
-    stream: &TcpStream,
-    key: &str,
-    v: Violation,
-    status: WireStatus,
-    msg: &str,
-    force_close: bool,
-) -> Next {
-    let _ = send_status(stream, status, msg.as_bytes());
-    if let Some(window) = shared.admission.record_violation(key, v, Instant::now()) {
-        shared.stats.banned_replies.fetch_add(1, Ordering::Relaxed);
-        let note = format!(
-            "banned for {:.3}s: misbehaviour score crossed the threshold",
-            window.as_secs_f64()
-        );
-        let _ = send_status(stream, WireStatus::Banned, note.as_bytes());
-        return Next::Close;
-    }
-    if force_close {
-        Next::Close
-    } else {
-        Next::Continue
-    }
-}
-
-fn parse_submit(payload: &[u8]) -> Result<(String, Vec<f32>), String> {
+/// Splits a submit payload into its app name, borrowed, and its sample,
+/// decoded into `sample` (whose allocation is reused).
+fn parse_submit<'p>(payload: &'p [u8], sample: &mut Vec<f32>) -> Result<&'p str, String> {
     if payload.len() < 2 {
         return Err("submit payload shorter than its app-name length prefix".into());
     }
@@ -446,8 +485,7 @@ fn parse_submit(payload: &[u8]) -> Result<(String, Vec<f32>), String> {
         ));
     }
     let app = std::str::from_utf8(&payload[2..sample_at])
-        .map_err(|_| "app name is not UTF-8".to_string())?
-        .to_string();
+        .map_err(|_| "app name is not UTF-8".to_string())?;
     if app.is_empty() {
         return Err("empty app name".into());
     }
@@ -458,290 +496,499 @@ fn parse_submit(payload: &[u8]) -> Result<(String, Vec<f32>), String> {
             sample_bytes.len()
         ));
     }
-    let sample = sample_bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect();
-    Ok((app, sample))
+    sample.clear();
+    sample.extend(
+        sample_bytes
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
+    );
+    Ok(app)
 }
 
-fn encode_completion(done: &eml_serve::Completion) -> Vec<u8> {
-    let mut p = Vec::with_capacity(16 + 4 * done.logits.len());
-    p.extend_from_slice(&done.seq.to_le_bytes());
-    p.extend_from_slice(&(done.pred as u32).to_le_bytes());
-    p.extend_from_slice(&(done.logits.len() as u32).to_le_bytes());
-    for l in &done.logits {
-        p.extend_from_slice(&l.to_le_bytes());
+/// Appends one reply frame whose payload is `msg`'s text.
+fn put_reply(out: &mut Vec<u8>, status: WireStatus, msg: impl Display) {
+    frame::encode_into(out, status.code(), |out| {
+        // Writing into a `Vec` cannot fail.
+        let _ = write!(out, "{msg}");
+    });
+}
+
+/// Appends an `Ok` submit reply: `[u64 seq][u32 pred][u32 n][n × f32]`.
+fn put_completion(out: &mut Vec<u8>, done: &Completion) {
+    frame::encode_into(out, WireStatus::Ok.code(), |out| {
+        out.extend_from_slice(&done.seq.to_le_bytes());
+        out.extend_from_slice(&(done.pred as u32).to_le_bytes());
+        out.extend_from_slice(&(done.logits.len() as u32).to_le_bytes());
+        for l in &done.logits {
+            out.extend_from_slice(&l.to_le_bytes());
+        }
+    });
+}
+
+/// A connection's read buffer: `buf[at..end]` holds bytes read but not
+/// yet decoded. A frame is consumed by advancing `at`; the undecoded
+/// tail moves to the front once per read, not once per frame.
+struct Inbox {
+    buf: Vec<u8>,
+    at: usize,
+    end: usize,
+}
+
+impl Inbox {
+    fn new() -> Self {
+        Self {
+            buf: vec![0; INBOX_MIN],
+            at: 0,
+            end: 0,
+        }
     }
-    p
+
+    fn is_empty(&self) -> bool {
+        self.at == self.end
+    }
+
+    fn is_full(&self) -> bool {
+        self.end == self.buf.len()
+    }
+
+    /// Consumes the next complete frame: its tag and where its payload
+    /// sits in `buf`.
+    fn next_frame(
+        &mut self,
+        max_payload: usize,
+    ) -> Result<(u8, std::ops::Range<usize>), FrameError> {
+        let (tag, payload, used) = frame::split(&self.buf[self.at..self.end], max_payload)?;
+        let start = self.at + frame::HEADER_LEN;
+        let payload = start..start + payload.len();
+        self.at += used;
+        Ok((tag, payload))
+    }
+
+    /// Reads once from `src` straight into the buffer's free tail.
+    ///
+    /// Called only when no complete frame is buffered, so a full buffer
+    /// holds one unfinished frame that `next_frame` has already checked
+    /// against `max_payload`: the buffer grows, at most to that frame's
+    /// size, and shrinks back to `INBOX_MIN` once drained.
+    fn fill(&mut self, mut src: impl Read, max_payload: usize) -> io::Result<usize> {
+        self.buf.copy_within(self.at..self.end, 0);
+        self.end -= self.at;
+        self.at = 0;
+        if self.end == 0 && self.buf.len() > INBOX_MIN {
+            self.buf.truncate(INBOX_MIN);
+            self.buf.shrink_to_fit();
+        } else if self.is_full() {
+            let cap = frame::HEADER_LEN + max_payload;
+            let grown = (2 * self.end).min(cap).max(self.end + 1);
+            self.buf.resize(grown, 0);
+        }
+        let n = src.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
+    }
 }
 
-/// Handles one decoded frame. `key` is the client's admission identity
-/// (mutated by a Hello).
-fn handle_frame(
-    shared: &Shared,
-    stream: &TcpStream,
+/// One connection's state: its identity, its reply window and the
+/// buffers it reuses from frame to frame (the read buffer lives apart,
+/// in an [`Inbox`], so a payload can be borrowed from it while a frame
+/// is handled).
+struct Conn<'a> {
+    shared: &'a Shared,
+    stream: &'a TcpStream,
     peer: SocketAddr,
-    key: &mut String,
-    f: &frame::Frame,
-) -> Next {
-    shared.stats.frames.fetch_add(1, Ordering::Relaxed);
-    match f.tag {
-        TAG_HELLO => {
-            let id = match std::str::from_utf8(&f.payload) {
-                Ok(id) if !id.is_empty() && id.len() <= 64 => id,
-                _ => {
-                    return punish(
-                        shared,
-                        stream,
-                        key,
+    /// The admission identity: the peer address until a Hello re-keys
+    /// it. Distinct per connection — scoring still works within the
+    /// connection; cross-connection standing requires a Hello (see the
+    /// crate-level threat model).
+    key: String,
+    /// Submitted tickets, oldest first; at most `REPLY_WINDOW`.
+    window: VecDeque<Ticket>,
+    /// Encoded replies not yet sent, in submission order. Everything in
+    /// it answers a frame older than every ticket in `window`.
+    out: Vec<u8>,
+    /// The sample of the submit being handled.
+    sample: Vec<f32>,
+    /// Whether the socket is in non-blocking mode.
+    nonblocking: bool,
+}
+
+impl Conn<'_> {
+    /// The per-connection loop (see the module docs). Returns when the
+    /// connection should close.
+    fn serve(&mut self, inbox: &mut Inbox) -> Flow {
+        let shared = self.shared;
+        let cfg = &shared.cfg;
+        let mut frame_started: Option<Instant> = None;
+        let mut idle_since = Instant::now();
+        // A moment ago the socket held nothing more (the last read came
+        // up short or found nothing): polling it again before waiting on
+        // a ticket would only cost a syscall.
+        let mut drained = false;
+        loop {
+            if shared.stop.load(Ordering::SeqCst) {
+                shared
+                    .stats
+                    .shutdown_replies
+                    .fetch_add(1, Ordering::Relaxed);
+                self.reply(WireStatus::ShuttingDown, "server shutting down");
+                return Err(Closed);
+            }
+            // Step 1: decode, gate and submit every complete frame.
+            let mut decoded = false;
+            while self.window.len() < REPLY_WINDOW {
+                match inbox.next_frame(cfg.max_payload) {
+                    Ok((tag, payload)) => {
+                        decoded = true;
+                        self.handle_frame(tag, &inbox.buf[payload])?;
+                        if self.out.len() >= OUT_HIGH_WATER {
+                            self.send()?;
+                        }
+                    }
+                    Err(FrameError::Truncated { .. }) => break,
+                    Err(FrameError::Oversize { declared, max }) => {
+                        // Detected from the header alone: the declared
+                        // payload was never read, let alone allocated.
+                        // The stream cannot re-synchronise past an
+                        // unread payload, so this always closes.
+                        return self.punish(
+                            Violation::Oversize,
+                            WireStatus::Oversize,
+                            format_args!("frame declares {declared} bytes, cap is {max}"),
+                            true,
+                        );
+                    }
+                }
+            }
+            if decoded {
+                let now = Instant::now();
+                idle_since = now;
+                // Pipelined bytes already queued count as a started
+                // frame from now.
+                frame_started = (!inbox.is_empty()).then_some(now);
+            }
+            // Step 3, when the window is full or nothing more has come.
+            if self.window.len() == REPLY_WINDOW || (drained && !self.window.is_empty()) {
+                drained = false;
+                self.flush_settled()?;
+                continue;
+            }
+            // Step 2: take what the client has sent — without blocking
+            // while tickets are out, else in ticks after sending what is
+            // queued.
+            if self.window.is_empty() {
+                self.send()?;
+            }
+            self.set_nonblocking(!self.window.is_empty())
+                .map_err(|_| Closed)?;
+            match inbox.fill(self.stream, cfg.max_payload) {
+                Ok(0) => return Err(Closed), // EOF: answer the window, close
+                Ok(_) => {
+                    drained = !inbox.is_full();
+                    frame_started.get_or_insert_with(Instant::now);
+                }
+                Err(e) if is_timeout(&e) => {
+                    if frame_started.is_some_and(|t0| t0.elapsed() > cfg.frame_deadline) {
+                        // Slowloris: a half-sent frame may not pin this
+                        // thread past the read deadline.
+                        return self.punish(
+                            Violation::Stall,
+                            WireStatus::Stalled,
+                            "frame not completed within the read deadline",
+                            true,
+                        );
+                    }
+                    let quiet = self.window.is_empty() && frame_started.is_none();
+                    if quiet && idle_since.elapsed() > cfg.idle_timeout {
+                        return Err(Closed); // quiet idle close, not a violation
+                    }
+                    drained = true;
+                }
+                Err(_) => return Err(Closed), // connection error
+            }
+        }
+    }
+
+    /// Handles one decoded frame: a ticket joins the window, any other
+    /// answer is queued behind it.
+    fn handle_frame(&mut self, tag: u8, payload: &[u8]) -> Flow {
+        let shared = self.shared;
+        shared.stats.frames.fetch_add(1, Ordering::Relaxed);
+        match tag {
+            TAG_HELLO => {
+                let Some(id) = std::str::from_utf8(payload)
+                    .ok()
+                    .filter(|id| !id.is_empty() && id.len() <= 64)
+                else {
+                    return self.punish(
                         Violation::Malformed,
                         WireStatus::Malformed,
                         "hello id must be 1..=64 bytes of UTF-8",
                         false,
                     );
-                }
-            };
-            // Identity is IP-scoped: a client cannot claim another
-            // network's standing (or inherit its bans) by name alone.
-            let new_key = format!("{}#{id}", peer.ip());
-            match shared.admission.connection_gate(&new_key, Instant::now()) {
-                Gate::Banned { until } => {
-                    shared.stats.banned_replies.fetch_add(1, Ordering::Relaxed);
-                    let msg = format!(
-                        "banned for another {:.3}s",
-                        until
-                            .saturating_duration_since(Instant::now())
-                            .as_secs_f64()
-                    );
-                    let _ = send_status(stream, WireStatus::Banned, msg.as_bytes());
-                    Next::Close
-                }
-                Gate::OverCapacity => {
-                    shared.stats.over_capacity.fetch_add(1, Ordering::Relaxed);
-                    let _ = send_status(
-                        stream,
-                        WireStatus::RateLimited,
-                        b"admission registry at capacity",
-                    );
-                    Next::Close
-                }
-                Gate::Admitted | Gate::RateLimited => {
-                    *key = new_key;
-                    let _ = send_status(stream, WireStatus::Ok, &[]);
-                    Next::Continue
+                };
+                // Identity is IP-scoped: a client cannot claim another
+                // network's standing (or inherit its bans) by name alone.
+                let new_key = format!("{}#{id}", self.peer.ip());
+                match shared.admission.connection_gate(&new_key, Instant::now()) {
+                    Gate::Banned { until } => self.refuse_banned(until),
+                    Gate::OverCapacity => self.refuse_over_capacity(),
+                    Gate::Admitted | Gate::RateLimited => {
+                        self.key = new_key;
+                        self.reply(WireStatus::Ok, "");
+                        Ok(())
+                    }
                 }
             }
+            TAG_PING if payload.is_empty() => {
+                self.reply(WireStatus::Ok, "");
+                Ok(())
+            }
+            TAG_PING => self.punish(
+                Violation::Malformed,
+                WireStatus::Malformed,
+                "ping carries no payload",
+                false,
+            ),
+            TAG_SUBMIT => self.submit(payload),
+            _ => self.punish(
+                Violation::UnknownTag,
+                WireStatus::UnknownTag,
+                format_args!("unknown request tag {tag}"),
+                false,
+            ),
         }
-        TAG_PING => {
-            if f.payload.is_empty() {
-                let _ = send_status(stream, WireStatus::Ok, &[]);
-                Next::Continue
-            } else {
-                punish(
-                    shared,
-                    stream,
-                    key,
-                    Violation::Malformed,
-                    WireStatus::Malformed,
-                    "ping carries no payload",
+    }
+
+    fn submit(&mut self, payload: &[u8]) -> Flow {
+        let shared = self.shared;
+        match shared.admission.request_gate(&self.key, Instant::now()) {
+            Gate::Banned { until } => return self.refuse_banned(until),
+            Gate::OverCapacity => return self.refuse_over_capacity(),
+            Gate::RateLimited => {
+                shared.stats.rate_limited.fetch_add(1, Ordering::Relaxed);
+                return self.punish(
+                    Violation::Flood,
+                    WireStatus::RateLimited,
+                    "token bucket empty: over the sustained request rate",
                     false,
-                )
+                );
+            }
+            Gate::Admitted => {}
+        }
+        let app = match parse_submit(payload, &mut self.sample) {
+            Ok(app) => app,
+            Err(why) => {
+                return self.punish(Violation::Malformed, WireStatus::Malformed, why, false);
+            }
+        };
+        match shared.executor.submit(app, &self.sample) {
+            Ok(ticket) => {
+                shared.stats.exec_submitted.fetch_add(1, Ordering::Relaxed);
+                self.window.push_back(ticket);
+            }
+            Err(e) => {
+                // Back-pressure and refusal stay typed end to end;
+                // QueueFull/NotAdmitted entered the executor's own
+                // `rejected` count, the rest never reached a queue.
+                let counter = match e {
+                    ServeError::QueueFull { .. } | ServeError::NotAdmitted { .. } => {
+                        &shared.stats.exec_rejected
+                    }
+                    _ => &shared.stats.exec_refused,
+                };
+                counter.fetch_add(1, Ordering::Relaxed);
+                self.reply(WireStatus::from_serve_error(&e), &e);
             }
         }
-        TAG_SUBMIT => {
-            match shared.admission.request_gate(key, Instant::now()) {
-                Gate::Banned { until } => {
-                    shared.stats.banned_replies.fetch_add(1, Ordering::Relaxed);
-                    let msg = format!(
-                        "banned for another {:.3}s",
-                        until
-                            .saturating_duration_since(Instant::now())
-                            .as_secs_f64()
-                    );
-                    let _ = send_status(stream, WireStatus::Banned, msg.as_bytes());
-                    return Next::Close;
-                }
-                Gate::OverCapacity => {
-                    shared.stats.over_capacity.fetch_add(1, Ordering::Relaxed);
-                    let _ = send_status(
-                        stream,
-                        WireStatus::RateLimited,
-                        b"admission registry at capacity",
-                    );
-                    return Next::Close;
-                }
-                Gate::RateLimited => {
-                    shared.stats.rate_limited.fetch_add(1, Ordering::Relaxed);
-                    return punish(
-                        shared,
-                        stream,
-                        key,
-                        Violation::Flood,
-                        WireStatus::RateLimited,
-                        "token bucket empty: over the sustained request rate",
-                        false,
-                    );
-                }
-                Gate::Admitted => {}
+        Ok(())
+    }
+
+    /// Answers a banned client and ends the connection.
+    fn refuse_banned(&mut self, until: Instant) -> Flow {
+        self.shared
+            .stats
+            .banned_replies
+            .fetch_add(1, Ordering::Relaxed);
+        let left = until.saturating_duration_since(Instant::now());
+        self.reply(
+            WireStatus::Banned,
+            format_args!("banned for another {:.3}s", left.as_secs_f64()),
+        );
+        Err(Closed)
+    }
+
+    /// Answers a client the full admission registry has no room for and
+    /// ends the connection.
+    fn refuse_over_capacity(&mut self) -> Flow {
+        self.shared
+            .stats
+            .over_capacity
+            .fetch_add(1, Ordering::Relaxed);
+        self.reply(WireStatus::RateLimited, "admission registry at capacity");
+        Err(Closed)
+    }
+
+    /// Scores a violation, answers it typed, and escalates to a ban reply
+    /// when the score crosses the threshold. `force_close` is for
+    /// violations after which the byte stream cannot be trusted to
+    /// re-synchronise (oversize, stall).
+    fn punish(
+        &mut self,
+        v: Violation,
+        status: WireStatus,
+        msg: impl Display,
+        force_close: bool,
+    ) -> Flow {
+        self.reply(status, msg);
+        let admission = &self.shared.admission;
+        if let Some(window) = admission.record_violation(&self.key, v, Instant::now()) {
+            self.shared
+                .stats
+                .banned_replies
+                .fetch_add(1, Ordering::Relaxed);
+            self.reply(
+                WireStatus::Banned,
+                format_args!(
+                    "banned for {:.3}s: misbehaviour score crossed the threshold",
+                    window.as_secs_f64()
+                ),
+            );
+            return Err(Closed);
+        }
+        if force_close {
+            Err(Closed)
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Queues a reply that comes from no ticket, behind the answers to
+    /// every ticket ahead of it.
+    fn reply(&mut self, status: WireStatus, msg: impl Display) {
+        self.settle_window();
+        put_reply(&mut self.out, status, msg);
+    }
+
+    /// Queues a settled ticket's answer.
+    fn put_outcome(&mut self, outcome: eml_serve::Result<Completion>) {
+        let stats = &self.shared.stats;
+        match outcome {
+            Ok(done) => {
+                stats.completions.fetch_add(1, Ordering::Relaxed);
+                put_completion(&mut self.out, &done);
             }
-            let (app, sample) = match parse_submit(&f.payload) {
-                Ok(parts) => parts,
-                Err(why) => {
-                    return punish(
-                        shared,
-                        stream,
-                        key,
-                        Violation::Malformed,
-                        WireStatus::Malformed,
-                        &why,
-                        false,
-                    );
-                }
-            };
-            match shared.executor.submit(&app, &sample) {
-                Ok(ticket) => {
-                    shared.stats.exec_submitted.fetch_add(1, Ordering::Relaxed);
-                    match ticket.wait_timeout(shared.cfg.reply_wait) {
-                        Ok(done) => {
-                            shared.stats.completions.fetch_add(1, Ordering::Relaxed);
-                            let _ = send_status(stream, WireStatus::Ok, &encode_completion(&done));
-                        }
-                        Err(e) => {
-                            shared.stats.ticket_errors.fetch_add(1, Ordering::Relaxed);
-                            let _ = send_status(
-                                stream,
-                                WireStatus::from_serve_error(&e),
-                                e.to_string().as_bytes(),
-                            );
-                        }
-                    }
-                    Next::Continue
-                }
-                Err(e) => {
-                    // Back-pressure and refusal stay typed end to end;
-                    // QueueFull/NotAdmitted entered the executor's own
-                    // `rejected` count, the rest never reached a queue.
-                    match e {
-                        ServeError::QueueFull { .. } | ServeError::NotAdmitted { .. } => {
-                            shared.stats.exec_rejected.fetch_add(1, Ordering::Relaxed);
-                        }
-                        _ => {
-                            shared.stats.exec_refused.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    let _ = send_status(
-                        stream,
-                        WireStatus::from_serve_error(&e),
-                        e.to_string().as_bytes(),
-                    );
-                    Next::Continue
-                }
+            Err(e) => {
+                stats.ticket_errors.fetch_add(1, Ordering::Relaxed);
+                put_reply(&mut self.out, WireStatus::from_serve_error(&e), &e);
             }
         }
-        _ => punish(
-            shared,
-            stream,
-            key,
-            Violation::UnknownTag,
-            WireStatus::UnknownTag,
-            &format!("unknown request tag {}", f.tag),
-            false,
-        ),
+    }
+
+    /// Waits for every ticket in the window, oldest first, and queues
+    /// its answer.
+    fn settle_window(&mut self) {
+        while let Some(ticket) = self.window.pop_front() {
+            let outcome = ticket.wait_timeout(self.shared.cfg.reply_wait);
+            self.put_outcome(outcome);
+        }
+    }
+
+    /// Step 3: waits for the oldest ticket, queues its answer and the
+    /// answer of every later ticket that has already settled, and sends
+    /// them in one write.
+    fn flush_settled(&mut self) -> Flow {
+        if let Some(oldest) = self.window.pop_front() {
+            let outcome = oldest.wait_timeout(self.shared.cfg.reply_wait);
+            self.put_outcome(outcome);
+        }
+        while let Some(outcome) = self.window.front().and_then(Ticket::try_wait) {
+            self.window.pop_front();
+            self.put_outcome(outcome);
+        }
+        self.send()
+    }
+
+    /// Sends every queued reply. A failed write ends the connection; one
+    /// that timed out is also scored as a stall (the client stopped
+    /// reading). Either way the window is still waited for and counted.
+    fn send(&mut self) -> Flow {
+        if self.out.is_empty() {
+            return Ok(());
+        }
+        let sent = self.write_out();
+        self.out.clear();
+        let Err(e) = sent else { return Ok(()) };
+        if is_timeout(&e) {
+            let admission = &self.shared.admission;
+            let _ = admission.record_violation(&self.key, Violation::Stall, Instant::now());
+        }
+        self.settle_window();
+        self.out.clear();
+        Err(Closed)
+    }
+
+    /// `write_all` of `out`. A non-blocking socket whose send buffer is
+    /// full finishes the write blocking, and a blocking write gives up
+    /// once [`NetConfig::write_timeout`] has passed since it started
+    /// (a partial write must not restart the socket's own timeout).
+    fn write_out(&mut self) -> io::Result<()> {
+        let mut stream = self.stream;
+        let mut at = 0;
+        let mut deadline = None;
+        while at < self.out.len() {
+            if !self.nonblocking && deadline.is_none() {
+                deadline = Some(Instant::now() + self.shared.cfg.write_timeout);
+            }
+            match stream.write(&self.out[at..]) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => at += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock && self.nonblocking => {
+                    self.set_nonblocking(false)?;
+                }
+                Err(e) => return Err(e),
+            }
+            if at < self.out.len() && deadline.is_some_and(|d| Instant::now() >= d) {
+                return Err(io::ErrorKind::TimedOut.into());
+            }
+        }
+        Ok(())
+    }
+
+    /// Switches the socket's mode, with a syscall only on a change.
+    fn set_nonblocking(&mut self, on: bool) -> io::Result<()> {
+        if self.nonblocking != on {
+            self.stream.set_nonblocking(on)?;
+            self.nonblocking = on;
+        }
+        Ok(())
+    }
+
+    /// The one way a connection ends: answer the whole window, then
+    /// send what is queued.
+    fn close(&mut self) {
+        self.settle_window();
+        let _ = self.send();
     }
 }
 
-/// The per-connection loop: ticked reads, frame decoding, violation
-/// scoring, dispatch. See the module docs for the lifecycle.
+/// Runs one connection (see the module docs for the lifecycle).
 fn handle_connection(shared: &Shared, stream: &TcpStream, peer: SocketAddr) {
     let _ = stream.set_read_timeout(Some(shared.cfg.read_tick.max(Duration::from_millis(1))));
     let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
     let _ = stream.set_nodelay(true);
-    // Pre-Hello identity: the peer address. Distinct per connection —
-    // scoring still works within the connection; cross-connection
-    // standing requires a Hello (see the crate-level threat model).
-    let mut key = peer.to_string();
-    let mut buf: Vec<u8> = Vec::new();
-    let mut frame_started: Option<Instant> = None;
-    let mut idle_since = Instant::now();
-    let mut read_chunk = [0u8; 4096];
-    let mut reader = stream;
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            shared
-                .stats
-                .shutdown_replies
-                .fetch_add(1, Ordering::Relaxed);
-            let _ = send_status(stream, WireStatus::ShuttingDown, b"server shutting down");
-            return;
-        }
-        match frame::decode(&buf, shared.cfg.max_payload) {
-            Ok((f, used)) => {
-                buf.drain(..used);
-                frame_started = if buf.is_empty() {
-                    None
-                } else {
-                    // Pipelined bytes already queued count as a
-                    // started frame from now.
-                    Some(Instant::now())
-                };
-                idle_since = Instant::now();
-                match handle_frame(shared, stream, peer, &mut key, &f) {
-                    Next::Continue => {}
-                    Next::Close => return,
-                }
-            }
-            Err(FrameError::Oversize { declared, max }) => {
-                // Detected from the header alone: the declared payload
-                // was never read, let alone allocated. The stream
-                // cannot re-synchronise past an unread payload, so
-                // this always closes.
-                let _ = punish(
-                    shared,
-                    stream,
-                    &key,
-                    Violation::Oversize,
-                    WireStatus::Oversize,
-                    &format!("frame declares {declared} bytes, cap is {max}"),
-                    true,
-                );
-                return;
-            }
-            Err(FrameError::Truncated { .. }) => match reader.read(&mut read_chunk) {
-                Ok(0) => return, // clean EOF
-                Ok(n) => {
-                    if buf.is_empty() {
-                        frame_started = Some(Instant::now());
-                    }
-                    buf.extend_from_slice(&read_chunk[..n]);
-                }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    if let Some(t0) = frame_started {
-                        if t0.elapsed() > shared.cfg.frame_deadline {
-                            // Slowloris: a half-sent frame may not pin
-                            // this thread past the read deadline.
-                            let _ = punish(
-                                shared,
-                                stream,
-                                &key,
-                                Violation::Stall,
-                                WireStatus::Stalled,
-                                "frame not completed within the read deadline",
-                                true,
-                            );
-                            return;
-                        }
-                    } else if idle_since.elapsed() > shared.cfg.idle_timeout {
-                        return; // quiet idle close, not a violation
-                    }
-                }
-                Err(_) => return, // connection error: nothing to salvage
-            },
-        }
-    }
+    let mut conn = Conn {
+        shared,
+        stream,
+        peer,
+        key: peer.to_string(),
+        window: VecDeque::with_capacity(REPLY_WINDOW),
+        out: Vec::new(),
+        sample: Vec::new(),
+        nonblocking: false,
+    };
+    let _ = conn.serve(&mut Inbox::new());
+    conn.close();
 }
 
 #[cfg(test)]
@@ -757,23 +1004,60 @@ mod tests {
 
     #[test]
     fn submit_payload_parsing_is_typed_never_panicking() {
-        assert!(parse_submit(&[]).is_err());
-        assert!(parse_submit(&[5]).is_err());
+        let mut sample = Vec::new();
+        let mut parse = |p: &[u8]| parse_submit(p, &mut sample).map(str::to_string);
+        assert!(parse(&[]).is_err());
+        assert!(parse(&[5]).is_err());
         // Declared name length overruns the payload.
-        assert!(parse_submit(&[200, 0, b'a']).is_err());
+        assert!(parse(&[200, 0, b'a']).is_err());
         // Non-UTF-8 name.
-        assert!(parse_submit(&[2, 0, 0xFF, 0xFE]).is_err());
+        assert!(parse(&[2, 0, 0xFF, 0xFE]).is_err());
         // Empty name.
-        assert!(parse_submit(&[0, 0, 0, 0, 0, 0]).is_err());
+        assert!(parse(&[0, 0, 0, 0, 0, 0]).is_err());
         // Sample bytes not a multiple of 4.
-        assert!(parse_submit(&[1, 0, b'a', 1, 2, 3]).is_err());
-        // A valid payload round-trips.
+        assert!(parse(&[1, 0, b'a', 1, 2, 3]).is_err());
+        // A valid payload round-trips, into the reused sample buffer.
         let mut p = vec![3, 0];
         p.extend_from_slice(b"cam");
         p.extend_from_slice(&1.5f32.to_le_bytes());
         p.extend_from_slice(&(-2.0f32).to_le_bytes());
-        let (app, sample) = parse_submit(&p).unwrap();
-        assert_eq!(app, "cam");
+        assert_eq!(parse(&p).unwrap(), "cam");
         assert_eq!(sample, vec![1.5, -2.0]);
+        p.truncate(5 + 4);
+        assert_eq!(parse_submit(&p, &mut sample).unwrap(), "cam");
+        assert_eq!(sample, vec![1.5]);
+    }
+
+    #[test]
+    fn inbox_consumes_by_offset_and_stays_bounded() {
+        const MAX: usize = 64 << 10;
+        let mut wire = frame::encode(TAG_PING, &[]);
+        wire.extend(frame::encode(TAG_SUBMIT, &[7; 3 * INBOX_MIN]));
+        wire.extend(frame::encode(TAG_HELLO, b"id"));
+        let mut src = &wire[..];
+        let mut inbox = Inbox::new();
+        let mut seen = Vec::new();
+        loop {
+            match inbox.next_frame(MAX) {
+                Ok((tag, payload)) => seen.push((tag, inbox.buf[payload].to_vec())),
+                Err(FrameError::Truncated { .. }) => {
+                    if inbox.fill(&mut src, MAX).unwrap() == 0 {
+                        break;
+                    }
+                    // One frame bigger than the resting size: the
+                    // buffer grows to hold it, never past the cap.
+                    assert!(inbox.buf.len() <= frame::HEADER_LEN + MAX);
+                }
+                Err(e) => panic!("{e}"),
+            }
+        }
+        let tags: Vec<u8> = seen.iter().map(|(t, _)| *t).collect();
+        assert_eq!(tags, [TAG_PING, TAG_SUBMIT, TAG_HELLO]);
+        assert_eq!(seen[1].1, vec![7; 3 * INBOX_MIN]);
+        assert_eq!(seen[2].1, b"id");
+        assert!(inbox.is_empty());
+        // Drained, the next read shrinks it back to its resting size.
+        assert_eq!(inbox.fill(&b""[..], MAX).unwrap(), 0);
+        assert_eq!(inbox.buf.len(), INBOX_MIN);
     }
 }

@@ -229,6 +229,20 @@ impl Ticket {
             }),
         }
     }
+
+    /// [`Ticket::wait`] without blocking: `None` while the request is
+    /// still in flight, its outcome once it has settled. A `None` takes
+    /// nothing — a later `try_wait`/`wait`/`wait_timeout` on the same
+    /// ticket still receives the outcome.
+    pub fn try_wait(&self) -> Option<Result<Completion>> {
+        match self.rx.try_recv() {
+            Ok(done) => Some(done),
+            Err(mpsc::TryRecvError::Empty) => None,
+            Err(mpsc::TryRecvError::Disconnected) => Some(Err(ServeError::AppStopped {
+                app: self.app.clone(),
+            })),
+        }
+    }
 }
 
 /// Everything the pool drivers, the watchdog and the control plane
@@ -1414,6 +1428,47 @@ mod tests {
         assert_eq!(done.seq, t.seq());
         exec.drain();
         assert_eq!(exec.stats("cam").unwrap().completed, 1);
+    }
+
+    #[test]
+    fn try_wait_polls_without_taking_the_outcome() {
+        let exec = tiny_executor(ExecutorConfig::default());
+        exec.pause("cam").unwrap();
+        let t = exec.submit("cam", &sample(0.3)).unwrap();
+        assert!(t.try_wait().is_none(), "in flight while the app is paused");
+        assert!(t.try_wait().is_none());
+        exec.resume("cam").unwrap();
+        // A `None` took nothing: the blocking wait still gets the outcome.
+        let done = t.wait_timeout(TIMEOUT).expect("completes after resume");
+        assert_eq!(done.seq, t.seq());
+
+        // Polled to completion, it is `Some(Ok(_))`.
+        let t = exec.submit("cam", &sample(0.4)).unwrap();
+        let deadline = Instant::now() + TIMEOUT;
+        let polled = loop {
+            if let Some(outcome) = t.try_wait() {
+                break outcome;
+            }
+            assert!(Instant::now() < deadline, "never settled");
+            std::thread::yield_now();
+        };
+        assert_eq!(polled.expect("completed").seq, t.seq());
+        exec.drain();
+        assert_eq!(exec.stats("cam").unwrap().completed, 2);
+
+        // The sending side gone without an answer is a typed stop.
+        let (tx, rx) = mpsc::channel();
+        let orphan = Ticket {
+            app: "cam".into(),
+            seq: 7,
+            rx,
+        };
+        assert!(orphan.try_wait().is_none());
+        drop(tx);
+        assert!(matches!(
+            orphan.try_wait(),
+            Some(Err(ServeError::AppStopped { .. }))
+        ));
     }
 
     #[test]
