@@ -1,4 +1,4 @@
-//! Ablation studies over the design choices called out in `DESIGN.md`:
+//! Ablation studies over four design choices of the reproduction:
 //!
 //! 1. **Thermal policy** — reactive (the paper's Fig 2 sequence) vs
 //!    proactive throttling on the same scenario.

@@ -91,7 +91,8 @@ fn main() {
         let d1 = trace.app_at(v.at_secs + 1.0, names::DNN1).unwrap();
         // Reproduction note: the paper narrates a migration to a *single*
         // core; our optimal allocator instead shrinks to the fewest slow
-        // cores that fit the power cap (see EXPERIMENTS.md).
+        // cores that fit the power cap (see the reproduction note in
+        // `crates/core/src/rtm.rs`'s thermal-cap test).
         verdicts.check(
             &format!(
                 "(c') after throttling: DNN1 compressed to 25% on a reduced core allocation (got {}% x{})",

@@ -3,7 +3,7 @@
 //!
 //! Each `harness = false` bench target reproduces one table or figure of
 //! the paper and prints a paper-vs-measured comparison. These helpers keep
-//! the output format consistent so `EXPERIMENTS.md` can quote it directly.
+//! the output format consistent across targets.
 
 /// Relative error of `measured` against `reference`, in percent.
 pub fn rel_err_percent(measured: f64, reference: f64) -> f64 {

@@ -846,7 +846,7 @@ mod tests {
         // the device safe (cap honoured strictly) and degrades DNN1 to a
         // reduced-core big-CPU placement, accepting a latency violation.
         //
-        // Reproduction note (also recorded in EXPERIMENTS.md): the paper's
+        // Reproduction note (the Fig 2 bench prints the same deviation): the paper's
         // narrative throttles to a *single* core; our allocator instead
         // finds that fewer-but-more-than-one slow cores give strictly less
         // latency at the same power under the calibrated model. The claim

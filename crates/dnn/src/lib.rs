@@ -19,9 +19,6 @@
 //! - [`dynamic::DynamicDnn`] — a live [`eml_nn::Network`] with a width
 //!   knob, producing real predictions and softmax-confidence monitors.
 //!
-//! [`switching::SwitchCostModel`] quantifies why a single dynamic model
-//! beats a zoo of statically pruned models at runtime.
-//!
 //! ## Quick start
 //!
 //! ```
@@ -42,11 +39,9 @@ pub mod dynamic;
 pub mod error;
 pub mod level;
 pub mod profile;
-pub mod switching;
 
 pub use dynamic::DynamicDnn;
 pub use eml_nn::{ActScaleReport, Precision};
 pub use error::{DnnError, Result};
 pub use level::{FourLevel, WidthLevel};
 pub use profile::{DnnProfile, LevelSpec};
-pub use switching::{SwitchCost, SwitchCostModel};

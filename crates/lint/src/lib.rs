@@ -152,14 +152,6 @@ pub fn workspace_allowlist() -> Vec<AllowEntry> {
             contains: "",
             why: "socket read/stall/idle deadlines are real time",
         },
-        // wall-clock: the benchmark harness's whole job is measuring
-        // real elapsed time.
-        AllowEntry {
-            rule: "wall-clock",
-            path_suffix: "crates/bench/src/bin/bench_nn_json.rs",
-            contains: "",
-            why: "benchmark harness measures wall time by definition",
-        },
         // panic-hygiene: the testbed is shared test scaffolding (every
         // integration suite builds executors through it); panicking on
         // setup failure is the correct behaviour in that role.

@@ -14,22 +14,22 @@
 //! [`Conv2d::set_trainable_groups`]: frozen groups keep their parameters
 //! bit-identical while later groups learn.
 //!
-//! Three compute backends share this layer's semantics (see
-//! [`crate::gemm`]): the default [`Backend::Gemm`] lowers each
-//! (sample, group) pair to `Out = W · im2col(x)` on the blocked GEMM
-//! kernel with a reusable scratch arena, parallelising over the batch;
-//! [`Backend::QuantI8`] runs the same structure on the quantised int8
-//! kernel ([`crate::gemm::int8`]) — cached int8 weight panels, a
+//! Both data precisions share this layer's semantics (see
+//! [`crate::gemm`]): at the default [`Precision::F32`] each
+//! (sample, group) pair lowers to `Out = W · im2col(x)` on the blocked
+//! GEMM kernel with a reusable scratch arena, parallelising over the
+//! batch; [`Precision::Int8`] runs the same structure on the quantised
+//! int8 kernel ([`crate::gemm::int8`]) — cached int8 weight panels, a
 //! one-pass quantise-and-lower of the input, exact `i32` accumulation
 //! and a fused requantisation epilogue (the executed form of the
-//! paper's data-precision knob); [`Backend::Reference`] is the
-//! original nested loop, retained as the correctness oracle for the
-//! equivalence property tests.
+//! paper's data-precision knob). The original nested loop survives
+//! only in test builds, as the oracle the GEMM path is checked
+//! against.
 //!
 //! The GEMM path keeps per-call overhead off the hot loop three ways:
 //! weight panels are packed once per weight version and cached
 //! ([`Conv2d`]`::packed_w`, invalidated on any parameter update, width
-//! switch or backend change), the input lowering writes the kernel's
+//! switch or precision change), the input lowering writes the kernel's
 //! packed layout directly ([`crate::im2col::im2col_packed`]), and the
 //! bias add is fused into the GEMM epilogue. The backward pass shards
 //! weight-gradient accumulation per worker band (transposed shards, so
@@ -43,13 +43,14 @@ use rand::Rng;
 use crate::error::{NnError, Result};
 use crate::gemm::int8::{gemm_i8_with, QWriteback};
 use crate::gemm::{
-    gemm_with, packed_b8_len, packed_b_len, Backend, Epilogue, Lhs, MatRef, PackedA, PackedA8,
-    PackedARef, PackedB8Ref, PackedBRef, QEpilogue, QEpilogueI8, Rhs,
+    gemm_with, packed_b8_len, packed_b_len, Epilogue, Lhs, MatRef, PackedA, PackedA8, PackedARef,
+    PackedB8Ref, PackedBRef, QEpilogue, QEpilogueI8, Rhs,
 };
 use crate::im2col::{col2im_add, im2col_packed, im2col_packed_i8, im2col_packed_lhs, ConvGeom};
 use crate::layer::{sgd_update_span, ChainSupport, Layer, LayerCost};
 use crate::quant::{
-    finite_max_abs, inv_or_zero, quantize_slice_i16, ActObserver, QAct, QTensor, I8_LEVELS,
+    finite_max_abs, inv_or_zero, quantize_slice_i16, ActObserver, Precision, QAct, QTensor,
+    I8_LEVELS,
 };
 use crate::tensor::Tensor;
 use crate::workers;
@@ -145,7 +146,7 @@ pub struct Conv2d {
     active: usize,
     trainable: Range<usize>,
     cache: Option<Tensor>,
-    backend: Backend,
+    precision: Precision,
     scratch: Scratch,
     /// Weight panels pre-packed for the forward GEMM, one per executed
     /// group at the current width; `None` until the first forward and
@@ -154,7 +155,7 @@ pub struct Conv2d {
     /// `Wᵀ` panels for the backward input-gradient GEMM, cached and
     /// invalidated exactly like [`Conv2d::packed_w`].
     packed_wt: Option<Vec<PackedA>>,
-    /// Quantised int8 weight panels for [`Backend::QuantI8`] forward
+    /// Quantised int8 weight panels for [`Precision::Int8`] forward
     /// (per-tensor weight scale + one packed panel per executed
     /// group), cached and invalidated exactly like
     /// [`Conv2d::packed_w`].
@@ -164,7 +165,7 @@ pub struct Conv2d {
     act_obs: ActObserver,
 }
 
-/// Reusable per-layer buffers for the GEMM backend; they only grow, so
+/// Reusable per-layer buffers for the GEMM paths; they only grow, so
 /// steady-state forward/backward does no transient heap allocation
 /// beyond the output tensor. Sized one column-matrix slot per worker
 /// band ([`workers::band_count`]), so peak scratch is bounded by the
@@ -231,7 +232,7 @@ impl Conv2d {
             active: cfg.prune_groups,
             trainable: 0..cfg.prune_groups,
             cache: None,
-            backend: Backend::default(),
+            precision: Precision::default(),
             scratch: Scratch::default(),
             packed_w: None,
             packed_wt: None,
@@ -241,7 +242,7 @@ impl Conv2d {
     }
 
     /// Drops the cached packed weight panels (f32 and int8). Must be
-    /// called whenever the weights, the active width or the backend
+    /// called whenever the weights, the active width or the precision
     /// change; the next GEMM forward re-packs lazily.
     fn invalidate_packed(&mut self) {
         self.packed_w = None;
@@ -255,10 +256,10 @@ impl Conv2d {
         self.act_obs
     }
 
-    /// The currently selected compute backend (see
-    /// [`Layer::set_backend`]).
-    pub fn backend(&self) -> Backend {
-        self.backend
+    /// The currently selected data precision (see
+    /// [`Layer::set_precision`]).
+    pub fn precision(&self) -> Precision {
+        self.precision
     }
 
     /// The layer's configuration.
@@ -312,24 +313,37 @@ impl Conv2d {
         Ok(((h + 2 * p - k) / s + 1, (w + 2 * p - k) / s + 1))
     }
 
-    /// Base input-channel index (within the *active* input tensor) for
-    /// output channel `oc`.
-    fn input_base(&self, oc: usize) -> usize {
-        if self.cfg.conv_groups == 1 {
-            0
-        } else {
-            let group = oc / self.out_per_group();
-            group * (self.cfg.in_channels / self.cfg.prune_groups)
+    /// Checks a forward input (`what` names the caller in the error)
+    /// against the current width and returns the output shape
+    /// `[n, c_out, oh, ow]`.
+    fn out_shape(&self, shape: &[usize], what: &str) -> Result<[usize; 4]> {
+        let expected_c = self.expected_in_channels();
+        if shape.len() != 4 || shape[1] != expected_c {
+            return Err(NnError::ShapeMismatch {
+                context: format!("conv `{}` {what}", self.name),
+                expected: vec![0, expected_c, 0, 0],
+                actual: shape.to_vec(),
+            });
         }
+        let (oh, ow) = self.out_hw(shape[2], shape[3])?;
+        Ok([shape[0], self.active_out_channels(), oh, ow])
     }
 
-    fn weight_offset(&self, oc: usize, icg: usize, ky: usize, kx: usize) -> usize {
-        let k = self.cfg.kernel;
-        ((oc * self.in_per_group() + icg) * k + ky) * k + kx
+    /// Checks `grad_out` against the cached training input and returns
+    /// that input's shape.
+    fn backward_in_shape(&self, grad_out: &Tensor) -> Result<Vec<usize>> {
+        let input = self.cache.as_ref().ok_or_else(|| NnError::InvalidConfig {
+            reason: format!("conv `{}`: backward before training forward", self.name),
+        })?;
+        let in_shape = input.shape().to_vec();
+        let (oh, ow) = self.out_hw(in_shape[2], in_shape[3])?;
+        let c_out = self.active_out_channels();
+        grad_out.expect_shape(&[in_shape[0], c_out, oh, ow], "conv backward")?;
+        Ok(in_shape)
     }
 
-    /// Input channels each output channel reads (shared by both
-    /// backends and the cost model).
+    /// Input channels each output channel reads (shared by every
+    /// forward path and the cost model).
     fn icg_count(&self) -> usize {
         if self.cfg.conv_groups == 1 {
             self.cfg.in_channels
@@ -369,7 +383,7 @@ impl Conv2d {
         }
     }
 
-    /// GEMM-backend forward: per sample and group,
+    /// `f32` forward: per sample and group,
     /// `Out_g = W_g · im2col(x_g) + b_g`, batch-parallel when the work
     /// pays for it. The weight operand comes pre-packed from the
     /// per-layer cache, the lowering writes the kernel's packed layout
@@ -477,7 +491,7 @@ impl Conv2d {
         }
     }
 
-    /// Int8-backend forward: the same per-sample, per-group structure
+    /// Int8 forward: the same per-sample, per-group structure
     /// as [`Conv2d::forward_gemm`], but on the quantised kernel — the
     /// active weights are quantised per-tensor and packed into int8
     /// panels once per weight version; each sample is quantised in one
@@ -535,7 +549,7 @@ impl Conv2d {
         );
     }
 
-    /// GEMM-backend backward, one batch-parallel pass: per sample and
+    /// Backward (both precisions), one batch-parallel pass: per sample and
     /// group, the weight gradient accumulates **transposed** into the
     /// band's private shard (`gWᵀ_g += im2col(x) · dOut_gᵀ` — the
     /// transposed form keeps both operands sequentially packable) and,
@@ -788,23 +802,10 @@ impl Layer for Conv2d {
     }
 
     fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
-        let shape = input.shape();
-        let expected_c = self.expected_in_channels();
-        if shape.len() != 4 || shape[1] != expected_c {
-            return Err(NnError::ShapeMismatch {
-                context: format!("conv `{}` forward", self.name),
-                expected: vec![0, expected_c, 0, 0],
-                actual: shape.to_vec(),
-            });
-        }
-        let (n, h, w) = (shape[0], shape[2], shape[3]);
-        let (oh, ow) = self.out_hw(h, w)?;
-        let c_out = self.active_out_channels();
-        let mut out = Tensor::zeros(&[n, c_out, oh, ow]);
-        match self.backend {
-            Backend::Reference => self.forward_reference(input, &mut out),
-            Backend::Gemm => self.forward_gemm(input, &mut out),
-            Backend::QuantI8 => self.forward_quant(input, &mut out, train),
+        let mut out = Tensor::zeros(&self.out_shape(input.shape(), "forward")?);
+        match self.precision {
+            Precision::F32 => self.forward_gemm(input, &mut out),
+            Precision::Int8 => self.forward_quant(input, &mut out, train),
         }
         if train {
             self.cache = Some(input.clone());
@@ -813,39 +814,16 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let input = self.cache.as_ref().ok_or_else(|| NnError::InvalidConfig {
-            reason: format!("conv `{}`: backward before training forward", self.name),
-        })?;
-        let in_shape = input.shape().to_vec();
-        let (n, h, w) = (in_shape[0], in_shape[2], in_shape[3]);
-        let (oh, ow) = self.out_hw(h, w)?;
-        let c_out = self.active_out_channels();
-        grad_out.expect_shape(&[n, c_out, oh, ow], "conv backward")?;
-        let mut grad_in = Tensor::zeros(&in_shape);
-        match self.backend {
-            Backend::Reference => self.backward_reference(grad_out, &mut grad_in),
-            // Training under QuantI8 runs the f32 backward against the
-            // master weights: the forward cache holds the f32 input, so
-            // gradients are full-precision.
-            Backend::Gemm | Backend::QuantI8 => self.backward_gemm(grad_out, Some(&mut grad_in)),
-        }
+        let mut grad_in = Tensor::zeros(&self.backward_in_shape(grad_out)?);
+        // Training at Int8 runs the f32 backward against the master
+        // weights: the forward cache holds the f32 input, so gradients
+        // are full-precision.
+        self.backward_gemm(grad_out, Some(&mut grad_in));
         Ok(grad_in)
     }
 
     fn backward_params(&mut self, grad_out: &Tensor) -> Result<()> {
-        if self.backend == Backend::Reference {
-            // The oracle loop computes everything at once; keep it
-            // untouched and drop the input gradient.
-            return self.backward(grad_out).map(|_| ());
-        }
-        let input = self.cache.as_ref().ok_or_else(|| NnError::InvalidConfig {
-            reason: format!("conv `{}`: backward before training forward", self.name),
-        })?;
-        let in_shape = input.shape().to_vec();
-        let (n, h, w) = (in_shape[0], in_shape[2], in_shape[3]);
-        let (oh, ow) = self.out_hw(h, w)?;
-        let c_out = self.active_out_channels();
-        grad_out.expect_shape(&[n, c_out, oh, ow], "conv backward")?;
+        self.backward_in_shape(grad_out)?;
         self.backward_gemm(grad_out, None);
         Ok(())
     }
@@ -905,15 +883,15 @@ impl Layer for Conv2d {
         self.trainable = groups;
     }
 
-    fn set_backend(&mut self, backend: Backend) {
-        // Re-selecting the current backend keeps the packed caches:
+    fn set_precision(&mut self, precision: Precision) {
+        // Re-selecting the current precision keeps the packed caches:
         // an RTM policy may issue its precision choice every control
         // epoch, and a no-op switch must not force a re-pack.
-        if backend == self.backend {
+        if precision == self.precision {
             return;
         }
-        self.backend = backend;
-        // Also frees the panel memory when leaving the GEMM backend.
+        self.precision = precision;
+        // Also frees the panel memory of the precision being left.
         self.invalidate_packed();
     }
 
@@ -926,7 +904,7 @@ impl Layer for Conv2d {
     }
 
     fn chain_support(&self) -> ChainSupport {
-        if self.backend == Backend::QuantI8
+        if self.precision == Precision::Int8
             && self.act_obs.is_frozen()
             && self.act_obs.max_abs() > 0.0
         {
@@ -951,17 +929,8 @@ impl Layer for Conv2d {
         fuse_relu: bool,
     ) -> Result<QAct> {
         let shape = input.shape().to_vec();
-        let expected_c = self.expected_in_channels();
-        if shape.len() != 4 || shape[1] != expected_c {
-            return Err(NnError::ShapeMismatch {
-                context: format!("conv `{}` chained forward", self.name),
-                expected: vec![0, expected_c, 0, 0],
-                actual: shape,
-            });
-        }
-        let (n, h, w) = (shape[0], shape[2], shape[3]);
-        let (oh, ow) = self.out_hw(h, w)?;
-        let c_out = self.active_out_channels();
+        let [n, c_out, oh, ow] = self.out_shape(&shape, "chained forward")?;
+        let (h, w) = (shape[2], shape[3]);
         let (groups_exec, opg) = self.exec_groups();
         let kdim = self.icg_count() * self.cfg.kernel * self.cfg.kernel;
         let ohw = oh * ow;
@@ -1094,10 +1063,32 @@ impl Layer for Conv2d {
     }
 }
 
+/// Index helpers of the reference loop nests below.
+#[cfg(test)]
 impl Conv2d {
-    /// Reference-backend forward: the original scalar loop nest, kept
-    /// as the correctness oracle.
-    fn forward_reference(&self, input: &Tensor, out: &mut Tensor) {
+    /// Base input-channel index (within the *active* input tensor) for
+    /// output channel `oc`.
+    fn input_base(&self, oc: usize) -> usize {
+        if self.cfg.conv_groups == 1 {
+            0
+        } else {
+            let group = oc / self.out_per_group();
+            group * (self.cfg.in_channels / self.cfg.prune_groups)
+        }
+    }
+
+    fn weight_offset(&self, oc: usize, icg: usize, ky: usize, kx: usize) -> usize {
+        let k = self.cfg.kernel;
+        ((oc * self.in_per_group() + icg) * k + ky) * k + kx
+    }
+}
+
+/// The original scalar loop nests, compiled only into tests: the oracle
+/// the GEMM paths are checked against.
+#[cfg(test)]
+impl crate::oracle::Oracle for Conv2d {
+    fn forward_reference(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
+        let mut out = Tensor::zeros(&self.out_shape(input.shape(), "reference forward")?);
         let shape = input.shape();
         let (n, c_in, h, w) = (shape[0], shape[1], shape[2], shape[3]);
         let (c_out, oh, ow) = {
@@ -1142,11 +1133,15 @@ impl Conv2d {
                 }
             }
         }
+        if train {
+            self.cache = Some(input.clone());
+        }
+        Ok(out)
     }
 
-    /// Reference-backend backward: the original scalar loop nest.
-    fn backward_reference(&mut self, grad_out: &Tensor, grad_in: &mut Tensor) {
-        let input = self.cache.as_ref().expect("checked by backward");
+    fn backward_reference(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+        let mut grad_in = Tensor::zeros(&self.backward_in_shape(grad_out)?);
+        let input = self.cache.as_ref().expect("checked above");
         let in_shape = input.shape();
         let (n, c_in, h, w) = (in_shape[0], in_shape[1], in_shape[2], in_shape[3]);
         let (c_out, oh, ow) = {
@@ -1197,12 +1192,14 @@ impl Conv2d {
                 }
             }
         }
+        Ok(grad_in)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::Oracle;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1460,10 +1457,9 @@ mod tests {
         };
         let x = Tensor::random(&[10, 8, 14, 14], &mut rng());
         let mut reference = Conv2d::new("c", cfg, &mut rng()).unwrap();
-        reference.set_backend(Backend::Reference);
-        let y = reference.forward(&x, true).unwrap();
+        let y = reference.forward_reference(&x, true).unwrap();
         let go = Tensor::random(y.shape(), &mut rng());
-        let gx_ref = reference.backward(&go).unwrap();
+        let gx_ref = reference.backward_reference(&go).unwrap();
 
         for bands in [1usize, 2, 3, 8] {
             crate::workers::FORCE_WORKERS.with(|f| f.set(Some(bands)));
@@ -1513,9 +1509,7 @@ mod tests {
         let x_full = Tensor::random(&[2, 8, 6, 6], &mut rng());
         let check = |c: &mut Conv2d, x: &Tensor, what: &str| {
             let y_gemm = c.forward(x, false).unwrap();
-            c.set_backend(Backend::Reference);
-            let y_ref = c.forward(x, false).unwrap();
-            c.set_backend(Backend::Gemm);
+            let y_ref = c.forward_reference(x, false).unwrap();
             for (i, (&a, &b)) in y_gemm.data().iter().zip(y_ref.data()).enumerate() {
                 assert!(
                     (a - b).abs() < 1e-5,
@@ -1539,26 +1533,26 @@ mod tests {
     }
 
     /// The int8 weight-panel cache must track every mutation exactly
-    /// like the f32 cache: after each one, a cached QuantI8 forward has
+    /// like the f32 cache: after each one, a cached int8 forward has
     /// to equal the forward of a freshly-built layer with identical
     /// weights (which packs from scratch), bit for bit.
     #[test]
     fn quant_packed_cache_tracks_every_mutation() {
         let mut c = Conv2d::new("c", grouped_cfg(), &mut rng()).unwrap();
-        c.set_backend(Backend::QuantI8);
+        c.set_precision(Precision::Int8);
         let check = |c: &mut Conv2d, x: &Tensor, what: &str| {
             let y_cached = c.forward(x, false).unwrap();
             let mut fresh = Conv2d::new("c", c.config(), &mut rng()).unwrap();
             fresh.w.copy_from_slice(&c.w);
             fresh.b.copy_from_slice(&c.b);
             fresh.set_active_groups(c.active_groups()).unwrap();
-            fresh.set_backend(Backend::QuantI8);
+            fresh.set_precision(Precision::Int8);
             let y_fresh = fresh.forward(x, false).unwrap();
             assert_eq!(y_cached.data(), y_fresh.data(), "{what}: stale int8 panels");
         };
         let x_full = Tensor::random(&[2, 8, 6, 6], &mut rng());
         check(&mut c, &x_full, "initial");
-        // Weight update through the training API (QuantI8 backward runs
+        // Weight update through the training API (int8 backward runs
         // the f32 gradient path against the master weights).
         let y = c.forward(&x_full, true).unwrap();
         c.backward(&Tensor::full(y.shape(), 0.5)).unwrap();
@@ -1593,7 +1587,7 @@ mod tests {
             prune_groups: 2,
         };
         let mut c = Conv2d::new("c", cfg, &mut rng()).unwrap();
-        c.set_backend(Backend::QuantI8);
+        c.set_precision(Precision::Int8);
         let xf = Tensor::random(&[10, 8, 14, 14], &mut rng());
         let _ = c.forward(&xf, false).unwrap();
         c.freeze_act_scale(true);
@@ -1633,29 +1627,29 @@ mod tests {
         }
     }
 
-    /// Re-selecting the current backend keeps the packed caches — an
+    /// Re-selecting the current precision keeps the packed caches — an
     /// RTM policy may re-issue its precision choice every control
     /// epoch, and a no-op switch must not force a per-layer re-pack.
     #[test]
     fn reselecting_backend_keeps_packed_caches() {
         let mut c = Conv2d::new("c", dense_cfg(), &mut rng()).unwrap();
-        c.set_backend(Backend::QuantI8);
+        c.set_precision(Precision::Int8);
         let x = Tensor::full(&[1, 3, 8, 8], 0.5);
         let _ = c.forward(&x, false).unwrap();
         assert!(c.packed_w8.is_some());
-        c.set_backend(Backend::QuantI8);
+        c.set_precision(Precision::Int8);
         assert!(c.packed_w8.is_some(), "no-op switch dropped the panels");
-        c.set_backend(Backend::Gemm);
+        c.set_precision(Precision::F32);
         assert!(c.packed_w8.is_none(), "real switch must invalidate");
     }
 
-    /// The activation observer records the ranges QuantI8 forwards see,
+    /// The activation observer records the ranges int8 forwards see,
     /// and freezing pins the quantisation scale: inputs beyond the
     /// frozen range saturate instead of rescaling.
     #[test]
     fn act_observer_records_and_freezes() {
         let mut c = Conv2d::new("c", dense_cfg(), &mut rng()).unwrap();
-        c.set_backend(Backend::QuantI8);
+        c.set_precision(Precision::Int8);
         assert_eq!(c.act_observer().max_abs(), 0.0);
         let _ = c.forward(&Tensor::full(&[1, 3, 8, 8], 0.5), false).unwrap();
         assert_eq!(c.act_observer().max_abs(), 0.5);
@@ -1677,13 +1671,13 @@ mod tests {
         assert_ne!(y_dyn.data(), y_clamped.data());
     }
 
-    /// Training with the QuantI8 backend selected: forward runs int8,
+    /// Training at `Precision::Int8`: forward runs int8,
     /// backward accumulates full-precision gradients from the cached
     /// f32 input — the loss must still fall.
     #[test]
     fn quant_i8_training_reduces_loss() {
         let mut c = Conv2d::new("c", dense_cfg(), &mut rng()).unwrap();
-        c.set_backend(Backend::QuantI8);
+        c.set_precision(Precision::Int8);
         let x = Tensor::random(&[2, 3, 6, 6], &mut rng());
         let loss = |y: &Tensor| y.data().iter().map(|v| v * v).sum::<f32>();
         let y0 = c.forward(&x, true).unwrap();

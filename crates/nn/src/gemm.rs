@@ -1,7 +1,7 @@
 //! Cache-blocked, register-tiled `f32` matrix multiplication — the
 //! shared compute kernel behind [`crate::conv::Conv2d`] and
-//! [`crate::linear::Linear`] when they run on [`Backend::Gemm`]. The
-//! quantised sibling behind [`Backend::QuantI8`] lives in [`int8`]
+//! [`crate::linear::Linear`] at [`crate::quant::Precision::F32`]. The
+//! quantised sibling behind [`crate::quant::Precision::Int8`] lives in [`int8`]
 //! (same blocked structure, `i8`-grid operands, exact `i32`
 //! accumulation, fused requantisation).
 //!
@@ -47,7 +47,7 @@
 //! hold a whole matrix in panel layout and [`gemm_with`] consumes them
 //! through [`Lhs`]/[`Rhs`] without touching the pack buffers. The
 //! layers exploit this twice — weight matrices are packed once per
-//! weight version and cached (invalidated on update/width/backend
+//! weight version and cached (invalidated on update/width/precision
 //! changes), and [`crate::im2col::im2col_packed`] lowers convolution
 //! inputs *directly* into packed-B layout, eliminating the separate
 //! `pack_b` pass from the convolution hot path entirely.
@@ -74,25 +74,6 @@ pub use int8::{
     gemm_i8, gemm_i8_q, pack_a8_i16, pack_a8_quantized, packed_a8_len, packed_b8_len,
     requantize_i8, PackedA8, PackedA8Ref, PackedB8, PackedB8Ref, QEpilogue, QEpilogueI8,
 };
-
-/// Which implementation a layer uses for its forward/backward math.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backend {
-    /// The original nested-loop implementation. Slow, but simple enough
-    /// to audit by eye — kept as the correctness oracle for the
-    /// equivalence tests and as a fallback.
-    Reference,
-    /// im2col + blocked GEMM (this module). The default.
-    #[default]
-    Gemm,
-    /// Quantised int8 inference ([`int8`]): forward passes run
-    /// `i8×i8→i32` on packed quantised panels with a fused
-    /// requantisation epilogue — the executed form of the paper's
-    /// data-precision knob. Backward passes (training) still run the
-    /// `f32` GEMM path against the master weights, so a network can
-    /// train in `f32` and serve in int8 without a backend round-trip.
-    QuantI8,
-}
 
 /// Register tile height (rows of C per micro-kernel call).
 pub const MR: usize = 4;

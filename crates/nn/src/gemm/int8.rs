@@ -1,5 +1,5 @@
 //! Quantised `i8×i8→i32` GEMM — the integer twin of the `f32` kernel
-//! in [`crate::gemm`], used by [`crate::gemm::Backend::QuantI8`].
+//! in [`crate::gemm`], used by [`crate::quant::Precision::Int8`].
 //!
 //! # Int8 kernel layout
 //!

@@ -12,8 +12,7 @@ use std::fmt;
 use std::ops::Range;
 
 use crate::error::{NnError, Result};
-use crate::gemm::Backend;
-use crate::quant::{ActObserver, QAct};
+use crate::quant::{ActObserver, Precision, QAct};
 use crate::tensor::Tensor;
 
 /// How a layer can participate in a chained-int8 forward pass (see
@@ -121,14 +120,12 @@ pub trait Layer: fmt::Debug + Send {
     /// everything else is frozen. Layers without parameters ignore this.
     fn set_trainable_groups(&mut self, _groups: Range<usize>) {}
 
-    /// Selects the compute backend for layers with a choice of
-    /// implementations ([`crate::conv::Conv2d`],
-    /// [`crate::linear::Linear`]); everything else ignores it. The
-    /// default everywhere is [`Backend::Gemm`]; [`Backend::Reference`]
-    /// is the slow loop-nest oracle used by equivalence tests;
-    /// [`Backend::QuantI8`] runs forward passes on the real int8
-    /// kernel (the executed data-precision knob, see [`crate::quant`]).
-    fn set_backend(&mut self, _backend: Backend) {}
+    /// Selects the data precision of layers with an int8 path
+    /// ([`crate::conv::Conv2d`], [`crate::linear::Linear`]); everything
+    /// else ignores it. The default everywhere is [`Precision::F32`];
+    /// [`Precision::Int8`] runs forward passes on the real int8 kernel
+    /// (the executed data-precision knob, see [`crate::quant`]).
+    fn set_precision(&mut self, _precision: Precision) {}
 
     /// Freezes (or unfreezes) the layer's int8 activation-quantisation
     /// scale at the range observed so far (see

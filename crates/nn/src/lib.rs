@@ -16,8 +16,9 @@
 //!    which the platform layer turns into latency/energy predictions
 //!    ([`network::Network::cost`]).
 //!
-//! Training data is the procedural [`dataset::SyntheticVision`] set — the
-//! documented CIFAR-10 substitution (see `DESIGN.md`).
+//! Training data is the procedural [`dataset::SyntheticVision`] set, a
+//! stand-in for CIFAR-10 (unavailable offline) whose accuracy still rises
+//! with width; its module docs give the substitution.
 //!
 //! ## Quick start
 //!
@@ -58,6 +59,8 @@ pub mod linear;
 pub mod loss;
 pub mod metrics;
 pub mod network;
+#[cfg(test)]
+mod oracle;
 pub mod pool;
 pub mod quant;
 pub mod tensor;
@@ -65,7 +68,6 @@ pub mod train;
 pub mod workers;
 
 pub use error::{NnError, Result};
-pub use gemm::Backend;
 pub use layer::{ChainSupport, Layer, LayerCost};
 pub use network::{Network, NetworkCost, QuantChainPlan};
 pub use quant::{

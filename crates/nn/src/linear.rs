@@ -7,17 +7,16 @@
 //! freezes the weight columns of earlier blocks.
 //!
 //! Like [`crate::conv::Conv2d`], the layer runs on the blocked GEMM
-//! kernel by default ([`Backend::Gemm`]; forward is one
-//! `Y = X · Wᵀ + b` product over the batch), on the quantised int8
-//! kernel under [`Backend::QuantI8`] (cached int8 `Wᵀ` panels, the
-//! batch quantised and packed per call, fused requantisation — the
-//! executed data-precision knob), with the original row-by-row dot
-//! products retained as [`Backend::Reference`], the oracle for the
-//! equivalence property tests.
+//! kernel by default ([`Precision::F32`]; forward is one
+//! `Y = X · Wᵀ + b` product over the batch) and on the quantised int8
+//! kernel at [`Precision::Int8`] (cached int8 `Wᵀ` panels, the batch
+//! quantised and packed per call, fused requantisation — the executed
+//! data-precision knob). The original row-by-row dot products survive
+//! only in test builds, as the oracle the GEMM path is checked against.
 //!
 //! Both weight operands the GEMM path reads — `Wᵀ` in forward and `W`
 //! in the input-gradient product — are packed once per weight version
-//! and cached, invalidated on updates, width switches and backend
+//! and cached, invalidated on updates, width switches and precision
 //! changes; the bias add is fused into the forward GEMM's epilogue.
 
 use std::ops::Range;
@@ -26,11 +25,11 @@ use rand::Rng;
 
 use crate::error::{NnError, Result};
 use crate::gemm::{
-    gemm, gemm_i8, gemm_i8_q, gemm_with, pack_a8_i16, pack_a8_quantized, packed_a8_len, Backend,
-    Epilogue, Lhs, MatRef, PackedA8Ref, PackedB, PackedB8, QEpilogue, QEpilogueI8, Rhs,
+    gemm, gemm_i8, gemm_i8_q, gemm_with, pack_a8_i16, pack_a8_quantized, packed_a8_len, Epilogue,
+    Lhs, MatRef, PackedA8Ref, PackedB, PackedB8, QEpilogue, QEpilogueI8, Rhs,
 };
 use crate::layer::{sgd_update_span, ChainSupport, Layer, LayerCost};
-use crate::quant::{finite_max_abs, inv_or_zero, ActObserver, QAct, QTensor, I8_LEVELS};
+use crate::quant::{finite_max_abs, inv_or_zero, ActObserver, Precision, QAct, QTensor, I8_LEVELS};
 use crate::tensor::Tensor;
 
 /// A dense layer `y = W·x + b` with width-scalable input features.
@@ -50,13 +49,13 @@ pub struct Linear {
     vw: Vec<f32>,
     vb: Vec<f32>,
     cache: Option<Tensor>,
-    backend: Backend,
+    precision: Precision,
     /// `Wᵀ` (active-width prefix) packed for the forward GEMM.
     packed_fwd: Option<PackedB>,
     /// `W` (active-width prefix) packed for the input-gradient GEMM.
     packed_bwd: Option<PackedB>,
     /// `Wᵀ` (active-width prefix) quantised and packed for the
-    /// [`Backend::QuantI8`] forward: per-tensor weight scale + int8
+    /// [`Precision::Int8`] forward: per-tensor weight scale + int8
     /// panels, invalidated exactly like [`Linear::packed_fwd`].
     packed_fwd8: Option<(f32, PackedB8)>,
     /// Reusable buffer for the quantised, packed input batch of the
@@ -118,7 +117,7 @@ impl Linear {
             vw: vec![0.0; in_features * out_features],
             vb: vec![0.0; out_features],
             cache: None,
-            backend: Backend::default(),
+            precision: Precision::default(),
             packed_fwd: None,
             packed_bwd: None,
             packed_fwd8: None,
@@ -129,7 +128,7 @@ impl Linear {
     }
 
     /// Drops the cached packed weight operands (f32 and int8). Must be
-    /// called whenever the weights, the active width or the backend
+    /// called whenever the weights, the active width or the precision
     /// change; the next GEMM pass re-packs lazily.
     fn invalidate_packed(&mut self) {
         self.packed_fwd = None;
@@ -143,10 +142,10 @@ impl Linear {
         self.act_obs
     }
 
-    /// The currently selected compute backend (see
-    /// [`Layer::set_backend`]).
-    pub fn backend(&self) -> Backend {
-        self.backend
+    /// The currently selected data precision (see
+    /// [`Layer::set_precision`]).
+    pub fn precision(&self) -> Precision {
+        self.precision
     }
 
     /// Number of input features at the current width.
@@ -171,6 +170,31 @@ impl Linear {
 
     fn per_group(&self) -> usize {
         self.in_features / self.prune_groups
+    }
+
+    /// Checks a forward input (`what` names the caller in the error)
+    /// against the current width and returns its batch size.
+    fn batch_of(&self, shape: &[usize], what: &str) -> Result<usize> {
+        let f_active = self.active_in_features();
+        if shape.len() != 2 || shape[1] != f_active {
+            return Err(NnError::ShapeMismatch {
+                context: format!("linear `{}` {what}", self.name),
+                expected: vec![0, f_active],
+                actual: shape.to_vec(),
+            });
+        }
+        Ok(shape[0])
+    }
+
+    /// Checks `grad_out` against the cached training input and returns
+    /// the batch size.
+    fn backward_batch(&self, grad_out: &Tensor) -> Result<usize> {
+        let input = self.cache.as_ref().ok_or_else(|| NnError::InvalidConfig {
+            reason: format!("linear `{}`: backward before training forward", self.name),
+        })?;
+        let n = input.shape()[0];
+        grad_out.expect_shape(&[n, self.out_features], "linear backward")?;
+        Ok(n)
     }
 
     /// Quantises + packs the active `Wᵀ` prefix once per weight
@@ -198,34 +222,12 @@ impl Layer for Linear {
     }
 
     fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
-        let shape = input.shape();
+        let n = self.batch_of(input.shape(), "forward")?;
         let f_active = self.active_in_features();
-        if shape.len() != 2 || shape[1] != f_active {
-            return Err(NnError::ShapeMismatch {
-                context: format!("linear `{}` forward", self.name),
-                expected: vec![0, f_active],
-                actual: shape.to_vec(),
-            });
-        }
-        let n = shape[0];
         let mut out = Tensor::zeros(&[n, self.out_features]);
         let x = input.data();
-        match self.backend {
-            Backend::Reference => {
-                let o = out.data_mut();
-                for ni in 0..n {
-                    let xrow = &x[ni * f_active..(ni + 1) * f_active];
-                    for of in 0..self.out_features {
-                        let wrow = &self.w[of * self.in_features..of * self.in_features + f_active];
-                        let mut acc = self.b[of];
-                        for (wi, xi) in wrow.iter().zip(xrow) {
-                            acc += wi * xi;
-                        }
-                        o[ni * self.out_features + of] = acc;
-                    }
-                }
-            }
-            Backend::Gemm => {
+        match self.precision {
+            Precision::F32 => {
                 // Y = X · Wᵀ + b: one product over the whole batch with
                 // the cached packed Wᵀ and the bias fused into the
                 // epilogue; the kernel splits rows (samples) across
@@ -247,7 +249,7 @@ impl Layer for Linear {
                     Epilogue::bias_col(&self.b),
                 );
             }
-            Backend::QuantI8 => {
+            Precision::Int8 => {
                 // Same product on the int8 kernel: Wᵀ quantised
                 // per-tensor (over the active column prefix) and packed
                 // once per weight version; the batch quantised into
@@ -290,75 +292,47 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let input = self.cache.as_ref().ok_or_else(|| NnError::InvalidConfig {
-            reason: format!("linear `{}`: backward before training forward", self.name),
-        })?;
+        let n = self.backward_batch(grad_out)?;
         let f_active = self.active_in_features();
-        let n = input.shape()[0];
-        grad_out.expect_shape(&[n, self.out_features], "linear backward")?;
-
         let mut grad_in = Tensor::zeros(&[n, f_active]);
-        let x = input.data();
+        // Training at Int8 runs this f32 backward against the master
+        // weights (the forward cache holds the f32 input).
+        let x = self.cache.as_ref().expect("checked above").data();
         let go = grad_out.data();
-        let gi = grad_in.data_mut();
-        match self.backend {
-            Backend::Reference => {
-                for ni in 0..n {
-                    let xrow = &x[ni * f_active..(ni + 1) * f_active];
-                    for of in 0..self.out_features {
-                        let g = go[ni * self.out_features + of];
-                        if g == 0.0 {
-                            continue;
-                        }
-                        self.gb[of] += g;
-                        let wbase = of * self.in_features;
-                        for fi in 0..f_active {
-                            self.gw[wbase + fi] += g * xrow[fi];
-                            gi[ni * f_active + fi] += g * self.w[wbase + fi];
-                        }
-                    }
-                }
-            }
-            // Training under QuantI8 runs the f32 backward against the
-            // master weights (the forward cache holds the f32 input).
-            Backend::Gemm | Backend::QuantI8 => {
-                for row in go.chunks(self.out_features) {
-                    for (gb, &g) in self.gb.iter_mut().zip(row) {
-                        *gb += g;
-                    }
-                }
-                // gW += dYᵀ · X (into the f_active-column prefix).
-                gemm(
-                    self.out_features,
-                    f_active,
-                    n,
-                    MatRef::t(go, self.out_features),
-                    MatRef::new(x, f_active),
-                    1.0,
-                    &mut self.gw,
-                    self.in_features,
-                    true,
-                );
-                // dX = dY · W (active-column prefix of W, cached
-                // packed).
-                let (w, in_features, out_features) = (&self.w, self.in_features, self.out_features);
-                let packed = self.packed_bwd.get_or_insert_with(|| {
-                    PackedB::pack(MatRef::new(w, in_features), out_features, f_active)
-                });
-                gemm_with(
-                    n,
-                    f_active,
-                    out_features,
-                    Lhs::Mat(MatRef::new(go, out_features)),
-                    Rhs::Packed(packed.as_ref()),
-                    0.0,
-                    gi,
-                    f_active,
-                    true,
-                    Epilogue::none(),
-                );
+        for row in go.chunks(self.out_features) {
+            for (gb, &g) in self.gb.iter_mut().zip(row) {
+                *gb += g;
             }
         }
+        // gW += dYᵀ · X (into the f_active-column prefix).
+        gemm(
+            self.out_features,
+            f_active,
+            n,
+            MatRef::t(go, self.out_features),
+            MatRef::new(x, f_active),
+            1.0,
+            &mut self.gw,
+            self.in_features,
+            true,
+        );
+        // dX = dY · W (active-column prefix of W, cached packed).
+        let (w, in_features, out_features) = (&self.w, self.in_features, self.out_features);
+        let packed = self.packed_bwd.get_or_insert_with(|| {
+            PackedB::pack(MatRef::new(w, in_features), out_features, f_active)
+        });
+        gemm_with(
+            n,
+            f_active,
+            out_features,
+            Lhs::Mat(MatRef::new(go, out_features)),
+            Rhs::Packed(packed.as_ref()),
+            0.0,
+            grad_in.data_mut(),
+            f_active,
+            true,
+            Epilogue::none(),
+        );
         Ok(grad_in)
     }
 
@@ -422,15 +396,15 @@ impl Layer for Linear {
         self.trainable = groups;
     }
 
-    fn set_backend(&mut self, backend: Backend) {
-        // Re-selecting the current backend keeps the packed caches:
+    fn set_precision(&mut self, precision: Precision) {
+        // Re-selecting the current precision keeps the packed caches:
         // an RTM policy may issue its precision choice every control
         // epoch, and a no-op switch must not force a re-pack.
-        if backend == self.backend {
+        if precision == self.precision {
             return;
         }
-        self.backend = backend;
-        // Also frees the panel memory when leaving the GEMM backend.
+        self.precision = precision;
+        // Also frees the panel memory of the precision being left.
         self.invalidate_packed();
     }
 
@@ -443,7 +417,7 @@ impl Layer for Linear {
     }
 
     fn chain_support(&self) -> ChainSupport {
-        if self.backend == Backend::QuantI8
+        if self.precision == Precision::Int8
             && self.act_obs.is_frozen()
             && self.act_obs.max_abs() > 0.0
         {
@@ -466,16 +440,8 @@ impl Layer for Linear {
         out_scale: Option<f32>,
         fuse_relu: bool,
     ) -> Result<QAct> {
-        let shape = input.shape().to_vec();
+        let n = self.batch_of(input.shape(), "chained forward")?;
         let f_active = self.active_in_features();
-        if shape.len() != 2 || shape[1] != f_active {
-            return Err(NnError::ShapeMismatch {
-                context: format!("linear `{}` chained forward", self.name),
-                expected: vec![0, f_active],
-                actual: shape,
-            });
-        }
-        let n = shape[0];
         let out_features = self.out_features;
         self.ensure_packed_fwd8(f_active);
         let qx_len = packed_a8_len(n, f_active);
@@ -570,6 +536,59 @@ impl Layer for Linear {
         crate::quant::quantize_slice(&mut self.w, bits);
         crate::quant::quantize_slice(&mut self.b, bits);
         self.invalidate_packed();
+    }
+}
+
+/// The original row-by-row dot products, compiled only into tests: the
+/// oracle the GEMM path is checked against.
+#[cfg(test)]
+impl crate::oracle::Oracle for Linear {
+    fn forward_reference(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
+        let n = self.batch_of(input.shape(), "reference forward")?;
+        let f_active = self.active_in_features();
+        let mut out = Tensor::zeros(&[n, self.out_features]);
+        let x = input.data();
+        let o = out.data_mut();
+        for ni in 0..n {
+            let xrow = &x[ni * f_active..(ni + 1) * f_active];
+            for of in 0..self.out_features {
+                let wrow = &self.w[of * self.in_features..of * self.in_features + f_active];
+                let mut acc = self.b[of];
+                for (wi, xi) in wrow.iter().zip(xrow) {
+                    acc += wi * xi;
+                }
+                o[ni * self.out_features + of] = acc;
+            }
+        }
+        if train {
+            self.cache = Some(input.clone());
+        }
+        Ok(out)
+    }
+
+    fn backward_reference(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+        let n = self.backward_batch(grad_out)?;
+        let f_active = self.active_in_features();
+        let mut grad_in = Tensor::zeros(&[n, f_active]);
+        let x = self.cache.as_ref().expect("checked above").data();
+        let go = grad_out.data();
+        let gi = grad_in.data_mut();
+        for ni in 0..n {
+            let xrow = &x[ni * f_active..(ni + 1) * f_active];
+            for of in 0..self.out_features {
+                let g = go[ni * self.out_features + of];
+                if g == 0.0 {
+                    continue;
+                }
+                self.gb[of] += g;
+                let wbase = of * self.in_features;
+                for fi in 0..f_active {
+                    self.gw[wbase + fi] += g * xrow[fi];
+                    gi[ni * f_active + fi] += g * self.w[wbase + fi];
+                }
+            }
+        }
+        Ok(grad_in)
     }
 }
 

@@ -9,10 +9,9 @@ use std::fmt;
 use std::ops::Range;
 
 use crate::error::{NnError, Result};
-use crate::gemm::Backend;
 use crate::layer::{ChainSupport, Layer, LayerCost};
 use crate::loss::{cross_entropy, LossOutput};
-use crate::quant::{ActScaleReport, QAct};
+use crate::quant::{ActScaleReport, Precision, QAct};
 use crate::tensor::Tensor;
 
 /// Aggregate cost of a forward pass at some width.
@@ -106,9 +105,9 @@ pub struct Network {
     groups: usize,
     active: usize,
     input_shape: Vec<usize>,
-    /// The backend last pushed via [`Network::set_backend`] (layers
-    /// start on [`Backend::Gemm`], the layer default).
-    backend: Backend,
+    /// The precision last pushed via [`Network::set_precision`] (layers
+    /// start at [`Precision::F32`], the layer default).
+    precision: Precision,
     /// Cached chained-int8 plan; `None` until planned and after every
     /// invalidation (see [`Network::invalidate_chain_plan`]).
     chain_plan: Option<QuantChainPlan>,
@@ -161,7 +160,7 @@ impl Network {
             groups,
             active: groups,
             input_shape,
-            backend: Backend::default(),
+            precision: Precision::default(),
             chain_plan: None,
             chain_enabled: true,
         })
@@ -221,31 +220,11 @@ impl Network {
         }
     }
 
-    /// Selects the compute backend on every layer (see
-    /// [`crate::gemm::Backend`]). For `Reference`/`Gemm` this is purely
-    /// an implementation switch (outputs equal to within float
-    /// re-association, pinned by the equivalence property tests);
-    /// `QuantI8` changes the numerics — forward passes run real int8
-    /// arithmetic, trading a small, measurable accuracy cost for
-    /// latency.
-    pub fn set_backend(&mut self, backend: crate::gemm::Backend) {
-        for layer in &mut self.layers {
-            layer.set_backend(backend);
-        }
-        self.backend = backend;
-        self.invalidate_chain_plan();
-    }
-
-    /// The backend last set via [`Network::set_backend`] (layers start
-    /// on [`Backend::Gemm`]).
-    pub fn backend(&self) -> Backend {
-        self.backend
-    }
-
-    /// Sets the data-precision knob (the second application knob of the
-    /// paper's Fig 5, next to width): [`crate::quant::Precision::F32`]
-    /// runs the `f32` GEMM backend,
-    /// [`crate::quant::Precision::Int8`] the real int8 kernel path.
+    /// Sets the data-precision knob on every layer (the second
+    /// application knob of the paper's Fig 5, next to width):
+    /// [`Precision::F32`] runs the `f32` GEMM path, [`Precision::Int8`]
+    /// the real int8 kernel path, trading a small, measurable accuracy
+    /// cost for latency.
     ///
     /// With unfrozen activation observers (the default) the int8 scale
     /// is *dynamic*: each batch quantises against its own max-abs, so a
@@ -255,14 +234,24 @@ impl Network {
     /// sizes are not directly comparable. For reproducible serving, run
     /// representative data through the network and then
     /// [`Self::freeze_act_scales`] to pin static per-layer scales.
-    pub fn set_precision(&mut self, precision: crate::quant::Precision) {
-        self.set_backend(precision.backend());
+    pub fn set_precision(&mut self, precision: Precision) {
+        for layer in &mut self.layers {
+            layer.set_precision(precision);
+        }
+        self.precision = precision;
+        self.invalidate_chain_plan();
+    }
+
+    /// The precision last set via [`Network::set_precision`] (layers
+    /// start at [`Precision::F32`]).
+    pub fn precision(&self) -> Precision {
+        self.precision
     }
 
     /// Freezes (or unfreezes) every layer's int8 activation scale at
     /// the range observed so far — run representative data through the
     /// network first (at any precision the layers observe, i.e.
-    /// `QuantI8`), then freeze for batch-to-batch consistent
+    /// [`Precision::Int8`]), then freeze for batch-to-batch consistent
     /// quantisation. See [`crate::quant::ActObserver`].
     pub fn freeze_act_scales(&mut self, frozen: bool) {
         for layer in &mut self.layers {
@@ -275,7 +264,7 @@ impl Network {
 
     /// Drops the cached chained-int8 plan; the next inference forward
     /// re-plans lazily. Called on every mutation that can change chain
-    /// structure or per-edge scales: backend/precision switches, width
+    /// structure or per-edge scales: precision switches, width
     /// switches (per-prefix weight scales), observer freezes and
     /// direct layer access.
     fn invalidate_chain_plan(&mut self) {
@@ -283,7 +272,7 @@ impl Network {
     }
 
     /// Enables or disables chained-int8 execution (enabled by
-    /// default). With chaining disabled, a frozen `QuantI8` network
+    /// default). With chaining disabled, a frozen int8 network
     /// runs the per-layer round-trip path — each layer dequantises to
     /// `f32` and the next re-quantises — which is the measurement
     /// baseline the chained path is benchmarked against, and the
@@ -521,10 +510,10 @@ impl Network {
     }
 
     /// Static calibration workflow for int8 serving: runs every batch
-    /// through a `QuantI8` forward with the activation observers
+    /// through an int8 forward with the activation observers
     /// recording (unfrozen), then freezes the observed ranges as
     /// static scales — after which chained execution can engage — and
-    /// returns the per-layer scale report. The network's backend is
+    /// returns the per-layer scale report. The network's precision is
     /// restored afterwards, so calling this on an `f32`-serving
     /// network only spends the calibration passes.
     ///
@@ -545,8 +534,8 @@ impl Network {
         I: IntoIterator,
         I::Item: std::borrow::Borrow<Tensor>,
     {
-        let prev = self.backend;
-        self.set_backend(Backend::QuantI8);
+        let prev = self.precision;
+        self.set_precision(Precision::Int8);
         self.freeze_act_scales(false);
         let mut count = 0usize;
         let run = || -> Result<()> {
@@ -561,7 +550,7 @@ impl Network {
         // leaves the observers dynamic rather than frozen at a range
         // they never (fully) observed.
         self.freeze_act_scales(result.is_ok() && count > 0);
-        self.set_backend(prev);
+        self.set_precision(prev);
         result?;
         if count == 0 {
             return Err(NnError::InvalidConfig {

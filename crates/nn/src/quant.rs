@@ -9,8 +9,7 @@
 //!    in place to a `2^(bits−1) − 1`-step grid scaled to the layer's
 //!    absolute maximum, while arithmetic stays `f32` — the standard way
 //!    to measure PTQ accuracy impact at *any* bit width.
-//! 2. **Execution** ([`Precision::Int8`] /
-//!    [`crate::gemm::Backend::QuantI8`]): `Conv2d`/`Linear` forward
+//! 2. **Execution** ([`Precision::Int8`]): `Conv2d`/`Linear` forward
 //!    passes run on the real int8 kernel ([`crate::gemm::int8`]) —
 //!    per-tensor int8 weights packed and cached per weight version,
 //!    activations quantised through a per-layer [`ActObserver`] scale,
@@ -56,7 +55,6 @@
 use std::cell::Cell;
 
 use crate::error::{NnError, Result};
-use crate::gemm::Backend;
 use crate::network::Network;
 use crate::tensor::Tensor;
 
@@ -160,15 +158,15 @@ fn quantize_grid(x: f32, inv_scale: f32) -> u32 {
 /// inputs, with a debug-build finiteness guard. Masking non-finite
 /// values is the right policy for weights (regression-tested), but a
 /// non-finite *activation* means an upstream data-pipeline defect: the
-/// f32 backends would propagate the NaN and make it visible, whereas
+/// f32 path would propagate the NaN and make it visible, whereas
 /// the int8 grid clamp maps NaN to `−127` and yields finite,
 /// plausible-looking outputs. Release builds keep the silent clamp (no
 /// panics in production); debug builds fail loudly at the defect.
 pub(crate) fn act_max_abs(x: &[f32]) -> f32 {
     debug_assert!(
         x.iter().all(|v| v.is_finite()),
-        "non-finite activation input on the QuantI8 forward path: the int8 clamp \
-         (NaN → −127) would mask a defect the f32 backends would propagate"
+        "non-finite activation input on the int8 forward path: the int8 clamp \
+         (NaN → −127) would mask a defect the f32 path would propagate"
     );
     finite_max_abs(x)
 }
@@ -255,31 +253,25 @@ pub fn quantize_network(net: &mut Network, bits: u32) -> Result<()> {
     Ok(())
 }
 
-/// The data-precision execution modes of the RTM's knob: full `f32`
-/// compute, or the real int8 kernel path.
+/// The data-precision knob: which kernels a layer's forward pass runs
+/// on. Backward passes (training) always run the `f32` GEMM against
+/// the master weights, so a network can train in `f32` and serve in
+/// int8 without switching back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Precision {
-    /// `f32` arithmetic throughout ([`Backend::Gemm`]). The default.
+    /// `f32` arithmetic on im2col + the blocked GEMM ([`crate::gemm`]).
+    /// The default.
     #[default]
     F32,
     /// int8 storage and arithmetic with `i32` accumulation on the
-    /// quantised kernel path ([`Backend::QuantI8`]): lower latency and
+    /// quantised kernel path ([`crate::gemm::int8`]): packed quantised
+    /// panels and a fused requantisation epilogue — lower latency and
     /// memory traffic for a small, measurable accuracy cost.
     Int8,
 }
 
-impl Precision {
-    /// The compute backend that realises this precision.
-    pub fn backend(self) -> Backend {
-        match self {
-            Self::F32 => Backend::Gemm,
-            Self::Int8 => Backend::QuantI8,
-        }
-    }
-}
-
 /// Tracks the dynamic range of a layer's input activations for int8
-/// quantisation. Each `Conv2d`/`Linear` owns one; every `QuantI8`
+/// quantisation. Each `Conv2d`/`Linear` owns one; every int8
 /// forward pass feeds it the batch's absolute maximum.
 ///
 /// Unfrozen (the default), the quantisation scale is *dynamic*: each
@@ -622,8 +614,8 @@ mod tests {
     }
 
     /// A NaN activation must fail loudly (debug builds) instead of
-    /// being silently clamped onto the int8 grid where the f32
-    /// backends would have propagated it.
+    /// being silently clamped onto the int8 grid where the f32 path
+    /// would have propagated it.
     #[test]
     #[should_panic(expected = "non-finite activation")]
     #[cfg(debug_assertions)]
@@ -686,13 +678,6 @@ mod tests {
         obs.freeze(false);
         obs.observe(10.0);
         assert_eq!(obs.max_abs(), 10.0);
-    }
-
-    #[test]
-    fn precision_maps_to_backends() {
-        assert_eq!(Precision::default(), Precision::F32);
-        assert_eq!(Precision::F32.backend(), Backend::Gemm);
-        assert_eq!(Precision::Int8.backend(), Backend::QuantI8);
     }
 
     #[test]

@@ -1,21 +1,21 @@
-//! Property tests pinning the GEMM backend to the reference backend:
-//! on random shapes, strides, paddings, group structures and widths,
-//! `Backend::Gemm` and `Backend::Reference` must agree to within 1e-4
-//! on forward outputs, input gradients and post-step weights, and
-//! frozen groups must stay bit-identical through a training step.
+//! Property tests across the kernels' public surface: the fused GEMM
+//! epilogue must match the separate bias/activation passes to 1e-4,
+//! and frozen groups must stay bit-identical through a training step.
+//! (The GEMM-vs-reference-loop properties live beside the oracle, in
+//! the crate's unit tests.)
 //!
-//! The int8 path gets the same treatment with an analytic bound:
-//! `Backend::QuantI8` forward must match the quant-simulated `f32`
+//! The int8 path is pinned with an analytic bound:
+//! `Precision::Int8` forward must match the quant-simulated `f32`
 //! forward (int8-grid weights, `f32` arithmetic) within a tolerance
 //! *derived from the quantisation scales* — see
 //! [`quant_tolerance`].
 
-use eml_nn::arch::{build_group_cnn, CnnConfig};
 use eml_nn::conv::{Conv2d, Conv2dConfig};
-use eml_nn::gemm::{gemm, gemm_with, Backend, Epilogue, Lhs, MatRef, PackedA, PackedB, Rhs, Trans};
+use eml_nn::gemm::{gemm, gemm_with, Epilogue, Lhs, MatRef, PackedA, PackedB, Rhs, Trans};
 use eml_nn::layer::Layer;
 use eml_nn::linear::Linear;
 use eml_nn::tensor::Tensor;
+use eml_nn::Precision;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -38,61 +38,13 @@ fn quant_tolerance(sw: f32, sx: f32, k: usize, w_rowsum_abs: f32, xmax: f32) -> 
     0.5 * sw * k as f32 * xmax + 0.5 * sx * w_rowsum_abs + 0.25 * k as f32 * sw * sx + 1e-4
 }
 
-fn assert_close(a: &Tensor, b: &Tensor, what: &str) -> Result<(), String> {
-    if a.shape() != b.shape() {
-        return Err(format!("{what}: shapes {:?} vs {:?}", a.shape(), b.shape()));
-    }
-    for (i, (&x, &y)) in a.data().iter().zip(b.data()).enumerate() {
-        if (x - y).abs() > TOL {
-            return Err(format!("{what}[{i}]: reference {x} vs gemm {y}"));
-        }
-    }
-    Ok(())
-}
-
-/// The batch-parallel GEMM path (band splitting + per-band scratch
-/// reuse) agrees with the reference backend on the full default
-/// network. Batch 16 on `CnnConfig::default()` pushes every conv layer
-/// past the parallel work threshold, which the small proptest shapes
-/// below never reach.
-#[test]
-fn large_batch_parallel_path_matches_reference() {
-    let batch = 16;
-    let x = Tensor::random(&[batch, 3, 16, 16], &mut StdRng::seed_from_u64(11));
-    let mut outputs = Vec::new();
-    for backend in [Backend::Reference, Backend::Gemm] {
-        let mut net =
-            build_group_cnn(CnnConfig::default(), &mut StdRng::seed_from_u64(5)).expect("arch");
-        net.set_backend(backend);
-        let y = net.forward(&x, true).expect("forward");
-        // Drive backward through the public training path too.
-        let labels: Vec<usize> = (0..batch).map(|i| i % 10).collect();
-        net.zero_grads();
-        net.train_batch(&x, &labels).expect("train batch");
-        net.sgd_step(0.05, 0.9);
-        let y2 = net.forward(&x, false).expect("forward after step");
-        outputs.push((y, y2));
-    }
-    let (ref_out, gemm_out) = (&outputs[0], &outputs[1]);
-    for (a, b, what) in [
-        (&ref_out.0, &gemm_out.0, "batch-16 forward"),
-        (
-            &ref_out.1,
-            &gemm_out.1,
-            "batch-16 forward after training step",
-        ),
-    ] {
-        assert_close(a, b, what).unwrap_or_else(|e| panic!("{e}"));
-    }
-}
-
-/// Two identically-initialised copies of a conv layer, one per backend.
+/// Two identically-initialised copies of a conv layer: the first
+/// stays at `f32`, the second switches to int8.
 fn conv_pair(cfg: Conv2dConfig, seed: u64) -> (Conv2d, Conv2d) {
-    let mut reference = Conv2d::new("c", cfg, &mut StdRng::seed_from_u64(seed)).expect("cfg");
-    let mut gemm = Conv2d::new("c", cfg, &mut StdRng::seed_from_u64(seed)).expect("cfg");
-    reference.set_backend(Backend::Reference);
-    gemm.set_backend(Backend::Gemm);
-    (reference, gemm)
+    let simulated = Conv2d::new("c", cfg, &mut StdRng::seed_from_u64(seed)).expect("cfg");
+    let mut quant = Conv2d::new("c", cfg, &mut StdRng::seed_from_u64(seed)).expect("cfg");
+    quant.set_precision(Precision::Int8);
+    (simulated, quant)
 }
 
 proptest! {
@@ -169,112 +121,7 @@ proptest! {
         }
     }
 
-    /// Conv2d: forward, input gradient and one SGD step agree across
-    /// backends for random geometry, both group structures and every
-    /// active width.
-    #[test]
-    fn conv_backends_agree(
-        seed in 0u64..10_000,
-        grouped in proptest::bool::ANY,
-        groups in 2usize..=4,
-        cpg in 1usize..=2,
-        opg in 1usize..=2,
-        kernel in 1usize..=5,
-        stride in 1usize..=2,
-        padding in 0usize..=2,
-        h in 3usize..=6,
-        w in 3usize..=6,
-        batch in 1usize..=3,
-        active_pick in 0usize..100,
-    ) {
-        // Keep the padded input at least kernel-sized (out_hw rejects
-        // smaller), but deliberately include kernels that overhang the
-        // whole row (kernel > w, valid with padding) — a class the
-        // lowering once mishandled.
-        let kernel = kernel.min(h.min(w) + 2 * padding);
-        let cfg = Conv2dConfig {
-            in_channels: groups * cpg,
-            out_channels: groups * opg,
-            kernel,
-            stride,
-            padding,
-            conv_groups: if grouped { groups } else { 1 },
-            prune_groups: groups,
-        };
-        let active = active_pick % groups + 1;
-        let (mut reference, mut gemm) = conv_pair(cfg, seed);
-        reference.set_active_groups(active).expect("valid width");
-        gemm.set_active_groups(active).expect("valid width");
-
-        let c_in = reference.expected_in_channels();
-        let x = Tensor::random(&[batch, c_in, h, w], &mut StdRng::seed_from_u64(seed ^ 0xA5));
-        let y_ref = reference.forward(&x, true).expect("reference forward");
-        let y_gemm = gemm.forward(&x, true).expect("gemm forward");
-        assert_close(&y_ref, &y_gemm, "conv forward")?;
-
-        let go = Tensor::random(y_ref.shape(), &mut StdRng::seed_from_u64(seed ^ 0x5A));
-        let gx_ref = reference.backward(&go).expect("reference backward");
-        let gx_gemm = gemm.backward(&go).expect("gemm backward");
-        assert_close(&gx_ref, &gx_gemm, "conv input gradient")?;
-
-        // Weight/bias gradients agree iff the updated layers still
-        // produce the same outputs after a step.
-        reference.sgd_step(0.1, 0.0);
-        gemm.sgd_step(0.1, 0.0);
-        for (i, (&a, &b)) in reference.weights().iter().zip(gemm.weights()).enumerate() {
-            prop_assert!(
-                (a - b).abs() <= TOL,
-                "post-step weight {i}: reference {a} vs gemm {b}"
-            );
-        }
-        let y2_ref = reference.forward(&x, false).expect("reference forward");
-        let y2_gemm = gemm.forward(&x, false).expect("gemm forward");
-        assert_close(&y2_ref, &y2_gemm, "conv forward after step")?;
-    }
-
-    /// Linear: forward, input gradient and one SGD step agree across
-    /// backends for random sizes and every active width.
-    #[test]
-    fn linear_backends_agree(
-        seed in 0u64..10_000,
-        groups in 1usize..=4,
-        per_group in 1usize..=3,
-        out_features in 1usize..=5,
-        batch in 1usize..=4,
-        active_pick in 0usize..100,
-    ) {
-        let in_features = groups * per_group;
-        let active = active_pick % groups + 1;
-        let mut reference =
-            Linear::new("l", in_features, out_features, groups, &mut StdRng::seed_from_u64(seed))
-                .expect("cfg");
-        let mut gemm =
-            Linear::new("l", in_features, out_features, groups, &mut StdRng::seed_from_u64(seed))
-                .expect("cfg");
-        reference.set_backend(Backend::Reference);
-        gemm.set_backend(Backend::Gemm);
-        reference.set_active_groups(active).expect("valid width");
-        gemm.set_active_groups(active).expect("valid width");
-
-        let f_active = reference.active_in_features();
-        let x = Tensor::random(&[batch, f_active], &mut StdRng::seed_from_u64(seed ^ 0xA5));
-        let y_ref = reference.forward(&x, true).expect("reference forward");
-        let y_gemm = gemm.forward(&x, true).expect("gemm forward");
-        assert_close(&y_ref, &y_gemm, "linear forward")?;
-
-        let go = Tensor::random(y_ref.shape(), &mut StdRng::seed_from_u64(seed ^ 0x5A));
-        let gx_ref = reference.backward(&go).expect("reference backward");
-        let gx_gemm = gemm.backward(&go).expect("gemm backward");
-        assert_close(&gx_ref, &gx_gemm, "linear input gradient")?;
-
-        reference.sgd_step(0.1, 0.0);
-        gemm.sgd_step(0.1, 0.0);
-        let y2_ref = reference.forward(&x, false).expect("reference forward");
-        let y2_gemm = gemm.forward(&x, false).expect("gemm forward");
-        assert_close(&y2_ref, &y2_gemm, "linear forward after step")?;
-    }
-
-    /// `Backend::QuantI8` forward matches the quant-simulated `f32`
+    /// `Precision::Int8` forward matches the quant-simulated `f32`
     /// reference (master weights snapped to the int8 grid, arithmetic
     /// in `f32`) within the scale-derived bound of [`quant_tolerance`],
     /// across conv geometry, group structure and every active width.
@@ -305,10 +152,8 @@ proptest! {
         };
         let active = active_pick % groups + 1;
         let (mut simulated, mut quant) = conv_pair(cfg, seed);
-        simulated.set_backend(Backend::Gemm);
-        quant.set_backend(Backend::QuantI8);
         // Snap both copies' master weights to the int8 grid: the f32
-        // copy then *simulates* int8 weights, the QuantI8 copy
+        // copy then *simulates* int8 weights, the int8 copy
         // re-quantises them (an extra ≤ half-step of error when the
         // active prefix's scale differs from the full-tensor scale).
         simulated.quantize_weights(8);
@@ -347,7 +192,7 @@ proptest! {
         }
     }
 
-    /// Linear: same scale-derived pin of `Backend::QuantI8` against the
+    /// Linear: same scale-derived pin of `Precision::Int8` against the
     /// quant-simulated `f32` reference across sizes and widths.
     #[test]
     fn linear_quant_i8_matches_quant_simulated_f32(
@@ -366,8 +211,7 @@ proptest! {
         let mut quant =
             Linear::new("l", in_features, out_features, groups, &mut StdRng::seed_from_u64(seed))
                 .expect("cfg");
-        simulated.set_backend(Backend::Gemm);
-        quant.set_backend(Backend::QuantI8);
+        quant.set_precision(Precision::Int8);
         simulated.quantize_weights(8);
         quant.quantize_weights(8);
         simulated.set_active_groups(active).expect("valid width");
@@ -398,9 +242,9 @@ proptest! {
         }
     }
 
-    /// Frozen groups stay bit-identical through a GEMM-backend training
-    /// step (the paper's switch-without-retraining property must not
-    /// depend on the compute backend).
+    /// Frozen groups stay bit-identical through a GEMM training step
+    /// (the paper's switch-without-retraining property must not depend
+    /// on the compute path).
     #[test]
     fn gemm_training_step_keeps_frozen_groups_bit_identical(
         seed in 0u64..10_000,

@@ -1,5 +1,5 @@
 //! Tests of the chained-int8 execution path: with frozen activation
-//! scales, `Backend::QuantI8` forwards keep activations on the int8
+//! scales, `Precision::Int8` forwards keep activations on the int8
 //! grid across the whole network — one f32→i8 quantisation at the
 //! input, one i8→f32 dequantisation at the logits, saturating-i8
 //! requantisation (ReLU fused) at every layer edge in between — and
@@ -9,22 +9,21 @@
 use eml_nn::activation::{Flatten, Relu};
 use eml_nn::arch::{build_group_cnn, CnnConfig};
 use eml_nn::conv::{Conv2d, Conv2dConfig};
-use eml_nn::gemm::Backend;
 use eml_nn::layer::Layer;
 use eml_nn::linear::Linear;
 use eml_nn::pool::MaxPool2d;
 use eml_nn::quant::{layer_io_events, reset_layer_io_events, QAct, QTensor};
 use eml_nn::tensor::Tensor;
-use eml_nn::Network;
+use eml_nn::{Network, Precision};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// A calibrated, frozen default CNN on the int8 backend.
+/// A calibrated, frozen default CNN at `Precision::Int8`.
 fn calibrated_cnn(seed: u64) -> Network {
     let mut net = build_group_cnn(CnnConfig::default(), &mut StdRng::seed_from_u64(seed))
         .expect("valid arch");
-    net.set_backend(Backend::QuantI8);
+    net.set_precision(Precision::Int8);
     let batches: Vec<Tensor> = (0..2)
         .map(|i| Tensor::random(&[2, 3, 16, 16], &mut StdRng::seed_from_u64(seed ^ (10 + i))))
         .collect();
@@ -84,8 +83,8 @@ fn plan_resolves_every_edge_and_fuses_relus() {
     // Refreezing re-engages (the ranges are still recorded).
     net.freeze_act_scales(true);
     assert!(net.plan_quant_chain().engaged());
-    // The f32 backend never chains, frozen or not.
-    net.set_backend(Backend::Gemm);
+    // The f32 path never chains, frozen or not.
+    net.set_precision(Precision::F32);
     assert!(!net.plan_quant_chain().engaged());
 }
 
@@ -275,7 +274,7 @@ fn maxpool_i8_fast_path_is_order_preserving() {
 
 /// Calibration workflow contract: empty batch sets are rejected and
 /// leave the network unfrozen; a real calibration freezes every
-/// observer, reports positive scales, and restores the backend it
+/// observer, reports positive scales, and restores the precision it
 /// found.
 #[test]
 fn calibrate_reports_scales_and_restores_backend() {
@@ -285,14 +284,14 @@ fn calibrate_reports_scales_and_restores_backend() {
     let empty: Vec<Tensor> = Vec::new();
     assert!(net.calibrate(&empty).is_err());
     assert!(!net.plan_quant_chain().engaged());
-    // Real calibration from the f32 backend: scales freeze, backend
-    // comes back as Gemm.
+    // Real calibration from the f32 path: scales freeze, precision
+    // comes back as F32.
     let batches = vec![Tensor::random(
         &[2, 3, 16, 16],
         &mut StdRng::seed_from_u64(21),
     )];
     let report = net.calibrate(&batches).expect("calibration runs");
-    assert_eq!(net.backend(), Backend::Gemm, "backend restored");
+    assert_eq!(net.precision(), Precision::F32, "precision restored");
     assert_eq!(report.len(), 4);
     for entry in &report {
         assert!(entry.max_abs > 0.0, "{}: observed range", entry.layer);
@@ -302,10 +301,10 @@ fn calibrate_reports_scales_and_restores_backend() {
             entry.layer
         );
     }
-    // The f32 backend ignores the frozen scales entirely…
+    // The f32 path ignores the frozen scales entirely…
     assert!(!net.plan_quant_chain().engaged());
     // …but switching the knob to int8 now engages the chain at once.
-    net.set_backend(Backend::QuantI8);
+    net.set_precision(Precision::Int8);
     assert!(net.plan_quant_chain().engaged());
 }
 
@@ -316,7 +315,7 @@ fn calibrate_reports_scales_and_restores_backend() {
 fn failed_calibration_leaves_observers_dynamic() {
     let mut net =
         build_group_cnn(CnnConfig::default(), &mut StdRng::seed_from_u64(30)).expect("valid arch");
-    net.set_backend(Backend::QuantI8);
+    net.set_precision(Precision::Int8);
     let bad = vec![Tensor::zeros(&[1, 5, 16, 16])]; // 5 channels: conv1 rejects
     assert!(net.calibrate(&bad).is_err());
     assert!(
@@ -351,7 +350,7 @@ fn tail_relu_fuses_into_the_dequantising_epilogue() {
         Box::new(Relu::new("r2")), // tail relu: c2 emits f32
     ];
     let mut net = Network::new(layers, 1, vec![3, 8, 8]).expect("stack builds");
-    net.set_backend(Backend::QuantI8);
+    net.set_precision(Precision::Int8);
     let cal = vec![Tensor::random(
         &[2, 3, 8, 8],
         &mut StdRng::seed_from_u64(34),
@@ -474,7 +473,7 @@ proptest! {
         active_pick in 0usize..100,
     ) {
         let (mut net, rowsums) = stack(seed, groups, cpg, opg, h, w, grouped, pool);
-        net.set_backend(Backend::QuantI8);
+        net.set_precision(Precision::Int8);
         let c_in = groups * cpg;
         let cal: Vec<Tensor> = (0..2)
             .map(|i| Tensor::random(&[2, c_in, h, w], &mut StdRng::seed_from_u64(seed ^ (40 + i))))

@@ -12,8 +12,8 @@
 //! The models are **calibrated against the paper's published measurements**
 //! (Table I, embedded in [`paper`]): latency follows a per-cluster
 //! `a/f + b` least-squares fit, and power interpolates measured anchors in
-//! `V²·f` space so the anchors are reproduced exactly. See `DESIGN.md` for
-//! the substitution rationale.
+//! `V²·f` space so the anchors are reproduced exactly. The models stand in
+//! for the paper's boards, which this reproduction cannot run on.
 //!
 //! ## Quick start
 //!

@@ -2,7 +2,7 @@
 //!
 //! These constants are the reproduction targets: every table/figure
 //! regenerator in `eml-bench` compares the simulator's predictions against
-//! them, and `EXPERIMENTS.md` records the deltas.
+//! them and prints the per-row deltas.
 //!
 //! Source: Xun et al., "Optimising Resource Management for Embedded Machine
 //! Learning", DATE 2020 (experimental data DOI: 10.5258/SOTON/D1154).

@@ -8,9 +8,11 @@
 //! |-------|------|
 //! | [`platform`] | Heterogeneous SoC models (Odroid XU3, Jetson Nano, flagship), calibrated against the paper's Table I |
 //! | [`nn`] | From-scratch NN library: group convolutions, incremental training, exact cost model |
-//! | [`dnn`] | Dynamic DNNs: width levels, profiles, switching-cost models |
+//! | [`dnn`] | Dynamic DNNs: width levels, profiles, the width and precision knobs |
 //! | [`rtm`] | The runtime resource manager: operating-point spaces, governors, multi-app allocation, knobs/monitors |
 //! | [`sim`] | Multi-application simulator with reactive thermal management |
+//! | [`serve`] | Multi-tenant serving executor: RTM allocations run on the real kernels, with measured-latency feedback |
+//! | [`net`] | Networked front end: wire protocol, per-client admission control |
 //!
 //! ## The paper in three lines
 //!
@@ -30,28 +32,29 @@
 //! # }
 //! ```
 //!
-//! See `README.md` for the architecture overview, `DESIGN.md` for the
-//! system inventory and `EXPERIMENTS.md` for paper-vs-measured results.
+//! `ROADMAP.md` holds the open work, `docs/INVARIANTS.md` the invariants
+//! CI enforces, and the `benches/` targets of `eml-bench` regenerate the
+//! paper's figures with paper-vs-measured verdicts.
 //!
 //! ## Performance
 //!
 //! The NN substrate's hot path — `Conv2d`/`Linear` forward and backward
-//! — runs on a shared compute backend ([`nn::gemm`]): convolutions are
+//! — runs on shared compute kernels ([`nn::gemm`]): convolutions are
 //! lowered to matrix multiplication via [`nn::im2col`] and executed by
 //! a cache-blocked, register-tiled f32 GEMM with packed operand panels,
 //! reusable per-layer scratch arenas (steady state allocates nothing
 //! but the output tensor) and batch/row parallelism via a small worker
-//! pool. On the default `CnnConfig` this is **5–7× faster per forward
-//! pass than the retained naive loop nest** at every width
-//! (see `BENCH_nn.json`, regenerated by
-//! `cargo run --release -p eml-bench --bin bench_nn_json`).
+//! pool. [`nn::Precision::Int8`] runs the same structure on an int8
+//! kernel with `i32` accumulation.
 //!
-//! The naive implementation is still available as
-//! [`nn::gemm::Backend::Reference`] — switch a whole network with
-//! [`nn::network::Network::set_backend`] — and property tests pin the
-//! two backends together to 1e-4 on random shapes, widths and group
-//! structures, so the fast path cannot silently drift from the
-//! semantics the paper's figures depend on.
+//! The serving benchmark (`benchmark/README.md`) measures the whole
+//! stack end to end and, with `--trace 1`, per layer: the `nn.*` rows
+//! time a forward per width (`nn.fwd_w25_us` … `nn.fwd_w100_us`), the
+//! batching gain (`nn.batch8_gain`) and each conv stage. The original
+//! loop nests survive only as the test oracle of `eml-nn`: property
+//! tests pin the GEMM path to them to 1e-4 on random shapes, widths
+//! and group structures, so the fast path cannot silently drift from
+//! the semantics the paper's figures depend on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
