@@ -21,7 +21,7 @@ pub fn banner(id: &str, title: &str) {
 }
 
 /// Prints a `PASS`/`FAIL` verdict line and returns whether it passed.
-pub fn verdict(label: &str, ok: bool) -> bool {
+fn verdict(label: &str, ok: bool) -> bool {
     println!("[{}] {label}", if ok { "PASS" } else { "FAIL" });
     ok
 }

@@ -151,7 +151,7 @@ impl MissTracker {
     }
 
     /// Miss fraction over the current window contents (0.0 when empty).
-    pub fn miss_rate(&self) -> f64 {
+    fn miss_rate(&self) -> f64 {
         if self.recent.is_empty() {
             0.0
         } else {

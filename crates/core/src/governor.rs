@@ -81,8 +81,7 @@ impl Governor for ExhaustiveGovernor {
 /// frontier.
 ///
 /// The cache is keyed by nothing — construct one governor per
-/// (SoC, profile, restrictions) combination, or call
-/// [`ParetoGovernor::invalidate`] when the space changes.
+/// (SoC, profile, restrictions) combination.
 #[derive(Debug, Clone, Default)]
 pub struct ParetoGovernor {
     frontier: Option<Vec<EvaluatedPoint>>,
@@ -92,17 +91,6 @@ impl ParetoGovernor {
     /// Creates an empty (not yet prepared) governor.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Drops the cached frontier (call when the space changes, e.g. after
-    /// a DVFS-domain restriction appears).
-    pub fn invalidate(&mut self) {
-        self.frontier = None;
-    }
-
-    /// Number of cached frontier points (0 before first decision).
-    pub fn frontier_len(&self) -> usize {
-        self.frontier.as_ref().map_or(0, Vec::len)
     }
 }
 
@@ -351,21 +339,7 @@ mod tests {
                 .unwrap();
             assert_eq!(oracle.map(|p| p.op), cached.map(|p| p.op));
         }
-        assert!(pareto.frontier_len() > 0);
-    }
-
-    #[test]
-    fn pareto_invalidate_clears_cache() {
-        let soc = presets::odroid_xu3();
-        let profile = DnnProfile::reference("dnn");
-        let space = xu3_cpu_space(&soc, &profile);
-        let mut g = ParetoGovernor::new();
-        let _ = g
-            .decide(&space, &Requirements::new(), Objective::MinEnergy)
-            .unwrap();
-        assert!(g.frontier_len() > 0);
-        g.invalidate();
-        assert_eq!(g.frontier_len(), 0);
+        assert!(pareto.frontier.as_ref().is_some_and(|f| !f.is_empty()));
     }
 
     #[test]

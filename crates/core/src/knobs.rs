@@ -4,71 +4,17 @@
 //! The RTM does not touch applications or hardware directly — it reads
 //! *monitors* (accuracy, confidence, latency, frame rate; power,
 //! temperature, performance counters) and writes *knobs* (DNN width, DVFS
-//! level, task mapping, power gating). This module defines those vocabulary
-//! types and the translation from an [`Allocation`] decision to a concrete
-//! actuation list, which the simulator (or a real platform shim) executes.
-
-use std::fmt;
+//! level, task mapping, power gating). The monitors are the executor's
+//! statistics and health scores (`eml-serve`); this module defines the
+//! knob vocabulary and the translation from an [`Allocation`] decision to
+//! a concrete actuation list, which the simulator (or a real platform
+//! shim) executes.
 
 use eml_dnn::{DynamicDnn, Precision, WidthLevel};
 use eml_platform::soc::ClusterId;
 
 use crate::error::Result;
 use crate::rtm::Allocation;
-
-/// What a monitor measures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum MonitorKind {
-    /// Application: end-to-end inference latency (seconds).
-    Latency,
-    /// Application: achieved frame rate (frames/second).
-    FrameRate,
-    /// Application: expected top-1 accuracy (percent).
-    Accuracy,
-    /// Application: mean softmax confidence (0..1).
-    Confidence,
-    /// Device: power draw (watts).
-    Power,
-    /// Device: die temperature (degrees Celsius).
-    Temperature,
-    /// Device: cluster utilisation (0..1).
-    Utilization,
-}
-
-impl MonitorKind {
-    /// Whether this is an application-layer monitor (platform-independent)
-    /// as opposed to a device-layer monitor.
-    pub fn is_application(self) -> bool {
-        matches!(
-            self,
-            Self::Latency | Self::FrameRate | Self::Accuracy | Self::Confidence
-        )
-    }
-}
-
-/// One monitor sample.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MonitorReading {
-    /// What is being measured.
-    pub kind: MonitorKind,
-    /// Where it came from (application or cluster name).
-    pub source: String,
-    /// The value, in the unit documented on [`MonitorKind`].
-    pub value: f64,
-    /// Simulation time of the sample, in seconds.
-    pub at_secs: f64,
-}
-
-impl fmt::Display for MonitorReading {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "[{:8.3}s] {}/{:?} = {:.3}",
-            self.at_secs, self.source, self.kind, self.value
-        )
-    }
-}
 
 /// One actuation the RTM issues to the application or device layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -205,27 +151,6 @@ mod tests {
     use eml_dnn::profile::DnnProfile;
     use eml_platform::presets;
     use eml_platform::units::TimeSpan;
-
-    #[test]
-    fn monitor_layers() {
-        assert!(MonitorKind::Accuracy.is_application());
-        assert!(MonitorKind::Confidence.is_application());
-        assert!(!MonitorKind::Power.is_application());
-        assert!(!MonitorKind::Temperature.is_application());
-    }
-
-    #[test]
-    fn reading_display() {
-        let r = MonitorReading {
-            kind: MonitorKind::Temperature,
-            source: "soc".into(),
-            value: 74.2,
-            at_secs: 15.0,
-        };
-        let s = r.to_string();
-        assert!(s.contains("Temperature"));
-        assert!(s.contains("74.2"));
-    }
 
     /// The application-knob executor actuates width and precision
     /// commands on the addressed model and leaves everything else to

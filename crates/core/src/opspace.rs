@@ -122,22 +122,6 @@ impl OpSpaceConfig {
             .insert(cluster.index(), factor.max(1.0));
         self
     }
-
-    /// Applies a monitor-learned latency correction to `cluster`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is not finite and positive (a corrupted
-    /// correction would poison every prediction).
-    #[must_use]
-    pub fn with_latency_correction(mut self, cluster: ClusterId, factor: f64) -> Self {
-        assert!(
-            factor.is_finite() && factor > 0.0,
-            "latency correction must be finite and positive, got {factor}"
-        );
-        self.latency_corrections.insert(cluster.index(), factor);
-        self
-    }
 }
 
 /// The enumerable, on-demand-evaluable operating-point space for one

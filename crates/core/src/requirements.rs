@@ -87,26 +87,6 @@ impl Requirements {
         }
     }
 
-    /// Per-inference energy budget.
-    pub fn max_energy(&self) -> Option<Energy> {
-        self.max_energy
-    }
-
-    /// Power budget.
-    pub fn max_power(&self) -> Option<Power> {
-        self.max_power
-    }
-
-    /// Minimum top-1 accuracy in percent.
-    pub fn min_top1(&self) -> Option<f64> {
-        self.min_top1
-    }
-
-    /// Frame-rate target in frames per second.
-    pub fn target_fps(&self) -> Option<f64> {
-        self.target_fps
-    }
-
     /// Whether `pt` meets every stated constraint.
     pub fn satisfied_by(&self, pt: &EvaluatedPoint) -> bool {
         self.violations(pt).is_empty()

@@ -141,11 +141,6 @@ pub struct Allocation {
 }
 
 impl Allocation {
-    /// Whether every application met every requirement.
-    pub fn fully_feasible(&self) -> bool {
-        self.unplaced.is_empty() && self.dnns.iter().all(|d| d.violations.is_empty())
-    }
-
     /// Finds a DNN allocation by application name.
     pub fn dnn(&self, name: &str) -> Option<&DnnAllocation> {
         self.dnns.iter().find(|d| d.app == name)
@@ -747,6 +742,11 @@ mod tests {
     use eml_platform::presets;
     use eml_platform::units::TimeSpan;
 
+    /// Whether every application met every requirement.
+    fn fully_feasible(a: &Allocation) -> bool {
+        a.unplaced.is_empty() && a.dnns.iter().all(|d| d.violations.is_empty())
+    }
+
     fn dnn(name: &str, scale: f64, latency_ms: f64, priority: u8) -> AppSpec {
         let base = DnnProfile::reference(name);
         let profile = if (scale - 1.0).abs() < 1e-12 {
@@ -794,7 +794,7 @@ mod tests {
         let soc = presets::flagship();
         let rtm = Rtm::new(RtmConfig::default());
         let alloc = rtm.allocate(&soc, &[dnn("dnn1", 1.0, 11.0, 1)]).unwrap();
-        assert!(alloc.fully_feasible(), "{alloc}");
+        assert!(fully_feasible(&alloc), "{alloc}");
         assert_eq!(alloc.dnn("dnn1").unwrap().cluster_name, "npu");
         assert_eq!(alloc.dnn("dnn1").unwrap().point.op.level.index(), 3);
     }
@@ -808,7 +808,7 @@ mod tests {
         let rtm = Rtm::new(RtmConfig::default());
         let apps = [dnn("dnn1", 1.0, 11.0, 1), dnn("dnn2", 4.0, 16.7, 2)];
         let alloc = rtm.allocate(&soc, &apps).unwrap();
-        assert!(alloc.fully_feasible(), "{alloc}");
+        assert!(fully_feasible(&alloc), "{alloc}");
         let d2 = alloc.dnn("dnn2").unwrap();
         assert_eq!(d2.cluster_name, "npu");
         assert_eq!(d2.sharers, 1, "NPU must stay exclusive: {alloc}");
@@ -901,7 +901,7 @@ mod tests {
             "dnn1 recovers accuracy: {alloc}"
         );
         assert_eq!(d1.sharers, 2, "{alloc}");
-        assert!(alloc.fully_feasible(), "{alloc}");
+        assert!(fully_feasible(&alloc), "{alloc}");
     }
 
     #[test]
@@ -928,7 +928,7 @@ mod tests {
         })];
         let alloc = rtm.allocate(&soc, &apps).unwrap();
         assert_eq!(alloc.unplaced, vec!["npu-only".to_string()]);
-        assert!(!alloc.fully_feasible());
+        assert!(!fully_feasible(&alloc));
     }
 
     #[test]
@@ -1034,6 +1034,6 @@ mod tests {
         // actually feasible and efficient here, so just assert feasibility
         // and that a CPU point would also have been valid.
         let alloc = rtm.allocate(&soc, &[AppSpec::Dnn(app)]).unwrap();
-        assert!(alloc.fully_feasible(), "{alloc}");
+        assert!(fully_feasible(&alloc), "{alloc}");
     }
 }

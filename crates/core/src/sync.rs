@@ -88,7 +88,7 @@ mod held {
     /// Checks the order and records the acquisition. Called *before*
     /// blocking on the OS mutex, so a violation panics instead of
     /// deadlocking.
-    pub fn acquire(rank: u32, name: &'static str) {
+    pub(super) fn acquire(rank: u32, name: &'static str) {
         HELD.with(|h| {
             let mut h = h.borrow_mut();
             if let Some(&(top, top_name)) = h.last() {
@@ -106,7 +106,7 @@ mod held {
     /// Releases the most recent acquisition of `rank`. Guards may drop
     /// out of order (that is legal and deadlock-free), so this removes
     /// the last matching entry rather than asserting a stack pop.
-    pub fn release(rank: u32) {
+    pub(super) fn release(rank: u32) {
         HELD.with(|h| {
             let mut h = h.borrow_mut();
             if let Some(at) = h.iter().rposition(|&(r, _)| r == rank) {

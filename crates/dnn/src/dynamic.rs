@@ -97,7 +97,8 @@ impl DynamicDnn {
     }
 
     /// Number of precision switches performed so far.
-    pub fn precision_switch_count(&self) -> usize {
+    #[cfg(test)]
+    fn precision_switch_count(&self) -> usize {
         self.precision_switches
     }
 
@@ -205,14 +206,6 @@ impl DynamicDnn {
         }
         Ok(total / n as f64)
     }
-
-    /// Expected top-1 accuracy (percent) at the current level, from the
-    /// profile.
-    pub fn expected_top1(&self) -> f64 {
-        self.profile
-            .top1(self.level)
-            .expect("current level always exists in profile")
-    }
 }
 
 #[cfg(test)]
@@ -236,7 +229,7 @@ mod tests {
         assert_eq!(d.level(), WidthLevel(3));
         assert_eq!(d.network().active_groups(), 4);
         assert_eq!(d.switch_count(), 0);
-        assert!((d.expected_top1() - 70.0).abs() < 1e-9);
+        assert!((d.profile().top1(d.level()).unwrap() - 70.0).abs() < 1e-9);
     }
 
     #[test]

@@ -28,6 +28,9 @@ pub struct SourceFile {
     pub tokens: Vec<Token>,
     /// Inclusive line ranges covered by `#[cfg(test)]` items.
     pub test_ranges: Vec<(u32, u32)>,
+    /// The tokens of the doctests in its `///` and `//!` comments
+    /// (fenced blocks rustdoc compiles), which `tokens` cannot see.
+    pub doc_tokens: Vec<Token>,
 }
 
 impl SourceFile {
@@ -41,6 +44,7 @@ impl SourceFile {
             lines: src.lines().map(str::to_string).collect(),
             tokens,
             test_ranges,
+            doc_tokens: doctest_tokens(src),
         }
     }
 
@@ -52,7 +56,7 @@ impl SourceFile {
     }
 
     /// The raw text of a 1-based line (empty if out of range).
-    pub fn line_text(&self, line: u32) -> &str {
+    fn line_text(&self, line: u32) -> &str {
         self.lines
             .get(line.saturating_sub(1) as usize)
             .map_or("", String::as_str)
@@ -181,16 +185,12 @@ impl Engine {
         });
         out
     }
-
-    /// The allowlist, for `--explain-allow`.
-    pub fn allowlist(&self) -> &[AllowEntry] {
-        &self.allow
-    }
 }
 
 /// Recursively collects and lexes every `.rs` file under `root`,
-/// skipping build output, VCS metadata and the lint fixtures (which are
-/// violations on purpose).
+/// skipping build output (`target`, and hidden directories such as the
+/// benchmark's `.bench_build` and `.git`) and the lint fixtures (which
+/// are violations on purpose).
 ///
 /// # Errors
 ///
@@ -209,7 +209,7 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<SourceFile>) -> io::Result<()> {
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if name == "target" || name == ".git" || name == "fixtures" {
+            if name == "target" || name.starts_with('.') || name == "fixtures" {
                 continue;
             }
             walk(root, &path, out)?;
@@ -224,6 +224,42 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<SourceFile>) -> io::Result<()> {
         }
     }
     Ok(())
+}
+
+/// Lexes the code of every doctest in `src`: the lines of a fenced
+/// block in `///` or `//!` comments whose info string rustdoc compiles
+/// (empty, `rust`, `no_run`, `should_panic`), each token carrying its
+/// real line.
+fn doctest_tokens(src: &str) -> Vec<Token> {
+    let mut out = Vec::new();
+    // Inside a fenced block: whether rustdoc compiles it.
+    let mut fence: Option<bool> = None;
+    for (n, line) in src.lines().enumerate() {
+        let trimmed = line.trim_start();
+        let Some(doc) = trimmed
+            .strip_prefix("///")
+            .or_else(|| trimmed.strip_prefix("//!"))
+        else {
+            continue;
+        };
+        let doc = doc.trim_start();
+        if let Some(info) = doc.strip_prefix("```") {
+            fence = match fence {
+                Some(_) => None,
+                None => Some(
+                    info.split(',')
+                        .all(|a| matches!(a.trim(), "" | "rust" | "no_run" | "should_panic")),
+                ),
+            };
+        } else if fence == Some(true) {
+            let code = doc.strip_prefix('#').unwrap_or(doc);
+            out.extend(lexer::lex(code).into_iter().map(|mut t| {
+                t.line = n as u32 + 1;
+                t
+            }));
+        }
+    }
+    out
 }
 
 /// Finds the line ranges of items gated by `#[cfg(test)]`: after the
@@ -333,6 +369,32 @@ mod tests {
         let f = SourceFile::from_source("x.rs", src);
         assert!(f.is_test_line(2));
         assert!(!f.is_test_line(3));
+    }
+
+    #[test]
+    fn doctest_code_is_lexed_but_other_blocks_are_not() {
+        let src = "/// ```\n/// # use a::Hidden;\n/// let v = Shown::new();\n/// ```\n\
+                   //! ```text\n//! Diagram\n//! ```\nfn f() {}\n";
+        let f = SourceFile::from_source("x.rs", src);
+        let names: Vec<(&str, u32)> = f
+            .doc_tokens
+            .iter()
+            .filter(|t| t.kind == TokenKind::Ident)
+            .map(|t| (t.text.as_str(), t.line))
+            .collect();
+        assert_eq!(
+            names,
+            vec![
+                ("use", 2),
+                ("a", 2),
+                ("Hidden", 2),
+                ("let", 3),
+                ("v", 3),
+                ("Shown", 3),
+                ("new", 3)
+            ]
+        );
+        assert!(!f.tokens.iter().any(|t| t.is_ident("Shown")));
     }
 
     #[test]

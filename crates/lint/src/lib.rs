@@ -4,8 +4,8 @@
 //! A handful of invariants in this repo are load-bearing but invisible
 //! to `rustc` and `clippy` because they are *policies of this codebase*,
 //! not properties of the language: where `unsafe` may live, which
-//! modules may read the wall clock, where panics are banned, and the
-//! append-only wire-code space.
+//! modules may read the wall clock, where panics are banned, the
+//! append-only wire-code space, and that public surface is reachable.
 //! Until now they lived in doc comments and review vigilance. This
 //! crate turns each one into a build-failing check:
 //!
@@ -16,12 +16,13 @@
 //! | `panic-hygiene`      | no `.unwrap()`/`.expect`/`panic!` in serving code|
 //! | `wire-codes`         | status codes match the committed manifest        |
 //! | `deprecated-free`    | no deprecation shims in product code             |
+//! | `unreachable-pub`    | every `pub` item is named in some other file     |
 //!
 //! Run it as `cargo run -p eml-lint -- --check`. Rules analyse a token
 //! stream from the in-tree lexer ([`lexer`]) — no `syn`, because the
 //! build environment is offline and the policy is no new dependencies.
 //! Sanctioned violations live in the allowlist built by
-//! [`workspace_rules`]; each entry carries a justification, and entries
+//! [`workspace_allowlist`]; each entry carries a justification, and entries
 //! that no longer match anything fail the run (see [`engine`]).
 //!
 //! Lock order is not among them: it is enforced dynamically, for every
@@ -37,11 +38,12 @@ use std::path::Path;
 
 use engine::{AllowEntry, Diagnostic, Engine, Rule};
 use rules::{
-    parse_manifest, DeprecatedFree, PanicHygiene, UnsafeConfinement, WallClock, WireCodes,
+    parse_manifest, DeprecatedFree, PanicHygiene, UnreachablePub, UnsafeConfinement, WallClock,
+    WireCodes,
 };
 
 /// Relative path of the wire-code manifest within the workspace.
-pub const MANIFEST_PATH: &str = "crates/lint/wire_codes.toml";
+const MANIFEST_PATH: &str = "crates/lint/wire_codes.toml";
 
 /// The production rule set, with the manifest loaded from `root`.
 ///
@@ -49,7 +51,7 @@ pub const MANIFEST_PATH: &str = "crates/lint/wire_codes.toml";
 ///
 /// Fails if the wire-code manifest cannot be read — a missing manifest
 /// must fail the run, otherwise deleting it would disable the rule.
-pub fn workspace_rules(root: &Path) -> io::Result<Vec<Box<dyn Rule>>> {
+fn workspace_rules(root: &Path) -> io::Result<Vec<Box<dyn Rule>>> {
     let manifest_text = std::fs::read_to_string(root.join(MANIFEST_PATH))?;
     Ok(vec![
         Box::new(UnsafeConfinement),
@@ -62,13 +64,14 @@ pub fn workspace_rules(root: &Path) -> io::Result<Vec<Box<dyn Rule>>> {
             manifest_path: MANIFEST_PATH.to_string(),
         }),
         Box::new(DeprecatedFree),
+        Box::new(UnreachablePub),
     ])
 }
 
 /// The sanctioned violations, each with its one-line justification.
 /// Keep this list short: every entry is a hole in an invariant.
 pub fn workspace_allowlist() -> Vec<AllowEntry> {
-    vec![
+    let mut allow = vec![
         // panic-hygiene: deliberate fault injection — the chaos tests
         // exist to kill serving threads on purpose.
         AllowEntry {
@@ -161,7 +164,36 @@ pub fn workspace_allowlist() -> Vec<AllowEntry> {
             contains: "",
             why: "test scaffolding; setup failures should abort the test loudly",
         },
-    ]
+    ];
+    // unreachable-pub: what still reaches each item. The "deferred
+    // cut" entries are dead in the product: only the named unit test
+    // calls them, and they go together with that test.
+    let unreachable_pub: [(&'static str, &'static str, &'static str); 15] = [
+        ("crates/platform/src/units.rs", "pub const fn from_base(", "every quantity's macro-generated base constructor; its doctests are `#[doc]` strings the lexer cannot read"),
+        ("crates/dnn/src/level.rs", "pub enum FourLevel", "deferred cut: only `level_round_trips` and `fractions_ascend` name it"),
+        ("crates/dnn/src/level.rs", "pub const ALL: [FourLevel; 4]", "deferred cut: goes with `FourLevel`"),
+        ("crates/dnn/src/level.rs", "pub fn from_level(", "deferred cut: goes with `FourLevel`"),
+        ("crates/nn/src/metrics.rs", "pub fn mean_confidence(", "deferred cut: only `confidence_in_unit_interval` calls it"),
+        ("crates/nn/src/pool.rs", "pub struct GlobalAvgPool", "deferred cut: no architecture builds it; only `gap_forward_and_backward` does"),
+        ("crates/nn/src/tensor.rs", "pub fn map_inplace(", "deferred cut: only `map_inplace_mutates` calls it"),
+        ("crates/platform/src/latency.rs", "pub fn with_parallel_alpha(", "deferred cut: only `alpha_bounds_validated` calls it"),
+        ("crates/platform/src/latency.rs", "pub fn throughput(", "deferred cut: only `throughput_is_inverse_latency` calls it"),
+        ("crates/platform/src/opp.rs", "pub fn ceil_index(", "deferred cut: only `ceil_and_floor_index` calls it"),
+        ("crates/platform/src/opp.rs", "pub fn floor_index(", "deferred cut: only `ceil_and_floor_index` calls it"),
+        ("crates/platform/src/soc.rs", "pub fn find_kind(", "deferred cut: only `lookup_by_name_and_kind` calls it"),
+        ("crates/platform/src/thermal.rs", "pub fn cluster_temp(", "deferred cut: only `cluster_temp_adds_local_self_heating` calls it"),
+        ("crates/platform/src/thermal.rs", "pub fn over_limit(", "deferred cut: only the thermal unit tests call it"),
+        ("crates/sim/src/trace.rs", "pub fn to_csv(", "deferred cut: only `csv_has_header_and_rows` and `csv_export_contains_all_phases` call it"),
+    ];
+    allow.extend(
+        unreachable_pub.map(|(path_suffix, contains, why)| AllowEntry {
+            rule: "unreachable-pub",
+            path_suffix,
+            contains,
+            why,
+        }),
+    );
+    allow
 }
 
 /// Collects sources under `root`, runs the production rules and

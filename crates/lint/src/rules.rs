@@ -2,10 +2,10 @@
 //! in `docs/INVARIANTS.md`; the rule id printed in a diagnostic is the
 //! anchor to look up there.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::engine::{ident_at, int_at, punct_at, Diagnostic, Rule, SourceFile};
-use crate::lexer::TokenKind;
+use crate::lexer::{Token, TokenKind};
 
 /// `unsafe-confinement`: the `unsafe` keyword may appear only in
 /// `crates/simd` (the SIMD micro-kernels, which are the point of the
@@ -366,6 +366,227 @@ pub fn parse_manifest(text: &str) -> BTreeMap<String, BTreeMap<String, i64>> {
         }
     }
     out
+}
+
+/// `unreachable-pub`: a `pub` item of a product crate (`src/`,
+/// `crates/*/src/`) must be named, outside `#[cfg(test)]` regions, in
+/// some *other* file — another module or crate, `tests/`, `examples/`,
+/// the figure benches, the instrument (`benchmark/src`), a doctest — or
+/// appear in the signature of a reached `pub` item or in a `pub` field
+/// of its own file (a type a reached function returns is reached
+/// through it). Anything else is dead or needlessly public, and the
+/// compiler says nothing about either once it is `pub`.
+///
+/// The check is lexical (no name resolution): a name counts wherever
+/// it appears as an identifier, except inside a `pub use` re-export
+/// (which reaches nothing by itself), at an item's own definition
+/// site, or in `vendor/`. So a common method name (`new`, `len`)
+/// passes trivially; the rule is a floor, not a proof of reachability.
+pub struct UnreachablePub;
+
+/// Keywords whose next identifier is the name being defined.
+const DEFINING: [&str; 9] = [
+    "fn", "struct", "enum", "trait", "type", "const", "static", "mod", "union",
+];
+
+impl Rule for UnreachablePub {
+    fn id(&self) -> &'static str {
+        "unreachable-pub"
+    }
+
+    fn check_file(&self, _: &SourceFile, _: &mut Vec<Diagnostic>) {}
+
+    fn check_tree(&self, files: &[SourceFile], out: &mut Vec<Diagnostic>) {
+        // Name → the first file that uses it, and whether another does.
+        // A doctest compiles as a crate of its own, so its names reach
+        // from outside every file (index `usize::MAX`).
+        let mut uses: BTreeMap<&str, (usize, bool)> = BTreeMap::new();
+        for (idx, file) in files.iter().enumerate() {
+            if file.path.starts_with("vendor/") {
+                continue;
+            }
+            let docs = &file.doc_tokens;
+            let doctests = (0..docs.len())
+                .filter(|&i| is_use_site(docs, i))
+                .map(|i| (docs[i].text.as_str(), usize::MAX));
+            for (name, from) in used_names(file).map(|n| (n, idx)).chain(doctests) {
+                uses.entry(name)
+                    .and_modify(|(first, many)| *many |= *first != from)
+                    .or_insert((from, false));
+            }
+        }
+        for (idx, file) in files.iter().enumerate() {
+            let product = file.path.starts_with("src/")
+                || (file.path.starts_with("crates/") && file.path.contains("/src/"));
+            if !product {
+                continue;
+            }
+            let toks = &file.tokens;
+            let mut exposed: BTreeSet<&str> = BTreeSet::new();
+            // (at, kind, name index) of each `pub` item; fields only
+            // expose the types they name.
+            let mut items = Vec::new();
+            for i in 0..toks.len() {
+                if !toks[i].is_ident("pub") || file.is_test_line(toks[i].line) {
+                    continue;
+                }
+                match pub_item(toks, i) {
+                    Some((kind, name_at)) => items.push((i, kind, name_at)),
+                    None => exposed.extend(signature_names(toks, i)),
+                }
+            }
+            // An item is reached from another file, or through the
+            // signature of a reached item of its own file: iterate to
+            // the fixpoint so a type only its own unreached methods
+            // name stays unreached.
+            let mut reached: Vec<bool> = items
+                .iter()
+                .map(|&(_, _, name_at)| {
+                    uses.get(toks[name_at].text.as_str())
+                        .is_some_and(|&(first, many)| many || first != idx)
+                })
+                .collect();
+            let mut grew = true;
+            while grew {
+                for (&(i, _, _), _) in items.iter().zip(&reached).filter(|(_, &r)| r) {
+                    exposed.extend(signature_names(toks, i));
+                }
+                grew = false;
+                for (&(_, _, name_at), r) in items.iter().zip(reached.iter_mut()) {
+                    if !*r && exposed.contains(toks[name_at].text.as_str()) {
+                        *r = true;
+                        grew = true;
+                    }
+                }
+            }
+            for (&(i, kind, name_at), _) in items.iter().zip(&reached).filter(|(_, &r)| !r) {
+                let name = &toks[name_at].text;
+                let lines = item_end(toks, name_at) - toks[i].line + 1;
+                out.push(Diagnostic {
+                    rule: self.id(),
+                    path: file.path.clone(),
+                    line: toks[i].line,
+                    message: format!(
+                        "`pub {kind} {name}` ({lines} lines) is named in no other file \
+                         outside #[cfg(test)] and in no public signature of its own; \
+                         delete it, make it private, or allowlist it with a justification"
+                    ),
+                });
+            }
+        }
+    }
+}
+
+/// Whether `toks[i]` is an identifier that names something rather than
+/// introducing a definition (`fn name`, `struct Name`, …).
+fn is_use_site(toks: &[Token], i: usize) -> bool {
+    toks[i].kind == TokenKind::Ident && !(i > 0 && DEFINING.iter().any(|k| toks[i - 1].is_ident(k)))
+}
+
+/// The identifiers `file` uses, outside its test regions and its
+/// `pub use` re-exports.
+fn used_names(file: &SourceFile) -> impl Iterator<Item = &str> {
+    let toks = &file.tokens;
+    let mut in_reexport = false;
+    (0..toks.len()).filter_map(move |i| {
+        let t = &toks[i];
+        if in_reexport {
+            in_reexport = !t.is_punct(';');
+            return None;
+        }
+        if file.is_test_line(t.line) || !is_use_site(toks, i) {
+            return None;
+        }
+        if t.text == "use" && i > 0 && (toks[i - 1].is_ident("pub") || toks[i - 1].is_punct(')')) {
+            in_reexport = true;
+            return None;
+        }
+        Some(t.text.as_str())
+    })
+}
+
+/// The names in the signature of the `pub` item or field at `toks[i]`:
+/// everything up to its body, its terminating `;`, or (for a field) the
+/// `,` or `}` that ends it. An enum's body is all signature: every
+/// variant is as public as the enum. A `pub use` has no signature.
+fn signature_names(toks: &[Token], i: usize) -> Vec<&str> {
+    let mut names = Vec::new();
+    if ident_at(toks, i + 1, "use") {
+        return names;
+    }
+    let mut depth = 0i32;
+    // Braces are entered (not a stop) only inside an enum's body.
+    let mut enum_braces = if ident_at(toks, i + 1, "enum") { 0 } else { -1 };
+    for j in i + 1..toks.len() {
+        let t = &toks[j];
+        if t.kind == TokenKind::Punct {
+            match t.text.as_str() {
+                "(" | "[" | "<" => depth += 1,
+                ">" if punct_at(toks, j.wrapping_sub(1), '-') => {}
+                ")" | "]" | ">" => depth -= 1,
+                "{" if enum_braces >= 0 => enum_braces += 1,
+                "}" if enum_braces > 0 => {
+                    enum_braces -= 1;
+                    if enum_braces == 0 {
+                        break;
+                    }
+                }
+                "{" | ";" | "," | "}" if depth <= 0 && enum_braces <= 0 => break,
+                _ => {}
+            }
+        } else if is_use_site(toks, j) {
+            names.push(t.text.as_str());
+        }
+    }
+    names
+}
+
+/// If `toks[i]` (a `pub`) opens an item, its kind and the index of its
+/// name. `pub(crate)`-style visibilities, `pub use` and struct fields
+/// are not items here.
+fn pub_item(toks: &[Token], i: usize) -> Option<(&'static str, usize)> {
+    // Step over the qualifiers of `const fn`, `unsafe fn`, `async fn`.
+    let mut j = i + 1;
+    while ["const", "unsafe", "async"]
+        .iter()
+        .any(|q| ident_at(toks, j, q))
+        && ["fn", "unsafe", "async"]
+            .iter()
+            .any(|k| ident_at(toks, j + 1, k))
+    {
+        j += 1;
+    }
+    let kind = DEFINING.iter().find(|k| ident_at(toks, j, k))?;
+    let name_at = j + 1 + usize::from(ident_at(toks, j + 1, "mut"));
+    toks.get(name_at)
+        .filter(|n| n.kind == TokenKind::Ident)
+        .map(|_| (*kind, name_at))
+}
+
+/// The last line of the item whose name is at `toks[from]`: its first
+/// `;` outside brackets, or the `}` matching its first `{`.
+fn item_end(toks: &[Token], from: usize) -> u32 {
+    let mut depth = 0i32;
+    let mut braces = 0u32;
+    for t in &toks[from..] {
+        if t.kind != TokenKind::Punct {
+            continue;
+        }
+        match t.text.as_str() {
+            "(" | "[" => depth += 1,
+            ")" | "]" => depth -= 1,
+            ";" if depth == 0 && braces == 0 => return t.line,
+            "{" => braces += 1,
+            "}" if braces > 0 => {
+                braces -= 1;
+                if braces == 0 {
+                    return t.line;
+                }
+            }
+            _ => {}
+        }
+    }
+    toks.last().map_or(0, |t| t.line)
 }
 
 /// `deprecated-free`: the workspace carries no `#[deprecated]` items

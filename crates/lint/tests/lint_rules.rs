@@ -5,7 +5,8 @@
 
 use eml_lint::engine::{Diagnostic, Engine, Rule, SourceFile};
 use eml_lint::rules::{
-    parse_manifest, DeprecatedFree, PanicHygiene, UnsafeConfinement, WallClock, WireCodes,
+    parse_manifest, DeprecatedFree, PanicHygiene, UnreachablePub, UnsafeConfinement, WallClock,
+    WireCodes,
 };
 
 fn run_rule(rule: Box<dyn Rule>, files: &[SourceFile]) -> Vec<Diagnostic> {
@@ -135,6 +136,40 @@ fn deprecated_free_flags_the_attribute() {
     assert_eq!(diags.len(), 1, "{diags:?}");
     assert_eq!(diags[0].rule, "deprecated-free");
     assert_eq!(diags[0].line, 3);
+}
+
+#[test]
+fn unreachable_pub_flags_items_no_other_file_names() {
+    let files = vec![
+        SourceFile::from_source(
+            "crates/x/src/lib.rs",
+            include_str!("fixtures/unreachable_pub.rs"),
+        ),
+        SourceFile::from_source(
+            "crates/y/src/user.rs",
+            include_str!("fixtures/unreachable_pub_user.rs"),
+        ),
+    ];
+    let diags = run_rule(Box::new(UnreachablePub), &files);
+    let flagged: Vec<(u32, &str)> = diags
+        .iter()
+        .map(|d| (d.line, d.message.split('`').nth(1).unwrap_or("")))
+        .collect();
+    // A re-export, a test-only use, a same-named definition elsewhere
+    // and a `text` block reach nothing; a type only its own unreached
+    // method returns stays unreached; a type a reached function
+    // returns, or a doctest names, is reached.
+    assert_eq!(
+        flagged,
+        vec![
+            (5, "pub enum Unreached"),
+            (17, "pub struct SelfNamed"),
+            (20, "pub fn same"),
+            (37, "pub struct TextOnly"),
+        ],
+        "{diags:?}"
+    );
+    assert!(diags.iter().all(|d| d.path == "crates/x/src/lib.rs"));
 }
 
 #[test]

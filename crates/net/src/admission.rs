@@ -203,8 +203,8 @@ impl Admission {
     }
 
     /// Records evicted from the bounded registry since construction.
-    #[must_use]
-    pub fn evictions(&self) -> u64 {
+    #[cfg(test)]
+    fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
     }
 
@@ -315,8 +315,8 @@ impl Admission {
 
     /// Whether `key` is banned at `now` (no state created for unknown
     /// keys).
-    #[must_use]
-    pub fn is_banned(&self, key: &str, now: Instant) -> bool {
+    #[cfg(test)]
+    fn is_banned(&self, key: &str, now: Instant) -> bool {
         self.lock()
             .get(key)
             .and_then(|r| r.banned_until)

@@ -250,12 +250,6 @@ impl Conv2d {
         self.packed_w8 = None;
     }
 
-    /// The int8 input-activation observer (range seen so far, frozen
-    /// state); see [`ActObserver`].
-    pub fn act_observer(&self) -> ActObserver {
-        self.act_obs
-    }
-
     /// The currently selected data precision (see
     /// [`Layer::set_precision`]).
     pub fn precision(&self) -> Precision {
@@ -1591,7 +1585,7 @@ mod tests {
         let xf = Tensor::random(&[10, 8, 14, 14], &mut rng());
         let _ = c.forward(&xf, false).unwrap();
         c.freeze_act_scale(true);
-        let mut qx = QTensor::zeros(xf.shape(), c.act_observer().scale_for(0.0));
+        let mut qx = QTensor::zeros(xf.shape(), c.act_obs.scale_for(0.0));
         let inv = 1.0 / qx.scale();
         crate::quant::quantize_slice_i16(xf.data(), inv, qx.data_mut());
         for (input, what) in [
@@ -1650,18 +1644,18 @@ mod tests {
     fn act_observer_records_and_freezes() {
         let mut c = Conv2d::new("c", dense_cfg(), &mut rng()).unwrap();
         c.set_precision(Precision::Int8);
-        assert_eq!(c.act_observer().max_abs(), 0.0);
+        assert_eq!(c.act_obs.max_abs(), 0.0);
         let _ = c.forward(&Tensor::full(&[1, 3, 8, 8], 0.5), false).unwrap();
-        assert_eq!(c.act_observer().max_abs(), 0.5);
+        assert_eq!(c.act_obs.max_abs(), 0.5);
         let _ = c
             .forward(&Tensor::full(&[1, 3, 8, 8], -2.0), false)
             .unwrap();
-        assert_eq!(c.act_observer().max_abs(), 2.0);
+        assert_eq!(c.act_obs.max_abs(), 2.0);
         // Freeze at the observed range; a 4x larger input now saturates
         // at ±127 of the frozen scale, so the output equals that of an
         // input clamped to the frozen range.
         c.freeze_act_scale(true);
-        assert!(c.act_observer().is_frozen());
+        assert!(c.act_obs.is_frozen());
         let y_big = c.forward(&Tensor::full(&[1, 3, 8, 8], 8.0), false).unwrap();
         let y_clamped = c.forward(&Tensor::full(&[1, 3, 8, 8], 2.0), false).unwrap();
         assert_eq!(y_big.data(), y_clamped.data(), "beyond-range saturates");

@@ -16,7 +16,6 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::error::Result;
 use crate::tensor::Tensor;
 
 /// Configuration of the synthetic dataset generator.
@@ -235,9 +234,6 @@ pub fn make_batch(samples: &[Sample], indices: &[usize]) -> (Tensor, Vec<usize>)
     let tensor = Tensor::from_vec(&batch_shape, data).expect("shapes are uniform");
     (tensor, labels)
 }
-
-/// Result alias re-export for doc examples.
-pub type DatasetResult<T> = Result<T>;
 
 #[cfg(test)]
 mod tests {

@@ -71,8 +71,8 @@ use std::cell::RefCell;
 pub mod int8;
 
 pub use int8::{
-    gemm_i8, gemm_i8_q, pack_a8_i16, pack_a8_quantized, packed_a8_len, packed_b8_len,
-    requantize_i8, PackedA8, PackedA8Ref, PackedB8, PackedB8Ref, QEpilogue, QEpilogueI8,
+    gemm_i8, gemm_i8_q, pack_a8_i16, pack_a8_quantized, packed_a8_len, packed_b8_len, PackedA8,
+    PackedA8Ref, PackedB8, PackedB8Ref, QEpilogue, QEpilogueI8,
 };
 
 /// Register tile height (rows of C per micro-kernel call).
@@ -80,7 +80,7 @@ pub const MR: usize = 4;
 /// Register tile width (columns of C per micro-kernel call).
 pub const NR: usize = 16;
 /// Rows of A packed per block.
-pub const MC: usize = 64;
+const MC: usize = 64;
 /// Depth (K) packed per block.
 pub const KC: usize = 256;
 

@@ -51,13 +51,13 @@
 //! int8 grid (`scale = in_scale·w_scale/out_scale`, bias pre-divided
 //! by the output scale, optional ReLU a free `max(0)` before the
 //! round), so chained layers never materialise an `f32` activation;
-//! [`requantize_i8`] is the scalar form of that write-back.
+//! the test-only `requantize_i8` is the scalar form of that write-back.
 //!
 //! # Overflow guard
 //!
 //! Each i8-grid product is at most `127² = 16129`, so a same-sign
 //! reduction over `k` terms stays inside `i32` iff
-//! `k ≤ i32::MAX / 16129 =`[`MAX_K_I8`]. [`gemm_i8`] asserts this —
+//! `k ≤ i32::MAX / 16129 = MAX_K_I8`. [`gemm_i8`] asserts this —
 //! the layers are orders of magnitude below it, but the guard turns a
 //! silent wrap into a loud panic if someone feeds the kernel a
 //! pathological shape.
@@ -74,10 +74,10 @@ const _: () = assert!(MR == eml_simd::MR8 && NR == eml_simd::NR8);
 /// Depth (K) packed per K-slice of the int8 kernel (see module docs).
 pub const KC8: usize = 1024;
 /// Rows of A per macro block (same as the `f32` kernel's `MC`).
-pub const MC8: usize = 64;
+const MC8: usize = 64;
 /// Largest `k` the kernel accepts: beyond this a same-sign i8-grid
 /// reduction could wrap the `i32` accumulator (`i32::MAX / 127²`).
-pub const MAX_K_I8: usize = (i32::MAX / (127 * 127)) as usize;
+const MAX_K_I8: usize = (i32::MAX / (127 * 127)) as usize;
 
 /// Depth padded to whole k-pairs (the layout stores two k-steps
 /// adjacently, so odd depths carry one zero k-step).
@@ -489,7 +489,7 @@ impl<'a> QEpilogueI8<'a> {
     }
 
     /// Additionally clamps at zero (ReLU) after the bias add, before
-    /// the round — exactly [`requantize_i8`]'s order.
+    /// the round — exactly `requantize_i8`'s order.
     pub fn with_relu(mut self) -> Self {
         self.relu = true;
         self
@@ -558,7 +558,8 @@ impl QWriteback for QEpilogueI8<'_> {
 /// Rounds ties to even — the same branchless magic-bias core as the
 /// input quantisers and the fused epilogue, so no call site can
 /// diverge in rounding policy.
-pub fn requantize_i8(acc: i32, scale: f32, bias: f32, relu: bool) -> i8 {
+#[cfg(test)]
+fn requantize_i8(acc: i32, scale: f32, bias: f32, relu: bool) -> i8 {
     let mut v = acc as f32 * scale + bias;
     if relu {
         v = v.max(0.0);
@@ -587,7 +588,7 @@ thread_local! {
 ///
 /// # Panics
 ///
-/// Panics if `k > `[`MAX_K_I8`] (the `i32` overflow guard);
+/// Panics if `k > MAX_K_I8` (the `i32` overflow guard);
 /// debug-asserts operand dimensions.
 #[allow(clippy::too_many_arguments)] // GEMM is inherently (m, n, k, A, B, C)-shaped
 pub fn gemm_i8(

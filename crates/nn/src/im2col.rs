@@ -74,7 +74,7 @@ impl ConvGeom {
     }
 
     /// Required `col` buffer length.
-    pub fn col_len(&self) -> usize {
+    fn col_len(&self) -> usize {
         self.rows() * self.cols()
     }
 
@@ -102,7 +102,7 @@ impl ConvGeom {
     }
 }
 
-/// Fills `col` (length [`ConvGeom::col_len`]) from one sample's input
+/// Fills `col` (length `rows · cols` of the [`ConvGeom`]) from one sample's input
 /// plane `x` (`≥ (ch_base + channels)·h·w` elements).
 pub fn im2col(x: &[f32], g: &ConvGeom, col: &mut [f32]) {
     let (k, s, ow) = (g.k, g.stride, g.ow);
@@ -394,7 +394,7 @@ thread_local! {
 ///
 /// Runs in two passes over a reusable thread-local buffer — a plain
 /// contiguous [`im2col`] (`memcpy` spans) followed by a vectorisable
-/// pair-interleave pack ([`pack_b8_rows`]). Measured ~2× faster than
+/// pair-interleave pack (`pack_b8_rows`). Measured ~2× faster than
 /// the previous single-pass form, whose lane-strided writes (every
 /// other `i16`) compiled to one-element scatter stores and dominated
 /// the whole batch-1 quantised forward at small widths.

@@ -136,12 +136,6 @@ impl Linear {
         self.packed_fwd8 = None;
     }
 
-    /// The int8 input-activation observer (range seen so far, frozen
-    /// state); see [`ActObserver`].
-    pub fn act_observer(&self) -> ActObserver {
-        self.act_obs
-    }
-
     /// The currently selected data precision (see
     /// [`Layer::set_precision`]).
     pub fn precision(&self) -> Precision {

@@ -23,7 +23,7 @@ pub struct Evaluation {
 impl Evaluation {
     /// Population variance of the per-class accuracies — the error bar of
     /// the paper's Fig 4(b).
-    pub fn class_variance(&self) -> f64 {
+    fn class_variance(&self) -> f64 {
         if self.per_class.is_empty() {
             return 0.0;
         }

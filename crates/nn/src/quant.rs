@@ -134,8 +134,8 @@ pub(crate) fn round_clamp_i8w(v: f32) -> i16 {
 }
 
 /// [`round_clamp_i8w`] in `i8` storage, for the scalar requantisation
-/// primitive [`crate::gemm::int8::requantize_i8`].
-#[inline]
+/// primitive `requantize_i8` (the fused epilogue's test oracle).
+#[cfg(test)]
 pub(crate) fn round_clamp_i8(v: f32) -> i8 {
     quantize_grid(v, 1.0) as i8
 }
@@ -520,21 +520,6 @@ pub(crate) fn count_dequantise_pass() {
     });
 }
 
-/// Number of positive quantization levels of a `bits`-bit symmetric grid
-/// (`2^(bits−1) − 1`, e.g. 127 for int8).
-///
-/// # Errors
-///
-/// Same bit-width conditions as [`quantize_network`].
-pub fn quantized_bits_grid(bits: u32) -> Result<usize> {
-    if !(2..=32).contains(&bits) {
-        return Err(NnError::InvalidConfig {
-            reason: format!("weight precision must be 2..=32 bits, got {bits}"),
-        });
-    }
-    Ok(((1u64 << (bits - 1)) - 1) as usize)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -712,8 +697,6 @@ mod tests {
         assert!(quantize_network(&mut net, 1).is_err());
         assert!(quantize_network(&mut net, 33).is_err());
         assert!(quantize_network(&mut net, 8).is_ok());
-        assert!(quantized_bits_grid(1).is_err());
-        assert_eq!(quantized_bits_grid(8).unwrap(), 127);
     }
 
     #[test]

@@ -131,7 +131,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if the index rank or any component is out of range.
-    pub fn offset(&self, index: &[usize]) -> usize {
+    fn offset(&self, index: &[usize]) -> usize {
         assert_eq!(
             index.len(),
             self.shape.len(),
@@ -154,7 +154,7 @@ impl Tensor {
     ///
     /// # Panics
     ///
-    /// Panics on out-of-range indices (see [`Tensor::offset`]).
+    /// Panics on an index of the wrong rank or out of range.
     pub fn at(&self, index: &[usize]) -> f32 {
         self.data[self.offset(index)]
     }
@@ -163,7 +163,7 @@ impl Tensor {
     ///
     /// # Panics
     ///
-    /// Panics on out-of-range indices (see [`Tensor::offset`]).
+    /// Panics on an index of the wrong rank or out of range.
     pub fn at_mut(&mut self, index: &[usize]) -> &mut f32 {
         let off = self.offset(index);
         &mut self.data[off]

@@ -3,7 +3,7 @@
 //!
 //! The layers parallelise over the batch (and the GEMM over its `M`
 //! dimension, see [`crate::gemm`]); both funnel through
-//! [`for_each_band`], which splits a mutable output slice into
+//! `for_each_band`, which splits a mutable output slice into
 //! contiguous per-worker bands of whole items and runs a closure per
 //! band inside a `rayon::scope`. Under the pooled `rayon` stand-in the
 //! scope dispatches onto persistent, parked workers, so a parallel
@@ -51,7 +51,7 @@ thread_local! {
 /// This is the core-allocation knob of a multi-tenant executor: the
 /// runtime manager grants an application `c` cores, the serving thread
 /// wraps every forward pass in `with_band_cap(c, ..)`, and the layers'
-/// band math ([`band_count`]) plans at most `c` parallel work units —
+/// band math (`band_count`) plans at most `c` parallel work units —
 /// the app cannot flood the shared worker pool past its allocation.
 /// The cap only bounds *this* thread's fan-out; band outputs are
 /// bit-identical across cap values (bands partition whole items and

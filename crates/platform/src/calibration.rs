@@ -34,7 +34,8 @@ impl InverseAffineFit {
     }
 
     /// Maximum relative error of the fit over the given anchors.
-    pub fn max_rel_error(&self, anchors: &[(Freq, TimeSpan)]) -> f64 {
+    #[cfg(test)]
+    fn max_rel_error(&self, anchors: &[(Freq, TimeSpan)]) -> f64 {
         anchors
             .iter()
             .map(|&(f, t)| {

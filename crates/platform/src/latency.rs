@@ -46,7 +46,7 @@ pub struct LatencyModel {
 impl LatencyModel {
     /// Default serial fraction: multi-threaded CNN inference parallelises
     /// well but not perfectly across a four-core cluster.
-    pub const DEFAULT_PARALLEL_ALPHA: f64 = 0.08;
+    const DEFAULT_PARALLEL_ALPHA: f64 = 0.08;
 
     /// Calibrates the model from `(frequency, latency)` anchors measured
     /// while executing a reference workload of `ref_macs` MACs on

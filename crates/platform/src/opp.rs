@@ -37,7 +37,8 @@ impl Opp {
 
     /// The `V²·f` product (GHz-normalised), the abscissa used for power
     /// interpolation between measured anchors.
-    pub fn v2f(self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn v2f(self) -> f64 {
         self.voltage.squared_times(self.freq)
     }
 }
@@ -141,17 +142,17 @@ impl OppTable {
     }
 
     /// The lowest-frequency OPP.
-    pub fn min_opp(&self) -> Opp {
+    fn min_opp(&self) -> Opp {
         self.opps[0]
     }
 
     /// The highest-frequency OPP.
-    pub fn max_opp(&self) -> Opp {
+    pub(crate) fn max_opp(&self) -> Opp {
         *self.opps.last().expect("table is non-empty by invariant")
     }
 
     /// The lowest supported frequency.
-    pub fn min_freq(&self) -> Freq {
+    fn min_freq(&self) -> Freq {
         self.min_opp().freq()
     }
 

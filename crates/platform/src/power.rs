@@ -145,7 +145,7 @@ impl AnchoredPowerModel {
 
     /// Voltage at `freq` according to the cluster's OPP table (interpolated
     /// and clamped like [`OppTable::voltage_at`]).
-    pub fn voltage_at(&self, freq: Freq) -> Voltage {
+    fn voltage_at(&self, freq: Freq) -> Voltage {
         Voltage::from_volts(interp_clamped(&self.voltage_curve, freq.as_mhz()))
     }
 

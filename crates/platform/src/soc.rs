@@ -168,11 +168,6 @@ impl ClusterSpec {
     pub fn power_model(&self) -> &AnchoredPowerModel {
         &self.power
     }
-
-    /// Local self-heating thermal resistance in K/W.
-    pub fn local_thermal_resistance(&self) -> f64 {
-        self.r_local_k_per_w
-    }
 }
 
 /// Where a job runs: which cluster, and how many of its cores.

@@ -223,12 +223,6 @@ impl Freq {
         Self::from_base(ghz * 1.0e9)
     }
 
-    /// Returns the frequency in hertz.
-    #[inline]
-    pub fn as_hz(self) -> f64 {
-        self.as_base()
-    }
-
     /// Returns the frequency in megahertz.
     #[inline]
     pub fn as_mhz(self) -> f64 {
@@ -300,7 +294,7 @@ impl Power {
 impl Energy {
     /// Creates an energy from joules.
     #[inline]
-    pub fn from_joules(j: f64) -> Self {
+    fn from_joules(j: f64) -> Self {
         Self::from_base(j)
     }
 
@@ -426,7 +420,6 @@ mod tests {
     #[test]
     fn freq_conversions_round_trip() {
         let f = Freq::from_mhz(1400.0);
-        assert_eq!(f.as_hz(), 1.4e9);
         assert_eq!(f.as_ghz(), 1.4);
         assert_eq!(Freq::from_ghz(1.4), f);
     }

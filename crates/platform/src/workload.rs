@@ -81,16 +81,6 @@ impl Workload {
         self.param_bytes
     }
 
-    /// Peak activation footprint in bytes.
-    pub fn activation_bytes(&self) -> f64 {
-        self.activation_bytes
-    }
-
-    /// Total memory footprint (parameters + activations) in bytes.
-    pub fn memory_bytes(&self) -> f64 {
-        self.param_bytes + self.activation_bytes
-    }
-
     /// Returns a copy scaled to `fraction` of the arithmetic and memory cost.
     ///
     /// Used to derive pruned-width workloads from a full-width reference.
@@ -134,8 +124,7 @@ mod tests {
             .with_activation_bytes(20.0);
         assert_eq!(w.macs(), 1.0e6);
         assert_eq!(w.param_bytes(), 10.0);
-        assert_eq!(w.activation_bytes(), 20.0);
-        assert_eq!(w.memory_bytes(), 30.0);
+        assert_eq!(w.activation_bytes, 20.0);
     }
 
     #[test]
@@ -146,7 +135,7 @@ mod tests {
         let half = w.scaled(0.5);
         assert_eq!(half.macs(), 50.0);
         assert_eq!(half.param_bytes(), 20.0);
-        assert_eq!(half.activation_bytes(), 4.0);
+        assert_eq!(half.activation_bytes, 4.0);
         assert!(half.name().contains("50%"));
     }
 

@@ -13,10 +13,12 @@
 //! loop; the caller picks the cadence (a timer thread in a server, an
 //! explicit call in tests).
 //!
-//! Between allocation epochs, an optional [`PressurePolicy`] acts as
-//! the *graceful-degradation ladder*, driven by the per-app health
-//! score ([`crate::health::score`]) rather than a bag of ad-hoc
-//! triggers: when an app's score falls below
+//! Beside the loop sits [`PressurePolicy`], the *graceful-degradation
+//! ladder*: a caller ticks it per app (the chaos and workload soaks
+//! do, between bursts) and it acts on the per-app health score
+//! ([`crate::health::score`]) rather than a bag of ad-hoc triggers.
+//! The controller does not drive it: a re-allocation and a ladder
+//! would both own the knob surface. When an app's score falls below
 //! [`PressureConfig::degrade_below`] — whether from a high windowed
 //! miss rate, queue depth near capacity, fresh deadline sheds,
 //! restarts, stalls or knob faults — the policy steps the paper's
@@ -28,10 +30,7 @@
 //! window evidence, and a rung is undone only after a full window of
 //! consecutive calm ticks
 //! ([`eml_core::feedback::MissTracker::all_met`]), so knobs don't flap
-//! at the pressure boundary. A re-allocation overwrites the knob
-//! surface wholesale, so it clears the ladder
-//! ([`PressurePolicy::forget_ladders`]) rather than "restoring" onto a
-//! configuration that no longer exists.
+//! at the pressure boundary.
 
 use std::collections::{HashMap, HashSet};
 
@@ -78,11 +77,6 @@ pub struct EpochOutcome {
     pub reallocated: bool,
     /// Apps whose statistics produced a feedback observation.
     pub observed: usize,
-    /// Degradation-ladder rungs stepped down this epoch (0 without an
-    /// attached [`PressurePolicy`]).
-    pub degraded: usize,
-    /// Degradation-ladder rungs restored this epoch.
-    pub restored: usize,
 }
 
 /// Tuning of the graceful-degradation ladder. See the module docs.
@@ -207,13 +201,6 @@ impl PressurePolicy {
         self.ladders.get(app).map_or(0, |l| l.steps.len())
     }
 
-    /// Drops all ladder state *without* restoring knobs — called after
-    /// a re-allocation, which rewrote the knob surface wholesale; the
-    /// remembered rungs describe a configuration that no longer exists.
-    pub fn forget_ladders(&mut self) {
-        self.ladders.clear();
-    }
-
     /// One pressure evaluation for one app: computes the app's health
     /// score from its current snapshot, steps a rung down when the
     /// score sinks below the pressure line, records calm when it
@@ -230,11 +217,9 @@ impl PressurePolicy {
         self.tick_on(exec, app, snap.as_ref(), exec.pool_pressure())
     }
 
-    /// [`PressurePolicy::tick`] on readings the caller already holds:
-    /// `snap` is the app's snapshot (`None` = unknown to the executor)
-    /// and `pool_pressure` the pool-wide backlog fraction — one read
-    /// of which takes every tenant's queue lock under the scheduler
-    /// lock, so a control epoch reads it once, not once per app.
+    /// [`PressurePolicy::tick`] on readings taken by the caller: `snap`
+    /// is the app's snapshot (`None` = unknown to the executor) and
+    /// `pool_pressure` the pool-wide backlog fraction.
     fn tick_on(
         &mut self,
         exec: &Executor,
@@ -354,8 +339,6 @@ pub struct ServeController {
     /// correction in force at decision time is divided back out here.
     raw_predictions: HashMap<String, (eml_platform::soc::ClusterId, eml_platform::units::TimeSpan)>,
     allocation: Option<Allocation>,
-    /// The graceful-degradation ladder, when attached.
-    pressure: Option<PressurePolicy>,
 }
 
 impl ServeController {
@@ -371,22 +354,7 @@ impl ServeController {
             seen: HashMap::new(),
             raw_predictions: HashMap::new(),
             allocation: None,
-            pressure: None,
         }
-    }
-
-    /// Attaches a graceful-degradation ladder: between re-allocations,
-    /// [`ServeController::control_epoch`] ticks it for every managed
-    /// DNN app.
-    #[must_use]
-    pub fn with_pressure(mut self, policy: PressurePolicy) -> Self {
-        self.pressure = Some(policy);
-        self
-    }
-
-    /// The attached degradation ladder, if any.
-    pub fn pressure(&self) -> Option<&PressurePolicy> {
-        self.pressure.as_ref()
     }
 
     /// The current allocation, once one has been made.
@@ -433,11 +401,6 @@ impl ServeController {
         self.trackers.retain(|n, _| managed.contains(n.as_str()));
         for t in self.trackers.values_mut() {
             t.reset();
-        }
-        // The allocation rewrote the knob surface; ladder rungs now
-        // describe operating points that no longer exist.
-        if let Some(p) = &mut self.pressure {
-            p.forget_ladders();
         }
         Ok(self.allocation.insert(alloc))
     }
@@ -505,30 +468,12 @@ impl ServeController {
                 }
             }
         }
-        let mut degraded = 0usize;
-        let mut restored = 0usize;
         if triggered {
-            // A re-allocation is the stronger response; it also clears
-            // the ladder (see `allocate_and_apply`).
             self.allocate_and_apply(exec)?;
-        } else if let Some(mut policy) = self.pressure.take() {
-            let pool_pressure = exec.pool_pressure();
-            for spec in &self.apps {
-                let AppSpec::Dnn(d) = spec else { continue };
-                let snap = snapshot_named(&roster, &d.name);
-                match policy.tick_on(exec, &d.name, snap, pool_pressure) {
-                    Some(PressureAction::Degraded { .. }) => degraded += 1,
-                    Some(PressureAction::Restored { .. }) => restored += 1,
-                    None => {}
-                }
-            }
-            self.pressure = Some(policy);
         }
         Ok(EpochOutcome {
             reallocated: triggered,
             observed,
-            degraded,
-            restored,
         })
     }
 }
@@ -780,7 +725,7 @@ mod tests {
     }
 
     #[test]
-    fn fresh_sheds_pressure_the_ladder_and_forget_drops_state() {
+    fn fresh_sheds_pressure_the_ladder() {
         let exec = ladder_exec(10.0);
         let mut policy = PressurePolicy::new(PressureConfig {
             health: HealthConfig {
@@ -813,10 +758,6 @@ mod tests {
             "fresh sheds are pressure: {a:?}"
         );
         assert_eq!(policy.depth("cam"), 1);
-        // A re-allocation overwrote the knobs: the ladder forgets
-        // without restoring.
-        policy.forget_ladders();
-        assert_eq!(policy.depth("cam"), 0);
         assert_eq!(
             policy.stats(),
             PressureStats {

@@ -15,21 +15,21 @@
 //!
 //! ## The seam
 //!
-//! Both sources feed one per-app pending list inside a [`FaultState`]
+//! Both sources feed one per-app pending list inside a `FaultState`
 //! (a runtime one-shot is simply a plan entry that is already due). An
 //! app with no plan slice that was never `inject_fault`ed has no
 //! `FaultState` at all, and its dispatch path runs none of this file.
 //! Otherwise the executor touches faults at exactly three points:
 //!
-//! 1. [`FaultState::on_dispatch`], under the ledger lock, once per
+//! 1. `FaultState::on_dispatch`, under the ledger lock, once per
 //!    dispatch: every entry whose `at_seq` the batch's highest sequence
 //!    number reaches fires — exactly once, in list order (plan entries
 //!    in insertion order, then one-shots in arming order; the list is
 //!    shared state, so nothing re-fires after a supervised restart) —
-//!    and folds into one [`Injected`] value the dispatch carries.
-//! 2. [`Injected::crash_if_armed`], *outside* the forward's panic
+//!    and folds into one `Injected` value the dispatch carries.
+//! 2. `Injected::crash_if_armed`, *outside* the forward's panic
 //!    containment.
-//! 3. [`Injected::before_forward`], *inside* it.
+//! 3. `Injected::before_forward`, *inside* it.
 
 use std::time::{Duration, Instant};
 

@@ -26,11 +26,11 @@
 //!   counters the executor already keeps (windowed miss rate, queue
 //!   pressure, fresh sheds/restarts/stalls/knob faults), a worst-tenant
 //!   aggregate, and a hand-rolled JSON export for offline policy.
-//! - [`PressurePolicy`] — the graceful-degradation ladder: between
-//!   allocation epochs it consumes the same health score — degrading
-//!   (f32→int8, then width one level at a time) when an app's score
-//!   falls below the pressure line, and hysteretically restoring rungs
-//!   once the score stays high.
+//! - [`PressurePolicy`] — the graceful-degradation ladder: ticked per
+//!   app by its caller (not by the controller), it consumes the same
+//!   health score — degrading (f32→int8, then width one level at a
+//!   time) when an app's score falls below the pressure line, and
+//!   hysteretically restoring rungs once the score stays high.
 //! - [`FaultPlan`] — deterministic, seeded fault injection (forward
 //!   panics, thread crashes, latency spikes, knob failures, queue
 //!   storms) keyed to request sequence numbers; serving threads are
@@ -57,7 +57,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod control;
+mod control;
 pub mod error;
 pub mod executor;
 pub mod fault;

@@ -112,13 +112,6 @@ impl<'a> ExecutedReplay<'a> {
         self
     }
 
-    /// Overrides the per-measurement timeout.
-    #[must_use]
-    pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = timeout;
-        self
-    }
-
     /// Enables lifecycle-driving replay: every scenario arrival of a
     /// DNN app calls `build` for a live model and registers it (with
     /// the spec's requirements) on the executor, auto-deriving a

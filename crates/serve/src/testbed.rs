@@ -26,7 +26,7 @@ use eml_platform::units::{Freq, Power, TimeSpan};
 
 /// Nominal per-width accuracies for testbed profiles (the Fig 4b shape,
 /// as fractions).
-pub const TESTBED_TOP1: [f64; 4] = [0.55, 0.62, 0.66, 0.70];
+const TESTBED_TOP1: [f64; 4] = [0.55, 0.62, 0.66, 0.70];
 
 /// A single 4-core CPU cluster ("quad") with four OPPs and an
 /// optimistic latency model: the reference workload in 10 µs at the top
@@ -68,7 +68,7 @@ pub fn quad_core_soc() -> Soc {
 
 /// Builds a real dynamic DNN from `cfg`, profiled by its own exact cost
 /// model ([`DnnProfile::from_network`]) with the nominal
-/// [`TESTBED_TOP1`] accuracies. Deterministic in `seed`: two calls with
+/// `TESTBED_TOP1` accuracies. Deterministic in `seed`: two calls with
 /// the same seed produce bit-identical networks, which the co-tenant
 /// independence properties rely on.
 ///

@@ -65,7 +65,7 @@ pub fn dnn2() -> AppSpec {
 
 /// DNN 2 after the t = 25 s requirement change: the user relaxes accuracy
 /// to ≥ 55 % and prefers energy (Fig 2d).
-pub fn dnn2_relaxed() -> AppSpec {
+fn dnn2_relaxed() -> AppSpec {
     AppSpec::Dnn(DnnAppSpec {
         name: names::DNN2.into(),
         profile: scaled_reference_profile(names::DNN2, 4.0),
@@ -78,7 +78,7 @@ pub fn dnn2_relaxed() -> AppSpec {
 }
 
 /// The VR/AR application: a rigid GPU renderer (Fig 2c).
-pub fn vr_ar() -> AppSpec {
+fn vr_ar() -> AppSpec {
     AppSpec::Rigid(RigidAppSpec {
         name: names::VRAR.into(),
         preferred: vec![CoreKind::Gpu],

@@ -166,7 +166,7 @@ pub fn madd_tile_i16(pa: &[i16], pb: &[i16], pairs: usize, acc: &mut [[i32; NR];
 
 /// Portable scalar form of [`madd_tile_i16`]: the non-x86 fallback and
 /// the oracle the intrinsics paths are tested against.
-pub fn madd_tile_scalar(pa: &[i16], pb: &[i16], pairs: usize, acc: &mut [[i32; NR]; MR]) {
+fn madd_tile_scalar(pa: &[i16], pb: &[i16], pairs: usize, acc: &mut [[i32; NR]; MR]) {
     assert!(pa.len() >= pairs * 2 * MR && pb.len() >= pairs * 2 * NR);
     for q in 0..pairs {
         let ap = &pa[q * 2 * MR..][..2 * MR];
@@ -214,7 +214,7 @@ pub fn madd_tile_f32(pa: &[f32], pb: &[f32], kc: usize, acc: &mut [[f32; NR]; MR
 /// non-AVX2 tiers and the oracle the AVX2 path is tested against.
 /// Two k-steps per iteration — halves the loop overhead and gives the
 /// scheduler two independent chains per accumulator row.
-pub fn madd_tile_f32_scalar(pa: &[f32], pb: &[f32], kc: usize, acc: &mut [[f32; NR]; MR]) {
+fn madd_tile_f32_scalar(pa: &[f32], pb: &[f32], kc: usize, acc: &mut [[f32; NR]; MR]) {
     assert!(pa.len() >= kc * MR && pb.len() >= kc * NR);
     let mut ap2 = pa[..kc * MR].chunks_exact(2 * MR);
     let mut bp2 = pb[..kc * NR].chunks_exact(2 * NR);

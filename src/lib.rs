@@ -9,7 +9,7 @@
 //! | [`platform`] | Heterogeneous SoC models (Odroid XU3, Jetson Nano, flagship), calibrated against the paper's Table I |
 //! | [`nn`] | From-scratch NN library: group convolutions, incremental training, exact cost model |
 //! | [`dnn`] | Dynamic DNNs: width levels, profiles, the width and precision knobs |
-//! | [`rtm`] | The runtime resource manager: operating-point spaces, governors, multi-app allocation, knobs/monitors |
+//! | [`rtm`] | The runtime resource manager: operating-point spaces, governors, multi-app allocation, knobs |
 //! | [`sim`] | Multi-application simulator with reactive thermal management |
 //! | [`serve`] | Multi-tenant serving executor: RTM allocations run on the real kernels, with measured-latency feedback |
 //! | [`net`] | Networked front end: wire protocol, per-client admission control |
