@@ -29,9 +29,11 @@
 //! The GEMM path keeps per-call overhead off the hot loop three ways:
 //! weight panels are packed once per weight version and cached
 //! ([`Conv2d`]`::packed_w`, invalidated on any parameter update, width
-//! switch or precision change), the input lowering writes the kernel's
-//! packed layout directly ([`crate::im2col::im2col_packed`]), and the
-//! bias add is fused into the GEMM epilogue. The backward pass shards
+//! switch or precision change), the input lowering stages each group
+//! once into a zero-padded plane and gathers the kernel's packed layout
+//! straight from it through one offset table
+//! ([`crate::im2col::im2col_packed`]), and the bias add is fused into
+//! the GEMM epilogue. The backward pass shards
 //! weight-gradient accumulation per worker band (transposed shards, so
 //! the products need no strided packing) and reduces the shards after
 //! the parallel scope.

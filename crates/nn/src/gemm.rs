@@ -186,6 +186,12 @@ impl PackedA {
         Self { buf, m, k }
     }
 
+    /// The packed buffer, for tests that compare layouts directly.
+    #[cfg(test)]
+    pub(crate) fn as_slice(&self) -> &[f32] {
+        &self.buf
+    }
+
     /// A borrowed view for [`gemm_with`].
     pub fn as_ref(&self) -> PackedARef<'_> {
         PackedARef {
@@ -250,6 +256,12 @@ impl PackedB {
             pc += kc;
         }
         Self { buf, k, n }
+    }
+
+    /// The packed buffer, for tests that compare layouts directly.
+    #[cfg(test)]
+    pub(crate) fn as_slice(&self) -> &[f32] {
+        &self.buf
     }
 
     /// A borrowed view for [`gemm_with`].

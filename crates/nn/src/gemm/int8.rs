@@ -297,6 +297,12 @@ impl PackedB8 {
         Self { buf, k, n }
     }
 
+    /// The packed buffer, for tests that compare layouts directly.
+    #[cfg(test)]
+    pub(crate) fn as_slice(&self) -> &[i16] {
+        &self.buf
+    }
+
     /// A borrowed view for [`gemm_i8`].
     pub fn as_ref(&self) -> PackedB8Ref<'_> {
         PackedB8Ref {

@@ -3,7 +3,7 @@
 //!
 //! # Layout
 //!
-//! For one sample and one channel group, [`im2col`] writes the column
+//! For one sample and one channel group, the lowering yields the column
 //! matrix `Col` with one **row per (channel, ky, kx) weight position**
 //! and one **column per output pixel**:
 //!
@@ -24,20 +24,36 @@
 //! row-major in exactly that order), computed by [`crate::gemm`].
 //! [`col2im_add`] is the adjoint scatter used by the backward pass.
 //!
-//! Rows are filled segment-wise: for each row the valid `ox` interval
-//! is computed once from the padding arithmetic, the out-of-image
-//! margins are zero-filled, and the in-image span is a `memcpy` for
-//! stride 1 (the common case) or a short strided loop otherwise — no
-//! per-element bounds branching.
+//! # Lowering by table
 //!
-//! [`im2col_packed`] writes the same matrix **directly in the GEMM
-//! kernel's packed-B panel layout** (NR-wide column strips per K-slice,
-//! see [`crate::gemm::PackedB`]), so the convolution hot path skips the
-//! kernel's separate pack pass entirely: lowering and packing become
-//! one write over the data. [`im2col_packed_i8`] does the same for the
-//! quantised int8 kernel's pair-interleaved panels (see
-//! [`crate::gemm::int8`]), lowering a pre-quantised sample with pure
-//! integer copies.
+//! `Col` itself is never built. Each call first **stages** the group's
+//! input channels once into a zero-padded plane, `channels × (h+2p) ×
+//! (w+2p)` (thread-local, reused across calls), and builds two tables
+//! over it: a base `icg·(h+2p)(w+2p) + ky·(w+2p) + kx` per row and an
+//! offset `oy·s·(w+2p) + ox·s` per column. Element `(row, column)` of
+//! `Col` is then `plane[base + offset]`: one indexed load for every
+//! stride, every padding and every kernel that overhangs the input,
+//! because the padding is read from the plane's zero margins instead of
+//! being decided per element or per segment.
+//!
+//! Each writer walks its destination in memory order and fills it with
+//! fixed-width gathers of that form, straight in the GEMM kernels'
+//! packed layouts, so a convolution has no separate pack pass.
+//! [`im2col_packed`] writes the f32 kernel's packed-B panels (NR-wide
+//! column strips per K-slice, see [`crate::gemm::PackedB`]).
+//! [`im2col_packed_i8`] writes the int8 kernel's pair-interleaved
+//! panels (see [`crate::gemm::int8`]) from a pre-quantised sample,
+//! filling the `[a, b]` lanes of two rows in the same pass.
+//! [`im2col_packed_lhs`] writes packed-A strips for the backward pass,
+//! where `Col` is the left operand. Only the last, partial strip of a
+//! panel zero-fills lanes; every used element is overwritten, so the
+//! output is identical, element for element, to packing a plain
+//! lowering.
+
+use std::cell::RefCell;
+
+use crate::gemm::int8::KC8;
+use crate::gemm::{KC, MR, NR};
 
 /// Geometry of one conv lowering (per sample, per group).
 #[derive(Debug, Clone, Copy)]
@@ -73,11 +89,6 @@ impl ConvGeom {
         self.oh * self.ow
     }
 
-    /// Required `col` buffer length.
-    fn col_len(&self) -> usize {
-        self.rows() * self.cols()
-    }
-
     /// The valid `ox` range `[lo, hi)` for kernel column `kx`, i.e.
     /// where `0 ≤ ox·s + kx − p < w`.
     #[inline]
@@ -102,426 +113,195 @@ impl ConvGeom {
     }
 }
 
-/// Fills `col` (length `rows · cols` of the [`ConvGeom`]) from one sample's input
-/// plane `x` (`≥ (ch_base + channels)·h·w` elements).
-pub fn im2col(x: &[f32], g: &ConvGeom, col: &mut [f32]) {
-    let (k, s, ow) = (g.k, g.stride, g.ow);
-    let plane = g.h * g.w;
-    let cols = g.cols();
-    for icg in 0..g.channels {
-        let xc = &x[(g.ch_base + icg) * plane..][..plane];
-        for ky in 0..k {
-            for kx in 0..k {
-                let row = ((icg * k + ky) * k + kx) * cols;
-                let dst = &mut col[row..][..cols];
-                let (lo, hi) = g.ox_range(kx);
-                for oy in 0..g.oh {
-                    let seg = &mut dst[oy * ow..][..ow];
-                    match g.iy(oy, ky) {
-                        None => seg.fill(0.0),
-                        Some(iy) => {
-                            seg[..lo].fill(0.0);
-                            seg[hi..].fill(0.0);
-                            if lo < hi {
-                                let ix0 = lo * s + kx - g.padding;
-                                let src = &xc[iy * g.w..][..g.w];
-                                if s == 1 {
-                                    seg[lo..hi].copy_from_slice(&src[ix0..ix0 + (hi - lo)]);
-                                } else {
-                                    for (i, v) in seg[lo..hi].iter_mut().enumerate() {
-                                        *v = src[ix0 + i * s];
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
+/// The staged input of one lowering: element `(row, column)` of the
+/// column matrix is `plane[rows[row] + cols[column]]`.
+struct Stage<T> {
+    /// The group's channels, each zero-padded to `(h+2p) × (w+2p)`.
+    plane: Vec<T>,
+    /// Per row `(icg, ky, kx)`: `icg·(h+2p)(w+2p) + ky·(w+2p) + kx`.
+    rows: Vec<usize>,
+    /// Per column `(oy, ox)`: `(oy·(w+2p) + ox)·s`.
+    cols: Vec<usize>,
 }
 
-/// The destination of one packed row: resolves column index `j` of
-/// logical row `p` to positions inside the packed-B buffer. Columns of
-/// a row sit NR apart in memory strips; walking `j` therefore jumps by
-/// `strip_stride` every NR columns.
-#[derive(Clone, Copy)]
-struct PackedRow {
-    /// Offset of column 0 of this row (strip 0).
-    base: usize,
-    /// Elements between consecutive strips of this row's K-slice.
-    strip_stride: usize,
+thread_local! {
+    /// Staging for the f32 lowerings; grown once, then reused.
+    static STAGE_F32: RefCell<Stage<f32>> = const { RefCell::new(Stage::new()) };
+    /// Staging for the int8 lowering; grown once, then reused.
+    static STAGE_I16: RefCell<Stage<i16>> = const { RefCell::new(Stage::new()) };
 }
 
-impl PackedRow {
-    fn new(p: usize, k_rows: usize, n_pad: usize) -> Self {
-        use crate::gemm::{KC, NR};
-        let slice = p / KC;
-        let kc = KC.min(k_rows - slice * KC);
+impl<T: Copy + Default> Stage<T> {
+    const fn new() -> Self {
         Self {
-            base: n_pad * slice * KC + (p % KC) * NR,
-            strip_stride: kc * NR,
+            plane: Vec::new(),
+            rows: Vec::new(),
+            cols: Vec::new(),
         }
     }
 
-    /// Zero-fills columns `[j0, j1)`.
-    fn fill_zero(&self, pb: &mut [f32], mut j0: usize, j1: usize) {
-        use crate::gemm::NR;
-        while j0 < j1 {
-            let off = j0 % NR;
-            let take = (NR - off).min(j1 - j0);
-            let at = self.base + (j0 / NR) * self.strip_stride + off;
-            pb[at..at + take].fill(0.0);
-            j0 += take;
+    /// Stages group `g` of the sample `x` (`[channels][h][w]` planes)
+    /// and builds both tables. Writes every plane element once.
+    fn fill(&mut self, x: &[T], g: &ConvGeom) {
+        let (p, hw, wp) = (g.padding, g.h * g.w, g.w + 2 * g.padding);
+        let zero = T::default();
+        let plane = &mut self.plane;
+        plane.clear();
+        for xc in x[g.ch_base * hw..][..g.channels * hw].chunks_exact(hw) {
+            // Top margin, then each row between its side margins (the
+            // right margin of one row runs into the left of the next),
+            // then the rest of the bottom margin.
+            plane.resize(plane.len() + p * wp + p, zero);
+            for row in xc.chunks_exact(g.w) {
+                plane.extend_from_slice(row);
+                plane.resize(plane.len() + 2 * p, zero);
+            }
+            plane.resize(plane.len() + p * wp - p, zero);
         }
-    }
-
-    /// Writes `src[0], src[stride], …` into columns `[j0, j0 + len)`.
-    fn copy_strided(&self, pb: &mut [f32], mut j0: usize, len: usize, src: &[f32], stride: usize) {
-        use crate::gemm::NR;
-        let j1 = j0 + len;
-        let mut i = 0;
-        while j0 < j1 {
-            let off = j0 % NR;
-            let take = (NR - off).min(j1 - j0);
-            let at = self.base + (j0 / NR) * self.strip_stride + off;
-            if stride == 1 {
-                pb[at..at + take].copy_from_slice(&src[i..i + take]);
-            } else {
-                for (t, d) in pb[at..at + take].iter_mut().enumerate() {
-                    *d = src[(i + t) * stride];
+        let channel = (g.h + 2 * p) * wp;
+        self.rows.clear();
+        for icg in 0..g.channels {
+            for ky in 0..g.k {
+                for kx in 0..g.k {
+                    self.rows.push(icg * channel + ky * wp + kx);
                 }
             }
-            i += take;
-            j0 += take;
+        }
+        self.cols.clear();
+        for oy in 0..g.oh {
+            for ox in 0..g.ow {
+                self.cols.push((oy * wp + ox) * g.stride);
+            }
         }
     }
 }
 
-/// [`im2col`], but writing straight into the GEMM kernel's packed-B
-/// panel layout: `pb` must hold at least
+/// `dst[l] = src[offs[l]]` for every offset, zeros in the lanes past
+/// them (only a panel's last, partial strip has any). A full `W`-wide
+/// line takes a fixed-width loop.
+#[inline]
+fn gather<T: Copy + Default, const W: usize>(dst: &mut [T], src: &[T], offs: &[usize]) {
+    if let (Ok(d), Ok(o)) = (
+        <&mut [T; W]>::try_from(&mut *dst),
+        <&[usize; W]>::try_from(offs),
+    ) {
+        for (d, &o) in d.iter_mut().zip(o) {
+            *d = src[o];
+        }
+        return;
+    }
+    let (head, tail) = dst.split_at_mut(offs.len());
+    for (d, &o) in head.iter_mut().zip(offs) {
+        *d = src[o];
+    }
+    tail.fill(T::default());
+}
+
+/// [`gather`] of two rows into interleaved `[a, b]` lane pairs; a
+/// missing `b` (the odd row count's last k-step) reads as zero.
+#[inline]
+fn gather_pair(dst: &mut [i16], a: &[i16], b: Option<&[i16]>, offs: &[usize]) {
+    if let (Ok(d), Ok(o), Some(b)) = (
+        <&mut [i16; 2 * NR]>::try_from(&mut *dst),
+        <&[usize; NR]>::try_from(offs),
+        b,
+    ) {
+        for (d, &o) in d.as_chunks_mut::<2>().0.iter_mut().zip(o) {
+            *d = [a[o], b[o]];
+        }
+        return;
+    }
+    let (head, tail) = dst.split_at_mut(2 * offs.len());
+    for (d, &o) in head.as_chunks_mut::<2>().0.iter_mut().zip(offs) {
+        *d = [a[o], b.map_or(0, |b| b[o])];
+    }
+    tail.fill(0);
+}
+
+/// Lowers group `g` of one sample `x` straight into the GEMM kernel's
+/// packed-B panel layout: `pb` must hold at least
 /// [`crate::gemm::packed_b_len`]`(g.rows(), g.cols())` elements and is
 /// fully overwritten (including the zero padding), so it can be reused
 /// across samples without clearing. Wrap the result in
 /// [`crate::gemm::PackedBRef::new`] and multiply with
 /// [`crate::gemm::gemm_with`].
 pub fn im2col_packed(x: &[f32], g: &ConvGeom, pb: &mut [f32]) {
-    use crate::gemm::{packed_b_len, NR};
-    let (k, s, ow) = (g.k, g.stride, g.ow);
-    let plane = g.h * g.w;
-    let n = g.cols();
-    let k_rows = g.rows();
-    let n_pad = n.div_ceil(NR) * NR;
-    debug_assert!(pb.len() >= packed_b_len(k_rows, n));
-    for icg in 0..g.channels {
-        let xc = &x[(g.ch_base + icg) * plane..][..plane];
-        for ky in 0..k {
-            for kx in 0..k {
-                let p = (icg * k + ky) * k + kx;
-                let row = PackedRow::new(p, k_rows, n_pad);
-                let (lo, hi) = g.ox_range(kx);
-                for oy in 0..g.oh {
-                    let j0 = oy * ow;
-                    match g.iy(oy, ky) {
-                        None => row.fill_zero(pb, j0, j0 + ow),
-                        Some(iy) => {
-                            row.fill_zero(pb, j0, j0 + lo);
-                            row.fill_zero(pb, j0 + hi, j0 + ow);
-                            if lo < hi {
-                                let ix0 = lo * s + kx - g.padding;
-                                let src = &xc[iy * g.w + ix0..];
-                                row.copy_strided(pb, j0 + lo, hi - lo, src, s);
-                            }
-                        }
-                    }
-                }
-                // Padding columns n..n_pad must be zero, matching what
-                // the kernel's own pack step would have produced.
-                row.fill_zero(pb, n, n_pad);
-            }
-        }
-    }
-}
-
-/// [`im2col`] over a pre-quantised `i16` sample: identical semantics
-/// (zero margins, `memcpy` spans), writing the plain `rows × cols`
-/// row-major column matrix. `staging` must hold `w + 2·padding`
-/// elements; its contents are ignored on entry.
-///
-/// Stride 1 (every convolution in this crate) takes a staging-row fast
-/// path: the input row is copied once into the zero-padded staging
-/// buffer, after which the segment for kernel column `kx` is the plain
-/// window `staging[kx..kx + ow]` — no per-segment range arithmetic, no
-/// boundary fills, one unconditional `memcpy` per `(ky, kx, oy)`.
-fn im2col_i16(qx: &[i16], g: &ConvGeom, col: &mut [i16], staging: &mut [i16]) {
-    let (k, s, ow) = (g.k, g.stride, g.ow);
-    let plane = g.h * g.w;
-    let cols = g.cols();
-    if s == 1 && ow + k <= g.w + 2 * g.padding + 1 {
-        // ow + k − 1 == w + 2p exactly (stride-1 output arithmetic);
-        // the guard documents the staging window invariant.
-        let p = g.padding;
-        // The padding margins of the staging row are the zeros every
-        // window copy reads; one tiny fill per call keeps them correct
-        // whatever a previous (differently-sized) call left behind.
-        staging.fill(0);
-        for icg in 0..g.channels {
-            let xc = &qx[(g.ch_base + icg) * plane..][..plane];
-            let band = icg * k * k;
-            for ky in 0..k {
-                for oy in 0..g.oh {
-                    match g.iy(oy, ky) {
-                        None => {
-                            for kx in 0..k {
-                                col[((band + ky * k) + kx) * cols + oy * ow..][..ow].fill(0);
-                            }
-                        }
-                        Some(iy) => {
-                            staging[p..p + g.w].copy_from_slice(&xc[iy * g.w..][..g.w]);
-                            for kx in 0..k {
-                                col[((band + ky * k) + kx) * cols + oy * ow..][..ow]
-                                    .copy_from_slice(&staging[kx..kx + ow]);
-                            }
-                        }
-                    }
+    debug_assert!(pb.len() >= crate::gemm::packed_b_len(g.rows(), g.cols()));
+    STAGE_F32.with_borrow_mut(|st| {
+        st.fill(x, g);
+        let n_pad = g.cols().div_ceil(NR) * NR;
+        // K-slice `s` holds rows `s·KC..`: per column strip, one NR-wide
+        // line per row.
+        for (slice, rows) in st.rows.chunks(KC).enumerate() {
+            let panel = &mut pb[n_pad * slice * KC..][..n_pad * rows.len()];
+            let strips = panel.chunks_exact_mut(rows.len() * NR);
+            for (strip, offs) in strips.zip(st.cols.chunks(NR)) {
+                for (dst, &base) in strip.chunks_exact_mut(NR).zip(rows) {
+                    gather::<_, NR>(dst, &st.plane[base..], offs);
                 }
             }
         }
-        return;
-    }
-    for icg in 0..g.channels {
-        let xc = &qx[(g.ch_base + icg) * plane..][..plane];
-        for ky in 0..k {
-            for kx in 0..k {
-                let row = ((icg * k + ky) * k + kx) * cols;
-                let dst = &mut col[row..][..cols];
-                let (lo, hi) = g.ox_range(kx);
-                for oy in 0..g.oh {
-                    let seg = &mut dst[oy * ow..][..ow];
-                    match g.iy(oy, ky) {
-                        None => seg.fill(0),
-                        Some(iy) => {
-                            seg[..lo].fill(0);
-                            seg[hi..].fill(0);
-                            if lo < hi {
-                                let ix0 = lo * s + kx - g.padding;
-                                let src = &xc[iy * g.w..][..g.w];
-                                for (i, v) in seg[lo..hi].iter_mut().enumerate() {
-                                    *v = src[ix0 + i * s];
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Packs a plain `k_rows × n` row-major `i16` column matrix into the
-/// int8 kernel's pair-interleaved packed-B panel layout (layout of
-/// [`crate::gemm::PackedB8`]): for each NR-wide strip and k-pair, the
-/// two rows' segments interleave element-wise — a fixed-width loop the
-/// compiler lowers to `punpcklwd`/`punpckhwd`-class shuffles, instead
-/// of the one-lane-at-a-time scatter a direct pair-interleaved
-/// lowering would need. Every element of the used region is written
-/// (column padding, pair padding and the odd-tail k-step included).
-fn pack_b8_rows(col: &[i16], k_rows: usize, n: usize, pb: &mut [i16]) {
-    use crate::gemm::int8::KC8;
-    use crate::gemm::NR;
-    let n_pad = n.div_ceil(NR) * NR;
-    let strips = n.div_ceil(NR);
-    let mut pc = 0;
-    while pc < k_rows {
-        let kc = KC8.min(k_rows - pc);
-        let kcp = kc + (kc & 1);
-        let slice_base = n_pad * pc;
-        for strip in 0..strips {
-            let j0 = strip * NR;
-            let width = NR.min(n - j0);
-            let sbase = slice_base + strip * kcp * NR;
-            for q in 0..kcp / 2 {
-                let p0 = pc + 2 * q;
-                let dst = &mut pb[sbase + q * 2 * NR..][..2 * NR];
-                let a = &col[p0 * n + j0..][..width];
-                if 2 * q + 1 < kc {
-                    let b = &col[(p0 + 1) * n + j0..][..width];
-                    if width == NR {
-                        // Full-strip fast path: fixed trip count, pure
-                        // interleave — vectorises.
-                        for c in 0..NR {
-                            dst[2 * c] = a[c];
-                            dst[2 * c + 1] = b[c];
-                        }
-                    } else {
-                        for c in 0..width {
-                            dst[2 * c] = a[c];
-                            dst[2 * c + 1] = b[c];
-                        }
-                        dst[2 * width..].fill(0);
-                    }
-                } else {
-                    // Odd tail k-step: the pair partner is zero pad.
-                    for c in 0..width {
-                        dst[2 * c] = a[c];
-                        dst[2 * c + 1] = 0;
-                    }
-                    dst[2 * width..].fill(0);
-                }
-            }
-        }
-        pc += kc;
-    }
-}
-
-thread_local! {
-    /// Reusable plain column matrix for the two-pass int8 lowering;
-    /// grown once, then reused.
-    static COL_I16: std::cell::RefCell<Vec<i16>> = const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// [`im2col`], but lowering a **pre-quantised** sample (int8-grid
-/// values in `i16` storage, see `quant::quantize_slice_i16`) into the
-/// int8 GEMM kernel's pair-interleaved packed-B layout: quantise once
-/// per sample, then lowering and packing are pure integer copies. `qx`
-/// has the same `[channels][h][w]` plane layout as the `f32` sample;
-/// `pb` must hold at least
-/// [`crate::gemm::packed_b8_len`]`(g.rows(), g.cols())` elements and
-/// its used region is fully overwritten (padding included), so it can
-/// be reused across samples without clearing. Wrap the result in
-/// [`crate::gemm::PackedB8Ref::new`] and multiply with
-/// [`crate::gemm::gemm_i8`].
-///
-/// Runs in two passes over a reusable thread-local buffer — a plain
-/// contiguous [`im2col`] (`memcpy` spans) followed by a vectorisable
-/// pair-interleave pack (`pack_b8_rows`). Measured ~2× faster than
-/// the previous single-pass form, whose lane-strided writes (every
-/// other `i16`) compiled to one-element scatter stores and dominated
-/// the whole batch-1 quantised forward at small widths.
-pub fn im2col_packed_i8(qx: &[i16], g: &ConvGeom, pb: &mut [i16]) {
-    use crate::gemm::packed_b8_len;
-    debug_assert!(pb.len() >= packed_b8_len(g.rows(), g.cols()));
-    let staging_len = g.w + 2 * g.padding;
-    COL_I16.with(|cell| {
-        let mut col = cell.take();
-        let need = g.col_len() + staging_len;
-        if col.len() < need {
-            // Staging must be zeroed; the column region gets fully
-            // overwritten, so only growth needs the explicit zeros.
-            col.resize(need, 0);
-        }
-        let split = col.len() - staging_len;
-        let (col_mat, staging) = col.split_at_mut(split);
-        im2col_i16(qx, g, col_mat, staging);
-        pack_b8_rows(col_mat, g.rows(), g.cols(), pb);
-        cell.replace(col);
     });
 }
 
-/// The destination of one row of the column matrix in **packed-A**
-/// layout (MR-tall row strips per K-slice, see
-/// [`crate::gemm::PackedA`]): the backward pass multiplies
-/// `im2col(x) · dOutᵀ`, where the column matrix is the *left* operand,
-/// so its rows interleave MR-wise instead of its columns.
-#[derive(Clone, Copy)]
-struct PackedLhsRow {
-    /// `i / MR` — which MR-tall strip holds this row.
-    strip: usize,
-    /// `i % MR` — lane within the strip.
-    lane: usize,
-    /// Rows of the logical matrix, padded to a multiple of MR.
-    m_pad: usize,
-    /// Total K extent (columns of the logical matrix).
-    total_k: usize,
-}
-
-impl PackedLhsRow {
-    fn new(i: usize, m: usize, total_k: usize) -> Self {
-        use crate::gemm::MR;
-        Self {
-            strip: i / MR,
-            lane: i % MR,
-            m_pad: m.div_ceil(MR) * MR,
-            total_k,
-        }
-    }
-
-    /// Runs `write(addr, idx)` for every column `j0 + idx` in
-    /// `[j0, j1)`, resolving the packed address slice by slice.
-    #[inline]
-    fn for_each(&self, mut j: usize, j1: usize, mut write: impl FnMut(usize, usize)) {
-        use crate::gemm::{KC, MR};
-        let j0 = j;
-        while j < j1 {
-            let slice = j / KC;
-            let kc = KC.min(self.total_k - slice * KC);
-            let slice_end = (slice * KC + kc).min(j1);
-            let mut addr =
-                self.m_pad * slice * KC + self.strip * kc * MR + (j % KC) * MR + self.lane;
-            while j < slice_end {
-                write(addr, j - j0);
-                addr += MR;
-                j += 1;
+/// [`im2col_packed`] for a **pre-quantised** sample (int8-grid values
+/// in `i16` storage, see `quant::quantize_slice_i16`), writing the int8
+/// GEMM kernel's pair-interleaved packed-B layout: quantise once per
+/// sample, then lowering and packing are pure integer copies. `qx` has
+/// the same `[channels][h][w]` plane layout as the `f32` sample; `pb`
+/// must hold at least [`crate::gemm::packed_b8_len`]`(g.rows(),
+/// g.cols())` elements and its used region is fully overwritten
+/// (padding included), so it can be reused across samples without
+/// clearing. Wrap the result in [`crate::gemm::PackedB8Ref::new`] and
+/// multiply with [`crate::gemm::gemm_i8`].
+pub fn im2col_packed_i8(qx: &[i16], g: &ConvGeom, pb: &mut [i16]) {
+    debug_assert!(pb.len() >= crate::gemm::packed_b8_len(g.rows(), g.cols()));
+    STAGE_I16.with_borrow_mut(|st| {
+        st.fill(qx, g);
+        let n_pad = g.cols().div_ceil(NR) * NR;
+        // As in `im2col_packed`, with KC8-deep slices padded to whole
+        // k-pairs and one 2·NR-wide line per pair of rows.
+        for (slice, rows) in st.rows.chunks(KC8).enumerate() {
+            let kcp = rows.len().div_ceil(2) * 2;
+            let panel = &mut pb[n_pad * slice * KC8..][..n_pad * kcp];
+            for (strip, offs) in panel.chunks_exact_mut(kcp * NR).zip(st.cols.chunks(NR)) {
+                for (dst, pair) in strip.chunks_exact_mut(2 * NR).zip(rows.chunks(2)) {
+                    let b = pair.get(1).map(|&b| &st.plane[b..]);
+                    gather_pair(dst, &st.plane[pair[0]..], b, offs);
+                }
             }
         }
-    }
-
-    fn fill_zero(&self, pa: &mut [f32], j0: usize, j1: usize) {
-        self.for_each(j0, j1, |addr, _| pa[addr] = 0.0);
-    }
-
-    fn copy_strided(&self, pa: &mut [f32], j0: usize, len: usize, src: &[f32], stride: usize) {
-        self.for_each(j0, j0 + len, |addr, idx| pa[addr] = src[idx * stride]);
-    }
+    });
 }
 
-/// [`im2col`], but writing straight into the GEMM kernel's packed-A
+/// The lowering written straight into the GEMM kernel's packed-A
 /// layout, for products where the column matrix is the *left* operand
 /// (`gWᵀ = im2col(x) · dOutᵀ` in the convolution backward pass). `pa`
 /// must hold at least [`crate::gemm::packed_a_len`]`(g.rows(),
 /// g.cols())` elements and is fully overwritten, padding included.
 /// Wrap the result in [`crate::gemm::PackedARef::new`].
 pub fn im2col_packed_lhs(x: &[f32], g: &ConvGeom, pa: &mut [f32]) {
-    use crate::gemm::{packed_a_len, MR};
-    let (k, s, ow) = (g.k, g.stride, g.ow);
-    let plane = g.h * g.w;
-    let n = g.cols();
-    let m = g.rows();
-    debug_assert!(pa.len() >= packed_a_len(m, n));
-    for icg in 0..g.channels {
-        let xc = &x[(g.ch_base + icg) * plane..][..plane];
-        for ky in 0..k {
-            for kx in 0..k {
-                let i = (icg * k + ky) * k + kx;
-                let row = PackedLhsRow::new(i, m, n);
-                let (lo, hi) = g.ox_range(kx);
-                for oy in 0..g.oh {
-                    let j0 = oy * ow;
-                    match g.iy(oy, ky) {
-                        None => row.fill_zero(pa, j0, j0 + ow),
-                        Some(iy) => {
-                            row.fill_zero(pa, j0, j0 + lo);
-                            row.fill_zero(pa, j0 + hi, j0 + ow);
-                            if lo < hi {
-                                let ix0 = lo * s + kx - g.padding;
-                                let src = &xc[iy * g.w + ix0..];
-                                row.copy_strided(pa, j0 + lo, hi - lo, src, s);
-                            }
-                        }
-                    }
+    debug_assert!(pa.len() >= crate::gemm::packed_a_len(g.rows(), g.cols()));
+    STAGE_F32.with_borrow_mut(|st| {
+        st.fill(x, g);
+        let m_pad = g.rows().div_ceil(MR) * MR;
+        // K-slices run over the columns here; an MR-row strip stores one
+        // MR-wide line per column.
+        for (slice, offs) in st.cols.chunks(KC).enumerate() {
+            let panel = &mut pa[m_pad * slice * KC..][..m_pad * offs.len()];
+            let strips = panel.chunks_exact_mut(offs.len() * MR);
+            for (strip, bases) in strips.zip(st.rows.chunks(MR)) {
+                for (dst, &off) in strip.chunks_exact_mut(MR).zip(offs) {
+                    gather::<_, MR>(dst, &st.plane[off..], bases);
                 }
             }
         }
-    }
-    // Lane padding: rows m..m_pad of the last strip must be zero.
-    let m_pad = m.div_ceil(MR) * MR;
-    for i in m..m_pad {
-        PackedLhsRow::new(i, m, n).fill_zero(pa, 0, n);
-    }
+    });
 }
 
-/// Adjoint of [`im2col`]: scatter-adds `col` back into the gradient
-/// plane `gx` (same layout as the input sample).
+/// Adjoint of the lowering: scatter-adds the plain row-major column
+/// matrix `col` (`rows · cols` elements) back into the gradient plane
+/// `gx` (same layout as the input sample).
 pub fn col2im_add(col: &[f32], g: &ConvGeom, gx: &mut [f32]) {
     let (k, s, ow) = (g.k, g.stride, g.ow);
     let plane = g.h * g.w;
@@ -559,9 +339,55 @@ pub fn col2im_add(col: &[f32], g: &ConvGeom, gx: &mut [f32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::{
+        packed_a_len, packed_b8_len, packed_b_len, MatRef, PackedA, PackedB, PackedB8,
+    };
+    use crate::quant::quantize_slice_i16;
+    use proptest::prelude::*;
+
+    fn col_len(g: &ConvGeom) -> usize {
+        g.rows() * g.cols()
+    }
+
+    /// The segment-wise plain lowering: each row's valid `ox` interval
+    /// comes from [`ConvGeom::ox_range`], the arithmetic [`col2im_add`]
+    /// scatters by, so this form (checked against [`naive_im2col`])
+    /// pins that arithmetic and serves as the adjoint test's forward.
+    fn im2col(x: &[f32], g: &ConvGeom, col: &mut [f32]) {
+        let (k, s, ow) = (g.k, g.stride, g.ow);
+        let plane = g.h * g.w;
+        let cols = g.cols();
+        for icg in 0..g.channels {
+            let xc = &x[(g.ch_base + icg) * plane..][..plane];
+            for ky in 0..k {
+                for kx in 0..k {
+                    let row = ((icg * k + ky) * k + kx) * cols;
+                    let dst = &mut col[row..][..cols];
+                    let (lo, hi) = g.ox_range(kx);
+                    for oy in 0..g.oh {
+                        let seg = &mut dst[oy * ow..][..ow];
+                        match g.iy(oy, ky) {
+                            None => seg.fill(0.0),
+                            Some(iy) => {
+                                seg[..lo].fill(0.0);
+                                seg[hi..].fill(0.0);
+                                if lo < hi {
+                                    let ix0 = lo * s + kx - g.padding;
+                                    let src = &xc[iy * g.w..][..g.w];
+                                    for (i, v) in seg[lo..hi].iter_mut().enumerate() {
+                                        *v = src[ix0 + i * s];
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     fn naive_im2col(x: &[f32], g: &ConvGeom) -> Vec<f32> {
-        let mut col = vec![0.0f32; g.col_len()];
+        let mut col = vec![0.0f32; col_len(g)];
         let cols = g.cols();
         for icg in 0..g.channels {
             for ky in 0..g.k {
@@ -602,6 +428,94 @@ mod tests {
         }
     }
 
+    /// A sample for `g` with no zero values, so a misplaced padding
+    /// zero cannot pass for data.
+    fn sample(g: &ConvGeom) -> Vec<f32> {
+        (0..(g.ch_base + g.channels) * g.h * g.w)
+            .map(|i| (i as f32 * 0.37 + 1.0).sin())
+            .collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `im2col_packed` into a NaN-filled buffer equals, bit for bit,
+    /// `PackedB::pack` of the naive lowering.
+    fn check_packed_b(g: &ConvGeom) -> std::result::Result<(), String> {
+        let x = sample(g);
+        let expect = PackedB::pack(
+            MatRef::new(&naive_im2col(&x, g), g.cols()),
+            g.rows(),
+            g.cols(),
+        );
+        let mut pb = vec![f32::NAN; packed_b_len(g.rows(), g.cols())];
+        im2col_packed(&x, g, &mut pb);
+        prop_assert!(
+            bits(&pb) == bits(expect.as_slice()),
+            "packed-B lowering differs: {g:?}"
+        );
+        Ok(())
+    }
+
+    /// `im2col_packed_i8` into a sentinel-filled buffer equals
+    /// `PackedB8::pack_quantized` of the naive lowering.
+    fn check_packed_b8(g: &ConvGeom) -> std::result::Result<(), String> {
+        let x = sample(g);
+        let inv = 127.0 / 0.95;
+        let expect = PackedB8::pack_quantized(
+            MatRef::new(&naive_im2col(&x, g), g.cols()),
+            g.rows(),
+            g.cols(),
+            inv,
+        );
+        let mut qx = vec![0i16; x.len()];
+        quantize_slice_i16(&x, inv, &mut qx);
+        let mut pb = vec![i16::MIN; packed_b8_len(g.rows(), g.cols())];
+        im2col_packed_i8(&qx, g, &mut pb);
+        prop_assert!(
+            pb == expect.as_slice(),
+            "packed int8 lowering differs: {g:?}"
+        );
+        Ok(())
+    }
+
+    /// `im2col_packed_lhs` into a NaN-filled buffer equals, bit for
+    /// bit, `PackedA::pack` of the naive lowering.
+    fn check_packed_a(g: &ConvGeom) -> std::result::Result<(), String> {
+        let x = sample(g);
+        let expect = PackedA::pack(
+            MatRef::new(&naive_im2col(&x, g), g.cols()),
+            g.rows(),
+            g.cols(),
+        );
+        let mut pa = vec![f32::NAN; packed_a_len(g.rows(), g.cols())];
+        im2col_packed_lhs(&x, g, &mut pa);
+        prop_assert!(
+            bits(&pa) == bits(expect.as_slice()),
+            "packed-A lowering differs: {g:?}"
+        );
+        Ok(())
+    }
+
+    /// Generated geometry: channels 1–4 from base 0–2, `h`/`w` 1–12,
+    /// kernel 1–6 (overhanging the input whenever it exceeds it),
+    /// stride 1–3, padding 0–3. `None` when the kernel does not fit the
+    /// padded input.
+    fn gen_geom() -> impl Strategy<Value = Option<ConvGeom>> {
+        (
+            (1usize..=4, 0usize..=2),
+            1usize..=12,
+            1usize..=12,
+            1usize..=6,
+            1usize..=3,
+            0usize..=3,
+        )
+            .prop_map(|((ch, base), h, w, k, s, p)| {
+                (k <= h + 2 * p && k <= w + 2 * p).then(|| geom(h, w, k, s, p, ch, base))
+            })
+    }
+
     #[test]
     fn matches_naive_lowering() {
         for &(h, w, k, s, p) in &[
@@ -620,221 +534,49 @@ mod tests {
             let x: Vec<f32> = (0..(g.ch_base + g.channels) * h * w)
                 .map(|i| i as f32 * 0.25 - 3.0)
                 .collect();
-            let mut col = vec![f32::NAN; g.col_len()];
+            let mut col = vec![f32::NAN; col_len(&g)];
             im2col(&x, &g, &mut col);
             assert_eq!(col, naive_im2col(&x, &g), "geom h{h} w{w} k{k} s{s} p{p}");
         }
     }
 
-    #[test]
-    fn packed_lowering_matches_pack_of_plain_lowering() {
-        use crate::gemm::{packed_b_len, MatRef, PackedB};
-        // Geometries cover: unaligned column counts (ow not a multiple
-        // of NR), strides, padding, kernels overhanging the row, and a
-        // row count above KC (kernel 6 × 8 channels = 288 rows > 256),
-        // which forces a second K-slice in the packed layout.
-        for &(h, w, k, s, p, ch) in &[
-            (5usize, 5usize, 3usize, 1usize, 1usize, 2usize),
-            (5, 7, 3, 2, 1, 2),
-            (4, 4, 1, 1, 0, 3),
-            (8, 5, 2, 2, 0, 2),
-            (2, 2, 4, 2, 1, 1),
-            (9, 9, 6, 1, 2, 8),
-        ] {
-            let g = geom(h, w, k, s, p, ch, 1);
-            let x: Vec<f32> = (0..(g.ch_base + g.channels) * h * w)
-                .map(|i| (i as f32 * 0.37).sin())
-                .collect();
-            let mut col = vec![0.0f32; g.col_len()];
-            im2col(&x, &g, &mut col);
-            let expect = PackedB::pack(MatRef::new(&col, g.cols()), g.rows(), g.cols());
-            // Poison the destination: the packed writer must overwrite
-            // everything, padding included.
-            let mut pb = vec![f32::NAN; packed_b_len(g.rows(), g.cols())];
-            im2col_packed(&x, &g, &mut pb);
-            let mut probe = vec![0.0f32; g.rows() * g.cols()];
-            let mut probe2 = vec![0.0f32; g.rows() * g.cols()];
-            // Compare through the GEMM (identity A would do, but a
-            // random A exercises every panel): bit-equality required.
-            let a: Vec<f32> = (0..3 * g.rows()).map(|i| (i as f32 * 0.11).cos()).collect();
-            crate::gemm::gemm_with(
-                3,
-                g.cols(),
-                g.rows(),
-                crate::gemm::Lhs::Mat(MatRef::new(&a, g.rows())),
-                crate::gemm::Rhs::Packed(expect.as_ref()),
-                0.0,
-                &mut probe,
-                g.cols(),
-                false,
-                crate::gemm::Epilogue::none(),
-            );
-            crate::gemm::gemm_with(
-                3,
-                g.cols(),
-                g.rows(),
-                crate::gemm::Lhs::Mat(MatRef::new(&a, g.rows())),
-                crate::gemm::Rhs::Packed(crate::gemm::PackedBRef::new(&pb, g.rows(), g.cols())),
-                0.0,
-                &mut probe2,
-                g.cols(),
-                false,
-                crate::gemm::Epilogue::none(),
-            );
-            assert!(
-                probe
-                    .iter()
-                    .zip(&probe2)
-                    .all(|(x, y)| x.to_bits() == y.to_bits()),
-                "geom h{h} w{w} k{k} s{s} p{p} ch{ch}: packed lowering differs"
-            );
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn packed_lowering_matches_pack_of_plain_lowering(g in gen_geom()) {
+            prop_assume!(g.is_some());
+            check_packed_b(&g.expect("assumed"))?;
+        }
+
+        #[test]
+        fn packed_i8_lowering_matches_quantised_pack_of_plain_lowering(g in gen_geom()) {
+            prop_assume!(g.is_some());
+            check_packed_b8(&g.expect("assumed"))?;
+        }
+
+        #[test]
+        fn packed_lhs_lowering_matches_pack_of_plain_lowering(g in gen_geom()) {
+            prop_assume!(g.is_some());
+            check_packed_a(&g.expect("assumed"))?;
         }
     }
 
     #[test]
-    fn packed_i8_lowering_matches_quantised_pack_of_plain_lowering() {
-        use crate::gemm::int8::QEpilogue;
-        use crate::gemm::{gemm_i8, packed_b8_len, MatRef, PackedA8, PackedB8, PackedB8Ref};
-        use crate::quant::quantize_slice_i16;
-        // Same geometry classes as the f32 packed test: unaligned
-        // column counts, strides, padding, overhanging kernels, odd
-        // row counts (pair padding) — plus one geometry whose row
-        // count exceeds the int8 kernel's own (deeper) K-slice,
-        // pinning the KC8-based pair-interleaved slice addressing.
-        for &(h, w, k, s, p, ch) in &[
-            (5usize, 5usize, 3usize, 1usize, 1usize, 2usize),
-            (5, 7, 3, 2, 1, 2),
-            (4, 4, 1, 1, 0, 3),
-            (8, 5, 2, 2, 0, 2),
-            (2, 2, 4, 2, 1, 1),
-            (9, 9, 6, 1, 2, 8),
-            // Pointwise conv, 2 channels on 4x4: an even row count
-            // with cols an exact multiple of NR, so the odd row's last
-            // span ends flush at the final strip boundary (regression:
-            // the pair-lane slice used to overrun the buffer by one).
-            (4, 4, 1, 1, 0, 2),
-            // 3 channels x 3^2 kernel = 27 rows: odd, so the layout
-            // carries a zero pad k-step.
-            (6, 6, 3, 1, 1, 3),
-            // 8 channels x 12^2 kernel = 1152 rows > KC8: forces a
-            // second int8 K-slice in the packed layout.
-            (12, 12, 12, 1, 2, 8),
-        ] {
-            let g = geom(h, w, k, s, p, ch, 1);
-            let x: Vec<f32> = (0..(g.ch_base + g.channels) * h * w)
-                .map(|i| (i as f32 * 0.37).sin())
-                .collect();
-            let inv = 127.0 / 0.95;
-            let mut col = vec![0.0f32; g.col_len()];
-            im2col(&x, &g, &mut col);
-            let expect =
-                PackedB8::pack_quantized(MatRef::new(&col, g.cols()), g.rows(), g.cols(), inv);
-            // Quantise the sample once, then lower; poison the
-            // destination: the writer must overwrite everything,
-            // padding included.
-            let mut qx = vec![0i16; x.len()];
-            quantize_slice_i16(&x, inv, &mut qx);
-            let mut pb = vec![i16::MIN; packed_b8_len(g.rows(), g.cols())];
-            im2col_packed_i8(&qx, &g, &mut pb);
-            // Compare through the int8 GEMM (a random quantised A
-            // exercises every panel): bit-equality required.
-            let a: Vec<f32> = (0..3 * g.rows()).map(|i| (i as f32 * 0.11).cos()).collect();
-            let pa = PackedA8::pack_quantized(MatRef::new(&a, g.rows()), 3, g.rows(), 127.0);
-            let mut probe = vec![0.0f32; 3 * g.cols()];
-            let mut probe2 = vec![0.0f32; 3 * g.cols()];
-            let ep = QEpilogue::scaled(1.0);
-            gemm_i8(
-                3,
-                g.cols(),
-                g.rows(),
-                pa.as_ref(),
-                expect.as_ref(),
-                &mut probe,
-                g.cols(),
-                false,
-                ep,
-            );
-            gemm_i8(
-                3,
-                g.cols(),
-                g.rows(),
-                pa.as_ref(),
-                PackedB8Ref::new(&pb, g.rows(), g.cols()),
-                &mut probe2,
-                g.cols(),
-                false,
-                ep,
-            );
-            assert!(
-                probe
-                    .iter()
-                    .zip(&probe2)
-                    .all(|(x, y)| x.to_bits() == y.to_bits()),
-                "geom h{h} w{w} k{k} s{s} p{p} ch{ch}: packed int8 lowering differs"
-            );
-        }
-    }
-
-    #[test]
-    fn packed_lhs_lowering_matches_pack_of_plain_lowering() {
-        use crate::gemm::{packed_a_len, Epilogue, Lhs, MatRef, PackedA, PackedARef, Rhs};
-        // Same geometry sweep as the packed-B test; the kernel-6 case
-        // again pushes the row count past one K-slice worth of columns
-        // is impossible here (K = output positions), so a 17×17 input
-        // with stride 1 drives cols() past KC instead.
-        for &(h, w, k, s, p, ch) in &[
-            (5usize, 5usize, 3usize, 1usize, 1usize, 2usize),
-            (5, 7, 3, 2, 1, 2),
-            (4, 4, 1, 1, 0, 3),
-            (8, 5, 2, 2, 0, 2),
-            (2, 2, 4, 2, 1, 1),
-            (17, 17, 3, 1, 1, 2),
-        ] {
-            let g = geom(h, w, k, s, p, ch, 0);
-            let x: Vec<f32> = (0..g.channels * h * w)
-                .map(|i| (i as f32 * 0.29).sin())
-                .collect();
-            let mut col = vec![0.0f32; g.col_len()];
-            im2col(&x, &g, &mut col);
-            let expect = PackedA::pack(MatRef::new(&col, g.cols()), g.rows(), g.cols());
-            let mut pa = vec![f32::NAN; packed_a_len(g.rows(), g.cols())];
-            im2col_packed_lhs(&x, &g, &mut pa);
-            // Compare through the GEMM: bit-equality required.
-            let b: Vec<f32> = (0..g.cols() * 3).map(|i| (i as f32 * 0.13).cos()).collect();
-            let mut probe = vec![0.0f32; g.rows() * 3];
-            let mut probe2 = vec![0.0f32; g.rows() * 3];
-            crate::gemm::gemm_with(
-                g.rows(),
-                3,
-                g.cols(),
-                Lhs::Packed(expect.as_ref()),
-                Rhs::Mat(MatRef::new(&b, 3)),
-                0.0,
-                &mut probe,
-                3,
-                false,
-                Epilogue::none(),
-            );
-            crate::gemm::gemm_with(
-                g.rows(),
-                3,
-                g.cols(),
-                Lhs::Packed(PackedARef::new(&pa, g.rows(), g.cols())),
-                Rhs::Mat(MatRef::new(&b, 3)),
-                0.0,
-                &mut probe2,
-                3,
-                false,
-                Epilogue::none(),
-            );
-            assert!(
-                probe
-                    .iter()
-                    .zip(&probe2)
-                    .all(|(x, y)| x.to_bits() == y.to_bits()),
-                "geom h{h} w{w} k{k} s{s} p{p} ch{ch}: packed-A lowering differs"
-            );
-        }
+    fn packed_lowerings_span_a_second_k_slice() {
+        // Generated sizes stay below the kernels' K-slice depths. Kernel
+        // 6 × 8 channels = 288 rows > KC; kernel 12 × 8 channels = 1152
+        // rows > KC8; a 17×17 stride-1 output = 289 columns > KC, the
+        // packed-A lowering's K extent.
+        let g = geom(9, 9, 6, 1, 2, 8, 1);
+        assert!(g.rows() > KC);
+        check_packed_b(&g).unwrap();
+        let g = geom(12, 12, 12, 1, 2, 8, 1);
+        assert!(g.rows() > KC8);
+        check_packed_b8(&g).unwrap();
+        let g = geom(17, 17, 3, 1, 1, 2, 0);
+        assert!(g.cols() > KC);
+        check_packed_a(&g).unwrap();
     }
 
     #[test]
@@ -845,8 +587,8 @@ mod tests {
         let x: Vec<f32> = (0..g.channels * g.h * g.w)
             .map(|i| (i as f32).sin())
             .collect();
-        let c: Vec<f32> = (0..g.col_len()).map(|i| (i as f32 * 0.7).cos()).collect();
-        let mut col = vec![0.0f32; g.col_len()];
+        let c: Vec<f32> = (0..col_len(&g)).map(|i| (i as f32 * 0.7).cos()).collect();
+        let mut col = vec![0.0f32; col_len(&g)];
         im2col(&x, &g, &mut col);
         let lhs: f64 = col
             .iter()
@@ -866,7 +608,7 @@ mod tests {
     #[test]
     fn col2im_accumulates() {
         let g = geom(4, 4, 3, 1, 1, 1, 0);
-        let col = vec![1.0f32; g.col_len()];
+        let col = vec![1.0f32; col_len(&g)];
         let mut gx = vec![0.5f32; g.h * g.w];
         col2im_add(&col, &g, &mut gx);
         // Centre pixels are touched by all 9 kernel offsets.

@@ -310,95 +310,6 @@ impl Layer for MaxPool2d {
     }
 }
 
-/// Global average pooling: `[N, C, H, W] → [N, C]`.
-#[derive(Debug, Default)]
-pub struct GlobalAvgPool {
-    name: String,
-    in_shape: Option<Vec<usize>>,
-}
-
-impl GlobalAvgPool {
-    /// Creates a named global-average-pool layer.
-    pub fn new(name: impl Into<String>) -> Self {
-        Self {
-            name: name.into(),
-            in_shape: None,
-        }
-    }
-}
-
-impl Layer for GlobalAvgPool {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
-        let shape = input.shape();
-        if shape.len() != 4 {
-            return Err(NnError::ShapeMismatch {
-                context: format!("gap `{}` forward", self.name),
-                expected: vec![0, 0, 0, 0],
-                actual: shape.to_vec(),
-            });
-        }
-        let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
-        let hw = (h * w) as f32;
-        let mut out = Tensor::zeros(&[n, c]);
-        let x = input.data();
-        let o = out.data_mut();
-        for ni in 0..n {
-            for ci in 0..c {
-                let plane = (ni * c + ci) * h * w;
-                let s: f32 = x[plane..plane + h * w].iter().sum();
-                o[ni * c + ci] = s / hw;
-            }
-        }
-        if train {
-            self.in_shape = Some(shape.to_vec());
-        }
-        Ok(out)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let shape = self
-            .in_shape
-            .clone()
-            .ok_or_else(|| NnError::InvalidConfig {
-                reason: format!("gap `{}`: backward before training forward", self.name),
-            })?;
-        let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
-        grad_out.expect_shape(&[n, c], "global avg pool backward")?;
-        let hw = (h * w) as f32;
-        let mut grad_in = Tensor::zeros(&shape);
-        let gi = grad_in.data_mut();
-        for ni in 0..n {
-            for ci in 0..c {
-                let g = grad_out.at(&[ni, ci]) / hw;
-                let plane = (ni * c + ci) * h * w;
-                for v in &mut gi[plane..plane + h * w] {
-                    *v = g;
-                }
-            }
-        }
-        Ok(grad_in)
-    }
-
-    fn cost(&self, in_shape: &[usize]) -> Result<LayerCost> {
-        if in_shape.len() != 3 {
-            return Err(NnError::ShapeMismatch {
-                context: format!("gap `{}` cost", self.name),
-                expected: vec![0, 0, 0],
-                actual: in_shape.to_vec(),
-            });
-        }
-        Ok(LayerCost {
-            macs: 0.0,
-            params: 0,
-            out_shape: vec![in_shape[0]],
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -445,30 +356,9 @@ mod tests {
     }
 
     #[test]
-    fn gap_forward_and_backward() {
-        let mut g = GlobalAvgPool::new("g");
-        let x = Tensor::from_vec(
-            &[1, 2, 2, 2],
-            vec![1.0, 2.0, 3.0, 4.0, 10.0, 10.0, 10.0, 10.0],
-        )
-        .unwrap();
-        let y = g.forward(&x, true).unwrap();
-        assert_eq!(y.shape(), &[1, 2]);
-        assert_eq!(y.data(), &[2.5, 10.0]);
-        let go = Tensor::from_vec(&[1, 2], vec![4.0, 8.0]).unwrap();
-        let gi = g.backward(&go).unwrap();
-        assert_eq!(gi.shape(), x.shape());
-        assert_eq!(gi.at(&[0, 0, 0, 0]), 1.0);
-        assert_eq!(gi.at(&[0, 1, 1, 1]), 2.0);
-    }
-
-    #[test]
     fn pool_costs_propagate_shape() {
         let p = MaxPool2d::new("p", 2);
         assert_eq!(p.cost(&[8, 16, 16]).unwrap().out_shape, vec![8, 8, 8]);
-        let g = GlobalAvgPool::new("g");
-        assert_eq!(g.cost(&[8, 4, 4]).unwrap().out_shape, vec![8]);
         assert!(p.cost(&[8, 16]).is_err());
-        assert!(g.cost(&[8]).is_err());
     }
 }

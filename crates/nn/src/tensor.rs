@@ -186,13 +186,6 @@ impl Tensor {
         }
     }
 
-    /// In-place element-wise map.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
-            *x = f(*x);
-        }
-    }
-
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
@@ -328,13 +321,6 @@ mod tests {
         assert_eq!(t.max(), 3.0);
         assert_eq!(t.argmax(), 2);
         assert_eq!(t.mean(), -0.5);
-    }
-
-    #[test]
-    fn map_inplace_mutates() {
-        let mut t = Tensor::full(&[2], 2.0);
-        t.map_inplace(|x| x * x);
-        assert_eq!(t.data(), &[4.0, 4.0]);
     }
 
     #[test]
