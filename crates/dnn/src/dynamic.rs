@@ -128,13 +128,13 @@ impl DynamicDnn {
     /// quantised forward with the activation observers recording, then
     /// freezes the observed ranges as static per-layer scales —
     /// [`eml_nn::Network::calibrate`]. With scales frozen and the
-    /// precision knob at [`Precision::Int8`], inference runs the
-    /// *chained* int8 pipeline (one input quantisation, one logits
-    /// dequantisation, saturating-i8 layer edges in between — see
-    /// [`eml_nn::Network::plan_quant_chain`]) and becomes reproducible
-    /// across batch compositions. The serving precision is restored
-    /// afterwards, so calibrating an f32-serving DNN ahead of an int8
-    /// switch is safe.
+    /// precision knob at [`Precision::Int8`], the inference plan links
+    /// the layers' int8 steps into one chain (one input quantisation,
+    /// one logits dequantisation, saturating-i8 layer edges in between
+    /// — see [`eml_nn::Network::plan_quant_chain`]) and inference
+    /// becomes reproducible across batch compositions. The serving
+    /// precision is restored afterwards, so calibrating an f32-serving
+    /// DNN ahead of an int8 switch is safe.
     ///
     /// # Errors
     ///

@@ -1,8 +1,7 @@
 //! Width levels: the discrete configurations of a dynamic DNN.
 //!
 //! The paper uses a four-increment design — the 25 %, 50 %, 75 % and 100 %
-//! models. A [`WidthLevel`] is an index into a dynamic DNN's level list;
-//! [`FourLevel`] names the paper's four.
+//! models. A [`WidthLevel`] is an index into a dynamic DNN's level list.
 
 use std::fmt;
 
@@ -37,89 +36,30 @@ impl From<usize> for WidthLevel {
     }
 }
 
-/// The paper's named four-level scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum FourLevel {
-    /// The 25 % model: one of four groups active.
-    P25,
-    /// The 50 % model.
-    P50,
-    /// The 75 % model.
-    P75,
-    /// The full (100 %) model.
-    P100,
-}
-
-impl FourLevel {
-    /// All four levels in ascending width order.
-    pub const ALL: [FourLevel; 4] = [Self::P25, Self::P50, Self::P75, Self::P100];
-
-    /// The nominal width fraction.
-    pub fn fraction(self) -> f64 {
-        match self {
-            Self::P25 => 0.25,
-            Self::P50 => 0.50,
-            Self::P75 => 0.75,
-            Self::P100 => 1.00,
-        }
-    }
-
-    /// Converts to a generic level index.
-    pub fn level(self) -> WidthLevel {
-        WidthLevel(match self {
-            Self::P25 => 0,
-            Self::P50 => 1,
-            Self::P75 => 2,
-            Self::P100 => 3,
-        })
-    }
-
-    /// Converts a generic index back, if it is one of the four.
-    pub fn from_level(level: WidthLevel) -> Option<Self> {
-        Self::ALL.get(level.0).copied()
-    }
-}
-
-impl fmt::Display for FourLevel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.0}% model", self.fraction() * 100.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn level_round_trips() {
-        for (i, l) in FourLevel::ALL.iter().enumerate() {
-            assert_eq!(l.level().index(), i);
-            assert_eq!(FourLevel::from_level(WidthLevel(i)), Some(*l));
+        for i in 0..4 {
+            assert_eq!(WidthLevel::from(i).index(), i);
         }
-        assert_eq!(FourLevel::from_level(WidthLevel(4)), None);
-    }
-
-    #[test]
-    fn fractions_ascend() {
-        let f: Vec<f64> = FourLevel::ALL.iter().map(|l| l.fraction()).collect();
-        assert_eq!(f, vec![0.25, 0.5, 0.75, 1.0]);
     }
 
     #[test]
     fn active_groups_is_one_based() {
         assert_eq!(WidthLevel(0).active_groups(), 1);
-        assert_eq!(FourLevel::P100.level().active_groups(), 4);
+        assert_eq!(WidthLevel(3).active_groups(), 4);
     }
 
     #[test]
     fn display_names() {
-        assert_eq!(FourLevel::P25.to_string(), "25% model");
         assert_eq!(WidthLevel(2).to_string(), "level2");
     }
 
     #[test]
     fn ordering_follows_width() {
-        assert!(FourLevel::P25 < FourLevel::P100);
         assert!(WidthLevel(0) < WidthLevel(3));
     }
 }

@@ -43,5 +43,5 @@ pub mod profile;
 pub use dynamic::DynamicDnn;
 pub use eml_nn::{ActScaleReport, Precision};
 pub use error::{DnnError, Result};
-pub use level::{FourLevel, WidthLevel};
+pub use level::WidthLevel;
 pub use profile::{DnnProfile, LevelSpec};

@@ -165,23 +165,15 @@ pub fn workspace_allowlist() -> Vec<AllowEntry> {
             why: "test scaffolding; setup failures should abort the test loudly",
         },
     ];
-    // unreachable-pub: what still reaches each item. The "deferred
-    // cut" entries are dead in the product: only the named unit test
-    // calls them, and they go together with that test.
-    let unreachable_pub: [(&'static str, &'static str, &'static str); 13] = [
+    // unreachable-pub: what still reaches each item. Beside
+    // `from_base`, each entry is owed a caller by the ROADMAP item it
+    // names; until that item lands only the named unit test calls it,
+    // and if the item is dropped the entry goes with its test.
+    let unreachable_pub: [(&'static str, &'static str, &'static str); 4] = [
         ("crates/platform/src/units.rs", "pub const fn from_base(", "every quantity's macro-generated base constructor; its doctests are `#[doc]` strings the lexer cannot read"),
-        ("crates/dnn/src/level.rs", "pub enum FourLevel", "deferred cut: only `level_round_trips` and `fractions_ascend` name it"),
-        ("crates/dnn/src/level.rs", "pub const ALL: [FourLevel; 4]", "deferred cut: goes with `FourLevel`"),
-        ("crates/dnn/src/level.rs", "pub fn from_level(", "deferred cut: goes with `FourLevel`"),
-        ("crates/nn/src/metrics.rs", "pub fn mean_confidence(", "deferred cut: only `confidence_in_unit_interval` calls it"),
-        ("crates/platform/src/latency.rs", "pub fn with_parallel_alpha(", "deferred cut: only `alpha_bounds_validated` calls it"),
-        ("crates/platform/src/latency.rs", "pub fn throughput(", "deferred cut: only `throughput_is_inverse_latency` calls it"),
-        ("crates/platform/src/opp.rs", "pub fn ceil_index(", "deferred cut: only `ceil_and_floor_index` calls it"),
-        ("crates/platform/src/opp.rs", "pub fn floor_index(", "deferred cut: only `ceil_and_floor_index` calls it"),
-        ("crates/platform/src/soc.rs", "pub fn find_kind(", "deferred cut: only `lookup_by_name_and_kind` calls it"),
-        ("crates/platform/src/thermal.rs", "pub fn cluster_temp(", "deferred cut: only `cluster_temp_adds_local_self_heating` calls it"),
-        ("crates/platform/src/thermal.rs", "pub fn over_limit(", "deferred cut: only the thermal unit tests call it"),
-        ("crates/sim/src/trace.rs", "pub fn to_csv(", "deferred cut: only `csv_has_header_and_rows` and `csv_export_contains_all_phases` call it"),
+        ("crates/nn/src/metrics.rs", "pub fn mean_confidence(", "owed a caller by ROADMAP item 16 (per-request confidence for anytime inference); until then only `confidence_in_unit_interval` calls it"),
+        ("crates/platform/src/thermal.rs", "pub fn cluster_temp(", "owed a caller by ROADMAP item 10 (temperature on served requests); until then only `cluster_temp_adds_local_self_heating` calls it"),
+        ("crates/platform/src/thermal.rs", "pub fn over_limit(", "owed a caller by ROADMAP item 10 (thermal re-plans on served requests); until then only the thermal unit tests call it"),
     ];
     allow.extend(
         unreachable_pub.map(|(path_suffix, contains, why)| AllowEntry {

@@ -21,8 +21,9 @@
 //! batch; [`Precision::Int8`] runs the same structure on the quantised
 //! int8 kernel ([`crate::gemm::int8`]) — cached int8 weight panels, a
 //! one-pass quantise-and-lower of the input, exact `i32` accumulation
-//! and a fused requantisation epilogue (the executed form of the
-//! paper's data-precision knob). The original nested loop survives
+//! and a fused requantisation epilogue, in one step that serves the
+//! per-layer forward and every place in an int8 chain (the executed
+//! form of the paper's data-precision knob). The original nested loop survives
 //! only in test builds, as the oracle the GEMM path is checked
 //! against.
 //!
@@ -51,8 +52,8 @@ use crate::gemm::{
 use crate::im2col::{col2im_add, im2col_packed, im2col_packed_i8, im2col_packed_lhs, ConvGeom};
 use crate::layer::{sgd_update_span, ChainSupport, Layer, LayerCost};
 use crate::quant::{
-    finite_max_abs, inv_or_zero, quantize_slice_i16, ActObserver, Precision, QAct, QTensor,
-    I8_LEVELS,
+    finite_max_abs, inv_or_zero, quantize_slice_i16, ActObserver, Precision, QAct, QActRef,
+    QTensor, I8_LEVELS,
 };
 use crate::tensor::Tensor;
 use crate::workers;
@@ -487,62 +488,99 @@ impl Conv2d {
         }
     }
 
-    /// Int8 forward: the same per-sample, per-group structure
-    /// as [`Conv2d::forward_gemm`], but on the quantised kernel — the
-    /// active weights are quantised per-tensor and packed into int8
-    /// panels once per weight version; each sample is quantised in one
-    /// vectorised pass (scale from the layer's [`ActObserver`]) and
-    /// lowered by pure integer copies into packed int8 panel layout
-    /// ([`im2col_packed_i8`]); and the `i8×i8→i32` product requantises
-    /// through a fused epilogue (`out = acc·scale_x·scale_w + bias`,
-    /// in `f32`).
-    fn forward_quant(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        let (n, c_in, h, w) = {
-            let s = input.shape();
-            (s[0], s[1], s[2], s[3])
-        };
-        let (c_out, oh, ow) = {
-            let s = out.shape();
-            (s[1], s[2], s[3])
-        };
+    /// The int8 forward step, the one quantised path of this layer: a
+    /// per-layer [`Layer::forward`] at [`Precision::Int8`] runs it as a
+    /// one-layer chain (`f32` in, `f32` out), a chained forward runs it
+    /// as its plan says. The active weights are quantised per tensor
+    /// and packed into int8 panels once per weight version. An `f32`
+    /// input is quantised per sample at the [`ActObserver`]'s scale
+    /// (`train` goes to the observer); an int8 input is already on
+    /// this layer's frozen grid. Each sample is lowered by pure integer
+    /// copies into packed panels ([`im2col_packed_i8`]) and each
+    /// executed group runs one `i8×i8→i32` product. With `out_scale`
+    /// `None` the epilogue dequantises (`acc·s_x·s_w + bias` in `f32`);
+    /// with `Some(s)` it requantises onto the grid `s` through the
+    /// saturating [`QEpilogueI8`]. `fuse_relu` adds a free `max(0)`.
+    fn quant_step(
+        &mut self,
+        input: QActRef<'_>,
+        out_scale: Option<f32>,
+        fuse_relu: bool,
+        train: bool,
+    ) -> Result<QAct> {
+        let shape = input.shape();
+        let out_shape = self.out_shape(shape, "forward")?;
+        let [n, c_out, oh, ow] = out_shape;
         let (groups_exec, opg) = self.exec_groups();
         let kdim = self.icg_count() * self.cfg.kernel * self.cfg.kernel;
         let ohw = oh * ow;
-        let sample_in = c_in * h * w;
-        let sample_out = c_out * ohw;
         let per_sample_macs = groups_exec * opg * ohw * kdim;
-        let batch_par = n > 1 && n * per_sample_macs >= crate::gemm::PAR_MIN_WORK_I8;
         self.ensure_packed_w8(groups_exec, opg, kdim);
-
-        // Per-tensor activation scale: the batch's own range when the
-        // observer is dynamic, the calibrated range when frozen.
-        let (x_scale, inv_x) = self.act_obs.observe_scale(input.data(), train);
-        crate::quant::count_quantise_pass();
-        crate::quant::count_dequantise_pass();
+        let (x_scale, inv_x) = match input {
+            // Per-tensor activation scale: the batch's own range when
+            // the observer is dynamic, the calibrated range when frozen.
+            QActRef::F32(t) => {
+                crate::quant::count_quantise_pass();
+                self.act_obs.observe_scale(t.data(), train)
+            }
+            // Mid-chain: the predecessor already requantised onto this
+            // layer's frozen grid.
+            QActRef::I8(q) => (q.scale(), 0.0),
+        };
         let (w_scale, packed_w8) = self.packed_w8.as_ref().expect("packed above");
         let q_scale = x_scale * w_scale;
-        let geoms: Vec<ConvGeom> = (0..groups_exec)
-            .map(|g| self.geom(g, h, w, oh, ow))
-            .collect();
-        let bias = &self.b;
-        quant_conv_pass(
-            QConvInput::F32 {
-                x: input.data(),
-                inv_scale: inv_x,
-            },
-            out.data_mut(),
+        let pass = QConvPass {
+            input,
+            inv_x,
             n,
-            sample_in,
-            sample_out,
-            &geoms,
+            sample_in: shape[1..].iter().product(),
+            sample_out: c_out * ohw,
+            geoms: (0..groups_exec)
+                .map(|g| self.geom(g, shape[2], shape[3], oh, ow))
+                .collect(),
             packed_w8,
             opg,
             ohw,
             kdim,
-            batch_par,
-            &mut self.scratch.col8,
-            |g| QEpilogue::scaled(q_scale).with_bias_row(&bias[g * opg..][..opg]),
-        );
+            batch_par: n > 1 && n * per_sample_macs >= crate::gemm::PAR_MIN_WORK_I8,
+        };
+        let Scratch { col8, qbias, .. } = &mut self.scratch;
+        let bias = &self.b;
+        match out_scale {
+            None => {
+                crate::quant::count_dequantise_pass();
+                let mut out = Tensor::zeros(&out_shape);
+                pass.run(out.data_mut(), col8, |g| {
+                    let ep = QEpilogue::scaled(q_scale).with_bias_row(&bias[g * opg..][..opg]);
+                    if fuse_relu {
+                        ep.with_relu()
+                    } else {
+                        ep
+                    }
+                });
+                Ok(QAct::F32(out))
+            }
+            Some(s_out) => {
+                // The whole epilogue runs on the output grid:
+                // multiplier s_x·s_w/s_out, bias pre-divided (into a
+                // reused scratch vector — no per-call alloc).
+                let inv_out = inv_or_zero(s_out);
+                qbias.clear();
+                qbias.extend(bias.iter().map(|&b| b * inv_out));
+                let qbias: &[f32] = qbias;
+                let mut out = QTensor::zeros(&out_shape, s_out);
+                pass.run(out.data_mut(), col8, |g| {
+                    let ep = QEpilogueI8::scaled(q_scale * inv_out)
+                        .with_bias_row(&qbias[g * opg..][..opg]);
+                    if fuse_relu {
+                        ep.with_relu()
+                    } else {
+                        ep
+                    }
+                });
+                Ok(QAct::I8(out))
+            }
+        }
     }
 
     /// Backward (both precisions), one batch-parallel pass: per sample and
@@ -709,87 +747,99 @@ impl Conv2d {
     }
 }
 
-/// The activation operand of one quantised conv pass: a raw `f32`
-/// sample batch to be quantised per band, or an already-quantised
-/// batch handed over by the previous layer of an int8 chain.
-#[derive(Clone, Copy)]
-enum QConvInput<'a> {
-    /// `f32` activations, quantised per sample with `inv_scale`.
-    F32 { x: &'a [f32], inv_scale: f32 },
-    /// Int8-grid activations (`i16` storage) — lowered as-is.
-    I8(&'a [i16]),
-}
-
-/// The shared band loop of every quantised conv forward, generic over
-/// the write-back: per sample, the (possibly pre-quantised) input is
-/// lowered by pure integer copies into packed int8 panels and each
-/// executed group runs one `i8×i8→i32` product whose epilogue either
-/// dequantises to `f32` ([`QEpilogue`]) or requantises onto the next
-/// layer's int8 grid ([`QEpilogueI8`]). `make_ep` builds the epilogue
-/// for executed group `g` (the bias slice differs per group).
-#[allow(clippy::too_many_arguments)]
-fn quant_conv_pass<E: QWriteback>(
-    input: QConvInput<'_>,
-    out: &mut [E::Out],
+/// One quantised conv pass over a batch: the operands and geometry
+/// `Conv2d::quant_step` resolved, run once for its output form.
+struct QConvPass<'a> {
+    input: QActRef<'a>,
+    /// Quantisation multiplier of an `f32` input (unused for int8).
+    inv_x: f32,
     n: usize,
     sample_in: usize,
     sample_out: usize,
-    geoms: &[ConvGeom],
-    packed_w8: &[PackedA8],
+    geoms: Vec<ConvGeom>,
+    packed_w8: &'a [PackedA8],
     opg: usize,
     ohw: usize,
     kdim: usize,
     batch_par: bool,
-    scratch: &mut Vec<i16>,
-    make_ep: impl Fn(usize) -> E + Sync,
-) {
-    let col_slot = packed_b8_len(kdim, ohw);
-    // Band slot: the packed panel, preceded by a quantised sample copy
-    // only when the input still needs quantising.
-    let q_slot = match input {
-        QConvInput::F32 { .. } => sample_in,
-        QConvInput::I8(_) => 0,
-    };
-    let slot = q_slot + col_slot;
-    let bands = workers::band_count(n, batch_par);
-    scratch.resize((bands * slot).max(scratch.len()), 0);
-    workers::for_each_band(
-        out,
-        n,
-        sample_out,
-        scratch,
-        slot,
-        &mut [],
-        0,
-        batch_par,
-        |n0, out_band, buf, _| {
-            let (qx, col) = buf.split_at_mut(q_slot);
-            for (bi, out_s) in out_band.chunks_mut(sample_out).enumerate() {
-                let qx_s: &[i16] = match input {
-                    QConvInput::F32 { x, inv_scale } => {
-                        let x_s = &x[(n0 + bi) * sample_in..][..sample_in];
-                        quantize_slice_i16(x_s, inv_scale, qx);
-                        qx
+}
+
+impl QConvPass<'_> {
+    /// The band loop, generic over the write-back: per sample, the
+    /// input is quantised (`f32`) or taken as it is (int8), lowered by
+    /// pure integer copies into packed int8 panels, and each executed
+    /// group runs one `i8×i8→i32` product whose epilogue either
+    /// dequantises to `f32` ([`QEpilogue`]) or requantises onto the
+    /// next layer's int8 grid ([`QEpilogueI8`]). `make_ep` builds the
+    /// epilogue for executed group `g` (the bias slice differs per
+    /// group).
+    fn run<E: QWriteback>(
+        &self,
+        out: &mut [E::Out],
+        scratch: &mut Vec<i16>,
+        make_ep: impl Fn(usize) -> E + Sync,
+    ) {
+        let &Self {
+            input,
+            inv_x,
+            n,
+            sample_in,
+            sample_out,
+            ref geoms,
+            packed_w8,
+            opg,
+            ohw,
+            kdim,
+            batch_par,
+        } = self;
+        let col_slot = packed_b8_len(kdim, ohw);
+        // Band slot: the packed panel, preceded by a quantised sample
+        // copy only when the input still needs quantising.
+        let q_slot = match input {
+            QActRef::F32(_) => sample_in,
+            QActRef::I8(_) => 0,
+        };
+        let slot = q_slot + col_slot;
+        let bands = workers::band_count(n, batch_par);
+        scratch.resize((bands * slot).max(scratch.len()), 0);
+        workers::for_each_band(
+            out,
+            n,
+            sample_out,
+            scratch,
+            slot,
+            &mut [],
+            0,
+            batch_par,
+            |n0, out_band, buf, _| {
+                let (qx, col) = buf.split_at_mut(q_slot);
+                for (bi, out_s) in out_band.chunks_mut(sample_out).enumerate() {
+                    let at = (n0 + bi) * sample_in;
+                    let qx_s: &[i16] = match input {
+                        QActRef::F32(t) => {
+                            quantize_slice_i16(&t.data()[at..][..sample_in], inv_x, qx);
+                            qx
+                        }
+                        QActRef::I8(q) => &q.data()[at..][..sample_in],
+                    };
+                    for (g, geom) in geoms.iter().enumerate() {
+                        im2col_packed_i8(qx_s, geom, col);
+                        gemm_i8_with(
+                            opg,
+                            ohw,
+                            kdim,
+                            packed_w8[g].as_ref(),
+                            PackedB8Ref::new(&col[..col_slot], kdim, ohw),
+                            &mut out_s[g * opg * ohw..][..opg * ohw],
+                            ohw,
+                            !batch_par,
+                            make_ep(g),
+                        );
                     }
-                    QConvInput::I8(q) => &q[(n0 + bi) * sample_in..][..sample_in],
-                };
-                for (g, geom) in geoms.iter().enumerate() {
-                    im2col_packed_i8(qx_s, geom, col);
-                    gemm_i8_with(
-                        opg,
-                        ohw,
-                        kdim,
-                        packed_w8[g].as_ref(),
-                        PackedB8Ref::new(&col[..col_slot], kdim, ohw),
-                        &mut out_s[g * opg * ohw..][..opg * ohw],
-                        ohw,
-                        !batch_par,
-                        make_ep(g),
-                    );
                 }
-            }
-        },
-    );
+            },
+        );
+    }
 }
 
 impl Layer for Conv2d {
@@ -798,11 +848,16 @@ impl Layer for Conv2d {
     }
 
     fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
-        let mut out = Tensor::zeros(&self.out_shape(input.shape(), "forward")?);
-        match self.precision {
-            Precision::F32 => self.forward_gemm(input, &mut out),
-            Precision::Int8 => self.forward_quant(input, &mut out, train),
-        }
+        let out = match self.precision {
+            Precision::F32 => {
+                let mut out = Tensor::zeros(&self.out_shape(input.shape(), "forward")?);
+                self.forward_gemm(input, &mut out);
+                out
+            }
+            Precision::Int8 => self
+                .quant_step(QActRef::F32(input), None, false, train)?
+                .into_tensor(),
+        };
         if train {
             self.cache = Some(input.clone());
         }
@@ -900,132 +955,18 @@ impl Layer for Conv2d {
     }
 
     fn chain_support(&self) -> ChainSupport {
-        if self.precision == Precision::Int8
-            && self.act_obs.is_frozen()
-            && self.act_obs.max_abs() > 0.0
-        {
-            ChainSupport::Quantised {
-                in_scale: self.act_obs.scale_for(0.0),
-            }
-        } else {
-            ChainSupport::Breaks
-        }
+        self.act_obs.chain_support(self.precision)
     }
 
-    /// Chained int8 forward: the same lowering/GEMM structure as the
-    /// per-layer quantised path, but the input may arrive already on
-    /// this layer's frozen int8 grid (no quantisation pass, no `f32`
-    /// intermediate) and the output can leave on the *next* layer's
-    /// grid through the saturating [`QEpilogueI8`] write-back, with
-    /// ReLU fused as a free `max(0)`.
+    /// One step of an int8 chain: the layer's int8 step on the planned
+    /// input form, emitting `f32` or int8 on the `out_scale` grid.
     fn forward_chained(
         &mut self,
         input: QAct,
         out_scale: Option<f32>,
         fuse_relu: bool,
     ) -> Result<QAct> {
-        let shape = input.shape().to_vec();
-        let [n, c_out, oh, ow] = self.out_shape(&shape, "chained forward")?;
-        let (h, w) = (shape[2], shape[3]);
-        let (groups_exec, opg) = self.exec_groups();
-        let kdim = self.icg_count() * self.cfg.kernel * self.cfg.kernel;
-        let ohw = oh * ow;
-        let sample_in = shape[1] * h * w;
-        let sample_out = c_out * ohw;
-        let per_sample_macs = groups_exec * opg * ohw * kdim;
-        let batch_par = n > 1 && n * per_sample_macs >= crate::gemm::PAR_MIN_WORK_I8;
-        self.ensure_packed_w8(groups_exec, opg, kdim);
-        let (x_scale, qin) = match &input {
-            QAct::F32(t) => {
-                // Head of the chain: the one f32→i8 quantisation of the
-                // whole forward, at this layer's frozen scale.
-                let (scale, inv) = self.act_obs.observe_scale(t.data(), false);
-                crate::quant::count_quantise_pass();
-                (
-                    scale,
-                    QConvInput::F32 {
-                        x: t.data(),
-                        inv_scale: inv,
-                    },
-                )
-            }
-            // Mid-chain: the predecessor already requantised onto this
-            // layer's frozen grid.
-            QAct::I8(q) => (q.scale(), QConvInput::I8(q.data())),
-        };
-        let (w_scale, packed_w8) = self.packed_w8.as_ref().expect("packed above");
-        let q_scale = x_scale * w_scale;
-        let geoms: Vec<ConvGeom> = (0..groups_exec)
-            .map(|g| self.geom(g, h, w, oh, ow))
-            .collect();
-        match out_scale {
-            None => {
-                // Tail of the chain: dequantise to f32 logits.
-                crate::quant::count_dequantise_pass();
-                let mut out = Tensor::zeros(&[n, c_out, oh, ow]);
-                let bias = &self.b;
-                quant_conv_pass(
-                    qin,
-                    out.data_mut(),
-                    n,
-                    sample_in,
-                    sample_out,
-                    &geoms,
-                    packed_w8,
-                    opg,
-                    ohw,
-                    kdim,
-                    batch_par,
-                    &mut self.scratch.col8,
-                    |g| {
-                        let ep = QEpilogue::scaled(q_scale).with_bias_row(&bias[g * opg..][..opg]);
-                        if fuse_relu {
-                            ep.with_relu()
-                        } else {
-                            ep
-                        }
-                    },
-                );
-                Ok(QAct::F32(out))
-            }
-            Some(s_out) => {
-                // Chain edge: emit saturating i8 on the next quantised
-                // layer's frozen grid. The whole epilogue runs on that
-                // grid: multiplier s_x·s_w/s_out, bias pre-divided
-                // (into a reused scratch vector — no per-call alloc).
-                let inv_out = inv_or_zero(s_out);
-                let requant_scale = q_scale * inv_out;
-                let mut out = QTensor::zeros(&[n, c_out, oh, ow], s_out);
-                let Scratch { col8, qbias, .. } = &mut self.scratch;
-                qbias.clear();
-                qbias.extend(self.b.iter().map(|&b| b * inv_out));
-                let qbias: &[f32] = qbias;
-                quant_conv_pass(
-                    qin,
-                    out.data_mut(),
-                    n,
-                    sample_in,
-                    sample_out,
-                    &geoms,
-                    packed_w8,
-                    opg,
-                    ohw,
-                    kdim,
-                    batch_par,
-                    col8,
-                    |g| {
-                        let ep = QEpilogueI8::scaled(requant_scale)
-                            .with_bias_row(&qbias[g * opg..][..opg]);
-                        if fuse_relu {
-                            ep.with_relu()
-                        } else {
-                            ep
-                        }
-                    },
-                );
-                Ok(QAct::I8(out))
-            }
-        }
+        self.quant_step(input.view(), out_scale, fuse_relu, false)
     }
 
     fn cost(&self, in_shape: &[usize]) -> Result<LayerCost> {

@@ -159,7 +159,9 @@ pub trait Layer: fmt::Debug + Send {
     /// must emit int8 output on the grid `s` (the next quantised
     /// layer's frozen input scale), with ReLU fused into the
     /// requantisation when `fuse_relu` is set; with `None` it emits
-    /// `f32`.
+    /// `f32`. A quantised layer runs the same int8 step here as in its
+    /// [`Layer::forward`] at [`Precision::Int8`], which is the
+    /// one-layer chain `f32` in, `f32` out.
     ///
     /// # Errors
     ///

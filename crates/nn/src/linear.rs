@@ -29,7 +29,9 @@ use crate::gemm::{
     Lhs, MatRef, PackedA8Ref, PackedB, PackedB8, QEpilogue, QEpilogueI8, Rhs,
 };
 use crate::layer::{sgd_update_span, ChainSupport, Layer, LayerCost};
-use crate::quant::{finite_max_abs, inv_or_zero, ActObserver, Precision, QAct, QTensor, I8_LEVELS};
+use crate::quant::{
+    finite_max_abs, inv_or_zero, ActObserver, Precision, QAct, QActRef, QTensor, I8_LEVELS,
+};
 use crate::tensor::Tensor;
 
 /// A dense layer `y = W·x + b` with width-scalable input features.
@@ -208,6 +210,94 @@ impl Linear {
             ));
         }
     }
+
+    /// The int8 forward step, the one quantised path of this layer:
+    /// `Y = X · Wᵀ` on the int8 kernel, with `Wᵀ` quantised per tensor
+    /// (over the active column prefix) and packed once per weight
+    /// version. A per-layer [`Layer::forward`] at [`Precision::Int8`]
+    /// runs it as a one-layer chain (`f32` in, `f32` out). An `f32`
+    /// batch is quantised into packed int8 layout at the
+    /// [`ActObserver`]'s scale (`train` goes to the observer); an int8
+    /// batch is already on this layer's frozen grid and packs by pure
+    /// integer copies ([`pack_a8_i16`]). The output either dequantises
+    /// to `f32` (`out_scale` `None` — logits, the classifier's usual
+    /// role) or requantises onto the grid `s` of `Some(s)` via
+    /// [`QEpilogueI8`]; `fuse_relu` adds a free `max(0)`.
+    fn quant_step(
+        &mut self,
+        input: QActRef<'_>,
+        out_scale: Option<f32>,
+        fuse_relu: bool,
+        train: bool,
+    ) -> Result<QAct> {
+        let n = self.batch_of(input.shape(), "forward")?;
+        let f_active = self.active_in_features();
+        let out_features = self.out_features;
+        self.ensure_packed_fwd8(f_active);
+        let qx_len = packed_a8_len(n, f_active);
+        self.qx_buf.resize(qx_len.max(self.qx_buf.len()), 0);
+        let x_scale = match input {
+            QActRef::F32(t) => {
+                let (scale, inv) = self.act_obs.observe_scale(t.data(), train);
+                crate::quant::count_quantise_pass();
+                pack_a8_quantized(
+                    MatRef::new(t.data(), f_active),
+                    n,
+                    f_active,
+                    inv,
+                    &mut self.qx_buf,
+                );
+                scale
+            }
+            QActRef::I8(q) => {
+                pack_a8_i16(q.data(), n, f_active, &mut self.qx_buf);
+                q.scale()
+            }
+        };
+        let (w_scale, packed) = self.packed_fwd8.as_ref().expect("packed above");
+        let q_scale = x_scale * w_scale;
+        let qx = PackedA8Ref::new(&self.qx_buf[..qx_len], n, f_active);
+        match out_scale {
+            None => {
+                crate::quant::count_dequantise_pass();
+                let mut out = Tensor::zeros(&[n, out_features]);
+                let ep = QEpilogue::scaled(q_scale).with_bias_col(&self.b);
+                let ep = if fuse_relu { ep.with_relu() } else { ep };
+                gemm_i8(
+                    n,
+                    out_features,
+                    f_active,
+                    qx,
+                    packed.as_ref(),
+                    out.data_mut(),
+                    out_features,
+                    true,
+                    ep,
+                );
+                Ok(QAct::F32(out))
+            }
+            Some(s_out) => {
+                let inv_out = inv_or_zero(s_out);
+                self.qbias_buf.clear();
+                self.qbias_buf.extend(self.b.iter().map(|&b| b * inv_out));
+                let mut out = QTensor::zeros(&[n, out_features], s_out);
+                let ep = QEpilogueI8::scaled(q_scale * inv_out).with_bias_col(&self.qbias_buf);
+                let ep = if fuse_relu { ep.with_relu() } else { ep };
+                gemm_i8_q(
+                    n,
+                    out_features,
+                    f_active,
+                    qx,
+                    packed.as_ref(),
+                    out.data_mut(),
+                    out_features,
+                    true,
+                    ep,
+                );
+                Ok(QAct::I8(out))
+            }
+        }
+    }
 }
 
 impl Layer for Linear {
@@ -216,25 +306,24 @@ impl Layer for Linear {
     }
 
     fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
-        let n = self.batch_of(input.shape(), "forward")?;
-        let f_active = self.active_in_features();
-        let mut out = Tensor::zeros(&[n, self.out_features]);
-        let x = input.data();
-        match self.precision {
+        let out = match self.precision {
             Precision::F32 => {
                 // Y = X · Wᵀ + b: one product over the whole batch with
                 // the cached packed Wᵀ and the bias fused into the
                 // epilogue; the kernel splits rows (samples) across
                 // workers itself.
+                let n = self.batch_of(input.shape(), "forward")?;
+                let f_active = self.active_in_features();
                 let (w, in_features, out_features) = (&self.w, self.in_features, self.out_features);
                 let packed = self.packed_fwd.get_or_insert_with(|| {
                     PackedB::pack(MatRef::t(w, in_features), f_active, out_features)
                 });
+                let mut out = Tensor::zeros(&[n, out_features]);
                 gemm_with(
                     n,
                     out_features,
                     f_active,
-                    Lhs::Mat(MatRef::new(x, f_active)),
+                    Lhs::Mat(MatRef::new(input.data(), f_active)),
                     Rhs::Packed(packed.as_ref()),
                     0.0,
                     out.data_mut(),
@@ -242,43 +331,12 @@ impl Layer for Linear {
                     true,
                     Epilogue::bias_col(&self.b),
                 );
+                out
             }
-            Precision::Int8 => {
-                // Same product on the int8 kernel: Wᵀ quantised
-                // per-tensor (over the active column prefix) and packed
-                // once per weight version; the batch quantised into
-                // packed int8 layout per call (scale from the
-                // activation observer); requantisation + bias fused in
-                // the epilogue.
-                self.ensure_packed_fwd8(f_active);
-                let out_features = self.out_features;
-                let (x_scale, inv_x) = self.act_obs.observe_scale(x, train);
-                crate::quant::count_quantise_pass();
-                crate::quant::count_dequantise_pass();
-                let (w_scale, packed) = self.packed_fwd8.as_ref().expect("packed above");
-                let q_scale = x_scale * w_scale;
-                let qx_len = packed_a8_len(n, f_active);
-                self.qx_buf.resize(qx_len.max(self.qx_buf.len()), 0);
-                pack_a8_quantized(
-                    MatRef::new(x, f_active),
-                    n,
-                    f_active,
-                    inv_x,
-                    &mut self.qx_buf,
-                );
-                gemm_i8(
-                    n,
-                    out_features,
-                    f_active,
-                    PackedA8Ref::new(&self.qx_buf[..qx_len], n, f_active),
-                    packed.as_ref(),
-                    out.data_mut(),
-                    out_features,
-                    true,
-                    QEpilogue::scaled(q_scale).with_bias_col(&self.b),
-                );
-            }
-        }
+            Precision::Int8 => self
+                .quant_step(QActRef::F32(input), None, false, train)?
+                .into_tensor(),
+        };
         if train {
             self.cache = Some(input.clone());
         }
@@ -411,99 +469,18 @@ impl Layer for Linear {
     }
 
     fn chain_support(&self) -> ChainSupport {
-        if self.precision == Precision::Int8
-            && self.act_obs.is_frozen()
-            && self.act_obs.max_abs() > 0.0
-        {
-            ChainSupport::Quantised {
-                in_scale: self.act_obs.scale_for(0.0),
-            }
-        } else {
-            ChainSupport::Breaks
-        }
+        self.act_obs.chain_support(self.precision)
     }
 
-    /// Chained int8 forward: `Y = X · Wᵀ` on the int8 kernel, where a
-    /// pre-quantised batch is packed by pure integer copies
-    /// ([`pack_a8_i16`]) and the output either dequantises to `f32`
-    /// (logits — the usual role of the classifier at the chain's tail)
-    /// or requantises onto a successor's grid via [`QEpilogueI8`].
+    /// One step of an int8 chain: the layer's int8 step on the planned
+    /// input form, emitting `f32` or int8 on the `out_scale` grid.
     fn forward_chained(
         &mut self,
         input: QAct,
         out_scale: Option<f32>,
         fuse_relu: bool,
     ) -> Result<QAct> {
-        let n = self.batch_of(input.shape(), "chained forward")?;
-        let f_active = self.active_in_features();
-        let out_features = self.out_features;
-        self.ensure_packed_fwd8(f_active);
-        let qx_len = packed_a8_len(n, f_active);
-        self.qx_buf.resize(qx_len.max(self.qx_buf.len()), 0);
-        let x_scale = match &input {
-            QAct::F32(t) => {
-                // Head of the chain: the one f32→i8 quantisation.
-                let (scale, inv) = self.act_obs.observe_scale(t.data(), false);
-                crate::quant::count_quantise_pass();
-                pack_a8_quantized(
-                    MatRef::new(t.data(), f_active),
-                    n,
-                    f_active,
-                    inv,
-                    &mut self.qx_buf,
-                );
-                scale
-            }
-            QAct::I8(q) => {
-                // Mid-chain: already on this layer's frozen grid —
-                // packing is pure integer copies.
-                pack_a8_i16(q.data(), n, f_active, &mut self.qx_buf);
-                q.scale()
-            }
-        };
-        let (w_scale, packed) = self.packed_fwd8.as_ref().expect("packed above");
-        let q_scale = x_scale * w_scale;
-        let qx = PackedA8Ref::new(&self.qx_buf[..qx_len], n, f_active);
-        match out_scale {
-            None => {
-                crate::quant::count_dequantise_pass();
-                let mut out = Tensor::zeros(&[n, out_features]);
-                let ep = QEpilogue::scaled(q_scale).with_bias_col(&self.b);
-                let ep = if fuse_relu { ep.with_relu() } else { ep };
-                gemm_i8(
-                    n,
-                    out_features,
-                    f_active,
-                    qx,
-                    packed.as_ref(),
-                    out.data_mut(),
-                    out_features,
-                    true,
-                    ep,
-                );
-                Ok(QAct::F32(out))
-            }
-            Some(s_out) => {
-                let inv_out = inv_or_zero(s_out);
-                self.qbias_buf.clear();
-                self.qbias_buf.extend(self.b.iter().map(|&b| b * inv_out));
-                let mut out = QTensor::zeros(&[n, out_features], s_out);
-                let ep = QEpilogueI8::scaled(q_scale * inv_out).with_bias_col(&self.qbias_buf);
-                let ep = if fuse_relu { ep.with_relu() } else { ep };
-                gemm_i8_q(
-                    n,
-                    out_features,
-                    f_active,
-                    qx,
-                    packed.as_ref(),
-                    out.data_mut(),
-                    out_features,
-                    true,
-                    ep,
-                );
-                Ok(QAct::I8(out))
-            }
-        }
+        self.quant_step(input.view(), out_scale, fuse_relu, false)
     }
 
     fn cost(&self, in_shape: &[usize]) -> Result<LayerCost> {

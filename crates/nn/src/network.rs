@@ -28,14 +28,14 @@ pub struct NetworkCost {
     pub per_layer: Vec<(String, LayerCost)>,
 }
 
-/// How one layer executes inside a chained-int8 forward pass (the
-/// resolved form of [`ChainSupport`], computed by
-/// [`Network::plan_quant_chain`]).
+/// How one layer executes in an inference forward (the resolved form
+/// of [`ChainSupport`], computed by [`Network::plan_quant_chain`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum ChainMode {
-    /// Run the ordinary [`Layer::forward`] on an `f32` activation
-    /// (outside any chain segment, or a quantised layer falling back
-    /// to its per-layer round-trip path).
+    /// Run [`Layer::forward`] on an `f32` activation: every layer
+    /// outside a chain segment. A quantised layer here is a one-layer
+    /// chain — its int8 step quantises its input and dequantises its
+    /// output.
     F32,
     /// A quantised layer inside a chain: emit int8 at `out_scale`
     /// (the next quantised layer's frozen input scale) or `f32` when
@@ -71,8 +71,8 @@ pub struct QuantChainPlan {
 }
 
 impl QuantChainPlan {
-    /// Whether any chain segment engaged — if not, forwards take the
-    /// ordinary per-layer path.
+    /// Whether any chain segment engaged — if not, an inference
+    /// forward is an all-`f32` walk of each layer's own forward.
     pub fn engaged(&self) -> bool {
         self.edges > 0
     }
@@ -111,9 +111,6 @@ pub struct Network {
     /// Cached chained-int8 plan; `None` until planned and after every
     /// invalidation (see [`Network::invalidate_chain_plan`]).
     chain_plan: Option<QuantChainPlan>,
-    /// Measurement/debug escape: `false` forces the per-layer
-    /// round-trip path even when a chain could engage.
-    chain_enabled: bool,
 }
 
 impl fmt::Debug for Network {
@@ -162,7 +159,6 @@ impl Network {
             input_shape,
             precision: Precision::default(),
             chain_plan: None,
-            chain_enabled: true,
         })
     }
 
@@ -271,17 +267,6 @@ impl Network {
         self.chain_plan = None;
     }
 
-    /// Enables or disables chained-int8 execution (enabled by
-    /// default). With chaining disabled, a frozen int8 network
-    /// runs the per-layer round-trip path — each layer dequantises to
-    /// `f32` and the next re-quantises — which is the measurement
-    /// baseline the chained path is benchmarked against, and the
-    /// reference the chain equivalence tests pin against.
-    pub fn set_quant_chain(&mut self, enabled: bool) {
-        self.chain_enabled = enabled;
-        self.invalidate_chain_plan();
-    }
-
     /// Resolves the chained-int8 execution plan from the layers'
     /// current [`ChainSupport`] — the planning pass of the quantised
     /// pipeline (see the chaining section of [`crate::quant`]'s module
@@ -294,20 +279,17 @@ impl Network {
     /// following a `Qᵢ` is folded into its epilogue, the remaining
     /// transparent layers take their int8 fast paths, and the last
     /// quantised layer of the run dequantises to `f32`. Layers outside
-    /// any run — including quantised layers with dynamic (unfrozen)
-    /// scales — keep the ordinary per-layer path, so a single unfrozen
-    /// mid-network layer splits the chain around itself without
-    /// changing its own dynamic-scale semantics.
+    /// any run run their own [`Layer::forward`]; for a quantised layer
+    /// with a dynamic (unfrozen) scale that is the same int8 step as a
+    /// one-layer chain, so a single unfrozen mid-network layer splits
+    /// the chain around itself without changing its own dynamic-scale
+    /// semantics. A plan with no run is an all-`f32` walk.
     ///
     /// The plan is cached; inference forwards re-plan lazily after any
     /// invalidating mutation (see [`Network::set_active_groups`] et
-    /// al.). Chaining never engages for training forwards.
+    /// al.). Training forwards never walk it.
     pub fn plan_quant_chain(&mut self) -> &QuantChainPlan {
-        let caps: Vec<ChainSupport> = if self.chain_enabled {
-            self.layers.iter().map(|l| l.chain_support()).collect()
-        } else {
-            vec![ChainSupport::Breaks; self.layers.len()]
-        };
+        let caps: Vec<ChainSupport> = self.layers.iter().map(|l| l.chain_support()).collect();
         let n = caps.len();
         let mut modes = vec![ChainMode::F32; n];
         let mut edges = 0;
@@ -390,48 +372,52 @@ impl Network {
     /// channel-partitioned inputs are *not* width-scaled (the image always
     /// has 3 channels); width applies to internal layers.
     ///
-    /// Inference forwards (`train = false`) execute the chained-int8
-    /// plan when one engages — see [`Network::plan_quant_chain`];
-    /// training forwards always take the per-layer path (backward
-    /// needs the `f32` caches).
+    /// Inference forwards (`train = false`) walk the cached plan of
+    /// [`Network::plan_quant_chain`], which chains int8 layers where
+    /// scales are frozen and is an all-`f32` walk otherwise. Training
+    /// forwards run each layer's own [`Layer::forward`] (backward needs
+    /// the `f32` caches).
     ///
     /// # Errors
     ///
     /// Propagates layer shape errors.
     pub fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
-        if !train {
-            if self.chain_plan.is_none() {
-                self.plan_quant_chain();
+        if train {
+            let mut x = input.clone();
+            for layer in &mut self.layers {
+                x = layer.forward(&x, true)?;
             }
-            let plan = self.chain_plan.as_ref().expect("planned above");
-            if plan.engaged() {
-                // Cache-blocked execution: run the batch in sample
-                // blocks sized by the plan, widened to the worker
-                // count so blocking never shrinks band parallelism.
-                // Frozen scales make chained inference per-sample
-                // independent, so the split is bit-invisible.
-                let block = plan.block.max(crate::workers::worker_count());
-                let n = input.shape()[0];
-                if n > block {
-                    return self.forward_chained_blocked(input, block);
-                }
-                return self.forward_chained(input);
-            }
+            return Ok(x);
         }
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x, train)?;
+        if self.chain_plan.is_none() {
+            self.plan_quant_chain();
         }
-        Ok(x)
+        // The plan is taken out of the cache for the walk (no
+        // per-forward clone) and restored after.
+        let plan = self.chain_plan.take().expect("planned above");
+        // Cache-blocked execution: an engaged plan runs the batch in
+        // sample blocks sized by the plan, widened to the worker count
+        // so blocking never shrinks band parallelism. Frozen scales
+        // make chained inference per-sample independent, so the split
+        // is bit-invisible. (An unengaged plan's block is unbounded.)
+        let n = input.shape()[0];
+        let result = if n > plan.block && n > crate::workers::worker_count() {
+            self.walk_blocked(input, &plan)
+        } else {
+            self.walk(input, &plan)
+        };
+        self.chain_plan = Some(plan);
+        result
     }
 
-    /// Blocked chained execution: slices the batch into `block`-sample
-    /// sub-batches, runs each through the whole chained stack, and
-    /// stitches the logits back together. One block's activations fit
-    /// in cache; an unblocked wide batch streams every layer's output
-    /// through memory and loses the batching win (see
-    /// [`CHAIN_BLOCK_ELEMS`]).
-    fn forward_chained_blocked(&mut self, input: &Tensor, block: usize) -> Result<Tensor> {
+    /// Blocked execution: slices the batch into sub-batches of
+    /// `plan.block` samples (or the worker count, if larger), walks each
+    /// through the whole stack, and stitches the logits back together.
+    /// One block's activations fit in cache; an unblocked wide batch
+    /// streams every layer's output through memory and loses the
+    /// batching win (see [`CHAIN_BLOCK_ELEMS`]).
+    fn walk_blocked(&mut self, input: &Tensor, plan: &QuantChainPlan) -> Result<Tensor> {
+        let block = plan.block.max(crate::workers::worker_count());
         let n = input.shape()[0];
         let sample: usize = input.shape()[1..].iter().product();
         let mut out: Option<Tensor> = None;
@@ -445,7 +431,7 @@ impl Network {
                 &shape,
                 input.data()[i0 * sample..(i0 + b) * sample].to_vec(),
             )?;
-            let yb = self.forward_chained(&xb)?;
+            let yb = self.walk(&xb, plan)?;
             let out_t = match &mut out {
                 Some(t) => t,
                 None => {
@@ -465,18 +451,9 @@ impl Network {
         })
     }
 
-    /// The chained-int8 executor: walks the layers under the resolved
-    /// plan, handing each one either an `f32` tensor or a quantised
-    /// activation per its [`ChainMode`]. The plan is taken out of the
-    /// cache for the walk (no per-forward clone) and restored after.
-    fn forward_chained(&mut self, input: &Tensor) -> Result<Tensor> {
-        let plan = self.chain_plan.take().expect("planned by forward");
-        let result = self.run_chained(input, &plan);
-        self.chain_plan = Some(plan);
-        result
-    }
-
-    fn run_chained(&mut self, input: &Tensor, plan: &QuantChainPlan) -> Result<Tensor> {
+    /// The inference walk: hands each layer either an `f32` tensor or
+    /// a quantised activation per its [`ChainMode`].
+    fn walk(&mut self, input: &Tensor, plan: &QuantChainPlan) -> Result<Tensor> {
         let mut val = QAct::F32(input.clone());
         for (layer, mode) in self.layers.iter_mut().zip(&plan.modes) {
             val = match *mode {
@@ -500,13 +477,10 @@ impl Network {
                 ChainMode::PassI8 => layer.forward_chained(val, None, false)?,
             };
         }
-        match val {
-            QAct::F32(t) => Ok(t),
-            // A well-formed plan always dequantises at the last
-            // quantised layer; cover a chain that runs off the end of
-            // the network anyway.
-            QAct::I8(q) => Ok(q.dequantize()),
-        }
+        // A well-formed plan always dequantises at the last quantised
+        // layer; `into_tensor` covers a chain that runs off the end of
+        // the network anyway.
+        Ok(val.into_tensor())
     }
 
     /// Static calibration workflow for int8 serving: runs every batch

@@ -5,14 +5,30 @@ use crate::layer::{ChainSupport, Layer, LayerCost};
 use crate::quant::{QAct, QTensor};
 use crate::tensor::Tensor;
 
+/// An element MaxPool compares: `f32` activations and int8-grid values
+/// in `i16` storage.
+trait PoolValue: Copy + PartialOrd {
+    /// The seed of every window maximum. Comparisons are strict `>`,
+    /// so a NaN candidate never replaces it.
+    const LOWEST: Self;
+}
+
+impl PoolValue for f32 {
+    const LOWEST: Self = f32::NEG_INFINITY;
+}
+
+impl PoolValue for i16 {
+    const LOWEST: Self = i16::MIN;
+}
+
 /// 2-D max pooling with square window and stride equal to the window size.
 #[derive(Debug)]
 pub struct MaxPool2d {
     name: String,
     window: usize,
-    /// Cached argmax offsets (into the input data) for backward.
-    argmax: Option<(Vec<usize>, Vec<usize>)>, // (input shape flattened marker, offsets)
-    in_shape: Option<Vec<usize>>,
+    /// Training cache for backward: the input shape and, per output
+    /// element, the input offset of its window maximum.
+    argmax: Option<(Vec<usize>, Vec<usize>)>,
 }
 
 impl MaxPool2d {
@@ -28,7 +44,6 @@ impl MaxPool2d {
             name: name.into(),
             window,
             argmax: None,
-            in_shape: None,
         }
     }
 
@@ -36,120 +51,16 @@ impl MaxPool2d {
         (h / self.window, w / self.window)
     }
 
-    /// The generic window loop, tracking argmax when `offsets` is
-    /// given. `plane` is the offset of the current channel plane.
-    #[allow(clippy::too_many_arguments)]
-    fn pool_plane(
-        &self,
-        x: &[f32],
-        plane: usize,
-        h: usize,
-        w: usize,
-        o: &mut [f32],
-        mut offsets: Option<&mut [usize]>,
-        oi0: usize,
-    ) {
-        let (oh, ow) = self.out_hw(h, w);
-        let win = self.window;
-        if win == 2 {
-            // Fast path for the ubiquitous 2×2 window: two row slices
-            // per output row instead of four indexed lookups per
-            // output. First maximum wins, as in the generic loop.
-            for ohy in 0..oh {
-                let row0 = plane + (2 * ohy) * w;
-                let r0 = &x[row0..][..w];
-                let r1 = &x[row0 + w..][..w];
-                let orow = &mut o[oi0 + ohy * ow..][..ow];
-                match offsets.as_deref_mut() {
-                    None => {
-                        for (owx, out) in orow.iter_mut().enumerate() {
-                            // Strict comparisons (not f32::max) so NaN
-                            // candidates are skipped exactly as in the
-                            // train path and the generic loop below.
-                            let i = 2 * owx;
-                            let mut best = f32::NEG_INFINITY;
-                            for &v in &[r0[i], r0[i + 1], r1[i], r1[i + 1]] {
-                                if v > best {
-                                    best = v;
-                                }
-                            }
-                            *out = best;
-                        }
-                    }
-                    Some(offs) => {
-                        let offs = &mut offs[oi0 + ohy * ow..][..ow];
-                        for (owx, (out, off)) in orow.iter_mut().zip(offs).enumerate() {
-                            let i = 2 * owx;
-                            // Seed with -inf and use the generic loop's
-                            // strict comparisons so a NaN candidate is
-                            // skipped (not propagated) exactly as in
-                            // eval mode and the window > 2 path.
-                            let mut best = f32::NEG_INFINITY;
-                            let mut best_off = row0 + i;
-                            if r0[i] > best {
-                                best = r0[i];
-                                best_off = row0 + i;
-                            }
-                            if r0[i + 1] > best {
-                                best = r0[i + 1];
-                                best_off = row0 + i + 1;
-                            }
-                            if r1[i] > best {
-                                best = r1[i];
-                                best_off = row0 + w + i;
-                            }
-                            if r1[i + 1] > best {
-                                best = r1[i + 1];
-                                best_off = row0 + w + i + 1;
-                            }
-                            *out = best;
-                            *off = best_off;
-                        }
-                    }
-                }
-            }
-            return;
-        }
-        let mut oi = oi0;
-        let mut offsets = offsets;
-        for ohy in 0..oh {
-            for owx in 0..ow {
-                let mut best = f32::NEG_INFINITY;
-                let mut best_off = 0;
-                for ky in 0..win {
-                    for kx in 0..win {
-                        let off = plane + (ohy * win + ky) * w + owx * win + kx;
-                        if x[off] > best {
-                            best = x[off];
-                            best_off = off;
-                        }
-                    }
-                }
-                o[oi] = best;
-                if let Some(offs) = offsets.as_deref_mut() {
-                    offs[oi] = best_off;
-                }
-                oi += 1;
-            }
-        }
-    }
-}
-
-impl Layer for MaxPool2d {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
-        let shape = input.shape();
-        if shape.len() != 4 {
+    /// Checks a forward input (`what` names the caller in the error)
+    /// and returns the output shape `[n, c, oh, ow]`.
+    fn out_shape(&self, shape: &[usize], what: &str) -> Result<[usize; 4]> {
+        let &[n, c, h, w] = shape else {
             return Err(NnError::ShapeMismatch {
-                context: format!("maxpool `{}` forward", self.name),
+                context: format!("maxpool `{}` {what}", self.name),
                 expected: vec![0, 0, 0, 0],
                 actual: shape.to_vec(),
             });
-        }
-        let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
+        };
         if h < self.window || w < self.window {
             return Err(NnError::ShapeMismatch {
                 context: format!(
@@ -161,35 +72,123 @@ impl Layer for MaxPool2d {
             });
         }
         let (oh, ow) = self.out_hw(h, w);
-        let mut out = Tensor::zeros(&[n, c, oh, ow]);
-        let x = input.data();
-        // Argmax bookkeeping only exists in training mode; the buffer
-        // is reused across steps (no per-call alloc).
-        let mut offsets = if train {
-            let (_, mut offs) = self.argmax.take().unwrap_or_default();
-            offs.clear();
-            offs.resize(n * c * oh * ow, 0);
-            Some(offs)
-        } else {
-            None
-        };
-        let o = out.data_mut();
-        for ni in 0..n {
-            for ci in 0..c {
-                let plane = (ni * c + ci) * h * w;
-                let oi0 = (ni * c + ci) * oh * ow;
-                self.pool_plane(x, plane, h, w, o, offsets.as_deref_mut(), oi0);
+        Ok([n, c, oh, ow])
+    }
+
+    /// Pools `x` (shape `in_shape`) into `o`, recording each output's
+    /// argmax input offset when `offsets` is given (training).
+    fn pool<T: PoolValue>(
+        &self,
+        x: &[T],
+        in_shape: &[usize],
+        o: &mut [T],
+        offsets: Option<&mut [usize]>,
+    ) {
+        match offsets {
+            None => self.windows(x, in_shape, |oi, best, _| o[oi] = best),
+            Some(offs) => self.windows(x, in_shape, |oi, best, off| {
+                o[oi] = best;
+                offs[oi] = off;
+            }),
+        }
+    }
+
+    /// The window loop of both element types: hands `emit` each output
+    /// index with the strict-`>` maximum of its window, seeded from
+    /// `T::LOWEST` (so NaN candidates are skipped in every mode), and
+    /// the input offset of that maximum, seeded with the window's own
+    /// first element (so a window that no candidate wins still routes
+    /// its gradient inside itself). A 2×2 window reads its four
+    /// candidates from two row slices.
+    fn windows<T: PoolValue>(
+        &self,
+        x: &[T],
+        in_shape: &[usize],
+        mut emit: impl FnMut(usize, T, usize),
+    ) {
+        let (h, w) = (in_shape[2], in_shape[3]);
+        let (oh, ow) = self.out_hw(h, w);
+        let win = self.window;
+        let mut oi = 0;
+        for plane in 0..in_shape[0] * in_shape[1] {
+            for ohy in 0..oh {
+                let row0 = plane * h * w + ohy * win * w;
+                if win == 2 {
+                    let r0 = &x[row0..][..2 * ow];
+                    let r1 = &x[row0 + w..][..2 * ow];
+                    for (owx, (a, b)) in r0.chunks_exact(2).zip(r1.chunks_exact(2)).enumerate() {
+                        let first = row0 + 2 * owx;
+                        let (best, off) = window_max(
+                            first,
+                            [
+                                (a[0], first),
+                                (a[1], first + 1),
+                                (b[0], first + w),
+                                (b[1], first + w + 1),
+                            ],
+                        );
+                        emit(oi, best, off);
+                        oi += 1;
+                    }
+                    continue;
+                }
+                for owx in 0..ow {
+                    let first = row0 + owx * win;
+                    let candidates = (0..win).flat_map(|ky| {
+                        let row = first + ky * w;
+                        (row..row + win).map(|i| (x[i], i))
+                    });
+                    let (best, off) = window_max(first, candidates);
+                    emit(oi, best, off);
+                    oi += 1;
+                }
             }
         }
-        if let Some(offsets) = offsets {
-            self.argmax = Some((vec![x.len()], offsets));
-            self.in_shape = Some(shape.to_vec());
+    }
+}
+
+/// The strict-`>` maximum over `(value, offset)` candidates, starting
+/// from `(T::LOWEST, first)`.
+#[inline(always)]
+fn window_max<T: PoolValue>(
+    first: usize,
+    candidates: impl IntoIterator<Item = (T, usize)>,
+) -> (T, usize) {
+    let mut best = (T::LOWEST, first);
+    for (v, off) in candidates {
+        if v > best.0 {
+            best = (v, off);
         }
+    }
+    best
+}
+
+impl Layer for MaxPool2d {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
+        let mut out = Tensor::zeros(&self.out_shape(input.shape(), "forward")?);
+        let (x, shape) = (input.data(), input.shape());
+        if !train {
+            self.pool(x, shape, out.data_mut(), None);
+            return Ok(out);
+        }
+        // The argmax buffers are reused across training steps (no
+        // per-call alloc).
+        let (mut in_shape, mut offsets) = self.argmax.take().unwrap_or_default();
+        offsets.clear();
+        offsets.resize(out.len(), 0);
+        self.pool(x, shape, out.data_mut(), Some(&mut offsets));
+        in_shape.clear();
+        in_shape.extend_from_slice(shape);
+        self.argmax = Some((in_shape, offsets));
         Ok(out)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let (marker, offsets) = self.argmax.as_ref().ok_or_else(|| NnError::InvalidConfig {
+        let (in_shape, offsets) = self.argmax.as_ref().ok_or_else(|| NnError::InvalidConfig {
             reason: format!("maxpool `{}`: backward before training forward", self.name),
         })?;
         if grad_out.len() != offsets.len() {
@@ -199,9 +198,7 @@ impl Layer for MaxPool2d {
                 actual: vec![grad_out.len()],
             });
         }
-        let in_shape = self.in_shape.as_ref().expect("set with argmax");
         let mut grad_in = Tensor::zeros(in_shape);
-        debug_assert_eq!(grad_in.len(), marker[0]);
         let gi = grad_in.data_mut();
         for (o, &off) in grad_out.data().iter().zip(offsets) {
             gi[off] += o;
@@ -232,9 +229,9 @@ impl Layer for MaxPool2d {
         ChainSupport::Transparent
     }
 
-    /// Int8 fast path: the same window maximum over grid values
-    /// (integer compares, no argmax bookkeeping — chains run inference
-    /// only), passing the incoming scale through unchanged.
+    /// Int8 fast path: the same window loop over grid values (integer
+    /// compares, no argmax bookkeeping — chains run inference only),
+    /// passing the incoming scale through unchanged.
     fn forward_chained(
         &mut self,
         input: QAct,
@@ -249,63 +246,8 @@ impl Layer for MaxPool2d {
                 ),
             });
         };
-        let shape = q.shape();
-        if shape.len() != 4 {
-            return Err(NnError::ShapeMismatch {
-                context: format!("maxpool `{}` chained forward", self.name),
-                expected: vec![0, 0, 0, 0],
-                actual: shape.to_vec(),
-            });
-        }
-        let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
-        if h < self.window || w < self.window {
-            return Err(NnError::ShapeMismatch {
-                context: format!(
-                    "maxpool `{}`: input {h}x{w} smaller than window {}",
-                    self.name, self.window
-                ),
-                expected: vec![self.window, self.window],
-                actual: vec![h, w],
-            });
-        }
-        let (oh, ow) = self.out_hw(h, w);
-        let win = self.window;
-        let mut out = QTensor::zeros(&[n, c, oh, ow], q.scale());
-        let x = q.data();
-        let o = out.data_mut();
-        for plane_idx in 0..n * c {
-            let plane = plane_idx * h * w;
-            let oi0 = plane_idx * oh * ow;
-            if win == 2 {
-                // 2×2 fast path, mirroring the f32 form: two row
-                // slices per output row instead of indexed lookups.
-                for ohy in 0..oh {
-                    let row0 = plane + (2 * ohy) * w;
-                    let r0 = &x[row0..][..w];
-                    let r1 = &x[row0 + w..][..w];
-                    let orow = &mut o[oi0 + ohy * ow..][..ow];
-                    for (owx, out_v) in orow.iter_mut().enumerate() {
-                        let i = 2 * owx;
-                        *out_v = r0[i].max(r0[i + 1]).max(r1[i]).max(r1[i + 1]);
-                    }
-                }
-                continue;
-            }
-            for ohy in 0..oh {
-                for owx in 0..ow {
-                    let mut best = i16::MIN;
-                    for ky in 0..win {
-                        let row = plane + (ohy * win + ky) * w + owx * win;
-                        for &v in &x[row..row + win] {
-                            if v > best {
-                                best = v;
-                            }
-                        }
-                    }
-                    o[oi0 + ohy * ow + owx] = best;
-                }
-            }
-        }
+        let mut out = QTensor::zeros(&self.out_shape(q.shape(), "chained forward")?, q.scale());
+        self.pool(q.data(), q.shape(), out.data_mut(), None);
         Ok(QAct::I8(out))
     }
 }
@@ -347,6 +289,51 @@ mod tests {
         let mut p = MaxPool2d::new("p", 4);
         assert!(p.forward(&Tensor::zeros(&[1, 1, 2, 2]), false).is_err());
         assert!(p.forward(&Tensor::zeros(&[1, 4]), false).is_err());
+    }
+
+    /// A window no candidate wins (all NaN here) keeps its own first
+    /// element as argmax: its gradient must not leak to input 0, which
+    /// belongs to another sample.
+    #[test]
+    fn maxpool_unwinnable_window_routes_gradient_inside_itself() {
+        let mut p = MaxPool2d::new("p", 3);
+        let mut data: Vec<f32> = (0..9).map(|i| i as f32).collect();
+        data.extend([f32::NAN; 9]);
+        let x = Tensor::from_vec(&[2, 1, 3, 3], data).unwrap();
+        let y = p.forward(&x, true).unwrap();
+        assert_eq!(y.data(), &[8.0, f32::NEG_INFINITY]);
+        let g = Tensor::from_vec(&[2, 1, 1, 1], vec![1.0, 2.0]).unwrap();
+        let gi = p.backward(&g).unwrap();
+        assert_eq!(gi.data()[8], 1.0, "sample 0 routes to its max");
+        assert_eq!(gi.data()[0], 0.0, "nothing leaks to input 0");
+        assert_eq!(gi.data()[9], 2.0, "the NaN window keeps its gradient");
+        assert_eq!(gi.sum(), 3.0);
+    }
+
+    /// NaN candidates are skipped the same way with and without argmax
+    /// bookkeeping, for the 2×2 fast path and the general window.
+    #[test]
+    fn nan_candidates_pool_alike_in_eval_and_train() {
+        for window in [2usize, 3] {
+            let mut data: Vec<f32> = (0..2 * 2 * 6 * 6)
+                .map(|i| match i % 7 {
+                    0 | 3 => f32::NAN,
+                    _ => (i as f32 * 0.37).sin(),
+                })
+                .collect();
+            // The first window of plane 0 is all NaN.
+            for row in 0..window {
+                data[row * 6..][..window].fill(f32::NAN);
+            }
+            let x = Tensor::from_vec(&[2, 2, 6, 6], data).unwrap();
+            let mut p = MaxPool2d::new("p", window);
+            let eval = p.forward(&x, false).unwrap();
+            let train = p.forward(&x, true).unwrap();
+            assert!(eval.data().iter().all(|v| !v.is_nan()), "window {window}");
+            assert_eq!(eval.data()[0], f32::NEG_INFINITY, "window {window}");
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&eval), bits(&train), "window {window}");
+        }
     }
 
     #[test]

@@ -22,13 +22,19 @@
 //!
 //! # Chained int8 execution
 //!
+//! `Conv2d` and `Linear` each have one int8 forward step. It takes an
+//! `f32` or an int8 input and emits either `f32` or int8 on a requested
+//! grid. A per-layer [`crate::layer::Layer::forward`] at
+//! [`Precision::Int8`] is that step as a one-layer chain: it quantises
+//! its `f32` input and dequantises its output.
+//!
 //! With **frozen** activation scales (static quantisation, see
-//! [`ActObserver::freeze`]), the executed path goes one step further:
-//! [`crate::network::Network::plan_quant_chain`] resolves, per edge
-//! between quantised layers, the requantisation multiplier that lets
-//! each layer emit **saturating int8 activations straight from the
-//! GEMM write-back** ([`crate::gemm::QEpilogueI8`]) instead of
-//! dequantising to `f32` and re-quantising at the next layer.
+//! [`ActObserver::freeze`]),
+//! [`crate::network::Network::plan_quant_chain`] links the steps: per
+//! edge between quantised layers, it resolves the requantisation
+//! multiplier that lets each layer emit **saturating int8 activations
+//! straight from the GEMM write-back** ([`crate::gemm::QEpilogueI8`])
+//! instead of dequantising to `f32` and re-quantising at the next layer.
 //!
 //! The chained-scale algebra: a quantised layer sees input on the int8
 //! grid at scale `s_x` and weights at scale `s_w`, so its exact `i32`
@@ -46,15 +52,15 @@
 //! integer fast paths on the [`QTensor`] — the whole forward performs
 //! exactly **one** `f32`→int8 quantisation (the network input) and
 //! **one** int8→`f32` dequantisation (the logits), regardless of
-//! depth. Chaining only engages where scales are frozen: any layer
-//! with a dynamic (unfrozen) observer falls back to the per-layer
-//! `f32` round-trip path for itself, splitting the chain around it and
-//! keeping the dynamic-scale semantics intact. The [`layer_io_events`]
-//! counters instrument exactly this invariant.
+//! depth. Chaining only engages where scales are frozen: a layer with
+//! a dynamic (unfrozen) observer stays a one-layer chain, splitting
+//! the chain around it and keeping its dynamic-scale semantics intact.
+//! The [`layer_io_events`] counters instrument exactly this invariant.
 
 use std::cell::Cell;
 
 use crate::error::{NnError, Result};
+use crate::layer::ChainSupport;
 use crate::network::Network;
 use crate::tensor::Tensor;
 
@@ -308,7 +314,8 @@ impl ActObserver {
     }
 
     /// Whether the scale is static (frozen) rather than per-batch.
-    pub fn is_frozen(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_frozen(&self) -> bool {
         self.frozen
     }
 
@@ -360,6 +367,20 @@ impl ActObserver {
         self.observe(batch_max_abs);
         let scale = self.scale_for(batch_max_abs);
         (scale, inv_or_zero(scale))
+    }
+
+    /// The chain role of a quantised layer (`Conv2d`, `Linear`) running
+    /// at `precision` with this input observer: it can join a chain
+    /// only at [`Precision::Int8`] with a frozen, non-zero range, whose
+    /// scale is then the layer's input grid.
+    pub(crate) fn chain_support(&self, precision: Precision) -> ChainSupport {
+        if precision == Precision::Int8 && self.frozen && self.max_abs > 0.0 {
+            ChainSupport::Quantised {
+                in_scale: self.scale_for(0.0),
+            }
+        } else {
+            ChainSupport::Breaks
+        }
     }
 }
 
@@ -458,6 +479,39 @@ pub enum QAct {
 impl QAct {
     /// The activation's shape, whichever form it is in.
     pub fn shape(&self) -> &[usize] {
+        self.view().shape()
+    }
+
+    /// A borrowed view of the activation.
+    pub(crate) fn view(&self) -> QActRef<'_> {
+        match self {
+            Self::F32(t) => QActRef::F32(t),
+            Self::I8(q) => QActRef::I8(q),
+        }
+    }
+
+    /// The activation as an `f32` tensor, dequantising an int8 one.
+    pub(crate) fn into_tensor(self) -> Tensor {
+        match self {
+            Self::F32(t) => t,
+            Self::I8(q) => q.dequantize(),
+        }
+    }
+}
+
+/// A borrowed [`QAct`]: the input of a quantised layer's int8 step,
+/// so a per-layer forward hands over its `&Tensor` without a copy.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum QActRef<'a> {
+    /// Full-precision activation, quantised by the step.
+    F32(&'a Tensor),
+    /// Activation already on the layer's int8 input grid.
+    I8(&'a QTensor),
+}
+
+impl<'a> QActRef<'a> {
+    /// The activation's shape, whichever form it is in.
+    pub(crate) fn shape(self) -> &'a [usize] {
         match self {
             Self::F32(t) => t.shape(),
             Self::I8(q) => q.shape(),
@@ -492,14 +546,15 @@ pub fn reset_layer_io_events() {
 
 /// Layer-IO instrumentation for the quantised forward path:
 /// `(quantise_passes, dequantise_passes)` since the last
-/// [`reset_layer_io_events`], counted **per layer forward** on the
-/// calling thread — a layer that quantises its `f32` input counts one
-/// quantise pass (however many samples the batch holds), a layer that
+/// [`reset_layer_io_events`], counted **per int8 layer step** on the
+/// calling thread — a step that quantises its `f32` input counts one
+/// quantise pass (however many samples the batch holds), a step that
 /// dequantises its accumulators to `f32` output counts one dequantise
 /// pass. A fully chained forward therefore reports exactly `(1, 1)`
-/// regardless of network depth, while the per-layer round-trip path
-/// reports one of each per quantised layer. Cost: two thread-local
-/// increments per layer forward — cheap enough to stay compiled in.
+/// regardless of network depth, while a walk of per-layer forwards
+/// (each a one-layer chain) reports one of each per quantised layer.
+/// Cost: two thread-local increments per step — cheap enough to stay
+/// compiled in.
 pub fn layer_io_events() -> (u32, u32) {
     LAYER_IO_EVENTS.with(Cell::get)
 }

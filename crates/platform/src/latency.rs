@@ -39,14 +39,13 @@ pub struct LatencyModel {
     ref_macs: f64,
     ref_cores: u32,
     max_cores: u32,
-    /// Serial fraction in the Amdahl-style speedup `s(k) = k / (1 + α(k−1))`.
-    parallel_alpha: f64,
 }
 
 impl LatencyModel {
-    /// Default serial fraction: multi-threaded CNN inference parallelises
-    /// well but not perfectly across a four-core cluster.
-    const DEFAULT_PARALLEL_ALPHA: f64 = 0.08;
+    /// Serial fraction `α` in the Amdahl-style speedup
+    /// `s(k) = k / (1 + α(k−1))`: multi-threaded CNN inference
+    /// parallelises well but not perfectly across a four-core cluster.
+    const PARALLEL_ALPHA: f64 = 0.08;
 
     /// Calibrates the model from `(frequency, latency)` anchors measured
     /// while executing a reference workload of `ref_macs` MACs on
@@ -76,23 +75,7 @@ impl LatencyModel {
             ref_macs,
             ref_cores,
             max_cores: ref_cores,
-            parallel_alpha: Self::DEFAULT_PARALLEL_ALPHA,
         })
-    }
-
-    /// Overrides the serial fraction of the parallel-speedup model.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlatformError::InvalidModel`] unless `0 ≤ alpha ≤ 1`.
-    pub fn with_parallel_alpha(mut self, alpha: f64) -> Result<Self> {
-        if !(0.0..=1.0).contains(&alpha) {
-            return Err(PlatformError::InvalidModel {
-                reason: format!("parallel alpha must be in [0, 1], got {alpha}"),
-            });
-        }
-        self.parallel_alpha = alpha;
-        Ok(self)
     }
 
     /// Sets the maximum core count the model accepts (defaults to
@@ -121,7 +104,7 @@ impl LatencyModel {
     /// Amdahl-style speedup of `k` cores relative to one core.
     fn speedup(&self, k: u32) -> f64 {
         let k = k as f64;
-        k / (1.0 + self.parallel_alpha * (k - 1.0))
+        k / (1.0 + Self::PARALLEL_ALPHA * (k - 1.0))
     }
 
     /// Predicts the latency of `workload` at `freq` using `cores` cores.
@@ -148,17 +131,6 @@ impl LatencyModel {
         let t_ref = self.fit.eval(freq).as_secs();
         let core_factor = self.speedup(self.ref_cores) / self.speedup(cores);
         Ok(TimeSpan::from_secs(t_ref * scale * core_factor))
-    }
-
-    /// Sustainable throughput in jobs per second at `freq` with `cores`
-    /// cores.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`LatencyModel::latency`].
-    pub fn throughput(&self, freq: Freq, workload: &Workload, cores: u32) -> Result<f64> {
-        let t = self.latency(freq, workload, cores)?;
-        Ok(1.0 / t.as_secs())
     }
 }
 
@@ -240,29 +212,6 @@ mod tests {
             m.latency(Freq::from_mhz(1000.0), &w, 5),
             Err(PlatformError::TooManyCores { .. })
         ));
-    }
-
-    #[test]
-    fn throughput_is_inverse_latency() {
-        let m = model();
-        let w = Workload::new("w", 62.0e6);
-        let f = Freq::from_mhz(900.0);
-        let t = m.latency(f, &w, 4).unwrap().as_secs();
-        let thr = m.throughput(f, &w, 4).unwrap();
-        assert!((thr * t - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn alpha_bounds_validated() {
-        assert!(model().with_parallel_alpha(1.5).is_err());
-        assert!(model().with_parallel_alpha(-0.1).is_err());
-        let m = model().with_parallel_alpha(0.0).unwrap();
-        let w = Workload::new("w", 62.0e6);
-        let f = Freq::from_mhz(1000.0);
-        // Perfect scaling: 1 core exactly 4x slower than 4.
-        let t4 = m.latency(f, &w, 4).unwrap().as_secs();
-        let t1 = m.latency(f, &w, 1).unwrap().as_secs();
-        assert!((t1 / t4 - 4.0).abs() < 1e-9);
     }
 
     #[test]

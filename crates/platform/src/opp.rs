@@ -205,21 +205,6 @@ impl OppTable {
         }
         unreachable!("frequency within [min, max] must be bracketed")
     }
-
-    /// Returns the index of the slowest OPP whose frequency is at least
-    /// `freq`, or `None` if even the fastest OPP is slower.
-    ///
-    /// This is the "minimum frequency that can meet a deadline" lookup used
-    /// by DVFS governors.
-    pub fn ceil_index(&self, freq: Freq) -> Option<usize> {
-        self.opps.iter().position(|o| o.freq() >= freq)
-    }
-
-    /// Returns the index of the fastest OPP whose frequency is at most
-    /// `freq`, or `None` if even the slowest OPP is faster.
-    pub fn floor_index(&self, freq: Freq) -> Option<usize> {
-        self.opps.iter().rposition(|o| o.freq() <= freq)
-    }
 }
 
 impl<'a> IntoIterator for &'a OppTable {
@@ -336,17 +321,6 @@ mod tests {
         // Clamped outside range.
         assert_eq!(t.voltage_at(Freq::from_mhz(50.0)).as_volts(), 0.9);
         assert_eq!(t.voltage_at(Freq::from_mhz(2500.0)).as_volts(), 1.225);
-    }
-
-    #[test]
-    fn ceil_and_floor_index() {
-        let t = table();
-        assert_eq!(t.ceil_index(Freq::from_mhz(700.0)), Some(2));
-        assert_eq!(t.ceil_index(Freq::from_mhz(200.0)), Some(0));
-        assert_eq!(t.ceil_index(Freq::from_mhz(2000.0)), None);
-        assert_eq!(t.floor_index(Freq::from_mhz(700.0)), Some(1));
-        assert_eq!(t.floor_index(Freq::from_mhz(1800.0)), Some(3));
-        assert_eq!(t.floor_index(Freq::from_mhz(100.0)), None);
     }
 
     #[test]

@@ -331,14 +331,6 @@ impl Soc {
             .map(ClusterId)
     }
 
-    /// Finds the first cluster of the given kind.
-    pub fn find_kind(&self, kind: CoreKind) -> Option<ClusterId> {
-        self.clusters
-            .iter()
-            .position(|c| c.kind() == kind)
-            .map(ClusterId)
-    }
-
     /// Predicts latency, busy power and energy for `workload` at the given
     /// placement and frequency.
     ///
@@ -449,8 +441,7 @@ mod tests {
         let soc = tiny_soc();
         let id = soc.find_cluster("cpu").unwrap();
         assert_eq!(soc.cluster(id).unwrap().name(), "cpu");
-        assert_eq!(soc.find_kind(CoreKind::BigCpu), Some(id));
-        assert_eq!(soc.find_kind(CoreKind::Npu), None);
+        assert_eq!(soc.cluster(id).unwrap().kind(), CoreKind::BigCpu);
         assert!(soc.find_cluster("gpu").is_none());
     }
 

@@ -217,6 +217,19 @@ mod tests {
         assert_eq!(s.thermal_violations, 1, "{s:?}");
         assert!(s.peak_temp.as_celsius() > fig2_soc().thermal().limit.as_celsius());
         assert!(s.total_energy.as_joules() > 0.0);
+        // Every phase's app is sampled, over more than 100 (sample, app)
+        // rows.
+        for app in [names::DNN1, names::DNN2, names::VRAR] {
+            assert!(
+                trace
+                    .samples
+                    .iter()
+                    .any(|x| x.apps.iter().any(|a| a.app == app)),
+                "{app} never sampled"
+            );
+        }
+        let rows: usize = trace.samples.iter().map(|x| x.apps.len().max(1)).sum();
+        assert!(rows > 100, "{rows} rows");
         // Requirements are met most of the time, but not during the
         // thermal squeeze.
         assert!(
@@ -259,15 +272,5 @@ mod tests {
         assert_eq!(p.level_count(), 4);
         let full = p.workload(eml_dnn::WidthLevel(3)).unwrap();
         assert!((full.macs() / presets::REFERENCE_MACS - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn csv_export_contains_all_phases() {
-        let trace = fig2_scenario().unwrap().run().unwrap();
-        let csv = trace.to_csv();
-        assert!(csv.contains("dnn1"));
-        assert!(csv.contains("dnn2"));
-        assert!(csv.contains("vr-ar"));
-        assert!(csv.lines().count() > 100);
     }
 }

@@ -1,5 +1,5 @@
 //! Simulation traces: periodic samples, RTM decisions, and violation
-//! events, with CSV export for plotting.
+//! events.
 
 use std::fmt;
 use std::fmt::Write as _;
@@ -165,43 +165,6 @@ impl Trace {
         }
     }
 
-    /// Renders the samples as CSV: one row per (sample, app).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "t_s,power_w,temp_c,throttled,app,cluster,freq_mhz,cores,level,latency_ms,met\n",
-        );
-        for s in &self.samples {
-            if s.apps.is_empty() {
-                let _ = writeln!(
-                    out,
-                    "{:.3},{:.3},{:.2},{},,,,,,,",
-                    s.at_secs,
-                    s.power.as_watts(),
-                    s.temp.as_celsius(),
-                    s.throttled
-                );
-            }
-            for a in &s.apps {
-                let _ = writeln!(
-                    out,
-                    "{:.3},{:.3},{:.2},{},{},{},{:.0},{},{},{:.2},{}",
-                    s.at_secs,
-                    s.power.as_watts(),
-                    s.temp.as_celsius(),
-                    s.throttled,
-                    a.app,
-                    a.cluster,
-                    a.freq_mhz,
-                    a.cores,
-                    a.level,
-                    a.latency_ms,
-                    a.met
-                );
-            }
-        }
-        out
-    }
-
     /// Renders the decision log as human-readable lines.
     pub fn decision_log(&self) -> String {
         let mut out = String::new();
@@ -267,20 +230,6 @@ mod tests {
         assert_eq!(s.total_energy, Energy::ZERO);
         assert_eq!(s.decisions, 0);
         assert_eq!(s.feasible_fraction, 1.0);
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let trace = Trace {
-            samples: vec![sample(0.5, 1.0, 40.0, true)],
-            decisions: vec![],
-        };
-        let csv = trace.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert!(lines[0].starts_with("t_s,power_w"));
-        assert_eq!(lines.len(), 2);
-        assert!(lines[1].contains("npu"));
-        assert!(lines[1].contains("0.500"));
     }
 
     #[test]

@@ -94,7 +94,7 @@ pub mod prelude {
     pub use eml_core::requirements::Requirements;
     pub use eml_core::rtm::{AppSpec, DnnAppSpec, RigidAppSpec, Rtm, RtmConfig};
     pub use eml_dnn::profile::{DnnProfile, LevelSpec};
-    pub use eml_dnn::{DynamicDnn, FourLevel, WidthLevel};
+    pub use eml_dnn::{DynamicDnn, WidthLevel};
     pub use eml_net::{NetClient, NetConfig, NetServer, WireStatus};
     pub use eml_platform::soc::{ClusterId, CoreKind, Placement, Soc};
     pub use eml_platform::units::{Celsius, Energy, Freq, Power, TimeSpan, Voltage};
