@@ -30,11 +30,13 @@
 //! The GEMM path keeps per-call overhead off the hot loop three ways:
 //! weight panels are packed once per weight version and cached
 //! ([`Conv2d`]`::packed_w`, invalidated on any parameter update, width
-//! switch or precision change), the input lowering stages each group
-//! once into a zero-padded plane and gathers the kernel's packed layout
-//! straight from it through one offset table
-//! ([`crate::im2col::im2col_packed`]), and the bias add is fused into
-//! the GEMM epilogue. The backward pass shards
+//! switch or precision change), the input lowering writes the kernel's
+//! packed layout straight from a zero-padded plane through a plan
+//! prepared once per geometry and shared by every group and sample
+//! (tables, zeroed margins and run classes; a call copies the group's
+//! interior rows in, then block-copies each stride-1 line's runs — see
+//! [`crate::im2col`]), and the bias add is fused into the GEMM
+//! epilogue. The backward pass shards
 //! weight-gradient accumulation per worker band (transposed shards, so
 //! the products need no strided packing) and reduces the shards after
 //! the parallel scope.
@@ -360,16 +362,13 @@ impl Conv2d {
         }
     }
 
-    /// Lowering geometry for executed group `g` of a sample with input
-    /// `h × w` and output `oh × ow`.
-    fn geom(&self, g: usize, h: usize, w: usize, oh: usize, ow: usize) -> ConvGeom {
+    /// Lowering geometry for the first executed group of a sample with
+    /// input `h × w` and output `oh × ow`; executed group `g` lowers
+    /// [`ConvGeom::group`]`(g)` (a dense conv executes group 0 only).
+    fn geom(&self, h: usize, w: usize, oh: usize, ow: usize) -> ConvGeom {
         ConvGeom {
             channels: self.icg_count(),
-            ch_base: if self.cfg.conv_groups == 1 {
-                0
-            } else {
-                g * (self.cfg.in_channels / self.cfg.prune_groups)
-            },
+            ch_base: 0,
             h,
             w,
             k: self.cfg.kernel,
@@ -427,9 +426,7 @@ impl Conv2d {
         self.scratch
             .col
             .resize((bands * col_slot).max(self.scratch.col.len()), 0.0);
-        let geoms: Vec<ConvGeom> = (0..groups_exec)
-            .map(|g| self.geom(g, h, w, oh, ow))
-            .collect();
+        let geom = self.geom(h, w, oh, ow);
         let bias = &self.b;
         let x = input.data();
         workers::for_each_band(
@@ -444,8 +441,8 @@ impl Conv2d {
             |n0, out_band, col, _| {
                 for (bi, out_s) in out_band.chunks_mut(sample_out).enumerate() {
                     let x_s = &x[(n0 + bi) * sample_in..][..sample_in];
-                    for (g, geom) in geoms.iter().enumerate() {
-                        im2col_packed(x_s, geom, col);
+                    for g in 0..groups_exec {
+                        im2col_packed(x_s, &geom.group(g), col);
                         gemm_with(
                             opg,
                             ohw,
@@ -535,9 +532,8 @@ impl Conv2d {
             n,
             sample_in: shape[1..].iter().product(),
             sample_out: c_out * ohw,
-            geoms: (0..groups_exec)
-                .map(|g| self.geom(g, shape[2], shape[3], oh, ow))
-                .collect(),
+            geom: self.geom(shape[2], shape[3], oh, ow),
+            groups_exec,
             packed_w8,
             opg,
             ohw,
@@ -645,9 +641,7 @@ impl Conv2d {
         }
         let packed_wt: &[PackedA] = self.packed_wt.as_deref().unwrap_or(&[]);
 
-        let geoms: Vec<ConvGeom> = (0..groups_exec)
-            .map(|g| self.geom(g, h, w, oh, ow))
-            .collect();
+        let geom = self.geom(h, w, oh, ow);
         let per_sample_macs = groups_exec * opg * ohw * kdim;
         let batch_par = n > 1 && n * per_sample_macs >= crate::gemm::PAR_MIN_WORK;
         let bands = workers::band_count(n, batch_par);
@@ -683,14 +677,15 @@ impl Conv2d {
                 for (bi, gi_s) in gi_band.chunks_mut(item_len).enumerate() {
                     let x_s = &x[(n0 + bi) * sample_in..][..sample_in];
                     let go_s = &go[(n0 + bi) * sample_out..][..sample_out];
-                    for (g, geom) in geoms.iter().enumerate() {
+                    for g in 0..groups_exec {
+                        let geom = geom.group(g);
                         let go_g = &go_s[g * opg * ohw..][..opg * ohw];
                         // Weight gradient, transposed: shard_g has one
                         // row per kdim entry, one column per channel.
                         // The lowering writes packed-A layout directly,
                         // so the product packs nothing for its left
                         // operand.
-                        im2col_packed_lhs(x_s, geom, colbuf);
+                        im2col_packed_lhs(x_s, &geom, colbuf);
                         gemm_with(
                             kdim,
                             opg,
@@ -722,7 +717,7 @@ impl Conv2d {
                                 !batch_par,
                                 Epilogue::none(),
                             );
-                            col2im_add(colbuf, geom, gi_s);
+                            col2im_add(colbuf, &geom, gi_s);
                         }
                     }
                 }
@@ -756,7 +751,9 @@ struct QConvPass<'a> {
     n: usize,
     sample_in: usize,
     sample_out: usize,
-    geoms: Vec<ConvGeom>,
+    /// Group 0's lowering; group `g` lowers `geom.group(g)`.
+    geom: ConvGeom,
+    groups_exec: usize,
     packed_w8: &'a [PackedA8],
     opg: usize,
     ohw: usize,
@@ -785,7 +782,8 @@ impl QConvPass<'_> {
             n,
             sample_in,
             sample_out,
-            ref geoms,
+            geom,
+            groups_exec,
             packed_w8,
             opg,
             ohw,
@@ -822,8 +820,8 @@ impl QConvPass<'_> {
                         }
                         QActRef::I8(q) => &q.data()[at..][..sample_in],
                     };
-                    for (g, geom) in geoms.iter().enumerate() {
-                        im2col_packed_i8(qx_s, geom, col);
+                    for g in 0..groups_exec {
+                        im2col_packed_i8(qx_s, &geom.group(g), col);
                         gemm_i8_with(
                             opg,
                             ohw,
@@ -1504,11 +1502,12 @@ mod tests {
         check(&mut c, &x_half, "after quantisation");
     }
 
-    /// The chained forward's batch-parallel band split must be
-    /// bit-identical to the serial pass for both input forms (f32 head
-    /// of a chain, pre-quantised mid-chain) and both output forms
-    /// (requantised i8 edge, dequantised f32 tail): bands are fully
-    /// independent row ranges over pre-packed operands.
+    /// The batch-parallel band split must be bit-identical to the
+    /// serial pass, for the f32 forward and for the chained forward's
+    /// two input forms (f32 head of a chain, pre-quantised mid-chain)
+    /// and two output forms (requantised i8 edge, dequantised f32
+    /// tail): bands are fully independent row ranges over pre-packed
+    /// operands, each lowering through its own thread's plans.
     #[test]
     fn chained_band_split_matches_serial() {
         use crate::quant::{QAct, QTensor};
@@ -1524,8 +1523,20 @@ mod tests {
             prune_groups: 2,
         };
         let mut c = Conv2d::new("c", cfg, &mut rng()).unwrap();
-        c.set_precision(Precision::Int8);
         let xf = Tensor::random(&[10, 8, 14, 14], &mut rng());
+        let serial = c.forward(&xf, false).expect("serial f32 forward");
+        crate::workers::FORCE_WORKERS.with(|f| f.set(Some(4)));
+        let banded = c.forward(&xf, false).expect("banded f32 forward");
+        crate::workers::FORCE_WORKERS.with(|f| f.set(None));
+        assert!(
+            serial
+                .data()
+                .iter()
+                .zip(banded.data())
+                .all(|(x, y)| x.to_bits() == y.to_bits()),
+            "f32 forward: banded differs from serial"
+        );
+        c.set_precision(Precision::Int8);
         let _ = c.forward(&xf, false).unwrap();
         c.freeze_act_scale(true);
         let mut qx = QTensor::zeros(xf.shape(), c.act_obs.scale_for(0.0));

@@ -1,0 +1,106 @@
+#!/usr/bin/env bash
+# Paired A/B runs of the serving benchmark: this checkout (the change)
+# against an earlier revision (the parent). Run from the root of a
+# checkout:
+#
+#   bash scripts/ab.sh <rev> <workload> <pairs> <seconds> [workdir] [first-seed]
+#
+# <rev> is cloned into <workdir>/parent (default `target/ab`; a clone,
+# so the repository's own .git gains no worktree entry) and each side
+# is built once, into its own target directory, before any run. Pair i
+# runs `benchmark/run.sh --trace 0` on seed first-seed + i on both
+# sides, the change first on even i and the parent first on odd i. The
+# first seed defaults to one drawn from the clock, so every invocation
+# measures on fresh seeds; pass it to repeat a table. Each run's record
+# and result lines are kept in <workdir>/runs/.
+#
+# The summary gives, for every end-to-end metric in BENCHMARK.json and
+# every wall-clock field of the run record, each side's quartiles and
+# median, the median change/parent ratio and the pairs the change won
+# (ties count for neither), then each side's correctness and failures.
+set -euo pipefail
+
+if [ $# -lt 4 ] || [ ! -f benchmark/run.sh ]; then
+    sed -n '2,20p' "$0" >&2
+    exit 2
+fi
+rev="$1" workload="$2" pairs="$3" seconds="$4"
+work="${5:-target/ab}"
+seed0="${6:-$(($(date +%s) % 100000 * 100))}"
+here="$(pwd)"
+sha="$(git rev-parse --verify "$rev^{commit}")"
+mkdir -p "$work/runs"
+work="$(cd "$work" && pwd)"
+
+parent="$work/parent"
+[ -d "$parent/.git" ] || git clone --quiet --no-checkout "$here" "$parent"
+git -C "$parent" cat-file -e "$sha^{commit}" 2>/dev/null ||
+    git -C "$parent" fetch --quiet "$here" "+refs/heads/*:refs/remotes/origin/*"
+git -C "$parent" checkout --quiet --detach "$sha"
+
+declare -A dir=([parent]="$parent" [change]="$here")
+for side in parent change; do
+    CARGO_TARGET_DIR="$work/$side-target" cargo build --release --offline --quiet \
+        --manifest-path "${dir[$side]}/benchmark/Cargo.toml" --bin eml-benchmark
+done
+
+run() {
+    local side="$1" i="$2"
+    (cd "${dir[$side]}" && CARGO_TARGET_DIR="$work/$side-target" bash benchmark/run.sh \
+        --workload "$workload" --seed $((seed0 + i)) --seconds "$seconds" --trace 0) \
+        2>/dev/null | tail -n 2 >"$work/runs/$workload-$side-$i.txt"
+}
+
+echo "ab: $workload, $pairs pairs of ${seconds}s, parent ${sha:0:7}, seeds $seed0..$((seed0 + pairs - 1))" >&2
+for ((i = 0; i < pairs; i++)); do
+    if ((i % 2 == 0)); then order="change parent"; else order="parent change"; fi
+    for side in $order; do
+        run "$side" "$i"
+        echo "ab: pair $((i + 1))/$pairs $side done" >&2
+    done
+done
+
+python3 - "$work/runs" "$workload" "$pairs" <<'PY'
+import json, statistics, sys
+
+runs_dir, workload, pairs = sys.argv[1], sys.argv[2], int(sys.argv[3])
+sides = ("parent", "change")
+
+
+def load(side, i):
+    rec, res = open(f"{runs_dir}/{workload}-{side}-{i}.txt").read().splitlines()[-2:]
+    return json.loads(rec.split(" ", 1)[1]), json.loads(res)
+
+
+runs = {s: [load(s, i) for i in range(pairs)] for s in sides}
+metrics = [(m["name"], m["better"], m["unit"]) for m in json.load(open("BENCHMARK.json"))["end_to_end"]]
+metrics += [(f"wall_{m}", b, u) for m, b, u in metrics if m in ("throughput_rps", "p50_us", "cpu_us_per_req")]
+
+
+def value(run, name):
+    rec, res = run
+    return rec[name] if name.startswith("wall_") else res["metrics"][name]["value"]
+
+
+def quartiles(v):
+    if len(v) < 2:
+        return v[0], v[0], v[0]
+    q1, q2, q3 = statistics.quantiles(v, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+print(f"| {workload} | parent q1 / median / q3 | change q1 / median / q3 | change/parent | pairs won |")
+print("|---|---|---|---|---|")
+for name, better, unit in metrics:
+    p = [value(r, name) for r in runs["parent"]]
+    c = [value(r, name) for r in runs["change"]]
+    won = sum((b > a) if better == "higher" else (b < a) for a, b in zip(p, c))
+    qp, qc = quartiles(p), quartiles(c)
+    fmt = lambda q: " / ".join(f"{x:.4g}" for x in q)
+    ratio = qc[1] / qp[1] if qp[1] else float("nan")
+    print(f"| `{name}` ({unit}, {better}) | {fmt(qp)} | {fmt(qc)} | x{ratio:.3f} | {won}/{pairs} |")
+for s in sides:
+    ok = all(res["correct"] for _, res in runs[s])
+    failed = sum(res["failed"] for _, res in runs[s])
+    print(f"{s}: correct {ok}, failed {failed}")
+PY
