@@ -24,21 +24,31 @@
 //!   │    B    │ K            for ic in M step MC:      │   column strips
 //!   └─────────┘                pack A[ic..+MC][pc..]   ├── packed A block
 //! M ┌──┐┌─────────┐            for each MR×NR tile:    │   MC × KC, MR-tall
-//!   │A ││    C    │              micro-kernel          │   row strips
+//!   │A ││    C    │              register tile → C     │   row strips
 //!   └──┘└─────────┘                                    └── both zero-padded
 //! ```
 //!
 //! Blocking parameters: `MR×NR = 4×16` register tile (8 accumulator
 //! vectors of 8 `f32` on AVX2-class hardware), `MC = 64` rows,
 //! `KC = 256` — an A block of 64 KiB and a B panel that stays resident
-//! in L1/L2 for the matrix sizes this crate meets. The tile itself
-//! runs through [`eml_simd::madd_tile_f32`]: a runtime-dispatched AVX2
-//! kernel where the CPU has it (the baseline x86-64 target only
-//! auto-vectorises 4-wide), with the original safe scalar formulation
-//! as fallback and oracle — every tier issues the identical
-//! multiply/add sequence, so tier selection never changes results. Panels are padded to multiples of `MR`/`NR`
-//! with zeros so the micro-kernel has no edge cases; the write-back
-//! masks the padding.
+//! in L1/L2 for the matrix sizes this crate meets. Panels are padded to
+//! multiples of `MR`/`NR` with zeros so the register tile has no edge
+//! cases. A full tile runs through [`eml_simd::madd_tile_f32_into`]:
+//! it accumulates from zero in registers and writes its 4×16 result
+//! straight into `C`. An edge tile (fewer than `MR` rows or `NR`
+//! columns of `C` left) runs [`eml_simd::madd_tile_f32`] into a local
+//! tile, and its write-back masks the padding. Both kernels dispatch at
+//! runtime: an AVX2 tier where the CPU has it (the baseline x86-64
+//! target only auto-vectorises 4-wide) and the original safe scalar
+//! formulation as fallback and oracle. Every tier issues the identical
+//! multiply/add sequence, so tier selection never changes results.
+//!
+//! A product with fewer than `MR` rows of a plain A against a packed B
+//! (the batch-1 classifier, and its backward at batch < 4) skips the
+//! tiles: the row kernel runs each row as 1×`NR` strips, so it does
+//! not multiply the zero rows a padded A strip would carry. It keeps
+//! the tiles' per-output order (a sequential sum per K-slice, added to
+//! `C` slice by slice) and is bit-identical to them.
 //!
 //! # Pre-packed operands
 //!
@@ -55,11 +65,14 @@
 //! # Fused epilogue
 //!
 //! [`Epilogue`] folds the per-row or per-column bias add (and
-//! optionally a ReLU) into the final write-back of the last K-slice, so
+//! optionally a ReLU) into the write-back of the last K-slice, so
 //! `Out = W·im2col(x) + b` is one pass over the output instead of two.
-//! The fused result is bit-identical to the separate passes: the write
-//! back performs the same `acc` store followed by the same `+ bias` add
-//! the standalone pass would.
+//! A full tile applies it in registers, after the `+ C` of `beta = 1`
+//! or of an earlier K-slice and before its one store per row. Edge
+//! tiles and the row kernel apply it to the row segment they just
+//! wrote. Every path performs the same `+ C`, then `+ bias`, then
+//! [`eml_simd::relu`] per element, so the fused result is bit-identical
+//! to the separate passes.
 //!
 //! Pack buffers for [`MatRef`] operands are thread-local and only ever
 //! grow. Under the pooled `rayon` stand-in worker threads are
@@ -67,6 +80,8 @@
 //! heap allocation beyond what the caller passes in.
 
 use std::cell::RefCell;
+
+use eml_simd::{relu, TileBias, TileEpilogue};
 
 pub mod int8;
 
@@ -370,29 +385,19 @@ impl<'a> Epilogue<'a> {
         self.bias.is_some() || self.relu
     }
 
-    /// [`Epilogue::apply`] on one full register-tile row; the fixed
-    /// width lets the compiler vectorise the adds.
+    /// The register-tile form of this epilogue for the full tile at
+    /// (`row0`, `col0`): `+ C` when `beta` is set, and the bias and
+    /// ReLU only on the `last` K-slice.
     #[inline]
-    fn apply_tile_row(&self, seg: &mut [f32; NR], row: usize, col0: usize) {
-        match self.bias {
-            Some(Bias::Row(b)) => {
-                let bv = b[row];
-                for v in seg.iter_mut() {
-                    *v += bv;
-                }
-            }
-            Some(Bias::Col(b)) => {
-                let b: &[f32; NR] = b[col0..col0 + NR].try_into().expect("NR columns");
-                for (v, &bv) in seg.iter_mut().zip(b) {
-                    *v += bv;
-                }
-            }
-            None => {}
-        }
-        if self.relu {
-            for v in seg.iter_mut() {
-                *v = v.max(0.0);
-            }
+    fn tile(&self, beta: bool, last: bool, row0: usize, col0: usize) -> TileEpilogue<'a> {
+        TileEpilogue {
+            beta,
+            bias: if last {
+                tile_bias(self.bias, row0, col0)
+            } else {
+                TileBias::None
+            },
+            relu: last && self.relu,
         }
     }
 
@@ -416,9 +421,19 @@ impl<'a> Epilogue<'a> {
         }
         if self.relu {
             for v in seg.iter_mut() {
-                *v = v.max(0.0);
+                *v = relu(*v);
             }
         }
+    }
+}
+
+/// `bias` sliced to the full register tile at (`row0`, `col0`).
+#[inline]
+pub(crate) fn tile_bias(bias: Option<Bias<'_>>, row0: usize, col0: usize) -> TileBias<'_> {
+    match bias {
+        Some(Bias::Row(b)) => TileBias::Row(b[row0..row0 + MR].try_into().expect("MR rows")),
+        Some(Bias::Col(b)) => TileBias::Col(b[col0..col0 + NR].try_into().expect("NR columns")),
+        None => TileBias::None,
     }
 }
 
@@ -509,6 +524,10 @@ pub fn gemm_with(
                 ep.apply(&mut row[..n], i, 0);
             }
         }
+        return;
+    }
+    if let (Lhs::Mat(a), Rhs::Packed(b), true) = (a, b, m < MR) {
+        gemm_rows(m, n, k, a, b, beta, c, ldc, ep);
         return;
     }
     let workers = crate::workers::worker_count();
@@ -801,10 +820,10 @@ fn pack_b(b: MatRef<'_>, pc: usize, kc: usize, n: usize, pb: &mut [f32]) {
     }
 }
 
-/// Runs the micro-kernel over every MR×NR tile of an `mc × n` block of
-/// `C` (rows start at `c[0]`). `row0` is the global row index of
-/// `c[0]`; when `last` is set the epilogue is applied to each row
-/// segment right after its write-back.
+/// Runs the register tile over every MR×NR tile of an `mc × n` block
+/// of `C` (rows start at `c[0]`). `row0` is the global row index of
+/// `c[0]`; when `last` is set the epilogue is applied to each tile
+/// before it is stored.
 #[allow(clippy::too_many_arguments)]
 fn macro_tile(
     pa: &[f32],
@@ -828,28 +847,17 @@ fn macro_tile(
         for cs in 0..col_strips {
             let pb_strip = &pb[cs * kc * NR..][..kc * NR];
             let cols = NR.min(n - cs * NR);
-            let mut acc = micro_kernel(pa_strip, pb_strip, kc);
             if rows == MR && cols == NR {
-                // Full-tile fast path: fixed-size rows, so the copies
-                // and adds compile to straight vector code instead of
-                // length-dispatched `memmove`s.
-                for (r, vals) in acc.iter_mut().enumerate() {
-                    let dst: &mut [f32; NR] = (&mut c[(rs * MR + r) * ldc + cs * NR..][..NR])
-                        .try_into()
-                        .expect("NR-wide row");
-                    if beta != 0.0 {
-                        for (v, &d) in vals.iter_mut().zip(dst.iter()) {
-                            *v += d;
-                        }
-                    }
-                    if apply_ep {
-                        ep.apply_tile_row(vals, row0 + rs * MR + r, cs * NR);
-                    }
-                    *dst = *vals;
-                }
+                // Full tile: the kernel adds C, bias and ReLU in
+                // registers and stores the rows itself.
+                let tile = ep.tile(beta != 0.0, last, row0 + rs * MR, cs * NR);
+                let dst = &mut c[rs * MR * ldc + cs * NR..];
+                eml_simd::madd_tile_f32_into(pa_strip, pb_strip, kc, dst, ldc, tile);
                 continue;
             }
             // Edge tiles: write-back masks the zero padding.
+            let mut acc = [[0.0f32; NR]; MR];
+            eml_simd::madd_tile_f32(pa_strip, pb_strip, kc, &mut acc);
             for r in 0..rows {
                 let row = &mut c[(rs * MR + r) * ldc + cs * NR..][..cols];
                 if beta == 0.0 {
@@ -867,22 +875,64 @@ fn macro_tile(
     }
 }
 
-/// The register-tiled core: one MR×NR tile of `A_strip · B_strip`,
-/// dispatched through [`eml_simd::madd_tile_f32`] — the runtime-picked
-/// AVX2 tier on CPUs that have it, otherwise the scalar form that is
-/// this kernel's original safe-Rust formulation (the baseline x86-64
-/// target auto-vectorises it 4-wide). Every tier issues the identical
-/// multiply/add sequence, so the tile is bit-identical across tiers.
-#[inline]
-fn micro_kernel(pa_strip: &[f32], pb_strip: &[f32], kc: usize) -> [[f32; NR]; MR] {
-    let mut acc = [[0.0f32; NR]; MR];
-    eml_simd::madd_tile_f32(pa_strip, pb_strip, kc, &mut acc);
-    acc
+/// The row kernel: `C = epilogue(A·B + beta·C)` for fewer than [`MR`]
+/// rows against a packed B, one row at a time in 1×[`NR`] strips, so
+/// it does not multiply the zero rows a padded A strip carries. Each
+/// output follows the
+/// edge-tile path's order exactly: per K-slice a sequential sum from
+/// `0.0`, added to `C` after the first slice (or when `beta` is set),
+/// and the epilogue once after the last slice.
+#[allow(clippy::too_many_arguments)]
+fn gemm_rows(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: MatRef<'_>,
+    b: PackedBRef<'_>,
+    beta: f32,
+    c: &mut [f32],
+    ldc: usize,
+    ep: Epilogue<'_>,
+) {
+    let mut a_row = [0.0f32; KC];
+    for i in 0..m {
+        let row = &mut c[i * ldc..][..n];
+        let mut pc = 0;
+        while pc < k {
+            let kc = KC.min(k - pc);
+            for (p, v) in a_row[..kc].iter_mut().enumerate() {
+                *v = a.at(i, pc + p);
+            }
+            let panel = b.panel(pc, kc);
+            let overwrite = pc == 0 && beta == 0.0;
+            for (cs, seg) in row.chunks_mut(NR).enumerate() {
+                let strip = &panel[cs * kc * NR..][..kc * NR];
+                let mut acc = [0.0f32; NR];
+                for (&av, bp) in a_row[..kc].iter().zip(strip.chunks_exact(NR)) {
+                    for (x, &bv) in acc.iter_mut().zip(bp) {
+                        *x += av * bv;
+                    }
+                }
+                if overwrite {
+                    seg.copy_from_slice(&acc[..seg.len()]);
+                } else {
+                    for (d, &v) in seg.iter_mut().zip(&acc) {
+                        *d += v;
+                    }
+                }
+            }
+            pc += kc;
+        }
+        if ep.is_some() {
+            ep.apply(row, i, 0);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1243,6 +1293,64 @@ mod tests {
                 assert!(
                     got.to_bits() == want.to_bits(),
                     "c[{i}][{j}]: {got} vs {want}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The row kernel (`Lhs::Mat` with fewer than MR rows against a
+        /// packed B) is bit-identical to the register tiles over the
+        /// same operand packed (`Lhs::Packed`): across one to three
+        /// K-slices, ragged column strips, C accumulation, both bias
+        /// orientations, ReLU and a transposed A. C is one column wider
+        /// than the product, so a stray write differs too.
+        #[test]
+        fn row_kernel_matches_tile_path(
+            seed in 0u64..10_000,
+            m in 1usize..MR,
+            strips in 0usize..3,
+            tail in 1usize..NR,
+            k in 1usize..=3 * KC,
+            beta in proptest::bool::ANY,
+            bias_kind in 0usize..3,
+            relu in proptest::bool::ANY,
+            trans in proptest::bool::ANY,
+        ) {
+            let n = strips * NR + tail;
+            let ldc = n + 1;
+            let a_data = random_vec(m * k, seed);
+            let b_data = random_vec(k * n, seed + 1);
+            let bias = random_vec(m.max(n), seed + 2);
+            let a = if trans {
+                MatRef::t(&a_data, m)
+            } else {
+                MatRef::new(&a_data, k)
+            };
+            let pa = PackedA::pack(a, m, k);
+            let pb = PackedB::pack(MatRef::new(&b_data, n), k, n);
+            let mut ep = match bias_kind {
+                1 => Epilogue::bias_row(&bias[..m]),
+                2 => Epilogue::bias_col(&bias[..n]),
+                _ => Epilogue::none(),
+            };
+            if relu {
+                ep = ep.with_relu();
+            }
+            let beta = if beta { 1.0 } else { 0.0 };
+            let c0 = random_vec(m * ldc, seed + 3);
+            let mut rows = c0.clone();
+            let rhs = Rhs::Packed(pb.as_ref());
+            gemm_with(m, n, k, Lhs::Mat(a), rhs, beta, &mut rows, ldc, true, ep);
+            let mut tiles = c0;
+            let lhs = Lhs::Packed(pa.as_ref());
+            gemm_with(m, n, k, lhs, rhs, beta, &mut tiles, ldc, true, ep);
+            for (i, (x, y)) in rows.iter().zip(&tiles).enumerate() {
+                prop_assert!(
+                    x.to_bits() == y.to_bits(),
+                    "{m}x{n}x{k} c[{i}]: row kernel {x} vs tiles {y}"
                 );
             }
         }

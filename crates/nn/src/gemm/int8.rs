@@ -20,9 +20,11 @@
 //! - the K-slice depth is [`KC8`]` = 1024` instead of the `f32`
 //!   kernel's 256 (an i16 panel is half the bytes of an f32 one at the
 //!   same footprint). Every layer shape in this crate then fits a
-//!   *single* K-slice, which keeps the kernel on its fast path:
-//!   accumulate an MR×NR tile of `i32` in registers and requantise in
-//!   the write-back, with no spill buffer;
+//!   *single* K-slice, which keeps the kernel on its fast path: a full
+//!   MR×NR tile accumulates `i32` in registers and requantises there
+//!   before it stores into `C` ([`eml_simd::madd_tile_i16_into_f32`] /
+//!   [`eml_simd::madd_tile_i16_into_i8`]), with no spill buffer; edge
+//!   tiles requantise in a masked write-back;
 //! - deeper products (`k > KC8`) accumulate per MC8-row block into a
 //!   thread-local `i32` scratch and requantise once after the last
 //!   slice, so multi-slice results are identical to a single wide
@@ -52,6 +54,8 @@
 //! by the output scale, optional ReLU a free `max(0)` before the
 //! round), so chained layers never materialise an `f32` activation;
 //! the test-only `requantize_i8` is the scalar form of that write-back.
+//! The rounding is [`eml_simd::round_to_grid`], the same clamp and
+//! magic-bias round the input quantisers use.
 //!
 //! # Overflow guard
 //!
@@ -64,7 +68,9 @@
 
 use std::cell::RefCell;
 
-use crate::gemm::{Bias, MatRef, MR, NR};
+use eml_simd::{relu, QTileEpilogue};
+
+use crate::gemm::{tile_bias, Bias, MatRef, MR, NR};
 use crate::quant::quantize_i8w;
 
 // The register tile this module packs for is the one the shared
@@ -391,54 +397,68 @@ impl<'a> QEpilogue<'a> {
     }
 }
 
-/// Write-back of the int8 GEMM kernel: turns one segment of `i32`
-/// accumulators into output elements, after the full `k` reduction.
-/// Two implementations exist — [`QEpilogue`] dequantises to `f32`
-/// (layer output leaves the quantised domain) and [`QEpilogueI8`]
-/// requantises straight onto the int8 grid (chained
-/// quantised-to-quantised layers, `eml_nn::quant` chaining docs).
+/// Write-back of the int8 GEMM kernel: turns `i32` accumulators into
+/// output elements, after the full `k` reduction. Two implementations
+/// exist — [`QEpilogue`] dequantises to `f32` (layer output leaves the
+/// quantised domain) and [`QEpilogueI8`] requantises straight onto the
+/// int8 grid (chained quantised-to-quantised layers, `eml_nn::quant`
+/// chaining docs).
 pub(crate) trait QWriteback: Copy + Send + Sync {
     /// Output element type the kernel writes.
     type Out: Copy + Send + Default;
 
-    /// Writes one full register-tile row; the fixed width lets the
-    /// compiler vectorise the convert-scale-store sequence.
-    fn apply_tile_row(&self, dst: &mut [Self::Out; NR], acc: &[i32; NR], row: usize, col0: usize);
+    /// Computes the full MR×NR tile of `pairs` k-pairs whose top-left
+    /// output is (`row0`, `col0`) and writes it into `c` (leading
+    /// dimension `ldc`), epilogue applied in registers.
+    #[allow(clippy::too_many_arguments)]
+    fn store_tile(
+        &self,
+        pa: &[i16],
+        pb: &[i16],
+        pairs: usize,
+        c: &mut [Self::Out],
+        ldc: usize,
+        row0: usize,
+        col0: usize,
+    );
 
     /// Writes one row segment. `row` is the global row index, `col0`
     /// the global column of `dst[0]`/`acc[0]`.
     fn apply(&self, dst: &mut [Self::Out], acc: &[i32], row: usize, col0: usize);
 }
 
+/// The register-tile form of an int8 epilogue at (`row0`, `col0`).
+#[inline]
+fn tile_epilogue(
+    scale: f32,
+    bias: Option<Bias<'_>>,
+    relu: bool,
+    row0: usize,
+    col0: usize,
+) -> QTileEpilogue<'_> {
+    QTileEpilogue {
+        scale,
+        bias: tile_bias(bias, row0, col0),
+        relu,
+    }
+}
+
 impl QWriteback for QEpilogue<'_> {
     type Out = f32;
 
     #[inline]
-    fn apply_tile_row(&self, dst: &mut [f32; NR], acc: &[i32; NR], row: usize, col0: usize) {
-        match self.bias {
-            Some(Bias::Row(b)) => {
-                let bv = b[row];
-                for (d, &a) in dst.iter_mut().zip(acc) {
-                    *d = a as f32 * self.scale + bv;
-                }
-            }
-            Some(Bias::Col(b)) => {
-                let b: &[f32; NR] = b[col0..col0 + NR].try_into().expect("NR columns");
-                for ((d, &a), &bv) in dst.iter_mut().zip(acc).zip(b) {
-                    *d = a as f32 * self.scale + bv;
-                }
-            }
-            None => {
-                for (d, &a) in dst.iter_mut().zip(acc) {
-                    *d = a as f32 * self.scale;
-                }
-            }
-        }
-        if self.relu {
-            for d in dst.iter_mut() {
-                *d = d.max(0.0);
-            }
-        }
+    fn store_tile(
+        &self,
+        pa: &[i16],
+        pb: &[i16],
+        pairs: usize,
+        c: &mut [f32],
+        ldc: usize,
+        row0: usize,
+        col0: usize,
+    ) {
+        let ep = tile_epilogue(self.scale, self.bias, self.relu, row0, col0);
+        eml_simd::madd_tile_i16_into_f32(pa, pb, pairs, c, ldc, ep);
     }
 
     #[inline]
@@ -446,7 +466,7 @@ impl QWriteback for QEpilogue<'_> {
         for (j, (d, &a)) in dst.iter_mut().zip(acc).enumerate() {
             let mut v = a as f32 * self.scale + self.bias_at(row, col0 + j);
             if self.relu {
-                v = v.max(0.0);
+                v = relu(v);
             }
             *d = v;
         }
@@ -514,9 +534,9 @@ impl<'a> QEpilogueI8<'a> {
     fn requant(&self, acc: i32, bias: f32) -> i16 {
         let mut v = acc as f32 * self.scale + bias;
         if self.relu {
-            v = v.max(0.0);
+            v = relu(v);
         }
-        crate::quant::round_clamp_i8w(v)
+        eml_simd::round_to_grid(v)
     }
 }
 
@@ -524,26 +544,18 @@ impl QWriteback for QEpilogueI8<'_> {
     type Out = i16;
 
     #[inline]
-    fn apply_tile_row(&self, dst: &mut [i16; NR], acc: &[i32; NR], row: usize, col0: usize) {
-        match self.bias {
-            Some(Bias::Row(b)) => {
-                let bv = b[row];
-                for (d, &a) in dst.iter_mut().zip(acc) {
-                    *d = self.requant(a, bv);
-                }
-            }
-            Some(Bias::Col(b)) => {
-                let b: &[f32; NR] = b[col0..col0 + NR].try_into().expect("NR columns");
-                for ((d, &a), &bv) in dst.iter_mut().zip(acc).zip(b) {
-                    *d = self.requant(a, bv);
-                }
-            }
-            None => {
-                for (d, &a) in dst.iter_mut().zip(acc) {
-                    *d = self.requant(a, 0.0);
-                }
-            }
-        }
+    fn store_tile(
+        &self,
+        pa: &[i16],
+        pb: &[i16],
+        pairs: usize,
+        c: &mut [i16],
+        ldc: usize,
+        row0: usize,
+        col0: usize,
+    ) {
+        let ep = tile_epilogue(self.scale, self.bias, self.relu, row0, col0);
+        eml_simd::madd_tile_i16_into_i8(pa, pb, pairs, c, ldc, ep);
     }
 
     #[inline]
@@ -788,19 +800,23 @@ fn macro_tile_i8<E: QWriteback>(
         for cs in 0..col_strips {
             let pb_strip = &pb[cs * kcp * NR..][..kcp * NR];
             let cols = NR.min(n - cs * NR);
-            let mut acc = [[0i32; NR]; MR];
-            eml_simd::madd_tile_i16(pa_strip, pb_strip, kcp / 2, &mut acc);
             if rows == MR && cols == NR {
-                // Full-tile fast path: fixed-size rows vectorise the
-                // convert-scale-store.
-                for (r, vals) in acc.iter().enumerate() {
-                    let dst: &mut [E::Out; NR] = (&mut c[(rs * MR + r) * ldc + cs * NR..][..NR])
-                        .try_into()
-                        .expect("NR-wide row");
-                    ep.apply_tile_row(dst, vals, row0 + rs * MR + r, cs * NR);
-                }
+                // Full tile: the kernel runs the epilogue in registers
+                // and stores the rows itself.
+                let dst = &mut c[rs * MR * ldc + cs * NR..];
+                ep.store_tile(
+                    pa_strip,
+                    pb_strip,
+                    kcp / 2,
+                    dst,
+                    ldc,
+                    row0 + rs * MR,
+                    cs * NR,
+                );
                 continue;
             }
+            let mut acc = [[0i32; NR]; MR];
+            eml_simd::madd_tile_i16(pa_strip, pb_strip, kcp / 2, &mut acc);
             for (r, vals) in acc.iter().enumerate().take(rows) {
                 let row = &mut c[(rs * MR + r) * ldc + cs * NR..][..cols];
                 ep.apply(row, &vals[..cols], row0 + rs * MR + r, cs * NR);

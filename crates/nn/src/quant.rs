@@ -118,46 +118,25 @@ pub(crate) fn finite_max_abs(w: &[f32]) -> f32 {
 #[inline]
 #[cfg(test)] // production packing stores i16 (quantize_i8w); the i8 form is the test oracle
 pub(crate) fn quantize_i8(x: f32, inv_scale: f32) -> i8 {
-    quantize_grid(x, inv_scale) as i8
+    quantize_i8w(x, inv_scale) as i8
 }
 
 /// [`quantize_i8`], widened to the `i16` storage the packed int8
-/// panels use (values stay on the `[-127, 127]` grid).
+/// panels use (values stay on the `[-127, 127]` grid). The clamp and
+/// round are [`eml_simd::round_to_grid`], the one the requantising GEMM
+/// epilogues use too, so input quantisation and chained-layer
+/// requantisation cannot diverge in rounding policy.
 #[inline]
 pub(crate) fn quantize_i8w(x: f32, inv_scale: f32) -> i16 {
-    quantize_grid(x, inv_scale) as i16
+    eml_simd::round_to_grid(x * inv_scale)
 }
 
-/// Rounds an already-scaled value onto the int8 grid in `i16` storage:
-/// `round(v)` (ties to even) clamped to `[-127, 127]`. The
-/// requantisation epilogues of [`crate::gemm::int8`] use this on the
-/// hot write-back path — same branchless magic-bias core as the input
-/// quantisers, so chained-layer rounding policy cannot diverge from
-/// input-quantisation policy.
-#[inline]
-pub(crate) fn round_clamp_i8w(v: f32) -> i16 {
-    quantize_grid(v, 1.0) as i16
-}
-
-/// [`round_clamp_i8w`] in `i8` storage, for the scalar requantisation
-/// primitive `requantize_i8` (the fused epilogue's test oracle).
+/// `round(v)` (ties to even) clamped to `[-127, 127]`, in `i8`
+/// storage: the rounding of the scalar requantisation primitive
+/// `requantize_i8` (the fused epilogue's test oracle).
 #[cfg(test)]
 pub(crate) fn round_clamp_i8(v: f32) -> i8 {
-    quantize_grid(v, 1.0) as i8
-}
-
-/// Shared core of the int8-grid quantisers: after the magic bias the
-/// low bits hold the rounded value in two's complement, so a
-/// truncating cast to `i8`/`i16` recovers it exactly on the clamped
-/// range.
-#[inline]
-#[allow(clippy::manual_clamp)] // f32::clamp propagates NaN into the bit tricks below; max-then-min resolves NaN to a grid edge
-fn quantize_grid(x: f32, inv_scale: f32) -> u32 {
-    /// `1.5 · 2²³`: adding it to a value in `[-127, 127]` pushes the
-    /// rounded value into the low mantissa bits.
-    const MAGIC: f32 = 12_582_912.0;
-    let v = (x * inv_scale).max(-I8_LEVELS).min(I8_LEVELS);
-    (v + MAGIC).to_bits().wrapping_sub(MAGIC.to_bits())
+    eml_simd::round_to_grid(v) as i8
 }
 
 /// [`finite_max_abs`] for the quantised forward path's *activation*

@@ -23,7 +23,23 @@
 //!   The scalar form is exactly the kernel `eml_nn::gemm` shipped as
 //!   safe auto-vectorised Rust (which the baseline x86-64 target
 //!   vectorises only 4-wide, SSE); the AVX2 tier issues the same
-//!   multiply/add sequence 8 lanes at a time.
+//!   multiply/add sequence 8 lanes at a time. `eml_nn::gemm` runs it on
+//!   edge tiles; the instrument's tile probe times it.
+//! - [`madd_tile_f32_into`]: the storing form of [`madd_tile_f32`],
+//!   run on every full tile. It accumulates from zero, then applies a
+//!   [`TileEpilogue`] (`+ C`, `+ bias`, [`relu`]) and stores the tile
+//!   straight into `C`.
+//! - [`madd_tile_i16_into_f32`] and [`madd_tile_i16_into_i8`]: the
+//!   storing forms of [`madd_tile_i16`], run on every full tile of a
+//!   single-slice int8 product. They apply a [`QTileEpilogue`]
+//!   (`· scale`, `+ bias`, [`relu`]), and the `i16` form
+//!   rounds onto the int8 grid with [`round_to_grid`].
+//!
+//! The register epilogues are AVX2 only. On the other tiers a storing
+//! kernel is that tier's accumulating kernel on a zeroed tile followed
+//! by the element-wise write-back, which is the composition the callers
+//! used before; the scalar one is the oracle the other tiers are tested
+//! against.
 //!
 //! # Dispatch tiers
 //!
@@ -42,11 +58,15 @@
 //!    to keep the fallback oracle exercised on every push, not just on
 //!    non-x86 hardware.
 //!
-//! The AVX2 tiers are bit-identical to their scalar oracles: the int8
-//! kernel is exact integer arithmetic, and the f32 kernel deliberately
-//! issues separate `vmulps`/`vaddps` (not FMA, which would contract
-//! the rounding) in the scalar kernel's exact per-element operation
-//! order, so selecting a tier never changes results.
+//! The SSE2 and AVX2 tiers are bit-identical to their scalar oracles:
+//! the int8 kernels are exact integer arithmetic, and the f32 kernels
+//! deliberately issue separate `vmulps`/`vaddps` (not FMA, which would
+//! contract the rounding) in the scalar kernel's exact per-element
+//! operation order. The epilogues issue the same adds, a `maxps`
+//! against zero, which is exactly [`relu`], and the clamp and
+//! magic-bias round of [`round_to_grid`]. So selecting a tier never
+//! changes results; only the sign and payload of a NaN, which Rust
+//! leaves unspecified, may differ.
 //!
 //! # Panel layout
 //!
@@ -210,6 +230,281 @@ pub fn madd_tile_f32(pa: &[f32], pb: &[f32], kc: usize, acc: &mut [[f32; NR]; MR
     }
 }
 
+/// The bias of a storing tile kernel, already sliced to its tile.
+#[derive(Debug, Clone, Copy)]
+pub enum TileBias<'a> {
+    /// No bias add.
+    None,
+    /// `+ bias[r]` across tile row `r` (a convolution's output channel).
+    Row(&'a [f32; MR]),
+    /// `+ bias[c]` down tile column `c` (a linear layer's feature).
+    Col(&'a [f32; NR]),
+}
+
+impl TileBias<'_> {
+    /// Adds the bias of tile row `r` to `vals`, one `f32` add per lane.
+    #[inline]
+    fn add_to(self, vals: &mut [f32; NR], r: usize) {
+        match self {
+            TileBias::None => {}
+            TileBias::Row(b) => vals.iter_mut().for_each(|v| *v += b[r]),
+            TileBias::Col(b) => vals.iter_mut().zip(b).for_each(|(v, &bv)| *v += bv),
+        }
+    }
+}
+
+/// What [`madd_tile_f32_into`] does to the register tile before its
+/// store, in this order: `+ C` when `beta` is set, `+ bias`, then
+/// [`relu`] when `relu` is set.
+#[derive(Debug, Clone, Copy)]
+pub struct TileEpilogue<'a> {
+    /// Add the `C` tile already in memory (GEMM `beta = 1`) instead of
+    /// overwriting it.
+    pub beta: bool,
+    /// The bias added after `C`.
+    pub bias: TileBias<'a>,
+    /// Clamp at zero last.
+    pub relu: bool,
+}
+
+/// What the storing int8 tiles ([`madd_tile_i16_into_f32`],
+/// [`madd_tile_i16_into_i8`]) do to each `i32` accumulator, in this
+/// order: `acc as f32 · scale`, `+ bias`, then [`relu`] when `relu` is
+/// set. The `i16` form then rounds with [`round_to_grid`].
+#[derive(Debug, Clone, Copy)]
+pub struct QTileEpilogue<'a> {
+    /// Dequantising (or requantising) multiplier.
+    pub scale: f32,
+    /// The bias added after the scale.
+    pub bias: TileBias<'a>,
+    /// Clamp at zero after the bias.
+    pub relu: bool,
+}
+
+impl QTileEpilogue<'_> {
+    /// Dequantises one accumulator tile: the scalar form of the int8
+    /// epilogue.
+    fn dequantise(&self, acc: &[[i32; NR]; MR]) -> [[f32; NR]; MR] {
+        let mut out = [[0.0f32; NR]; MR];
+        for (r, (vals, row)) in out.iter_mut().zip(acc).enumerate() {
+            for (v, &a) in vals.iter_mut().zip(row) {
+                *v = a as f32 * self.scale;
+            }
+            self.bias.add_to(vals, r);
+            if self.relu {
+                vals.iter_mut().for_each(|v| *v = relu(*v));
+            }
+        }
+        out
+    }
+}
+
+/// The ReLU of every epilogue: `v` if `v > 0`, else `+0.0`. So NaN
+/// and `-0.0` both give `+0.0`, which is exactly what `maxps(v, 0)`
+/// returns; `f32::max` leaves the sign of a zero to the compiler and
+/// the build profile.
+#[inline]
+pub fn relu(v: f32) -> f32 {
+    if v > 0.0 {
+        v
+    } else {
+        0.0
+    }
+}
+
+/// Rounds `v` onto the symmetric int8 grid in `i16` storage: clamped to
+/// `[-127, 127]` first (NaN goes to `-127`), then rounded half to even.
+/// The rounding is the branchless magic-bias add: after `+ 1.5·2²³` the
+/// low mantissa bits hold the rounded value in two's complement.
+#[inline]
+#[allow(clippy::manual_clamp)] // f32::clamp would keep NaN; max-then-min sends it to -127
+pub fn round_to_grid(v: f32) -> i16 {
+    let v = v.max(-GRID_MAX).min(GRID_MAX);
+    (v + MAGIC).to_bits().wrapping_sub(MAGIC.to_bits()) as i16
+}
+
+/// The edge of the symmetric int8 grid.
+const GRID_MAX: f32 = 127.0;
+/// `1.5 · 2²³`, the magic bias of [`round_to_grid`].
+const MAGIC: f32 = 12_582_912.0;
+
+/// Panics unless `c` holds an [`MR`]`×`[`NR`] tile at leading
+/// dimension `ldc`.
+#[inline]
+fn check_tile<T>(c: &[T], ldc: usize) {
+    assert!(
+        ldc >= NR && c.len() >= (MR - 1) * ldc + NR,
+        "C shorter than one {MR}x{NR} tile at ldc = {ldc}"
+    );
+}
+
+/// Computes one [`MR`]`×`[`NR`] `f32` tile of `A_strip · B_strip` (the
+/// operands of [`madd_tile_f32`]) from zero, applies `ep` to it (in
+/// registers on AVX2) and stores it into rows `c[r·ldc..][..NR]`.
+///
+/// Bit-identical across tiers, and to [`madd_tile_f32`] on a zeroed
+/// tile followed by the same `+ C`, `+ bias` and [`relu`] per element.
+///
+/// # Panics
+///
+/// Panics if a strip is shorter than [`madd_tile_f32`] requires or `c`
+/// is shorter than one tile.
+#[inline]
+pub fn madd_tile_f32_into(
+    pa: &[f32],
+    pb: &[f32],
+    kc: usize,
+    c: &mut [f32],
+    ldc: usize,
+    ep: TileEpilogue<'_>,
+) {
+    assert!(
+        pa.len() >= kc * MR && pb.len() >= kc * NR,
+        "strip buffers shorter than {kc} k-steps"
+    );
+    check_tile(c, ldc);
+    match active_tier() {
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 => x86::madd_tile_f32_into_avx2(pa, pb, kc, c, ldc, ep),
+        _ => madd_tile_f32_into_scalar(pa, pb, kc, c, ldc, ep),
+    }
+}
+
+/// Portable scalar form of [`madd_tile_f32_into`] and its oracle: the
+/// accumulating tile, then the write-back one row at a time.
+fn madd_tile_f32_into_scalar(
+    pa: &[f32],
+    pb: &[f32],
+    kc: usize,
+    c: &mut [f32],
+    ldc: usize,
+    ep: TileEpilogue<'_>,
+) {
+    let mut acc = [[0.0f32; NR]; MR];
+    madd_tile_f32_scalar(pa, pb, kc, &mut acc);
+    for (r, vals) in acc.iter_mut().enumerate() {
+        let dst: &mut [f32; NR] = (&mut c[r * ldc..][..NR]).try_into().expect("NR-wide row");
+        if ep.beta {
+            for (v, &d) in vals.iter_mut().zip(dst.iter()) {
+                *v += d;
+            }
+        }
+        ep.bias.add_to(vals, r);
+        if ep.relu {
+            vals.iter_mut().for_each(|v| *v = relu(*v));
+        }
+        *dst = *vals;
+    }
+}
+
+/// Computes one [`MR`]`×`[`NR`] int8 tile (the operands of
+/// [`madd_tile_i16`]) from zero, dequantises it through `ep` (in
+/// registers on AVX2) and stores it as `f32` into rows `c[r·ldc..][..NR]`.
+///
+/// Bit-identical across tiers, and to [`madd_tile_i16`] on a zeroed
+/// tile followed by `ep` per element.
+///
+/// # Panics
+///
+/// Panics if a strip is shorter than [`madd_tile_i16`] requires or `c`
+/// is shorter than one tile.
+#[inline]
+pub fn madd_tile_i16_into_f32(
+    pa: &[i16],
+    pb: &[i16],
+    pairs: usize,
+    c: &mut [f32],
+    ldc: usize,
+    ep: QTileEpilogue<'_>,
+) {
+    assert!(
+        pa.len() >= pairs * 2 * MR && pb.len() >= pairs * 2 * NR,
+        "strip buffers shorter than {pairs} k-pairs"
+    );
+    check_tile(c, ldc);
+    match active_tier() {
+        #[cfg(target_arch = "x86_64")]
+        Tier::Sse2 => madd_tile_i16_into_f32_via(x86::madd_tile_sse2, pa, pb, pairs, c, ldc, ep),
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 => x86::madd_tile_i16_into_f32_avx2(pa, pb, pairs, c, ldc, ep),
+        _ => madd_tile_i16_into_f32_via(madd_tile_scalar, pa, pb, pairs, c, ldc, ep),
+    }
+}
+
+/// An accumulating int8 tile of one tier, as [`madd_tile_i16`].
+type I16Tile = fn(&[i16], &[i16], usize, &mut [[i32; NR]; MR]);
+
+/// [`madd_tile_i16_into_f32`] on a tier without a storing int8 kernel:
+/// `tile` on a zeroed tile, then the element-wise write-back. With
+/// [`madd_tile_scalar`] it is the oracle.
+#[inline]
+fn madd_tile_i16_into_f32_via(
+    tile: I16Tile,
+    pa: &[i16],
+    pb: &[i16],
+    pairs: usize,
+    c: &mut [f32],
+    ldc: usize,
+    ep: QTileEpilogue<'_>,
+) {
+    let mut acc = [[0i32; NR]; MR];
+    tile(pa, pb, pairs, &mut acc);
+    for (r, vals) in ep.dequantise(&acc).iter().enumerate() {
+        c[r * ldc..][..NR].copy_from_slice(vals);
+    }
+}
+
+/// [`madd_tile_i16_into_f32`], but rounding each value onto the int8
+/// grid with [`round_to_grid`] and storing it as `i16`: the write-back
+/// of a chained quantised layer.
+///
+/// # Panics
+///
+/// Same conditions as [`madd_tile_i16_into_f32`].
+#[inline]
+pub fn madd_tile_i16_into_i8(
+    pa: &[i16],
+    pb: &[i16],
+    pairs: usize,
+    c: &mut [i16],
+    ldc: usize,
+    ep: QTileEpilogue<'_>,
+) {
+    assert!(
+        pa.len() >= pairs * 2 * MR && pb.len() >= pairs * 2 * NR,
+        "strip buffers shorter than {pairs} k-pairs"
+    );
+    check_tile(c, ldc);
+    match active_tier() {
+        #[cfg(target_arch = "x86_64")]
+        Tier::Sse2 => madd_tile_i16_into_i8_via(x86::madd_tile_sse2, pa, pb, pairs, c, ldc, ep),
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 => x86::madd_tile_i16_into_i8_avx2(pa, pb, pairs, c, ldc, ep),
+        _ => madd_tile_i16_into_i8_via(madd_tile_scalar, pa, pb, pairs, c, ldc, ep),
+    }
+}
+
+/// [`madd_tile_i16_into_i8`] on a tier without a storing int8 kernel,
+/// as [`madd_tile_i16_into_f32_via`].
+#[inline]
+fn madd_tile_i16_into_i8_via(
+    tile: I16Tile,
+    pa: &[i16],
+    pb: &[i16],
+    pairs: usize,
+    c: &mut [i16],
+    ldc: usize,
+    ep: QTileEpilogue<'_>,
+) {
+    let mut acc = [[0i32; NR]; MR];
+    tile(pa, pb, pairs, &mut acc);
+    for (r, vals) in ep.dequantise(&acc).iter().enumerate() {
+        for (d, &v) in c[r * ldc..][..NR].iter_mut().zip(vals) {
+            *d = round_to_grid(v);
+        }
+    }
+}
+
 /// Portable scalar form of [`madd_tile_f32`]: the fallback on
 /// non-AVX2 tiers and the oracle the AVX2 path is tested against.
 /// Two k-steps per iteration — halves the loop overhead and gives the
@@ -252,15 +547,21 @@ mod x86 {
     //! ABI, so that path needs no runtime feature detection; the AVX2
     //! entry points are only reached after `active_tier()` confirmed
     //! `is_x86_feature_detected!("avx2")`.
+    //!
+    //! AVX2 has one k-loop per element type. Its accumulating kernels
+    //! add the registers to the caller's tile; its storing kernels run
+    //! the epilogue on them and store straight into `C`. SSE2 has only
+    //! the accumulating int8 tile.
     #![allow(unsafe_code)]
 
-    use super::{MR, NR};
+    use super::{QTileEpilogue, TileBias, TileEpilogue, GRID_MAX, MAGIC, MR, NR};
     use core::arch::x86_64::{
-        __m128i, __m256, __m256i, _mm256_add_epi32, _mm256_add_ps, _mm256_loadu_ps,
-        _mm256_loadu_si256, _mm256_madd_epi16, _mm256_mul_ps, _mm256_set1_epi32, _mm256_set1_ps,
-        _mm256_setzero_ps, _mm256_setzero_si256, _mm256_storeu_ps, _mm256_storeu_si256,
-        _mm_add_epi32, _mm_loadu_si128, _mm_madd_epi16, _mm_setzero_si128, _mm_shuffle_epi32,
-        _mm_storeu_si128,
+        __m128i, __m256, __m256i, _mm256_add_epi32, _mm256_add_ps, _mm256_castps_si256,
+        _mm256_cvtepi32_ps, _mm256_loadu_ps, _mm256_loadu_si256, _mm256_madd_epi16, _mm256_max_ps,
+        _mm256_min_ps, _mm256_mul_ps, _mm256_packs_epi32, _mm256_permute4x64_epi64,
+        _mm256_set1_epi32, _mm256_set1_ps, _mm256_setzero_ps, _mm256_setzero_si256,
+        _mm256_storeu_ps, _mm256_storeu_si256, _mm256_sub_epi32, _mm_add_epi32, _mm_loadu_si128,
+        _mm_madd_epi16, _mm_setzero_si128, _mm_shuffle_epi32, _mm_storeu_si128,
     };
 
     /// See [`super::madd_tile_i16`]; caller has checked the slice
@@ -333,12 +634,41 @@ mod x86 {
         unsafe { madd_tile_i16_avx2_impl(pa, pb, pairs, acc) }
     }
 
+    /// The AVX2 `pmaddwd` k-loop: one [`MR`]`×`[`NR`] `i32` tile from
+    /// zero, two i32x8 vectors per row (8 ymm total). A macro rather
+    /// than a function, because a `target_feature` function cannot be
+    /// `#[inline(always)]` and an outlined loop spills the tile to
+    /// memory; expand it only inside an AVX2 `target_feature` function.
+    /// Each load covers an in-bounds 16-element `i16` subslice (32
+    /// bytes exactly).
+    macro_rules! i16_tile_avx2 {
+        ($pa:expr, $pb:expr, $pairs:expr) => {{
+            let (pa, pb): (&[i16], &[i16]) = ($pa, $pb);
+            let mut c: [[__m256i; 2]; MR] = [[_mm256_setzero_si256(); 2]; MR];
+            for q in 0..$pairs {
+                let ap: &[i16] = &pa[q * 2 * MR..][..2 * MR];
+                let bp: &[i16] = &pb[q * 2 * NR..][..2 * NR];
+                let b0 = _mm256_loadu_si256(bp[0..16].as_ptr().cast());
+                let b1 = _mm256_loadu_si256(bp[16..32].as_ptr().cast());
+                for r in 0..MR {
+                    // Row r's (even, odd) i16 pair packed into one i32
+                    // lane, broadcast against every column pair.
+                    let pair =
+                        (ap[2 * r] as u16 as u32 | (ap[2 * r + 1] as u16 as u32) << 16) as i32;
+                    let ar = _mm256_set1_epi32(pair);
+                    c[r][0] = _mm256_add_epi32(c[r][0], _mm256_madd_epi16(ar, b0));
+                    c[r][1] = _mm256_add_epi32(c[r][1], _mm256_madd_epi16(ar, b1));
+                }
+            }
+            c
+        }};
+    }
+
     /// # Safety
     ///
     /// Requires AVX2 at runtime. The intrinsic calls inside are safe
-    /// under the enclosing `target_feature`; the unaligned loads and
-    /// stores read/write exactly the bytes their in-bounds subslices
-    /// prove are in range.
+    /// under the enclosing `target_feature`; the stores write into a
+    /// local `[i32; 8]` (32 bytes exactly).
     #[target_feature(enable = "avx2")]
     unsafe fn madd_tile_i16_avx2_impl(
         pa: &[i16],
@@ -346,33 +676,137 @@ mod x86 {
         pairs: usize,
         acc: &mut [[i32; NR]; MR],
     ) {
-        // Two i32x8 accumulator vectors per row (8 ymm total).
-        let mut c: [[__m256i; 2]; MR] = [[_mm256_setzero_si256(); 2]; MR];
-        for q in 0..pairs {
-            let ap: &[i16] = &pa[q * 2 * MR..][..2 * MR];
-            let bp: &[i16] = &pb[q * 2 * NR..][..2 * NR];
-            // Each load covers an in-bounds 16-element `i16` subslice
-            // (32 bytes exactly).
-            let b0 = _mm256_loadu_si256(bp[0..16].as_ptr().cast());
-            let b1 = _mm256_loadu_si256(bp[16..32].as_ptr().cast());
-            for r in 0..MR {
-                // Row r's (even, odd) i16 pair packed into one i32
-                // lane, broadcast against every column pair.
-                let pair = (ap[2 * r] as u16 as u32 | (ap[2 * r + 1] as u16 as u32) << 16) as i32;
-                let ar = _mm256_set1_epi32(pair);
-                c[r][0] = _mm256_add_epi32(c[r][0], _mm256_madd_epi16(ar, b0));
-                c[r][1] = _mm256_add_epi32(c[r][1], _mm256_madd_epi16(ar, b1));
-            }
-        }
+        let c = i16_tile_avx2!(pa, pb, pairs);
         for (row, vecs) in acc.iter_mut().zip(&c) {
             for (seg, v) in row.chunks_exact_mut(8).zip(vecs) {
                 let mut out = [0i32; 8];
-                // Writes 32 bytes into `out`, a local `[i32; 8]`.
                 _mm256_storeu_si256(out.as_mut_ptr().cast(), *v);
                 for (d, &x) in seg.iter_mut().zip(&out) {
                     *d += x;
                 }
             }
+        }
+    }
+
+    /// The int8 epilogue on one AVX2 tile row: `acc as f32 · scale`,
+    /// `+ bias`, then `maxps(v, 0)` — lane for lane the scalar
+    /// `QTileEpilogue::dequantise`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 at runtime. Each load reads an in-bounds 8-element
+    /// `f32` subslice (32 bytes exactly).
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn dequantise_row_avx2(
+        acc: [__m256i; 2],
+        r: usize,
+        ep: &QTileEpilogue<'_>,
+    ) -> [__m256; 2] {
+        let scale = _mm256_set1_ps(ep.scale);
+        let mut v0 = _mm256_mul_ps(_mm256_cvtepi32_ps(acc[0]), scale);
+        let mut v1 = _mm256_mul_ps(_mm256_cvtepi32_ps(acc[1]), scale);
+        match ep.bias {
+            TileBias::None => {}
+            TileBias::Row(b) => {
+                let bv = _mm256_set1_ps(b[r]);
+                v0 = _mm256_add_ps(v0, bv);
+                v1 = _mm256_add_ps(v1, bv);
+            }
+            TileBias::Col(b) => {
+                v0 = _mm256_add_ps(v0, _mm256_loadu_ps(b[..8].as_ptr()));
+                v1 = _mm256_add_ps(v1, _mm256_loadu_ps(b[8..].as_ptr()));
+            }
+        }
+        if ep.relu {
+            v0 = _mm256_max_ps(v0, _mm256_setzero_ps());
+            v1 = _mm256_max_ps(v1, _mm256_setzero_ps());
+        }
+        [v0, v1]
+    }
+
+    /// AVX2 form of [`super::madd_tile_i16_into_f32`]. Caller has
+    /// checked the slice lengths and runtime AVX2 support.
+    pub(super) fn madd_tile_i16_into_f32_avx2(
+        pa: &[i16],
+        pb: &[i16],
+        pairs: usize,
+        c: &mut [f32],
+        ldc: usize,
+        ep: QTileEpilogue<'_>,
+    ) {
+        // SAFETY: `active_tier()` only selects this path after
+        // `is_x86_feature_detected!("avx2")` confirmed support.
+        unsafe { madd_tile_i16_into_f32_avx2_impl(pa, pb, pairs, c, ldc, ep) }
+    }
+
+    /// # Safety
+    ///
+    /// Requires AVX2 at runtime. Every store covers an in-bounds
+    /// 8-element `f32` half of a row of `c` (32 bytes exactly).
+    #[target_feature(enable = "avx2")]
+    unsafe fn madd_tile_i16_into_f32_avx2_impl(
+        pa: &[i16],
+        pb: &[i16],
+        pairs: usize,
+        c: &mut [f32],
+        ldc: usize,
+        ep: QTileEpilogue<'_>,
+    ) {
+        let acc = i16_tile_avx2!(pa, pb, pairs);
+        for (r, row) in acc.into_iter().enumerate() {
+            let [v0, v1] = dequantise_row_avx2(row, r, &ep);
+            let (lo, hi) = c[r * ldc..][..NR].split_at_mut(8);
+            _mm256_storeu_ps(lo.as_mut_ptr(), v0);
+            _mm256_storeu_ps(hi.as_mut_ptr(), v1);
+        }
+    }
+
+    /// AVX2 form of [`super::madd_tile_i16_into_i8`]. Caller has
+    /// checked the slice lengths and runtime AVX2 support.
+    pub(super) fn madd_tile_i16_into_i8_avx2(
+        pa: &[i16],
+        pb: &[i16],
+        pairs: usize,
+        c: &mut [i16],
+        ldc: usize,
+        ep: QTileEpilogue<'_>,
+    ) {
+        // SAFETY: `active_tier()` only selects this path after
+        // `is_x86_feature_detected!("avx2")` confirmed support.
+        unsafe { madd_tile_i16_into_i8_avx2_impl(pa, pb, pairs, c, ldc, ep) }
+    }
+
+    /// # Safety
+    ///
+    /// Requires AVX2 at runtime. Each row's store covers an in-bounds
+    /// 16-element `i16` row of `c` (32 bytes exactly).
+    #[target_feature(enable = "avx2")]
+    unsafe fn madd_tile_i16_into_i8_avx2_impl(
+        pa: &[i16],
+        pb: &[i16],
+        pairs: usize,
+        c: &mut [i16],
+        ldc: usize,
+        ep: QTileEpilogue<'_>,
+    ) {
+        let acc = i16_tile_avx2!(pa, pb, pairs);
+        let (lo, hi) = (_mm256_set1_ps(-GRID_MAX), _mm256_set1_ps(GRID_MAX));
+        let magic = _mm256_set1_ps(MAGIC);
+        let magic_bits = _mm256_set1_epi32(MAGIC.to_bits() as i32);
+        for (r, row) in acc.into_iter().enumerate() {
+            let [v0, v1] = dequantise_row_avx2(row, r, &ep);
+            // `round_to_grid` on 8 lanes: `maxps(v, -127)` (NaN →
+            // −127), `minps(v, 127)`, then the magic-bias round. The
+            // results lie in `[-127, 127]`, so `packssdw` is exact.
+            let v0 = _mm256_add_ps(_mm256_min_ps(_mm256_max_ps(v0, lo), hi), magic);
+            let v1 = _mm256_add_ps(_mm256_min_ps(_mm256_max_ps(v1, lo), hi), magic);
+            let q0 = _mm256_sub_epi32(_mm256_castps_si256(v0), magic_bits);
+            let q1 = _mm256_sub_epi32(_mm256_castps_si256(v1), magic_bits);
+            // `packssdw` interleaves the 128-bit halves (q0 lo, q1 lo,
+            // q0 hi, q1 hi); the permute restores column order.
+            let packed = _mm256_permute4x64_epi64(_mm256_packs_epi32(q0, q1), 0b11_01_10_00);
+            _mm256_storeu_si256(c[r * ldc..][..NR].as_mut_ptr().cast(), packed);
         }
     }
 
@@ -387,6 +821,50 @@ mod x86 {
         // SAFETY: `active_tier()` only selects this path after
         // `is_x86_feature_detected!("avx2")` confirmed support.
         unsafe { madd_tile_f32_avx2_impl(pa, pb, kc, acc) }
+    }
+
+    /// The AVX2 f32 k-loop, accumulating into `$c`: paired k-steps,
+    /// then an odd tail — the scalar kernel's structure, so the add
+    /// sequence per lane is identical. A macro for the reason
+    /// `i16_tile_avx2!` is one; expand it only inside an AVX2
+    /// `target_feature` function. Every load covers an in-bounds
+    /// 8-element `f32` subslice (32 bytes exactly).
+    macro_rules! f32_tile_avx2 {
+        ($pa:expr, $pb:expr, $kc:expr, $c:expr) => {{
+            let (pa, pb, kc): (&[f32], &[f32], usize) = ($pa, $pb, $kc);
+            let c: &mut [[__m256; 2]; MR] = $c;
+            let mut q = 0;
+            while q + 2 <= kc {
+                let ap = &pa[q * MR..][..2 * MR];
+                let bp = &pb[q * NR..][..2 * NR];
+                let b0 = _mm256_loadu_ps(bp[0..8].as_ptr());
+                let b1 = _mm256_loadu_ps(bp[8..16].as_ptr());
+                for (r, cr) in c.iter_mut().enumerate() {
+                    let av = _mm256_set1_ps(ap[r]);
+                    cr[0] = _mm256_add_ps(cr[0], _mm256_mul_ps(av, b0));
+                    cr[1] = _mm256_add_ps(cr[1], _mm256_mul_ps(av, b1));
+                }
+                let b2 = _mm256_loadu_ps(bp[16..24].as_ptr());
+                let b3 = _mm256_loadu_ps(bp[24..32].as_ptr());
+                for (r, cr) in c.iter_mut().enumerate() {
+                    let av = _mm256_set1_ps(ap[MR + r]);
+                    cr[0] = _mm256_add_ps(cr[0], _mm256_mul_ps(av, b2));
+                    cr[1] = _mm256_add_ps(cr[1], _mm256_mul_ps(av, b3));
+                }
+                q += 2;
+            }
+            if q < kc {
+                let ap = &pa[q * MR..][..MR];
+                let bp = &pb[q * NR..][..NR];
+                let b0 = _mm256_loadu_ps(bp[0..8].as_ptr());
+                let b1 = _mm256_loadu_ps(bp[8..16].as_ptr());
+                for (r, cr) in c.iter_mut().enumerate() {
+                    let av = _mm256_set1_ps(ap[r]);
+                    cr[0] = _mm256_add_ps(cr[0], _mm256_mul_ps(av, b0));
+                    cr[1] = _mm256_add_ps(cr[1], _mm256_mul_ps(av, b1));
+                }
+            }
+        }};
     }
 
     /// # Safety
@@ -409,42 +887,73 @@ mod x86 {
             cr[0] = _mm256_loadu_ps(row[0..8].as_ptr());
             cr[1] = _mm256_loadu_ps(row[8..16].as_ptr());
         }
-        let mut q = 0;
-        // Paired k-steps, then an odd tail — the scalar kernel's
-        // structure, so the add sequence per lane is identical.
-        while q + 2 <= kc {
-            let ap = &pa[q * MR..][..2 * MR];
-            let bp = &pb[q * NR..][..2 * NR];
-            let b0 = _mm256_loadu_ps(bp[0..8].as_ptr());
-            let b1 = _mm256_loadu_ps(bp[8..16].as_ptr());
-            for (r, cr) in c.iter_mut().enumerate() {
-                let av = _mm256_set1_ps(ap[r]);
-                cr[0] = _mm256_add_ps(cr[0], _mm256_mul_ps(av, b0));
-                cr[1] = _mm256_add_ps(cr[1], _mm256_mul_ps(av, b1));
-            }
-            let b2 = _mm256_loadu_ps(bp[16..24].as_ptr());
-            let b3 = _mm256_loadu_ps(bp[24..32].as_ptr());
-            for (r, cr) in c.iter_mut().enumerate() {
-                let av = _mm256_set1_ps(ap[MR + r]);
-                cr[0] = _mm256_add_ps(cr[0], _mm256_mul_ps(av, b2));
-                cr[1] = _mm256_add_ps(cr[1], _mm256_mul_ps(av, b3));
-            }
-            q += 2;
-        }
-        if q < kc {
-            let ap = &pa[q * MR..][..MR];
-            let bp = &pb[q * NR..][..NR];
-            let b0 = _mm256_loadu_ps(bp[0..8].as_ptr());
-            let b1 = _mm256_loadu_ps(bp[8..16].as_ptr());
-            for (r, cr) in c.iter_mut().enumerate() {
-                let av = _mm256_set1_ps(ap[r]);
-                cr[0] = _mm256_add_ps(cr[0], _mm256_mul_ps(av, b0));
-                cr[1] = _mm256_add_ps(cr[1], _mm256_mul_ps(av, b1));
-            }
-        }
+        f32_tile_avx2!(pa, pb, kc, &mut c);
         for (row, vecs) in acc.iter_mut().zip(&c) {
             _mm256_storeu_ps(row[0..8].as_mut_ptr(), vecs[0]);
             _mm256_storeu_ps(row[8..16].as_mut_ptr(), vecs[1]);
+        }
+    }
+
+    /// AVX2 form of [`super::madd_tile_f32_into`]. Caller has checked
+    /// the slice lengths and runtime AVX2 support.
+    pub(super) fn madd_tile_f32_into_avx2(
+        pa: &[f32],
+        pb: &[f32],
+        kc: usize,
+        c: &mut [f32],
+        ldc: usize,
+        ep: TileEpilogue<'_>,
+    ) {
+        // SAFETY: `active_tier()` only selects this path after
+        // `is_x86_feature_detected!("avx2")` confirmed support.
+        unsafe { madd_tile_f32_into_avx2_impl(pa, pb, kc, c, ldc, ep) }
+    }
+
+    /// The tile stays in registers from the first k-step to the store:
+    /// `+ C`, `+ bias` and `maxps(v, 0)` run on the accumulators in the
+    /// scalar write-back's order.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 at runtime. Every load and store covers an
+    /// in-bounds 8-element `f32` subslice (32 bytes exactly).
+    #[target_feature(enable = "avx2")]
+    unsafe fn madd_tile_f32_into_avx2_impl(
+        pa: &[f32],
+        pb: &[f32],
+        kc: usize,
+        c: &mut [f32],
+        ldc: usize,
+        ep: TileEpilogue<'_>,
+    ) {
+        let zero = _mm256_setzero_ps();
+        let mut acc: [[__m256; 2]; MR] = [[zero; 2]; MR];
+        f32_tile_avx2!(pa, pb, kc, &mut acc);
+        // Fixed indices throughout, so the tile stays in registers.
+        for (r, [mut v0, mut v1]) in acc.into_iter().enumerate() {
+            let (lo, hi) = c[r * ldc..][..NR].split_at_mut(8);
+            if ep.beta {
+                v0 = _mm256_add_ps(v0, _mm256_loadu_ps(lo.as_ptr()));
+                v1 = _mm256_add_ps(v1, _mm256_loadu_ps(hi.as_ptr()));
+            }
+            match ep.bias {
+                TileBias::None => {}
+                TileBias::Row(b) => {
+                    let bv = _mm256_set1_ps(b[r]);
+                    v0 = _mm256_add_ps(v0, bv);
+                    v1 = _mm256_add_ps(v1, bv);
+                }
+                TileBias::Col(b) => {
+                    v0 = _mm256_add_ps(v0, _mm256_loadu_ps(b[..8].as_ptr()));
+                    v1 = _mm256_add_ps(v1, _mm256_loadu_ps(b[8..].as_ptr()));
+                }
+            }
+            if ep.relu {
+                v0 = _mm256_max_ps(v0, zero);
+                v1 = _mm256_max_ps(v1, zero);
+            }
+            _mm256_storeu_ps(lo.as_mut_ptr(), v0);
+            _mm256_storeu_ps(hi.as_mut_ptr(), v1);
         }
     }
 }
@@ -621,5 +1130,264 @@ mod tests {
         madd_tile_i16(&pa, &pb, pairs, &mut acc);
         let want = -(127 * 127) * 2 * pairs as i32;
         assert!(acc.iter().flatten().all(|&v| v == want));
+    }
+
+    /// Values at the edges of IEEE arithmetic: NaNs of both signs with
+    /// distinct payloads, both infinities, both zeros, denormals of
+    /// both signs, and ties and out-of-range values for the int8 round
+    /// (±k.5, ±127.5, past the grid).
+    const EDGES: [f32; 20] = [
+        f32::from_bits(0x7fc0_0001),
+        f32::from_bits(0xffc0_0002),
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        -0.0,
+        0.0,
+        1e-40,
+        -1e-40,
+        f32::MIN_POSITIVE,
+        0.5,
+        -0.5,
+        2.5,
+        -3.5,
+        126.5,
+        -126.5,
+        127.5,
+        -127.5,
+        128.0,
+        -1.0e6,
+        0.75,
+    ];
+
+    /// `len` values cycling through [`EDGES`] from `salt`.
+    fn edges(len: usize, salt: usize) -> Vec<f32> {
+        (0..len)
+            .map(|i| EDGES[(i * 7 + salt) % EDGES.len()])
+            .collect()
+    }
+
+    /// Every bias orientation a storing tile takes, drawn from
+    /// [`EDGES`].
+    fn biases<'a>(row: &'a [f32; MR], col: &'a [f32; NR]) -> [TileBias<'a>; 3] {
+        [TileBias::None, TileBias::Row(row), TileBias::Col(col)]
+    }
+
+    /// The bits of `v`, except that every NaN reads as one: Rust leaves
+    /// the sign and payload of a NaN result unspecified (x86 keeps the
+    /// first operand's, and the compiler may swap the operands of an
+    /// add), so no oracle can pin them. Zeros, denormals and
+    /// infinities still compare bit for bit.
+    fn f32_bits(v: f32) -> u32 {
+        if v.is_nan() {
+            f32::NAN.to_bits()
+        } else {
+            v.to_bits()
+        }
+    }
+
+    fn assert_bits<T: Copy + std::fmt::Debug>(
+        got: &[T],
+        want: &[T],
+        bits: impl Fn(T) -> u32,
+        what: &str,
+    ) {
+        for (i, (&g, &w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(bits(g), bits(w), "{what}: c[{i}] = {g:?}, oracle {w:?}");
+        }
+    }
+
+    /// Depths of the parity sweeps: empty, the odd tails, conv1's
+    /// K = 27, and long reductions.
+    const DEPTHS: [usize; 7] = [0, 1, 2, 3, 27, 72, 255];
+
+    /// The storing f32 tile on every tier is bit-identical to its
+    /// scalar oracle, and the oracle to the accumulating tile plus the
+    /// element-wise write-back, with `C` and the bias seeded at the
+    /// edges of IEEE. `C` is wider than the tile so the columns past
+    /// it prove untouched.
+    #[test]
+    fn f32_storing_tile_matches_oracle_on_every_tier_at_ieee_edges() {
+        let ldc = NR + 3;
+        let row: [f32; MR] = edges(MR, 3).try_into().unwrap();
+        let col: [f32; NR] = edges(NR, 5).try_into().unwrap();
+        for kc in DEPTHS {
+            let pa = pattern_f32(kc * MR, 11);
+            let pb = pattern_f32(kc * NR, 12);
+            let c0 = edges(MR * ldc, kc);
+            for (beta, bias, relu) in [false, true]
+                .into_iter()
+                .flat_map(|beta| biases(&row, &col).map(|bias| (beta, bias)))
+                .flat_map(|(beta, bias)| [(beta, bias, false), (beta, bias, true)])
+            {
+                let ep = TileEpilogue { beta, bias, relu };
+                let what = format!("kc {kc} beta {beta} {bias:?} relu {relu}");
+                let mut want = c0.clone();
+                madd_tile_f32_into_scalar(&pa, &pb, kc, &mut want, ldc, ep);
+                // The oracle is the accumulating tile from zero plus
+                // the write-back, one element at a time.
+                let mut acc = [[0.0f32; NR]; MR];
+                madd_tile_f32(&pa, &pb, kc, &mut acc);
+                let mut composed = c0.clone();
+                for (r, vals) in acc.iter().enumerate() {
+                    for (j, &v) in vals.iter().enumerate() {
+                        let d = &mut composed[r * ldc + j];
+                        let mut v = if beta { v + *d } else { v };
+                        v = match bias {
+                            TileBias::None => v,
+                            TileBias::Row(b) => v + b[r],
+                            TileBias::Col(b) => v + b[j],
+                        };
+                        *d = if relu { relu_ref(v) } else { v };
+                    }
+                }
+                assert_bits(&composed, &want, f32_bits, &format!("composed, {what}"));
+                let mut got = c0.clone();
+                madd_tile_f32_into(&pa, &pb, kc, &mut got, ldc, ep);
+                assert_bits(&got, &want, f32_bits, &format!("dispatched, {what}"));
+                #[cfg(target_arch = "x86_64")]
+                if std::arch::is_x86_feature_detected!("avx2") {
+                    let mut got = c0.clone();
+                    x86::madd_tile_f32_into_avx2(&pa, &pb, kc, &mut got, ldc, ep);
+                    assert_bits(&got, &want, f32_bits, &format!("avx2, {what}"));
+                }
+            }
+        }
+    }
+
+    /// [`relu`] written out: what `maxps(v, 0)` returns.
+    fn relu_ref(v: f32) -> f32 {
+        if v.is_nan() || v <= 0.0 {
+            0.0
+        } else {
+            v
+        }
+    }
+
+    #[test]
+    fn relu_and_round_at_ieee_edges() {
+        for v in EDGES {
+            assert_eq!(relu(v).to_bits(), relu_ref(v).to_bits(), "relu({v:?})");
+        }
+        let cases = [
+            (f32::NAN, -127),
+            (-f32::NAN, -127),
+            (f32::INFINITY, 127),
+            (f32::NEG_INFINITY, -127),
+            (-0.0, 0),
+            (1e-40, 0),
+            (0.5, 0),
+            (-0.5, 0),
+            (1.5, 2),
+            (2.5, 2),
+            (-3.5, -4),
+            (126.5, 126),
+            (-126.5, -126),
+            (127.5, 127),
+            (-127.5, -127),
+            (1.0e6, 127),
+        ];
+        for (v, want) in cases {
+            assert_eq!(round_to_grid(v), want, "round_to_grid({v:?})");
+        }
+    }
+
+    /// A storing int8 tile with `f32` output, as a tier table entry.
+    type ToF32 = fn(&[i16], &[i16], usize, &mut [f32], usize, QTileEpilogue<'_>);
+    /// A storing int8 tile with int8-grid output.
+    type ToI8 = fn(&[i16], &[i16], usize, &mut [i16], usize, QTileEpilogue<'_>);
+
+    /// The storing int8 tiles, both outputs, on every tier, are
+    /// bit-identical to their scalar oracles. Scale 0 makes every
+    /// value its bias, so the [`EDGES`] biases put ties at ±k.5, values
+    /// past ±127.5, NaN and ±Inf straight into the round; scale 0.5
+    /// puts ties on every odd accumulator.
+    #[test]
+    fn int8_storing_tiles_match_oracle_on_every_tier_at_ieee_edges() {
+        let ldc = NR + 5;
+        let row: [f32; MR] = edges(MR, 1).try_into().unwrap();
+        let col: [f32; NR] = edges(NR, 2).try_into().unwrap();
+        for pairs in DEPTHS {
+            let pa = pattern(pairs * 2 * MR, 13);
+            let pb = pattern(pairs * 2 * NR, 14);
+            for scale in [0.0, 0.5, -0.25, 1e-3, 1e6, f32::NAN] {
+                for (bias, relu) in biases(&row, &col)
+                    .into_iter()
+                    .flat_map(|bias| [(bias, false), (bias, true)])
+                {
+                    let ep = QTileEpilogue { scale, bias, relu };
+                    let what = format!("pairs {pairs} scale {scale} {bias:?} relu {relu}");
+                    let f0 = edges(MR * ldc, pairs);
+                    let mut want = f0.clone();
+                    madd_tile_i16_into_f32_via(
+                        madd_tile_scalar,
+                        &pa,
+                        &pb,
+                        pairs,
+                        &mut want,
+                        ldc,
+                        ep,
+                    );
+                    let q0 = vec![i16::MIN; MR * ldc];
+                    let mut want_q = q0.clone();
+                    madd_tile_i16_into_i8_via(
+                        madd_tile_scalar,
+                        &pa,
+                        &pb,
+                        pairs,
+                        &mut want_q,
+                        ldc,
+                        ep,
+                    );
+                    for (q, v) in want_q.iter().zip(&want) {
+                        assert!(*q == i16::MIN || *q == round_to_grid(*v), "{what}");
+                    }
+                    let mut tiers: Vec<(&str, ToF32, ToI8)> =
+                        vec![("dispatched", madd_tile_i16_into_f32, madd_tile_i16_into_i8)];
+                    #[cfg(target_arch = "x86_64")]
+                    {
+                        tiers.push((
+                            "sse2",
+                            |pa, pb, pairs, c, ldc, ep| {
+                                madd_tile_i16_into_f32_via(
+                                    x86::madd_tile_sse2,
+                                    pa,
+                                    pb,
+                                    pairs,
+                                    c,
+                                    ldc,
+                                    ep,
+                                )
+                            },
+                            |pa, pb, pairs, c, ldc, ep| {
+                                madd_tile_i16_into_i8_via(
+                                    x86::madd_tile_sse2,
+                                    pa,
+                                    pb,
+                                    pairs,
+                                    c,
+                                    ldc,
+                                    ep,
+                                )
+                            },
+                        ));
+                        if std::arch::is_x86_feature_detected!("avx2") {
+                            tiers.push((
+                                "avx2",
+                                x86::madd_tile_i16_into_f32_avx2,
+                                x86::madd_tile_i16_into_i8_avx2,
+                            ));
+                        }
+                    }
+                    for (tier, to_f32, to_i8) in tiers {
+                        let mut got = f0.clone();
+                        to_f32(&pa, &pb, pairs, &mut got, ldc, ep);
+                        assert_bits(&got, &want, f32_bits, &format!("{tier} f32, {what}"));
+                        let mut got_q = q0.clone();
+                        to_i8(&pa, &pb, pairs, &mut got_q, ldc, ep);
+                        assert_bits(&got_q, &want_q, |q| q as u32, &format!("{tier} i8, {what}"));
+                    }
+                }
+            }
+        }
     }
 }
