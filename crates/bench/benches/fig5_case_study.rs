@@ -122,10 +122,12 @@ fn main() {
     }
 
     // --- Decision latency ablation (cold-cache numbers; the serving
-    // benchmark's `core.rtm_allocate_us` row carries the statistics) ---
-    println!("\ndecision latency (single cold decision):");
+    // benchmark's `core.rtm_allocate_us` row carries the statistics).
+    // Wall-clock output goes to stderr, so stdout stays byte-identical
+    // run to run and can be diffed against the committed golden. ---
+    eprintln!("\ndecision latency (single cold decision):");
     for (name, micros) in &timings {
-        println!("  {name:>12}: {micros:>9.1} us");
+        eprintln!("  {name:>12}: {micros:>9.1} us");
     }
 
     // --- Fig 5 proper: the decision is actuated through knob commands ---

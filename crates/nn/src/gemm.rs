@@ -19,12 +19,12 @@
 //! (Goto/BLIS; the same shape TFLite Micro's optimised kernels use):
 //!
 //! ```text
-//!        N                 for pc in K step KC:        ┌── packed B panel
-//!   ┌─────────┐              pack B[pc..pc+KC][0..N]   │   KC × N, NR-wide
-//!   │    B    │ K            for ic in M step MC:      │   column strips
-//!   └─────────┘                pack A[ic..+MC][pc..]   ├── packed A block
-//! M ┌──┐┌─────────┐            for each MR×NR tile:    │   MC × KC, MR-tall
-//!   │A ││    C    │              register tile → C     │   row strips
+//!        N                 pack plain A, B whole       ┌── packed B: per K-slice
+//!   ┌─────────┐            for pc in K step KC:        │   a KC × N panel of
+//!   │    B    │ K            for ic in M step MC:      │   NR-wide column strips
+//!   └─────────┘                for each MR×NR tile:    ├── packed A: per K-slice
+//! M ┌──┐┌─────────┐              register tile → C     │   MR-tall row strips,
+//!   │A ││    C    │                                    │   read MC rows a block
 //!   └──┘└─────────┘                                    └── both zero-padded
 //! ```
 //!
@@ -50,17 +50,39 @@
 //! the tiles' per-output order (a sequential sum per K-slice, added to
 //! `C` slice by slice) and is bit-identical to them.
 //!
-//! # Pre-packed operands
+//! # Packed operands
 //!
-//! Packing is where small products spend most of their time, so either
-//! operand can be supplied **already packed**: [`PackedA`]/[`PackedB`]
-//! hold a whole matrix in panel layout and [`gemm_with`] consumes them
-//! through [`Lhs`]/[`Rhs`] without touching the pack buffers. The
-//! layers exploit this twice — weight matrices are packed once per
-//! weight version and cached (invalidated on update/width/precision
-//! changes), and [`crate::im2col::im2col_packed`] lowers convolution
-//! inputs *directly* into packed-B layout, eliminating the separate
-//! `pack_b` pass from the convolution hot path entirely.
+//! The blocked loop reads packed operands only. This is TFLite Micro's
+//! Prepare/Invoke split: operands go into kernel layout first, and the
+//! loop that follows reads nothing else. [`PackedA`]/[`PackedB`] hold
+//! a whole matrix in panel layout, and [`gemm_with`] takes them
+//! through [`Lhs`]/[`Rhs`] as they are. A plain [`MatRef`] operand
+//! ([`Lhs::Mat`]/[`Rhs::Mat`]) is packed whole into a pack buffer
+//! before the product, by the same code that [`PackedA::pack`] and
+//! [`PackedB::pack`] run. Packing is where small products spend most
+//! of their time, so the layers pack as little as they can. Weight
+//! matrices are packed once per weight version and cached
+//! (invalidated on update/width/precision changes), and
+//! [`crate::im2col::im2col_packed`] lowers convolution inputs
+//! *directly* into packed-B layout, so the convolution hot path has no
+//! pack pass at all.
+//!
+//! A product large enough to split runs its `M` range as one band per
+//! worker (`row_bands`, shared with [`int8`]); each band runs the same
+//! K-slice loop over its rows, so no output depends on the split.
+//!
+//! The pack buffers for [`MatRef`] operands are a thread-local pair
+//! (`PACK_BUFS`, one for A and one for B). Each only ever grows, to the
+//! largest whole operand its thread has packed, and packing runs on the
+//! calling thread before any band starts; a product with both operands
+//! packed does not touch them. A call that packs takes both buffers out of the thread-local and puts them back
+//! when the product is done, rather than holding a `RefCell` borrow
+//! across it: a work-stealing `rayon` may run another task on the
+//! thread that waits in the band scope, and if that task calls
+//! [`gemm_with`] a held borrow would panic. Under the pooled `rayon`
+//! stand-in worker threads are persistent, so steady-state calls —
+//! serial *and* parallel — do no heap allocation beyond what the caller
+//! passes in.
 //!
 //! # Fused epilogue
 //!
@@ -73,11 +95,6 @@
 //! wrote. Every path performs the same `+ C`, then `+ bias`, then
 //! [`eml_simd::relu`] per element, so the fused result is bit-identical
 //! to the separate passes.
-//!
-//! Pack buffers for [`MatRef`] operands are thread-local and only ever
-//! grow. Under the pooled `rayon` stand-in worker threads are
-//! persistent, so steady-state calls — serial *and* parallel — do no
-//! heap allocation beyond what the caller passes in.
 
 use std::cell::RefCell;
 
@@ -190,14 +207,8 @@ impl std::fmt::Debug for PackedA {
 impl PackedA {
     /// Packs the `m × k` logical matrix `a`.
     pub fn pack(a: MatRef<'_>, m: usize, k: usize) -> Self {
-        let m_pad = m.div_ceil(MR) * MR;
         let mut buf = vec![0.0f32; packed_a_len(m, k)];
-        let mut pc = 0;
-        while pc < k {
-            let kc = KC.min(k - pc);
-            pack_a(a, 0, m, pc, kc, &mut buf[m_pad * pc..]);
-            pc += kc;
-        }
+        pack_a_into(a, m, k, &mut buf);
         Self { buf, m, k }
     }
 
@@ -262,14 +273,8 @@ impl std::fmt::Debug for PackedB {
 impl PackedB {
     /// Packs the `k × n` logical matrix `b`.
     pub fn pack(b: MatRef<'_>, k: usize, n: usize) -> Self {
-        let n_pad = n.div_ceil(NR) * NR;
         let mut buf = vec![0.0f32; packed_b_len(k, n)];
-        let mut pc = 0;
-        while pc < k {
-            let kc = KC.min(k - pc);
-            pack_b(b, pc, kc, n, &mut buf[n_pad * pc..]);
-            pc += kc;
-        }
+        pack_b_into(b, k, n, &mut buf);
         Self { buf, k, n }
     }
 
@@ -317,7 +322,8 @@ impl<'a> PackedBRef<'a> {
 /// The left-hand operand of [`gemm_with`].
 #[derive(Debug, Clone, Copy)]
 pub enum Lhs<'a> {
-    /// A plain matrix view; packed internally per block.
+    /// A plain matrix view; packed whole into a thread-local buffer
+    /// before the product.
     Mat(MatRef<'a>),
     /// An already packed operand; used as-is.
     Packed(PackedARef<'a>),
@@ -326,7 +332,8 @@ pub enum Lhs<'a> {
 /// The right-hand operand of [`gemm_with`].
 #[derive(Debug, Clone, Copy)]
 pub enum Rhs<'a> {
-    /// A plain matrix view; packed internally per K-slice.
+    /// A plain matrix view; packed whole into a thread-local buffer
+    /// before the product.
     Mat(MatRef<'a>),
     /// An already packed operand; used as-is.
     Packed(PackedBRef<'a>),
@@ -438,7 +445,9 @@ pub(crate) fn tile_bias(bias: Option<Bias<'_>>, row0: usize, col0: usize) -> Til
 }
 
 thread_local! {
-    /// Per-thread (packed A, packed B) buffers; grown once, then reused.
+    /// Per-thread whole-operand pack buffers (A, B) for [`Lhs::Mat`] /
+    /// [`Rhs::Mat`]; grown once, then reused. [`gemm_with`] takes them
+    /// out for the call (see the module docs).
     static PACK_BUFS: RefCell<(Vec<f32>, Vec<f32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
@@ -483,9 +492,10 @@ pub fn gemm(
 /// [`gemm`] generalised over pre-packed operands and a fused epilogue:
 /// `C = epilogue(A·B + beta·C)`.
 ///
-/// Packed operands skip the internal pack step entirely — with both
-/// operands packed the hot loop is the micro-kernel plus the masked
-/// write-back and nothing else.
+/// A plain operand is packed whole before the product; a packed one is
+/// read as it is. Either way the blocked loop only ever sees packed
+/// views, so with both operands packed the call is the micro-kernel
+/// plus the masked write-back and nothing else.
 ///
 /// # Panics
 ///
@@ -530,293 +540,177 @@ pub fn gemm_with(
         gemm_rows(m, n, k, a, b, beta, c, ldc, ep);
         return;
     }
+    // Both operands packed (the conv forward): no thread-local traffic.
+    let packs = matches!(a, Lhs::Mat(_)) || matches!(b, Rhs::Mat(_));
+    let (mut a_buf, mut b_buf) = if packs {
+        PACK_BUFS.with(RefCell::take)
+    } else {
+        Default::default()
+    };
+    let a = match a {
+        Lhs::Packed(p) => p,
+        Lhs::Mat(mat) => {
+            a_buf.resize(packed_a_len(m, k).max(a_buf.len()), 0.0);
+            pack_a_into(mat, m, k, &mut a_buf);
+            PackedARef::new(&a_buf, m, k)
+        }
+    };
+    let b = match b {
+        Rhs::Packed(p) => p,
+        Rhs::Mat(mat) => {
+            b_buf.resize(packed_b_len(k, n).max(b_buf.len()), 0.0);
+            pack_b_into(mat, k, n, &mut b_buf);
+            PackedBRef::new(&b_buf, k, n)
+        }
+    };
     let workers = crate::workers::worker_count();
     if parallel && workers > 1 && m * n * k >= PAR_MIN_WORK && m >= 2 * MR {
-        gemm_parallel(m, n, k, a, b, beta, c, ldc, workers, ep);
+        row_bands(m, c, ldc, workers, |i0, rows, band_c| {
+            gemm_band(i0, rows, n, k, a, b, beta, band_c, ldc, ep);
+        });
     } else {
-        gemm_serial(0, m, n, k, a, b, beta, c, ldc, ep);
+        gemm_band(0, m, n, k, a, b, beta, c, ldc, ep);
+    }
+    if packs {
+        PACK_BUFS.with(|bufs| bufs.replace((a_buf, b_buf)));
     }
 }
 
-/// Parallel blocked GEMM: per K-slice, the calling thread provides the
-/// B panel (packing it first unless pre-packed), then `M` bands fan out
-/// across workers, each packing (or slicing) its own A blocks and
-/// writing a disjoint band of `C`.
-#[allow(clippy::too_many_arguments)]
-fn gemm_parallel(
+/// Splits the `m` rows of `c` (leading dimension `ldc`) into one
+/// `MR`-aligned band per worker and runs `band(i0, rows, band_c)` on
+/// each inside one scope; `band_c` starts at row `i0`. The
+/// `f32` and int8 drivers enter it only for a product large enough to
+/// split, and call their band body directly otherwise: the closure and
+/// the scope cost more than a small product.
+pub(crate) fn row_bands<T: Send>(
     m: usize,
-    n: usize,
-    k: usize,
-    a: Lhs<'_>,
-    b: Rhs<'_>,
-    beta: f32,
-    c: &mut [f32],
+    c: &mut [T],
     ldc: usize,
     workers: usize,
-    ep: Epilogue<'_>,
+    band: impl Fn(usize, usize, &mut [T]) + Sync,
 ) {
-    // Band height: even split over workers, rounded up to MR.
-    let band = m.div_ceil(workers).div_ceil(MR) * MR;
-    // Take the B buffer *out* of the thread-local rather than holding a
-    // RefCell borrow across the scope: with a work-stealing runtime the
-    // calling thread may execute one of its own `band_tiles` tasks,
-    // which borrows the same thread-local cell.
-    let n_pad = n.div_ceil(NR) * NR;
-    let mut pb = match b {
-        Rhs::Mat(_) => {
-            let mut pb = PACK_BUFS.with(|bufs| std::mem::take(&mut bufs.borrow_mut().1));
-            pb.resize((KC * n_pad).max(pb.len()), 0.0);
-            pb
-        }
-        Rhs::Packed(_) => Vec::new(),
-    };
-
-    let mut pc = 0;
-    while pc < k {
-        let kc = KC.min(k - pc);
-        let pb_shared: &[f32] = match b {
-            Rhs::Packed(p) => p.panel(pc, kc),
-            Rhs::Mat(mat) => {
-                pack_b(mat, pc, kc, n, &mut pb);
-                &pb
-            }
-        };
-        // Accumulate after the first K-slice regardless of beta.
-        let slice_beta = if pc == 0 { beta } else { 1.0 };
-        let last = pc + kc == k;
-        rayon::scope(|s| {
-            let mut rest = &mut c[..];
-            let mut i0 = 0;
-            while i0 < m {
-                let rows = band.min(m - i0);
-                let split = (rows * ldc).min(rest.len());
-                let (band_c, tail) = rest.split_at_mut(split);
-                s.spawn(move |_| {
-                    band_tiles(
-                        i0, rows, n, pc, kc, a, pb_shared, slice_beta, band_c, ldc, last, ep,
-                    );
-                });
-                rest = tail;
-                i0 += rows;
-            }
-        });
-        pc += kc;
-    }
-    if let Rhs::Mat(_) = b {
-        PACK_BUFS.with(|bufs| bufs.borrow_mut().1 = pb);
-    }
-}
-
-/// One worker's share of a K-slice: packs (or slices) its own A blocks
-/// against the shared B panel.
-#[allow(clippy::too_many_arguments)]
-fn band_tiles(
-    i0: usize,
-    m: usize,
-    n: usize,
-    pc: usize,
-    kc: usize,
-    a: Lhs<'_>,
-    pb: &[f32],
-    beta: f32,
-    c: &mut [f32],
-    ldc: usize,
-    last: bool,
-    ep: Epilogue<'_>,
-) {
-    match a {
-        Lhs::Packed(p) => {
-            let mut ic = 0;
-            while ic < m {
-                let mc = MC.min(m - ic);
-                macro_tile(
-                    p.block(i0 + ic, pc, kc),
-                    pb,
-                    mc,
-                    n,
-                    kc,
-                    beta,
-                    &mut c[ic * ldc..],
-                    ldc,
-                    last,
-                    i0 + ic,
-                    ep,
-                );
-                ic += mc;
-            }
-        }
-        Lhs::Mat(mat) => PACK_BUFS.with(|bufs| {
-            let mut bufs = bufs.borrow_mut();
-            let (pa, _) = &mut *bufs;
-            pa.resize((MC * KC).max(pa.len()), 0.0);
-            let mut ic = 0;
-            while ic < m {
-                let mc = MC.min(m - ic);
-                pack_a(mat, i0 + ic, mc, pc, kc, pa);
-                macro_tile(
-                    pa,
-                    pb,
-                    mc,
-                    n,
-                    kc,
-                    beta,
-                    &mut c[ic * ldc..],
-                    ldc,
-                    last,
-                    i0 + ic,
-                    ep,
-                );
-                ic += mc;
-            }
-        }),
-    }
-}
-
-/// The single-threaded blocked GEMM over rows `i0..i0+m` of the logical
-/// product; `c` starts at row `i0`.
-#[allow(clippy::too_many_arguments)]
-fn gemm_serial(
-    i0: usize,
-    m: usize,
-    n: usize,
-    k: usize,
-    a: Lhs<'_>,
-    b: Rhs<'_>,
-    beta: f32,
-    c: &mut [f32],
-    ldc: usize,
-    ep: Epilogue<'_>,
-) {
-    // Fast path: both operands pre-packed — no thread-local traffic.
-    if let (Lhs::Packed(pa), Rhs::Packed(pb)) = (&a, &b) {
-        let mut pc = 0;
-        while pc < k {
-            let kc = KC.min(k - pc);
-            let slice_beta = if pc == 0 { beta } else { 1.0 };
-            let last = pc + kc == k;
-            let panel = pb.panel(pc, kc);
-            let mut ic = 0;
-            while ic < m {
-                let mc = MC.min(m - ic);
-                macro_tile(
-                    pa.block(i0 + ic, pc, kc),
-                    panel,
-                    mc,
-                    n,
-                    kc,
-                    slice_beta,
-                    &mut c[ic * ldc..],
-                    ldc,
-                    last,
-                    i0 + ic,
-                    ep,
-                );
-                ic += mc;
-            }
-            pc += kc;
-        }
-        return;
-    }
-    PACK_BUFS.with(|bufs| {
-        let mut bufs = bufs.borrow_mut();
-        let (pa_buf, pb_buf) = &mut *bufs;
-        let n_pad = n.div_ceil(NR) * NR;
-        if matches!(a, Lhs::Mat(_)) {
-            pa_buf.resize((MC * KC).max(pa_buf.len()), 0.0);
-        }
-        if matches!(b, Rhs::Mat(_)) {
-            pb_buf.resize((KC * n_pad).max(pb_buf.len()), 0.0);
-        }
-
-        let mut pc = 0;
-        while pc < k {
-            let kc = KC.min(k - pc);
-            let panel: &[f32] = match b {
-                Rhs::Packed(p) => p.panel(pc, kc),
-                Rhs::Mat(mat) => {
-                    pack_b(mat, pc, kc, n, pb_buf);
-                    pb_buf
-                }
-            };
-            // Accumulate after the first K-slice regardless of beta.
-            let slice_beta = if pc == 0 { beta } else { 1.0 };
-            let last = pc + kc == k;
-            let mut ic = 0;
-            while ic < m {
-                let mc = MC.min(m - ic);
-                let block: &[f32] = match a {
-                    Lhs::Packed(p) => p.block(i0 + ic, pc, kc),
-                    Lhs::Mat(mat) => {
-                        pack_a(mat, i0 + ic, mc, pc, kc, pa_buf);
-                        pa_buf
-                    }
-                };
-                macro_tile(
-                    block,
-                    panel,
-                    mc,
-                    n,
-                    kc,
-                    slice_beta,
-                    &mut c[ic * ldc..],
-                    ldc,
-                    last,
-                    i0 + ic,
-                    ep,
-                );
-                ic += mc;
-            }
-            pc += kc;
+    let height = m.div_ceil(workers).div_ceil(MR) * MR;
+    rayon::scope(|s| {
+        let band = &band;
+        let mut rest = c;
+        let mut i0 = 0;
+        while i0 < m {
+            let rows = height.min(m - i0);
+            let (band_c, tail) = rest.split_at_mut((rows * ldc).min(rest.len()));
+            s.spawn(move |_| band(i0, rows, band_c));
+            rest = tail;
+            i0 += rows;
         }
     });
 }
 
-/// Packs `A[i0..i0+mc][pc..pc+kc]` into MR-tall row strips:
-/// `pa[strip][p][r]`, zero-padding the last strip.
-fn pack_a(a: MatRef<'_>, i0: usize, mc: usize, pc: usize, kc: usize, pa: &mut [f32]) {
-    let strips = mc.div_ceil(MR);
-    for strip in 0..strips {
-        let base = strip * kc * MR;
-        for p in 0..kc {
-            for r in 0..MR {
-                let i = strip * MR + r;
-                pa[base + p * MR + r] = if i < mc { a.at(i0 + i, pc + p) } else { 0.0 };
-            }
+/// The blocked GEMM over rows `i0..i0+m` of the logical product, both
+/// operands packed; `c` starts at row `i0`. K-slices run outer and
+/// `MC`-row blocks inner, so every output sums its K-slices in the
+/// same order whatever the band split.
+#[allow(clippy::too_many_arguments)]
+fn gemm_band(
+    i0: usize,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: PackedARef<'_>,
+    b: PackedBRef<'_>,
+    beta: f32,
+    c: &mut [f32],
+    ldc: usize,
+    ep: Epilogue<'_>,
+) {
+    let mut pc = 0;
+    while pc < k {
+        let kc = KC.min(k - pc);
+        // Accumulate after the first K-slice regardless of beta.
+        let slice_beta = if pc == 0 { beta } else { 1.0 };
+        let last = pc + kc == k;
+        let panel = b.panel(pc, kc);
+        let mut ic = 0;
+        while ic < m {
+            let mc = MC.min(m - ic);
+            macro_tile(
+                a.block(i0 + ic, pc, kc),
+                panel,
+                mc,
+                n,
+                kc,
+                slice_beta,
+                &mut c[ic * ldc..],
+                ldc,
+                last,
+                i0 + ic,
+                ep,
+            );
+            ic += mc;
         }
+        pc += kc;
     }
 }
 
-/// Packs `B[pc..pc+kc][0..n]` into NR-wide column strips:
-/// `pb[strip][p][c]`, zero-padding the last strip.
-fn pack_b(b: MatRef<'_>, pc: usize, kc: usize, n: usize, pb: &mut [f32]) {
-    let strips = n.div_ceil(NR);
-    match b.trans {
-        Trans::N => {
+/// Packs the whole `m × k` logical matrix `a` into `buf` (length ≥
+/// [`packed_a_len`]) in the layout of [`PackedA`]: per K-slice,
+/// `buf[strip][p][r]`, zero-padding the last strip.
+fn pack_a_into(a: MatRef<'_>, m: usize, k: usize, buf: &mut [f32]) {
+    let m_pad = m.div_ceil(MR) * MR;
+    let mut pc = 0;
+    while pc < k {
+        let kc = KC.min(k - pc);
+        let slice = &mut buf[m_pad * pc..];
+        for strip in 0..m_pad / MR {
+            let dst = &mut slice[strip * kc * MR..][..kc * MR];
             for p in 0..kc {
-                let row = &b.data[(pc + p) * b.ld..][..n];
+                for r in 0..MR {
+                    let i = strip * MR + r;
+                    dst[p * MR + r] = if i < m { a.at(i, pc + p) } else { 0.0 };
+                }
+            }
+        }
+        pc += kc;
+    }
+}
+
+/// Packs the whole `k × n` logical matrix `b` into `buf` (length ≥
+/// [`packed_b_len`]) in the layout of [`PackedB`]: per K-slice,
+/// `buf[strip][p][c]`, zero-padding the last strip.
+fn pack_b_into(b: MatRef<'_>, k: usize, n: usize, buf: &mut [f32]) {
+    let n_pad = n.div_ceil(NR) * NR;
+    let strips = n_pad / NR;
+    let mut pc = 0;
+    while pc < k {
+        let kc = KC.min(k - pc);
+        let pb = &mut buf[n_pad * pc..];
+        match b.trans {
+            Trans::N => {
+                for p in 0..kc {
+                    let row = &b.data[(pc + p) * b.ld..][..n];
+                    for strip in 0..strips {
+                        let j0 = strip * NR;
+                        let width = NR.min(n - j0);
+                        let dst = &mut pb[strip * kc * NR + p * NR..][..NR];
+                        dst[..width].copy_from_slice(&row[j0..j0 + width]);
+                        dst[width..].fill(0.0);
+                    }
+                }
+            }
+            Trans::T => {
                 for strip in 0..strips {
                     let j0 = strip * NR;
                     let width = NR.min(n - j0);
-                    let dst = &mut pb[strip * kc * NR + p * NR..][..NR];
-                    dst[..width].copy_from_slice(&row[j0..j0 + width]);
-                    dst[width..].fill(0.0);
-                }
-            }
-        }
-        Trans::T => {
-            for strip in 0..strips {
-                let j0 = strip * NR;
-                let width = NR.min(n - j0);
-                let base = strip * kc * NR;
-                for p in 0..kc {
-                    let dst = &mut pb[base + p * NR..][..NR];
-                    for (j, d) in dst[..width].iter_mut().enumerate() {
-                        *d = b.data[(j0 + j) * b.ld + pc + p];
+                    let base = strip * kc * NR;
+                    for p in 0..kc {
+                        let dst = &mut pb[base + p * NR..][..NR];
+                        for (j, d) in dst[..width].iter_mut().enumerate() {
+                            *d = b.data[(j0 + j) * b.ld + pc + p];
+                        }
+                        dst[width..].fill(0.0);
                     }
-                    dst[width..].fill(0.0);
                 }
             }
         }
+        pc += kc;
     }
 }
 
@@ -966,6 +860,13 @@ mod tests {
     fn random_vec(len: usize, seed: u64) -> Vec<f32> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect()
+    }
+
+    /// The `cols × rows` transpose of a row-major `rows × cols` matrix.
+    fn transpose(data: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+        (0..cols * rows)
+            .map(|i| data[(i % rows) * cols + i / rows])
+            .collect()
     }
 
     fn check_case(m: usize, n: usize, k: usize, ta: Trans, tb: Trans, beta: f32) {
@@ -1118,6 +1019,7 @@ mod tests {
         let row_bias = random_vec(m, 22);
         let a = MatRef::new(&a_data, k);
         let b = MatRef::new(&b_data, n);
+        let b_t = transpose(&b_data, k, n);
         let pa = PackedA::pack(a, m, k);
         let pb = PackedB::pack(b, k, n);
         let ep = Epilogue::bias_row(&row_bias).with_relu();
@@ -1138,6 +1040,8 @@ mod tests {
             (2, Lhs::Packed(pa.as_ref()), Rhs::Packed(pb.as_ref())),
             (4, Lhs::Packed(pa.as_ref()), Rhs::Packed(pb.as_ref())),
             (4, Lhs::Mat(a), Rhs::Mat(b)),
+            (4, Lhs::Mat(a), Rhs::Packed(pb.as_ref())),
+            (3, Lhs::Packed(pa.as_ref()), Rhs::Mat(MatRef::t(&b_t, k))),
         ] {
             crate::workers::FORCE_WORKERS.with(|f| f.set(Some(workers)));
             let mut par = vec![0.0f32; m * n];
@@ -1305,8 +1209,12 @@ mod tests {
         /// packed B) is bit-identical to the register tiles over the
         /// same operand packed (`Lhs::Packed`): across one to three
         /// K-slices, ragged column strips, C accumulation, both bias
-        /// orientations, ReLU and a transposed A. C is one column wider
-        /// than the product, so a stray write differs too.
+        /// orientations, ReLU and a transposed A. B's form is drawn
+        /// too: a plain B, stored or transposed, skips the row kernel
+        /// and is packed whole before the tiles run, which pins the
+        /// whole-operand pack bit for bit against a pre-packed B. C is
+        /// one column wider than the product, so a stray write differs
+        /// too.
         #[test]
         fn row_kernel_matches_tile_path(
             seed in 0u64..10_000,
@@ -1318,6 +1226,7 @@ mod tests {
             bias_kind in 0usize..3,
             relu in proptest::bool::ANY,
             trans in proptest::bool::ANY,
+            b_form in 0usize..3,
         ) {
             let n = strips * NR + tail;
             let ldc = n + 1;
@@ -1330,6 +1239,7 @@ mod tests {
                 MatRef::new(&a_data, k)
             };
             let pa = PackedA::pack(a, m, k);
+            let b_t = transpose(&b_data, k, n);
             let pb = PackedB::pack(MatRef::new(&b_data, n), k, n);
             let mut ep = match bias_kind {
                 1 => Epilogue::bias_row(&bias[..m]),
@@ -1342,15 +1252,19 @@ mod tests {
             let beta = if beta { 1.0 } else { 0.0 };
             let c0 = random_vec(m * ldc, seed + 3);
             let mut rows = c0.clone();
-            let rhs = Rhs::Packed(pb.as_ref());
+            let rhs = match b_form {
+                1 => Rhs::Mat(MatRef::new(&b_data, n)),
+                2 => Rhs::Mat(MatRef::t(&b_t, k)),
+                _ => Rhs::Packed(pb.as_ref()),
+            };
             gemm_with(m, n, k, Lhs::Mat(a), rhs, beta, &mut rows, ldc, true, ep);
             let mut tiles = c0;
-            let lhs = Lhs::Packed(pa.as_ref());
+            let (lhs, rhs) = (Lhs::Packed(pa.as_ref()), Rhs::Packed(pb.as_ref()));
             gemm_with(m, n, k, lhs, rhs, beta, &mut tiles, ldc, true, ep);
             for (i, (x, y)) in rows.iter().zip(&tiles).enumerate() {
                 prop_assert!(
                     x.to_bits() == y.to_bits(),
-                    "{m}x{n}x{k} c[{i}]: row kernel {x} vs tiles {y}"
+                    "{m}x{n}x{k} B form {b_form} c[{i}]: {x} vs tiles {y}"
                 );
             }
         }

@@ -70,12 +70,12 @@ use std::cell::RefCell;
 
 use eml_simd::{relu, QTileEpilogue};
 
-use crate::gemm::{tile_bias, Bias, MatRef, MR, NR};
+use crate::gemm::{row_bands, tile_bias, Bias, MatRef, MR, NR, PAR_MIN_WORK_I8};
 use crate::quant::quantize_i8w;
 
 // The register tile this module packs for is the one the shared
 // micro-kernel crate implements.
-const _: () = assert!(MR == eml_simd::MR8 && NR == eml_simd::NR8);
+const _: () = assert!(MR == eml_simd::MR && NR == eml_simd::NR);
 
 /// Depth (K) packed per K-slice of the int8 kernel (see module docs).
 pub const KC8: usize = 1024;
@@ -104,26 +104,30 @@ pub fn packed_b8_len(k: usize, n: usize) -> usize {
     n.div_ceil(NR) * NR * k_pad(k)
 }
 
-/// Quantises and packs `A[i0..i0+mc][pc..pc+kc]` into MR-tall
-/// pair-interleaved row strips (layout of [`PackedA8`], one K-slice's
-/// worth): element `(p, r)` lands at `(p/2)·2MR + r·2 + p%2` of its
-/// strip. Pads the odd tail k-step and the rows past `mc` with zeros.
-fn pack_a8_w(a: MatRef<'_>, i0: usize, mc: usize, pc: usize, kc: usize, inv: f32, pa: &mut [i16]) {
-    let strips = mc.div_ceil(MR);
-    let kcp = k_pad(kc);
-    for strip in 0..strips {
-        let base = strip * kcp * MR;
-        for p in 0..kcp {
-            let dst = base + (p / 2) * 2 * MR + (p & 1);
-            for r in 0..MR {
-                let i = strip * MR + r;
-                pa[dst + r * 2] = if i < mc && p < kc {
-                    quantize_i8w(a.at(i0 + i, pc + p), inv)
-                } else {
-                    0
-                };
+/// Packs the `m × k` logical int8-grid matrix whose element `(i, p)`
+/// is `at(i, p)` into `buf` in the layout of [`PackedA8`]: per K-slice,
+/// MR-tall pair-interleaved row strips, element `(p, r)` of a strip at
+/// `(p/2)·2MR + r·2 + p%2`. Pads each slice's odd tail k-step and the
+/// rows past `m` with zeros.
+fn pack_a8_with(m: usize, k: usize, buf: &mut [i16], at: impl Fn(usize, usize) -> i16) {
+    debug_assert!(buf.len() >= packed_a8_len(m, k));
+    let m_pad = m.div_ceil(MR) * MR;
+    let mut pc = 0;
+    while pc < k {
+        let kc = KC8.min(k - pc);
+        let kcp = k_pad(kc);
+        let pa = &mut buf[m_pad * pc..];
+        for strip in 0..m_pad / MR {
+            let base = strip * kcp * MR;
+            for p in 0..kcp {
+                let dst = base + (p / 2) * 2 * MR + (p & 1);
+                for r in 0..MR {
+                    let i = strip * MR + r;
+                    pa[dst + r * 2] = if i < m && p < kc { at(i, pc + p) } else { 0 };
+                }
             }
         }
+        pc += kc;
     }
 }
 
@@ -163,14 +167,7 @@ fn pack_b8_w(b: MatRef<'_>, pc: usize, kc: usize, n: usize, inv: f32, pb: &mut [
 /// result in [`PackedA8Ref::new`]; [`PackedA8::pack_quantized`] is the
 /// owning convenience form.
 pub fn pack_a8_quantized(a: MatRef<'_>, m: usize, k: usize, inv_scale: f32, buf: &mut [i16]) {
-    debug_assert!(buf.len() >= packed_a8_len(m, k));
-    let m_pad = m.div_ceil(MR) * MR;
-    let mut pc = 0;
-    while pc < k {
-        let kc = KC8.min(k - pc);
-        pack_a8_w(a, 0, m, pc, kc, inv_scale, &mut buf[m_pad * pc..]);
-        pc += kc;
-    }
+    pack_a8_with(m, k, buf, |i, p| quantize_i8w(a.at(i, p), inv_scale));
 }
 
 /// Packs an `m × k` row-major matrix of **already-quantised**
@@ -182,30 +179,7 @@ pub fn pack_a8_quantized(a: MatRef<'_>, m: usize, k: usize, inv_scale: f32, buf:
 /// result in [`PackedA8Ref::new`].
 pub fn pack_a8_i16(src: &[i16], m: usize, k: usize, buf: &mut [i16]) {
     debug_assert!(src.len() >= m * k);
-    debug_assert!(buf.len() >= packed_a8_len(m, k));
-    let m_pad = m.div_ceil(MR) * MR;
-    let strips = m.div_ceil(MR);
-    let mut pc = 0;
-    while pc < k {
-        let kc = KC8.min(k - pc);
-        let kcp = k_pad(kc);
-        let pa = &mut buf[m_pad * pc..];
-        for strip in 0..strips {
-            let base = strip * kcp * MR;
-            for p in 0..kcp {
-                let dst = base + (p / 2) * 2 * MR + (p & 1);
-                for r in 0..MR {
-                    let i = strip * MR + r;
-                    pa[dst + r * 2] = if i < m && p < kc {
-                        src[i * k + pc + p]
-                    } else {
-                        0
-                    };
-                }
-            }
-        }
-        pc += kc;
-    }
+    pack_a8_with(m, k, buf, |i, p| src[i * k + p]);
 }
 
 /// An owned, fully packed, quantised A (left-hand) operand: int8-grid
@@ -230,9 +204,7 @@ impl PackedA8 {
     /// and packs it.
     pub fn pack_quantized(a: MatRef<'_>, m: usize, k: usize, inv_scale: f32) -> Self {
         let mut buf = vec![0i16; packed_a8_len(m, k)];
-        if k > 0 {
-            pack_a8_quantized(a, m, k, inv_scale, &mut buf);
-        }
+        pack_a8_quantized(a, m, k, inv_scale, &mut buf);
         Self { buf, m, k }
     }
 
@@ -599,9 +571,10 @@ thread_local! {
 ///
 /// Both operands arrive pre-packed by construction — the layers cache
 /// quantised weight panels and lower activations directly into packed
-/// layout, so unlike the `f32` kernel there is no internal pack path.
-/// When `parallel` is set and the product is large enough the `M`
-/// range splits across worker bands exactly like
+/// layout, so unlike the `f32` kernel there is no internal pack step.
+/// When `parallel` is set and the product carries at least twice the
+/// `f32` kernel's parallel work threshold, the `M` range splits into
+/// one `MR`-aligned band per worker through the same band split as
 /// [`crate::gemm::gemm_with`].
 ///
 /// # Panics
@@ -685,32 +658,19 @@ pub(crate) fn gemm_i8_with<E: QWriteback>(
         return;
     }
     let workers = crate::workers::worker_count();
-    if parallel && workers > 1 && m * n * k >= crate::gemm::PAR_MIN_WORK_I8 && m >= 2 * MR {
-        // Band height: even split over workers, rounded up to MR. With
-        // both operands pre-packed the bands are fully independent —
-        // each runs the whole serial algorithm on its row range.
-        let band = m.div_ceil(workers).div_ceil(MR) * MR;
-        rayon::scope(|s| {
-            let mut rest = &mut c[..];
-            let mut i0 = 0;
-            while i0 < m {
-                let rows = band.min(m - i0);
-                let split = (rows * ldc).min(rest.len());
-                let (band_c, tail) = rest.split_at_mut(split);
-                s.spawn(move |_| gemm_i8_serial(i0, rows, n, k, a, b, band_c, ldc, ep));
-                rest = tail;
-                i0 += rows;
-            }
+    if parallel && workers > 1 && m * n * k >= PAR_MIN_WORK_I8 && m >= 2 * MR {
+        row_bands(m, c, ldc, workers, |i0, rows, band_c| {
+            gemm_i8_band(i0, rows, n, k, a, b, band_c, ldc, ep);
         });
     } else {
-        gemm_i8_serial(0, m, n, k, a, b, c, ldc, ep);
+        gemm_i8_band(0, m, n, k, a, b, c, ldc, ep);
     }
 }
 
-/// The single-threaded int8 blocked GEMM over rows `i0..i0+m` of the
-/// logical product; `c` starts at row `i0`.
+/// The int8 blocked GEMM over rows `i0..i0+m` of the logical product;
+/// `c` starts at row `i0`.
 #[allow(clippy::too_many_arguments)]
-fn gemm_i8_serial<E: QWriteback>(
+fn gemm_i8_band<E: QWriteback>(
     i0: usize,
     m: usize,
     n: usize,

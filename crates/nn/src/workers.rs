@@ -1,13 +1,16 @@
 //! A small worker abstraction over `rayon` for batch-parallel layer
 //! math.
 //!
-//! The layers parallelise over the batch (and the GEMM over its `M`
-//! dimension, see [`crate::gemm`]); both funnel through
-//! `for_each_band`, which splits a mutable output slice into
-//! contiguous per-worker bands of whole items and runs a closure per
-//! band inside a `rayon::scope`. Under the pooled `rayon` stand-in the
-//! scope dispatches onto persistent, parked workers, so a parallel
-//! region costs a queue push per band rather than an OS thread spawn.
+//! The layers parallelise over the batch through `for_each_band`,
+//! which splits a mutable output slice into contiguous per-worker
+//! bands of whole items and runs a closure per band inside a
+//! `rayon::scope`. The GEMMs split their `M` dimension in their own
+//! `row_bands` (see [`crate::gemm`]), because a GEMM band is a run of
+//! `MR`-aligned rows rather than whole items; both read
+//! `worker_count`, so both honour [`with_band_cap`]. Under the
+//! pooled `rayon` stand-in the scope dispatches onto persistent,
+//! parked workers, so a parallel region costs a queue push per band
+//! rather than an OS thread spawn.
 //! Small workloads stay on the calling thread — dispatching is only
 //! worth it when each band carries real work.
 //!

@@ -97,10 +97,6 @@ pub const MR: usize = 4;
 /// Register tile width (columns of the accumulator tile), shared by
 /// the int8 and f32 kernels.
 pub const NR: usize = 16;
-/// Alias of [`MR`] retained for the int8 kernel's original callers.
-pub const MR8: usize = MR;
-/// Alias of [`NR`] retained for the int8 kernel's original callers.
-pub const NR8: usize = NR;
 
 /// A micro-kernel implementation tier, ordered from most portable to
 /// fastest. See the module docs for the selection rules.
