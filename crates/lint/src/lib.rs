@@ -11,7 +11,7 @@
 //!
 //! | rule id              | invariant                                        |
 //! |----------------------|--------------------------------------------------|
-//! | `unsafe-confinement` | `unsafe` only in `crates/simd` + `vendor/rayon`  |
+//! | `unsafe-confinement` | `unsafe` only in `crates/{simd,testalloc}` + `vendor/rayon` |
 //! | `wall-clock`         | ambient time/RNG only in real-time modules       |
 //! | `panic-hygiene`      | no `.unwrap()`/`.expect`/`panic!` in serving code|
 //! | `wire-codes`         | status codes match the committed manifest        |

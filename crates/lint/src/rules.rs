@@ -9,13 +9,22 @@ use crate::lexer::{Token, TokenKind};
 
 /// `unsafe-confinement`: the `unsafe` keyword may appear only in
 /// `crates/simd` (the SIMD micro-kernels, which are the point of the
-/// confinement) and `vendor/rayon` (the vendored stand-in). Every other
-/// crate must carry `#![forbid(unsafe_code)]` so the compiler, not this
-/// tool, is the enforcement of record — this rule is the backstop that
-/// notices a *removed* attribute.
+/// confinement), `crates/testalloc` (the dev-only counting allocator)
+/// and `vendor/rayon` (the vendored stand-in). Every other crate must
+/// carry `#![forbid(unsafe_code)]` so the compiler, not this tool, is
+/// the enforcement of record — this rule is the backstop that notices
+/// a *removed* attribute.
 pub struct UnsafeConfinement;
 
-const UNSAFE_OK_PREFIXES: [&str; 2] = ["crates/simd/", "vendor/rayon/"];
+const UNSAFE_OK_PREFIXES: [&str; 3] = [
+    // The SIMD micro-kernels, which are the point of the confinement.
+    "crates/simd/",
+    // The dev-only counting allocator's one `unsafe impl GlobalAlloc`;
+    // only test binaries link it.
+    "crates/testalloc/",
+    // The vendored stand-in.
+    "vendor/rayon/",
+];
 
 impl Rule for UnsafeConfinement {
     fn id(&self) -> &'static str {
@@ -32,8 +41,9 @@ impl Rule for UnsafeConfinement {
                     rule: self.id(),
                     path: file.path.clone(),
                     line: t.line,
-                    message: "`unsafe` outside crates/simd and vendor/rayon; put the \
-                              unsafe code behind a safe API in crates/simd"
+                    message: "`unsafe` outside crates/simd, crates/testalloc and \
+                              vendor/rayon; put the unsafe code behind a safe API in \
+                              crates/simd"
                         .into(),
                 });
             }
@@ -44,7 +54,7 @@ impl Rule for UnsafeConfinement {
         for file in files {
             let is_crate_root = file.path == "src/lib.rs"
                 || (file.path.starts_with("crates/") && file.path.ends_with("/src/lib.rs"));
-            if !is_crate_root || file.path.starts_with("crates/simd/") {
+            if !is_crate_root || UNSAFE_OK_PREFIXES.iter().any(|p| file.path.starts_with(p)) {
                 continue;
             }
             let has_forbid = file

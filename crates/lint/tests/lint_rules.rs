@@ -35,6 +35,12 @@ fn unsafe_confinement_allows_the_simd_crate_but_requires_forbid_elsewhere() {
             "crates/simd/src/kernel.rs",
             include_str!("fixtures/unsafe_confinement.rs"),
         ),
+        // The dev-only counting allocator: unsafe, and a crate root
+        // without the forbid attribute.
+        SourceFile::from_source(
+            "crates/testalloc/src/lib.rs",
+            include_str!("fixtures/unsafe_confinement.rs"),
+        ),
         // A crate root without the forbid attribute.
         SourceFile::from_source("crates/nn/src/lib.rs", "pub fn f() {}\n"),
     ];

@@ -1,11 +1,15 @@
 //! Parameter-free layers: ReLU and Flatten.
 
+use eml_simd::relu;
+
 use crate::error::{NnError, Result};
 use crate::layer::{ChainSupport, Layer, LayerCost};
 use crate::quant::QAct;
 use crate::tensor::Tensor;
 
-/// Rectified linear unit, applied element-wise.
+/// Rectified linear unit, applied element-wise. Every path — eval,
+/// training and the epilogue a compute layer folds it into — is
+/// [`eml_simd::relu`], so NaN and `-0.0` both give `+0.0` everywhere.
 #[derive(Debug, Default)]
 pub struct Relu {
     name: String,
@@ -36,15 +40,12 @@ impl Layer for Relu {
             mask.clear();
             mask.resize(out.len(), false);
             for (v, m) in out.data_mut().iter_mut().zip(mask.iter_mut()) {
-                if *v > 0.0 {
-                    *m = true;
-                } else {
-                    *v = 0.0;
-                }
+                *m = *v > 0.0;
+                *v = relu(*v);
             }
         } else {
             for v in out.data_mut() {
-                *v = v.max(0.0);
+                *v = relu(*v);
             }
         }
         Ok(out)
@@ -87,29 +88,29 @@ impl Layer for Relu {
         ChainSupport::TransparentRelu
     }
 
-    /// Int8 fast path: `max(0)` on the grid values, in place — scale
-    /// is positive, so the clamp is order-preserving and exactly
-    /// equivalent to f32 ReLU before quantisation.
-    fn forward_chained(
+    /// In place on the owned activation. On the int8 grid it is
+    /// `max(0)` on the grid values — scale is positive, so the clamp
+    /// is order-preserving and exactly equivalent to f32 ReLU before
+    /// quantisation.
+    fn infer(
         &mut self,
-        input: QAct,
+        mut input: QAct,
         _out_scale: Option<f32>,
         _fuse_relu: bool,
     ) -> Result<QAct> {
-        match input {
-            QAct::I8(mut q) => {
+        match &mut input {
+            QAct::F32(t) => {
+                for v in t.data_mut() {
+                    *v = relu(*v);
+                }
+            }
+            QAct::I8(q) => {
                 for v in q.data_mut() {
                     *v = (*v).max(0);
                 }
-                Ok(QAct::I8(q))
             }
-            QAct::F32(_) => Err(NnError::InvalidConfig {
-                reason: format!(
-                    "relu `{}`: chained forward needs quantised input",
-                    self.name
-                ),
-            }),
         }
+        Ok(input)
     }
 }
 
@@ -180,34 +181,28 @@ impl Layer for Flatten {
         ChainSupport::Transparent
     }
 
-    fn forward_chained(
+    /// In place on the owned activation: a metadata change of either
+    /// form, the values pass through untouched.
+    fn infer(
         &mut self,
-        input: QAct,
+        mut input: QAct,
         _out_scale: Option<f32>,
         _fuse_relu: bool,
     ) -> Result<QAct> {
-        match input {
-            QAct::I8(mut q) => {
-                let shape = q.shape();
-                if shape.len() < 2 {
-                    return Err(NnError::ShapeMismatch {
-                        context: format!("flatten `{}` chained forward", self.name),
-                        expected: vec![0, 0],
-                        actual: shape.to_vec(),
-                    });
-                }
-                let n = shape[0];
-                let f: usize = shape[1..].iter().product();
-                q.reshape(&[n, f])?;
-                Ok(QAct::I8(q))
-            }
-            QAct::F32(_) => Err(NnError::InvalidConfig {
-                reason: format!(
-                    "flatten `{}`: chained forward needs quantised input",
-                    self.name
-                ),
-            }),
+        let shape = input.shape();
+        if shape.len() < 2 {
+            return Err(NnError::ShapeMismatch {
+                context: format!("flatten `{}` forward", self.name),
+                expected: vec![0, 0],
+                actual: shape.to_vec(),
+            });
         }
+        let nf = [shape[0], shape[1..].iter().product()];
+        match &mut input {
+            QAct::F32(t) => t.reshape(&nf)?,
+            QAct::I8(q) => q.reshape(&nf)?,
+        }
+        Ok(input)
     }
 }
 
@@ -221,6 +216,68 @@ mod tests {
         let x = Tensor::from_vec(&[4], vec![-1.0, 0.0, 2.0, -3.0]).unwrap();
         let y = relu.forward(&x, false).unwrap();
         assert_eq!(y.data(), &[0.0, 0.0, 2.0, 0.0]);
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Every ReLU gives the same bits at the IEEE edges: eval, training
+    /// and the epilogue a conv folds it into all map `-0.0` and NaN to
+    /// `+0.0` (`eml_simd::relu`), where `f32::max(0.0)` left the sign
+    /// of a zero to the compiler.
+    #[test]
+    fn relu_zero_sign_and_nan_agree_in_every_path() {
+        use crate::conv::{Conv2d, Conv2dConfig};
+        use crate::network::Network;
+        use rand::SeedableRng;
+
+        let edges = [
+            -0.0,
+            0.0,
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -1e-40,
+            1e-40,
+            -2.5,
+        ];
+        let x = Tensor::from_vec(&[1, 1, 3, 3], edges.to_vec()).unwrap();
+        let expect: Vec<u32> = edges
+            .iter()
+            .map(|&v| if v > 0.0 { v } else { 0.0f32 }.to_bits())
+            .collect();
+        let mut relu = Relu::new("r");
+        assert_eq!(bits(&relu.forward(&x, false).unwrap()), expect, "eval");
+        assert_eq!(bits(&relu.forward(&x, true).unwrap()), expect, "train");
+
+        // A 1×1 conv then ReLU: the walk folds the ReLU into the conv's
+        // epilogue; the per-layer path runs it as its own pass.
+        let cfg = Conv2dConfig {
+            in_channels: 1,
+            out_channels: 1,
+            kernel: 1,
+            stride: 1,
+            padding: 0,
+            conv_groups: 1,
+            prune_groups: 1,
+        };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let mut conv = Conv2d::new("c", cfg, &mut rng).unwrap();
+        let conv_out = conv.forward(&x, false).unwrap();
+        let eval = relu.forward(&conv_out, false).unwrap();
+        let train = relu.forward(&conv_out, true).unwrap();
+        let layers: Vec<Box<dyn Layer>> = vec![Box::new(conv), Box::new(Relu::new("r"))];
+        let mut net = Network::new(layers, 1, vec![1, 3, 3]).unwrap();
+        assert_eq!(net.plan_quant_chain().fused_relus(), 1);
+        let fused = net.forward(&x, false).unwrap();
+        assert_eq!(bits(&fused), bits(&eval), "fused vs eval");
+        assert_eq!(bits(&fused), bits(&train), "fused vs train");
+        assert!(
+            conv_out.data().iter().any(|v| v.is_nan()),
+            "NaN reached the relu"
+        );
     }
 
     #[test]

@@ -52,10 +52,10 @@ use crate::gemm::{
     PackedB8Ref, PackedBRef, QEpilogue, QEpilogueI8, Rhs,
 };
 use crate::im2col::{col2im_add, im2col_packed, im2col_packed_i8, im2col_packed_lhs, ConvGeom};
-use crate::layer::{sgd_update_span, ChainSupport, Layer, LayerCost};
+use crate::layer::{recycle, sgd_update_span, spare_f32, ChainSupport, Layer, LayerCost, OutBuf};
 use crate::quant::{
     finite_max_abs, inv_or_zero, quantize_slice_i16, ActObserver, Precision, QAct, QActRef,
-    QTensor, I8_LEVELS,
+    I8_LEVELS,
 };
 use crate::tensor::Tensor;
 use crate::workers;
@@ -383,9 +383,10 @@ impl Conv2d {
     /// `Out_g = W_g · im2col(x_g) + b_g`, batch-parallel when the work
     /// pays for it. The weight operand comes pre-packed from the
     /// per-layer cache, the lowering writes the kernel's packed layout
-    /// directly, and the bias add rides the GEMM epilogue — the hot
-    /// loop packs nothing.
-    fn forward_gemm(&mut self, input: &Tensor, out: &mut Tensor) {
+    /// directly, and the bias add (and the following ReLU when `relu`)
+    /// rides the GEMM epilogue — the hot loop packs nothing. Every
+    /// element of `out` is written.
+    fn forward_gemm(&mut self, input: &Tensor, out: &mut Tensor, relu: bool) {
         let (n, c_in, h, w) = {
             let s = input.shape();
             (s[0], s[1], s[2], s[3])
@@ -428,6 +429,14 @@ impl Conv2d {
             .resize((bands * col_slot).max(self.scratch.col.len()), 0.0);
         let geom = self.geom(h, w, oh, ow);
         let bias = &self.b;
+        let ep = |g: usize| {
+            let ep = Epilogue::bias_row(&bias[g * opg..][..opg]);
+            if relu {
+                ep.with_relu()
+            } else {
+                ep
+            }
+        };
         let x = input.data();
         workers::for_each_band(
             out.data_mut(),
@@ -453,7 +462,7 @@ impl Conv2d {
                             &mut out_s[g * opg * ohw..][..opg * ohw],
                             ohw,
                             !batch_par,
-                            Epilogue::bias_row(&bias[g * opg..][..opg]),
+                            ep(g),
                         );
                     }
                 }
@@ -498,12 +507,15 @@ impl Conv2d {
     /// `None` the epilogue dequantises (`acc·s_x·s_w + bias` in `f32`);
     /// with `Some(s)` it requantises onto the grid `s` through the
     /// saturating [`QEpilogueI8`]. `fuse_relu` adds a free `max(0)`.
+    /// The output buffer comes from `out_buf`: fresh for
+    /// [`Layer::forward`], the thread's spares for the inference walk.
     fn quant_step(
         &mut self,
         input: QActRef<'_>,
         out_scale: Option<f32>,
         fuse_relu: bool,
         train: bool,
+        out_buf: OutBuf,
     ) -> Result<QAct> {
         let shape = input.shape();
         let out_shape = self.out_shape(shape, "forward")?;
@@ -545,7 +557,7 @@ impl Conv2d {
         match out_scale {
             None => {
                 crate::quant::count_dequantise_pass();
-                let mut out = Tensor::zeros(&out_shape);
+                let mut out = out_buf.f32(n, &out_shape[1..]);
                 pass.run(out.data_mut(), col8, |g| {
                     let ep = QEpilogue::scaled(q_scale).with_bias_row(&bias[g * opg..][..opg]);
                     if fuse_relu {
@@ -564,7 +576,7 @@ impl Conv2d {
                 qbias.clear();
                 qbias.extend(bias.iter().map(|&b| b * inv_out));
                 let qbias: &[f32] = qbias;
-                let mut out = QTensor::zeros(&out_shape, s_out);
+                let mut out = out_buf.i16(n, &out_shape[1..], s_out);
                 pass.run(out.data_mut(), col8, |g| {
                     let ep = QEpilogueI8::scaled(q_scale * inv_out)
                         .with_bias_row(&qbias[g * opg..][..opg]);
@@ -849,11 +861,11 @@ impl Layer for Conv2d {
         let out = match self.precision {
             Precision::F32 => {
                 let mut out = Tensor::zeros(&self.out_shape(input.shape(), "forward")?);
-                self.forward_gemm(input, &mut out);
+                self.forward_gemm(input, &mut out, false);
                 out
             }
             Precision::Int8 => self
-                .quant_step(QActRef::F32(input), None, false, train)?
+                .quant_step(QActRef::F32(input), None, false, train, OutBuf::Fresh)?
                 .into_tensor(),
         };
         if train {
@@ -956,15 +968,22 @@ impl Layer for Conv2d {
         self.act_obs.chain_support(self.precision)
     }
 
-    /// One step of an int8 chain: the layer's int8 step on the planned
-    /// input form, emitting `f32` or int8 on the `out_scale` grid.
-    fn forward_chained(
-        &mut self,
-        input: QAct,
-        out_scale: Option<f32>,
-        fuse_relu: bool,
-    ) -> Result<QAct> {
-        self.quant_step(input.view(), out_scale, fuse_relu, false)
+    /// The `f32` GEMM forward into a spare buffer at
+    /// [`Precision::F32`], the int8 step on the planned input form
+    /// (emitting `f32` or int8 on the `out_scale` grid) otherwise; the
+    /// ReLU after the layer rides the epilogue when `fuse_relu`.
+    fn infer(&mut self, input: QAct, out_scale: Option<f32>, fuse_relu: bool) -> Result<QAct> {
+        let out = match (&input, self.precision) {
+            (QAct::F32(x), Precision::F32) => {
+                let [n, c, oh, ow] = self.out_shape(x.shape(), "forward")?;
+                let mut out = spare_f32(n, &[c, oh, ow]);
+                self.forward_gemm(x, &mut out, fuse_relu);
+                QAct::F32(out)
+            }
+            _ => self.quant_step(input.view(), out_scale, fuse_relu, false, OutBuf::Spare)?,
+        };
+        recycle(input);
+        Ok(out)
     }
 
     fn cost(&self, in_shape: &[usize]) -> Result<LayerCost> {
@@ -1548,11 +1567,11 @@ mod tests {
         ] {
             for (out_scale, fuse) in [(None, false), (Some(0.05), true)] {
                 let serial = c
-                    .forward_chained(input.clone(), out_scale, fuse)
+                    .infer(input.clone(), out_scale, fuse)
                     .expect("serial chained forward");
                 crate::workers::FORCE_WORKERS.with(|f| f.set(Some(4)));
                 let banded = c
-                    .forward_chained(input.clone(), out_scale, fuse)
+                    .infer(input.clone(), out_scale, fuse)
                     .expect("banded chained forward");
                 crate::workers::FORCE_WORKERS.with(|f| f.set(None));
                 match (serial, banded) {

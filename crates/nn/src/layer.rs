@@ -8,21 +8,29 @@
 //! incremental-training schedule of the paper's Fig 3(b) can freeze earlier
 //! groups while later groups learn.
 
+use std::cell::RefCell;
 use std::fmt;
 use std::ops::Range;
 
 use crate::error::{NnError, Result};
-use crate::quant::{ActObserver, Precision, QAct};
+use crate::quant::{ActObserver, Precision, QAct, QTensor};
 use crate::tensor::Tensor;
 
-/// How a layer can participate in a chained-int8 forward pass (see
+/// How a layer takes part in the inference plan: whether it can run
+/// in a chained-int8 segment (see
 /// [`crate::network::Network::plan_quant_chain`] and the chaining
-/// section of [`crate::quant`]'s module docs).
+/// section of [`crate::quant`]'s module docs) and whether it can fold
+/// a following ReLU into its epilogue.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ChainSupport {
     /// Cannot run on quantised activations: any chain ends before this
     /// layer (its predecessor dequantises to `f32`). The default.
     Breaks,
+    /// A compute layer outside any chain (`Conv2d`/`Linear` at
+    /// [`Precision::F32`], or at [`Precision::Int8`] with a dynamic
+    /// scale): it emits `f32`, like [`ChainSupport::Breaks`], and a
+    /// ReLU directly after it folds into its storing epilogue.
+    FusesRelu,
     /// Order-preserving on the int8 grid (MaxPool, Flatten): passes a
     /// quantised activation through at its incoming scale.
     Transparent,
@@ -148,34 +156,43 @@ pub trait Layer: fmt::Debug + Send {
         ChainSupport::Breaks
     }
 
-    /// One chained-int8 forward step (inference only — never caches
-    /// for backward). Called by the network executor strictly per the
-    /// plan [`crate::network::Network::plan_quant_chain`] computed, so
-    /// implementations may assume the input form matches what their
-    /// [`Layer::chain_support`] advertised: quantised layers accept
-    /// either form (an `f32` input is quantised once at the frozen
-    /// scale — the head of a chain), transparent layers require
-    /// [`QAct::I8`]. When `out_scale` is `Some(s)`, a quantised layer
-    /// must emit int8 output on the grid `s` (the next quantised
-    /// layer's frozen input scale), with ReLU fused into the
-    /// requantisation when `fuse_relu` is set; with `None` it emits
-    /// `f32`. A quantised layer runs the same int8 step here as in its
-    /// [`Layer::forward`] at [`Precision::Int8`], which is the
-    /// one-layer chain `f32` in, `f32` out.
+    /// One inference step on an owned activation (never caches for
+    /// backward): the only step the inference walk of
+    /// [`crate::network::Network::forward`] runs, in both precisions,
+    /// strictly per the plan
+    /// [`crate::network::Network::plan_quant_chain`] computed. A
+    /// quantised layer accepts either form (an `f32` input is quantised
+    /// at its observer's scale — the head of a chain, or a one-layer
+    /// chain); order-preserving layers accept either form too and keep
+    /// it, working in place where they can. When `out_scale` is
+    /// `Some(s)`, a quantised layer must emit int8 output on the grid
+    /// `s` (the next quantised layer's frozen input scale); with `None`
+    /// it emits `f32`. `fuse_relu` asks a compute layer to apply the
+    /// ReLU that follows it in its epilogue (the planner then skips
+    /// that ReLU). A quantised layer runs the same int8 step here as in
+    /// its [`Layer::forward`] at [`Precision::Int8`].
+    ///
+    /// The step consumes `input`. The layers of this crate take an
+    /// output that does not reuse the input's buffer from the calling
+    /// thread's spare activation buffers and return the consumed input
+    /// to them, so a steady walk allocates nothing. The default runs
+    /// [`Layer::forward`] on an `f32` input (layers that advertise
+    /// [`ChainSupport::Breaks`]) and recycles that input too.
     ///
     /// # Errors
     ///
-    /// The default returns [`NnError::InvalidConfig`]: layers that
-    /// advertise [`ChainSupport::Breaks`] are never scheduled chained.
-    fn forward_chained(
-        &mut self,
-        _input: QAct,
-        _out_scale: Option<f32>,
-        _fuse_relu: bool,
-    ) -> Result<QAct> {
-        Err(NnError::InvalidConfig {
-            reason: format!("layer `{}` cannot run in a quantised chain", self.name()),
-        })
+    /// Shape errors as in [`Layer::forward`]; the default returns
+    /// [`NnError::InvalidConfig`] for a quantised input, which the plan
+    /// never hands a [`ChainSupport::Breaks`] layer.
+    fn infer(&mut self, input: QAct, _out_scale: Option<f32>, _fuse_relu: bool) -> Result<QAct> {
+        let QAct::F32(x) = input else {
+            return Err(NnError::InvalidConfig {
+                reason: format!("layer `{}` cannot run in a quantised chain", self.name()),
+            });
+        };
+        let y = self.forward(&x, false)?;
+        recycle(QAct::F32(x));
+        Ok(QAct::F32(y))
     }
 
     /// Cost of this layer at its *current* active width for one sample of
@@ -198,6 +215,124 @@ pub trait Layer: fmt::Debug + Send {
     /// (see [`crate::quant`]). No-op for parameter-free layers; `bits` is
     /// validated by the caller.
     fn quantize_weights(&mut self, _bits: u32) {}
+}
+
+/// Most spare activation buffers a thread keeps per element type. A
+/// walk holds at most two activations of one type at a time (a step's
+/// input and its output), so two spares serve a steady forward; the
+/// rest absorb other callers on the same thread.
+const SPARES: usize = 4;
+
+/// A thread's spare activation buffers of one element type, as
+/// `(shape, data)` pairs. A buffer's capacity keeps the longest length
+/// it was ever given (its high water), so it holds any smaller
+/// activation without a reallocation.
+struct Spares<T>(Vec<(Vec<usize>, Vec<T>)>);
+
+thread_local! {
+    /// Spare `f32` activations (the walk's input copy, `f32` layer
+    /// outputs, dequantised chain tails).
+    static SPARE_F32: RefCell<Spares<f32>> = const { RefCell::new(Spares(Vec::new())) };
+    /// Spare int8-grid activations (chained layer outputs).
+    static SPARE_I16: RefCell<Spares<i16>> = const { RefCell::new(Spares(Vec::new())) };
+}
+
+impl<T: Copy + Default> Spares<T> {
+    /// A buffer of `batch · ∏ sample` elements and the shape
+    /// `[batch, sample…]`: the spare of least capacity that holds it,
+    /// else the one of most capacity, else a new one. Its elements are
+    /// those of the last activation it held, except that growing it
+    /// writes the growth; only a rise of this thread's high water
+    /// reallocates.
+    fn take(&mut self, batch: usize, sample: &[usize]) -> (Vec<usize>, Vec<T>) {
+        let len = batch * sample.iter().product::<usize>();
+        let spares = self.0.iter().map(|(_, d)| d.capacity()).enumerate();
+        let fit = spares
+            .clone()
+            .filter(|&(_, c)| c >= len)
+            .min_by_key(|&(_, c)| c);
+        let (mut shape, mut data) = match fit.or_else(|| spares.max_by_key(|&(_, c)| c)) {
+            Some((i, _)) => self.0.swap_remove(i),
+            None => (Vec::with_capacity(4), Vec::new()),
+        };
+        data.truncate(len);
+        data.resize(len, T::default());
+        shape.clear();
+        shape.push(batch);
+        shape.extend_from_slice(sample);
+        (shape, data)
+    }
+
+    /// Keeps `parts` for the next [`Spares::take`]; past [`SPARES`]
+    /// buffers the one of least capacity goes.
+    fn give(&mut self, parts: (Vec<usize>, Vec<T>)) {
+        self.0.push(parts);
+        if self.0.len() > SPARES {
+            let least = self
+                .0
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, (_, d))| d.capacity());
+            let i = least.map_or(0, |(i, _)| i);
+            self.0.swap_remove(i);
+        }
+    }
+}
+
+/// Where a layer step takes its output buffer from.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum OutBuf {
+    /// A new zeroed buffer of exact size: [`Layer::forward`], whose
+    /// result leaves the crate and is never recycled.
+    Fresh,
+    /// The calling thread's spares: the inference walk, which recycles
+    /// the result. Its values are unspecified — the step must write
+    /// every element.
+    Spare,
+}
+
+impl OutBuf {
+    /// An `f32` output of shape `[batch, sample…]`.
+    pub(crate) fn f32(self, batch: usize, sample: &[usize]) -> Tensor {
+        match self {
+            Self::Fresh => Tensor::zeros(&[&[batch], sample].concat()),
+            Self::Spare => spare_f32(batch, sample),
+        }
+    }
+
+    /// An int8-grid output of shape `[batch, sample…]` on the grid
+    /// `scale`.
+    pub(crate) fn i16(self, batch: usize, sample: &[usize], scale: f32) -> QTensor {
+        match self {
+            Self::Fresh => QTensor::zeros(&[&[batch], sample].concat(), scale),
+            Self::Spare => spare_i16(batch, sample, scale),
+        }
+    }
+}
+
+/// An `f32` inference output of shape `[batch, sample…]` from the
+/// calling thread's spares. Its values are unspecified — the step that
+/// takes it must write every element.
+pub(crate) fn spare_f32(batch: usize, sample: &[usize]) -> Tensor {
+    let (shape, data) = SPARE_F32.with_borrow_mut(|s| s.take(batch, sample));
+    Tensor::from_parts(shape, data)
+}
+
+/// An int8-grid inference output of shape `[batch, sample…]` on the
+/// grid `scale`, from the calling thread's spares; as [`spare_f32`],
+/// every element must be written.
+pub(crate) fn spare_i16(batch: usize, sample: &[usize], scale: f32) -> QTensor {
+    let (shape, data) = SPARE_I16.with_borrow_mut(|s| s.take(batch, sample));
+    QTensor::from_parts(shape, data, scale)
+}
+
+/// Returns a consumed inference activation's buffers to the calling
+/// thread's spares.
+pub(crate) fn recycle(act: QAct) {
+    match act {
+        QAct::F32(t) => SPARE_F32.with_borrow_mut(|s| s.give(t.into_parts())),
+        QAct::I8(q) => SPARE_I16.with_borrow_mut(|s| s.give(q.into_parts())),
+    }
 }
 
 /// Helper: SGD-with-momentum update for one parameter slice, respecting a

@@ -28,10 +28,8 @@ use crate::gemm::{
     gemm, gemm_i8, gemm_i8_q, gemm_with, pack_a8_i16, pack_a8_quantized, packed_a8_len, Epilogue,
     Lhs, MatRef, PackedA8Ref, PackedB, PackedB8, QEpilogue, QEpilogueI8, Rhs,
 };
-use crate::layer::{sgd_update_span, ChainSupport, Layer, LayerCost};
-use crate::quant::{
-    finite_max_abs, inv_or_zero, ActObserver, Precision, QAct, QActRef, QTensor, I8_LEVELS,
-};
+use crate::layer::{recycle, sgd_update_span, spare_f32, ChainSupport, Layer, LayerCost, OutBuf};
+use crate::quant::{finite_max_abs, inv_or_zero, ActObserver, Precision, QAct, QActRef, I8_LEVELS};
 use crate::tensor::Tensor;
 
 /// A dense layer `y = W·x + b` with width-scalable input features.
@@ -222,13 +220,16 @@ impl Linear {
     /// integer copies ([`pack_a8_i16`]). The output either dequantises
     /// to `f32` (`out_scale` `None` — logits, the classifier's usual
     /// role) or requantises onto the grid `s` of `Some(s)` via
-    /// [`QEpilogueI8`]; `fuse_relu` adds a free `max(0)`.
+    /// [`QEpilogueI8`]; `fuse_relu` adds a free `max(0)`. The output
+    /// buffer comes from `out_buf`: fresh for [`Layer::forward`], the
+    /// thread's spares for the inference walk.
     fn quant_step(
         &mut self,
         input: QActRef<'_>,
         out_scale: Option<f32>,
         fuse_relu: bool,
         train: bool,
+        out_buf: OutBuf,
     ) -> Result<QAct> {
         let n = self.batch_of(input.shape(), "forward")?;
         let f_active = self.active_in_features();
@@ -260,7 +261,7 @@ impl Linear {
         match out_scale {
             None => {
                 crate::quant::count_dequantise_pass();
-                let mut out = Tensor::zeros(&[n, out_features]);
+                let mut out = out_buf.f32(n, &[out_features]);
                 let ep = QEpilogue::scaled(q_scale).with_bias_col(&self.b);
                 let ep = if fuse_relu { ep.with_relu() } else { ep };
                 gemm_i8(
@@ -280,7 +281,7 @@ impl Linear {
                 let inv_out = inv_or_zero(s_out);
                 self.qbias_buf.clear();
                 self.qbias_buf.extend(self.b.iter().map(|&b| b * inv_out));
-                let mut out = QTensor::zeros(&[n, out_features], s_out);
+                let mut out = out_buf.i16(n, &[out_features], s_out);
                 let ep = QEpilogueI8::scaled(q_scale * inv_out).with_bias_col(&self.qbias_buf);
                 let ep = if fuse_relu { ep.with_relu() } else { ep };
                 gemm_i8_q(
@@ -298,6 +299,33 @@ impl Linear {
             }
         }
     }
+
+    /// The `f32` forward `Y = X · Wᵀ + b` (then ReLU when `relu`) of
+    /// the batch `input` into `out`, every element written: one
+    /// product over the whole batch with the cached packed `Wᵀ` and the
+    /// bias (and ReLU) fused into the epilogue; the kernel splits rows
+    /// (samples) across workers itself.
+    fn forward_f32(&mut self, input: &Tensor, out: &mut Tensor, relu: bool) {
+        let n = input.shape()[0];
+        let f_active = self.active_in_features();
+        let (w, in_features, out_features) = (&self.w, self.in_features, self.out_features);
+        let packed = self.packed_fwd.get_or_insert_with(|| {
+            PackedB::pack(MatRef::t(w, in_features), f_active, out_features)
+        });
+        let ep = Epilogue::bias_col(&self.b);
+        gemm_with(
+            n,
+            out_features,
+            f_active,
+            Lhs::Mat(MatRef::new(input.data(), f_active)),
+            Rhs::Packed(packed.as_ref()),
+            0.0,
+            out.data_mut(),
+            out_features,
+            true,
+            if relu { ep.with_relu() } else { ep },
+        );
+    }
 }
 
 impl Layer for Linear {
@@ -308,33 +336,13 @@ impl Layer for Linear {
     fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
         let out = match self.precision {
             Precision::F32 => {
-                // Y = X · Wᵀ + b: one product over the whole batch with
-                // the cached packed Wᵀ and the bias fused into the
-                // epilogue; the kernel splits rows (samples) across
-                // workers itself.
                 let n = self.batch_of(input.shape(), "forward")?;
-                let f_active = self.active_in_features();
-                let (w, in_features, out_features) = (&self.w, self.in_features, self.out_features);
-                let packed = self.packed_fwd.get_or_insert_with(|| {
-                    PackedB::pack(MatRef::t(w, in_features), f_active, out_features)
-                });
-                let mut out = Tensor::zeros(&[n, out_features]);
-                gemm_with(
-                    n,
-                    out_features,
-                    f_active,
-                    Lhs::Mat(MatRef::new(input.data(), f_active)),
-                    Rhs::Packed(packed.as_ref()),
-                    0.0,
-                    out.data_mut(),
-                    out_features,
-                    true,
-                    Epilogue::bias_col(&self.b),
-                );
+                let mut out = Tensor::zeros(&[n, self.out_features]);
+                self.forward_f32(input, &mut out, false);
                 out
             }
             Precision::Int8 => self
-                .quant_step(QActRef::F32(input), None, false, train)?
+                .quant_step(QActRef::F32(input), None, false, train, OutBuf::Fresh)?
                 .into_tensor(),
         };
         if train {
@@ -472,15 +480,22 @@ impl Layer for Linear {
         self.act_obs.chain_support(self.precision)
     }
 
-    /// One step of an int8 chain: the layer's int8 step on the planned
-    /// input form, emitting `f32` or int8 on the `out_scale` grid.
-    fn forward_chained(
-        &mut self,
-        input: QAct,
-        out_scale: Option<f32>,
-        fuse_relu: bool,
-    ) -> Result<QAct> {
-        self.quant_step(input.view(), out_scale, fuse_relu, false)
+    /// The `f32` GEMM forward into a spare buffer at
+    /// [`Precision::F32`], the int8 step on the planned input form
+    /// (emitting `f32` or int8 on the `out_scale` grid) otherwise; the
+    /// ReLU after the layer rides the epilogue when `fuse_relu`.
+    fn infer(&mut self, input: QAct, out_scale: Option<f32>, fuse_relu: bool) -> Result<QAct> {
+        let out = match (&input, self.precision) {
+            (QAct::F32(x), Precision::F32) => {
+                let n = self.batch_of(x.shape(), "forward")?;
+                let mut out = spare_f32(n, &[self.out_features]);
+                self.forward_f32(x, &mut out, fuse_relu);
+                QAct::F32(out)
+            }
+            _ => self.quant_step(input.view(), out_scale, fuse_relu, false, OutBuf::Spare)?,
+        };
+        recycle(input);
+        Ok(out)
     }
 
     fn cost(&self, in_shape: &[usize]) -> Result<LayerCost> {

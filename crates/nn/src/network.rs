@@ -9,7 +9,7 @@ use std::fmt;
 use std::ops::Range;
 
 use crate::error::{NnError, Result};
-use crate::layer::{ChainSupport, Layer, LayerCost};
+use crate::layer::{recycle, spare_f32, ChainSupport, Layer, LayerCost};
 use crate::loss::{cross_entropy, LossOutput};
 use crate::quant::{ActScaleReport, Precision, QAct};
 use crate::tensor::Tensor;
@@ -32,23 +32,17 @@ pub struct NetworkCost {
 /// of [`ChainSupport`], computed by [`Network::plan_quant_chain`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum ChainMode {
-    /// Run [`Layer::forward`] on an `f32` activation: every layer
-    /// outside a chain segment. A quantised layer here is a one-layer
-    /// chain — its int8 step quantises its input and dequantises its
-    /// output.
-    F32,
-    /// A quantised layer inside a chain: emit int8 at `out_scale`
+    /// Run the layer's by-value step [`Layer::infer`] on whatever
+    /// activation arrives: a quantised layer emits int8 at `out_scale`
     /// (the next quantised layer's frozen input scale) or `f32` when
-    /// `None` (tail of the chain); ReLU fused when `fuse_relu`.
-    Quant {
+    /// `None`, and a compute layer applies the ReLU after it when
+    /// `fuse_relu`; every other layer passes `(None, false)`.
+    Step {
         out_scale: Option<f32>,
         fuse_relu: bool,
     },
-    /// An order-preserving layer passing a quantised activation
-    /// through on its int8 fast path.
-    PassI8,
-    /// A ReLU folded into the preceding quantised layer's epilogue:
-    /// skipped entirely.
+    /// A ReLU folded into the preceding layer's epilogue: skipped
+    /// entirely.
     FusedRelu,
 }
 
@@ -72,7 +66,7 @@ pub struct QuantChainPlan {
 
 impl QuantChainPlan {
     /// Whether any chain segment engaged — if not, an inference
-    /// forward is an all-`f32` walk of each layer's own forward.
+    /// forward is an all-`f32` walk.
     pub fn engaged(&self) -> bool {
         self.edges > 0
     }
@@ -90,7 +84,8 @@ impl QuantChainPlan {
         self.edges
     }
 
-    /// Number of ReLU layers folded into a predecessor's epilogue.
+    /// Number of ReLU layers folded into a predecessor's epilogue
+    /// (`f32` or int8).
     pub fn fused_relus(&self) -> usize {
         self.modes
             .iter()
@@ -267,23 +262,26 @@ impl Network {
         self.chain_plan = None;
     }
 
-    /// Resolves the chained-int8 execution plan from the layers'
-    /// current [`ChainSupport`] — the planning pass of the quantised
-    /// pipeline (see the chaining section of [`crate::quant`]'s module
-    /// docs).
+    /// Resolves the inference plan from the layers' current
+    /// [`ChainSupport`] — the planning pass of the quantised pipeline
+    /// (see the chaining section of [`crate::quant`]'s module docs) and
+    /// of ReLU fusion in both precisions.
     ///
     /// For every maximal run `Q₀ T… Q₁ T… Q₂ …` of frozen quantised
     /// layers `Qᵢ` separated only by order-preserving transparent
     /// layers `T`, each `Qᵢ` (except the last) is scheduled to emit
-    /// int8 directly on `Qᵢ₊₁`'s frozen input grid, a ReLU immediately
-    /// following a `Qᵢ` is folded into its epilogue, the remaining
-    /// transparent layers take their int8 fast paths, and the last
-    /// quantised layer of the run dequantises to `f32`. Layers outside
-    /// any run run their own [`Layer::forward`]; for a quantised layer
-    /// with a dynamic (unfrozen) scale that is the same int8 step as a
-    /// one-layer chain, so a single unfrozen mid-network layer splits
-    /// the chain around itself without changing its own dynamic-scale
-    /// semantics. A plan with no run is an all-`f32` walk.
+    /// int8 directly on `Qᵢ₊₁`'s frozen input grid, the transparent
+    /// layers pass the int8 activation through, and the last quantised
+    /// layer of the run dequantises to `f32`. A quantised layer outside
+    /// any run, or one with a dynamic (unfrozen) scale, is a one-layer
+    /// chain (`f32` in, `f32` out), so a single unfrozen mid-network
+    /// layer splits the chain around itself without changing its own
+    /// dynamic-scale semantics. A ReLU directly after any compute layer
+    /// ([`ChainSupport::Quantised`] or [`ChainSupport::FusesRelu`]) is
+    /// folded into that layer's epilogue: `max(0)` before the
+    /// saturating round on an int8 edge, before the store otherwise —
+    /// one [`eml_simd::relu`], bit-identical to the separate pass. A
+    /// plan with no run is an all-`f32` walk.
     ///
     /// The plan is cached; inference forwards re-plan lazily after any
     /// invalidating mutation (see [`Network::set_active_groups`] et
@@ -291,54 +289,51 @@ impl Network {
     pub fn plan_quant_chain(&mut self) -> &QuantChainPlan {
         let caps: Vec<ChainSupport> = self.layers.iter().map(|l| l.chain_support()).collect();
         let n = caps.len();
-        let mut modes = vec![ChainMode::F32; n];
+        let mut modes = vec![
+            ChainMode::Step {
+                out_scale: None,
+                fuse_relu: false,
+            };
+            n
+        ];
         let mut edges = 0;
-        let mut receives_i8 = false;
         let mut i = 0;
         while i < n {
-            let ChainSupport::Quantised { .. } = caps[i] else {
-                receives_i8 = false;
-                i += 1;
-                continue;
-            };
-            // Scan ahead through order-preserving layers for the next
-            // frozen quantised layer — the edge target whose input
-            // scale this layer would emit on.
-            let mut j = i + 1;
-            while j < n
-                && matches!(
-                    caps[j],
-                    ChainSupport::Transparent | ChainSupport::TransparentRelu
-                )
-            {
-                j += 1;
-            }
-            let next_scale = match caps.get(j) {
-                Some(&ChainSupport::Quantised { in_scale }) => Some(in_scale),
-                _ => None,
-            };
-            if next_scale.is_some() || receives_i8 {
-                // A directly-following ReLU folds into this layer's
-                // epilogue either way: `max(0)` before the saturating
-                // round on an i8 edge, before the store on the f32
-                // tail (bit-identical to the separate pass).
-                let fuse_relu = matches!(caps.get(i + 1), Some(ChainSupport::TransparentRelu));
-                modes[i] = ChainMode::Quant {
-                    out_scale: next_scale,
-                    fuse_relu,
-                };
-                if fuse_relu {
-                    modes[i + 1] = ChainMode::FusedRelu;
-                }
-                if next_scale.is_some() {
-                    edges += 1;
-                    for mode in &mut modes[(i + 1 + usize::from(fuse_relu))..j] {
-                        *mode = ChainMode::PassI8;
+            let out_scale = match caps[i] {
+                // Scan ahead through order-preserving layers for the
+                // next frozen quantised layer — the edge target whose
+                // input scale this layer emits on.
+                ChainSupport::Quantised { .. } => {
+                    let mut j = i + 1;
+                    while j < n
+                        && matches!(
+                            caps[j],
+                            ChainSupport::Transparent | ChainSupport::TransparentRelu
+                        )
+                    {
+                        j += 1;
+                    }
+                    match caps.get(j) {
+                        Some(&ChainSupport::Quantised { in_scale }) => Some(in_scale),
+                        _ => None,
                     }
                 }
+                ChainSupport::FusesRelu => None,
+                _ => {
+                    i += 1;
+                    continue;
+                }
+            };
+            let fuse_relu = matches!(caps.get(i + 1), Some(ChainSupport::TransparentRelu));
+            modes[i] = ChainMode::Step {
+                out_scale,
+                fuse_relu,
+            };
+            if fuse_relu {
+                modes[i + 1] = ChainMode::FusedRelu;
             }
-            receives_i8 = next_scale.is_some();
-            i = j;
+            edges += usize::from(out_scale.is_some());
+            i += 1 + usize::from(fuse_relu);
         }
         // Sample-block size from the peak per-sample activation
         // footprint (inputs and every layer output), so one block's
@@ -374,9 +369,13 @@ impl Network {
     ///
     /// Inference forwards (`train = false`) walk the cached plan of
     /// [`Network::plan_quant_chain`], which chains int8 layers where
-    /// scales are frozen and is an all-`f32` walk otherwise. Training
-    /// forwards run each layer's own [`Layer::forward`] (backward needs
-    /// the `f32` caches).
+    /// scales are frozen and is an all-`f32` walk otherwise, passing
+    /// each layer its activation by value (see [`Layer::infer`]): the
+    /// walk copies `input` once into a recycled buffer, ReLU and
+    /// Flatten work in place, and every other output comes from the
+    /// calling thread's spare buffers. A steady forward allocates only
+    /// the logits it returns. Training forwards run each layer's own
+    /// [`Layer::forward`] (backward needs the `f32` caches).
     ///
     /// # Errors
     ///
@@ -401,86 +400,85 @@ impl Network {
         // make chained inference per-sample independent, so the split
         // is bit-invisible. (An unengaged plan's block is unbounded.)
         let n = input.shape()[0];
-        let result = if n > plan.block && n > crate::workers::worker_count() {
-            self.walk_blocked(input, &plan)
+        let block = if n > plan.block && n > crate::workers::worker_count() {
+            plan.block.max(crate::workers::worker_count())
         } else {
-            self.walk(input, &plan)
+            n
         };
+        let result = self.walk_blocks(input, block, &plan);
         self.chain_plan = Some(plan);
         result
     }
 
-    /// Blocked execution: slices the batch into sub-batches of
-    /// `plan.block` samples (or the worker count, if larger), walks each
-    /// through the whole stack, and stitches the logits back together.
-    /// One block's activations fit in cache; an unblocked wide batch
+    /// Walks the batch through the whole stack in sub-batches of
+    /// `block` samples (one block when `block` covers the batch) and
+    /// gathers their outputs into the returned logits — the one
+    /// allocation of a steady forward besides its shape. One block's
+    /// activations fit in cache; an unblocked wide chained batch
     /// streams every layer's output through memory and loses the
     /// batching win (see [`CHAIN_BLOCK_ELEMS`]).
-    fn walk_blocked(&mut self, input: &Tensor, plan: &QuantChainPlan) -> Result<Tensor> {
-        let block = plan.block.max(crate::workers::worker_count());
-        let n = input.shape()[0];
-        let sample: usize = input.shape()[1..].iter().product();
-        let mut out: Option<Tensor> = None;
-        let mut row = 0usize;
+    fn walk_blocks(
+        &mut self,
+        input: &Tensor,
+        block: usize,
+        plan: &QuantChainPlan,
+    ) -> Result<Tensor> {
+        let (n, sample_shape) = (input.shape()[0], &input.shape()[1..]);
+        let sample: usize = sample_shape.iter().product();
+        let mut out: Option<(Vec<usize>, Vec<f32>)> = None;
         let mut i0 = 0;
         while i0 < n {
             let b = block.min(n - i0);
-            let mut shape = input.shape().to_vec();
-            shape[0] = b;
-            let xb = Tensor::from_vec(
-                &shape,
-                input.data()[i0 * sample..(i0 + b) * sample].to_vec(),
-            )?;
-            let yb = self.walk(&xb, plan)?;
-            let out_t = match &mut out {
-                Some(t) => t,
-                None => {
-                    row = yb.shape()[1..].iter().product();
-                    let mut s = yb.shape().to_vec();
-                    s[0] = n;
-                    out.insert(Tensor::zeros(&s))
-                }
-            };
-            out_t.data_mut()[i0 * row..(i0 + b) * row].copy_from_slice(yb.data());
+            let x = &input.data()[i0 * sample..(i0 + b) * sample];
+            let yb = self.walk(x, b, sample_shape, plan)?;
+            let (shape, data) = out.get_or_insert_with(|| {
+                let mut shape = yb.shape().to_vec();
+                shape[0] = n;
+                let len = shape.iter().product();
+                (shape, Vec::with_capacity(len))
+            });
+            match &yb {
+                QAct::F32(t) => data.extend_from_slice(t.data()),
+                // A chain that runs off the end of the network (a well-
+                // formed plan dequantises at its last quantised layer).
+                QAct::I8(q) => data.extend_from_slice(q.dequantize().data()),
+            }
+            debug_assert_eq!(&yb.shape()[1..], &shape[1..]);
+            recycle(yb);
             i0 += b;
         }
-        out.ok_or_else(|| NnError::ShapeMismatch {
-            context: "chained blocked forward on an empty batch".into(),
+        let (shape, data) = out.ok_or_else(|| NnError::ShapeMismatch {
+            context: "inference forward on an empty batch".into(),
             expected: vec![1],
             actual: vec![0],
-        })
+        })?;
+        Ok(Tensor::from_parts(shape, data))
     }
 
-    /// The inference walk: hands each layer either an `f32` tensor or
-    /// a quantised activation per its [`ChainMode`].
-    fn walk(&mut self, input: &Tensor, plan: &QuantChainPlan) -> Result<Tensor> {
-        let mut val = QAct::F32(input.clone());
+    /// The inference walk of `batch` samples `x` (each of
+    /// `sample_shape`): copies them into a spare buffer, then hands
+    /// each layer the activation by value per its [`ChainMode`]. The
+    /// result is a spare-backed activation the caller recycles.
+    fn walk(
+        &mut self,
+        x: &[f32],
+        batch: usize,
+        sample_shape: &[usize],
+        plan: &QuantChainPlan,
+    ) -> Result<QAct> {
+        let mut input = spare_f32(batch, sample_shape);
+        input.data_mut().copy_from_slice(x);
+        let mut val = QAct::F32(input);
         for (layer, mode) in self.layers.iter_mut().zip(&plan.modes) {
-            val = match *mode {
-                ChainMode::F32 => match val {
-                    QAct::F32(t) => QAct::F32(layer.forward(&t, false)?),
-                    QAct::I8(_) => {
-                        return Err(NnError::InvalidConfig {
-                            reason: format!(
-                                "chain plan handed layer `{}` a quantised activation \
-                                 outside a chain segment (planner bug)",
-                                layer.name()
-                            ),
-                        })
-                    }
-                },
-                ChainMode::FusedRelu => val,
-                ChainMode::Quant {
-                    out_scale,
-                    fuse_relu,
-                } => layer.forward_chained(val, out_scale, fuse_relu)?,
-                ChainMode::PassI8 => layer.forward_chained(val, None, false)?,
-            };
+            if let ChainMode::Step {
+                out_scale,
+                fuse_relu,
+            } = *mode
+            {
+                val = layer.infer(val, out_scale, fuse_relu)?;
+            }
         }
-        // A well-formed plan always dequantises at the last quantised
-        // layer; `into_tensor` covers a chain that runs off the end of
-        // the network anyway.
-        Ok(val.into_tensor())
+        Ok(val)
     }
 
     /// Static calibration workflow for int8 serving: runs every batch

@@ -1,8 +1,8 @@
 //! Spatial pooling layers.
 
 use crate::error::{NnError, Result};
-use crate::layer::{ChainSupport, Layer, LayerCost};
-use crate::quant::{QAct, QTensor};
+use crate::layer::{recycle, spare_f32, spare_i16, ChainSupport, Layer, LayerCost};
+use crate::quant::QAct;
 use crate::tensor::Tensor;
 
 /// An element MaxPool compares: `f32` activations and int8-grid values
@@ -19,6 +19,19 @@ impl PoolValue for f32 {
 
 impl PoolValue for i16 {
     const LOWEST: Self = i16::MIN;
+}
+
+/// One step of every window maximum: `v` replaces `best` only when
+/// strictly greater, so NaN never wins and the first of equal values
+/// (`-0.0` before `+0.0`) stays. It is the select a packed max computes
+/// (`maxps`, `pmaxsw`).
+#[inline(always)]
+fn max_step<T: PoolValue>(best: T, v: T) -> T {
+    if v > best {
+        v
+    } else {
+        best
+    }
 }
 
 /// 2-D max pooling with square window and stride equal to the window size.
@@ -75,31 +88,46 @@ impl MaxPool2d {
         Ok([n, c, oh, ow])
     }
 
-    /// Pools `x` (shape `in_shape`) into `o`, recording each output's
-    /// argmax input offset when `offsets` is given (training).
-    fn pool<T: PoolValue>(
-        &self,
-        x: &[T],
-        in_shape: &[usize],
-        o: &mut [T],
-        offsets: Option<&mut [usize]>,
-    ) {
-        match offsets {
-            None => self.windows(x, in_shape, |oi, best, _| o[oi] = best),
-            Some(offs) => self.windows(x, in_shape, |oi, best, off| {
-                o[oi] = best;
-                offs[oi] = off;
-            }),
+    /// The inference pool of both element types: each output is the
+    /// window maximum folded by [`max_step`] from `T::LOWEST` over the
+    /// window in row-major order — the order and comparisons of
+    /// [`MaxPool2d::windows`], without its argmax offsets, so the
+    /// values are bit for bit the training pool's. The 2×2 loop runs
+    /// over row iterators with nothing else in it: its vector body
+    /// covers the short output rows of the served models (8 and 4
+    /// wide), which the argmax loop's inference instance ran mostly in
+    /// per-row setup and its scalar tail.
+    fn pool_values<T: PoolValue>(&self, x: &[T], in_shape: &[usize], o: &mut [T]) {
+        let (h, w) = (in_shape[2], in_shape[3]);
+        let (oh, ow) = self.out_hw(h, w);
+        let win = self.window;
+        let planes = x.chunks_exact(h * w).zip(o.chunks_exact_mut(oh * ow));
+        for (xp, op) in planes {
+            for (rows, orow) in xp.chunks_exact(win * w).zip(op.chunks_exact_mut(ow)) {
+                if win == 2 {
+                    let (r0, r1) = rows.split_at(w);
+                    let pairs = r0.chunks_exact(2).zip(r1.chunks_exact(2));
+                    for (out, (a, b)) in orow.iter_mut().zip(pairs) {
+                        let top = max_step(max_step(T::LOWEST, a[0]), a[1]);
+                        *out = max_step(max_step(top, b[0]), b[1]);
+                    }
+                    continue;
+                }
+                for (owx, out) in orow.iter_mut().enumerate() {
+                    let window = rows.chunks_exact(w).flat_map(|r| &r[owx * win..][..win]);
+                    *out = window.fold(T::LOWEST, |best, &v| max_step(best, v));
+                }
+            }
         }
     }
 
-    /// The window loop of both element types: hands `emit` each output
-    /// index with the strict-`>` maximum of its window, seeded from
-    /// `T::LOWEST` (so NaN candidates are skipped in every mode), and
-    /// the input offset of that maximum, seeded with the window's own
-    /// first element (so a window that no candidate wins still routes
-    /// its gradient inside itself). A 2×2 window reads its four
-    /// candidates from two row slices.
+    /// The training window loop: hands `emit` each output index with
+    /// the strict-`>` maximum of its window, seeded from `T::LOWEST`
+    /// (so NaN candidates are skipped, as in
+    /// [`MaxPool2d::pool_values`]), and the input offset of that
+    /// maximum, seeded with the window's own first element (so a window
+    /// that no candidate wins still routes its gradient inside itself).
+    /// A 2×2 window reads its four candidates from two row slices.
     fn windows<T: PoolValue>(
         &self,
         x: &[T],
@@ -172,7 +200,7 @@ impl Layer for MaxPool2d {
         let mut out = Tensor::zeros(&self.out_shape(input.shape(), "forward")?);
         let (x, shape) = (input.data(), input.shape());
         if !train {
-            self.pool(x, shape, out.data_mut(), None);
+            self.pool_values(x, shape, out.data_mut());
             return Ok(out);
         }
         // The argmax buffers are reused across training steps (no
@@ -180,7 +208,11 @@ impl Layer for MaxPool2d {
         let (mut in_shape, mut offsets) = self.argmax.take().unwrap_or_default();
         offsets.clear();
         offsets.resize(out.len(), 0);
-        self.pool(x, shape, out.data_mut(), Some(&mut offsets));
+        let o = out.data_mut();
+        self.windows(x, shape, |oi, best, off| {
+            o[oi] = best;
+            offsets[oi] = off;
+        });
         in_shape.clear();
         in_shape.extend_from_slice(shape);
         self.argmax = Some((in_shape, offsets));
@@ -229,32 +261,31 @@ impl Layer for MaxPool2d {
         ChainSupport::Transparent
     }
 
-    /// Int8 fast path: the same window loop over grid values (integer
-    /// compares, no argmax bookkeeping — chains run inference only),
-    /// passing the incoming scale through unchanged.
-    fn forward_chained(
-        &mut self,
-        input: QAct,
-        _out_scale: Option<f32>,
-        _fuse_relu: bool,
-    ) -> Result<QAct> {
-        let QAct::I8(q) = input else {
-            return Err(NnError::InvalidConfig {
-                reason: format!(
-                    "maxpool `{}`: chained forward needs quantised input",
-                    self.name
-                ),
-            });
+    /// The value-only pool of either form into a spare buffer; an
+    /// int8 activation keeps its incoming scale (integer compares).
+    fn infer(&mut self, input: QAct, _out_scale: Option<f32>, _fuse_relu: bool) -> Result<QAct> {
+        let [n, c, oh, ow] = self.out_shape(input.shape(), "forward")?;
+        let out = match &input {
+            QAct::F32(x) => {
+                let mut out = spare_f32(n, &[c, oh, ow]);
+                self.pool_values(x.data(), x.shape(), out.data_mut());
+                QAct::F32(out)
+            }
+            QAct::I8(q) => {
+                let mut out = spare_i16(n, &[c, oh, ow], q.scale());
+                self.pool_values(q.data(), q.shape(), out.data_mut());
+                QAct::I8(out)
+            }
         };
-        let mut out = QTensor::zeros(&self.out_shape(q.shape(), "chained forward")?, q.scale());
-        self.pool(q.data(), q.shape(), out.data_mut(), None);
-        Ok(QAct::I8(out))
+        recycle(input);
+        Ok(out)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn maxpool_forward_picks_window_max() {
@@ -310,29 +341,73 @@ mod tests {
         assert_eq!(gi.sum(), 3.0);
     }
 
-    /// NaN candidates are skipped the same way with and without argmax
-    /// bookkeeping, for the 2×2 fast path and the general window.
-    #[test]
-    fn nan_candidates_pool_alike_in_eval_and_train() {
-        for window in [2usize, 3] {
-            let mut data: Vec<f32> = (0..2 * 2 * 6 * 6)
-                .map(|i| match i % 7 {
-                    0 | 3 => f32::NAN,
-                    _ => (i as f32 * 0.37).sin(),
-                })
-                .collect();
-            // The first window of plane 0 is all NaN.
+    /// Candidate values of the generated planes: NaN, both zeros, both
+    /// infinities and few enough finite values that windows tie.
+    const F32_PALETTE: [f32; 8] = [
+        f32::NAN,
+        -0.0,
+        0.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        1.0,
+        -1.0,
+        0.5,
+    ];
+    /// The int8-grid palette, `i16::MIN` (the seed) included.
+    const I16_PALETTE: [i16; 6] = [i16::MIN, -127, -1, 0, 1, 127];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The value-only inference pool equals the training (argmax)
+        /// pool bit for bit — NaN skipped, the first of tied `±0.0`
+        /// kept, whole-NaN windows at `-inf` — for the 2×2 fast path
+        /// and the general window, odd sizes included, in `f32` (eval
+        /// forward and the by-value step) and on the int8 grid (the
+        /// by-value step against the generic argmax loop).
+        #[test]
+        fn nan_candidates_pool_alike_in_eval_and_train(
+            window in 2usize..=3,
+            n in 1usize..=2,
+            c in 1usize..=3,
+            h in 3usize..=9,
+            w in 3usize..=9,
+            picks in proptest::collection::vec(0usize..48, 2 * 3 * 9 * 9..2 * 3 * 9 * 9 + 1),
+        ) {
+            let shape = [n, c, h, w];
+            let len = n * c * h * w;
+            // The first window of plane 0 is all NaN (all `i16::MIN`).
+            let mut picks = picks;
             for row in 0..window {
-                data[row * 6..][..window].fill(f32::NAN);
+                picks[row * w..][..window].fill(0);
             }
-            let x = Tensor::from_vec(&[2, 2, 6, 6], data).unwrap();
+            let xf: Vec<f32> = picks[..len].iter().map(|&p| F32_PALETTE[p % 8]).collect();
+            let x = Tensor::from_vec(&shape, xf).unwrap();
             let mut p = MaxPool2d::new("p", window);
+            let bits = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             let eval = p.forward(&x, false).unwrap();
             let train = p.forward(&x, true).unwrap();
-            assert!(eval.data().iter().all(|v| !v.is_nan()), "window {window}");
-            assert_eq!(eval.data()[0], f32::NEG_INFINITY, "window {window}");
-            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&eval), bits(&train), "window {window}");
+            prop_assert_eq!(eval.data()[0], f32::NEG_INFINITY);
+            prop_assert!(eval.data().iter().all(|v| !v.is_nan()), "eval output holds NaN");
+            prop_assert_eq!(bits(eval.data()), bits(train.data()), "f32 eval vs train");
+            let QAct::F32(step) = p.infer(QAct::F32(x.clone()), None, false).unwrap() else {
+                panic!("an f32 activation stays f32");
+            };
+            prop_assert!(step.data().iter().all(|v| !v.is_nan()), "step output holds NaN");
+            prop_assert_eq!(bits(step.data()), bits(train.data()), "f32 step vs train");
+
+            let mut q = crate::quant::QTensor::zeros(&shape, 0.5);
+            for (d, &p) in q.data_mut().iter_mut().zip(&picks) {
+                *d = I16_PALETTE[p % 6];
+            }
+            let mut want = vec![0i16; eval.len()];
+            p.windows(q.data(), q.shape(), |oi, best, _| want[oi] = best);
+            let QAct::I8(step) = p.infer(QAct::I8(q), None, false).unwrap() else {
+                panic!("an int8 activation stays int8");
+            };
+            prop_assert_eq!(step.data()[0], i16::MIN);
+            prop_assert_eq!(step.data(), &want[..], "i16 step vs argmax loop");
+            prop_assert_eq!(step.scale(), 0.5);
         }
     }
 

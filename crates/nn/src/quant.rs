@@ -351,14 +351,15 @@ impl ActObserver {
     /// The chain role of a quantised layer (`Conv2d`, `Linear`) running
     /// at `precision` with this input observer: it can join a chain
     /// only at [`Precision::Int8`] with a frozen, non-zero range, whose
-    /// scale is then the layer's input grid.
+    /// scale is then the layer's input grid. Outside a chain it still
+    /// folds a following ReLU into its `f32` epilogue.
     pub(crate) fn chain_support(&self, precision: Precision) -> ChainSupport {
         if precision == Precision::Int8 && self.frozen && self.max_abs > 0.0 {
             ChainSupport::Quantised {
                 in_scale: self.scale_for(0.0),
             }
         } else {
-            ChainSupport::Breaks
+            ChainSupport::FusesRelu
         }
     }
 }
@@ -428,8 +429,23 @@ impl QTensor {
                 actual: shape.to_vec(),
             });
         }
-        self.shape = shape.to_vec();
+        self.shape.clear();
+        self.shape.extend_from_slice(shape);
         Ok(())
+    }
+
+    /// Wraps a shape, a buffer of exactly its element count and a
+    /// scale, as [`QTensor::into_parts`] returned them: the inference
+    /// walk's recycled buffers, whose values are whatever they last
+    /// held.
+    pub(crate) fn from_parts(shape: Vec<usize>, data: Vec<i16>, scale: f32) -> Self {
+        debug_assert_eq!(shape.iter().product::<usize>(), data.len());
+        Self { shape, data, scale }
+    }
+
+    /// Consumes the tensor and returns its shape and buffer.
+    pub(crate) fn into_parts(self) -> (Vec<usize>, Vec<i16>) {
+        (self.shape, self.data)
     }
 
     /// Dequantises to an `f32` [`Tensor`] (`value · scale`).

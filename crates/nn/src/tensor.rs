@@ -126,6 +126,39 @@ impl Tensor {
         self.data
     }
 
+    /// Wraps a shape and a buffer of exactly its element count, as
+    /// [`Tensor::into_parts`] returned them: the inference walk's
+    /// recycled buffers, whose elements are whatever they last held.
+    pub(crate) fn from_parts(shape: Vec<usize>, data: Vec<f32>) -> Self {
+        debug_assert_eq!(shape.iter().product::<usize>(), data.len());
+        Self { shape, data }
+    }
+
+    /// Consumes the tensor and returns its shape and buffer.
+    pub(crate) fn into_parts(self) -> (Vec<usize>, Vec<f32>) {
+        (self.shape, self.data)
+    }
+
+    /// Reinterprets the tensor in place with a new shape of the same
+    /// element count (a metadata change: no copy, and no allocation
+    /// when the rank does not grow).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::ShapeMismatch`] if the element counts differ.
+    pub(crate) fn reshape(&mut self, shape: &[usize]) -> Result<()> {
+        if shape.iter().product::<usize>() != self.data.len() || shape.is_empty() {
+            return Err(NnError::ShapeMismatch {
+                context: "Tensor::reshape".into(),
+                expected: self.shape.clone(),
+                actual: shape.to_vec(),
+            });
+        }
+        self.shape.clear();
+        self.shape.extend_from_slice(shape);
+        Ok(())
+    }
+
     /// Computes the linear offset of a multi-dimensional index.
     ///
     /// # Panics

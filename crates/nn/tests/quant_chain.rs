@@ -233,10 +233,7 @@ fn relu_i8_fast_path_is_order_preserving() {
     }
     let q_in = q.clone();
     let mut relu = Relu::new("r");
-    let QAct::I8(out) = relu
-        .forward_chained(QAct::I8(q), None, false)
-        .expect("chained relu")
-    else {
+    let QAct::I8(out) = relu.infer(QAct::I8(q), None, false).expect("chained relu") else {
         panic!("relu must stay quantised");
     };
     assert_eq!(out.scale(), scale);
@@ -265,7 +262,7 @@ fn maxpool_i8_fast_path_is_order_preserving() {
         let y_f = pool_f.forward(&q.dequantize(), false).expect("f32 pool");
         let mut pool_q = MaxPool2d::new("p", window);
         let QAct::I8(y_q) = pool_q
-            .forward_chained(QAct::I8(q), None, false)
+            .infer(QAct::I8(q), None, false)
             .expect("chained pool")
         else {
             panic!("pool must stay quantised");
@@ -516,5 +513,114 @@ proptest! {
                  (groups {groups}, active {active}, pool {pool}, grouped {grouped})"
             );
         }
+    }
+}
+
+/// Bit patterns of a tensor's values (NaN-free here: the stacks are
+/// finite).
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The `f32` walk is exact: the inference forward — activations
+    /// passed by value, ReLU folded into each conv's storing epilogue,
+    /// outputs in recycled buffers — equals the walk of every layer's
+    /// own `forward` bit for bit, at every width and batch 1..=9.
+    #[test]
+    fn f32_walk_matches_per_layer_forward(
+        seed in 0u64..10_000,
+        groups in 1usize..=4,
+        cpg in 1usize..=2,
+        opg in 1usize..=2,
+        h in 4usize..=6,
+        w in 4usize..=6,
+        grouped in proptest::bool::ANY,
+        pool in proptest::bool::ANY,
+    ) {
+        let (mut net, _) = stack(seed, groups, cpg, opg, h, w, grouped, pool);
+        let c_in = groups * cpg;
+        let widths = if grouped { 1..=groups } else { groups..=groups };
+        for active in widths {
+            net.set_active_groups(active).expect("valid width");
+            prop_assert_eq!(net.plan_quant_chain().fused_relus(), 2);
+            for batch in 1..=9usize {
+                let x = Tensor::random(
+                    &[batch, c_in, h, w],
+                    &mut StdRng::seed_from_u64(seed ^ ((batch as u64) << 8)),
+                );
+                let walked = net.forward(&x, false).expect("inference forward");
+                let layered = per_layer_forward(&mut net, &x);
+                prop_assert_eq!(
+                    bits(&walked),
+                    bits(&layered),
+                    "width {}, batch {}",
+                    active,
+                    batch
+                );
+            }
+        }
+    }
+
+    /// History independence of the recycled activations: `forward(B)`
+    /// after `forward(A)` at another batch size and width equals a fresh
+    /// network's `forward(B)` on a fresh thread (no spare buffers, no
+    /// lowering plans), in `f32` and in chained int8. A step that left
+    /// any output element unwritten would return stale values from A.
+    #[test]
+    fn inference_forward_is_history_independent(
+        seed in 0u64..10_000,
+        groups in 2usize..=4,
+        cpg in 1usize..=2,
+        opg in 1usize..=2,
+        h in 4usize..=6,
+        w in 4usize..=6,
+        pool in proptest::bool::ANY,
+        int8 in proptest::bool::ANY,
+        batch_a in 1usize..=9,
+        batch_b in 1usize..=9,
+        width_pick in 0usize..100,
+    ) {
+        let c_in = groups * cpg;
+        let build = || {
+            let (mut net, _) = stack(seed, groups, cpg, opg, h, w, true, pool);
+            if int8 {
+                let cal = Tensor::random(&[2, c_in, h, w], &mut StdRng::seed_from_u64(seed ^ 41));
+                net.calibrate([&cal]).expect("calibration runs");
+                net.set_precision(Precision::Int8);
+            }
+            net
+        };
+        let width_b = width_pick % groups + 1;
+        let width_a = width_b % groups + 1;
+        let xa = Tensor::random(&[batch_a, c_in, h, w], &mut StdRng::seed_from_u64(seed ^ 0xa));
+        let xb = Tensor::random(&[batch_b, c_in, h, w], &mut StdRng::seed_from_u64(seed ^ 0xb));
+
+        let mut net = build();
+        net.set_active_groups(width_a).expect("valid width");
+        let _ = net.forward(&xa, false).expect("forward A");
+        net.set_active_groups(width_b).expect("valid width");
+        let after_a = net.forward(&xb, false).expect("forward B after A");
+
+        let mut fresh = build();
+        let xb_fresh = xb.clone();
+        let want = std::thread::spawn(move || {
+            fresh.set_active_groups(width_b).expect("valid width");
+            fresh.forward(&xb_fresh, false).expect("fresh forward B")
+        })
+        .join()
+        .expect("fresh thread");
+        prop_assert_eq!(
+            bits(&after_a),
+            bits(&want),
+            "widths {} then {}, batches {} then {}, int8 {}",
+            width_a,
+            width_b,
+            batch_a,
+            batch_b,
+            int8
+        );
     }
 }

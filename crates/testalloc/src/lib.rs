@@ -1,0 +1,102 @@
+//! # eml-testalloc
+//!
+//! A counting global allocator for tests that pin how many heap
+//! allocations a code path makes. It forwards every call to
+//! [`std::alloc::System`] and counts, per thread, each allocation
+//! (`alloc`, `alloc_zeroed`, and a `realloc`, which may move the block)
+//! and the bytes requested. Counting per thread keeps the numbers exact
+//! while other tests of the same binary run on other threads.
+//!
+//! Dev-only: a test binary installs it with
+//!
+//! ```
+//! #[global_allocator]
+//! static ALLOC: eml_testalloc::Counting = eml_testalloc::Counting;
+//!
+//! let (v, allocs) = eml_testalloc::count(|| vec![1u8; 64]);
+//! assert_eq!(allocs.count, 1);
+//! assert_eq!(allocs.bytes, 64);
+//! drop(v);
+//! ```
+//!
+//! and no product crate depends on it. It holds the workspace's one
+//! `unsafe impl GlobalAlloc` (see docs/INVARIANTS.md,
+//! `unsafe-confinement`).
+
+#![deny(unsafe_op_in_unsafe_fn)]
+#![warn(missing_docs)]
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// This thread's `(allocations, bytes requested)` so far. A const
+    /// initialiser with no destructor: reading it never allocates, so
+    /// the allocator can use it.
+    static COUNTS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+/// Counts one allocation of `bytes` on the calling thread (nothing
+/// once the thread's locals are gone, during its exit).
+fn note(bytes: usize) {
+    let _ = COUNTS.try_with(|c| {
+        let (n, b) = c.get();
+        c.set((n + 1, b + bytes as u64));
+    });
+}
+
+/// The counting allocator: [`System`] plus per-thread counts.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counting touches only a
+// const-initialised thread-local `Cell` and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: forwarded with the caller's layout (see above).
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: forwarded with the caller's layout (see above).
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: `ptr` was allocated by `System` with `layout` (every
+        // allocation of this allocator is), forwarded unchanged.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was allocated by `System` with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+/// Heap allocations counted on one thread.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Allocs {
+    /// Allocation calls (`alloc`, `alloc_zeroed`, `realloc`).
+    pub count: u64,
+    /// Bytes those calls requested.
+    pub bytes: u64,
+}
+
+/// Runs `f` and returns its result with the allocations it made on the
+/// calling thread. Counts are only kept while [`Counting`] is the
+/// binary's global allocator; otherwise they read zero.
+pub fn count<R>(f: impl FnOnce() -> R) -> (R, Allocs) {
+    let before = COUNTS.with(Cell::get);
+    let r = f();
+    let after = COUNTS.with(Cell::get);
+    let allocs = Allocs {
+        count: after.0 - before.0,
+        bytes: after.1 - before.1,
+    };
+    (r, allocs)
+}
