@@ -52,9 +52,9 @@ pub mod rank {
     /// `eml-serve` watchdog stop flag.
     pub const EXEC_WATCHDOG: u32 = 200;
     /// `eml-serve` shared worker-pool scheduler state (the app roster
-    /// the EDF scan walks, plus the pool stop flag). Below every
-    /// per-app lock so a driver may hold the pool lock across its scan
-    /// while peeking at each app's queue state.
+    /// whose published EDF keys a claim scans, plus the pool stop
+    /// flag). Below every per-app lock so a driver may hold the pool
+    /// lock while it re-verifies its pick under that app's ledger.
     pub const EXEC_POOL: u32 = 215;
     /// `eml-serve` per-driver serving-thread handle.
     pub const EXEC_THREAD: u32 = 220;

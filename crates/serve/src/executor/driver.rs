@@ -111,15 +111,16 @@ fn apply_knobs(
 }
 
 /// Releases a driver's claim on an app: clears `busy`, signals drain
-/// watchers if the app has fully drained, and rings the pool — other
-/// drivers may have gone to sleep seeing the app claimed, and its
-/// queue may hold more work.
+/// watchers if the app has fully drained, and rings the pool if the app
+/// still has work — other drivers may have gone to sleep seeing it
+/// claimed.
 fn release(app: &App, pool: &PoolShared) {
     let mut st = app.ledger.lock();
     st.busy = false;
     app.ledger.notify_if_drained(&st);
-    drop(st);
-    pool.ring();
+    if st.unlock() {
+        pool.ring();
+    }
 }
 
 /// The pool driver loop: claim the most urgent runnable app, publish

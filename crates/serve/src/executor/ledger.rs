@@ -18,11 +18,25 @@
 //! else: a failed or confiscated batch, a shed deadline, a stranded
 //! queue) — the only writers of the right-hand side of the equation.
 //!
-//! Lock rank: `EXEC_QUEUE`, above the pool scheduler (a driver peeks at
-//! ledgers during its roster scan) and below the model (`EXEC_MODEL`),
-//! so the ledger is never taken while a model lock is held.
+//! Every unlock publishes: the guard [`AppLedger::lock`] returns stores
+//! the app's scheduling word (`sched::sched_word` of the ledger it
+//! guarded) into the app's atomic before it releases the lock, and so
+//! does [`AppLedger::wait`] before it sleeps. The word is a function
+//! of the ledger alone, so whatever a critical section changed — the
+//! queue, `busy`, `paused`, `stopping`, the knobs, `band_cap` — the
+//! drivers' lock-free roster scan reads it at the next unlock, and no
+//! writer can forget to tell them. Every change goes through the
+//! guard's mutable borrow, so a section that only read (a statistics
+//! snapshot) skips the recomputation.
+//!
+//! Lock rank: `EXEC_QUEUE`, above the pool scheduler (a driver holds it
+//! while it re-verifies its pick under the picked app's ledger) and
+//! below the model (`EXEC_MODEL`), so the ledger is never taken while a
+//! model lock is held.
 
 use std::collections::VecDeque;
+use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Condvar};
 use std::time::{Duration, Instant};
 
@@ -33,6 +47,7 @@ use eml_nn::Precision;
 use eml_platform::soc::ClusterId;
 use eml_platform::units::TimeSpan;
 
+use super::sched::{sched_word, KeyBasis, NOT_CLAIMABLE};
 use super::Completion;
 use crate::error::{Result, ServeError};
 use crate::fault::{FaultKind, FaultState, Injected};
@@ -330,21 +345,95 @@ impl Ledger {
 }
 
 /// A [`Ledger`] behind its lock, with the condvar that announces it
-/// drained.
+/// drained and the scheduling word its unlocks publish.
 pub(super) struct AppLedger {
     state: RankedMutex<Ledger>,
     /// Signalled when the queue empties and nothing is in flight.
     idle: Condvar,
+    /// The key inputs that are not ledger state: the EDF budget and
+    /// the pool epoch.
+    basis: KeyBasis,
+    /// `sched_word` of the ledger as of its last unlock. Written only
+    /// under the lock; read without it by the drivers' roster scan.
+    /// `Relaxed` throughout: the word publishes no other data (a driver
+    /// re-verifies its pick under the ledger lock before acting on
+    /// it), and a sleeping driver is woken through the pool lock, which
+    /// orders the store before its next read (see `sched`).
+    word: AtomicU64,
+}
+
+/// A locked [`Ledger`]. Dropping it publishes the app's scheduling word
+/// (if the ledger was borrowed mutably) and unlocks;
+/// [`LedgerGuard::unlock`] does the same and reports whether the app
+/// became more urgent.
+pub(super) struct LedgerGuard<'a> {
+    owner: &'a AppLedger,
+    /// `None` only transiently, inside `unlock` and the waits.
+    st: Option<RankedGuard<'a, Ledger>>,
+    /// Set by every mutable borrow: a read-only critical section (a
+    /// statistics snapshot) cannot have moved the word, so it skips
+    /// recomputing it.
+    dirty: bool,
+}
+
+impl LedgerGuard<'_> {
+    /// Publishes the word and unlocks. Returns whether the word fell —
+    /// the app became more urgent (an idle app gained work, a released
+    /// app still has some) — which is when the hot path rings the pool.
+    pub(super) fn unlock(mut self) -> bool {
+        self.publish()
+    }
+
+    /// Publishes the word if the ledger may have changed, reporting
+    /// whether it fell.
+    fn publish(&mut self) -> bool {
+        let dirty = std::mem::take(&mut self.dirty);
+        match &self.st {
+            Some(st) if dirty => self.owner.publish(st),
+            _ => false,
+        }
+    }
+}
+
+impl Deref for LedgerGuard<'_> {
+    type Target = Ledger;
+
+    fn deref(&self) -> &Ledger {
+        match &self.st {
+            Some(st) => st,
+            // Unreachable: `st` is `None` only while `unlock` or a wait
+            // holds the guard by value, when no deref can occur.
+            None => unreachable!("ledger guard observed unlocked"),
+        }
+    }
+}
+
+impl DerefMut for LedgerGuard<'_> {
+    fn deref_mut(&mut self) -> &mut Ledger {
+        self.dirty = true;
+        match &mut self.st {
+            Some(st) => st,
+            None => unreachable!("ledger guard observed unlocked"),
+        }
+    }
+}
+
+impl Drop for LedgerGuard<'_> {
+    fn drop(&mut self) {
+        self.publish();
+    }
 }
 
 impl AppLedger {
     /// A fresh ledger for a model at `level` / `precision`, admitted
-    /// and empty, with `faults` as its fault-plan slice.
+    /// and empty, with `faults` as its fault-plan slice and `basis` as
+    /// its scheduling key's fixed inputs.
     pub(super) fn new(
         stats_window: usize,
         level: usize,
         precision: Precision,
         faults: Option<Box<FaultState>>,
+        basis: KeyBasis,
     ) -> Self {
         let ledger = Ledger {
             pending: VecDeque::new(),
@@ -375,6 +464,8 @@ impl AppLedger {
         Self {
             state: RankedMutex::new(rank::EXEC_QUEUE, "exec-ledger", ledger),
             idle: Condvar::new(),
+            basis,
+            word: AtomicU64::new(NOT_CLAIMABLE),
         }
     }
 
@@ -383,22 +474,57 @@ impl AppLedger {
     /// sections; a poisoned lock means a pool driver died mid-batch,
     /// which the watchdog turns into typed errors and a supervised
     /// restart.
-    pub(super) fn lock(&self) -> RankedGuard<'_, Ledger> {
-        self.state.lock()
+    pub(super) fn lock(&self) -> LedgerGuard<'_> {
+        LedgerGuard {
+            owner: self,
+            st: Some(self.state.lock()),
+            dirty: false,
+        }
     }
 
-    /// Blocks until the next drained signal.
-    pub(super) fn wait<'a>(&self, st: RankedGuard<'a, Ledger>) -> RankedGuard<'a, Ledger> {
-        self.state.wait(&self.idle, st)
+    /// The app's scheduling word as of the ledger's last unlock.
+    pub(super) fn published(&self) -> u64 {
+        self.word.load(Ordering::Relaxed)
+    }
+
+    /// The scheduling word of `st`, this app's locked ledger.
+    pub(super) fn word_of(&self, st: &Ledger) -> u64 {
+        sched_word(st, &self.basis)
+    }
+
+    /// Stores `st`'s word (the caller holds the lock), reporting whether
+    /// it fell. An unchanged word is not rewritten, so the scanners'
+    /// cache line is left alone.
+    fn publish(&self, st: &Ledger) -> bool {
+        let word = self.word_of(st);
+        let old = self.word.load(Ordering::Relaxed);
+        if word != old {
+            self.word.store(word, Ordering::Relaxed);
+        }
+        word < old
+    }
+
+    /// Blocks until the next drained signal, publishing the word before
+    /// the wait releases the lock.
+    pub(super) fn wait<'a>(&self, mut st: LedgerGuard<'a>) -> LedgerGuard<'a> {
+        st.publish();
+        if let Some(inner) = st.st.take() {
+            st.st = Some(self.state.wait(&self.idle, inner));
+        }
+        st
     }
 
     /// [`AppLedger::wait`], giving up after `timeout`.
     pub(super) fn wait_for<'a>(
         &self,
-        st: RankedGuard<'a, Ledger>,
+        mut st: LedgerGuard<'a>,
         timeout: Duration,
-    ) -> RankedGuard<'a, Ledger> {
-        self.state.wait_timeout(&self.idle, st, timeout).0
+    ) -> LedgerGuard<'a> {
+        st.publish();
+        if let Some(inner) = st.st.take() {
+            st.st = Some(self.state.wait_timeout(&self.idle, inner, timeout).0);
+        }
+        st
     }
 
     /// Wakes the drain watchers if the app has fully drained.
@@ -481,7 +607,8 @@ mod tests {
 
     #[test]
     fn out_of_order_completions_are_counted() {
-        let ledger = AppLedger::new(8, 0, Precision::F32, None);
+        let basis = KeyBasis::new(None, Instant::now());
+        let ledger = AppLedger::new(8, 0, Precision::F32, None, basis);
         {
             let mut st = ledger.lock();
             st.record(3, 1e-3, Some(true));

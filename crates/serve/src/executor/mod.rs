@@ -68,7 +68,7 @@ mod sched;
 mod supervise;
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
@@ -80,7 +80,7 @@ use eml_dnn::DynamicDnn;
 use eml_platform::units::TimeSpan;
 
 use self::ledger::AppLedger;
-use self::sched::PoolShared;
+use self::sched::{KeyBasis, PoolShared};
 use self::supervise::{spawn_driver_thread, Driver, Watchdog};
 use crate::error::{Result, ServeError};
 use crate::fault::{FaultKind, FaultPlan};
@@ -257,13 +257,9 @@ struct App {
     /// scratch is resize-then-overwrite — no torn state survives into
     /// the next forward.
     model: RankedMutex<DynamicDnn>,
-    /// The shared driver pool this app is scheduled on (rung after
-    /// every enqueue so a sleeping driver rescans).
+    /// The shared driver pool this app is scheduled on (rung when an
+    /// enqueue makes the app more urgent, so a sleeping driver rescans).
     pool: Arc<PoolShared>,
-    /// Registration order, the deterministic EDF tie-break: equal
-    /// virtual deadlines are served in registration order, never by
-    /// hash order or thread race.
-    reg_index: u64,
     batch_cap: usize,
     deadline: Option<TimeSpan>,
     queue_capacity: usize,
@@ -297,7 +293,6 @@ pub struct Executor {
     apps: RankedMutex<HashMap<String, AppEntry>>,
     pool: Arc<PoolShared>,
     drivers: Vec<Arc<Driver>>,
-    next_reg_index: AtomicU64,
     watchdog: Watchdog,
 }
 
@@ -335,7 +330,6 @@ impl Executor {
             apps: RankedMutex::new(rank::EXEC_APPS, "exec-apps", HashMap::new()),
             pool,
             drivers,
-            next_reg_index: AtomicU64::new(0),
             watchdog,
         }
     }
@@ -440,19 +434,21 @@ impl Executor {
                 dnn.level().index(),
                 dnn.precision(),
                 faults,
+                KeyBasis::new(requirements.max_latency(), self.pool.epoch),
             ),
             model: RankedMutex::new(rank::EXEC_MODEL, "exec-model", dnn),
             pool: Arc::clone(&self.pool),
-            reg_index: self.next_reg_index.fetch_add(1, Ordering::Relaxed),
             batch_cap: self.cfg.batch_cap.max(1),
             deadline: requirements.max_latency(),
             queue_capacity: self.cfg.queue_capacity,
             sample_len: sample_shape.iter().product(),
             sample_shape,
         });
-        // Onto the scheduler roster (ranks: EXEC_APPS 190 < EXEC_POOL
-        // 215 — legal while holding the map). No ring needed: a fresh
-        // app has no work yet.
+        // Onto the end of the scheduler roster (ranks: EXEC_APPS 190 <
+        // EXEC_POOL 215 — legal while holding the map): roster order is
+        // registration order, the deterministic EDF tie-break, so equal
+        // virtual deadlines are never served by hash order or thread
+        // race. No ring needed: a fresh app has no work yet.
         self.pool.sched.lock().roster.push(Arc::clone(&app));
         apps.insert(name, AppEntry::Dnn(app));
         Ok(())
@@ -598,11 +594,14 @@ impl Executor {
                 actual: sample.len(),
             });
         }
-        let (seq, rx) = entry
-            .ledger
-            .lock()
-            .admit(app, sample, self.cfg.queue_capacity)?;
-        entry.pool.ring();
+        let mut st = entry.ledger.lock();
+        let (seq, rx) = st.admit(app, sample, self.cfg.queue_capacity)?;
+        // Ring only when the enqueue made the app more urgent (an idle
+        // app's queue went non-empty): a busy app is re-offered by its
+        // release, and a queued one was already offered.
+        if st.unlock() {
+            entry.pool.ring();
+        }
         Ok(Ticket {
             app: app.into(),
             seq,

@@ -78,3 +78,8 @@ pub use health::{
 };
 pub use replay::{ExecutedReplay, RetiredTotals};
 pub use stats::{AppStatsSnapshot, PoolSnapshot};
+
+// The unit tests pin allocation-free paths (the pool's claim) by count.
+#[cfg(test)]
+#[global_allocator]
+static ALLOC: eml_testalloc::Counting = eml_testalloc::Counting;

@@ -14,14 +14,16 @@
 # measures on fresh seeds; pass it to repeat a table. Each run's record
 # and result lines are kept in <workdir>/runs/.
 #
-# The summary gives, for every end-to-end metric in BENCHMARK.json and
-# every wall-clock field of the run record, each side's quartiles and
-# median, the median change/parent ratio and the pairs the change won
-# (ties count for neither), then each side's correctness and failures.
+# The summary (scripts/ab_summary.py) gives, for every end-to-end metric
+# in BENCHMARK.json and every wall-clock field of the run record, each
+# side's quartiles and median, the median change/parent ratio, the pairs
+# the change won (ties count for neither), a seeded-bootstrap 95 %
+# interval of the per-pair ratios' median and a verdict (gain, loss or
+# unresolved), then each side's correctness and failures.
 set -euo pipefail
 
 if [ $# -lt 4 ] || [ ! -f benchmark/run.sh ]; then
-    sed -n '2,20p' "$0" >&2
+    sed -n '2,22p' "$0" >&2
     exit 2
 fi
 rev="$1" workload="$2" pairs="$3" seconds="$4"
@@ -60,47 +62,4 @@ for ((i = 0; i < pairs; i++)); do
     done
 done
 
-python3 - "$work/runs" "$workload" "$pairs" <<'PY'
-import json, statistics, sys
-
-runs_dir, workload, pairs = sys.argv[1], sys.argv[2], int(sys.argv[3])
-sides = ("parent", "change")
-
-
-def load(side, i):
-    rec, res = open(f"{runs_dir}/{workload}-{side}-{i}.txt").read().splitlines()[-2:]
-    return json.loads(rec.split(" ", 1)[1]), json.loads(res)
-
-
-runs = {s: [load(s, i) for i in range(pairs)] for s in sides}
-metrics = [(m["name"], m["better"], m["unit"]) for m in json.load(open("BENCHMARK.json"))["end_to_end"]]
-metrics += [(f"wall_{m}", b, u) for m, b, u in metrics if m in ("throughput_rps", "p50_us", "cpu_us_per_req")]
-
-
-def value(run, name):
-    rec, res = run
-    return rec[name] if name.startswith("wall_") else res["metrics"][name]["value"]
-
-
-def quartiles(v):
-    if len(v) < 2:
-        return v[0], v[0], v[0]
-    q1, q2, q3 = statistics.quantiles(v, n=4, method="inclusive")
-    return q1, q2, q3
-
-
-print(f"| {workload} | parent q1 / median / q3 | change q1 / median / q3 | change/parent | pairs won |")
-print("|---|---|---|---|---|")
-for name, better, unit in metrics:
-    p = [value(r, name) for r in runs["parent"]]
-    c = [value(r, name) for r in runs["change"]]
-    won = sum((b > a) if better == "higher" else (b < a) for a, b in zip(p, c))
-    qp, qc = quartiles(p), quartiles(c)
-    fmt = lambda q: " / ".join(f"{x:.4g}" for x in q)
-    ratio = qc[1] / qp[1] if qp[1] else float("nan")
-    print(f"| `{name}` ({unit}, {better}) | {fmt(qp)} | {fmt(qc)} | x{ratio:.3f} | {won}/{pairs} |")
-for s in sides:
-    ok = all(res["correct"] for _, res in runs[s])
-    failed = sum(res["failed"] for _, res in runs[s])
-    print(f"{s}: correct {ok}, failed {failed}")
-PY
+python3 "$here/scripts/ab_summary.py" "$work/runs" "$workload" "$pairs"

@@ -230,6 +230,14 @@ fn queue_overflow_is_a_typed_error() {
 /// re-decision compresses the model (width knob actuated through the
 /// executor), and the measured latency at the new knob point meets the
 /// requirement.
+///
+/// A request may be shed with `DeadlineExpired`: the deadline is a few
+/// milliseconds of forward latency, and a request whose *queue wait*
+/// (the wake-up of a sleeping driver, which a wall clock cannot bound
+/// on a loaded host) already exceeds it is shed at dequeue by design.
+/// Such a shed is tallied as a miss, not a failure; any other failed
+/// request fails the test, and the ledger must count exactly the sheds
+/// the client saw.
 #[test]
 fn deadline_misses_trigger_reallocation_until_measured_latency_meets_requirement() {
     let mut dnn = testbed::default_dnn(1);
@@ -282,12 +290,14 @@ fn deadline_misses_trigger_reallocation_until_measured_latency_meets_requirement
     // windowed p50 meets the deadline.
     let mut reallocations = 0;
     let mut converged = false;
+    let mut sheds = 0;
     for _epoch in 0..8 {
         for _ in 0..16 {
-            exec.submit("cam", &probe)
-                .unwrap()
-                .wait_timeout(TIMEOUT)
-                .unwrap();
+            match exec.submit("cam", &probe).unwrap().wait_timeout(TIMEOUT) {
+                Ok(_) => {}
+                Err(ServeError::DeadlineExpired { .. }) => sheds += 1,
+                Err(e) => panic!("only a deadline shed may fail a request: {e}"),
+            }
         }
         let outcome = ctl.control_epoch(&exec).unwrap();
         if outcome.reallocated {
@@ -307,6 +317,11 @@ fn deadline_misses_trigger_reallocation_until_measured_latency_meets_requirement
         "sustained misses must have triggered re-allocation"
     );
     assert!(converged, "measured latency never met the deadline");
+    assert_eq!(
+        exec.stats("cam").unwrap().shed,
+        sheds,
+        "the ledger counts exactly the sheds the client saw"
+    );
 
     // 3. The new knob point is a real compression, actuated on the live
     // model, and the corrected allocator deems it feasible.
