@@ -52,8 +52,8 @@ fn build_dispatch(app: &App) -> Option<Dispatch> {
     let mut guard = app.ledger.lock();
     let st = &mut *guard;
     let pausing = st.paused && !st.stopping;
-    if let (false, Some(deadline)) = (pausing, app.deadline) {
-        app.ledger.shed_expired(st, deadline, &app.name);
+    if !pausing {
+        app.ledger.shed_expired(st, &app.name);
     }
     let knobs = std::mem::take(&mut st.knobs);
     if st.stopping && st.depth() == 0 {
@@ -69,7 +69,7 @@ fn build_dispatch(app: &App) -> Option<Dispatch> {
     } else {
         st.depth().min(app.batch_cap)
     };
-    if let (Some(d), Some(s), Some(oldest)) = (app.deadline, st.ewma, st.oldest()) {
+    if let (Some(d), Some(s), Some(oldest)) = (app.ledger.deadline(), st.ewma, st.oldest()) {
         let age = oldest.submitted.elapsed().as_secs_f64();
         while k > 1 && age + s * k as f64 > d.as_secs() {
             k -= 1;
@@ -218,7 +218,7 @@ fn serve_app(drv: &Driver, app: &App) {
                 None => per_sample,
                 Some(prev) => 0.7 * prev + 0.3 * per_sample,
             });
-            st.complete(batch, &logits, service, app.deadline)
+            st.complete(batch, &logits, service, app.ledger.deadline())
         }
         Err(e) => {
             // Loud failure: every rider gets the typed error, and the

@@ -25,9 +25,8 @@
 //! of the ledger alone, so whatever a critical section changed — the
 //! queue, `busy`, `paused`, `stopping`, the knobs, `band_cap` — the
 //! drivers' lock-free roster scan reads it at the next unlock, and no
-//! writer can forget to tell them. Every change goes through the
-//! guard's mutable borrow, so a section that only read (a statistics
-//! snapshot) skips the recomputation.
+//! writer can forget to tell them. Only [`AppLedger::snapshot`], which
+//! reads and changes nothing, takes the bare lock.
 //!
 //! Lock rank: `EXEC_QUEUE`, above the pool scheduler (a driver holds it
 //! while it re-verifies its pick under the picked app's ledger) and
@@ -350,8 +349,8 @@ pub(super) struct AppLedger {
     state: RankedMutex<Ledger>,
     /// Signalled when the queue empties and nothing is in flight.
     idle: Condvar,
-    /// The key inputs that are not ledger state: the EDF budget and
-    /// the pool epoch.
+    /// The key inputs that are not ledger state: the app's deadline
+    /// and the pool epoch.
     basis: KeyBasis,
     /// `sched_word` of the ledger as of its last unlock. Written only
     /// under the lock; read without it by the drivers' roster scan.
@@ -363,17 +362,13 @@ pub(super) struct AppLedger {
 }
 
 /// A locked [`Ledger`]. Dropping it publishes the app's scheduling word
-/// (if the ledger was borrowed mutably) and unlocks;
+/// and unlocks;
 /// [`LedgerGuard::unlock`] does the same and reports whether the app
 /// became more urgent.
 pub(super) struct LedgerGuard<'a> {
     owner: &'a AppLedger,
     /// `None` only transiently, inside `unlock` and the waits.
     st: Option<RankedGuard<'a, Ledger>>,
-    /// Set by every mutable borrow: a read-only critical section (a
-    /// statistics snapshot) cannot have moved the word, so it skips
-    /// recomputing it.
-    dirty: bool,
 }
 
 impl LedgerGuard<'_> {
@@ -381,16 +376,16 @@ impl LedgerGuard<'_> {
     /// the app became more urgent (an idle app gained work, a released
     /// app still has some) — which is when the hot path rings the pool.
     pub(super) fn unlock(mut self) -> bool {
-        self.publish()
+        let fell = self.publish();
+        drop(self.st.take());
+        fell
     }
 
-    /// Publishes the word if the ledger may have changed, reporting
-    /// whether it fell.
+    /// Publishes the word, reporting whether it fell.
     fn publish(&mut self) -> bool {
-        let dirty = std::mem::take(&mut self.dirty);
         match &self.st {
-            Some(st) if dirty => self.owner.publish(st),
-            _ => false,
+            Some(st) => self.owner.publish(st),
+            None => false,
         }
     }
 }
@@ -410,7 +405,6 @@ impl Deref for LedgerGuard<'_> {
 
 impl DerefMut for LedgerGuard<'_> {
     fn deref_mut(&mut self) -> &mut Ledger {
-        self.dirty = true;
         match &mut self.st {
             Some(st) => st,
             None => unreachable!("ledger guard observed unlocked"),
@@ -478,8 +472,12 @@ impl AppLedger {
         LedgerGuard {
             owner: self,
             st: Some(self.state.lock()),
-            dirty: false,
         }
+    }
+
+    /// The app's deadline (from its registration requirements).
+    pub(super) fn deadline(&self) -> Option<TimeSpan> {
+        self.basis.deadline
     }
 
     /// The app's scheduling word as of the ledger's last unlock.
@@ -556,11 +554,15 @@ impl AppLedger {
         self.notify_if_drained(st);
     }
 
-    /// Sheds the expired prefix of the queue: FIFO order means the
-    /// oldest request is at the front, so once the front is within
-    /// deadline the whole remainder is too. Each shed request completes
-    /// immediately with a typed error — no forward pass is spent on it.
-    pub(super) fn shed_expired(&self, st: &mut Ledger, deadline: TimeSpan, app: &str) {
+    /// Sheds the expired prefix of the queue (nothing for an app without
+    /// a deadline): FIFO order means the oldest request is at the front,
+    /// so once the front is within deadline the whole remainder is too.
+    /// Each shed request completes immediately with a typed error — no
+    /// forward pass is spent on it.
+    pub(super) fn shed_expired(&self, st: &mut Ledger, app: &str) {
+        let Some(deadline) = self.basis.deadline else {
+            return;
+        };
         let expired = st
             .pending
             .iter()
@@ -581,7 +583,9 @@ impl AppLedger {
     /// `want_p99`.
     pub(super) fn snapshot(&self, scratch: &mut Vec<f64>, want_p99: bool) -> AppStatsSnapshot {
         let mut snap = {
-            let st = self.lock();
+            // The bare lock: this section changes nothing, so there is
+            // no word to publish.
+            let st = self.state.lock();
             let mut snap = AppStatsSnapshot {
                 queue_depth: st.pending.len(),
                 in_flight: st.inflight.len(),
@@ -607,7 +611,10 @@ mod tests {
 
     #[test]
     fn out_of_order_completions_are_counted() {
-        let basis = KeyBasis::new(None, Instant::now());
+        let basis = KeyBasis {
+            deadline: None,
+            epoch: Instant::now(),
+        };
         let ledger = AppLedger::new(8, 0, Precision::F32, None, basis);
         {
             let mut st = ledger.lock();

@@ -261,7 +261,6 @@ struct App {
     /// enqueue makes the app more urgent, so a sleeping driver rescans).
     pool: Arc<PoolShared>,
     batch_cap: usize,
-    deadline: Option<TimeSpan>,
     queue_capacity: usize,
     sample_len: usize,
     sample_shape: Vec<usize>,
@@ -434,12 +433,14 @@ impl Executor {
                 dnn.level().index(),
                 dnn.precision(),
                 faults,
-                KeyBasis::new(requirements.max_latency(), self.pool.epoch),
+                KeyBasis {
+                    deadline: requirements.max_latency(),
+                    epoch: self.pool.epoch,
+                },
             ),
             model: RankedMutex::new(rank::EXEC_MODEL, "exec-model", dnn),
             pool: Arc::clone(&self.pool),
             batch_cap: self.cfg.batch_cap.max(1),
-            deadline: requirements.max_latency(),
             queue_capacity: self.cfg.queue_capacity,
             sample_len: sample_shape.iter().product(),
             sample_shape,
@@ -730,7 +731,7 @@ impl Executor {
     ///
     /// [`ServeError::UnknownApp`] for unregistered or rigid names.
     pub fn deadline(&self, app: &str) -> Result<Option<TimeSpan>> {
-        Ok(self.dnn_app_any(app)?.deadline)
+        Ok(self.dnn_app_any(app)?.ledger.deadline())
     }
 
     /// A statistics snapshot of one app — one instant of it: every

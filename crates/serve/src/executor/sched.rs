@@ -119,22 +119,12 @@ pub(super) const NOT_CLAIMABLE: u64 = u64::MAX;
 /// The inputs of an app's scheduling word that are not ledger state,
 /// fixed at registration.
 pub(super) struct KeyBasis {
-    /// The app's latency budget (seconds): its deadline requirement,
-    /// or [`DEFAULT_EDF_BUDGET_SECS`] for a best-effort app.
-    budget_secs: f64,
+    /// The app's deadline, from its registration requirements: its
+    /// EDF budget here, and the one copy the executor sheds, coalesces
+    /// and judges completions against (`AppLedger::deadline`).
+    pub(super) deadline: Option<TimeSpan>,
     /// The pool's EDF epoch.
-    epoch: Instant,
-}
-
-impl KeyBasis {
-    /// The basis of an app with `deadline` on a pool whose EDF clock
-    /// started at `epoch`.
-    pub(super) fn new(deadline: Option<TimeSpan>, epoch: Instant) -> Self {
-        Self {
-            budget_secs: deadline.map_or(DEFAULT_EDF_BUDGET_SECS, |d| d.as_secs().max(0.0)),
-            epoch,
-        }
-    }
+    pub(super) epoch: Instant,
 }
 
 /// The claimability and urgency of one app as one word, smaller is
@@ -161,9 +151,12 @@ pub(super) fn sched_word(st: &Ledger, basis: &KeyBasis) -> u64 {
     let Some(oldest) = st.oldest() else {
         return NOT_CLAIMABLE;
     };
+    let budget = basis
+        .deadline
+        .map_or(DEFAULT_EDF_BUDGET_SECS, |d| d.as_secs().max(0.0));
     let weight = st.band_cap.max(1) as f64;
     let virtual_deadline = oldest.submitted.saturating_duration_since(basis.epoch)
-        + Duration::from_secs_f64(basis.budget_secs / weight);
+        + Duration::from_secs_f64(budget / weight);
     let ns = u64::try_from(virtual_deadline.as_nanos()).unwrap_or(NOT_CLAIMABLE);
     ns.min(NOT_CLAIMABLE - 2) + 1
 }
@@ -287,7 +280,7 @@ mod tests {
                     let deadline = (seed + i)
                         .is_multiple_of(2)
                         .then(|| TimeSpan::from_millis(1.0 + ((seed + i) % 3) as f64));
-                    let basis = KeyBasis::new(deadline, epoch);
+                    let basis = KeyBasis { deadline, epoch };
                     let ledger = AppLedger::new(8, 0, Precision::F32, None, basis);
                     Tenant { ledger, deadline }
                 })

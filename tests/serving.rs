@@ -237,7 +237,14 @@ fn queue_overflow_is_a_typed_error() {
 /// on a loaded host) already exceeds it is shed at dequeue by design.
 /// Such a shed is tallied as a miss, not a failure; any other failed
 /// request fails the test, and the ledger must count exactly the sheds
-/// the client saw.
+/// the client saw. Two checks keep a shedding fault from hiding among
+/// the misses: every shed request must have been out longer than its
+/// deadline by the client's own clock (a shed measures the same span
+/// from a later stamp, so a correct shed always passes and a
+/// miscomputed queue wait does not), and at most a quarter of all
+/// requests may be shed (late wake-ups shed up to 15 % of a run's
+/// requests on a 2-vCPU VM, in bursts; a fault that sheds served
+/// requests sheds most of them).
 #[test]
 fn deadline_misses_trigger_reallocation_until_measured_latency_meets_requirement() {
     let mut dnn = testbed::default_dnn(1);
@@ -290,12 +297,21 @@ fn deadline_misses_trigger_reallocation_until_measured_latency_meets_requirement
     // windowed p50 meets the deadline.
     let mut reallocations = 0;
     let mut converged = false;
-    let mut sheds = 0;
+    let (mut submitted, mut sheds) = (0, 0);
     for _epoch in 0..8 {
         for _ in 0..16 {
+            submitted += 1;
+            let sent = std::time::Instant::now();
             match exec.submit("cam", &probe).unwrap().wait_timeout(TIMEOUT) {
                 Ok(_) => {}
-                Err(ServeError::DeadlineExpired { .. }) => sheds += 1,
+                Err(ServeError::DeadlineExpired { .. }) => {
+                    let out = sent.elapsed().as_secs_f64();
+                    assert!(
+                        out > deadline_s,
+                        "shed {out:.2e}s after submission, inside its {deadline_s:.2e}s deadline"
+                    );
+                    sheds += 1;
+                }
                 Err(e) => panic!("only a deadline shed may fail a request: {e}"),
             }
         }
@@ -321,6 +337,10 @@ fn deadline_misses_trigger_reallocation_until_measured_latency_meets_requirement
         exec.stats("cam").unwrap().shed,
         sheds,
         "the ledger counts exactly the sheds the client saw"
+    );
+    assert!(
+        sheds * 4 <= submitted,
+        "{sheds} of {submitted} requests shed"
     );
 
     // 3. The new knob point is a real compression, actuated on the live
