@@ -186,56 +186,6 @@ impl MissTracker {
     }
 }
 
-/// A scalar exponentially-weighted moving average — the smoothing
-/// primitive behind [`LatencyFeedback`], exposed on its own for other
-/// monitor-driven signals (the serving layer damps its per-app health
-/// scores with it so a one-tick blip doesn't whipsaw downstream
-/// policy).
-#[derive(Debug, Clone)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// Creates a smoother with rate `alpha ∈ (0, 1]` (1 = track the
-    /// newest observation exactly).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is outside `(0, 1]` — a configuration bug.
-    pub fn new(alpha: f64) -> Self {
-        assert!(
-            alpha > 0.0 && alpha <= 1.0,
-            "EWMA rate must be in (0, 1], got {alpha}"
-        );
-        Self { alpha, value: None }
-    }
-
-    /// Incorporates one observation and returns the smoothed value.
-    /// The first observation seeds the average; non-finite inputs are
-    /// ignored (returning the current value unchanged).
-    pub fn observe(&mut self, x: f64) -> f64 {
-        if x.is_finite() {
-            self.value = Some(match self.value {
-                None => x,
-                Some(prev) => (1.0 - self.alpha) * prev + self.alpha * x,
-            });
-        }
-        self.value.unwrap_or(x)
-    }
-
-    /// The current smoothed value (`None` before any observation).
-    pub fn value(&self) -> Option<f64> {
-        self.value
-    }
-
-    /// Forgets the history; the next observation re-seeds.
-    pub fn reset(&mut self) {
-        self.value = None;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -437,19 +387,5 @@ mod tests {
             adapted.op.level < naive.op.level || adapted.op.opp_index > naive.op.opp_index,
             "adaptation must pick a narrower width or higher frequency"
         );
-    }
-
-    #[test]
-    fn ewma_seeds_smooths_and_ignores_garbage() {
-        let mut e = Ewma::new(0.5);
-        assert_eq!(e.value(), None);
-        assert!((e.observe(100.0) - 100.0).abs() < 1e-12, "first seeds");
-        assert!((e.observe(0.0) - 50.0).abs() < 1e-12);
-        let before = e.value().unwrap();
-        assert!((e.observe(f64::NAN) - before).abs() < 1e-12, "NaN ignored");
-        assert_eq!(e.value(), Some(before));
-        e.reset();
-        assert_eq!(e.value(), None);
-        assert!((e.observe(7.0) - 7.0).abs() < 1e-12, "re-seeds after reset");
     }
 }

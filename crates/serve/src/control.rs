@@ -11,12 +11,18 @@
 //! decision reasons about corrected latencies, then actuates it through
 //! [`crate::Executor::apply_allocation`]. One epoch is one turn of the
 //! loop; the caller picks the cadence (a timer thread in a server, an
-//! explicit call in tests).
+//! explicit call in tests). An epoch's outcomes are the deltas of each
+//! app's cumulative counters, taken by the same watermark the health
+//! monitor uses (`crate::health`), counting from zero on first sight;
+//! when the watermark reports a new lifetime under a known name, the
+//! app's miss tracker starts over.
 //!
 //! Beside the loop sits [`PressurePolicy`], the *graceful-degradation
 //! ladder*: a caller ticks it per app (the chaos and workload soaks
-//! do, between bursts) and it acts on the per-app health score
-//! ([`crate::health::score`]) rather than a bag of ad-hoc triggers.
+//! do, between bursts) and it acts on the per-app health score — the
+//! one scorer [`crate::HealthMonitor`] also runs, over the app's
+//! snapshot and the pool-wide backlog of [`crate::Executor::pool_stats`]
+//! — rather than a bag of ad-hoc triggers.
 //! The controller does not drive it: a re-allocation and a ladder
 //! would both own the knob surface. When an app's score falls below
 //! [`PressureConfig::degrade_below`] — whether from a high windowed
@@ -43,8 +49,7 @@ use eml_platform::Soc;
 
 use crate::error::Result;
 use crate::executor::{snapshot_named, Executor};
-use crate::health::{self, EventWatermark, HealthConfig};
-use crate::stats::AppStatsSnapshot;
+use crate::health::{pool_pressure, AppHealth, EventWatermark, HealthConfig};
 
 /// Control-loop tuning.
 #[derive(Debug, Clone, Copy)]
@@ -213,24 +218,11 @@ impl PressurePolicy {
     /// its next batch — so ticks should run at batch granularity or
     /// coarser.
     pub fn tick(&mut self, exec: &Executor, app: &str) -> Option<PressureAction> {
-        let snap = exec.stats(app).ok();
-        self.tick_on(exec, app, snap.as_ref(), exec.pool_pressure())
-    }
-
-    /// [`PressurePolicy::tick`] on readings taken by the caller: `snap`
-    /// is the app's snapshot (`None` = unknown to the executor) and
-    /// `pool_pressure` the pool-wide backlog fraction.
-    fn tick_on(
-        &mut self,
-        exec: &Executor,
-        app: &str,
-        snap: Option<&AppStatsSnapshot>,
-        pool_pressure: f32,
-    ) -> Option<PressureAction> {
-        let Some(snap) = snap else {
+        let Ok(snap) = exec.stats(app) else {
             self.ladders.remove(app);
             return None;
         };
+        let pool = exec.pool_stats();
         let cfg = self.cfg;
         let ladder = self
             .ladders
@@ -238,16 +230,17 @@ impl PressurePolicy {
             .or_insert_with(|| AppLadder {
                 steps: Vec::new(),
                 calm: MissTracker::new(cfg.recover_ticks.max(1), 1.0),
-                mark: EventWatermark::seeded(snap),
+                mark: EventWatermark::seeded(&snap),
             });
-        let fresh = ladder.mark.advance(snap);
-        let score = health::score(
+        let health = AppHealth::assess(
             &cfg.health,
+            app.to_string(),
             snap,
+            &mut ladder.mark,
             exec.config().queue_capacity,
-            pool_pressure,
-            &fresh,
+            pool_pressure(pool.queue_depth, pool.queue_capacity, pool.serving),
         );
+        let (score, snap) = (health.score, &health.snapshot);
         if score < cfg.degrade_below {
             // Pressure: any recovery evidence is stale now.
             ladder.calm.reset();
@@ -328,9 +321,8 @@ pub struct ServeController {
     cfg: ControllerConfig,
     feedback: LatencyFeedback,
     trackers: HashMap<String, MissTracker>,
-    /// Per-app (completed, missed) counters at the last epoch, for
-    /// delta extraction from the cumulative stats.
-    seen: HashMap<String, (u64, u64)>,
+    /// Per-app watermark over the cumulative stats, counting from zero.
+    seen: HashMap<String, EventWatermark>,
     /// Per placed app: its cluster and the *uncorrected* model
     /// prediction at the chosen point. The allocation's own latency
     /// already includes the feedback correction; observing against it
@@ -416,7 +408,7 @@ impl ServeController {
         // would return per name, minus the p99 nothing here consumes),
         // resolved per spec below so apps are still accounted in spec
         // order — the per-cluster EWMA is order-sensitive.
-        let roster = exec.dnn_snapshots(true, false);
+        let roster = exec.dnn_snapshots(true);
         let mut observed = 0usize;
         let mut triggered = false;
         for spec in &self.apps {
@@ -424,27 +416,16 @@ impl ServeController {
             let Some(snap) = snapshot_named(&roster, &d.name) else {
                 continue; // not registered with this executor
             };
-            let (last_completed, last_missed) = match self.seen.get(&d.name) {
-                // Cumulative counters below their last reading: the
-                // name was deregistered and registered again. The new
-                // lifetime counts from zero and is judged on its own
-                // outcomes.
-                Some(&(completed, _)) if snap.completed < completed => {
-                    if let Some(t) = self.trackers.get_mut(&d.name) {
-                        t.reset();
-                    }
-                    (0, 0)
+            let (fresh, reborn) = self.seen.entry(d.name.clone()).or_default().advance(snap);
+            if reborn {
+                // The new lifetime is judged on its own outcomes.
+                if let Some(t) = self.trackers.get_mut(&d.name) {
+                    t.reset();
                 }
-                Some(&last) => last,
-                None => (0, 0),
-            };
-            let delta_completed = snap.completed - last_completed;
-            if delta_completed == 0 {
+            }
+            if fresh.completed == 0 {
                 continue;
             }
-            let delta_missed = snap.missed.saturating_sub(last_missed);
-            self.seen
-                .insert(d.name.clone(), (snap.completed, snap.missed));
 
             // Model correction: the windowed median of *measured*
             // request latency against the uncorrected model prediction
@@ -460,8 +441,8 @@ impl ServeController {
                 let tracker = self.trackers.entry(d.name.clone()).or_insert_with(|| {
                     MissTracker::new(self.cfg.miss_window, self.cfg.miss_threshold)
                 });
-                for i in 0..delta_completed {
-                    tracker.record(i >= delta_missed);
+                for i in 0..fresh.completed {
+                    tracker.record(i >= fresh.missed);
                 }
                 if tracker.sustained_miss() {
                     triggered = true;
@@ -675,7 +656,7 @@ mod tests {
         );
         pump(&exec, 2);
         assert_eq!(ctl.control_epoch(&exec).unwrap().observed, 1);
-        assert_eq!(ctl.seen["cam"].0, 2);
+        assert_eq!(ctl.seen["cam"].0.completed, 2);
         assert_eq!(
             ctl.trackers["cam"].observed(),
             2,
@@ -683,7 +664,7 @@ mod tests {
         );
         pump(&exec, 1);
         assert_eq!(ctl.control_epoch(&exec).unwrap().observed, 1);
-        assert_eq!(ctl.seen["cam"].0, 3);
+        assert_eq!(ctl.seen["cam"].0.completed, 3);
     }
 
     #[test]
@@ -697,31 +678,6 @@ mod tests {
         ctl.allocate_and_apply(&exec).unwrap();
         assert!(ctl.seen.is_empty() && ctl.trackers.is_empty());
         assert!(ctl.raw_predictions.keys().all(|n| n != "cam"));
-    }
-
-    #[test]
-    fn an_epoch_hands_its_pool_pressure_reading_to_every_tick() {
-        let exec = ladder_exec(500.0);
-        // Only the pool term can sink the score: the app itself is idle.
-        let mut policy = PressurePolicy::new(PressureConfig {
-            health: HealthConfig {
-                w_pool_queue: 100.0,
-                ..HealthConfig::default()
-            },
-            ..PressureConfig::default()
-        });
-        let snap = exec.stats("cam").unwrap();
-        assert!(
-            policy.tick(&exec, "cam").is_none(),
-            "the live pool is empty"
-        );
-        let a = policy.tick_on(&exec, "cam", Some(&snap), 1.0);
-        assert!(
-            matches!(a, Some(PressureAction::Degraded { .. })),
-            "the handed-down reading is the one scored: {a:?}"
-        );
-        assert!(policy.tick_on(&exec, "cam", None, 0.0).is_none());
-        assert_eq!(policy.depth("cam"), 0, "an unknown app drops its ladder");
     }
 
     #[test]

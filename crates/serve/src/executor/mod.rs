@@ -355,17 +355,18 @@ impl Executor {
     }
 
     /// A pool-level snapshot: driver census and the aggregate queue
-    /// depth across every registered app. The control plane keys
-    /// pool-pressure off this; tests assert the driver count is
+    /// depth across every registered app. The pressure ladder keys its
+    /// pool term off this; tests assert the driver count is
     /// independent of the tenant count through it.
     pub fn pool_stats(&self) -> PoolSnapshot {
         // Registry occupancy first (rank EXEC_APPS below EXEC_POOL),
-        // then the roster scan under the scheduler lock.
+        // then the roster's handles: the scheduler lock is held only to
+        // clone them, so no driver's claim waits out the ledger sweep.
         let apps = self.apps.lock().values().filter(|e| e.is_live()).count();
-        let ps = self.pool.sched.lock();
+        let roster = self.pool.sched.lock().roster.clone();
         let mut queue_depth = 0;
         let mut in_flight = 0;
-        for app in &ps.roster {
+        for app in &roster {
             let st = app.ledger.lock();
             queue_depth += st.depth();
             in_flight += st.in_flight();
@@ -374,25 +375,12 @@ impl Executor {
             drivers: self.drivers.len(),
             live_drivers: self.pool.live_drivers.load(Ordering::SeqCst),
             apps,
-            serving: ps.roster.len(),
+            serving: roster.len(),
             max_apps: self.cfg.max_apps,
             queue_depth,
             in_flight,
             queue_capacity: self.cfg.queue_capacity,
         }
-    }
-
-    /// Aggregate queue pressure of the shared pool in `0.0..=1.0`:
-    /// total queued requests over total queue capacity across the
-    /// registered DNN apps (0 when none are registered). Feeds the
-    /// health score's pool term.
-    pub fn pool_pressure(&self) -> f32 {
-        let snap = self.pool_stats();
-        if snap.serving == 0 || snap.queue_capacity == 0 {
-            return 0.0;
-        }
-        let cap = (snap.queue_capacity * snap.serving) as f32;
-        (snap.queue_depth as f32 / cap).clamp(0.0, 1.0)
     }
 
     /// Registers a dynamic-DNN application on the shared pool. No
@@ -757,15 +745,11 @@ impl Executor {
     /// submitters resolve names under the same lock) and one percentile
     /// scratch shared by every tenant. Rigid apps have no serving
     /// surface and are skipped; tombstones are visited only when
-    /// `departed_too` (the [`Executor::stats`] view) and
-    /// `want_p99 = false` leaves `p99` unselected for readers that only
-    /// consume the median. Each snapshot is field-for-field what
-    /// [`Executor::stats`] returns.
-    pub(crate) fn dnn_snapshots(
-        &self,
-        departed_too: bool,
-        want_p99: bool,
-    ) -> Vec<(String, AppStatsSnapshot)> {
+    /// `departed_too` (the [`Executor::stats`] view). Every bulk reader
+    /// consumes the median only, so `p99` is left unselected; each
+    /// snapshot is otherwise field-for-field what [`Executor::stats`]
+    /// returns.
+    pub(crate) fn dnn_snapshots(&self, departed_too: bool) -> Vec<(String, AppStatsSnapshot)> {
         let mut roster: Vec<Arc<App>> = {
             let apps = self.apps.lock();
             apps.values()
@@ -780,12 +764,7 @@ impl Executor {
         let mut scratch = Vec::with_capacity(self.cfg.stats_window);
         roster
             .iter()
-            .map(|app| {
-                (
-                    app.name.clone(),
-                    app.ledger.snapshot(&mut scratch, want_p99),
-                )
-            })
+            .map(|app| (app.name.clone(), app.ledger.snapshot(&mut scratch, false)))
             .collect()
     }
 
@@ -952,26 +931,22 @@ mod tests {
         exec.drain();
         exec.deregister_dnn("gone").unwrap();
 
-        let live = exec.dnn_snapshots(false, true);
+        let live = exec.dnn_snapshots(false);
         let names: Vec<&str> = live.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(
             names,
             ["alpha", "mid", "zeta"],
             "sorted, rigid and departed skipped"
         );
-        for (name, snap) in &live {
-            let solo = exec.stats(name).unwrap();
-            assert_eq!(format!("{snap:?}"), format!("{solo:?}"), "{name}");
-        }
         assert_eq!(live[2].1.completed, 5);
-        assert!(live[2].1.p99.is_some() && live[1].1.p50.is_none());
+        assert!(live[2].1.p50.is_some() && live[1].1.p50.is_none());
 
-        // The `stats()` view keeps the tombstone readable; the median-
-        // only read differs from it in `p99` alone.
-        let all = exec.dnn_snapshots(true, false);
+        // The `stats()` view keeps the tombstone readable. Both views
+        // differ from `stats()` in the unselected `p99` alone.
+        let all = exec.dnn_snapshots(true);
         let names: Vec<&str> = all.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["alpha", "gone", "mid", "zeta"]);
-        for (name, snap) in &all {
+        for (name, snap) in live.iter().chain(&all) {
             let mut solo = exec.stats(name).unwrap();
             assert_eq!(snap.p99, None);
             solo.p99 = None;

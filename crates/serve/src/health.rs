@@ -1,20 +1,23 @@
-//! Per-app health scoring and executor-wide health telemetry.
+//! Per-app health scoring.
 //!
 //! Every counter this module reads already exists in
 //! [`AppStatsSnapshot`], so the serving path records nothing extra —
 //! but *reading* them is not free, and the reader runs on the cores it
-//! manages. One [`HealthMonitor::observe`] costs: one registry lock for
-//! the whole roster (not one per tenant), per tenant one ledger lock
-//! plus an O(window) percentile selection after releasing it (see
-//! [`crate::stats`]), and no allocation beyond the report itself and
-//! one percentile scratch shared by every tenant. That is linear in
-//! the tenant count with a ~2 µs constant at the default 256-sample
-//! window; [`crate::Executor::pool_pressure`] (every tenant's ledger
-//! lock under the scheduler lock) is read once per observation. The
-//! score folds the counters into a single `0–100` number per app:
+//! manages. One [`HealthMonitor::observe`] is one pass over the
+//! roster: one registry lock to clone the roster's handles (not one
+//! per tenant), per tenant one ledger lock plus an O(window) median
+//! selection after releasing it (see [`crate::stats`]; nothing here
+//! reads the p99, so it is not selected), and no allocation beyond the
+//! report, one percentile scratch shared by every tenant and one name
+//! per newly seen app. The pool-wide backlog term is summed from those
+//! same snapshots, so no second sweep locks the ledgers again. The
+//! cost is linear in the tenant count. The score folds the counters
+//! into a single `0–100` number per app:
 //!
 //! - **windowed miss rate** (gated on enough outcomes to be evidence),
 //! - **queue pressure** (depth as a fraction of capacity),
+//! - **pool pressure** (the whole roster's backlog, charged to every
+//!   tenant),
 //! - **fresh events** since the previous observation — deadline sheds,
 //!   supervised restarts, stall confiscations, injected knob faults —
 //!   each a flat penalty while it keeps happening, silent once it
@@ -22,21 +25,21 @@
 //!
 //! Cumulative counters are deliberately *not* scored directly: an app
 //! that shed a thousand requests last week but is clean now is
-//! healthy. [`EventWatermark`] turns the cumulative counters into
-//! fresh deltas, so the score describes the *present*.
+//! healthy. One watermark type turns an app's cumulative counters
+//! into [`FreshEvents`], for the monitor, for [`crate::PressurePolicy`]
+//! and for [`crate::ServeController`]'s miss tracking alike, under one
+//! lifetime rule: a counter below its mark means the name was
+//! deregistered and registered again, and the new lifetime's counters
+//! are its deltas.
 //!
 //! [`HealthMonitor`] evaluates every registered DNN app (in sorted-name,
-//! deterministic order — the order of [`crate::Executor::app_names`]),
-//! aggregates the worst score as the executor's own, smooths the
-//! aggregate with an [`eml_core::feedback::Ewma`], and renders the
-//! whole report as JSON ([`HealthReport::to_json`], hand-rolled — this
-//! workspace is offline, no serde) for offline policy and dashboards.
-//! [`crate::PressurePolicy`] consumes the same score as its single
-//! degrade/restore trigger instead of a bag of ad-hoc thresholds.
+//! deterministic order — the order of [`crate::Executor::app_names`])
+//! and takes the worst score as the executor's own.
+//! [`crate::PressurePolicy`] consumes the same per-app score as its
+//! single degrade/restore trigger instead of a bag of ad-hoc
+//! thresholds.
 
 use std::collections::HashMap;
-
-use eml_core::feedback::Ewma;
 
 use crate::executor::{snapshot_named, Executor};
 use crate::stats::AppStatsSnapshot;
@@ -52,9 +55,9 @@ pub struct HealthConfig {
     /// Penalty at full *pool-wide* queue pressure (scaled linearly).
     /// Since the shared worker pool, a tenant's latency depends on the
     /// whole roster's backlog, not just its own queue — this term folds
-    /// [`crate::Executor::pool_pressure`] into every app's score. Set
-    /// it to `0.0` in deterministic soaks: pool depth is timing
-    /// dependent.
+    /// the roster's queued requests over its total queue capacity into
+    /// every app's score. Set it to `0.0` in deterministic soaks: pool
+    /// depth is timing dependent.
     pub w_pool_queue: f32,
     /// Flat penalty while deadline sheds keep occurring.
     pub w_shed: f32,
@@ -85,46 +88,14 @@ impl Default for HealthConfig {
     }
 }
 
-/// Coarse health classification of a score.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum HealthBand {
-    /// Score ≥ 80: serving cleanly.
-    Healthy,
-    /// Score in `[50, 80)`: under pressure, worth watching.
-    Degraded,
-    /// Score < 50: actively failing its tenants.
-    Critical,
-}
-
-impl HealthBand {
-    /// The band a score falls in.
-    #[must_use]
-    pub fn of(score: f32) -> Self {
-        if score >= 80.0 {
-            Self::Healthy
-        } else if score >= 50.0 {
-            Self::Degraded
-        } else {
-            Self::Critical
-        }
-    }
-
-    /// Stable lowercase name (used in the JSON export).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Healthy => "healthy",
-            Self::Degraded => "degraded",
-            Self::Critical => "critical",
-        }
-    }
-}
-
 /// Events that occurred since the previous observation of an app —
-/// the deltas an [`EventWatermark`] extracts from the cumulative
-/// counters.
+/// the deltas of its cumulative counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FreshEvents {
+    /// Completed requests since the last observation.
+    pub completed: u64,
+    /// Of those, the ones that missed the app's deadline.
+    pub missed: u64,
     /// Deadline sheds since the last observation.
     pub shed: u64,
     /// Supervised restarts since the last observation.
@@ -136,51 +107,72 @@ pub struct FreshEvents {
 }
 
 impl FreshEvents {
-    /// Whether anything at all happened since the last observation.
-    #[must_use]
-    pub fn any(&self) -> bool {
-        self.shed + self.restarts + self.stalls + self.knob_faults > 0
-    }
-}
-
-/// Watermarks over an app's cumulative event counters, turning them
-/// into per-observation deltas. Seeded at attach time so history that
-/// predates the observer never counts as fresh.
-#[derive(Debug, Clone, Copy)]
-pub struct EventWatermark {
-    shed: u64,
-    restarts: u64,
-    stalls: u64,
-    knob_faulted: u64,
-}
-
-impl EventWatermark {
-    /// A watermark level with `snap`: the next [`EventWatermark::advance`]
-    /// reports only events that happen *after* this snapshot.
-    #[must_use]
-    pub fn seeded(snap: &AppStatsSnapshot) -> Self {
+    /// Everything the app's current lifetime has done: its cumulative
+    /// counters.
+    fn lifetime(snap: &AppStatsSnapshot) -> Self {
         Self {
+            completed: snap.completed,
+            missed: snap.missed,
             shed: snap.shed,
             restarts: snap.restarts,
             stalls: snap.stalls,
-            knob_faulted: snap.knob_faulted,
+            knob_faults: snap.knob_faulted,
         }
     }
 
-    /// Advances the watermark to `snap`, returning the deltas since the
-    /// previous level. Counters are monotonic; `saturating_sub` guards
-    /// the one legitimate reset (a name deregistered and re-registered
-    /// between observations reads as nothing fresh, not an underflow).
-    pub fn advance(&mut self, snap: &AppStatsSnapshot) -> FreshEvents {
-        let fresh = FreshEvents {
-            shed: snap.shed.saturating_sub(self.shed),
-            restarts: snap.restarts.saturating_sub(self.restarts),
-            stalls: snap.stalls.saturating_sub(self.stalls),
-            knob_faults: snap.knob_faulted.saturating_sub(self.knob_faulted),
-        };
-        *self = Self::seeded(snap);
-        fresh
+    /// `self − earlier`, counter by counter; `None` when any counter
+    /// fell.
+    fn since(self, earlier: Self) -> Option<Self> {
+        Some(Self {
+            completed: self.completed.checked_sub(earlier.completed)?,
+            missed: self.missed.checked_sub(earlier.missed)?,
+            shed: self.shed.checked_sub(earlier.shed)?,
+            restarts: self.restarts.checked_sub(earlier.restarts)?,
+            stalls: self.stalls.checked_sub(earlier.stalls)?,
+            knob_faults: self.knob_faults.checked_sub(earlier.knob_faults)?,
+        })
     }
+}
+
+/// An app's cumulative counters at its previous observation: the one
+/// place the control plane turns them into per-observation deltas.
+/// The monitor and the ladder seed it at attach time
+/// ([`EventWatermark::seeded`]), so history that predates them is
+/// never fresh; the controller starts it at zero (`default`), so an
+/// app's first epoch accounts everything it has served.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct EventWatermark(pub(crate) FreshEvents);
+
+impl EventWatermark {
+    /// A watermark level with `snap`: the next
+    /// [`EventWatermark::advance`] reports only events that happen
+    /// *after* this snapshot.
+    pub(crate) fn seeded(snap: &AppStatsSnapshot) -> Self {
+        Self(FreshEvents::lifetime(snap))
+    }
+
+    /// Advances the watermark to `snap`, returning the events since the
+    /// previous level and whether a new lifetime began. Counters never
+    /// fall within one lifetime, so any counter below its mark means
+    /// the name was deregistered and registered again in between: the
+    /// new lifetime counts from zero, and its whole history is fresh.
+    /// A new lifetime that already out-counted the old one on every
+    /// counter reads as activity of the old one.
+    pub(crate) fn advance(&mut self, snap: &AppStatsSnapshot) -> (FreshEvents, bool) {
+        let now = FreshEvents::lifetime(snap);
+        let last = std::mem::replace(&mut self.0, now);
+        match now.since(last) {
+            Some(fresh) => (fresh, false),
+            None => (now, true),
+        }
+    }
+}
+
+/// The pool-wide backlog fraction in `0.0..=1.0`: requests queued
+/// across `apps` serving tenants over their total queue capacity. With
+/// no capacity nothing can be queued, and the fraction is 0.
+pub(crate) fn pool_pressure(queued: usize, queue_capacity: usize, apps: usize) -> f32 {
+    (queued as f32 / (queue_capacity * apps).max(1) as f32).min(1.0)
 }
 
 /// The health score of one snapshot: `100` minus the weighted
@@ -188,12 +180,9 @@ impl EventWatermark {
 ///
 /// `queue_capacity` is the executor's configured per-app bound (the
 /// denominator of the queue-pressure term); `pool_pressure` is the
-/// shared pool's aggregate backlog fraction
-/// ([`crate::Executor::pool_pressure`], `0.0` to opt out); `fresh` is
-/// the event delta since the caller's previous observation (see
-/// [`EventWatermark`]).
-#[must_use]
-pub fn score(
+/// shared pool's aggregate backlog fraction ([`pool_pressure`]); `fresh`
+/// is the event delta since the caller's previous observation.
+fn score(
     cfg: &HealthConfig,
     snap: &AppStatsSnapshot,
     queue_capacity: usize,
@@ -231,12 +220,33 @@ pub struct AppHealth {
     pub app: String,
     /// The `0–100` health score.
     pub score: f32,
-    /// The score's coarse band.
-    pub band: HealthBand,
     /// Event deltas since the previous report.
     pub fresh: FreshEvents,
     /// The snapshot the score was computed from.
     pub snapshot: AppStatsSnapshot,
+}
+
+impl AppHealth {
+    /// Scores `app` from `snapshot`: advances its watermark `mark` to
+    /// the snapshot and charges the fresh events, its own queue
+    /// against `queue_capacity`, and the pool-wide `pool_pressure`.
+    /// The one scorer of the monitor and the ladder.
+    pub(crate) fn assess(
+        cfg: &HealthConfig,
+        app: String,
+        snapshot: AppStatsSnapshot,
+        mark: &mut EventWatermark,
+        queue_capacity: usize,
+        pool_pressure: f32,
+    ) -> Self {
+        let (fresh, _) = mark.advance(&snapshot);
+        Self {
+            app,
+            score: score(cfg, &snapshot, queue_capacity, pool_pressure, &fresh),
+            fresh,
+            snapshot,
+        }
+    }
 }
 
 /// One observation of the whole executor: every app scored, worst
@@ -248,87 +258,16 @@ pub struct HealthReport {
     /// The executor-wide score: the *minimum* app score (a serving
     /// layer is as healthy as its sickest tenant), `100` with no apps.
     pub aggregate: f32,
-    /// The aggregate's band.
-    pub band: HealthBand,
-    /// EWMA-smoothed aggregate across reports (equals `aggregate` on
-    /// the first).
-    pub smoothed: f32,
 }
 
-impl HealthReport {
-    /// Renders the report as a JSON object (stable key order, fixed
-    /// one-decimal score formatting — reports from identical runs are
-    /// byte-identical).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(128 + self.apps.len() * 256);
-        out.push_str(&format!(
-            "{{\"aggregate\":{:.1},\"band\":\"{}\",\"smoothed\":{:.1},\"apps\":[",
-            self.aggregate,
-            self.band.name(),
-            self.smoothed
-        ));
-        for (i, a) in self.apps.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let s = &a.snapshot;
-            out.push_str(&format!(
-                "{{\"app\":\"{}\",\"score\":{:.1},\"band\":\"{}\",\
-                 \"miss_rate\":{:.4},\"window_outcomes\":{},\
-                 \"queue_depth\":{},\"completed\":{},\"errors\":{},\
-                 \"rejected\":{},\"shed\":{},\"restarts\":{},\"stalls\":{},\
-                 \"fresh\":{{\"shed\":{},\"restarts\":{},\"stalls\":{},\
-                 \"knob_faults\":{}}}}}",
-                escape_json(&a.app),
-                a.score,
-                a.band.name(),
-                s.window_miss_rate,
-                s.window_outcomes,
-                s.queue_depth,
-                s.completed,
-                s.errors,
-                s.rejected,
-                s.shed,
-                s.restarts,
-                s.stalls,
-                a.fresh.shed,
-                a.fresh.restarts,
-                a.fresh.stalls,
-                a.fresh.knob_faults,
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// The executor-wide health observer. Stateful: it keeps per-app
-/// [`EventWatermark`]s (so scores reflect *fresh* events) and the
-/// aggregate smoother. One monitor per executor; observe at whatever
-/// cadence the caller's control loop runs.
+/// The executor-wide health observer. Stateful: it keeps one watermark
+/// per app, so scores reflect *fresh* events. One monitor per
+/// executor; observe at whatever cadence the caller's control loop
+/// runs.
 #[derive(Debug)]
 pub struct HealthMonitor {
     cfg: HealthConfig,
     marks: HashMap<String, EventWatermark>,
-    trend: Ewma,
 }
 
 impl HealthMonitor {
@@ -338,15 +277,7 @@ impl HealthMonitor {
         Self {
             cfg,
             marks: HashMap::new(),
-            // Health is a trend signal: damp single-tick blips but
-            // follow a real decline within a few observations.
-            trend: Ewma::new(0.4),
         }
-    }
-
-    /// The scoring weights.
-    pub fn config(&self) -> &HealthConfig {
-        &self.cfg
     }
 
     /// Scores every registered DNN app and returns the report. Apps are
@@ -354,40 +285,28 @@ impl HealthMonitor {
     /// are skipped; watermarks of apps that have departed the roster
     /// are pruned.
     pub fn observe(&mut self, exec: &Executor) -> HealthReport {
-        let roster = exec.dnn_snapshots(false, true);
+        let roster = exec.dnn_snapshots(false);
         self.marks
             .retain(|n, _| snapshot_named(&roster, n).is_some());
         let capacity = exec.config().queue_capacity;
-        let pool_pressure = exec.pool_pressure();
+        let queued = roster.iter().map(|(_, s)| s.queue_depth).sum();
+        let pool = pool_pressure(queued, capacity, roster.len());
         let mut apps = Vec::with_capacity(roster.len());
         let mut aggregate = 100.0f32;
         for (name, snap) in roster {
-            let fresh = match self.marks.get_mut(&name) {
-                Some(mark) => mark.advance(&snap),
-                None => {
-                    // Seeded level with `snap`: nothing is fresh yet.
-                    self.marks
-                        .insert(name.clone(), EventWatermark::seeded(&snap));
-                    FreshEvents::default()
-                }
+            let mark = match self.marks.get_mut(&name) {
+                Some(mark) => mark,
+                // First sight: level with `snap`, so nothing is fresh yet.
+                None => self
+                    .marks
+                    .entry(name.clone())
+                    .or_insert(EventWatermark::seeded(&snap)),
             };
-            let s = score(&self.cfg, &snap, capacity, pool_pressure, &fresh);
-            aggregate = aggregate.min(s);
-            apps.push(AppHealth {
-                app: name,
-                score: s,
-                band: HealthBand::of(s),
-                fresh,
-                snapshot: snap,
-            });
+            let app = AppHealth::assess(&self.cfg, name, snap, mark, capacity, pool);
+            aggregate = aggregate.min(app.score);
+            apps.push(app);
         }
-        let smoothed = self.trend.observe(f64::from(aggregate)) as f32;
-        HealthReport {
-            apps,
-            aggregate,
-            band: HealthBand::of(aggregate),
-            smoothed,
-        }
+        HealthReport { apps, aggregate }
     }
 }
 
@@ -437,15 +356,39 @@ mod tests {
         }
     }
 
+    fn sample() -> Vec<f32> {
+        vec![0.2; 3 * 8 * 8]
+    }
+
+    fn register(exec: &Executor, name: &str, deadline_ms: f64) {
+        exec.register_dnn(
+            name,
+            testbed::tiny_dnn(1),
+            &Requirements::new().with_max_latency(TimeSpan::from_millis(deadline_ms)),
+        )
+        .unwrap();
+    }
+
+    /// Holds `n` requests past `app`'s 10 ms deadline: each is shed at
+    /// dequeue.
+    fn shed(exec: &Executor, app: &str, n: usize) {
+        exec.pause(app).unwrap();
+        let doomed: Vec<crate::Ticket> = (0..n)
+            .map(|_| exec.submit(app, &sample()).unwrap())
+            .collect();
+        std::thread::sleep(Duration::from_millis(40));
+        exec.resume(app).unwrap();
+        for t in &doomed {
+            assert!(t.wait_timeout(TIMEOUT).is_err());
+        }
+        exec.drain_app(app).unwrap();
+    }
+
     #[test]
-    fn score_is_perfect_when_clean_and_banded() {
+    fn score_is_perfect_when_clean() {
         let cfg = HealthConfig::default();
         let s = score(&cfg, &snap(), 64, 0.0, &FreshEvents::default());
         assert!((s - 100.0).abs() < f32::EPSILON);
-        assert_eq!(HealthBand::of(s), HealthBand::Healthy);
-        assert_eq!(HealthBand::of(79.9), HealthBand::Degraded);
-        assert_eq!(HealthBand::of(49.9), HealthBand::Critical);
-        assert_eq!(HealthBand::of(0.0), HealthBand::Critical);
     }
 
     #[test]
@@ -483,8 +426,8 @@ mod tests {
             restarts: 1,
             stalls: 1,
             knob_faults: 2,
+            ..FreshEvents::default()
         };
-        assert!(fresh.any());
         assert_eq!(score(&cfg, &s, 64, 0.0, &fresh), 0.0);
         // Zero capacity: the queue term is skipped, not a divide-by-0.
         let clean = snap();
@@ -518,31 +461,41 @@ mod tests {
     #[test]
     fn watermark_reports_only_fresh_events() {
         let mut s = snap();
+        s.completed = 5;
         s.shed = 10;
         s.restarts = 2;
         let mut mark = EventWatermark::seeded(&s);
-        assert_eq!(mark.advance(&s), FreshEvents::default(), "history is calm");
+        assert_eq!(
+            mark.advance(&s),
+            (FreshEvents::default(), false),
+            "history is calm"
+        );
         s.shed = 12;
         s.stalls = 1;
-        let fresh = mark.advance(&s);
+        let (fresh, reborn) = mark.advance(&s);
         assert_eq!((fresh.shed, fresh.stalls, fresh.restarts), (2, 1, 0));
-        assert_eq!(mark.advance(&s), FreshEvents::default(), "consumed");
-        // A counter reset (deregister + re-register under the same
-        // name) reads as nothing fresh, not an underflow.
-        let reborn = snap();
-        assert_eq!(mark.advance(&reborn), FreshEvents::default());
+        assert!(!reborn);
+        assert_eq!(mark.advance(&s).0, FreshEvents::default(), "consumed");
+        // A counter below its mark (deregister + re-register under the
+        // same name) starts a new lifetime: its own counters are fresh,
+        // even those that did not fall.
+        let mut reborn = snap();
+        reborn.shed = 1;
+        reborn.completed = 7;
+        let (fresh, new_lifetime) = mark.advance(&reborn);
+        assert!(new_lifetime);
+        assert_eq!((fresh.shed, fresh.completed), (1, 7));
+        // Counting from zero (the controller's first sight), the whole
+        // history is fresh.
+        let (fresh, new_lifetime) = EventWatermark::default().advance(&s);
+        assert_eq!((fresh.completed, fresh.shed, new_lifetime), (5, 12, false));
     }
 
     #[test]
     fn monitor_scores_live_executor_sorted_and_prunes() {
         let exec = crate::Executor::new(ExecutorConfig::default());
         for name in ["zeta", "alpha", "mid"] {
-            exec.register_dnn(
-                name,
-                testbed::tiny_dnn(1),
-                &Requirements::new().with_max_latency(TimeSpan::from_millis(50.0)),
-            )
-            .unwrap();
+            register(&exec, name, 50.0);
         }
         exec.register_rigid("render").unwrap();
         let mut mon = HealthMonitor::new(HealthConfig::default());
@@ -550,10 +503,8 @@ mod tests {
         let order: Vec<&str> = r.apps.iter().map(|a| a.app.as_str()).collect();
         assert_eq!(order, ["alpha", "mid", "zeta"], "sorted, rigid skipped");
         assert!((r.aggregate - 100.0).abs() < f32::EPSILON);
-        assert_eq!(r.band, HealthBand::Healthy);
-        assert!((r.smoothed - r.aggregate).abs() < f32::EPSILON, "seeded");
         // Serve one request so the roster has activity, then churn.
-        exec.submit("mid", &vec![0.2; 3 * 8 * 8])
+        exec.submit("mid", &sample())
             .unwrap()
             .wait_timeout(TIMEOUT)
             .unwrap();
@@ -562,17 +513,64 @@ mod tests {
         let order: Vec<&str> = r.apps.iter().map(|a| a.app.as_str()).collect();
         assert_eq!(order, ["alpha", "zeta"], "departed apps leave the report");
         assert!(!mon.marks.contains_key("mid"), "watermark pruned");
-        let json = r.to_json();
-        assert!(json.starts_with("{\"aggregate\":100.0,"), "{json}");
-        assert!(json.contains("\"app\":\"alpha\""));
-        assert!(!json.contains("\"app\":\"mid\""));
-        // Two observations of the same state render identically.
-        assert_eq!(json, mon.observe(&exec).to_json());
+        assert!(
+            r.apps.iter().all(|a| a.snapshot.p99.is_none()),
+            "median only"
+        );
     }
 
     #[test]
-    fn json_escapes_hostile_names() {
-        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape_json("\u{1}"), "\\u0001");
+    fn a_reborn_tenants_sheds_are_fresh_to_the_monitor() {
+        let exec = crate::Executor::new(ExecutorConfig::default());
+        register(&exec, "cam", 10.0);
+        let mut mon = HealthMonitor::new(HealthConfig::default());
+        mon.observe(&exec);
+        shed(&exec, "cam", 3);
+        assert_eq!(mon.observe(&exec).apps[0].fresh.shed, 3);
+        // Deregistered and registered again between two observations:
+        // the new lifetime's two sheds are below the old lifetime's
+        // three, and still fresh.
+        exec.deregister_dnn("cam").unwrap();
+        register(&exec, "cam", 10.0);
+        shed(&exec, "cam", 2);
+        let r = mon.observe(&exec);
+        assert_eq!(r.apps[0].fresh.shed, 2, "{:?}", r.apps[0]);
+        assert!(r.aggregate <= 100.0 - HealthConfig::default().w_shed);
+    }
+
+    #[test]
+    fn observe_charges_the_pool_stats_backlog_fraction() {
+        let exec = crate::Executor::new(ExecutorConfig::default());
+        for name in ["a", "b", "c"] {
+            register(&exec, name, 500.0);
+            exec.pause(name).unwrap();
+        }
+        let held: Vec<crate::Ticket> = ["a", "a", "a", "b"]
+            .iter()
+            .map(|app| exec.submit(app, &sample()).unwrap())
+            .collect();
+        // Only the pool term can move the score.
+        let mut mon = HealthMonitor::new(HealthConfig {
+            w_queue: 0.0,
+            w_pool_queue: 100.0,
+            ..HealthConfig::default()
+        });
+        let r = mon.observe(&exec);
+        let p = exec.pool_stats();
+        let expected = pool_pressure(p.queue_depth, p.queue_capacity, p.serving);
+        assert_eq!((p.queue_depth, p.serving), (4, 3), "{p:?}");
+        assert!((expected - 4.0 / (3 * p.queue_capacity) as f32).abs() < 1e-7);
+        for app in &r.apps {
+            assert!(
+                (app.score - (100.0 - 100.0 * expected)).abs() < 1e-4,
+                "{app:?}"
+            );
+        }
+        for name in ["a", "b", "c"] {
+            exec.resume(name).unwrap();
+        }
+        for t in &held {
+            t.wait_timeout(TIMEOUT).unwrap();
+        }
     }
 }

@@ -23,9 +23,11 @@
 //!   [`eml_core::rtm::Rtm::allocate_with_feedback`] re-allocation on
 //!   the corrected model.
 //! - [`HealthMonitor`] — per-app 0–100 health scores folded from the
-//!   counters the executor already keeps (windowed miss rate, queue
-//!   pressure, fresh sheds/restarts/stalls/knob faults), a worst-tenant
-//!   aggregate, and a hand-rolled JSON export for offline policy.
+//!   counters the executor already keeps (windowed miss rate, own and
+//!   pool-wide queue pressure, fresh sheds/restarts/stalls/knob
+//!   faults) in one pass over the roster, and a worst-tenant
+//!   aggregate. One watermark turns cumulative counters into fresh
+//!   deltas for the monitor, the ladder and the controller alike.
 //! - [`PressurePolicy`] — the graceful-degradation ladder: ticked per
 //!   app by its caller (not by the controller), it consumes the same
 //!   health score — degrading (f32→int8, then width one level at a
@@ -73,9 +75,7 @@ pub use control::{
 pub use error::{Result, ServeError};
 pub use executor::{Completion, Executor, ExecutorConfig, KnobRoute, Ticket};
 pub use fault::{Fault, FaultKind, FaultPlan};
-pub use health::{
-    AppHealth, EventWatermark, FreshEvents, HealthBand, HealthConfig, HealthMonitor, HealthReport,
-};
+pub use health::{AppHealth, FreshEvents, HealthConfig, HealthMonitor, HealthReport};
 pub use replay::{ExecutedReplay, RetiredTotals};
 pub use stats::{AppStatsSnapshot, PoolSnapshot};
 

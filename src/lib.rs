@@ -100,8 +100,8 @@ pub mod prelude {
     pub use eml_platform::units::{Celsius, Energy, Freq, Power, TimeSpan, Voltage};
     pub use eml_platform::workload::Workload;
     pub use eml_serve::{
-        Completion, ControllerConfig, Executor, ExecutorConfig, FaultKind, FaultPlan, HealthBand,
-        HealthConfig, HealthMonitor, PressureConfig, PressurePolicy, ServeController, ServeError,
+        Completion, ControllerConfig, Executor, ExecutorConfig, FaultKind, FaultPlan, HealthConfig,
+        HealthMonitor, PressureConfig, PressurePolicy, ServeController, ServeError,
     };
     pub use eml_sim::{SimConfig, Simulator, Trace};
 }

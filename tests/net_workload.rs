@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 use emlrt::net::{AdmissionConfig, ClientError, NetClient, NetConfig, NetServer, WireStatus};
 use emlrt::prelude::*;
 use emlrt::rtm::rtm::{Allocation, AppSpec};
-use emlrt::serve::testbed;
+use emlrt::serve::{testbed, PoolSnapshot};
 use emlrt::sim::workload::{self, WorkloadConfig};
 use emlrt::sim::{ChaosFault, ExecutionBackend, SimConfig, Simulator};
 
@@ -160,6 +160,22 @@ impl ExecutionBackend for SocketBackend {
 /// carries an entire scenario's traffic, so the token bucket must not
 /// mistake the scenario for a flood (admission behaviour has its own
 /// suite in `net_hostile`).
+/// The pool once the watchdog has restored it. A driver killed by an
+/// injected crash may still be waiting out its restart backoff when the
+/// drain returns; the watchdog respawns it within the backoff cap plus
+/// a few of its ticks.
+fn restored_pool(exec: &Executor) -> PoolSnapshot {
+    let cfg = exec.config();
+    let deadline = Instant::now() + cfg.restart_backoff_max + 10 * cfg.watchdog_interval;
+    loop {
+        let p = exec.pool_stats();
+        if p.live_drivers == p.drivers || Instant::now() >= deadline {
+            return p;
+        }
+        std::thread::sleep(cfg.watchdog_interval);
+    }
+}
+
 fn scenario_server() -> NetServer {
     let exec = Executor::new(ExecutorConfig {
         pool_workers: POOL_WORKERS,
@@ -246,7 +262,7 @@ fn generated_workload_over_sockets_balances_the_ledger() {
 
     // The pool kept its configured size through every lifecycle edge
     // and the shutdown drain — independent of the tenant count.
-    let p = exec.pool_stats();
+    let p = restored_pool(exec);
     assert_eq!(p.drivers, POOL_WORKERS, "{p:?}");
     assert_eq!(p.live_drivers, POOL_WORKERS, "a driver died: {p:?}");
     assert_eq!(backend.max_drivers_seen, POOL_WORKERS);

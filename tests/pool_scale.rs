@@ -28,13 +28,13 @@
 //! wall-clock scheduling, the sum may not drift by one.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use emlrt::prelude::*;
 use emlrt::rtm::opspace::{EvaluatedPoint, OperatingPoint};
 use emlrt::rtm::rtm::{Allocation, DnnAllocation};
 use emlrt::serve::testbed;
-use emlrt::serve::{ExecutedReplay, FaultKind, FaultPlan, Ticket};
+use emlrt::serve::{ExecutedReplay, FaultKind, FaultPlan, PoolSnapshot, Ticket};
 use emlrt::sim::workload::{self, WorkloadConfig};
 use emlrt::sim::{ChaosFault, ExecutionBackend, SimConfig, Simulator};
 
@@ -97,6 +97,22 @@ struct ScaleOutcome {
     total_storms: u64,
 }
 
+/// The pool once the watchdog has restored it. A driver killed by an
+/// injected crash may still be waiting out its restart backoff when the
+/// drain returns; the watchdog respawns it within the backoff cap plus
+/// a few of its ticks.
+fn restored_pool(exec: &Executor) -> PoolSnapshot {
+    let cfg = exec.config();
+    let deadline = Instant::now() + cfg.restart_backoff_max + 10 * cfg.watchdog_interval;
+    loop {
+        let p = exec.pool_stats();
+        if p.live_drivers == p.drivers || Instant::now() >= deadline {
+            return p;
+        }
+        std::thread::sleep(cfg.watchdog_interval);
+    }
+}
+
 fn run_scale(seed: u64) -> ScaleOutcome {
     let wl = workload::generate(&WorkloadConfig {
         seed,
@@ -138,7 +154,7 @@ fn run_scale(seed: u64) -> ScaleOutcome {
 
     // The pool: exactly as configured, all drivers alive, through a
     // hundred registrations and every churn edge.
-    let p = exec.pool_stats();
+    let p = restored_pool(&exec);
     assert_eq!(p.drivers, POOL_WORKERS, "{p:?}");
     assert_eq!(p.live_drivers, POOL_WORKERS, "a driver died: {p:?}");
     assert_eq!(backend.max_drivers_seen, POOL_WORKERS);

@@ -167,7 +167,6 @@ fn run_soak(seed: u64) -> SoakOutcome {
     let report = monitor.observe(&exec);
     assert_eq!(report.apps.len(), live.len(), "one health row per DNN app");
     assert!((0.0..=100.0).contains(&report.aggregate));
-    assert!(report.to_json().starts_with('{'));
 
     // Outcome digest: schedule + per-app settled counters (split-safe,
     // see module docs) + the hot app's ladder.
