@@ -199,6 +199,30 @@ impl<T> RankedMutex<T> {
         }
         (guard, timed_out)
     }
+
+    /// [`RankedMutex::wait_timeout`] until `condition` turns false —
+    /// [`Condvar::wait_timeout_while`] lifted to ranked guards. The
+    /// deadline is kept inside std: spurious and unrelated wakeups
+    /// re-check `condition` and wait out only the remaining time. The
+    /// boolean is `true` if the timeout elapsed with `condition` still
+    /// true.
+    pub fn wait_timeout_while<'a>(
+        &self,
+        cv: &Condvar,
+        mut guard: RankedGuard<'a, T>,
+        timeout: Duration,
+        condition: impl FnMut(&mut T) -> bool,
+    ) -> (RankedGuard<'a, T>, bool) {
+        let mut timed_out = false;
+        if let Some(inner) = guard.guard.take() {
+            let (inner, result) = cv
+                .wait_timeout_while(inner, timeout, condition)
+                .unwrap_or_else(PoisonError::into_inner);
+            timed_out = result.timed_out();
+            guard.guard = Some(inner);
+        }
+        (guard, timed_out)
+    }
 }
 
 /// The guard of a [`RankedMutex`]; releases the lock — and, in debug
@@ -351,6 +375,46 @@ mod tests {
             *m.lock() = 99;
             cv.notify_all();
             assert_eq!(waiter.join().expect("waiter"), 99);
+        });
+    }
+
+    #[test]
+    fn wait_timeout_while_rechecks_and_keeps_the_deadline() {
+        let m = RankedMutex::new(rank::EXEC_QUEUE, "queue", 0u32);
+        let cv = Condvar::new();
+        // A false condition returns at once, holding the lock.
+        let g = m.lock();
+        let (g, timed_out) = m.wait_timeout_while(&cv, g, Duration::from_secs(60), |v| *v != 0);
+        assert!(!timed_out && *g == 0);
+        // Unrelated wakeups (the condition still true) do not end the
+        // wait: it expires, holding the lock again.
+        let (g, timed_out) = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for _ in 0..5 {
+                    std::thread::sleep(Duration::from_millis(2));
+                    *m.lock() += 1;
+                    cv.notify_all();
+                }
+            });
+            m.wait_timeout_while(&cv, g, Duration::from_millis(40), |v| *v < 1000)
+        });
+        assert!(timed_out);
+        assert!(*g >= 1, "woke holding the lock again: {}", *g);
+        #[cfg(debug_assertions)]
+        assert_eq!(held::held_count(), 1, "the rank stays held across the wait");
+        drop(g);
+        // The condition turning false ends the wait without the flag.
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| {
+                let g = m.lock();
+                let (g, timed_out) =
+                    m.wait_timeout_while(&cv, g, Duration::from_secs(5), |v| *v != 99);
+                (*g, timed_out)
+            });
+            std::thread::sleep(Duration::from_millis(20));
+            *m.lock() = 99;
+            cv.notify_all();
+            assert_eq!(waiter.join().expect("waiter"), (99, false));
         });
     }
 }

@@ -82,18 +82,27 @@ impl Tensor {
     /// Returns [`NnError::ShapeMismatch`] if `data.len()` does not equal the
     /// product of `shape`.
     pub fn from_vec(shape: &[usize], data: Vec<f32>) -> Result<Self> {
+        Self::from_shape_vec(shape.to_vec(), data)
+    }
+
+    /// [`Tensor::from_vec`] taking the shape by value, so a caller that
+    /// takes its tensors apart again ([`Tensor::into_parts`]) reuses
+    /// both buffers.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::ShapeMismatch`] if `data.len()` does not equal the
+    /// product of `shape`.
+    pub fn from_shape_vec(shape: Vec<usize>, data: Vec<f32>) -> Result<Self> {
         let len: usize = shape.iter().product();
         if len != data.len() || shape.is_empty() {
             return Err(NnError::ShapeMismatch {
                 context: "Tensor::from_vec".into(),
-                expected: shape.to_vec(),
+                expected: shape,
                 actual: vec![data.len()],
             });
         }
-        Ok(Self {
-            shape: shape.to_vec(),
-            data,
-        })
+        Ok(Self { shape, data })
     }
 
     /// The tensor's shape.
@@ -135,7 +144,7 @@ impl Tensor {
     }
 
     /// Consumes the tensor and returns its shape and buffer.
-    pub(crate) fn into_parts(self) -> (Vec<usize>, Vec<f32>) {
+    pub fn into_parts(self) -> (Vec<usize>, Vec<f32>) {
         (self.shape, self.data)
     }
 

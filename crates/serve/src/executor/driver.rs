@@ -23,7 +23,7 @@ use eml_core::knobs::{apply_app_command, KnobCommand};
 use eml_dnn::DynamicDnn;
 use eml_nn::tensor::Tensor;
 
-use super::ledger::KnobOutcome;
+use super::ledger::{KnobOutcome, Riders};
 use super::sched::{next_app, PoolShared};
 use super::supervise::Driver;
 use super::App;
@@ -32,23 +32,31 @@ use crate::fault::Injected;
 
 /// One unit of serving work handed from the locked dispatch section to
 /// the (unlocked) execution section of a driver's claim. The batch
-/// itself stays in the ledger's in-flight slot; only the flattened
-/// input data travels.
+/// itself stays in the ledger's in-flight slot; its flattened input
+/// travels in the driver's [`BatchBuf`].
 struct Dispatch {
     /// Batch size; 0 for a knob-only claim.
     k: usize,
-    data: Vec<f32>,
     band_cap: usize,
     knobs: Vec<KnobCommand>,
     injected: Injected,
+}
+
+/// A driver's batch input, reused from claim to claim: the flattened
+/// samples and the tensor shape, taken back from the input tensor
+/// after each forward. Their capacity is the driver's high water.
+#[derive(Default)]
+struct BatchBuf {
+    data: Vec<f32>,
+    shape: Vec<usize>,
 }
 
 /// The locked half of serving one claim: shed expired requests, fire
 /// due faults, and move a batch into the in-flight slot. Returns `None`
 /// when the claim has nothing to do (everything shed, or the app
 /// stopped between claim and dispatch) — the caller just releases the
-/// claim.
-fn build_dispatch(app: &App) -> Option<Dispatch> {
+/// claim. The batch's inputs are written into `data`.
+fn build_dispatch(app: &App, data: &mut Vec<f32>) -> Option<Dispatch> {
     let mut guard = app.ledger.lock();
     let st = &mut *guard;
     let pausing = st.paused && !st.stopping;
@@ -79,9 +87,9 @@ fn build_dispatch(app: &App) -> Option<Dispatch> {
         return None;
     }
     let injected = st.on_dispatch(k, knobs.len(), app.queue_capacity);
+    st.dispatch(k, data);
     Some(Dispatch {
         k,
-        data: st.dispatch(k),
         band_cap: st.band_cap,
         knobs,
         injected,
@@ -127,13 +135,14 @@ fn release(app: &App, pool: &PoolShared) {
 /// the claim (so the watchdog knows whose batch to fail if this
 /// driver dies), serve one dispatch, release, repeat.
 pub(super) fn driver_loop(drv: &Arc<Driver>) {
+    let mut buf = BatchBuf::default();
     loop {
         drv.beat();
         let Some(app) = next_app(drv) else {
             return;
         };
         *drv.current.lock() = Some(Arc::clone(&app));
-        serve_app(drv, &app);
+        serve_app(drv, &app, &mut buf);
         release(&app, &drv.pool);
         drv.current.lock().take();
     }
@@ -142,8 +151,8 @@ pub(super) fn driver_loop(drv: &Arc<Driver>) {
 /// Serves one claimed app: one knob drain and/or one micro-batch
 /// forward. The claim (`busy`) is held throughout, so per-app batches
 /// never interleave across drivers.
-fn serve_app(drv: &Driver, app: &App) {
-    let Some(d) = build_dispatch(app) else {
+fn serve_app(drv: &Driver, app: &App, buf: &mut BatchBuf) {
+    let Some(d) = build_dispatch(app, &mut buf.data) else {
         return;
     };
     if !d.knobs.is_empty() {
@@ -162,10 +171,13 @@ fn serve_app(drv: &Driver, app: &App) {
     }
     d.injected.crash_if_armed(&app.name);
 
-    let mut shape = Vec::with_capacity(1 + app.sample_shape.len());
-    shape.push(d.k);
-    shape.extend_from_slice(&app.sample_shape);
-    let data = d.data;
+    buf.shape.clear();
+    buf.shape.push(d.k);
+    buf.shape.extend_from_slice(&app.sample_shape);
+    let input = Tensor::from_shape_vec(
+        std::mem::take(&mut buf.shape),
+        std::mem::take(&mut buf.data),
+    );
     drv.beat();
     let t0 = Instant::now();
     // A panicking model (poisoned weights, a debug assertion in a
@@ -175,10 +187,9 @@ fn serve_app(drv: &Driver, app: &App) {
     // mid-forward unwind leaves no state a later forward reads.
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         d.injected.before_forward();
-        Tensor::from_vec(&shape, data).and_then(|input| {
-            eml_nn::workers::with_band_cap(d.band_cap, || {
-                app.model.lock().network_mut().forward(&input, false)
-            })
+        let input = input.as_ref().map_err(Clone::clone)?;
+        eml_nn::workers::with_band_cap(d.band_cap, || {
+            app.model.lock().network_mut().forward(input, false)
         })
     }))
     .unwrap_or_else(|panic| {
@@ -193,49 +204,49 @@ fn serve_app(drv: &Driver, app: &App) {
     });
     drv.beat();
     let service = t0.elapsed();
+    if let Ok(input) = input {
+        (buf.shape, buf.data) = input.into_parts();
+    }
 
-    // Take the batch back from the supervised slot and settle its
-    // accounting inside the same critical section. To a concurrent
-    // observer (`drain_app` watching for idle, `stats()` reading a
-    // snapshot) every request is either still in flight or already
-    // counted — there is no instant where the queue looks empty
-    // while the batch's outcomes are still unrecorded. An empty
-    // slot means the watchdog declared this pass wedged and
-    // already answered the riders — discard the (stale) results
-    // and keep serving.
+    // Settle the batch from the supervised slot, answering every
+    // rider's completion slot inside the same critical section. To a
+    // concurrent observer (`drain_app` watching for idle, `stats()`
+    // reading a snapshot, a ticket reading its slot) every request is
+    // either still in flight or already counted and answered — there
+    // is no instant where the queue looks empty while the batch's
+    // outcomes are still unrecorded. An empty slot means the watchdog
+    // declared this pass wedged and already answered the riders —
+    // discard the (stale) results and keep serving. The unlock wakes
+    // the app's waiting tickets.
     let mut st = app.ledger.lock();
-    let batch = st.take_inflight();
-    if batch.is_empty() {
+    let k = st.in_flight();
+    if k == 0 {
         return;
     }
-    let sends = match result {
+    match result {
         Ok(logits) => {
             // The operating point's cost, not the fault's: exclude
             // injected spike time from the coalescing estimate.
             let modelled = service.saturating_sub(d.injected.delay);
-            let per_sample = modelled.as_secs_f64() / batch.len() as f64;
+            let per_sample = modelled.as_secs_f64() / k as f64;
             st.ewma = Some(match st.ewma {
                 None => per_sample,
                 Some(prev) => 0.7 * prev + 0.3 * per_sample,
             });
-            st.complete(batch, &logits, service, app.ledger.deadline())
+            st.complete(&logits, service, app.ledger.deadline());
         }
         Err(e) => {
             // Loud failure: every rider gets the typed error, and the
             // error counter keeps the extended accounting invariant
             // balanced.
-            let error = |_: &_| ServeError::Inference {
+            let error = |_| ServeError::Inference {
                 app: app.name.clone(),
                 reason: e.to_string(),
             };
-            app.ledger.fail(&mut st, batch, error);
-            Vec::new()
+            app.ledger.fail(&mut st, Riders::InFlight, error);
         }
-    };
-    drop(st);
-    for (tx, completion) in sends {
-        let _ = tx.send(Ok(completion));
     }
+    drop(st);
     // A completed pass (even a typed failure) proves the driver
     // healthy: reset the restart-backoff streak.
     drv.supervision.lock().streak = 0;

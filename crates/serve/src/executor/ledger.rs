@@ -18,6 +18,19 @@
 //! else: a failed or confiscated batch, a shed deadline, a stranded
 //! queue) — the only writers of the right-hand side of the equation.
 //!
+//! **Completion slots.** Each settlement also *answers* the requests it
+//! removes, in the same critical section: it writes the outcome into
+//! the request's completion slot, where the request's `Ticket` reads
+//! it. The slots are a slab owned by the ledger, grown to the app's
+//! high water of live tickets and recycled through a free list; each
+//! carries a generation, and a ticket reads its slot only while the
+//! generations match. A slot is freed by the later of its settle and
+//! its ticket's drop (or the ticket taking the outcome). A ticket
+//! blocks on the `settled` condvar, and the unlock after a settle
+//! notifies it only when an answered slot's ticket is waiting. The
+//! queued samples are recycled the same way, so after warm-up the only
+//! allocation a request makes here is its `Completion`'s logits row.
+//!
 //! Every unlock publishes: the guard [`AppLedger::lock`] returns stores
 //! the app's scheduling word (`sched::sched_word` of the ledger it
 //! guarded) into the app's atomic before it releases the lock, and so
@@ -25,8 +38,9 @@
 //! of the ledger alone, so whatever a critical section changed — the
 //! queue, `busy`, `paused`, `stopping`, the knobs, `band_cap` — the
 //! drivers' lock-free roster scan reads it at the next unlock, and no
-//! writer can forget to tell them. Only [`AppLedger::snapshot`], which
-//! reads and changes nothing, takes the bare lock.
+//! writer can forget to tell them. Only [`AppLedger::snapshot`] and the
+//! ticket side ([`AppLedger::take_outcome`], [`AppLedger::forget`]),
+//! which change nothing the word reads, take the bare lock.
 //!
 //! Lock rank: `EXEC_QUEUE`, above the pool scheduler (a driver holds it
 //! while it re-verifies its pick under the picked app's ledger) and
@@ -36,7 +50,7 @@
 use std::collections::VecDeque;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Condvar};
+use std::sync::Condvar;
 use std::time::{Duration, Instant};
 
 use eml_core::knobs::KnobCommand;
@@ -50,16 +64,183 @@ use super::sched::{sched_word, KeyBasis, NOT_CLAIMABLE};
 use super::Completion;
 use crate::error::{Result, ServeError};
 use crate::fault::{FaultKind, FaultState, Injected};
-use crate::stats::{percentiles, AppStatsSnapshot, Window};
-
-type Reply = mpsc::Sender<Result<Completion>>;
+use crate::stats::{percentiles, with_scratch, AppStatsSnapshot, Window};
 
 /// One admitted request, from `submit` to its settlement.
 pub(super) struct PendingRequest {
     pub(super) seq: u64,
-    input: Box<[f32]>,
+    /// The sample while queued; handed back to the ledger's spare list
+    /// (and left empty) once `dispatch` has copied it into the batch.
+    input: Vec<f32>,
     pub(super) submitted: Instant,
-    tx: Reply,
+    /// Where the outcome is answered; `None` for a storm-injected
+    /// request, which has no ticket.
+    slot: Option<SlotId>,
+}
+
+/// A request's completion slot: its index in the app's slab and the
+/// slot's generation when the request took it. A ticket reads the slot
+/// only while the generations match, so a recycled slot never answers
+/// a stale ticket.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct SlotId {
+    pub(super) index: usize,
+    pub(super) generation: u64,
+}
+
+/// What one completion slot holds.
+enum SlotState {
+    /// On the free list.
+    Free,
+    /// The request is queued or in flight, and its ticket is live.
+    Pending,
+    /// Answered; the ticket has not taken the outcome yet.
+    Ready(Result<Completion>),
+    /// The ticket was dropped before the answer; the settle frees it.
+    Abandoned,
+}
+
+struct Slot {
+    generation: u64,
+    state: SlotState,
+    /// The ticket is blocked on `settled` waiting for this slot. A
+    /// ticket is not `Sync`, so a slot has at most one waiter.
+    waited: bool,
+}
+
+/// What a ticket found in its slot.
+pub(super) enum SlotRead {
+    /// The outcome, now taken: the slot is free again.
+    Ready(Result<Completion>),
+    /// Not answered yet.
+    Pending,
+    /// Nothing to read: the outcome was taken before, or the request
+    /// left a stopped ledger without an answer.
+    Gone,
+}
+
+/// How long a ticket read waits for a pending slot.
+pub(super) enum Wait {
+    No,
+    For(Duration),
+    Forever,
+}
+
+/// An app's completion slots. The slab grows to the high water of
+/// live tickets and recycles through a free list, so a warm request
+/// takes a slot without allocating. A slot is freed by the later of
+/// its settle and its ticket's drop (or the ticket taking the outcome).
+#[derive(Default)]
+struct Slots {
+    slab: Vec<Slot>,
+    free: Vec<usize>,
+    /// An answer landed in a slot whose ticket is waiting: the unlock
+    /// notifies `settled`.
+    wake: bool,
+}
+
+impl Slots {
+    /// A pending slot for a newly admitted request.
+    fn open(&mut self) -> SlotId {
+        let index = self.free.pop().unwrap_or_else(|| {
+            self.slab.push(Slot {
+                generation: 0,
+                state: SlotState::Free,
+                waited: false,
+            });
+            self.slab.len() - 1
+        });
+        let slot = &mut self.slab[index];
+        slot.state = SlotState::Pending;
+        SlotId {
+            index,
+            generation: slot.generation,
+        }
+    }
+
+    /// The state of `id`'s slot, `None` once the slot was recycled.
+    fn get(&mut self, id: SlotId) -> Option<&mut SlotState> {
+        let slot = &mut self.slab[id.index];
+        (slot.generation == id.generation).then_some(&mut slot.state)
+    }
+
+    fn is_pending(&mut self, id: SlotId) -> bool {
+        matches!(self.get(id), Some(SlotState::Pending))
+    }
+
+    /// Marks whether `id`'s ticket is blocked waiting for it.
+    fn watch(&mut self, id: SlotId, waited: bool) {
+        self.slab[id.index].waited = waited;
+    }
+
+    /// Returns `index` to the free list under a new generation, so no
+    /// ticket of the old one reads it again.
+    fn release(&mut self, index: usize) {
+        let slot = &mut self.slab[index];
+        slot.generation += 1;
+        slot.state = SlotState::Free;
+        slot.waited = false;
+        self.free.push(index);
+    }
+
+    /// The settle's write: answers `id`'s request exactly once. An
+    /// abandoned slot has no reader left and is freed instead.
+    fn answer(&mut self, id: SlotId, outcome: Result<Completion>) {
+        match self.get(id) {
+            Some(SlotState::Abandoned) => self.release(id.index),
+            Some(state) => {
+                debug_assert!(
+                    matches!(state, SlotState::Pending),
+                    "completion slot {id:?} answered twice"
+                );
+                *state = SlotState::Ready(outcome);
+                self.wake |= self.slab[id.index].waited;
+            }
+            // Unreachable: a request's slot is freed only by its settle.
+            None => {}
+        }
+    }
+
+    /// The ticket's read: takes a ready outcome (freeing the slot).
+    fn take(&mut self, id: SlotId) -> SlotRead {
+        let Some(state) = self.get(id) else {
+            return SlotRead::Gone;
+        };
+        match std::mem::replace(state, SlotState::Free) {
+            SlotState::Ready(outcome) => {
+                self.release(id.index);
+                SlotRead::Ready(outcome)
+            }
+            SlotState::Pending => {
+                *state = SlotState::Pending;
+                SlotRead::Pending
+            }
+            other => {
+                *state = other;
+                SlotRead::Gone
+            }
+        }
+    }
+
+    /// The ticket's drop: frees an answered slot, or leaves a pending
+    /// one for its settle to free.
+    fn forget(&mut self, id: SlotId) {
+        match self.get(id) {
+            Some(state @ SlotState::Pending) => *state = SlotState::Abandoned,
+            Some(SlotState::Ready(_)) => self.release(id.index),
+            _ => {}
+        }
+    }
+}
+
+/// Which requests a failing settlement answers ([`AppLedger::fail`]).
+pub(super) enum Riders {
+    /// The in-flight batch.
+    InFlight,
+    /// The `n` oldest queued requests.
+    Oldest(usize),
+    /// The in-flight batch, then the whole queue.
+    All,
 }
 
 /// How one knob command ended ([`Ledger::record_knobs`]).
@@ -79,10 +260,15 @@ pub(super) struct Ledger {
     pending: VecDeque<PendingRequest>,
     /// The batch currently being served. It stays *here* (not on the
     /// driver's stack) so the supervisor can fail it with a typed
-    /// error when the driver dies or wedges; the driver takes it back
+    /// error when the driver dies or wedges; the driver settles it
     /// after the forward and discards its results if the supervisor
-    /// got there first.
+    /// got there first (the slot is empty then).
     inflight: Vec<PendingRequest>,
+    /// Where every ticket's outcome is answered.
+    slots: Slots,
+    /// Sample buffers of dispatched or failed requests, reused by the
+    /// next admissions (the app's high water of queued samples).
+    spare_inputs: Vec<Vec<f32>>,
     /// Injected-fault state: `None` unless the app has a fault-plan
     /// slice or has been `inject_fault`ed.
     faults: Option<Box<FaultState>>,
@@ -150,13 +336,13 @@ impl Ledger {
 
     /// Admission: refuses typed (counting a rejection where the request
     /// was this app's to take), or queues the sample and returns its
-    /// sequence number and the receiving half of its reply channel.
+    /// sequence number and the completion slot its ticket reads.
     pub(super) fn admit(
         &mut self,
         app: &str,
         sample: &[f32],
         capacity: usize,
-    ) -> Result<(u64, mpsc::Receiver<Result<Completion>>)> {
+    ) -> Result<(u64, SlotId)> {
         // `departing` before `stopping`: a submitter that resolved the
         // app just before the tombstone swap still gets the distinct
         // deregistration refusal, not shutdown's.
@@ -177,18 +363,22 @@ impl Ledger {
                 capacity,
             });
         }
-        let (tx, rx) = mpsc::channel();
-        Ok((self.enqueue(sample.into(), tx), rx))
+        let slot = self.slots.open();
+        Ok((self.enqueue(sample, Some(slot)), slot))
     }
 
-    fn enqueue(&mut self, input: Box<[f32]>, tx: Reply) -> u64 {
+    /// Queues a copy of `sample` in a recycled buffer.
+    fn enqueue(&mut self, sample: &[f32], slot: Option<SlotId>) -> u64 {
+        let mut input = self.spare_inputs.pop().unwrap_or_default();
+        input.clear();
+        input.extend_from_slice(sample);
         let seq = self.next_seq;
         self.next_seq += 1;
         self.pending.push_back(PendingRequest {
             seq,
             input,
             submitted: Instant::now(),
-            tx,
+            slot,
         });
         self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.pending.len());
         seq
@@ -203,8 +393,7 @@ impl Ledger {
             return;
         };
         for _ in 0..n.min(capacity.saturating_sub(self.pending.len())) {
-            let (tx, _rx) = mpsc::channel();
-            self.enqueue(template.clone(), tx);
+            self.enqueue(&template, None);
             self.stats.storm_injected += 1;
         }
     }
@@ -229,51 +418,42 @@ impl Ledger {
     }
 
     /// Moves the `k` oldest requests into the supervised in-flight
-    /// slot, returning their inputs as one contiguous buffer for the
-    /// batched forward.
-    pub(super) fn dispatch(&mut self, k: usize) -> Vec<f32> {
-        let batch: Vec<PendingRequest> = self.pending.drain(..k).collect();
-        let mut data = Vec::with_capacity(batch.iter().map(|r| r.input.len()).sum());
-        for r in &batch {
-            data.extend_from_slice(&r.input);
+    /// slot and writes their inputs into `data` as one contiguous
+    /// buffer for the batched forward. Their sample buffers go back to
+    /// the spare list.
+    pub(super) fn dispatch(&mut self, k: usize, data: &mut Vec<f32>) {
+        data.clear();
+        for mut req in self.pending.drain(..k) {
+            data.extend_from_slice(&req.input);
+            self.spare_inputs.push(std::mem::take(&mut req.input));
+            self.inflight.push(req);
         }
-        self.inflight = batch;
-        data
     }
 
-    /// Takes the in-flight batch back for settlement. Empty means the
-    /// watchdog confiscated it and already answered the riders.
-    pub(super) fn take_inflight(&mut self) -> Vec<PendingRequest> {
-        std::mem::take(&mut self.inflight)
-    }
-
-    /// Takes everything the app still holds — in-flight, then queued —
-    /// for a lifecycle path to fail as stranded.
-    pub(super) fn take_all(&mut self) -> Vec<PendingRequest> {
-        let mut all = self.take_inflight();
-        all.extend(self.pending.drain(..));
-        all
-    }
-
-    /// Settles a served batch: one `completed` and one window sample
-    /// per rider, one row of `logits` each. `service` is the measured
-    /// forward; `deadline` the app's, for the per-request verdict. The
-    /// completions are returned for the caller to send once the lock is
-    /// released.
+    /// Settles the served in-flight batch: one `completed` and one
+    /// window sample per rider, and one row of `logits` written into
+    /// each rider's completion slot. `service` is the measured forward;
+    /// `deadline` the app's, for the per-request verdict.
     pub(super) fn complete(
         &mut self,
-        batch: Vec<PendingRequest>,
         logits: &Tensor,
         service: Duration,
         deadline: Option<TimeSpan>,
-    ) -> Vec<(Reply, Completion)> {
+    ) {
+        let mut batch = std::mem::take(&mut self.inflight);
         let k = batch.len();
         let classes = logits.shape()[1];
         let service = TimeSpan::from_secs(service.as_secs_f64());
         self.stats.batches += 1;
         self.stats.batched_samples += k as u64;
         let rows = logits.data();
-        let completions = batch.into_iter().enumerate().map(|(i, req)| {
+        for (i, req) in batch.drain(..).enumerate() {
+            let latency_s = req.submitted.elapsed().as_secs_f64();
+            let met = deadline.map(|dl| latency_s <= dl.as_secs());
+            self.record(req.seq, latency_s, met);
+            let Some(slot) = req.slot else {
+                continue;
+            };
             let row = &rows[i * classes..(i + 1) * classes];
             // Total order: a NaN logit (a client-submitted NaN sample
             // propagates on the f32 path) must yield *a* prediction,
@@ -284,9 +464,6 @@ impl Ledger {
                 .enumerate()
                 .max_by(|a, b| a.1.total_cmp(b.1))
                 .map_or(0, |(c, _)| c);
-            let latency_s = req.submitted.elapsed().as_secs_f64();
-            let met = deadline.map(|dl| latency_s <= dl.as_secs());
-            self.record(req.seq, latency_s, met);
             let completion = Completion {
                 seq: req.seq,
                 logits: row.to_vec(),
@@ -296,9 +473,71 @@ impl Ledger {
                 batch_size: k,
                 deadline_met: met,
             };
-            (req.tx, completion)
-        });
-        completions.collect()
+            self.slots.answer(slot, Ok(completion));
+        }
+        self.inflight = batch;
+    }
+
+    /// Answers `riders` with `error(seq)` each, counted under `shed`
+    /// for [`ServeError::DeadlineExpired`] and under `errors` otherwise.
+    fn fail_riders(&mut self, riders: Riders, error: impl Fn(u64) -> ServeError) {
+        let (flying, queued) = match riders {
+            Riders::InFlight => (self.inflight.len(), 0),
+            Riders::Oldest(n) => (0, n),
+            Riders::All => (self.inflight.len(), self.pending.len()),
+        };
+        let mut batch = std::mem::take(&mut self.inflight);
+        for req in batch.drain(..flying).chain(self.pending.drain(..queued)) {
+            let error = error(req.seq);
+            match error {
+                ServeError::DeadlineExpired { .. } => self.stats.shed += 1,
+                _ => self.stats.errors += 1,
+            }
+            if req.input.capacity() > 0 {
+                self.spare_inputs.push(req.input);
+            }
+            if let Some(slot) = req.slot {
+                self.slots.answer(slot, Err(error));
+            }
+        }
+        self.inflight = batch;
+    }
+
+    /// Reads `id`'s slot for its ticket. A slot still pending in a
+    /// ledger that has stopped and drained lost its request unanswered
+    /// (every request that leaves the ledger is answered as it leaves),
+    /// so it reads [`SlotRead::Gone`] and is freed.
+    fn take(&mut self, id: SlotId) -> SlotRead {
+        match self.slots.take(id) {
+            SlotRead::Pending if self.closed() => {
+                self.slots.release(id.index);
+                SlotRead::Gone
+            }
+            read => read,
+        }
+    }
+
+    /// Whether a ticket waiting on `id` must keep waiting.
+    fn awaits(&mut self, id: SlotId) -> bool {
+        self.slots.is_pending(id) && !self.closed()
+    }
+
+    /// Stopped and drained: no request is left to answer a slot.
+    fn closed(&self) -> bool {
+        self.stopping && self.is_drained()
+    }
+
+    /// Test hook: loses the oldest queued request without answering
+    /// its slot, as a panic between dequeue and settle would.
+    #[cfg(test)]
+    pub(super) fn drop_unsettled(&mut self) -> bool {
+        self.pending.pop_front().is_some()
+    }
+
+    /// Test hook: the slab's length and its free slots.
+    #[cfg(test)]
+    pub(super) fn slab(&self) -> (usize, usize) {
+        (self.slots.slab.len(), self.slots.free.len())
     }
 
     /// Records one completed request.
@@ -349,6 +588,9 @@ pub(super) struct AppLedger {
     state: RankedMutex<Ledger>,
     /// Signalled when the queue empties and nothing is in flight.
     idle: Condvar,
+    /// Signalled after an unlock whose critical section answered a
+    /// slot while a ticket was waiting, and when the app closes.
+    settled: Condvar,
     /// The key inputs that are not ledger state: the app's deadline
     /// and the pool epoch.
     basis: KeyBasis,
@@ -377,8 +619,21 @@ impl LedgerGuard<'_> {
     /// app still has some) — which is when the hot path rings the pool.
     pub(super) fn unlock(mut self) -> bool {
         let fell = self.publish();
-        drop(self.st.take());
+        self.release();
         fell
+    }
+
+    /// Unlocks, then wakes the ticket waiters if an answer landed for
+    /// one.
+    fn release(&mut self) {
+        let wake = self
+            .st
+            .as_mut()
+            .is_some_and(|st| std::mem::take(&mut st.slots.wake));
+        drop(self.st.take());
+        if wake {
+            self.owner.settled.notify_all();
+        }
     }
 
     /// Publishes the word, reporting whether it fell.
@@ -415,6 +670,7 @@ impl DerefMut for LedgerGuard<'_> {
 impl Drop for LedgerGuard<'_> {
     fn drop(&mut self) {
         self.publish();
+        self.release();
     }
 }
 
@@ -432,6 +688,8 @@ impl AppLedger {
         let ledger = Ledger {
             pending: VecDeque::new(),
             inflight: Vec::new(),
+            slots: Slots::default(),
+            spare_inputs: Vec::new(),
             faults,
             next_seq: 0,
             last_seq: None,
@@ -458,6 +716,7 @@ impl AppLedger {
         Self {
             state: RankedMutex::new(rank::EXEC_QUEUE, "exec-ledger", ledger),
             idle: Condvar::new(),
+            settled: Condvar::new(),
             basis,
             word: AtomicU64::new(NOT_CLAIMABLE),
         }
@@ -505,7 +764,7 @@ impl AppLedger {
     /// Blocks until the next drained signal, publishing the word before
     /// the wait releases the lock.
     pub(super) fn wait<'a>(&self, mut st: LedgerGuard<'a>) -> LedgerGuard<'a> {
-        st.publish();
+        self.before_wait(&mut st);
         if let Some(inner) = st.st.take() {
             st.st = Some(self.state.wait(&self.idle, inner));
         }
@@ -518,11 +777,20 @@ impl AppLedger {
         mut st: LedgerGuard<'a>,
         timeout: Duration,
     ) -> LedgerGuard<'a> {
-        st.publish();
+        self.before_wait(&mut st);
         if let Some(inner) = st.st.take() {
             st.st = Some(self.state.wait_timeout(&self.idle, inner, timeout).0);
         }
         st
+    }
+
+    /// What an unlock owes before a drain wait releases the lock: the
+    /// word, and the ticket waiters' wakeup.
+    fn before_wait(&self, st: &mut LedgerGuard<'_>) {
+        st.publish();
+        if std::mem::take(&mut st.slots.wake) {
+            self.settled.notify_all();
+        }
     }
 
     /// Wakes the drain watchers if the app has fully drained.
@@ -532,25 +800,13 @@ impl AppLedger {
         }
     }
 
-    /// The one failing settlement: answers each of `reqs` (already
-    /// taken out of the queue or the in-flight slot) with its typed
-    /// error, counts it — under `shed` when the answer is
+    /// The one failing settlement: answers each of `riders` with its
+    /// typed error, counts it — under `shed` when the answer is
     /// [`ServeError::DeadlineExpired`], under `errors` otherwise — and
-    /// signals the drain watchers if that emptied the app.
-    pub(super) fn fail(
-        &self,
-        st: &mut Ledger,
-        reqs: Vec<PendingRequest>,
-        error: impl Fn(&PendingRequest) -> ServeError,
-    ) {
-        for req in reqs {
-            let error = error(&req);
-            match error {
-                ServeError::DeadlineExpired { .. } => st.stats.shed += 1,
-                _ => st.stats.errors += 1,
-            }
-            let _ = req.tx.send(Err(error));
-        }
+    /// signals the drain watchers if that emptied the app. `error`
+    /// gets each rider's sequence number.
+    pub(super) fn fail(&self, st: &mut Ledger, riders: Riders, error: impl Fn(u64) -> ServeError) {
+        st.fail_riders(riders, error);
         self.notify_if_drained(st);
     }
 
@@ -568,40 +824,82 @@ impl AppLedger {
             .iter()
             .take_while(|r| r.submitted.elapsed().as_secs_f64() > deadline.as_secs())
             .count();
-        let doomed = st.pending.drain(..expired).collect();
-        self.fail(st, doomed, |req| ServeError::DeadlineExpired {
-            app: app.into(),
-            seq: req.seq,
+        self.fail(st, Riders::Oldest(expired), |seq| {
+            ServeError::DeadlineExpired {
+                app: app.into(),
+                seq,
+            }
         });
+    }
+
+    /// A ticket's read of `id`: waits as `wait` says while the slot is
+    /// pending, then takes what it holds. Takes the bare lock (a ticket
+    /// changes nothing the scheduling word reads) and no other lock.
+    pub(super) fn take_outcome(&self, id: SlotId, wait: Wait) -> SlotRead {
+        let mut st = self.state.lock();
+        if !matches!(wait, Wait::No) && st.awaits(id) {
+            st.slots.watch(id, true);
+            st = match wait {
+                Wait::For(timeout) => {
+                    self.state
+                        .wait_timeout_while(&self.settled, st, timeout, |st| st.awaits(id))
+                        .0
+                }
+                _ => {
+                    while st.awaits(id) {
+                        st = self.state.wait(&self.settled, st);
+                    }
+                    st
+                }
+            };
+            st.slots.watch(id, false);
+        }
+        st.take(id)
+    }
+
+    /// A ticket's drop: frees its slot, or leaves a pending one for the
+    /// settle to free.
+    pub(super) fn forget(&self, id: SlotId) {
+        self.state.lock().slots.forget(id);
+    }
+
+    /// Wakes every ticket waiter to re-read its slot: the lifecycle
+    /// paths call it once the app has closed, so a slot whose request
+    /// was lost unanswered reads [`SlotRead::Gone`] instead of waiting
+    /// forever.
+    pub(super) fn wake_tickets(&self) {
+        self.settled.notify_all();
     }
 
     /// One instant of the app (shared by [`super::Executor::stats`],
     /// the bulk `dnn_snapshots` and the final snapshot
     /// `deregister_dnn` returns): every counter, the depths and the
     /// latency window are copied in one critical section; the
-    /// percentiles are selected over `scratch` after it, `p99` only if
-    /// `want_p99`.
-    pub(super) fn snapshot(&self, scratch: &mut Vec<f64>, want_p99: bool) -> AppStatsSnapshot {
-        let mut snap = {
-            // The bare lock: this section changes nothing, so there is
-            // no word to publish.
-            let st = self.state.lock();
-            let mut snap = AppStatsSnapshot {
-                queue_depth: st.pending.len(),
-                in_flight: st.inflight.len(),
-                restarts: st.restarts,
-                stalls: st.stalls,
-                predicted: st.predicted,
-                cluster: st.cluster,
-                band_cap: st.band_cap,
-                admitted: st.admitted,
-                ..st.stats.clone()
+    /// percentiles are selected over the thread's scratch after it,
+    /// `p99` only if `want_p99`.
+    pub(super) fn snapshot(&self, want_p99: bool) -> AppStatsSnapshot {
+        with_scratch(|scratch| {
+            let mut snap = {
+                // The bare lock: this section changes nothing, so there
+                // is no word to publish.
+                let st = self.state.lock();
+                let mut snap = AppStatsSnapshot {
+                    queue_depth: st.pending.len(),
+                    in_flight: st.inflight.len(),
+                    restarts: st.restarts,
+                    stalls: st.stalls,
+                    predicted: st.predicted,
+                    cluster: st.cluster,
+                    band_cap: st.band_cap,
+                    admitted: st.admitted,
+                    ..st.stats.clone()
+                };
+                st.window.read_into(&mut snap, scratch);
+                snap
             };
-            st.window.read_into(&mut snap, scratch);
+            (snap.p50, snap.p99) = percentiles(scratch, want_p99);
             snap
-        };
-        (snap.p50, snap.p99) = percentiles(scratch, want_p99);
-        snap
+        })
     }
 }
 
@@ -621,7 +919,7 @@ mod tests {
             st.record(3, 1e-3, Some(true));
             st.record(2, 9e-3, Some(false));
         }
-        let s = ledger.snapshot(&mut Vec::new(), true);
+        let s = ledger.snapshot(true);
         assert_eq!((s.completed, s.missed, s.out_of_order), (2, 1, 1));
         assert_eq!((s.window_len, s.window_outcomes), (2, 2));
         assert!(s.admitted && s.p99 == Some(TimeSpan::from_secs(9e-3)));

@@ -20,7 +20,9 @@
 //! - [`crate::fault`] — everything an injected fault does, behind three
 //!   calls from `driver`.
 //!
-//! Requests complete through per-request tickets; queue overflow is a
+//! Requests complete through per-request tickets, each reading its
+//! outcome from a completion slot in the app's ledger (no channel, and
+//! after warm-up no allocation but the logits row); queue overflow is a
 //! typed [`crate::ServeError::QueueFull`] at submission, never a block
 //! and never a silent drop. Every admitted request produces exactly one
 //! completion (success or a typed error) in FIFO order per app, a
@@ -67,9 +69,10 @@ mod ledger;
 mod sched;
 mod supervise;
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::Duration;
 
 use eml_core::knobs::{commands_for, KnobCommand};
@@ -79,7 +82,7 @@ use eml_core::sync::{rank, RankedMutex};
 use eml_dnn::DynamicDnn;
 use eml_platform::units::TimeSpan;
 
-use self::ledger::AppLedger;
+use self::ledger::{AppLedger, Riders, SlotId, SlotRead, Wait};
 use self::sched::{KeyBasis, PoolShared};
 use self::supervise::{spawn_driver_thread, Driver, Watchdog};
 use crate::error::{Result, ServeError};
@@ -171,18 +174,37 @@ pub struct Completion {
     pub deadline_met: Option<bool>,
 }
 
-/// A handle to one submitted request.
-#[derive(Debug)]
+/// A handle to one submitted request: the app it was submitted to,
+/// the completion slot its outcome is answered in (with the slot's
+/// generation, so a recycled slot never answers it) and its sequence
+/// number. Waiting takes only the app's ledger lock; dropping the
+/// ticket frees the slot, or leaves it to the request's settle.
+///
+/// A ticket is `Send` but not `Sync`: one thread waits on it at a time.
 pub struct Ticket {
-    app: String,
+    app: Arc<App>,
+    slot: SlotId,
     seq: u64,
-    rx: mpsc::Receiver<Result<Completion>>,
+    /// The slot was read to the end (the outcome taken, or nothing
+    /// left to take): later reads and the drop skip the lock. A `Cell`
+    /// also keeps the ticket off other threads' shared references, so
+    /// a slot has at most one waiter.
+    done: Cell<bool>,
+}
+
+impl std::fmt::Debug for Ticket {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Ticket")
+            .field("app", &self.app.name)
+            .field("seq", &self.seq)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Ticket {
     /// The application this request was submitted to.
     pub fn app(&self) -> &str {
-        &self.app
+        &self.app.name
     }
 
     /// The request's per-app FIFO sequence number.
@@ -198,11 +220,14 @@ impl Ticket {
     /// forward pass failed (or the supervisor failed a dead/wedged
     /// driver's batch), [`ServeError::DeadlineExpired`] if the request
     /// was shed past its deadline, or [`ServeError::AppStopped`] if
-    /// the executor shut down before completing this request.
+    /// the executor shut down before completing this request (or the
+    /// outcome was already taken).
     pub fn wait(&self) -> Result<Completion> {
-        self.rx.recv().map_err(|_| ServeError::AppStopped {
-            app: self.app.clone(),
-        })?
+        loop {
+            if let Some(outcome) = self.outcome(Wait::Forever) {
+                return outcome;
+            }
+        }
     }
 
     /// [`Ticket::wait`] with an upper bound on *this wait*, not on the
@@ -219,15 +244,11 @@ impl Ticket {
     /// As [`Ticket::wait`], plus [`ServeError::WaitTimeout`] when the
     /// bound elapses first.
     pub fn wait_timeout(&self, timeout: std::time::Duration) -> Result<Completion> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(done) => done,
-            Err(mpsc::RecvTimeoutError::Timeout) => Err(ServeError::WaitTimeout {
-                app: self.app.clone(),
-            }),
-            Err(mpsc::RecvTimeoutError::Disconnected) => Err(ServeError::AppStopped {
-                app: self.app.clone(),
-            }),
-        }
+        self.outcome(Wait::For(timeout)).unwrap_or_else(|| {
+            Err(ServeError::WaitTimeout {
+                app: self.app.name.clone(),
+            })
+        })
     }
 
     /// [`Ticket::wait`] without blocking: `None` while the request is
@@ -235,12 +256,38 @@ impl Ticket {
     /// nothing — a later `try_wait`/`wait`/`wait_timeout` on the same
     /// ticket still receives the outcome.
     pub fn try_wait(&self) -> Option<Result<Completion>> {
-        match self.rx.try_recv() {
-            Ok(done) => Some(done),
-            Err(mpsc::TryRecvError::Empty) => None,
-            Err(mpsc::TryRecvError::Disconnected) => Some(Err(ServeError::AppStopped {
-                app: self.app.clone(),
-            })),
+        self.outcome(Wait::No)
+    }
+
+    /// Reads the slot: `None` while the request is pending after
+    /// `wait`, the outcome once settled, and a typed stop when there is
+    /// nothing left to read.
+    fn outcome(&self, wait: Wait) -> Option<Result<Completion>> {
+        let read = if self.done.get() {
+            SlotRead::Gone
+        } else {
+            self.app.ledger.take_outcome(self.slot, wait)
+        };
+        match read {
+            SlotRead::Pending => None,
+            SlotRead::Ready(outcome) => {
+                self.done.set(true);
+                Some(outcome)
+            }
+            SlotRead::Gone => {
+                self.done.set(true);
+                Some(Err(ServeError::AppStopped {
+                    app: self.app.name.clone(),
+                }))
+            }
+        }
+    }
+}
+
+impl Drop for Ticket {
+    fn drop(&mut self) {
+        if !self.done.get() {
+            self.app.ledger.forget(self.slot);
         }
     }
 }
@@ -526,15 +573,15 @@ impl Executor {
         st.busy = false;
         st.band_cap = 0;
         st.admitted = false;
-        let stranded = st.take_all();
         d.ledger
-            .fail(&mut st, stranded, |_| ServeError::AppDeregistered {
+            .fail(&mut st, Riders::All, |_| ServeError::AppDeregistered {
                 app: d.name.clone(),
             });
         drop(st);
+        d.ledger.wake_tickets();
         // Off the scheduler roster: no driver will claim it again.
         d.pool.sched.lock().roster.retain(|a| !Arc::ptr_eq(a, &d));
-        Ok(d.ledger.snapshot(&mut Vec::new(), true))
+        Ok(d.ledger.snapshot(true))
     }
 
     /// Resolves a *live* DNN app. A departed name gets the distinct
@@ -584,7 +631,7 @@ impl Executor {
             });
         }
         let mut st = entry.ledger.lock();
-        let (seq, rx) = st.admit(app, sample, self.cfg.queue_capacity)?;
+        let (seq, slot) = st.admit(app, sample, self.cfg.queue_capacity)?;
         // Ring only when the enqueue made the app more urgent (an idle
         // app's queue went non-empty): a busy app is re-offered by its
         // release, and a queued one was already offered.
@@ -592,9 +639,10 @@ impl Executor {
             entry.pool.ring();
         }
         Ok(Ticket {
-            app: app.into(),
+            app: entry,
+            slot,
             seq,
-            rx,
+            done: Cell::new(false),
         })
     }
 
@@ -733,17 +781,14 @@ impl Executor {
     ///
     /// [`ServeError::UnknownApp`] for unregistered or rigid names.
     pub fn stats(&self, app: &str) -> Result<AppStatsSnapshot> {
-        Ok(self
-            .dnn_app_any(app)?
-            .ledger
-            .snapshot(&mut Vec::new(), true))
+        Ok(self.dnn_app_any(app)?.ledger.snapshot(true))
     }
 
     /// The control plane's bulk read: every DNN app's snapshot in
     /// **sorted-name** order from one pass — the registry lock taken
     /// once (not once per name, and only to clone the roster's handles:
-    /// submitters resolve names under the same lock) and one percentile
-    /// scratch shared by every tenant. Rigid apps have no serving
+    /// submitters resolve names under the same lock) and the reading
+    /// thread's percentile scratch for every tenant. Rigid apps have no serving
     /// surface and are skipped; tombstones are visited only when
     /// `departed_too` (the [`Executor::stats`] view). Every bulk reader
     /// consumes the median only, so `p99` is left unselected; each
@@ -761,10 +806,9 @@ impl Executor {
                 .collect()
         };
         roster.sort_unstable_by(|a, b| a.name.cmp(&b.name));
-        let mut scratch = Vec::with_capacity(self.cfg.stats_window);
         roster
             .iter()
-            .map(|app| (app.name.clone(), app.ledger.snapshot(&mut scratch, false)))
+            .map(|app| (app.name.clone(), app.ledger.snapshot(false)))
             .collect()
     }
 
@@ -831,11 +875,12 @@ impl Executor {
             let AppEntry::Dnn(app) = entry else { continue };
             let mut st = app.ledger.lock();
             st.busy = false;
-            let stranded = st.take_all();
             app.ledger
-                .fail(&mut st, stranded, |_| ServeError::AppStopped {
+                .fail(&mut st, Riders::All, |_| ServeError::AppStopped {
                     app: app.name.clone(),
                 });
+            drop(st);
+            app.ledger.wake_tickets();
         }
     }
 }
@@ -1407,7 +1452,7 @@ mod tests {
 
     #[test]
     fn try_wait_polls_without_taking_the_outcome() {
-        let exec = tiny_executor(ExecutorConfig::default());
+        let mut exec = tiny_executor(ExecutorConfig::default());
         exec.pause("cam").unwrap();
         let t = exec.submit("cam", &sample(0.3)).unwrap();
         assert!(t.try_wait().is_none(), "in flight while the app is paused");
@@ -1431,19 +1476,143 @@ mod tests {
         exec.drain();
         assert_eq!(exec.stats("cam").unwrap().completed, 2);
 
-        // The sending side gone without an answer is a typed stop.
-        let (tx, rx) = mpsc::channel();
-        let orphan = Ticket {
-            app: "cam".into(),
-            seq: 7,
-            rx,
-        };
-        assert!(orphan.try_wait().is_none());
-        drop(tx);
+        // A request lost without an answer is a typed stop once the app
+        // has closed, never a hang.
+        exec.pause("cam").unwrap();
+        let orphan = exec.submit("cam", &sample(0.5)).unwrap();
+        assert!(exec.dnn_app("cam").unwrap().ledger.lock().drop_unsettled());
+        assert!(orphan.try_wait().is_none(), "the app could still answer");
+        exec.shutdown();
         assert!(matches!(
             orphan.try_wait(),
             Some(Err(ServeError::AppStopped { .. }))
         ));
+        assert!(matches!(orphan.wait(), Err(ServeError::AppStopped { .. })));
+    }
+
+    #[test]
+    fn a_blocked_wait_on_a_lost_request_ends_at_shutdown() {
+        let mut exec = tiny_executor(ExecutorConfig::default());
+        exec.pause("cam").unwrap();
+        let orphan = exec.submit("cam", &sample(0.5)).unwrap();
+        assert!(exec.dnn_app("cam").unwrap().ledger.lock().drop_unsettled());
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(move || orphan.wait());
+            std::thread::sleep(Duration::from_millis(20));
+            exec.shutdown();
+            assert!(matches!(
+                waiter.join().unwrap(),
+                Err(ServeError::AppStopped { .. })
+            ));
+        });
+    }
+
+    #[test]
+    fn submit_and_drop_cycles_recycle_the_slab() {
+        let exec = tiny_executor(ExecutorConfig {
+            queue_capacity: 16,
+            ..ExecutorConfig::default()
+        });
+        let slab = || exec.dnn_app("cam").unwrap().ledger.lock().slab();
+        let mut high_water = 0;
+        for i in 0..10_000 {
+            // Dropped at once: most tickets go while still pending, so
+            // their settle frees the slot.
+            match exec.submit("cam", &sample(0.1)) {
+                Ok(ticket) => drop(ticket),
+                Err(ServeError::QueueFull { .. }) => std::thread::yield_now(),
+                Err(e) => panic!("cycle {i}: {e}"),
+            }
+            if i % 1000 == 999 {
+                exec.drain();
+                let (len, free) = slab();
+                assert_eq!(free, len, "cycle {i}: a slot leaked");
+                high_water = high_water.max(len);
+            }
+        }
+        // A slot is live only for a queued or in-flight request: the slab
+        // never outgrew the queue plus one batch.
+        let (len, free) = slab();
+        assert_eq!((len, free), (high_water, high_water));
+        assert!(len <= 16 + 8, "slab grew to {len}");
+        // Taken outcomes free their slots as well.
+        for _ in 0..100 {
+            exec.submit("cam", &sample(0.2))
+                .unwrap()
+                .wait_timeout(TIMEOUT)
+                .unwrap();
+        }
+        assert_eq!(slab(), (high_water, high_water), "no growth");
+    }
+
+    #[test]
+    fn a_stale_generation_never_reads_a_recycled_slot() {
+        let exec = tiny_executor(ExecutorConfig::default());
+        let first = exec.submit("cam", &sample(0.1)).unwrap();
+        // Handles on the first request's slot and generation that never
+        // took its outcome: once the slot is recycled they are stale.
+        let (app, slot, seq) = (Arc::clone(&first.app), first.slot, first.seq);
+        let stale = || Ticket {
+            app: Arc::clone(&app),
+            slot,
+            seq,
+            done: Cell::new(false),
+        };
+        assert_eq!(first.wait_timeout(TIMEOUT).unwrap().seq, seq);
+        drop(first);
+        let second = exec.submit("cam", &sample(0.9)).unwrap();
+        assert_eq!(second.slot.index, slot.index, "the slot was reused");
+        assert_ne!(second.slot.generation, slot.generation);
+        exec.drain();
+        // The second outcome is settled in the shared slot. A stale
+        // handle cannot see it however it asks, and its drop leaves the
+        // slot alone.
+        assert!(matches!(
+            stale().try_wait(),
+            Some(Err(ServeError::AppStopped { .. }))
+        ));
+        assert!(matches!(
+            stale().wait_timeout(TIMEOUT),
+            Err(ServeError::AppStopped { .. })
+        ));
+        assert!(matches!(stale().wait(), Err(ServeError::AppStopped { .. })));
+        let done = second.try_wait().expect("settled").unwrap();
+        assert_eq!(done.seq, second.seq());
+    }
+
+    #[test]
+    fn a_ticket_outlives_its_apps_deregistration_and_reuse_of_the_name() {
+        let exec = tiny_executor(ExecutorConfig::default());
+        exec.pause("cam").unwrap();
+        let old: Vec<Ticket> = (0..3)
+            .map(|i| exec.submit("cam", &sample(0.1 * i as f32)).unwrap())
+            .collect();
+        exec.resume("cam").unwrap();
+        exec.deregister_dnn("cam").unwrap();
+        exec.register_dnn(
+            "cam",
+            testbed::tiny_dnn(2),
+            &Requirements::new().with_max_latency(TimeSpan::from_millis(50.0)),
+        )
+        .unwrap();
+        let new = exec.submit("cam", &sample(0.1)).unwrap();
+        assert_eq!(new.seq(), 0, "a fresh lifetime numbers from zero");
+        let fresh = new.wait_timeout(TIMEOUT).unwrap();
+        // Each old ticket resolves from its own lifetime's slab: its own
+        // sequence number (or its own shed), not the new app's answer.
+        for (seq, t) in old.iter().enumerate() {
+            assert_eq!((t.app(), t.seq()), ("cam", seq as u64));
+            match t.wait_timeout(TIMEOUT) {
+                Ok(done) => {
+                    assert_eq!(done.seq, seq as u64);
+                    if seq == 0 {
+                        assert_ne!(done.logits, fresh.logits, "answered by its own model");
+                    }
+                }
+                Err(ServeError::DeadlineExpired { seq: shed, .. }) => assert_eq!(shed, seq as u64),
+                Err(e) => panic!("old ticket {seq}: {e}"),
+            }
+        }
     }
 
     #[test]

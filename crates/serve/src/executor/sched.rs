@@ -218,6 +218,7 @@ pub(super) fn next_app(drv: &Driver) -> Option<Arc<App>> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::ledger::Riders;
     use super::*;
     use crate::error::ServeError;
     use eml_core::knobs::KnobCommand;
@@ -352,7 +353,7 @@ mod tests {
         }
     }
 
-    fn inference_error(_: &super::super::ledger::PendingRequest) -> ServeError {
+    fn inference_error(_seq: u64) -> ServeError {
         ServeError::Inference {
             app: "t".into(),
             reason: "confiscated".into(),
@@ -391,14 +392,13 @@ mod tests {
                         let mut st = ledger.lock();
                         st.knobs.clear();
                         let k = st.depth().min(2);
-                        st.dispatch(k);
+                        st.dispatch(k, &mut Vec::new());
                     }
                     "claim + dispatch"
                 }
                 10 | 11 => {
                     let mut st = ledger.lock();
-                    let batch = st.take_inflight();
-                    ledger.fail(&mut st, batch, inference_error);
+                    ledger.fail(&mut st, Riders::InFlight, inference_error);
                     "settle"
                 }
                 12 | 13 => {
@@ -442,8 +442,7 @@ mod tests {
                 }
                 _ => {
                     let mut st = ledger.lock();
-                    let batch = st.take_inflight();
-                    ledger.fail(&mut st, batch, inference_error);
+                    ledger.fail(&mut st, Riders::InFlight, inference_error);
                     // A dead driver's claim is freed; a wedged one's
                     // stays with the still-running forward.
                     if rng.below(2) == 0 {

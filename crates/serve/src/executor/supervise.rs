@@ -25,6 +25,7 @@ use std::time::{Duration, Instant};
 use eml_core::sync::{rank, RankedMutex};
 
 use super::driver::driver_loop;
+use super::ledger::Riders;
 use super::sched::PoolShared;
 use super::{App, ExecutorConfig};
 use crate::error::ServeError;
@@ -171,12 +172,12 @@ fn backoff_delay(drv: &Driver, cfg: &ExecutorConfig) {
 /// there was a batch to fail.
 fn fail_inflight(app: &App, reason: &str) -> bool {
     let mut st = app.ledger.lock();
-    let batch = st.take_inflight();
-    let confiscated = !batch.is_empty();
-    app.ledger.fail(&mut st, batch, |_| ServeError::Inference {
-        app: app.name.clone(),
-        reason: reason.into(),
-    });
+    let confiscated = st.in_flight() > 0;
+    app.ledger
+        .fail(&mut st, Riders::InFlight, |_| ServeError::Inference {
+            app: app.name.clone(),
+            reason: reason.into(),
+        });
     confiscated
 }
 

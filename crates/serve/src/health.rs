@@ -8,7 +8,7 @@
 //! per tenant), per tenant one ledger lock plus an O(window) median
 //! selection after releasing it (see [`crate::stats`]; nothing here
 //! reads the p99, so it is not selected), and no allocation beyond the
-//! report, one percentile scratch shared by every tenant and one name
+//! report, the reading thread's percentile scratch and one name
 //! per newly seen app. The pool-wide backlog term is summed from those
 //! same snapshots, so no second sweep locks the ledgers again. The
 //! cost is linear in the tenant count. The score folds the counters

@@ -20,15 +20,16 @@
 //! Cost model. Recording is O(1) and keeps nothing but the window
 //! itself — no sorted shadow, no per-app percentile buffer. A snapshot
 //! pays for its percentiles when it is read: one copy of the window
-//! into a scratch `Vec<f64>` the *reader* owns (under the ledger lock),
-//! then, with the lock released, one selection
-//! (`select_nth_unstable_by`) per requested percentile, the p99 over
-//! the right partition the median selection leaves behind — O(window)
-//! expected, no sort, no allocation beyond the scratch, which a bulk
-//! reader reuses across every tenant. The result is still the *exact*
+//! into the *reading thread's* scratch `Vec<f64>` (`with_scratch`,
+//! kept between reads) under the ledger lock, then, with the lock
+//! released, one selection (`select_nth_unstable_by`) per requested
+//! percentile, the p99 over the right partition the median selection
+//! leaves behind — O(window) expected, no sort, and no allocation once
+//! the scratch has grown to the window. The result is still the *exact*
 //! order statistic at index `round((n-1)·q)` under `f64::total_cmp`,
 //! bit for bit what sorting the window would give.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 
 use eml_nn::Precision;
@@ -106,6 +107,22 @@ impl Window {
         scratch.extend_from_slice(front);
         scratch.extend_from_slice(back);
     }
+}
+
+thread_local! {
+    /// The calling thread's percentile scratch ([`with_scratch`]).
+    static SCRATCH: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
+}
+
+/// Runs `f` with the calling thread's percentile scratch, kept between
+/// reads. A control turn reads every tenant's window; a fresh
+/// window-sized buffer per read was a cold heap allocation in every
+/// turn.
+pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut Vec<f64>) -> R) -> R {
+    let mut scratch = SCRATCH.take();
+    let r = f(&mut scratch);
+    SCRATCH.set(scratch);
+    r
 }
 
 /// The (p50, p99) of the window [`Window::read_into`] left in `scratch`

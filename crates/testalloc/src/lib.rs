@@ -5,7 +5,10 @@
 //! [`std::alloc::System`] and counts, per thread, each allocation
 //! (`alloc`, `alloc_zeroed`, and a `realloc`, which may move the block)
 //! and the bytes requested. Counting per thread keeps the numbers exact
-//! while other tests of the same binary run on other threads.
+//! while other tests of the same binary run on other threads. A
+//! process-wide tally of the same calls ([`count_process`]) counts
+//! what helper threads allocate too; it is exact only in a binary that
+//! runs one test at a time.
 //!
 //! Dev-only: a test binary installs it with
 //!
@@ -28,6 +31,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 thread_local! {
     /// This thread's `(allocations, bytes requested)` so far. A const
@@ -36,22 +40,28 @@ thread_local! {
     static COUNTS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
 }
 
-/// Counts one allocation of `bytes` on the calling thread (nothing
-/// once the thread's locals are gone, during its exit).
+/// Allocation calls made by every thread of the process so far.
+static PROCESS: AtomicU64 = AtomicU64::new(0);
+
+/// Counts one allocation of `bytes`: in the process tally always, and
+/// on the calling thread unless its locals are gone (during its exit).
 fn note(bytes: usize) {
+    PROCESS.fetch_add(1, Ordering::Relaxed);
     let _ = COUNTS.try_with(|c| {
         let (n, b) = c.get();
         c.set((n + 1, b + bytes as u64));
     });
 }
 
-/// The counting allocator: [`System`] plus per-thread counts.
+/// The counting allocator: [`System`] plus per-thread and process-wide
+/// counts.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Counting;
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
 // which upholds the `GlobalAlloc` contract; the counting touches only a
-// const-initialised thread-local `Cell` and never allocates.
+// const-initialised thread-local `Cell` and a static atomic, and never
+// allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
@@ -99,4 +109,14 @@ pub fn count<R>(f: impl FnOnce() -> R) -> (R, Allocs) {
         bytes: after.1 - before.1,
     };
     (r, allocs)
+}
+
+/// Runs `f` and returns its result with the allocation calls the whole
+/// process made meanwhile, on any thread. Only a binary with a single
+/// test gets an exact figure: a concurrent test's allocations count
+/// too.
+pub fn count_process<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = PROCESS.load(Ordering::SeqCst);
+    let r = f();
+    (r, PROCESS.load(Ordering::SeqCst) - before)
 }
