@@ -143,11 +143,14 @@ impl Slots {
     /// A pending slot for a newly admitted request.
     fn open(&mut self) -> SlotId {
         let index = self.free.pop().unwrap_or_else(|| {
-            self.slab.push(Slot {
-                generation: 0,
-                state: SlotState::Free,
-                waited: false,
-            });
+            push_exact(
+                &mut self.slab,
+                Slot {
+                    generation: 0,
+                    state: SlotState::Free,
+                    waited: false,
+                },
+            );
             self.slab.len() - 1
         });
         let slot = &mut self.slab[index];
@@ -180,7 +183,7 @@ impl Slots {
         slot.generation += 1;
         slot.state = SlotState::Free;
         slot.waited = false;
-        self.free.push(index);
+        push_exact(&mut self.free, index);
     }
 
     /// The settle's write: answers `id`'s request exactly once. An
@@ -231,6 +234,14 @@ impl Slots {
             _ => {}
         }
     }
+}
+
+/// Pushes `x`, growing `v` by exactly what it needs: the per-app
+/// vectors keep the app's high water, not a doubling of it, which
+/// matters at a hundred mostly idle tenants.
+fn push_exact<T>(v: &mut Vec<T>, x: T) {
+    v.reserve_exact(1);
+    v.push(x);
 }
 
 /// Which requests a failing settlement answers ([`AppLedger::fail`]).
@@ -423,6 +434,8 @@ impl Ledger {
     /// the spare list.
     pub(super) fn dispatch(&mut self, k: usize, data: &mut Vec<f32>) {
         data.clear();
+        self.inflight.reserve_exact(k);
+        self.spare_inputs.reserve_exact(k);
         for mut req in self.pending.drain(..k) {
             data.extend_from_slice(&req.input);
             self.spare_inputs.push(std::mem::take(&mut req.input));
@@ -494,7 +507,7 @@ impl Ledger {
                 _ => self.stats.errors += 1,
             }
             if req.input.capacity() > 0 {
-                self.spare_inputs.push(req.input);
+                push_exact(&mut self.spare_inputs, req.input);
             }
             if let Some(slot) = req.slot {
                 self.slots.answer(slot, Err(error));
