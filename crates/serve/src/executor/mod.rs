@@ -61,8 +61,17 @@
 //! and the app's band is released. A tombstone keeps the final
 //! statistics readable and the refusal distinct from
 //! [`crate::ServeError::UnknownApp`] until the name is registered
-//! again. The extended accounting invariant holds across the
-//! transition.
+//! again; it holds those statistics, not the app, so the departed
+//! model is freed once its last ticket drops. The extended accounting
+//! invariant holds across the transition.
+//!
+//! ## Ownership
+//!
+//! Ownership is a tree: the executor owns the registry, the pool
+//! (whose roster holds the serving apps) and the drivers (which share
+//! the pool); an app owns its ledger and its model; a ticket owns its
+//! app. Nothing points back up, so dropping the executor frees every
+//! app no ticket still holds.
 
 mod driver;
 mod ledger;
@@ -296,6 +305,13 @@ impl Drop for Ticket {
 /// share about one DNN app. The model lives *here* (not on a driver's
 /// stack) so any driver — including one freshly restarted — serves
 /// the same model.
+///
+/// An app owns its ledger and its model and nothing above them: no
+/// handle to the pool or the executor. The registry, the pool's roster,
+/// a driver's claim and every ticket point *down* at it, so dropping
+/// the executor (and the last ticket) frees it; whoever rings the pool
+/// for an app reaches the pool through the executor
+/// (docs/INVARIANTS.md, "Ownership is acyclic").
 struct App {
     name: String,
     ledger: AppLedger,
@@ -304,9 +320,6 @@ struct App {
     /// scratch is resize-then-overwrite — no torn state survives into
     /// the next forward.
     model: RankedMutex<DynamicDnn>,
-    /// The shared driver pool this app is scheduled on (rung when an
-    /// enqueue makes the app more urgent, so a sleeping driver rescans).
-    pool: Arc<PoolShared>,
     batch_cap: usize,
     queue_capacity: usize,
     sample_len: usize,
@@ -318,16 +331,26 @@ enum AppEntry {
     /// Rigid apps run outside the executor (a GPU renderer, a codec);
     /// registration only makes allocation bookkeeping visible.
     Rigid,
-    /// Tombstone left by [`Executor::deregister_dnn`]: keeps the final
-    /// statistics readable, makes late lookups fail with the distinct
-    /// typed refusal, and frees the name for re-registration.
-    Departed(Arc<App>),
+    /// Left by [`Executor::deregister_dnn`] while the pool drains the
+    /// app: observers still read its live ledger, lookups get the
+    /// distinct typed refusal, and the name is free for re-registration.
+    Departing(Arc<App>),
+    /// The tombstone the drained app leaves: its lifetime's final
+    /// statistics and deadline, not the app, so a departed tenant's
+    /// model is freed once its last ticket drops.
+    Departed(Box<Tombstone>),
 }
 
 impl AppEntry {
     fn is_live(&self) -> bool {
-        !matches!(self, AppEntry::Departed(_))
+        matches!(self, AppEntry::Dnn(_) | AppEntry::Rigid)
     }
+}
+
+/// What a departed app leaves readable under its name.
+struct Tombstone {
+    stats: AppStatsSnapshot,
+    deadline: Option<TimeSpan>,
 }
 
 /// The multi-tenant serving executor. See the module docs.
@@ -474,7 +497,6 @@ impl Executor {
                 },
             ),
             model: RankedMutex::new(rank::EXEC_MODEL, "exec-model", dnn),
-            pool: Arc::clone(&self.pool),
             batch_cap: self.cfg.batch_cap.max(1),
             queue_capacity: self.cfg.queue_capacity,
             sample_len: sample_shape.iter().product(),
@@ -545,7 +567,7 @@ impl Executor {
         let d = {
             let mut apps = self.apps.lock();
             let d = Self::live_dnn(&apps, app)?;
-            apps.insert(app.to_string(), AppEntry::Departed(Arc::clone(&d)));
+            apps.insert(app.to_string(), AppEntry::Departing(Arc::clone(&d)));
             d
         };
         // Stop admissions, typed. The pool still drains what the app
@@ -556,7 +578,7 @@ impl Executor {
             st.departing = true;
             st.stopping = true;
         }
-        d.pool.ring();
+        self.pool.ring();
         // Wait for the pool to finish the app's admitted work. A
         // bounded re-check (not a pure condvar wait) because two of
         // the signals that end the wait are not the app's own idle
@@ -565,7 +587,7 @@ impl Executor {
         // (no drain will ever come — the stranded work is settled
         // below).
         let mut st = d.ledger.lock();
-        while (st.busy || !st.is_drained()) && d.pool.live_drivers.load(Ordering::SeqCst) > 0 {
+        while (st.busy || !st.is_drained()) && self.pool.live_drivers.load(Ordering::SeqCst) > 0 {
             st = d.ledger.wait_for(st, Duration::from_millis(5));
         }
         // Anything left had no live driver to drain it. Fail it loud,
@@ -580,8 +602,24 @@ impl Executor {
         drop(st);
         d.ledger.wake_tickets();
         // Off the scheduler roster: no driver will claim it again.
-        d.pool.sched.lock().roster.retain(|a| !Arc::ptr_eq(a, &d));
-        Ok(d.ledger.snapshot(true))
+        self.pool
+            .sched
+            .lock()
+            .roster
+            .retain(|a| !Arc::ptr_eq(a, &d));
+        let stats = d.ledger.snapshot(true);
+        // Nothing writes the ledger's statistics any more, so the
+        // tombstone takes them in place of the app — unless the name
+        // was registered again while the app drained.
+        if let Some(entry) = self.apps.lock().get_mut(app) {
+            if matches!(entry, AppEntry::Departing(a) if Arc::ptr_eq(a, &d)) {
+                *entry = AppEntry::Departed(Box::new(Tombstone {
+                    stats: stats.clone(),
+                    deadline: d.ledger.deadline(),
+                }));
+            }
+        }
+        Ok(stats)
     }
 
     /// Resolves a *live* DNN app. A departed name gets the distinct
@@ -589,7 +627,9 @@ impl Executor {
     fn live_dnn(apps: &HashMap<String, AppEntry>, app: &str) -> Result<Arc<App>> {
         match apps.get(app) {
             Some(AppEntry::Dnn(d)) => Ok(Arc::clone(d)),
-            Some(AppEntry::Departed(_)) => Err(ServeError::AppDeregistered { app: app.into() }),
+            Some(AppEntry::Departing(_) | AppEntry::Departed(_)) => {
+                Err(ServeError::AppDeregistered { app: app.into() })
+            }
             _ => Err(ServeError::UnknownApp { app: app.into() }),
         }
     }
@@ -598,13 +638,22 @@ impl Executor {
         Self::live_dnn(&self.apps.lock(), app)
     }
 
-    /// Resolves a DNN app for *observation*, alive or departed — final
-    /// statistics stay readable after deregistration.
-    fn dnn_app_any(&self, app: &str) -> Result<Arc<App>> {
-        match self.apps.lock().get(app) {
-            Some(AppEntry::Dnn(d) | AppEntry::Departed(d)) => Ok(Arc::clone(d)),
-            _ => Err(ServeError::UnknownApp { app: app.into() }),
-        }
+    /// Reads a DNN app for *observation*, alive or departed — final
+    /// statistics stay readable after deregistration: `live` reads the
+    /// app (a draining one too) once the registry lock is released,
+    /// `departed` reads a tombstone under it.
+    fn observe<T>(
+        &self,
+        app: &str,
+        live: impl FnOnce(&App) -> T,
+        departed: impl FnOnce(&Tombstone) -> T,
+    ) -> Result<T> {
+        let found = match self.apps.lock().get(app) {
+            Some(AppEntry::Dnn(d) | AppEntry::Departing(d)) => Arc::clone(d),
+            Some(AppEntry::Departed(t)) => return Ok(departed(t)),
+            _ => return Err(ServeError::UnknownApp { app: app.into() }),
+        };
+        Ok(live(&found))
     }
 
     /// Submits one sample (the model's per-sample input, flattened) for
@@ -636,7 +685,7 @@ impl Executor {
         // app's queue went non-empty): a busy app is re-offered by its
         // release, and a queued one was already offered.
         if st.unlock() {
-            entry.pool.ring();
+            self.pool.ring();
         }
         Ok(Ticket {
             app: entry,
@@ -717,7 +766,7 @@ impl Executor {
         };
         let entry = self.dnn_app(name)?;
         entry.ledger.lock().knobs.push(cmd.clone());
-        entry.pool.ring();
+        self.pool.ring();
         Ok(KnobRoute::Queued)
     }
 
@@ -731,7 +780,7 @@ impl Executor {
     pub fn inject_fault(&self, app: &str, fault: FaultKind) -> Result<()> {
         let entry = self.dnn_app(app)?;
         entry.ledger.lock().arm_fault(fault);
-        entry.pool.ring();
+        self.pool.ring();
         Ok(())
     }
 
@@ -756,7 +805,7 @@ impl Executor {
     pub fn resume(&self, app: &str) -> Result<()> {
         let entry = self.dnn_app(app)?;
         entry.ledger.lock().paused = false;
-        entry.pool.ring();
+        self.pool.ring();
         Ok(())
     }
 
@@ -767,7 +816,7 @@ impl Executor {
     ///
     /// [`ServeError::UnknownApp`] for unregistered or rigid names.
     pub fn deadline(&self, app: &str) -> Result<Option<TimeSpan>> {
-        Ok(self.dnn_app_any(app)?.ledger.deadline())
+        self.observe(app, |d| d.ledger.deadline(), |t| t.deadline)
     }
 
     /// A statistics snapshot of one app — one instant of it: every
@@ -781,35 +830,51 @@ impl Executor {
     ///
     /// [`ServeError::UnknownApp`] for unregistered or rigid names.
     pub fn stats(&self, app: &str) -> Result<AppStatsSnapshot> {
-        Ok(self.dnn_app_any(app)?.ledger.snapshot(true))
+        self.observe(app, |d| d.ledger.snapshot(true), |t| t.stats.clone())
     }
 
     /// The control plane's bulk read: every DNN app's snapshot in
     /// **sorted-name** order from one pass — the registry lock taken
-    /// once (not once per name, and only to clone the roster's handles:
-    /// submitters resolve names under the same lock) and the reading
-    /// thread's percentile scratch for every tenant. Rigid apps have no serving
-    /// surface and are skipped; tombstones are visited only when
+    /// once (not once per name, and only to clone the roster's handles
+    /// and copy the tombstones: submitters resolve names under the same
+    /// lock) and the reading thread's percentile scratch for every
+    /// tenant. Rigid apps have no serving surface and are skipped;
+    /// departing apps and tombstones are visited only when
     /// `departed_too` (the [`Executor::stats`] view). Every bulk reader
     /// consumes the median only, so `p99` is left unselected; each
     /// snapshot is otherwise field-for-field what [`Executor::stats`]
     /// returns.
     pub(crate) fn dnn_snapshots(&self, departed_too: bool) -> Vec<(String, AppStatsSnapshot)> {
-        let mut roster: Vec<Arc<App>> = {
-            let apps = self.apps.lock();
-            apps.values()
-                .filter_map(|entry| match entry {
-                    AppEntry::Dnn(d) => Some(Arc::clone(d)),
-                    AppEntry::Departed(d) if departed_too => Some(Arc::clone(d)),
-                    _ => None,
-                })
-                .collect()
-        };
+        let mut roster: Vec<Arc<App>> = Vec::new();
+        let mut tombstones = Vec::new();
+        for (name, entry) in self.apps.lock().iter() {
+            match entry {
+                AppEntry::Dnn(d) => roster.push(Arc::clone(d)),
+                AppEntry::Departing(d) if departed_too => roster.push(Arc::clone(d)),
+                AppEntry::Departed(t) if departed_too => {
+                    let stats = AppStatsSnapshot {
+                        p99: None,
+                        ..t.stats.clone()
+                    };
+                    tombstones.push((name.clone(), stats));
+                }
+                _ => {}
+            }
+        }
         roster.sort_unstable_by(|a, b| a.name.cmp(&b.name));
-        roster
+        // Collected at its exact length: a row is about 300 bytes, and
+        // a lone tenant's row with `Vec`'s spare capacity of 4 is too
+        // large for the allocator's per-thread cache (`control_turn_us`
+        // on the one-tenant workloads read ×1.2).
+        let mut rows: Vec<_> = roster
             .iter()
             .map(|app| (app.name.clone(), app.ledger.snapshot(false)))
-            .collect()
+            .collect();
+        if !tombstones.is_empty() {
+            rows.append(&mut tombstones);
+            rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        }
+        rows
     }
 
     /// Blocks until `app`'s queue is empty and nothing is in flight.
@@ -907,6 +972,7 @@ mod tests {
     use crate::testbed;
     use eml_dnn::{Precision, WidthLevel};
     use eml_platform::soc::ClusterId;
+    use std::sync::Weak;
     use std::time::Instant;
 
     const TIMEOUT: Duration = Duration::from_secs(20);
@@ -1712,6 +1778,9 @@ mod tests {
             ));
         }
         assert_eq!(snap.errors, 4, "crash rider + 3 stranded: {snap:?}");
+        // The watchdog charged the restart with the crash rider's error,
+        // so the final snapshot (and the tombstone) already counts it.
+        assert_eq!(snap.restarts, 1, "{snap:?}");
         assert_accounting(&snap, 4);
     }
 
@@ -1829,5 +1898,199 @@ mod tests {
             (2, 2),
             "pool grew with tenants: {p:?}"
         );
+    }
+
+    /// Weak handles to every app the registry holds an `Arc` of (live
+    /// or draining) and to the pool.
+    fn weak_handles(exec: &Executor) -> (Vec<Weak<App>>, Weak<PoolShared>) {
+        let apps = exec
+            .apps
+            .lock()
+            .values()
+            .filter_map(|e| match e {
+                AppEntry::Dnn(d) | AppEntry::Departing(d) => Some(Arc::downgrade(d)),
+                _ => None,
+            })
+            .collect();
+        (apps, Arc::downgrade(&exec.pool))
+    }
+
+    fn assert_all_freed(apps: &[Weak<App>], pool: &Weak<PoolShared>) {
+        for app in apps {
+            assert!(app.upgrade().is_none(), "an app outlived its executor");
+        }
+        assert!(pool.upgrade().is_none(), "the pool outlived its executor");
+    }
+
+    #[test]
+    fn dropping_the_executor_frees_every_app_and_the_pool() {
+        let exec = Executor::new(ExecutorConfig::default());
+        let req = Requirements::new();
+        for (i, name) in ["cam", "mic", "imu"].iter().enumerate() {
+            exec.register_dnn(*name, testbed::tiny_dnn(i as u64 + 1), &req)
+                .unwrap();
+            exec.submit(name, &sample(0.2))
+                .unwrap()
+                .wait_timeout(TIMEOUT)
+                .unwrap();
+        }
+        exec.register_rigid("gpu").unwrap();
+        let (apps, pool) = weak_handles(&exec);
+        assert_eq!(apps.len(), 3);
+        drop(exec);
+        assert_all_freed(&apps, &pool);
+    }
+
+    #[test]
+    fn a_restarted_driver_frees_its_victim_on_drop() {
+        // One driver, crashed by the first batch and restarted by the
+        // watchdog; its victim sat in the dead driver's claim.
+        let plan = FaultPlan::new().with_fault("cam", 0, FaultKind::CrashThread);
+        let exec = tiny_executor(ExecutorConfig {
+            fault_plan: Some(Arc::new(plan)),
+            pool_workers: 1,
+            watchdog_interval: Duration::from_millis(2),
+            restart_backoff: Duration::from_millis(2),
+            ..ExecutorConfig::default()
+        });
+        let crashed = exec.submit("cam", &sample(0.3)).unwrap();
+        assert!(matches!(
+            crashed.wait_timeout(TIMEOUT),
+            Err(ServeError::Inference { .. })
+        ));
+        drop(crashed);
+        exec.submit("cam", &sample(0.4))
+            .unwrap()
+            .wait_timeout(TIMEOUT)
+            .expect("restarted driver serves");
+        assert_eq!(exec.stats("cam").unwrap().restarts, 1);
+        let (apps, pool) = weak_handles(&exec);
+        drop(exec);
+        assert_all_freed(&apps, &pool);
+    }
+
+    #[test]
+    fn a_reborn_name_frees_both_lifetimes_on_drop() {
+        let exec = tiny_executor(ExecutorConfig::default());
+        let req = Requirements::new().with_max_latency(TimeSpan::from_millis(50.0));
+        exec.submit("cam", &sample(0.1))
+            .unwrap()
+            .wait_timeout(TIMEOUT)
+            .unwrap();
+        let (mut apps, pool) = weak_handles(&exec);
+        exec.deregister_dnn("cam").unwrap();
+        exec.register_dnn("cam", testbed::tiny_dnn(2), &req)
+            .unwrap();
+        exec.submit("cam", &sample(0.2))
+            .unwrap()
+            .wait_timeout(TIMEOUT)
+            .unwrap();
+        apps.extend(weak_handles(&exec).0);
+        assert_eq!(apps.len(), 2);
+        drop(exec);
+        assert_all_freed(&apps, &pool);
+    }
+
+    #[test]
+    fn a_ticket_held_past_the_drop_keeps_only_its_own_app() {
+        let exec = tiny_executor(ExecutorConfig::default());
+        exec.register_dnn("mic", testbed::tiny_dnn(2), &Requirements::new())
+            .unwrap();
+        let served = exec.submit("cam", &sample(0.2)).unwrap();
+        exec.drain();
+        // A request lost unanswered (the test hook), so the ticket can
+        // only read the typed stop once the app has closed.
+        exec.pause("cam").unwrap();
+        let lost = exec.submit("cam", &sample(0.3)).unwrap();
+        assert!(exec.dnn_app("cam").unwrap().ledger.lock().drop_unsettled());
+        let cam = Arc::downgrade(&exec.dnn_app("cam").unwrap());
+        let mic = Arc::downgrade(&exec.dnn_app("mic").unwrap());
+        let pool = Arc::downgrade(&exec.pool);
+        drop(exec);
+        assert!(pool.upgrade().is_none(), "the pool outlived its executor");
+        assert!(
+            mic.upgrade().is_none(),
+            "a ticketless app outlived its executor"
+        );
+        assert!(cam.upgrade().is_some(), "the tickets keep their own app");
+        assert_eq!(served.wait().expect("answered before the drop").seq, 0);
+        assert!(matches!(lost.wait(), Err(ServeError::AppStopped { .. })));
+        drop((served, lost));
+        assert!(cam.upgrade().is_none(), "the last ticket frees the app");
+    }
+
+    #[test]
+    fn a_departed_app_is_freed_once_its_tickets_drop() {
+        let exec = tiny_executor(ExecutorConfig::default());
+        exec.pause("cam").unwrap();
+        let tickets: Vec<Ticket> = (0..3)
+            .map(|i| exec.submit("cam", &sample(0.1 * i as f32)).unwrap())
+            .collect();
+        exec.resume("cam").unwrap();
+        let (apps, _) = weak_handles(&exec);
+        let last = exec.deregister_dnn("cam").unwrap();
+        // The tombstone answers for the departed app, as the app did.
+        assert_eq!(
+            format!("{:?}", exec.stats("cam").unwrap()),
+            format!("{last:?}")
+        );
+        assert_eq!(
+            exec.deadline("cam").unwrap(),
+            Some(TimeSpan::from_millis(50.0))
+        );
+        let all = exec.dnn_snapshots(true);
+        let mut bulk = snapshot_named(&all, "cam").expect("tombstone read").clone();
+        assert_eq!(bulk.p99, None);
+        bulk.p99 = last.p99;
+        assert_eq!(format!("{bulk:?}"), format!("{last:?}"));
+        assert!(apps[0].upgrade().is_some(), "unread tickets keep the app");
+        for t in &tickets {
+            match t.wait_timeout(TIMEOUT) {
+                Ok(_) | Err(ServeError::DeadlineExpired { .. }) => {}
+                other => panic!("lost or mistyped ticket: {other:?}"),
+            }
+        }
+        drop(tickets);
+        // The driver that served the last batch lets go of the app just
+        // after its release, which may follow the tickets' answers.
+        let deadline = Instant::now() + TIMEOUT;
+        while apps[0].upgrade().is_some() {
+            assert!(Instant::now() < deadline, "the tombstone kept the app");
+            std::thread::yield_now();
+        }
+        assert_eq!(exec.stats("cam").unwrap().completed, last.completed);
+    }
+
+    #[test]
+    fn a_reregistration_during_the_drain_keeps_its_name() {
+        let exec = tiny_executor(ExecutorConfig::default());
+        // The old lifetime's last batch outlasts the re-registration.
+        exec.inject_fault("cam", FaultKind::LatencySpike(TimeSpan::from_millis(500.0)))
+            .unwrap();
+        let slow = exec.submit("cam", &sample(0.1)).unwrap();
+        let last = std::thread::scope(|scope| {
+            let departing = scope.spawn(|| exec.deregister_dnn("cam"));
+            let deadline = Instant::now() + TIMEOUT;
+            while !matches!(exec.apps.lock().get("cam"), Some(AppEntry::Departing(_))) {
+                assert!(Instant::now() < deadline, "never began to depart");
+                std::thread::yield_now();
+            }
+            exec.register_dnn("cam", testbed::tiny_dnn(2), &Requirements::new())
+                .unwrap();
+            departing.join().unwrap().unwrap()
+        });
+        assert_eq!(last.completed, 1, "{last:?}");
+        assert!(slow.wait().unwrap().latency.as_millis() >= 500.0);
+        // The drained lifetime left no tombstone over the fresh one.
+        assert!(matches!(
+            exec.apps.lock().get("cam"),
+            Some(AppEntry::Dnn(_))
+        ));
+        exec.submit("cam", &sample(0.2))
+            .unwrap()
+            .wait_timeout(TIMEOUT)
+            .unwrap();
+        assert_eq!(exec.stats("cam").unwrap().completed, 1);
+        assert_eq!(exec.deadline("cam").unwrap(), None);
     }
 }

@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 use eml_core::sync::{rank, RankedMutex};
 
 use super::driver::driver_loop;
-use super::ledger::Riders;
+use super::ledger::{LedgerGuard, Riders};
 use super::sched::PoolShared;
 use super::{App, ExecutorConfig};
 use crate::error::ServeError;
@@ -169,8 +169,10 @@ fn backoff_delay(drv: &Driver, cfg: &ExecutorConfig) {
 
 /// Fails the app's in-flight batch with a typed inference error (the
 /// supervisor's path for dead and wedged drivers). Returns whether
-/// there was a batch to fail.
-fn fail_inflight(app: &App, reason: &str) -> bool {
+/// there was a batch to fail, and the still-held ledger, so the caller
+/// charges the failure in the same critical section: a deregistration
+/// that sees the app idle has seen every count the watchdog makes.
+fn fail_inflight<'a>(app: &'a App, reason: &str) -> (LedgerGuard<'a>, bool) {
     let mut st = app.ledger.lock();
     let confiscated = st.in_flight() > 0;
     app.ledger
@@ -178,7 +180,7 @@ fn fail_inflight(app: &App, reason: &str) -> bool {
             app: app.name.clone(),
             reason: reason.into(),
         });
-    confiscated
+    (st, confiscated)
 }
 
 /// One supervision pass over one pool driver: join+restart a dead
@@ -200,20 +202,21 @@ fn supervise_driver(drv: &Arc<Driver>, cfg: &ExecutorConfig) {
                 let _ = handle.join();
             }
             drop(th);
-            drv.pool.live_drivers.fetch_sub(1, Ordering::SeqCst);
             let victim = drv.current.lock().take();
             if let Some(app) = victim {
-                fail_inflight(
+                let (mut st, _) = fail_inflight(
                     &app,
                     "pool driver died mid-batch; supervised restart pending",
                 );
                 // The restart is charged to the app whose batch killed
                 // the driver — the per-tenant signal the control plane
                 // and the chaos suites key off.
-                let mut st = app.ledger.lock();
                 st.busy = false;
                 st.restarts += 1;
             }
+            // Counted out after the victim is settled: a deregistration
+            // that stops waiting on a dead pool has seen the restart.
+            drv.pool.live_drivers.fetch_sub(1, Ordering::SeqCst);
             drv.pool.ring();
             backoff_delay(drv, cfg);
         }
@@ -260,8 +263,10 @@ fn supervise_driver(drv: &Arc<Driver>, cfg: &ExecutorConfig) {
             if drv.heartbeat_age() > cfg.stall_timeout.max(Duration::from_millis(1)) {
                 let current = drv.current.lock().clone();
                 if let Some(app) = current {
-                    if fail_inflight(&app, "forward pass stalled past the stall timeout") {
-                        app.ledger.lock().stalls += 1;
+                    let (mut st, confiscated) =
+                        fail_inflight(&app, "forward pass stalled past the stall timeout");
+                    if confiscated {
+                        st.stalls += 1;
                     }
                 }
             }
