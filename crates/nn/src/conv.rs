@@ -46,10 +46,10 @@ use std::ops::Range;
 use rand::Rng;
 
 use crate::error::{NnError, Result};
-use crate::gemm::int8::{gemm_i8_with, QWriteback};
+use crate::gemm::int8::{gemm_i8_with, QOut};
 use crate::gemm::{
     gemm_with, packed_b8_len, packed_b_len, Epilogue, Lhs, MatRef, PackedA, PackedA8, PackedARef,
-    PackedB8Ref, PackedBRef, QEpilogue, QEpilogueI8, Rhs,
+    PackedB8Ref, PackedBRef, QEpilogue, Rhs,
 };
 use crate::im2col::{col2im_add, im2col_packed, im2col_packed_i8, im2col_packed_lhs, ConvGeom};
 use crate::layer::{recycle, sgd_update_span, spare_f32, ChainSupport, Layer, LayerCost, OutBuf};
@@ -191,8 +191,8 @@ struct Scratch {
     /// into the gradient buffer after the parallel scope.
     gw_shards: Vec<f32>,
     /// Bias pre-divided by the chain-edge output scale (the
-    /// [`QEpilogueI8`] operand), rebuilt per chained forward without
-    /// reallocating.
+    /// requantising [`QEpilogue`]'s operand), rebuilt per chained
+    /// forward without reallocating.
     qbias: Vec<f32>,
 }
 
@@ -505,8 +505,8 @@ impl Conv2d {
     /// copies into packed panels ([`im2col_packed_i8`]) and each
     /// executed group runs one `i8×i8→i32` product. With `out_scale`
     /// `None` the epilogue dequantises (`acc·s_x·s_w + bias` in `f32`);
-    /// with `Some(s)` it requantises onto the grid `s` through the
-    /// saturating [`QEpilogueI8`]. `fuse_relu` adds a free `max(0)`.
+    /// with `Some(s)` the same [`QEpilogue`] requantises onto the grid
+    /// `s`, saturating. `fuse_relu` adds a free `max(0)`.
     /// The output buffer comes from `out_buf`: fresh for
     /// [`Layer::forward`], the thread's spares for the inference walk.
     fn quant_step(
@@ -538,35 +538,13 @@ impl Conv2d {
         };
         let (w_scale, packed_w8) = self.packed_w8.as_ref().expect("packed above");
         let q_scale = x_scale * w_scale;
-        let pass = QConvPass {
-            input,
-            inv_x,
-            n,
-            sample_in: shape[1..].iter().product(),
-            sample_out: c_out * ohw,
-            geom: self.geom(shape[2], shape[3], oh, ow),
-            groups_exec,
-            packed_w8,
-            opg,
-            ohw,
-            kdim,
-            batch_par: n > 1 && n * per_sample_macs >= crate::gemm::PAR_MIN_WORK_I8,
-        };
+        let geom = self.geom(shape[2], shape[3], oh, ow);
         let Scratch { col8, qbias, .. } = &mut self.scratch;
-        let bias = &self.b;
-        match out_scale {
+        let (scale, bias, mut out) = match out_scale {
             None => {
                 crate::quant::count_dequantise_pass();
-                let mut out = out_buf.f32(n, &out_shape[1..]);
-                pass.run(out.data_mut(), col8, |g| {
-                    let ep = QEpilogue::scaled(q_scale).with_bias_row(&bias[g * opg..][..opg]);
-                    if fuse_relu {
-                        ep.with_relu()
-                    } else {
-                        ep
-                    }
-                });
-                Ok(QAct::F32(out))
+                let out = out_buf.f32(n, &out_shape[1..]);
+                (q_scale, &self.b[..], QAct::F32(out))
             }
             Some(s_out) => {
                 // The whole epilogue runs on the output grid:
@@ -574,21 +552,36 @@ impl Conv2d {
                 // reused scratch vector — no per-call alloc).
                 let inv_out = inv_or_zero(s_out);
                 qbias.clear();
-                qbias.extend(bias.iter().map(|&b| b * inv_out));
-                let qbias: &[f32] = qbias;
-                let mut out = out_buf.i16(n, &out_shape[1..], s_out);
-                pass.run(out.data_mut(), col8, |g| {
-                    let ep = QEpilogueI8::scaled(q_scale * inv_out)
-                        .with_bias_row(&qbias[g * opg..][..opg]);
-                    if fuse_relu {
-                        ep.with_relu()
-                    } else {
-                        ep
-                    }
-                });
-                Ok(QAct::I8(out))
+                qbias.extend(self.b.iter().map(|&b| b * inv_out));
+                let out = out_buf.i16(n, &out_shape[1..], s_out);
+                (q_scale * inv_out, &qbias[..], QAct::I8(out))
             }
+        };
+        let mut ep = QEpilogue::scaled(scale);
+        if fuse_relu {
+            ep = ep.with_relu();
         }
+        let pass = QConvPass {
+            input,
+            inv_x,
+            n,
+            sample_in: shape[1..].iter().product(),
+            sample_out: c_out * ohw,
+            geom,
+            groups_exec,
+            packed_w8,
+            ep,
+            bias,
+            opg,
+            ohw,
+            kdim,
+            batch_par: n > 1 && n * per_sample_macs >= crate::gemm::PAR_MIN_WORK_I8,
+        };
+        match &mut out {
+            QAct::F32(t) => pass.run(t.data_mut(), col8),
+            QAct::I8(q) => pass.run(q.data_mut(), col8),
+        }
+        Ok(out)
     }
 
     /// Backward (both precisions), one batch-parallel pass: per sample and
@@ -767,6 +760,10 @@ struct QConvPass<'a> {
     geom: ConvGeom,
     groups_exec: usize,
     packed_w8: &'a [PackedA8],
+    /// The epilogue of every group but its bias, which is group `g`'s
+    /// slice of `bias`.
+    ep: QEpilogue<'a>,
+    bias: &'a [f32],
     opg: usize,
     ohw: usize,
     kdim: usize,
@@ -774,20 +771,13 @@ struct QConvPass<'a> {
 }
 
 impl QConvPass<'_> {
-    /// The band loop, generic over the write-back: per sample, the
+    /// The band loop, generic over the output element: per sample, the
     /// input is quantised (`f32`) or taken as it is (int8), lowered by
     /// pure integer copies into packed int8 panels, and each executed
     /// group runs one `i8×i8→i32` product whose epilogue either
-    /// dequantises to `f32` ([`QEpilogue`]) or requantises onto the
-    /// next layer's int8 grid ([`QEpilogueI8`]). `make_ep` builds the
-    /// epilogue for executed group `g` (the bias slice differs per
-    /// group).
-    fn run<E: QWriteback>(
-        &self,
-        out: &mut [E::Out],
-        scratch: &mut Vec<i16>,
-        make_ep: impl Fn(usize) -> E + Sync,
-    ) {
+    /// dequantises to `f32` or requantises onto the next layer's int8
+    /// grid (`i16` out).
+    fn run<T: QOut>(&self, out: &mut [T], scratch: &mut Vec<i16>) {
         let &Self {
             input,
             inv_x,
@@ -797,6 +787,8 @@ impl QConvPass<'_> {
             geom,
             groups_exec,
             packed_w8,
+            ep,
+            bias,
             opg,
             ohw,
             kdim,
@@ -843,7 +835,7 @@ impl QConvPass<'_> {
                             &mut out_s[g * opg * ohw..][..opg * ohw],
                             ohw,
                             !batch_par,
-                            make_ep(g),
+                            ep.with_bias_row(&bias[g * opg..][..opg]),
                         );
                     }
                 }

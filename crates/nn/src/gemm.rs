@@ -54,9 +54,17 @@
 //!
 //! The blocked loop reads packed operands only. This is TFLite Micro's
 //! Prepare/Invoke split: operands go into kernel layout first, and the
-//! loop that follows reads nothing else. [`PackedA`]/[`PackedB`] hold
-//! a whole matrix in panel layout, and [`gemm_with`] takes them
-//! through [`Lhs`]/[`Rhs`] as they are. A plain [`MatRef`] operand
+//! loop that follows reads nothing else. One owned type, [`Packed`],
+//! and one borrowed view, [`PackedRef`], hold a whole matrix in panel
+//! layout for both kernels and both operands. They are generic over
+//! the element ([`PackElem`]: `f32` here, int8-grid `i16` in [`int8`],
+//! which differ in K-slice depth and in the int8 k-pair interleave)
+//! and over the [`Side`] ([`SideA`]'s `MR`-tall row strips or
+//! [`SideB`]'s `NR`-wide column strips); one offset rule finds a K-slice
+//! in all four. [`PackedA`], [`PackedB`], [`int8::PackedA8`] and
+//! [`int8::PackedB8`] (and their `*Ref` views) are those four
+//! instances. [`gemm_with`] takes `f32` ones through [`Lhs`]/[`Rhs`] as
+//! they are. A plain [`MatRef`] operand
 //! ([`Lhs::Mat`]/[`Rhs::Mat`]) is packed whole into a pack buffer
 //! before the product, by the same code that [`PackedA::pack`] and
 //! [`PackedB::pack`] run. Packing is where small products spend most
@@ -97,6 +105,7 @@
 //! to the separate passes.
 
 use std::cell::RefCell;
+use std::marker::PhantomData;
 
 use eml_simd::{relu, TileBias, TileEpilogue};
 
@@ -177,147 +186,179 @@ impl<'a> MatRef<'a> {
     }
 }
 
+/// The element a packed operand stores, and the K-slicing its kernel
+/// reads: `f32` for this module's kernel, int8-grid values in `i16`
+/// storage for [`int8`]'s.
+pub trait PackElem: Copy + Default {
+    /// Depth (K) of one K-slice: [`KC`] for `f32`, [`int8::KC8`] for
+    /// `i16`.
+    const KC: usize;
+    /// K-steps stored side by side per lane: 1 for `f32`, 2 for the
+    /// pair-interleaved int8 panels (an odd depth carries one zero
+    /// k-step).
+    const PAIR: usize;
+}
+
+impl PackElem for f32 {
+    const KC: usize = KC;
+    const PAIR: usize = 1;
+}
+
+/// Which operand of the product a packed buffer holds: [`SideA`] packs
+/// `MR`-tall row strips of an `m × k` matrix, [`SideB`] `NR`-wide
+/// column strips of a `k × n` one.
+pub trait Side: Copy {
+    /// Lanes (rows of A, columns of B) per strip.
+    const STRIP: usize;
+    /// The lane count and the depth of a `rows × cols` operand.
+    fn lanes_depth(rows: usize, cols: usize) -> (usize, usize);
+}
+
+/// The left-hand operand's [`Side`].
+#[derive(Debug, Clone, Copy)]
+pub enum SideA {}
+
+/// The right-hand operand's [`Side`].
+#[derive(Debug, Clone, Copy)]
+pub enum SideB {}
+
+impl Side for SideA {
+    const STRIP: usize = MR;
+    fn lanes_depth(rows: usize, cols: usize) -> (usize, usize) {
+        (rows, cols)
+    }
+}
+
+impl Side for SideB {
+    const STRIP: usize = NR;
+    fn lanes_depth(rows: usize, cols: usize) -> (usize, usize) {
+        (cols, rows)
+    }
+}
+
+/// Buffer length of a packed `rows × cols` operand (see [`Packed`]).
+fn packed_len<T: PackElem, S: Side>(rows: usize, cols: usize) -> usize {
+    let (lanes, depth) = S::lanes_depth(rows, cols);
+    lanes.div_ceil(S::STRIP) * S::STRIP * depth.next_multiple_of(T::PAIR)
+}
+
 /// Buffer length of a packed `m × k` A operand (see [`PackedA`]).
 pub fn packed_a_len(m: usize, k: usize) -> usize {
-    m.div_ceil(MR) * MR * k
+    packed_len::<f32, SideA>(m, k)
 }
 
 /// Buffer length of a packed `k × n` B operand (see [`PackedB`]).
 pub fn packed_b_len(k: usize, n: usize) -> usize {
-    n.div_ceil(NR) * NR * k
+    packed_len::<f32, SideB>(k, n)
 }
 
-/// An owned, fully packed A (left-hand) operand: MR-tall row strips per
-/// K-slice, zero-padded to a multiple of `MR` rows. K-slice `s` (rows
-/// `s·KC..` of the logical matrix) lives at offset `m_pad · s · KC`;
-/// within a slice, strip `st` occupies `kc·MR` elements.
+/// An owned, fully packed operand in the layout the blocked loop reads.
+/// K-slice `s` (depth `s·T::KC..`) starts at `lanes_pad · s · T::KC`,
+/// where `lanes_pad` is the lane count zero-padded to whole strips.
+/// Within a slice `kc` deep, with `kcs` = `kc` rounded up to whole
+/// `T::PAIR`s, strip `st` occupies `kcs · STRIP` elements, and k-step
+/// `p` of the strip's lane `r` sits at
+/// `(p / PAIR) · PAIR · STRIP + r · PAIR + p % PAIR`: `p·MR + r` for an
+/// `f32` A strip, `(p/2)·2MR + r·2 + p%2` for an int8 one, whose lanes
+/// hold k-pairs side by side (the `pmaddwd` operand shape).
 #[derive(Clone)]
-pub struct PackedA {
-    buf: Vec<f32>,
-    m: usize,
-    k: usize,
+pub struct Packed<T: PackElem, S: Side> {
+    buf: Vec<T>,
+    rows: usize,
+    cols: usize,
+    side: PhantomData<S>,
 }
 
-impl std::fmt::Debug for PackedA {
+impl<T: PackElem, S: Side> std::fmt::Debug for Packed<T, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "PackedA({}x{})", self.m, self.k)
+        write!(f, "Packed({}x{})", self.rows, self.cols)
+    }
+}
+
+impl<T: PackElem, S: Side> Packed<T, S> {
+    /// A `rows × cols` operand whose buffer `fill` writes whole.
+    fn filled(rows: usize, cols: usize, fill: impl FnOnce(&mut [T])) -> Self {
+        let mut buf = vec![T::default(); packed_len::<T, S>(rows, cols)];
+        fill(&mut buf);
+        Self {
+            buf,
+            rows,
+            cols,
+            side: PhantomData,
+        }
+    }
+
+    /// The packed buffer, for tests that compare layouts directly.
+    #[cfg(test)]
+    pub(crate) fn as_slice(&self) -> &[T] {
+        &self.buf
+    }
+
+    /// A borrowed view for [`gemm_with`] or [`gemm_i8`].
+    pub fn as_ref(&self) -> PackedRef<'_, T, S> {
+        PackedRef::new(&self.buf, self.rows, self.cols)
     }
 }
 
 impl PackedA {
     /// Packs the `m × k` logical matrix `a`.
     pub fn pack(a: MatRef<'_>, m: usize, k: usize) -> Self {
-        let mut buf = vec![0.0f32; packed_a_len(m, k)];
-        pack_a_into(a, m, k, &mut buf);
-        Self { buf, m, k }
-    }
-
-    /// The packed buffer, for tests that compare layouts directly.
-    #[cfg(test)]
-    pub(crate) fn as_slice(&self) -> &[f32] {
-        &self.buf
-    }
-
-    /// A borrowed view for [`gemm_with`].
-    pub fn as_ref(&self) -> PackedARef<'_> {
-        PackedARef {
-            data: &self.buf,
-            m: self.m,
-            k: self.k,
-        }
-    }
-}
-
-/// A borrowed packed A operand (see [`PackedA`]).
-#[derive(Debug, Clone, Copy)]
-pub struct PackedARef<'a> {
-    data: &'a [f32],
-    m: usize,
-    k: usize,
-}
-
-impl<'a> PackedARef<'a> {
-    /// Wraps an externally built packed buffer (layout of [`PackedA`]).
-    pub fn new(data: &'a [f32], m: usize, k: usize) -> Self {
-        debug_assert!(data.len() >= packed_a_len(m, k));
-        Self { data, m, k }
-    }
-
-    /// The strips of rows `i0..i0+mc` (with `i0 % MR == 0`) of K-slice
-    /// `pc..pc+kc`, in exactly the layout `macro_tile` consumes.
-    #[inline]
-    fn block(&self, i0: usize, pc: usize, kc: usize) -> &'a [f32] {
-        debug_assert_eq!(i0 % MR, 0);
-        let m_pad = self.m.div_ceil(MR) * MR;
-        &self.data[m_pad * pc + (i0 / MR) * kc * MR..]
-    }
-}
-
-/// An owned, fully packed B (right-hand) operand: NR-wide column strips
-/// per K-slice, zero-padded to a multiple of `NR` columns. K-slice `s`
-/// lives at offset `n_pad · s · KC`; within a slice, strip `st`
-/// occupies `kc·NR` elements.
-#[derive(Clone)]
-pub struct PackedB {
-    buf: Vec<f32>,
-    k: usize,
-    n: usize,
-}
-
-impl std::fmt::Debug for PackedB {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "PackedB({}x{})", self.k, self.n)
+        Self::filled(m, k, |buf| pack_a_into(m, k, buf, |i, p| a.at(i, p)))
     }
 }
 
 impl PackedB {
     /// Packs the `k × n` logical matrix `b`.
     pub fn pack(b: MatRef<'_>, k: usize, n: usize) -> Self {
-        let mut buf = vec![0.0f32; packed_b_len(k, n)];
-        pack_b_into(b, k, n, &mut buf);
-        Self { buf, k, n }
-    }
-
-    /// The packed buffer, for tests that compare layouts directly.
-    #[cfg(test)]
-    pub(crate) fn as_slice(&self) -> &[f32] {
-        &self.buf
-    }
-
-    /// A borrowed view for [`gemm_with`].
-    pub fn as_ref(&self) -> PackedBRef<'_> {
-        PackedBRef {
-            data: &self.buf,
-            k: self.k,
-            n: self.n,
-        }
+        Self::filled(k, n, |buf| pack_b_into(b, k, n, buf))
     }
 }
 
-/// A borrowed packed B operand (see [`PackedB`]). Also constructible
-/// over an external buffer, e.g. one filled by
+/// A borrowed packed operand (see [`Packed`]). Also constructible over
+/// an external buffer, e.g. one filled by
 /// [`crate::im2col::im2col_packed`].
 #[derive(Debug, Clone, Copy)]
-pub struct PackedBRef<'a> {
-    data: &'a [f32],
-    k: usize,
-    n: usize,
+pub struct PackedRef<'a, T: PackElem, S: Side> {
+    data: &'a [T],
+    rows: usize,
+    cols: usize,
+    side: PhantomData<S>,
 }
 
-impl<'a> PackedBRef<'a> {
-    /// Wraps an externally built packed buffer (layout of [`PackedB`]).
-    pub fn new(data: &'a [f32], k: usize, n: usize) -> Self {
-        debug_assert!(data.len() >= packed_b_len(k, n));
-        Self { data, k, n }
+impl<'a, T: PackElem, S: Side> PackedRef<'a, T, S> {
+    /// Wraps an externally built packed buffer of a `rows × cols`
+    /// operand (`m × k` for A, `k × n` for B; layout of [`Packed`]).
+    pub fn new(data: &'a [T], rows: usize, cols: usize) -> Self {
+        debug_assert!(data.len() >= packed_len::<T, S>(rows, cols));
+        Self {
+            data,
+            rows,
+            cols,
+            side: PhantomData,
+        }
     }
 
-    /// The panel of K-slice `pc..pc+kc`.
+    /// The strips of K-slice `pc..pc+kc` from lane `first` (a multiple
+    /// of the strip width) to the slice's end, in exactly the layout the
+    /// tiles consume: the rows of an A block, or (from 0) a B panel.
     #[inline]
-    fn panel(&self, pc: usize, kc: usize) -> &'a [f32] {
-        let n_pad = self.n.div_ceil(NR) * NR;
-        &self.data[n_pad * pc..][..n_pad * kc]
+    fn strips(&self, first: usize, pc: usize, kc: usize) -> &'a [T] {
+        debug_assert_eq!(first % S::STRIP, 0);
+        let (lanes, _) = S::lanes_depth(self.rows, self.cols);
+        let pad = lanes.div_ceil(S::STRIP) * S::STRIP;
+        let kcs = kc.next_multiple_of(T::PAIR);
+        &self.data[pad * pc + first * kcs..pad * (pc + kcs)]
     }
 }
+
+/// An `f32` A operand: `MR`-tall row strips, [`KC`]-deep slices.
+pub type PackedA = Packed<f32, SideA>;
+/// A borrowed [`PackedA`].
+pub type PackedARef<'a> = PackedRef<'a, f32, SideA>;
+/// An `f32` B operand: `NR`-wide column strips, [`KC`]-deep slices.
+pub type PackedB = Packed<f32, SideB>;
+/// A borrowed [`PackedB`].
+pub type PackedBRef<'a> = PackedRef<'a, f32, SideB>;
 
 /// The left-hand operand of [`gemm_with`].
 #[derive(Debug, Clone, Copy)]
@@ -517,10 +558,10 @@ pub fn gemm_with(
     debug_assert!(beta == 0.0 || beta == 1.0, "beta must be 0 or 1");
     debug_assert!(ldc >= n);
     if let Lhs::Packed(p) = &a {
-        debug_assert!(p.m == m && p.k == k, "packed A is {}x{}", p.m, p.k);
+        debug_assert_eq!((p.rows, p.cols), (m, k), "packed A shape");
     }
     if let Rhs::Packed(p) = &b {
-        debug_assert!(p.k == k && p.n == n, "packed B is {}x{}", p.k, p.n);
+        debug_assert_eq!((p.rows, p.cols), (k, n), "packed B shape");
     }
     if m == 0 || n == 0 {
         return;
@@ -551,7 +592,7 @@ pub fn gemm_with(
         Lhs::Packed(p) => p,
         Lhs::Mat(mat) => {
             a_buf.resize(packed_a_len(m, k).max(a_buf.len()), 0.0);
-            pack_a_into(mat, m, k, &mut a_buf);
+            pack_a_into(m, k, &mut a_buf, |i, p| mat.at(i, p));
             PackedARef::new(&a_buf, m, k)
         }
     };
@@ -627,12 +668,12 @@ fn gemm_band(
         // Accumulate after the first K-slice regardless of beta.
         let slice_beta = if pc == 0 { beta } else { 1.0 };
         let last = pc + kc == k;
-        let panel = b.panel(pc, kc);
+        let panel = b.strips(0, pc, kc);
         let mut ic = 0;
         while ic < m {
             let mc = MC.min(m - ic);
             macro_tile(
-                a.block(i0 + ic, pc, kc),
+                a.strips(i0 + ic, pc, kc),
                 panel,
                 mc,
                 n,
@@ -650,21 +691,27 @@ fn gemm_band(
     }
 }
 
-/// Packs the whole `m × k` logical matrix `a` into `buf` (length ≥
-/// [`packed_a_len`]) in the layout of [`PackedA`]: per K-slice,
-/// `buf[strip][p][r]`, zero-padding the last strip.
-fn pack_a_into(a: MatRef<'_>, m: usize, k: usize, buf: &mut [f32]) {
+/// Packs the whole `m × k` logical matrix whose element `(i, p)` is
+/// `at(i, p)` into `buf` (length ≥ the packed length) in the A layout
+/// of [`Packed`], zero-padding the rows past `m` and each slice's odd
+/// tail k-step.
+fn pack_a_into<T: PackElem>(m: usize, k: usize, buf: &mut [T], at: impl Fn(usize, usize) -> T) {
     let m_pad = m.div_ceil(MR) * MR;
     let mut pc = 0;
     while pc < k {
-        let kc = KC.min(k - pc);
-        let slice = &mut buf[m_pad * pc..];
-        for strip in 0..m_pad / MR {
-            let dst = &mut slice[strip * kc * MR..][..kc * MR];
-            for p in 0..kc {
+        let kc = T::KC.min(k - pc);
+        let kcs = kc.next_multiple_of(T::PAIR);
+        let slice = &mut buf[m_pad * pc..][..m_pad * kcs];
+        for (strip, dst) in slice.chunks_exact_mut(kcs * MR).enumerate() {
+            for p in 0..kcs {
+                let lane0 = (p / T::PAIR) * T::PAIR * MR + p % T::PAIR;
                 for r in 0..MR {
                     let i = strip * MR + r;
-                    dst[p * MR + r] = if i < m { a.at(i, pc + p) } else { 0.0 };
+                    dst[lane0 + r * T::PAIR] = if i < m && p < kc {
+                        at(i, pc + p)
+                    } else {
+                        T::default()
+                    };
                 }
             }
         }
@@ -797,7 +844,7 @@ fn gemm_rows(
             for (p, v) in a_row[..kc].iter_mut().enumerate() {
                 *v = a.at(i, pc + p);
             }
-            let panel = b.panel(pc, kc);
+            let panel = b.strips(0, pc, kc);
             let overwrite = pc == 0 && beta == 0.0;
             for (cs, seg) in row.chunks_mut(NR).enumerate() {
                 let strip = &panel[cs * kc * NR..][..kc * NR];
@@ -825,6 +872,7 @@ fn gemm_rows(
 
 #[cfg(test)]
 mod tests {
+    use super::int8::KC8;
     use super::*;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -1198,6 +1246,102 @@ mod tests {
                     got.to_bits() == want.to_bits(),
                     "c[{i}][{j}]: {got} vs {want}"
                 );
+            }
+        }
+    }
+
+    /// Checks `packed` element by element against the layout formula
+    /// in [`Packed`]'s docs, and every [`PackedRef::strips`] window
+    /// against the same offsets; `at(lane, p)` is the logical element
+    /// of lane `lane` (a row of A, a column of B) at depth `p`.
+    fn check_layout<T, S>(packed: &Packed<T, S>, at: impl Fn(usize, usize) -> T)
+    where
+        T: PackElem + PartialEq + std::fmt::Debug,
+        S: Side,
+    {
+        let (lanes, depth) = S::lanes_depth(packed.rows, packed.cols);
+        let (buf, view) = (packed.as_slice(), packed.as_ref());
+        let (strip, pair) = (S::STRIP, T::PAIR);
+        let lanes_pad = lanes.div_ceil(strip) * strip;
+        let mut checked = 0;
+        for pc in (0..depth).step_by(T::KC) {
+            let kc = T::KC.min(depth - pc);
+            let kcs = kc.next_multiple_of(pair);
+            let slice = lanes_pad * pc;
+            for st in 0..lanes_pad / strip {
+                let start = slice + st * kcs * strip;
+                let window = &buf[start..slice + lanes_pad * kcs];
+                assert!(
+                    view.strips(st * strip, pc, kc) == window,
+                    "{packed:?} pc={pc} strip {st}"
+                );
+                for r in 0..strip {
+                    let lane = st * strip + r;
+                    for p in 0..kcs {
+                        let at_doc = start + (p / pair) * pair * strip + r * pair + p % pair;
+                        let want = if lane < lanes && p < kc {
+                            at(lane, pc + p)
+                        } else {
+                            T::default()
+                        };
+                        assert_eq!(buf[at_doc], want, "{packed:?} lane {lane} k {}", pc + p);
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            checked,
+            buf.len(),
+            "{packed:?}: elements outside the layout"
+        );
+    }
+
+    /// The four packed operands hold exactly the documented layout:
+    /// `p·MR + r` (A) and `p·NR + c` (B) per `f32` strip,
+    /// `(p/2)·2MR + r·2 + p%2` and `(p/2)·2NR + c·2 + p%2` per int8
+    /// strip, zero lanes past `m`/`n`, a zero odd tail k-step, and
+    /// K-slices of `KC` / `KC8` one after another. The shapes cover odd
+    /// depths, padded strips and more than one K-slice; both stored
+    /// and transposed sources are packed.
+    #[test]
+    fn packed_layouts_match_their_docs() {
+        let value = |lane: usize, p: usize| (lane * 10_007 + p) as f32;
+        // On the int8 grid with `inv_scale = 1`, and never zero, so a
+        // misplaced element cannot pass for padding.
+        let grid =
+            |lane: usize, p: usize| ((lane * 37 + p * 11) % 127 + 1) as f32 * [1.0, -1.0][p % 2];
+        let matrix = |rows: usize, cols: usize, f: &dyn Fn(usize, usize) -> f32| {
+            let data: Vec<f32> = (0..rows * cols).map(|i| f(i / cols, i % cols)).collect();
+            (transpose(&data, rows, cols), data)
+        };
+        for &(m, k) in &[(1, 1), (5, 7), (4, 16), (9, KC + 5), (3, 2 * KC)] {
+            let (a_t, a) = matrix(m, k, &value);
+            for src in [MatRef::new(&a, k), MatRef::t(&a_t, m)] {
+                check_layout(&PackedA::pack(src, m, k), value);
+            }
+        }
+        for &(k, n) in &[(1, 1), (7, 17), (16, 32), (KC + 5, 3), (2 * KC, 20)] {
+            let (b_t, b) = matrix(k, n, &value);
+            for src in [MatRef::new(&b, n), MatRef::t(&b_t, k)] {
+                check_layout(&PackedB::pack(src, k, n), |j, p| value(p, j));
+            }
+        }
+        let q = |v: f32| v as i16;
+        for &(m, k) in &[(1, 1), (5, 7), (4, 16), (6, KC8 + 3), (2, 2 * KC8)] {
+            let (a_t, a) = matrix(m, k, &grid);
+            for src in [MatRef::new(&a, k), MatRef::t(&a_t, m)] {
+                check_layout(&PackedA8::pack_quantized(src, m, k, 1.0), |i, p| {
+                    q(grid(i, p))
+                });
+            }
+        }
+        for &(k, n) in &[(1, 1), (7, 17), (16, 32), (KC8 + 3, 18), (2 * KC8, 5)] {
+            let (b_t, b) = matrix(k, n, &grid);
+            for src in [MatRef::new(&b, n), MatRef::t(&b_t, k)] {
+                check_layout(&PackedB8::pack_quantized(src, k, n, 1.0), |j, p| {
+                    q(grid(p, j))
+                });
             }
         }
     }

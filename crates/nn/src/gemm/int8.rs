@@ -3,9 +3,11 @@
 //!
 //! # Int8 kernel layout
 //!
-//! The blocked structure mirrors the `f32` kernel (MR-tall A row
-//! strips, NR-wide B column strips, zero-padded, one panel group per
-//! K-slice), with three quantisation-specific differences:
+//! The blocked structure and the operand types are the `f32` kernel's
+//! ([`PackedA8`] and [`PackedB8`] are [`crate::gemm::Packed`] over
+//! `i16`: MR-tall A row strips, NR-wide B column strips, zero-padded,
+//! one panel group per K-slice), with three quantisation-specific
+//! differences:
 //!
 //! - values are quantised to the symmetric int8 grid `[-127, 127]`
 //!   **during packing** (`round(x · inv_scale)`, saturating), so
@@ -41,21 +43,24 @@
 //!   └──┘└─────────┘
 //! ```
 //!
-//! # Requantisation
+//! # Requantisation: one epilogue, two write-backs
 //!
 //! The accumulator is `i32` throughout — exact integer arithmetic, no
-//! rounding until the epilogue. [`QEpilogue`] folds the whole
-//! dequantise-bias-activate sequence into the write-back:
-//! `out = relu(acc · scale + bias)` in `f32`, where `scale` is the
-//! product of the two operands' per-tensor scales. For quantised
-//! chaining ([`gemm_i8_q`]), [`QEpilogueI8`] performs the same
-//! sequence with a saturating round straight onto the **next** layer's
-//! int8 grid (`scale = in_scale·w_scale/out_scale`, bias pre-divided
-//! by the output scale, optional ReLU a free `max(0)` before the
-//! round), so chained layers never materialise an `f32` activation;
-//! the test-only `requantize_i8` is the scalar form of that write-back.
-//! The rounding is [`eml_simd::round_to_grid`], the same clamp and
-//! magic-bias round the input quantisers use.
+//! rounding until the epilogue. One [`QEpilogue`] folds the
+//! scale-bias-activate sequence into the write-back,
+//! `v = relu(acc · scale + bias)` in `f32`, and the element type of `C`
+//! picks what is stored:
+//!
+//! - [`gemm_i8`] writes `f32`: it **dequantises**, `scale` being the
+//!   product of the two operands' per-tensor scales;
+//! - [`gemm_i8_q`] writes int8-grid values in `i16` storage: it
+//!   **requantises** with a saturating round straight onto the
+//!   **next** layer's grid (`scale = in_scale·w_scale/out_scale`, bias
+//!   pre-divided by the output scale, optional ReLU a free `max(0)`
+//!   before the round), so chained layers never materialise an `f32`
+//!   activation. The test-only `requantize_i8` is the scalar form of
+//!   that write-back, and the rounding is [`eml_simd::round_to_grid`],
+//!   the same clamp and magic-bias round the input quantisers use.
 //!
 //! # Overflow guard
 //!
@@ -70,7 +75,10 @@ use std::cell::RefCell;
 
 use eml_simd::{relu, QTileEpilogue};
 
-use crate::gemm::{row_bands, tile_bias, Bias, MatRef, MR, NR, PAR_MIN_WORK_I8};
+use crate::gemm::{
+    pack_a_into, packed_len, row_bands, tile_bias, Bias, MatRef, PackElem, Packed, PackedRef,
+    SideA, SideB, MR, NR, PAR_MIN_WORK_I8,
+};
 use crate::quant::quantize_i8w;
 
 // The register tile this module packs for is the one the shared
@@ -85,80 +93,61 @@ const MC8: usize = 64;
 /// reduction could wrap the `i32` accumulator (`i32::MAX / 127²`).
 const MAX_K_I8: usize = (i32::MAX / (127 * 127)) as usize;
 
-/// Depth padded to whole k-pairs (the layout stores two k-steps
-/// adjacently, so odd depths carry one zero k-step).
-#[inline]
-fn k_pad(k: usize) -> usize {
-    k + (k & 1)
+impl PackElem for i16 {
+    const KC: usize = KC8;
+    const PAIR: usize = 2;
 }
+
+/// An int8 A operand: `MR`-tall pair-interleaved row strips of
+/// int8-grid values, [`KC8`]-deep slices.
+pub type PackedA8 = Packed<i16, SideA>;
+/// A borrowed [`PackedA8`].
+pub type PackedA8Ref<'a> = PackedRef<'a, i16, SideA>;
+/// An int8 B operand: `NR`-wide pair-interleaved column strips of
+/// int8-grid values, [`KC8`]-deep slices.
+pub type PackedB8 = Packed<i16, SideB>;
+/// A borrowed [`PackedB8`].
+pub type PackedB8Ref<'a> = PackedRef<'a, i16, SideB>;
 
 /// Buffer length (in `i16` elements) of a packed `m × k` int8 A
 /// operand (see [`PackedA8`]).
 pub fn packed_a8_len(m: usize, k: usize) -> usize {
-    m.div_ceil(MR) * MR * k_pad(k)
+    packed_len::<i16, SideA>(m, k)
 }
 
 /// Buffer length (in `i16` elements) of a packed `k × n` int8 B
 /// operand (see [`PackedB8`]).
 pub fn packed_b8_len(k: usize, n: usize) -> usize {
-    n.div_ceil(NR) * NR * k_pad(k)
+    packed_len::<i16, SideB>(k, n)
 }
 
-/// Packs the `m × k` logical int8-grid matrix whose element `(i, p)`
-/// is `at(i, p)` into `buf` in the layout of [`PackedA8`]: per K-slice,
-/// MR-tall pair-interleaved row strips, element `(p, r)` of a strip at
-/// `(p/2)·2MR + r·2 + p%2`. Pads each slice's odd tail k-step and the
-/// rows past `m` with zeros.
-fn pack_a8_with(m: usize, k: usize, buf: &mut [i16], at: impl Fn(usize, usize) -> i16) {
-    debug_assert!(buf.len() >= packed_a8_len(m, k));
-    let m_pad = m.div_ceil(MR) * MR;
+/// Quantises the `k × n` logical `f32` matrix `b` into `buf` (length ≥
+/// [`packed_b8_len`]) in the layout of [`PackedB8`]: per K-slice, NR-wide
+/// pair-interleaved column strips, element `(p, c)` of a strip at
+/// `(p/2)·2NR + c·2 + p%2`. Pads each slice's odd tail k-step and the
+/// columns past `n` with zeros.
+fn pack_b8_into(b: MatRef<'_>, k: usize, n: usize, inv: f32, buf: &mut [i16]) {
+    let n_pad = n.div_ceil(NR) * NR;
     let mut pc = 0;
     while pc < k {
         let kc = KC8.min(k - pc);
-        let kcp = k_pad(kc);
-        let pa = &mut buf[m_pad * pc..];
-        for strip in 0..m_pad / MR {
-            let base = strip * kcp * MR;
+        let kcp = kc.next_multiple_of(2);
+        for strip in 0..n_pad / NR {
+            let j0 = strip * NR;
+            let width = NR.min(n - j0);
+            let base = n_pad * pc + strip * kcp * NR;
             for p in 0..kcp {
-                let dst = base + (p / 2) * 2 * MR + (p & 1);
-                for r in 0..MR {
-                    let i = strip * MR + r;
-                    pa[dst + r * 2] = if i < m && p < kc { at(i, pc + p) } else { 0 };
-                }
-            }
-        }
-        pc += kc;
-    }
-}
-
-/// Quantises and packs `B[pc..pc+kc][0..n]` into NR-wide
-/// pair-interleaved column strips (layout of [`PackedB8`], one
-/// K-slice's worth): element `(p, c)` lands at `(p/2)·2NR + c·2 + p%2`
-/// of its strip. Pads the odd tail k-step and the columns past `n`
-/// with zeros.
-fn pack_b8_w(b: MatRef<'_>, pc: usize, kc: usize, n: usize, inv: f32, pb: &mut [i16]) {
-    let strips = n.div_ceil(NR);
-    let kcp = k_pad(kc);
-    for strip in 0..strips {
-        let j0 = strip * NR;
-        let width = NR.min(n - j0);
-        let base = strip * kcp * NR;
-        for p in 0..kcp {
-            let dst = &mut pb[base + (p / 2) * 2 * NR + (p & 1)..][..2 * NR - 1];
-            if p < kc {
+                let dst = &mut buf[base + (p / 2) * 2 * NR + (p & 1)..][..2 * NR - 1];
                 for (j, d) in dst.iter_mut().step_by(2).enumerate() {
-                    *d = if j < width {
+                    *d = if j < width && p < kc {
                         quantize_i8w(b.at(pc + p, j0 + j), inv)
                     } else {
                         0
                     };
                 }
-            } else {
-                for d in dst.iter_mut().step_by(2) {
-                    *d = 0;
-                }
             }
         }
+        pc += kc;
     }
 }
 
@@ -167,35 +156,19 @@ fn pack_b8_w(b: MatRef<'_>, pc: usize, kc: usize, n: usize, inv: f32, pb: &mut [
 /// result in [`PackedA8Ref::new`]; [`PackedA8::pack_quantized`] is the
 /// owning convenience form.
 pub fn pack_a8_quantized(a: MatRef<'_>, m: usize, k: usize, inv_scale: f32, buf: &mut [i16]) {
-    pack_a8_with(m, k, buf, |i, p| quantize_i8w(a.at(i, p), inv_scale));
+    pack_a_into(m, k, buf, |i, p| quantize_i8w(a.at(i, p), inv_scale));
 }
 
 /// Packs an `m × k` row-major matrix of **already-quantised**
 /// int8-grid values (`i16` storage) straight into the packed int8 A
 /// layout inside `buf` (length ≥ [`packed_a8_len`]) — the chained-layer
 /// twin of [`pack_a8_quantized`]: the values were requantised by the
-/// previous layer's [`QEpilogueI8`] write-back, so this is pure integer
+/// previous layer's [`gemm_i8_q`] write-back, so this is pure integer
 /// copies with no quantisation pass and no `f32` intermediate. Wrap the
 /// result in [`PackedA8Ref::new`].
 pub fn pack_a8_i16(src: &[i16], m: usize, k: usize, buf: &mut [i16]) {
     debug_assert!(src.len() >= m * k);
-    pack_a8_with(m, k, buf, |i, p| src[i * k + p]);
-}
-
-/// An owned, fully packed, quantised A (left-hand) operand: int8-grid
-/// values in the pair-interleaved `i16` layout (see module docs), with
-/// [`KC8`]-deep slices.
-#[derive(Clone)]
-pub struct PackedA8 {
-    buf: Vec<i16>,
-    m: usize,
-    k: usize,
-}
-
-impl std::fmt::Debug for PackedA8 {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "PackedA8({}x{})", self.m, self.k)
-    }
+    pack_a_into(m, k, buf, |i, p| src[i * k + p]);
 }
 
 impl PackedA8 {
@@ -203,59 +176,7 @@ impl PackedA8 {
     /// `value = round(x · inv_scale)` (saturating to `[-127, 127]`)
     /// and packs it.
     pub fn pack_quantized(a: MatRef<'_>, m: usize, k: usize, inv_scale: f32) -> Self {
-        let mut buf = vec![0i16; packed_a8_len(m, k)];
-        pack_a8_quantized(a, m, k, inv_scale, &mut buf);
-        Self { buf, m, k }
-    }
-
-    /// A borrowed view for [`gemm_i8`].
-    pub fn as_ref(&self) -> PackedA8Ref<'_> {
-        PackedA8Ref {
-            data: &self.buf,
-            m: self.m,
-            k: self.k,
-        }
-    }
-}
-
-/// A borrowed packed int8 A operand (see [`PackedA8`]).
-#[derive(Debug, Clone, Copy)]
-pub struct PackedA8Ref<'a> {
-    data: &'a [i16],
-    m: usize,
-    k: usize,
-}
-
-impl<'a> PackedA8Ref<'a> {
-    /// Wraps an externally built packed buffer (layout of [`PackedA8`]).
-    pub fn new(data: &'a [i16], m: usize, k: usize) -> Self {
-        debug_assert!(data.len() >= packed_a8_len(m, k));
-        Self { data, m, k }
-    }
-
-    /// The strips of rows `i0..` (with `i0 % MR == 0`) of K-slice
-    /// `pc..pc+kc`.
-    #[inline]
-    fn block(&self, i0: usize, pc: usize, kc: usize) -> &'a [i16] {
-        debug_assert_eq!(i0 % MR, 0);
-        let m_pad = self.m.div_ceil(MR) * MR;
-        &self.data[m_pad * pc + (i0 / MR) * k_pad(kc) * MR..]
-    }
-}
-
-/// An owned, fully packed, quantised B (right-hand) operand: int8-grid
-/// values in the pair-interleaved `i16` layout (see module docs), with
-/// [`KC8`]-deep slices.
-#[derive(Clone)]
-pub struct PackedB8 {
-    buf: Vec<i16>,
-    k: usize,
-    n: usize,
-}
-
-impl std::fmt::Debug for PackedB8 {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "PackedB8({}x{})", self.k, self.n)
+        Self::filled(m, k, |buf| pack_a8_quantized(a, m, k, inv_scale, buf))
     }
 }
 
@@ -264,65 +185,21 @@ impl PackedB8 {
     /// `value = round(x · inv_scale)` (saturating to `[-127, 127]`)
     /// and packs it.
     pub fn pack_quantized(b: MatRef<'_>, k: usize, n: usize, inv_scale: f32) -> Self {
-        let n_pad = n.div_ceil(NR) * NR;
-        let mut buf = vec![0i16; packed_b8_len(k, n)];
-        let mut pc = 0;
-        while pc < k {
-            let kc = KC8.min(k - pc);
-            pack_b8_w(b, pc, kc, n, inv_scale, &mut buf[n_pad * pc..]);
-            pc += kc;
-        }
-        Self { buf, k, n }
-    }
-
-    /// The packed buffer, for tests that compare layouts directly.
-    #[cfg(test)]
-    pub(crate) fn as_slice(&self) -> &[i16] {
-        &self.buf
-    }
-
-    /// A borrowed view for [`gemm_i8`].
-    pub fn as_ref(&self) -> PackedB8Ref<'_> {
-        PackedB8Ref {
-            data: &self.buf,
-            k: self.k,
-            n: self.n,
-        }
+        Self::filled(k, n, |buf| pack_b8_into(b, k, n, inv_scale, buf))
     }
 }
 
-/// A borrowed packed int8 B operand (see [`PackedB8`]). Also
-/// constructible over an external buffer, e.g. one filled by
-/// [`crate::im2col::im2col_packed_i8`].
-#[derive(Debug, Clone, Copy)]
-pub struct PackedB8Ref<'a> {
-    data: &'a [i16],
-    k: usize,
-    n: usize,
-}
-
-impl<'a> PackedB8Ref<'a> {
-    /// Wraps an externally built packed buffer (layout of [`PackedB8`]).
-    pub fn new(data: &'a [i16], k: usize, n: usize) -> Self {
-        debug_assert!(data.len() >= packed_b8_len(k, n));
-        Self { data, k, n }
-    }
-
-    /// The panel of K-slice `pc..pc+kc`.
-    #[inline]
-    fn panel(&self, pc: usize, kc: usize) -> &'a [i16] {
-        let n_pad = self.n.div_ceil(NR) * NR;
-        &self.data[n_pad * pc..][..n_pad * k_pad(kc)]
-    }
-}
-
-/// The requantisation epilogue fused into [`gemm_i8`]'s write-back:
-/// `out = relu(acc · scale + bias)`, applied once per output element
-/// after the full `k` reduction. `scale` is the product of the two
-/// operands' per-tensor quantisation scales (dequantising the integer
-/// accumulator back to real units); bias and ReLU are optional and
+/// The epilogue fused into the int8 kernel's write-back, applied once
+/// per output element after the full `k` reduction:
+/// `v = relu(acc · scale + bias)` in `f32`, bias and ReLU optional and
 /// applied in that order, exactly like the `f32` kernel's
-/// [`crate::gemm::Epilogue`].
+/// [`crate::gemm::Epilogue`]. The output element decides what `v`
+/// becomes. [`gemm_i8`] writes it as `f32` (dequantise: `scale` is the
+/// product of the two operands' per-tensor scales). [`gemm_i8_q`]
+/// rounds it onto the int8 grid (requantise: `scale` is
+/// `in_scale · weight_scale / out_scale`, and bias values must arrive
+/// **pre-divided by the output scale**, see the chained-scale algebra
+/// in [`crate::quant`]'s module docs).
 #[derive(Debug, Clone, Copy)]
 pub struct QEpilogue<'a> {
     scale: f32,
@@ -330,8 +207,11 @@ pub struct QEpilogue<'a> {
     relu: bool,
 }
 
+/// [`QEpilogue`] under the name of its requantising use ([`gemm_i8_q`]).
+pub type QEpilogueI8<'a> = QEpilogue<'a>;
+
 impl<'a> QEpilogue<'a> {
-    /// Dequantise only: `out = acc · scale`.
+    /// Scale only: `v = acc · scale`.
     pub fn scaled(scale: f32) -> Self {
         Self {
             scale,
@@ -340,201 +220,111 @@ impl<'a> QEpilogue<'a> {
         }
     }
 
-    /// Fuses a per-row (`f32`) bias add after the dequantise.
+    /// Fuses a per-row bias add after the scale.
     pub fn with_bias_row(mut self, bias: &'a [f32]) -> Self {
         self.bias = Some(Bias::Row(bias));
         self
     }
 
-    /// Fuses a per-column (`f32`) bias add after the dequantise.
-    pub fn with_bias_col(mut self, bias: &'a [f32]) -> Self {
-        self.bias = Some(Bias::Col(bias));
-        self
-    }
-
-    /// Additionally clamps the final value at zero (ReLU), after the
-    /// bias add.
-    pub fn with_relu(mut self) -> Self {
-        self.relu = true;
-        self
-    }
-
-    #[inline]
-    fn bias_at(&self, row: usize, col: usize) -> f32 {
-        match self.bias {
-            Some(Bias::Row(b)) => b[row],
-            Some(Bias::Col(b)) => b[col],
-            None => 0.0,
-        }
-    }
-}
-
-/// Write-back of the int8 GEMM kernel: turns `i32` accumulators into
-/// output elements, after the full `k` reduction. Two implementations
-/// exist — [`QEpilogue`] dequantises to `f32` (layer output leaves the
-/// quantised domain) and [`QEpilogueI8`] requantises straight onto the
-/// int8 grid (chained quantised-to-quantised layers, `eml_nn::quant`
-/// chaining docs).
-pub(crate) trait QWriteback: Copy + Send + Sync {
-    /// Output element type the kernel writes.
-    type Out: Copy + Send + Default;
-
-    /// Computes the full MR×NR tile of `pairs` k-pairs whose top-left
-    /// output is (`row0`, `col0`) and writes it into `c` (leading
-    /// dimension `ldc`), epilogue applied in registers.
-    #[allow(clippy::too_many_arguments)]
-    fn store_tile(
-        &self,
-        pa: &[i16],
-        pb: &[i16],
-        pairs: usize,
-        c: &mut [Self::Out],
-        ldc: usize,
-        row0: usize,
-        col0: usize,
-    );
-
-    /// Writes one row segment. `row` is the global row index, `col0`
-    /// the global column of `dst[0]`/`acc[0]`.
-    fn apply(&self, dst: &mut [Self::Out], acc: &[i32], row: usize, col0: usize);
-}
-
-/// The register-tile form of an int8 epilogue at (`row0`, `col0`).
-#[inline]
-fn tile_epilogue(
-    scale: f32,
-    bias: Option<Bias<'_>>,
-    relu: bool,
-    row0: usize,
-    col0: usize,
-) -> QTileEpilogue<'_> {
-    QTileEpilogue {
-        scale,
-        bias: tile_bias(bias, row0, col0),
-        relu,
-    }
-}
-
-impl QWriteback for QEpilogue<'_> {
-    type Out = f32;
-
-    #[inline]
-    fn store_tile(
-        &self,
-        pa: &[i16],
-        pb: &[i16],
-        pairs: usize,
-        c: &mut [f32],
-        ldc: usize,
-        row0: usize,
-        col0: usize,
-    ) {
-        let ep = tile_epilogue(self.scale, self.bias, self.relu, row0, col0);
-        eml_simd::madd_tile_i16_into_f32(pa, pb, pairs, c, ldc, ep);
-    }
-
-    #[inline]
-    fn apply(&self, dst: &mut [f32], acc: &[i32], row: usize, col0: usize) {
-        for (j, (d, &a)) in dst.iter_mut().zip(acc).enumerate() {
-            let mut v = a as f32 * self.scale + self.bias_at(row, col0 + j);
-            if self.relu {
-                v = relu(v);
-            }
-            *d = v;
-        }
-    }
-}
-
-/// The saturating-int8 requantisation epilogue of a chained
-/// quantised-to-quantised layer, fused into [`gemm_i8_q`]'s
-/// write-back: `q = round(acc · scale + bias)` clamped to
-/// `[-127, 127]` (stored as `i16`, the packed panels' operand form),
-/// with the optional ReLU a free `max(0)` before the round.
-///
-/// `scale` is `in_scale · weight_scale / out_scale` and `bias` values
-/// must arrive **pre-divided by the output scale** — the epilogue
-/// operates entirely on the output grid (see the chained-scale algebra
-/// in [`crate::quant`]'s module docs).
-#[derive(Debug, Clone, Copy)]
-pub struct QEpilogueI8<'a> {
-    scale: f32,
-    bias: Option<Bias<'a>>,
-    relu: bool,
-}
-
-impl<'a> QEpilogueI8<'a> {
-    /// Requantise only: `q = round_sat(acc · scale)`.
-    pub fn scaled(scale: f32) -> Self {
-        Self {
-            scale,
-            bias: None,
-            relu: false,
-        }
-    }
-
-    /// Fuses a per-row bias add (values pre-divided by the output
-    /// scale) before the round.
-    pub fn with_bias_row(mut self, bias: &'a [f32]) -> Self {
-        self.bias = Some(Bias::Row(bias));
-        self
-    }
-
-    /// Fuses a per-column bias add (values pre-divided by the output
-    /// scale) before the round.
+    /// Fuses a per-column bias add after the scale.
     pub fn with_bias_col(mut self, bias: &'a [f32]) -> Self {
         self.bias = Some(Bias::Col(bias));
         self
     }
 
     /// Additionally clamps at zero (ReLU) after the bias add, before
-    /// the round — exactly `requantize_i8`'s order.
+    /// any round.
     pub fn with_relu(mut self) -> Self {
         self.relu = true;
         self
     }
 
+    /// The register-tile form of this epilogue at (`row0`, `col0`).
     #[inline]
-    fn bias_at(&self, row: usize, col: usize) -> f32 {
-        match self.bias {
-            Some(Bias::Row(b)) => b[row],
-            Some(Bias::Col(b)) => b[col],
-            None => 0.0,
+    fn tile(&self, row0: usize, col0: usize) -> QTileEpilogue<'a> {
+        QTileEpilogue {
+            scale: self.scale,
+            bias: tile_bias(self.bias, row0, col0),
+            relu: self.relu,
         }
     }
 
+    /// Writes one row segment from its accumulators. `row` is the
+    /// global row index, `col0` the global column of `dst[0]`/`acc[0]`.
     #[inline]
-    fn requant(&self, acc: i32, bias: f32) -> i16 {
-        let mut v = acc as f32 * self.scale + bias;
-        if self.relu {
-            v = relu(v);
+    fn apply<T: QOut>(&self, dst: &mut [T], acc: &[i32], row: usize, col0: usize) {
+        for (j, (d, &a)) in dst.iter_mut().zip(acc).enumerate() {
+            let bias = match self.bias {
+                Some(Bias::Row(b)) => b[row],
+                Some(Bias::Col(b)) => b[col0 + j],
+                None => 0.0,
+            };
+            let mut v = a as f32 * self.scale + bias;
+            if self.relu {
+                v = relu(v);
+            }
+            *d = T::from_real(v);
         }
-        eml_simd::round_to_grid(v)
     }
 }
 
-impl QWriteback for QEpilogueI8<'_> {
-    type Out = i16;
+/// An output element of the int8 kernel; it picks the write-back.
+/// `f32` dequantises (a layer output that leaves the quantised
+/// domain); `i16` requantises straight onto the int8 grid (chained
+/// quantised-to-quantised layers, `eml_nn::quant` chaining docs).
+pub(crate) trait QOut: Copy + Send {
+    /// Computes the full MR×NR tile of `pairs` k-pairs and writes it
+    /// into `c` (leading dimension `ldc`), epilogue applied in
+    /// registers.
+    fn store_tile(
+        pa: &[i16],
+        pb: &[i16],
+        pairs: usize,
+        c: &mut [Self],
+        ldc: usize,
+        ep: QTileEpilogue<'_>,
+    );
 
+    /// The element holding the epilogue's value `v`.
+    fn from_real(v: f32) -> Self;
+}
+
+impl QOut for f32 {
     #[inline]
     fn store_tile(
-        &self,
+        pa: &[i16],
+        pb: &[i16],
+        pairs: usize,
+        c: &mut [f32],
+        ldc: usize,
+        ep: QTileEpilogue<'_>,
+    ) {
+        eml_simd::madd_tile_i16_into_f32(pa, pb, pairs, c, ldc, ep);
+    }
+
+    #[inline]
+    fn from_real(v: f32) -> f32 {
+        v
+    }
+}
+
+impl QOut for i16 {
+    #[inline]
+    fn store_tile(
         pa: &[i16],
         pb: &[i16],
         pairs: usize,
         c: &mut [i16],
         ldc: usize,
-        row0: usize,
-        col0: usize,
+        ep: QTileEpilogue<'_>,
     ) {
-        let ep = tile_epilogue(self.scale, self.bias, self.relu, row0, col0);
         eml_simd::madd_tile_i16_into_i8(pa, pb, pairs, c, ldc, ep);
     }
 
+    /// A saturating round onto `[-127, 127]`.
     #[inline]
-    fn apply(&self, dst: &mut [i16], acc: &[i32], row: usize, col0: usize) {
-        for (j, (d, &a)) in dst.iter_mut().zip(acc).enumerate() {
-            *d = self.requant(a, self.bias_at(row, col0 + j));
-        }
+    fn from_real(v: f32) -> i16 {
+        eml_simd::round_to_grid(v)
     }
 }
 
@@ -542,7 +332,7 @@ impl QWriteback for QEpilogueI8<'_> {
 /// `round(acc · scale + bias)` (ReLU before the round when `relu`),
 /// clamped to the symmetric int8 grid `[-127, 127]`. This is the
 /// scalar form of the output half of a quantised-to-quantised layer
-/// chain ([`QEpilogueI8`] is the fused kernel form); `scale` there is
+/// chain ([`gemm_i8_q`]'s write-back is the fused kernel form); `scale` there is
 /// `in_scale · weight_scale / out_scale`.
 ///
 /// Rounds ties to even — the same branchless magic-bias core as the
@@ -597,8 +387,8 @@ pub fn gemm_i8(
 }
 
 /// [`gemm_i8`] with a **saturating int8 output**: `C` holds int8-grid
-/// values in `i16` storage (the packed panels' operand form), written
-/// through the requantising [`QEpilogueI8`]. This is the kernel of a
+/// values in `i16` storage (the packed panels' operand form): the
+/// [`QEpilogue`] value is rounded onto the grid. This is the kernel of a
 /// chained quantised-to-quantised layer: the output can be lowered
 /// straight into the next layer's packed int8 operand without ever
 /// materialising an `f32` intermediate.
@@ -616,32 +406,32 @@ pub fn gemm_i8_q(
     c: &mut [i16],
     ldc: usize,
     parallel: bool,
-    ep: QEpilogueI8<'_>,
+    ep: QEpilogue<'_>,
 ) {
     gemm_i8_with(m, n, k, a, b, c, ldc, parallel, ep);
 }
 
 /// Shared driver behind [`gemm_i8`] and [`gemm_i8_q`], generic over
-/// the write-back (`f32` dequantise vs int8 requantise).
+/// the output element (`f32` dequantise vs int8 requantise).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_i8_with<E: QWriteback>(
+pub(crate) fn gemm_i8_with<T: QOut>(
     m: usize,
     n: usize,
     k: usize,
     a: PackedA8Ref<'_>,
     b: PackedB8Ref<'_>,
-    c: &mut [E::Out],
+    c: &mut [T],
     ldc: usize,
     parallel: bool,
-    ep: E,
+    ep: QEpilogue<'_>,
 ) {
     assert!(
         k <= MAX_K_I8,
         "gemm_i8: k = {k} exceeds the i32 overflow bound {MAX_K_I8}"
     );
     debug_assert!(ldc >= n);
-    debug_assert!(a.m == m && a.k == k, "packed A8 is {}x{}", a.m, a.k);
-    debug_assert!(b.k == k && b.n == n, "packed B8 is {}x{}", b.k, b.n);
+    debug_assert_eq!((a.rows, a.cols), (m, k), "packed A8 shape");
+    debug_assert_eq!((b.rows, b.cols), (k, n), "packed B8 shape");
     if m == 0 || n == 0 {
         return;
     }
@@ -670,26 +460,26 @@ pub(crate) fn gemm_i8_with<E: QWriteback>(
 /// The int8 blocked GEMM over rows `i0..i0+m` of the logical product;
 /// `c` starts at row `i0`.
 #[allow(clippy::too_many_arguments)]
-fn gemm_i8_band<E: QWriteback>(
+fn gemm_i8_band<T: QOut>(
     i0: usize,
     m: usize,
     n: usize,
     k: usize,
     a: PackedA8Ref<'_>,
     b: PackedB8Ref<'_>,
-    c: &mut [E::Out],
+    c: &mut [T],
     ldc: usize,
-    ep: E,
+    ep: QEpilogue<'_>,
 ) {
     if k <= KC8 {
         // Single-slice fast path (every layer shape in this crate):
         // requantise straight out of the register tile.
-        let panel = b.panel(0, k);
+        let panel = b.strips(0, 0, k);
         let mut ic = 0;
         while ic < m {
             let mc = MC8.min(m - ic);
             macro_tile_i8(
-                a.block(i0 + ic, 0, k),
+                a.strips(i0 + ic, 0, k),
                 panel,
                 mc,
                 n,
@@ -716,8 +506,8 @@ fn gemm_i8_band<E: QWriteback>(
             while pc < k {
                 let kc = KC8.min(k - pc);
                 macro_tile_i8_acc(
-                    a.block(i0 + ic, pc, kc),
-                    b.panel(pc, kc),
+                    a.strips(i0 + ic, pc, kc),
+                    b.strips(0, pc, kc),
                     mc,
                     n,
                     kc,
@@ -740,20 +530,20 @@ fn gemm_i8_band<E: QWriteback>(
 /// straight into `c` (single-slice path). `row0` is the global row
 /// index of `c[0]`.
 #[allow(clippy::too_many_arguments)]
-fn macro_tile_i8<E: QWriteback>(
+fn macro_tile_i8<T: QOut>(
     pa: &[i16],
     pb: &[i16],
     mc: usize,
     n: usize,
     kc: usize,
-    c: &mut [E::Out],
+    c: &mut [T],
     ldc: usize,
     row0: usize,
-    ep: E,
+    ep: QEpilogue<'_>,
 ) {
     let row_strips = mc.div_ceil(MR);
     let col_strips = n.div_ceil(NR);
-    let kcp = k_pad(kc);
+    let kcp = kc.next_multiple_of(2);
     for rs in 0..row_strips {
         let pa_strip = &pa[rs * kcp * MR..][..kcp * MR];
         let rows = MR.min(mc - rs * MR);
@@ -764,15 +554,8 @@ fn macro_tile_i8<E: QWriteback>(
                 // Full tile: the kernel runs the epilogue in registers
                 // and stores the rows itself.
                 let dst = &mut c[rs * MR * ldc + cs * NR..];
-                ep.store_tile(
-                    pa_strip,
-                    pb_strip,
-                    kcp / 2,
-                    dst,
-                    ldc,
-                    row0 + rs * MR,
-                    cs * NR,
-                );
+                let tile_ep = ep.tile(row0 + rs * MR, cs * NR);
+                T::store_tile(pa_strip, pb_strip, kcp / 2, dst, ldc, tile_ep);
                 continue;
             }
             let mut acc = [[0i32; NR]; MR];
@@ -790,7 +573,7 @@ fn macro_tile_i8<E: QWriteback>(
 fn macro_tile_i8_acc(pa: &[i16], pb: &[i16], mc: usize, n: usize, kc: usize, acc: &mut [i32]) {
     let row_strips = mc.div_ceil(MR);
     let col_strips = n.div_ceil(NR);
-    let kcp = k_pad(kc);
+    let kcp = kc.next_multiple_of(2);
     for rs in 0..row_strips {
         let pa_strip = &pa[rs * kcp * MR..][..kcp * MR];
         let rows = MR.min(mc - rs * MR);
@@ -1046,7 +829,7 @@ mod tests {
             f32::NEG_INFINITY,
         ];
         let pa = PackedA8::pack_quantized(MatRef::new(&a, 6), 1, 6, 127.0);
-        let strip = pa.as_ref().block(0, 0, 6);
+        let strip = pa.as_ref().strips(0, 0, 6);
         // Pair-interleaved: element p of row 0 is at (p/2)·2MR + p%2.
         let lane0: Vec<i16> = (0..6).map(|p| strip[(p / 2) * 2 * MR + (p % 2)]).collect();
         assert_eq!(lane0, vec![127, -127, 1, -127, 127, -127]);
@@ -1149,7 +932,7 @@ mod tests {
             crate::quant::quantize_slice_i16(&a, inv, &mut qa);
             let mut buf = vec![i16::MIN; packed_a8_len(m, k)];
             pack_a8_i16(&qa, m, k, &mut buf);
-            assert_eq!(buf, expect.buf, "m={m} k={k}");
+            assert_eq!(buf, expect.as_slice(), "m={m} k={k}");
         }
     }
 

@@ -26,7 +26,7 @@ use rand::Rng;
 use crate::error::{NnError, Result};
 use crate::gemm::{
     gemm, gemm_i8, gemm_i8_q, gemm_with, pack_a8_i16, pack_a8_quantized, packed_a8_len, Epilogue,
-    Lhs, MatRef, PackedA8Ref, PackedB, PackedB8, QEpilogue, QEpilogueI8, Rhs,
+    Lhs, MatRef, PackedA8Ref, PackedB, PackedB8, QEpilogue, Rhs,
 };
 use crate::layer::{recycle, sgd_update_span, spare_f32, ChainSupport, Layer, LayerCost, OutBuf};
 use crate::quant::{finite_max_abs, inv_or_zero, ActObserver, Precision, QAct, QActRef, I8_LEVELS};
@@ -62,8 +62,8 @@ pub struct Linear {
     /// int8 forward; grows once, then reused.
     qx_buf: Vec<i16>,
     /// Bias pre-divided by the chain-edge output scale (the
-    /// [`QEpilogueI8`] operand), rebuilt per chained forward without
-    /// reallocating.
+    /// requantising [`QEpilogue`]'s operand), rebuilt per chained
+    /// forward without reallocating.
     qbias_buf: Vec<f32>,
     /// Input-activation range observer for the int8 path (see
     /// [`ActObserver`]).
@@ -219,8 +219,8 @@ impl Linear {
     /// batch is already on this layer's frozen grid and packs by pure
     /// integer copies ([`pack_a8_i16`]). The output either dequantises
     /// to `f32` (`out_scale` `None` — logits, the classifier's usual
-    /// role) or requantises onto the grid `s` of `Some(s)` via
-    /// [`QEpilogueI8`]; `fuse_relu` adds a free `max(0)`. The output
+    /// role) or requantises onto the grid `s` of `Some(s)` through the
+    /// same [`QEpilogue`]; `fuse_relu` adds a free `max(0)`. The output
     /// buffer comes from `out_buf`: fresh for [`Layer::forward`], the
     /// thread's spares for the inference walk.
     fn quant_step(
@@ -258,46 +258,30 @@ impl Linear {
         let (w_scale, packed) = self.packed_fwd8.as_ref().expect("packed above");
         let q_scale = x_scale * w_scale;
         let qx = PackedA8Ref::new(&self.qx_buf[..qx_len], n, f_active);
-        match out_scale {
+        let (scale, bias, mut out) = match out_scale {
             None => {
                 crate::quant::count_dequantise_pass();
-                let mut out = out_buf.f32(n, &[out_features]);
-                let ep = QEpilogue::scaled(q_scale).with_bias_col(&self.b);
-                let ep = if fuse_relu { ep.with_relu() } else { ep };
-                gemm_i8(
-                    n,
-                    out_features,
-                    f_active,
-                    qx,
-                    packed.as_ref(),
-                    out.data_mut(),
-                    out_features,
-                    true,
-                    ep,
-                );
-                Ok(QAct::F32(out))
+                let out = out_buf.f32(n, &[out_features]);
+                (q_scale, &self.b[..], QAct::F32(out))
             }
             Some(s_out) => {
                 let inv_out = inv_or_zero(s_out);
                 self.qbias_buf.clear();
                 self.qbias_buf.extend(self.b.iter().map(|&b| b * inv_out));
-                let mut out = out_buf.i16(n, &[out_features], s_out);
-                let ep = QEpilogueI8::scaled(q_scale * inv_out).with_bias_col(&self.qbias_buf);
-                let ep = if fuse_relu { ep.with_relu() } else { ep };
-                gemm_i8_q(
-                    n,
-                    out_features,
-                    f_active,
-                    qx,
-                    packed.as_ref(),
-                    out.data_mut(),
-                    out_features,
-                    true,
-                    ep,
-                );
-                Ok(QAct::I8(out))
+                let out = out_buf.i16(n, &[out_features], s_out);
+                (q_scale * inv_out, &self.qbias_buf[..], QAct::I8(out))
             }
+        };
+        let mut ep = QEpilogue::scaled(scale).with_bias_col(bias);
+        if fuse_relu {
+            ep = ep.with_relu();
         }
+        let (k, w, of) = (f_active, packed.as_ref(), out_features);
+        match &mut out {
+            QAct::F32(t) => gemm_i8(n, of, k, qx, w, t.data_mut(), of, true, ep),
+            QAct::I8(q) => gemm_i8_q(n, of, k, qx, w, q.data_mut(), of, true, ep),
+        }
+        Ok(out)
     }
 
     /// The `f32` forward `Y = X · Wᵀ + b` (then ReLU when `relu`) of

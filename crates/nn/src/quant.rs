@@ -33,7 +33,8 @@
 //! [`crate::network::Network::plan_quant_chain`] links the steps: per
 //! edge between quantised layers, it resolves the requantisation
 //! multiplier that lets each layer emit **saturating int8 activations
-//! straight from the GEMM write-back** ([`crate::gemm::QEpilogueI8`])
+//! straight from the GEMM write-back** ([`crate::gemm::gemm_i8_q`]: the
+//! one [`crate::gemm::QEpilogue`], written into an `i16` output)
 //! instead of dequantising to `f32` and re-quantising at the next layer.
 //!
 //! The chained-scale algebra: a quantised layer sees input on the int8

@@ -57,7 +57,6 @@ use eml_core::knobs::KnobCommand;
 use eml_core::sync::{rank, RankedGuard, RankedMutex};
 use eml_nn::tensor::Tensor;
 use eml_nn::Precision;
-use eml_platform::soc::ClusterId;
 use eml_platform::units::TimeSpan;
 
 use super::sched::{sched_word, KeyBasis, NOT_CLAIMABLE};
@@ -299,8 +298,6 @@ pub(super) struct Ledger {
     /// driver (which holds the model lock to actuate).
     pub(super) knobs: Vec<KnobCommand>,
     pub(super) band_cap: usize,
-    pub(super) predicted: Option<TimeSpan>,
-    pub(super) cluster: Option<ClusterId>,
     pub(super) admitted: bool,
     pub(super) paused: bool,
     /// Claimed by a pool driver: exactly one driver serves an app at a
@@ -716,8 +713,6 @@ impl AppLedger {
             stalls: 0,
             knobs: Vec::new(),
             band_cap: 0,
-            predicted: None,
-            cluster: None,
             admitted: true,
             paused: false,
             busy: false,
@@ -901,8 +896,6 @@ impl AppLedger {
                     in_flight: st.inflight.len(),
                     restarts: st.restarts,
                     stalls: st.stalls,
-                    predicted: st.predicted,
-                    cluster: st.cluster,
                     band_cap: st.band_cap,
                     admitted: st.admitted,
                     ..st.stats.clone()

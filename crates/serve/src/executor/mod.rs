@@ -699,8 +699,7 @@ impl Executor {
     /// application-layer knob commands ([`commands_for`]) are queued to
     /// each addressed app, each placed app's band cap is set to its
     /// allocated core count (which is also its EDF weight on the
-    /// shared pool) and its predicted latency/cluster recorded for the
-    /// feedback loop, and apps the allocation left unplaced stop
+    /// shared pool), and apps the allocation left unplaced stop
     /// admitting new requests until a later allocation re-admits them.
     /// Registered apps absent from the allocation entirely (not
     /// placed, not unplaced) are untouched.
@@ -732,8 +731,6 @@ impl Executor {
                 };
                 let mut st = app.ledger.lock();
                 st.band_cap = d.point.op.cores as usize;
-                st.predicted = Some(d.point.latency);
-                st.cluster = Some(d.point.op.cluster);
                 st.admitted = true;
                 st.knobs
                     .extend(knobs.remove(d.app.as_str()).unwrap_or_default());

@@ -349,8 +349,6 @@ mod tests {
             out_of_order: 0,
             level: 0,
             precision: eml_nn::Precision::F32,
-            predicted: None,
-            cluster: None,
             band_cap: 0,
             admitted: true,
         }

@@ -33,7 +33,6 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 
 use eml_nn::Precision;
-use eml_platform::soc::ClusterId;
 use eml_platform::units::TimeSpan;
 
 /// The sliding window of one app's most recent completions: latencies
@@ -231,11 +230,6 @@ pub struct AppStatsSnapshot {
     pub level: usize,
     /// The model's current precision mode.
     pub precision: Precision,
-    /// Predicted latency of the app's current operating point, when an
-    /// allocation has been applied.
-    pub predicted: Option<TimeSpan>,
-    /// Cluster of the current operating point.
-    pub cluster: Option<ClusterId>,
     /// Band cap (allocated cores) the forwards run under (0 = uncapped).
     pub band_cap: usize,
     /// Whether the current allocation admits the app.
