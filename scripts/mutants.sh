@@ -2,42 +2,44 @@
 # Mutation check: plants each recorded defect in a clean clone of HEAD
 # and runs the tests meant to catch it. Run from the root of a checkout:
 #
-#   bash scripts/mutants.sh [workdir] [patch...]
+#   bash scripts/mutants.sh [workdir]
 #
-# Every scripts/mutants/*.patch (or only the patches named) is a diff
-# against HEAD that `git apply` takes. Its header, the lines before the
-# first `diff --git`, says what the defect is and names the tests in
-# one line of cargo test arguments:
+# Every scripts/mutants/*.patch is a diff against HEAD that `git apply`
+# takes. Its header, the lines before the first `diff --git`, says what
+# the defect is and names the tests in one line of cargo test arguments:
 #
 #   test: -p eml-nn --lib gemm::
 #
 # HEAD is cloned into <workdir>/tree (default `target/mutants`; a clone,
-# so the repository's own .git gains no worktree entry), and all
-# mutants share one target directory, <workdir>/target, so each rebuilds
-# only the crates its patch touches. Each distinct test line is first
-# run on HEAD itself, where it must pass. Then per patch the clone is
-# reset to HEAD, the patch applied, the tests built (a mutant that does
-# not compile is an error, not a kill) and run: they must fail. The
-# script exits non-zero if a baseline fails, or a patch no longer
-# applies, does not compile, or survives. A patch that moved code stops
-# applying; refresh it against the new tree.
+# so the repository's own .git gains no worktree entry). A tree left by
+# an earlier run is reused if it holds HEAD's commit, and cloned afresh
+# if not: a detached or shallow checkout's commit may be on no branch
+# that a fetch would bring. All mutants share one target directory,
+# <workdir>/target, so each rebuilds only the crates its patch touches.
+# Each distinct test line is first run on HEAD itself, where it must
+# pass. Then per patch the clone is reset to HEAD, the patch applied,
+# the tests built (a mutant that does not compile is an error, not a
+# kill) and run: they must fail. The script exits non-zero if a
+# baseline fails, or a patch no longer applies, does not compile, or
+# survives. A patch that moved code stops applying; refresh it against
+# the new tree.
 set -euo pipefail
 
-if [ ! -d scripts/mutants ]; then
-    sed -n '2,23p' "$0" >&2
+if [ ! -d scripts/mutants ] || [ $# -gt 1 ]; then
+    sed -n '2,25p' "$0" >&2
     exit 2
 fi
 here="$(pwd)"
 work="${1:-target/mutants}"
-shift || true
-if [ $# -gt 0 ]; then patches=("$@"); else patches=("$here"/scripts/mutants/*.patch); fi
+patches=("$here"/scripts/mutants/*.patch)
 sha="$(git rev-parse --verify HEAD^{commit})"
 mkdir -p "$work"
 work="$(cd "$work" && pwd)"
 tree="$work/tree"
-[ -d "$tree/.git" ] || git clone --quiet --no-checkout "$here" "$tree"
-git -C "$tree" cat-file -e "$sha^{commit}" 2>/dev/null ||
-    git -C "$tree" fetch --quiet "$here" "+refs/heads/*:refs/remotes/origin/*"
+git -C "$tree" cat-file -e "$sha^{commit}" 2>/dev/null || {
+    rm -rf "$tree"
+    git clone --quiet --no-checkout "$here" "$tree"
+}
 export CARGO_TARGET_DIR="$work/target"
 
 reset() {
@@ -63,7 +65,6 @@ done
 echo "mutants: ${#baseline[@]} baselines pass on ${sha:0:7} ($((SECONDS - start)) s)" >&2
 
 for patch in "${patches[@]}"; do
-    patch="$(cd "$(dirname "$patch")" && pwd)/$(basename "$patch")"
     name="$(basename "$patch" .patch)"
     args="$(tests_of "$patch")"
     reset
