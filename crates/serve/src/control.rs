@@ -13,9 +13,11 @@
 //! loop; the caller picks the cadence (a timer thread in a server, an
 //! explicit call in tests). An epoch's outcomes are the deltas of each
 //! app's cumulative counters, taken by the same watermark the health
-//! monitor uses (`crate::health`), counting from zero on first sight;
-//! when the watermark reports a new lifetime under a known name, the
-//! app's miss tracker starts over.
+//! monitor uses (`crate::health`), counting from zero on first sight.
+//! The watermark and the miss tracker belong to one registration: a
+//! tenant registered again under its name is a new lifetime, judged
+//! on its own outcomes from its first epoch. A warm epoch that does
+//! not re-plan allocates nothing.
 //!
 //! Beside the loop sits [`PressurePolicy`], the *graceful-degradation
 //! ladder*: a caller ticks it per app (the chaos and workload soaks
@@ -36,9 +38,11 @@
 //! window evidence, and a rung is undone only after a full window of
 //! consecutive calm ticks
 //! ([`eml_core::feedback::MissTracker::all_met`]), so knobs don't flap
-//! at the pressure boundary.
+//! at the pressure boundary. A ladder belongs to one registration too:
+//! a re-registered tenant starts at its allocated point, with no rungs
+//! to restore.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use eml_core::feedback::{LatencyFeedback, MissTracker};
 use eml_core::knobs::KnobCommand;
@@ -48,8 +52,8 @@ use eml_nn::Precision;
 use eml_platform::Soc;
 
 use crate::error::Result;
-use crate::executor::{snapshot_named, Executor};
-use crate::health::{pool_pressure, AppHealth, EventWatermark, HealthConfig};
+use crate::executor::{AppRow, Executor};
+use crate::health::{lifetime, pool_pressure, score, EventWatermark, HealthConfig, Lifetimes};
 
 /// Control-loop tuning.
 #[derive(Debug, Clone, Copy)]
@@ -136,6 +140,24 @@ pub enum LadderStep {
     },
 }
 
+impl LadderStep {
+    /// The knob command that takes `app` down this rung (`down`), or
+    /// back up it.
+    fn command(self, app: &str, down: bool) -> KnobCommand {
+        let app = app.to_string();
+        match self {
+            LadderStep::Precision { from } => KnobCommand::SetPrecision {
+                app,
+                precision: if down { Precision::Int8 } else { from },
+            },
+            LadderStep::Width { from } => KnobCommand::SetWidth {
+                app,
+                level: WidthLevel(if down { from - 1 } else { from }),
+            },
+        }
+    }
+}
+
 /// One knob movement the ladder performed during a tick.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PressureAction {
@@ -164,7 +186,7 @@ pub struct PressureStats {
     pub restore_steps: u64,
 }
 
-/// Per-app ladder state.
+/// The ladder of one app lifetime.
 #[derive(Debug)]
 struct AppLadder {
     /// Rungs currently stepped down, most recent last (restored LIFO).
@@ -172,8 +194,9 @@ struct AppLadder {
     /// Consecutive-calm-ticks tracker (threshold 1.0: only a *full
     /// clean window* restores — see [`MissTracker::all_met`]).
     calm: MissTracker,
-    /// Watermark over the app's cumulative event counters, so only
-    /// events *since the last tick* penalise the score.
+    /// Watermark over the app's cumulative event counters, seeded at
+    /// the lifetime's first tick, so only events *since the last tick*
+    /// penalise the score.
     mark: EventWatermark,
 }
 
@@ -181,7 +204,7 @@ struct AppLadder {
 #[derive(Debug)]
 pub struct PressurePolicy {
     cfg: PressureConfig,
-    ladders: HashMap<String, AppLadder>,
+    lifetimes: Lifetimes<AppLadder>,
     stats: PressureStats,
 }
 
@@ -190,7 +213,7 @@ impl PressurePolicy {
     pub fn new(cfg: PressureConfig) -> Self {
         Self {
             cfg,
-            ladders: HashMap::new(),
+            lifetimes: Vec::new(),
             stats: PressureStats::default(),
         }
     }
@@ -200,12 +223,6 @@ impl PressurePolicy {
         self.stats
     }
 
-    /// Rungs currently stepped down for `app` (0 = at its allocated
-    /// operating point).
-    pub fn depth(&self, app: &str) -> usize {
-        self.ladders.get(app).map_or(0, |l| l.steps.len())
-    }
-
     /// One pressure evaluation for one app: computes the app's health
     /// score from its current snapshot, steps a rung down when the
     /// score sinks below the pressure line, records calm when it
@@ -213,62 +230,35 @@ impl PressurePolicy {
     /// calm window. Returns what (if anything) moved.
     ///
     /// Knob movement goes through [`Executor::route_command`]; an
-    /// unknown or deregistered app drops its ladder state. Actuation
-    /// is asynchronous — the serving thread applies the command before
+    /// unknown or deregistered app moves nothing. Actuation is
+    /// asynchronous — the serving thread applies the command before
     /// its next batch — so ticks should run at batch granularity or
     /// coarser.
     pub fn tick(&mut self, exec: &Executor, app: &str) -> Option<PressureAction> {
-        let Ok(snap) = exec.stats(app) else {
-            self.ladders.remove(app);
-            return None;
-        };
-        let pool = exec.pool_stats();
+        let (id, snap, _) = exec.observe(app).ok()?;
+        let p = exec.pool_stats();
+        let pool = pool_pressure(p.queue_depth, p.queue_capacity, p.serving);
         let cfg = self.cfg;
-        let ladder = self
-            .ladders
-            .entry(app.to_string())
-            .or_insert_with(|| AppLadder {
-                steps: Vec::new(),
-                calm: MissTracker::new(cfg.recover_ticks.max(1), 1.0),
-                mark: EventWatermark::seeded(&snap),
-            });
-        let health = AppHealth::assess(
-            &cfg.health,
-            app.to_string(),
-            snap,
-            &mut ladder.mark,
-            exec.config().queue_capacity,
-            pool_pressure(pool.queue_depth, pool.queue_capacity, pool.serving),
-        );
-        let (score, snap) = (health.score, &health.snapshot);
+        let ladder = lifetime(&mut self.lifetimes, id, || AppLadder {
+            steps: Vec::new(),
+            calm: MissTracker::new(cfg.recover_ticks.max(1), 1.0),
+            mark: EventWatermark::first(&snap, false),
+        })?;
+        let fresh = ladder.mark.advance(&snap);
+        let score = score(&cfg.health, &snap, p.queue_capacity, pool, &fresh);
         if score < cfg.degrade_below {
             // Pressure: any recovery evidence is stale now.
             ladder.calm.reset();
-            let (cmd, step) = if snap.precision == Precision::F32 {
-                (
-                    KnobCommand::SetPrecision {
-                        app: app.to_string(),
-                        precision: Precision::Int8,
-                    },
-                    LadderStep::Precision {
-                        from: Precision::F32,
-                    },
-                )
+            let step = if snap.precision == Precision::F32 {
+                LadderStep::Precision {
+                    from: Precision::F32,
+                }
             } else if snap.level > cfg.width_floor {
-                (
-                    KnobCommand::SetWidth {
-                        app: app.to_string(),
-                        level: WidthLevel(snap.level - 1),
-                    },
-                    LadderStep::Width { from: snap.level },
-                )
+                LadderStep::Width { from: snap.level }
             } else {
                 return None; // bottom of the ladder: nothing left to give
             };
-            if exec.route_command(&cmd).is_err() {
-                self.ladders.remove(app);
-                return None;
-            }
+            exec.route_command(&step.command(app, true)).ok()?;
             ladder.steps.push(step);
             self.stats.degrade_steps += 1;
             return Some(PressureAction::Degraded {
@@ -285,20 +275,7 @@ impl PressurePolicy {
         }
         if ladder.calm.all_met() {
             if let Some(step) = ladder.steps.pop() {
-                let cmd = match step {
-                    LadderStep::Precision { from } => KnobCommand::SetPrecision {
-                        app: app.to_string(),
-                        precision: from,
-                    },
-                    LadderStep::Width { from } => KnobCommand::SetWidth {
-                        app: app.to_string(),
-                        level: WidthLevel(from),
-                    },
-                };
-                if exec.route_command(&cmd).is_err() {
-                    self.ladders.remove(app);
-                    return None;
-                }
+                exec.route_command(&step.command(app, false)).ok()?;
                 // The next rung needs its own full clean window.
                 ladder.calm.reset();
                 self.stats.restore_steps += 1;
@@ -320,9 +297,11 @@ pub struct ServeController {
     apps: Vec<AppSpec>,
     cfg: ControllerConfig,
     feedback: LatencyFeedback,
-    trackers: HashMap<String, MissTracker>,
-    /// Per-app watermark over the cumulative stats, counting from zero.
-    seen: HashMap<String, EventWatermark>,
+    /// Per app lifetime: the watermark over its cumulative stats
+    /// (counting from zero) and its miss tracker.
+    lifetimes: Lifetimes<(EventWatermark, MissTracker)>,
+    /// The epoch's bulk read, refilled in place.
+    rows: Vec<AppRow>,
     /// Per placed app: its cluster and the *uncorrected* model
     /// prediction at the chosen point. The allocation's own latency
     /// already includes the feedback correction; observing against it
@@ -342,8 +321,8 @@ impl ServeController {
             apps,
             feedback: LatencyFeedback::new(cfg.feedback_alpha),
             cfg,
-            trackers: HashMap::new(),
-            seen: HashMap::new(),
+            lifetimes: Vec::new(),
+            rows: Vec::new(),
             raw_predictions: HashMap::new(),
             allocation: None,
         }
@@ -386,13 +365,8 @@ impl ServeController {
             self.raw_predictions
                 .insert(d.app.clone(), (cluster, d.point.latency * (1.0 / corr)));
         }
-        // Per-app state follows the managed roster: churn under fresh
-        // names must not grow these maps without bound.
-        let managed: HashSet<&str> = self.apps.iter().map(AppSpec::name).collect();
-        self.seen.retain(|n, _| managed.contains(n.as_str()));
-        self.trackers.retain(|n, _| managed.contains(n.as_str()));
-        for t in self.trackers.values_mut() {
-            t.reset();
+        for (_, (_, misses)) in self.lifetimes.iter_mut().flatten() {
+            misses.reset();
         }
         Ok(self.allocation.insert(alloc))
     }
@@ -408,21 +382,21 @@ impl ServeController {
         // would return per name, minus the p99 nothing here consumes),
         // resolved per spec below so apps are still accounted in spec
         // order — the per-cluster EWMA is order-sensitive.
-        let roster = exec.dnn_snapshots(true);
+        exec.dnn_snapshots(true, &mut self.rows);
+        let (window, threshold) = (self.cfg.miss_window, self.cfg.miss_threshold);
         let mut observed = 0usize;
         let mut triggered = false;
         for spec in &self.apps {
             let AppSpec::Dnn(d) = spec else { continue };
-            let Some(snap) = snapshot_named(&roster, &d.name) else {
+            let Ok(at) = self.rows.binary_search_by(|(_, n, _)| (**n).cmp(&d.name)) else {
                 continue; // not registered with this executor
             };
-            let (fresh, reborn) = self.seen.entry(d.name.clone()).or_default().advance(snap);
-            if reborn {
-                // The new lifetime is judged on its own outcomes.
-                if let Some(t) = self.trackers.get_mut(&d.name) {
-                    t.reset();
-                }
-            }
+            let (id, _, snap) = &self.rows[at];
+            let first = || (Default::default(), MissTracker::new(window, threshold));
+            let Some((mark, misses)) = lifetime(&mut self.lifetimes, *id, first) else {
+                continue;
+            };
+            let fresh = mark.advance(snap);
             if fresh.completed == 0 {
                 continue;
             }
@@ -438,15 +412,10 @@ impl ServeController {
             }
 
             if d.requirements.max_latency().is_some() {
-                let tracker = self.trackers.entry(d.name.clone()).or_insert_with(|| {
-                    MissTracker::new(self.cfg.miss_window, self.cfg.miss_threshold)
-                });
                 for i in 0..fresh.completed {
-                    tracker.record(i >= fresh.missed);
+                    misses.record(i >= fresh.missed);
                 }
-                if tracker.sustained_miss() {
-                    triggered = true;
-                }
+                triggered |= misses.sustained_miss();
             }
         }
         if triggered {
@@ -560,7 +529,7 @@ mod tests {
             "rung 2 is width: {a2:?}"
         );
         settle(&exec, |s| s.level == 2);
-        assert_eq!(policy.depth("cam"), 2);
+        assert_eq!(depth(&policy, &exec, "cam"), 2);
 
         // Pressure clears; the held batch serves at the degraded point.
         exec.resume("cam").unwrap();
@@ -602,7 +571,7 @@ mod tests {
             "{r2:?}"
         );
         settle(&exec, |s| s.precision == Precision::F32);
-        assert_eq!(policy.depth("cam"), 0);
+        assert_eq!(depth(&policy, &exec, "cam"), 0);
         assert_eq!(
             policy.stats(),
             PressureStats {
@@ -634,21 +603,46 @@ mod tests {
         ctl
     }
 
+    /// The state `lifetimes` holds for `app`'s current registration.
+    fn state_of<'a, T>(lifetimes: &'a Lifetimes<T>, exec: &Executor, app: &str) -> Option<&'a T> {
+        let (id, _, _) = exec.observe(app).unwrap();
+        match lifetimes.get(id.slot as usize)? {
+            Some((gen, state)) if *gen == id.gen => Some(state),
+            _ => None,
+        }
+    }
+
+    /// The controller's count of `app`'s completions and the outcomes
+    /// its miss tracker holds.
+    fn tracked(ctl: &ServeController, exec: &Executor, app: &str) -> (u64, usize) {
+        let (mark, misses) = state_of(&ctl.lifetimes, exec, app).expect("a tracked lifetime");
+        (mark.0.completed, misses.observed())
+    }
+
+    /// Rungs the ladder holds stepped down for `app`'s registration.
+    fn depth(policy: &PressurePolicy, exec: &Executor, app: &str) -> usize {
+        state_of(&policy.lifetimes, exec, app).map_or(0, |l| l.steps.len())
+    }
+
+    fn reregister(exec: &Executor, deadline_ms: f64) {
+        exec.deregister_dnn("cam").unwrap();
+        let req = Requirements::new().with_max_latency(TimeSpan::from_millis(deadline_ms));
+        exec.register_dnn("cam", testbed::tiny_dnn(1), &req)
+            .unwrap();
+    }
+
     #[test]
     fn a_reregistered_tenant_is_heard_from_its_first_epoch() {
         let exec = ladder_exec(500.0);
         let mut ctl = cam_controller(&exec);
         pump(&exec, 6);
         assert_eq!(ctl.control_epoch(&exec).unwrap().observed, 1);
-        assert_eq!(ctl.trackers["cam"].observed(), 6);
+        assert_eq!(tracked(&ctl, &exec, "cam"), (6, 6));
         assert_eq!(ctl.control_epoch(&exec).unwrap().observed, 0, "nothing new");
 
         // Same name, new lifetime: its counters restart below the old
         // lifetime's 6 and must not be mistaken for "nothing new".
-        exec.deregister_dnn("cam").unwrap();
-        let req = Requirements::new().with_max_latency(TimeSpan::from_millis(500.0));
-        exec.register_dnn("cam", testbed::tiny_dnn(1), &req)
-            .unwrap();
+        reregister(&exec, 500.0);
         assert_eq!(
             ctl.control_epoch(&exec).unwrap().observed,
             0,
@@ -656,27 +650,52 @@ mod tests {
         );
         pump(&exec, 2);
         assert_eq!(ctl.control_epoch(&exec).unwrap().observed, 1);
-        assert_eq!(ctl.seen["cam"].0.completed, 2);
         assert_eq!(
-            ctl.trackers["cam"].observed(),
-            2,
+            tracked(&ctl, &exec, "cam"),
+            (2, 2),
             "the new lifetime is judged on its own outcomes"
         );
         pump(&exec, 1);
         assert_eq!(ctl.control_epoch(&exec).unwrap().observed, 1);
-        assert_eq!(ctl.seen["cam"].0.completed, 3);
+        assert_eq!(tracked(&ctl, &exec, "cam"), (3, 3));
     }
 
     #[test]
-    fn per_app_state_is_pruned_to_the_managed_specs() {
+    fn a_reborn_tenant_that_out_counts_its_old_lifetime_is_judged_afresh() {
         let exec = ladder_exec(500.0);
         let mut ctl = cam_controller(&exec);
-        pump(&exec, 2);
-        ctl.control_epoch(&exec).unwrap();
-        assert!(ctl.seen.contains_key("cam") && ctl.trackers.contains_key("cam"));
+        pump(&exec, 6);
+        assert_eq!(ctl.control_epoch(&exec).unwrap().observed, 1);
+        // A re-plan: every miss tracker starts over.
+        ctl.allocate_and_apply(&exec).unwrap();
+        // Between two epochs the tenant departs and returns, and its
+        // new lifetime serves more than the old one did: none of its
+        // 8 outcomes is the old lifetime's, so all 8 are judged.
+        reregister(&exec, 500.0);
+        pump(&exec, 8);
+        assert_eq!(ctl.control_epoch(&exec).unwrap().observed, 1);
+        assert_eq!(tracked(&ctl, &exec, "cam"), (8, 8));
+    }
+
+    #[test]
+    fn per_app_state_is_bounded_by_the_registration_slots() {
+        let exec = ladder_exec(500.0);
+        let mut ctl = cam_controller(&exec);
+        // Each re-registration reuses the departed lifetime's slot: the
+        // state of a churning tenant never grows.
+        for n in 1..=4 {
+            pump(&exec, n);
+            assert_eq!(ctl.control_epoch(&exec).unwrap().observed, 1);
+            assert_eq!(tracked(&ctl, &exec, "cam").0, n as u64);
+            reregister(&exec, 500.0);
+        }
+        assert_eq!(ctl.lifetimes.len(), 1);
+        // Dropping the spec leaves the state unread: the tenant is not
+        // the controller's any more.
         ctl.apps_mut().retain(|a| a.name() != "cam");
         ctl.allocate_and_apply(&exec).unwrap();
-        assert!(ctl.seen.is_empty() && ctl.trackers.is_empty());
+        pump(&exec, 2);
+        assert_eq!(ctl.control_epoch(&exec).unwrap().observed, 0);
         assert!(ctl.raw_predictions.keys().all(|n| n != "cam"));
     }
 
@@ -713,7 +732,7 @@ mod tests {
             matches!(a, Some(PressureAction::Degraded { .. })),
             "fresh sheds are pressure: {a:?}"
         );
-        assert_eq!(policy.depth("cam"), 1);
+        assert_eq!(depth(&policy, &exec, "cam"), 1);
         assert_eq!(
             policy.stats(),
             PressureStats {
@@ -723,5 +742,43 @@ mod tests {
         );
         // Unknown apps never panic the ladder.
         assert!(policy.tick(&exec, "ghost").is_none());
+    }
+
+    #[test]
+    fn a_reborn_tenant_starts_the_ladder_at_depth_zero() {
+        let exec = ladder_exec(10.0);
+        let mut policy = PressurePolicy::new(PressureConfig {
+            health: HealthConfig {
+                min_outcomes: 2,
+                ..HealthConfig::default()
+            },
+            recover_ticks: 2,
+            ..PressureConfig::default()
+        });
+        assert!(policy.tick(&exec, "cam").is_none());
+        // Two requests held past their 10 ms deadline shed: a rung down.
+        exec.pause("cam").unwrap();
+        let doomed: Vec<crate::Ticket> = (0..2)
+            .map(|_| exec.submit("cam", &sample()).unwrap())
+            .collect();
+        std::thread::sleep(Duration::from_millis(40));
+        exec.resume("cam").unwrap();
+        for t in &doomed {
+            assert!(t.wait_timeout(TIMEOUT).is_err());
+        }
+        let a = policy.tick(&exec, "cam");
+        assert!(matches!(a, Some(PressureAction::Degraded { .. })), "{a:?}");
+        settle(&exec, |s| s.precision == Precision::Int8);
+        assert_eq!(depth(&policy, &exec, "cam"), 1);
+        // A new lifetime under the name: registered at full width in
+        // f32, it has no rung to restore, however calm it is.
+        reregister(&exec, 500.0);
+        pump(&exec, 4);
+        assert_eq!(depth(&policy, &exec, "cam"), 0);
+        for _ in 0..3 {
+            assert_eq!(policy.tick(&exec, "cam"), None);
+        }
+        assert_eq!(depth(&policy, &exec, "cam"), 0);
+        assert_eq!(policy.stats().restore_steps, 0);
     }
 }

@@ -240,7 +240,7 @@ fn serve_app(drv: &Driver, app: &App, buf: &mut BatchBuf) {
             // error counter keeps the extended accounting invariant
             // balanced.
             let error = |_| ServeError::Inference {
-                app: app.name.clone(),
+                app: app.name.to_string(),
                 reason: e.to_string(),
             };
             app.ledger.fail(&mut st, Riders::InFlight, error);

@@ -255,7 +255,7 @@ impl Ticket {
     pub fn wait_timeout(&self, timeout: std::time::Duration) -> Result<Completion> {
         self.outcome(Wait::For(timeout)).unwrap_or_else(|| {
             Err(ServeError::WaitTimeout {
-                app: self.app.name.clone(),
+                app: self.app.name.to_string(),
             })
         })
     }
@@ -286,7 +286,7 @@ impl Ticket {
             SlotRead::Gone => {
                 self.done.set(true);
                 Some(Err(ServeError::AppStopped {
-                    app: self.app.name.clone(),
+                    app: self.app.name.to_string(),
                 }))
             }
         }
@@ -313,7 +313,10 @@ impl Drop for Ticket {
 /// for an app reaches the pool through the executor
 /// (docs/INVARIANTS.md, "Ownership is acyclic").
 struct App {
-    name: String,
+    /// The registration's name, shared with the registry's key and the
+    /// control plane's rows.
+    name: Arc<str>,
+    id: AppId,
     ledger: AppLedger,
     /// A panic mid-forward (injected or organic) poisons this lock;
     /// recovery (inside `RankedMutex`) is safe because the model's
@@ -349,8 +352,68 @@ impl AppEntry {
 
 /// What a departed app leaves readable under its name.
 struct Tombstone {
+    /// The departed registration (its slot may already serve another).
+    id: AppId,
     stats: AppStatsSnapshot,
-    deadline: Option<TimeSpan>,
+    deadline: Deadline,
+}
+
+/// An app's latency bound, from its registration requirements.
+type Deadline = Option<TimeSpan>;
+
+/// One registration of a DNN app: a dense slot index and the slot's
+/// generation. A slot is reused only after its lifetime has drained,
+/// and each reuse is the next generation, so an id names exactly one
+/// lifetime: the control plane keys its per-app state by it, and a
+/// generation it has not seen in a slot is a new lifetime.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct AppId {
+    pub(crate) slot: u32,
+    pub(crate) gen: u32,
+}
+
+/// The app registry: each name's entry, and the slots that give every
+/// DNN registration its [`AppId`].
+#[derive(Default)]
+struct Registry {
+    names: HashMap<Arc<str>, AppEntry>,
+    /// Slots handed out so far.
+    slots: u32,
+    /// The next id of each drained slot, reused last-freed first.
+    free: Vec<AppId>,
+}
+
+impl Registry {
+    /// The id of a new lifetime: a drained slot's next, else a new slot.
+    fn claim(&mut self) -> AppId {
+        let slot = self.slots;
+        self.free.pop().unwrap_or_else(|| {
+            self.slots += 1;
+            AppId { slot, gen: 0 }
+        })
+    }
+
+    /// Ends `id`'s lifetime: its slot's next occupant is the next
+    /// generation.
+    fn release(&mut self, id: AppId) {
+        let AppId { slot, gen } = id;
+        self.free.push(AppId { slot, gen: gen + 1 });
+    }
+
+    fn live(&self) -> usize {
+        self.names.values().filter(|e| e.is_live()).count()
+    }
+}
+
+/// One DNN app in the control plane's bulk read: its registration, its
+/// name (shared, not copied) and its snapshot.
+pub(crate) type AppRow = (AppId, Arc<str>, AppStatsSnapshot);
+
+thread_local! {
+    /// The calling thread's handles of the apps a bulk read visits:
+    /// kept between reads (empty, so no app is held alive), as
+    /// [`crate::stats::with_scratch`] keeps the percentile scratch.
+    static READING: Cell<Vec<Arc<App>>> = const { Cell::new(Vec::new()) };
 }
 
 /// The multi-tenant serving executor. See the module docs.
@@ -359,7 +422,7 @@ pub struct Executor {
     /// The app map, ranked *below* every per-app lock so lifecycle
     /// paths may resolve a name and then touch its ledger while still
     /// holding the map.
-    apps: RankedMutex<HashMap<String, AppEntry>>,
+    apps: RankedMutex<Registry>,
     pool: Arc<PoolShared>,
     drivers: Vec<Arc<Driver>>,
     watchdog: Watchdog,
@@ -370,7 +433,7 @@ impl std::fmt::Debug for Executor {
         write!(
             f,
             "Executor({} apps, {} drivers, queue {}, batch cap {})",
-            self.apps.lock().len(),
+            self.apps.lock().names.len(),
             self.drivers.len(),
             self.cfg.queue_capacity,
             self.cfg.batch_cap
@@ -396,7 +459,7 @@ impl Executor {
             Watchdog::spawn(drivers.clone(), cfg.clone()).expect("spawn watchdog thread");
         Self {
             cfg,
-            apps: RankedMutex::new(rank::EXEC_APPS, "exec-apps", HashMap::new()),
+            apps: RankedMutex::new(rank::EXEC_APPS, "exec-apps", Registry::default()),
             pool,
             drivers,
             watchdog,
@@ -416,9 +479,10 @@ impl Executor {
         let mut names: Vec<String> = self
             .apps
             .lock()
+            .names
             .iter()
             .filter(|(_, e)| e.is_live())
-            .map(|(n, _)| n.clone())
+            .map(|(n, _)| n.to_string())
             .collect();
         names.sort();
         names
@@ -432,7 +496,7 @@ impl Executor {
         // Registry occupancy first (rank EXEC_APPS below EXEC_POOL),
         // then the roster's handles: the scheduler lock is held only to
         // clone them, so no driver's claim waits out the ledger sweep.
-        let apps = self.apps.lock().values().filter(|e| e.is_live()).count();
+        let apps = self.apps.lock().live();
         let roster = self.pool.sched.lock().roster.clone();
         let mut queue_depth = 0;
         let mut in_flight = 0;
@@ -464,7 +528,8 @@ impl Executor {
     /// while other threads are serving, observing or deregistering. A
     /// name left behind by [`Executor::deregister_dnn`] may be
     /// registered again — the tombstone (and its final statistics) is
-    /// replaced by the fresh app.
+    /// replaced by the fresh app. Every registration is a new lifetime
+    /// with an identity of its own, whatever its name.
     ///
     /// # Errors
     ///
@@ -477,7 +542,7 @@ impl Executor {
         dnn: DynamicDnn,
         requirements: &Requirements,
     ) -> Result<()> {
-        let name = name.into();
+        let name: Arc<str> = name.into().into();
         // Hold the map for the whole registration so a concurrent
         // register/deregister of the same name serialises cleanly.
         let mut apps = self.apps.lock();
@@ -485,7 +550,8 @@ impl Executor {
         let sample_shape: Vec<usize> = dnn.network().input_shape().to_vec();
         let faults = self.cfg.fault_plan.as_ref().and_then(|p| p.for_app(&name));
         let app = Arc::new(App {
-            name: name.clone(),
+            name: Arc::clone(&name),
+            id: apps.claim(),
             ledger: AppLedger::new(
                 self.cfg.stats_window,
                 dnn.level().index(),
@@ -508,18 +574,18 @@ impl Executor {
         // virtual deadlines are never served by hash order or thread
         // race. No ring needed: a fresh app has no work yet.
         self.pool.sched.lock().roster.push(Arc::clone(&app));
-        apps.insert(name, AppEntry::Dnn(app));
+        apps.names.insert(name, AppEntry::Dnn(app));
         Ok(())
     }
 
     /// The registry's admission rule, shared by both registration
     /// surfaces: the name must be free (a tombstone is) and the live
     /// tenants below the cap.
-    fn admit_registration(&self, apps: &HashMap<String, AppEntry>, name: &str) -> Result<()> {
-        if apps.get(name).is_some_and(AppEntry::is_live) {
+    fn admit_registration(&self, apps: &Registry, name: &str) -> Result<()> {
+        if apps.names.get(name).is_some_and(AppEntry::is_live) {
             return Err(ServeError::DuplicateApp { app: name.into() });
         }
-        if apps.values().filter(|e| e.is_live()).count() >= self.cfg.max_apps {
+        if apps.live() >= self.cfg.max_apps {
             return Err(ServeError::OverCapacity {
                 app: name.into(),
                 capacity: self.cfg.max_apps,
@@ -538,10 +604,10 @@ impl Executor {
     /// Returns [`ServeError::DuplicateApp`] if the name is taken, or
     /// [`ServeError::OverCapacity`] if the bounded registry is full.
     pub fn register_rigid(&self, name: impl Into<String>) -> Result<()> {
-        let name = name.into();
+        let name: Arc<str> = name.into().into();
         let mut apps = self.apps.lock();
         self.admit_registration(&apps, &name)?;
-        apps.insert(name, AppEntry::Rigid);
+        apps.names.insert(name, AppEntry::Rigid);
         Ok(())
     }
 
@@ -567,7 +633,8 @@ impl Executor {
         let d = {
             let mut apps = self.apps.lock();
             let d = Self::live_dnn(&apps, app)?;
-            apps.insert(app.to_string(), AppEntry::Departing(Arc::clone(&d)));
+            apps.names
+                .insert(Arc::clone(&d.name), AppEntry::Departing(Arc::clone(&d)));
             d
         };
         // Stop admissions, typed. The pool still drains what the app
@@ -597,7 +664,7 @@ impl Executor {
         st.admitted = false;
         d.ledger
             .fail(&mut st, Riders::All, |_| ServeError::AppDeregistered {
-                app: d.name.clone(),
+                app: d.name.to_string(),
             });
         drop(st);
         d.ledger.wake_tickets();
@@ -610,22 +677,26 @@ impl Executor {
         let stats = d.ledger.snapshot(true);
         // Nothing writes the ledger's statistics any more, so the
         // tombstone takes them in place of the app — unless the name
-        // was registered again while the app drained.
-        if let Some(entry) = self.apps.lock().get_mut(app) {
+        // was registered again while the app drained. Either way the
+        // lifetime is over, and its slot is free for the next one.
+        let mut apps = self.apps.lock();
+        if let Some(entry) = apps.names.get_mut(app) {
             if matches!(entry, AppEntry::Departing(a) if Arc::ptr_eq(a, &d)) {
                 *entry = AppEntry::Departed(Box::new(Tombstone {
+                    id: d.id,
                     stats: stats.clone(),
                     deadline: d.ledger.deadline(),
                 }));
             }
         }
+        apps.release(d.id);
         Ok(stats)
     }
 
     /// Resolves a *live* DNN app. A departed name gets the distinct
     /// typed refusal; rigid and unknown names are `UnknownApp`.
-    fn live_dnn(apps: &HashMap<String, AppEntry>, app: &str) -> Result<Arc<App>> {
-        match apps.get(app) {
+    fn live_dnn(apps: &Registry, app: &str) -> Result<Arc<App>> {
+        match apps.names.get(app) {
             Some(AppEntry::Dnn(d)) => Ok(Arc::clone(d)),
             Some(AppEntry::Departing(_) | AppEntry::Departed(_)) => {
                 Err(ServeError::AppDeregistered { app: app.into() })
@@ -638,22 +709,18 @@ impl Executor {
         Self::live_dnn(&self.apps.lock(), app)
     }
 
-    /// Reads a DNN app for *observation*, alive or departed — final
-    /// statistics stay readable after deregistration: `live` reads the
-    /// app (a draining one too) once the registry lock is released,
-    /// `departed` reads a tombstone under it.
-    fn observe<T>(
-        &self,
-        app: &str,
-        live: impl FnOnce(&App) -> T,
-        departed: impl FnOnce(&Tombstone) -> T,
-    ) -> Result<T> {
-        let found = match self.apps.lock().get(app) {
+    /// Reads a DNN app for *observation*, alive or departed (final
+    /// statistics stay readable after deregistration): the
+    /// registration read, the [`Executor::stats`] snapshot and the
+    /// deadline. A live app (a draining one too) is read once the
+    /// registry lock is released, a tombstone under it.
+    pub(crate) fn observe(&self, app: &str) -> Result<(AppId, AppStatsSnapshot, Deadline)> {
+        let d = match self.apps.lock().names.get(app) {
             Some(AppEntry::Dnn(d) | AppEntry::Departing(d)) => Arc::clone(d),
-            Some(AppEntry::Departed(t)) => return Ok(departed(t)),
+            Some(AppEntry::Departed(t)) => return Ok((t.id, t.stats.clone(), t.deadline)),
             _ => return Err(ServeError::UnknownApp { app: app.into() }),
         };
-        Ok(live(&found))
+        Ok((d.id, d.ledger.snapshot(true), d.ledger.deadline()))
     }
 
     /// Submits one sample (the model's per-sample input, flattened) for
@@ -721,12 +788,12 @@ impl Executor {
         {
             let apps = self.apps.lock();
             for name in &alloc.unplaced {
-                if let Some(AppEntry::Dnn(app)) = apps.get(name) {
+                if let Some(AppEntry::Dnn(app)) = apps.names.get(name.as_str()) {
                     app.ledger.lock().admitted = false;
                 }
             }
             for d in &alloc.dnns {
-                let Some(AppEntry::Dnn(app)) = apps.get(&d.app) else {
+                let Some(AppEntry::Dnn(app)) = apps.names.get(d.app.as_str()) else {
                     continue;
                 };
                 let mut st = app.ledger.lock();
@@ -813,7 +880,7 @@ impl Executor {
     ///
     /// [`ServeError::UnknownApp`] for unregistered or rigid names.
     pub fn deadline(&self, app: &str) -> Result<Option<TimeSpan>> {
-        self.observe(app, |d| d.ledger.deadline(), |t| t.deadline)
+        self.observe(app).map(|(_, _, deadline)| deadline)
     }
 
     /// A statistics snapshot of one app — one instant of it: every
@@ -827,51 +894,48 @@ impl Executor {
     ///
     /// [`ServeError::UnknownApp`] for unregistered or rigid names.
     pub fn stats(&self, app: &str) -> Result<AppStatsSnapshot> {
-        self.observe(app, |d| d.ledger.snapshot(true), |t| t.stats.clone())
+        self.observe(app).map(|(_, stats, _)| stats)
     }
 
-    /// The control plane's bulk read: every DNN app's snapshot in
-    /// **sorted-name** order from one pass — the registry lock taken
-    /// once (not once per name, and only to clone the roster's handles
-    /// and copy the tombstones: submitters resolve names under the same
-    /// lock) and the reading thread's percentile scratch for every
-    /// tenant. Rigid apps have no serving surface and are skipped;
-    /// departing apps and tombstones are visited only when
-    /// `departed_too` (the [`Executor::stats`] view). Every bulk reader
-    /// consumes the median only, so `p99` is left unselected; each
-    /// snapshot is otherwise field-for-field what [`Executor::stats`]
-    /// returns.
-    pub(crate) fn dnn_snapshots(&self, departed_too: bool) -> Vec<(String, AppStatsSnapshot)> {
-        let mut roster: Vec<Arc<App>> = Vec::new();
-        let mut tombstones = Vec::new();
-        for (name, entry) in self.apps.lock().iter() {
+    /// The control plane's bulk read: every DNN app's row, sorted by
+    /// name, refilled into the caller's `rows` from one pass — the
+    /// registry lock taken once (not once per name, and only to clone
+    /// the live apps' handles and copy the tombstones: submitters
+    /// resolve names under the same lock) and the reading thread's
+    /// handle list and percentile scratch for every tenant, so a warm
+    /// read allocates nothing. Rigid apps have no serving
+    /// surface and are skipped; departing apps and tombstones are
+    /// visited only when `departed_too` (the [`Executor::stats`] view).
+    /// Every bulk reader consumes the median only, so `p99` is left
+    /// unselected; each snapshot is otherwise field-for-field what
+    /// [`Executor::stats`] returns.
+    pub(crate) fn dnn_snapshots(&self, departed_too: bool, rows: &mut Vec<AppRow>) {
+        let mut apps = READING.take();
+        rows.clear();
+        for (name, entry) in &self.apps.lock().names {
             match entry {
-                AppEntry::Dnn(d) => roster.push(Arc::clone(d)),
-                AppEntry::Departing(d) if departed_too => roster.push(Arc::clone(d)),
+                AppEntry::Dnn(d) => apps.push(Arc::clone(d)),
+                AppEntry::Departing(d) if departed_too => apps.push(Arc::clone(d)),
                 AppEntry::Departed(t) if departed_too => {
                     let stats = AppStatsSnapshot {
                         p99: None,
                         ..t.stats.clone()
                     };
-                    tombstones.push((name.clone(), stats));
+                    rows.push((t.id, Arc::clone(name), stats));
                 }
                 _ => {}
             }
         }
-        roster.sort_unstable_by(|a, b| a.name.cmp(&b.name));
-        // Collected at its exact length: a row is about 300 bytes, and
-        // a lone tenant's row with `Vec`'s spare capacity of 4 is too
-        // large for the allocator's per-thread cache (`control_turn_us`
-        // on the one-tenant workloads read ×1.2).
-        let mut rows: Vec<_> = roster
-            .iter()
-            .map(|app| (app.name.clone(), app.ledger.snapshot(false)))
-            .collect();
-        if !tombstones.is_empty() {
-            rows.append(&mut tombstones);
-            rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let tombstones = rows.len();
+        apps.sort_unstable_by(|a, b| a.name.cmp(&b.name));
+        rows.extend(
+            apps.drain(..)
+                .map(|app| (app.id, Arc::clone(&app.name), app.ledger.snapshot(false))),
+        );
+        if tombstones > 0 {
+            rows.sort_unstable_by(|a, b| a.1.cmp(&b.1));
         }
-        rows
+        READING.set(apps);
     }
 
     /// Blocks until `app`'s queue is empty and nothing is in flight.
@@ -915,7 +979,7 @@ impl Executor {
         // nothing new), then stop the pool itself.
         {
             let apps = self.apps.lock();
-            for entry in apps.values() {
+            for entry in apps.names.values() {
                 if let AppEntry::Dnn(app) = entry {
                     app.ledger.lock().stopping = true;
                 }
@@ -933,13 +997,13 @@ impl Executor {
         // left was stranded by dead drivers. Fail it loud and keep the
         // accounting exact.
         let apps = self.apps.lock();
-        for entry in apps.values() {
+        for entry in apps.names.values() {
             let AppEntry::Dnn(app) = entry else { continue };
             let mut st = app.ledger.lock();
             st.busy = false;
             app.ledger
                 .fail(&mut st, Riders::All, |_| ServeError::AppStopped {
-                    app: app.name.clone(),
+                    app: app.name.to_string(),
                 });
             drop(st);
             app.ledger.wake_tickets();
@@ -951,16 +1015,6 @@ impl Drop for Executor {
     fn drop(&mut self) {
         self.shutdown();
     }
-}
-
-/// Looks `name` up in a bulk read ([`Executor::dnn_snapshots`] returns
-/// its rows sorted by name).
-pub(crate) fn snapshot_named<'a>(
-    roster: &'a [(String, AppStatsSnapshot)],
-    name: &str,
-) -> Option<&'a AppStatsSnapshot> {
-    let at = roster.binary_search_by(|(n, _)| n.as_str().cmp(name));
-    at.ok().map(|i| &roster[i].1)
 }
 
 #[cfg(test)]
@@ -1039,29 +1093,32 @@ mod tests {
         exec.drain();
         exec.deregister_dnn("gone").unwrap();
 
-        let live = exec.dnn_snapshots(false);
-        let names: Vec<&str> = live.iter().map(|(n, _)| n.as_str()).collect();
+        let mut live = Vec::new();
+        exec.dnn_snapshots(false, &mut live);
+        let names: Vec<&str> = live.iter().map(|(_, name, _)| &**name).collect();
         assert_eq!(
             names,
             ["alpha", "mid", "zeta"],
             "sorted, rigid and departed skipped"
         );
-        assert_eq!(live[2].1.completed, 5);
-        assert!(live[2].1.p50.is_some() && live[1].1.p50.is_none());
+        assert_eq!(live[2].2.completed, 5);
+        assert!(live[2].2.p50.is_some() && live[1].2.p50.is_none());
 
         // The `stats()` view keeps the tombstone readable. Both views
-        // differ from `stats()` in the unselected `p99` alone.
-        let all = exec.dnn_snapshots(true);
-        let names: Vec<&str> = all.iter().map(|(n, _)| n.as_str()).collect();
+        // differ from `stats()` in the unselected `p99` alone, and
+        // every row carries the registration `stats()` read.
+        let mut all = Vec::new();
+        exec.dnn_snapshots(true, &mut all);
+        let names: Vec<&str> = all.iter().map(|(_, name, _)| &**name).collect();
         assert_eq!(names, ["alpha", "gone", "mid", "zeta"]);
-        for (name, snap) in live.iter().chain(&all) {
-            let mut solo = exec.stats(name).unwrap();
-            assert_eq!(snap.p99, None);
+        for (id, name, snap) in live.iter().chain(&all) {
+            let (solo_id, mut solo, _) = exec.observe(name).unwrap();
+            assert_eq!((snap.p99, id), (None, &solo_id), "{name}");
             solo.p99 = None;
             assert_eq!(format!("{snap:?}"), format!("{solo:?}"), "{name}");
         }
         assert_eq!(
-            all[1].1.completed, 3,
+            all[1].2.completed, 3,
             "final statistics of the departed app"
         );
     }
@@ -1903,6 +1960,7 @@ mod tests {
         let apps = exec
             .apps
             .lock()
+            .names
             .values()
             .filter_map(|e| match e {
                 AppEntry::Dnn(d) | AppEntry::Departing(d) => Some(Arc::downgrade(d)),
@@ -1964,6 +2022,31 @@ mod tests {
         let (apps, pool) = weak_handles(&exec);
         drop(exec);
         assert_all_freed(&apps, &pool);
+    }
+
+    #[test]
+    fn a_drained_slot_is_reused_a_generation_on() {
+        let exec = tiny_executor(ExecutorConfig::default());
+        let req = Requirements::new();
+        let id = |name: &str| exec.observe(name).unwrap().0;
+        let cam = id("cam");
+        exec.register_dnn("mic", testbed::tiny_dnn(2), &req)
+            .unwrap();
+        assert_ne!(id("mic").slot, cam.slot);
+        exec.deregister_dnn("cam").unwrap();
+        assert_eq!(id("cam"), cam, "the tombstone names its lifetime");
+        // The freed slot serves the next registration, whatever its
+        // name, as a new generation; the departed name gets a new id.
+        exec.register_dnn("imu", testbed::tiny_dnn(3), &req)
+            .unwrap();
+        let next = AppId {
+            slot: cam.slot,
+            gen: cam.gen + 1,
+        };
+        assert_eq!(id("imu"), next);
+        exec.register_dnn("cam", testbed::tiny_dnn(4), &req)
+            .unwrap();
+        assert!(![cam, next, id("mic")].contains(&id("cam")));
     }
 
     #[test]
@@ -2035,8 +2118,10 @@ mod tests {
             exec.deadline("cam").unwrap(),
             Some(TimeSpan::from_millis(50.0))
         );
-        let all = exec.dnn_snapshots(true);
-        let mut bulk = snapshot_named(&all, "cam").expect("tombstone read").clone();
+        let mut all = Vec::new();
+        exec.dnn_snapshots(true, &mut all);
+        assert_eq!(all.len(), 1, "the tombstone's row");
+        let mut bulk = all[0].2.clone();
         assert_eq!(bulk.p99, None);
         bulk.p99 = last.p99;
         assert_eq!(format!("{bulk:?}"), format!("{last:?}"));
@@ -2068,7 +2153,13 @@ mod tests {
         let last = std::thread::scope(|scope| {
             let departing = scope.spawn(|| exec.deregister_dnn("cam"));
             let deadline = Instant::now() + TIMEOUT;
-            while !matches!(exec.apps.lock().get("cam"), Some(AppEntry::Departing(_))) {
+            let begun = || {
+                matches!(
+                    exec.apps.lock().names.get("cam"),
+                    Some(AppEntry::Departing(_))
+                )
+            };
+            while !begun() {
                 assert!(Instant::now() < deadline, "never began to depart");
                 std::thread::yield_now();
             }
@@ -2080,7 +2171,7 @@ mod tests {
         assert!(slow.wait().unwrap().latency.as_millis() >= 500.0);
         // The drained lifetime left no tombstone over the fresh one.
         assert!(matches!(
-            exec.apps.lock().get("cam"),
+            exec.apps.lock().names.get("cam"),
             Some(AppEntry::Dnn(_))
         ));
         exec.submit("cam", &sample(0.2))

@@ -177,7 +177,7 @@ fn fail_inflight<'a>(app: &'a App, reason: &str) -> (LedgerGuard<'a>, bool) {
     let confiscated = st.in_flight() > 0;
     app.ledger
         .fail(&mut st, Riders::InFlight, |_| ServeError::Inference {
-            app: app.name.clone(),
+            app: app.name.to_string(),
             reason: reason.into(),
         });
     (st, confiscated)

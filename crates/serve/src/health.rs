@@ -7,12 +7,12 @@
 //! roster: one registry lock to clone the roster's handles (not one
 //! per tenant), per tenant one ledger lock plus an O(window) median
 //! selection after releasing it (see [`crate::stats`]; nothing here
-//! reads the p99, so it is not selected), and no allocation beyond the
-//! report, the reading thread's percentile scratch and one name
-//! per newly seen app. The pool-wide backlog term is summed from those
-//! same snapshots, so no second sweep locks the ledgers again. The
-//! cost is linear in the tenant count. The score folds the counters
-//! into a single `0–100` number per app:
+//! reads the p99, so it is not selected). The rows, the per-app state
+//! and the report are the monitor's own, refilled in place, so a warm
+//! observation allocates nothing. The pool-wide backlog term is summed
+//! from those same snapshots, so no second sweep locks the ledgers
+//! again. The cost is linear in the tenant count. The score folds the
+//! counters into a single `0–100` number per app:
 //!
 //! - **windowed miss rate** (gated on enough outcomes to be evidence),
 //! - **queue pressure** (depth as a fraction of capacity),
@@ -27,10 +27,11 @@
 //! that shed a thousand requests last week but is clean now is
 //! healthy. One watermark type turns an app's cumulative counters
 //! into [`FreshEvents`], for the monitor, for [`crate::PressurePolicy`]
-//! and for [`crate::ServeController`]'s miss tracking alike, under one
-//! lifetime rule: a counter below its mark means the name was
-//! deregistered and registered again, and the new lifetime's counters
-//! are its deltas.
+//! and for [`crate::ServeController`]'s miss tracking alike. Each of
+//! the three keeps its per-app state in one table indexed by
+//! registration (`Lifetimes`), never by name: one registration is one
+//! lifetime, whose counters never fall, and a re-registration under a
+//! known name is a new lifetime with fresh state.
 //!
 //! [`HealthMonitor`] evaluates every registered DNN app (in sorted-name,
 //! deterministic order — the order of [`crate::Executor::app_names`])
@@ -39,9 +40,10 @@
 //! single degrade/restore trigger instead of a bag of ad-hoc
 //! thresholds.
 
-use std::collections::HashMap;
+use std::cmp::Ordering;
+use std::sync::Arc;
 
-use crate::executor::{snapshot_named, Executor};
+use crate::executor::{AppId, AppRow, Executor};
 use crate::stats::AppStatsSnapshot;
 
 /// Tuning of the health score: one weight per signal, each the number
@@ -119,53 +121,69 @@ impl FreshEvents {
             knob_faults: snap.knob_faulted,
         }
     }
-
-    /// `self − earlier`, counter by counter; `None` when any counter
-    /// fell.
-    fn since(self, earlier: Self) -> Option<Self> {
-        Some(Self {
-            completed: self.completed.checked_sub(earlier.completed)?,
-            missed: self.missed.checked_sub(earlier.missed)?,
-            shed: self.shed.checked_sub(earlier.shed)?,
-            restarts: self.restarts.checked_sub(earlier.restarts)?,
-            stalls: self.stalls.checked_sub(earlier.stalls)?,
-            knob_faults: self.knob_faults.checked_sub(earlier.knob_faults)?,
-        })
-    }
 }
 
-/// An app's cumulative counters at its previous observation: the one
-/// place the control plane turns them into per-observation deltas.
-/// The monitor and the ladder seed it at attach time
-/// ([`EventWatermark::seeded`]), so history that predates them is
-/// never fresh; the controller starts it at zero (`default`), so an
-/// app's first epoch accounts everything it has served.
+/// A lifetime's cumulative counters at its previous observation: the
+/// one place the control plane turns them into per-observation deltas.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct EventWatermark(pub(crate) FreshEvents);
 
 impl EventWatermark {
-    /// A watermark level with `snap`: the next
-    /// [`EventWatermark::advance`] reports only events that happen
-    /// *after* this snapshot.
-    pub(crate) fn seeded(snap: &AppStatsSnapshot) -> Self {
-        Self(FreshEvents::lifetime(snap))
-    }
-
-    /// Advances the watermark to `snap`, returning the events since the
-    /// previous level and whether a new lifetime began. Counters never
-    /// fall within one lifetime, so any counter below its mark means
-    /// the name was deregistered and registered again in between: the
-    /// new lifetime counts from zero, and its whole history is fresh.
-    /// A new lifetime that already out-counted the old one on every
-    /// counter reads as activity of the old one.
-    pub(crate) fn advance(&mut self, snap: &AppStatsSnapshot) -> (FreshEvents, bool) {
-        let now = FreshEvents::lifetime(snap);
-        let last = std::mem::replace(&mut self.0, now);
-        match now.since(last) {
-            Some(fresh) => (fresh, false),
-            None => (now, true),
+    /// A watermark for a lifetime first read at `snap`: at zero when
+    /// all of its history is fresh to the reader (its first
+    /// [`EventWatermark::advance`] accounts everything it has done),
+    /// else level with `snap` (only what happens after it is fresh).
+    pub(crate) fn first(snap: &AppStatsSnapshot, history_is_fresh: bool) -> Self {
+        match history_is_fresh {
+            true => Self::default(),
+            false => Self(FreshEvents::lifetime(snap)),
         }
     }
+
+    /// Advances the watermark to `snap`, a later snapshot of the same
+    /// lifetime (whose counters never fall; saturating, so a stale
+    /// mark reads nothing rather than a wrapped count), returning the
+    /// events since the previous level.
+    pub(crate) fn advance(&mut self, snap: &AppStatsSnapshot) -> FreshEvents {
+        let last = std::mem::replace(&mut self.0, FreshEvents::lifetime(snap));
+        let now = self.0;
+        FreshEvents {
+            completed: now.completed.saturating_sub(last.completed),
+            missed: now.missed.saturating_sub(last.missed),
+            shed: now.shed.saturating_sub(last.shed),
+            restarts: now.restarts.saturating_sub(last.restarts),
+            stalls: now.stalls.saturating_sub(last.stalls),
+            knob_faults: now.knob_faults.saturating_sub(last.knob_faults),
+        }
+    }
+}
+
+/// One control-plane reader's per-app state, indexed by registration
+/// slot, each entry held by one lifetime (its generation) at a time.
+/// A registration newer than the slot's holder replaces it with fresh
+/// state, so nothing of a departed lifetime reaches a new one under
+/// the same name, and the table never outgrows the executor's slots.
+pub(crate) type Lifetimes<T> = Vec<Option<(u32, T)>>;
+
+/// `id`'s state in `table`, begun by `fresh` when the slot held an
+/// older lifetime or nothing; `None` for a departed registration whose
+/// slot already holds a newer one (it has nothing left to report).
+pub(crate) fn lifetime<T>(
+    table: &mut Lifetimes<T>,
+    id: AppId,
+    fresh: impl FnOnce() -> T,
+) -> Option<&mut T> {
+    let slot = id.slot as usize;
+    if slot >= table.len() {
+        table.resize_with(slot + 1, || None);
+    }
+    let entry = &mut table[slot];
+    match entry.as_ref().map(|(gen, _)| gen.cmp(&id.gen)) {
+        Some(Ordering::Greater) => return None,
+        Some(Ordering::Equal) => {}
+        _ => *entry = Some((id.gen, fresh())),
+    }
+    entry.as_mut().map(|(_, state)| state)
 }
 
 /// The pool-wide backlog fraction in `0.0..=1.0`: requests queued
@@ -176,13 +194,14 @@ pub(crate) fn pool_pressure(queued: usize, queue_capacity: usize, apps: usize) -
 }
 
 /// The health score of one snapshot: `100` minus the weighted
-/// penalties, clamped to `[0, 100]`.
+/// penalties, clamped to `[0, 100]`. The one scorer of the monitor and
+/// the ladder.
 ///
 /// `queue_capacity` is the executor's configured per-app bound (the
 /// denominator of the queue-pressure term); `pool_pressure` is the
 /// shared pool's aggregate backlog fraction ([`pool_pressure`]); `fresh`
 /// is the event delta since the caller's previous observation.
-fn score(
+pub(crate) fn score(
     cfg: &HealthConfig,
     snap: &AppStatsSnapshot,
     queue_capacity: usize,
@@ -198,17 +217,14 @@ fn score(
         penalty += cfg.w_queue * frac;
     }
     penalty += cfg.w_pool_queue * pool_pressure.clamp(0.0, 1.0);
-    if fresh.shed > 0 {
-        penalty += cfg.w_shed;
-    }
-    if fresh.restarts > 0 {
-        penalty += cfg.w_restart;
-    }
-    if fresh.stalls > 0 {
-        penalty += cfg.w_stall;
-    }
-    if fresh.knob_faults > 0 {
-        penalty += cfg.w_knob_fault;
+    let events = [
+        (fresh.shed, cfg.w_shed),
+        (fresh.restarts, cfg.w_restart),
+        (fresh.stalls, cfg.w_stall),
+        (fresh.knob_faults, cfg.w_knob_fault),
+    ];
+    for (_, w) in events.into_iter().filter(|&(n, _)| n > 0) {
+        penalty += w;
     }
     (100.0 - penalty).clamp(0.0, 100.0)
 }
@@ -217,36 +233,13 @@ fn score(
 #[derive(Debug, Clone)]
 pub struct AppHealth {
     /// Application name.
-    pub app: String,
+    pub app: Arc<str>,
     /// The `0–100` health score.
     pub score: f32,
     /// Event deltas since the previous report.
     pub fresh: FreshEvents,
     /// The snapshot the score was computed from.
     pub snapshot: AppStatsSnapshot,
-}
-
-impl AppHealth {
-    /// Scores `app` from `snapshot`: advances its watermark `mark` to
-    /// the snapshot and charges the fresh events, its own queue
-    /// against `queue_capacity`, and the pool-wide `pool_pressure`.
-    /// The one scorer of the monitor and the ladder.
-    pub(crate) fn assess(
-        cfg: &HealthConfig,
-        app: String,
-        snapshot: AppStatsSnapshot,
-        mark: &mut EventWatermark,
-        queue_capacity: usize,
-        pool_pressure: f32,
-    ) -> Self {
-        let (fresh, _) = mark.advance(&snapshot);
-        Self {
-            app,
-            score: score(cfg, &snapshot, queue_capacity, pool_pressure, &fresh),
-            fresh,
-            snapshot,
-        }
-    }
 }
 
 /// One observation of the whole executor: every app scored, worst
@@ -261,13 +254,19 @@ pub struct HealthReport {
 }
 
 /// The executor-wide health observer. Stateful: it keeps one watermark
-/// per app, so scores reflect *fresh* events. One monitor per
-/// executor; observe at whatever cadence the caller's control loop
-/// runs.
+/// per app lifetime, so scores reflect *fresh* events. The first
+/// observation that finds any app is the baseline: history that
+/// predates the monitor is never fresh. A lifetime it meets later
+/// began after the previous observation, so all of its history is.
+/// One monitor per executor; observe at whatever cadence the caller's
+/// control loop runs.
 #[derive(Debug)]
 pub struct HealthMonitor {
     cfg: HealthConfig,
-    marks: HashMap<String, EventWatermark>,
+    lifetimes: Lifetimes<EventWatermark>,
+    /// The observation's bulk read, refilled in place.
+    rows: Vec<AppRow>,
+    report: HealthReport,
 }
 
 impl HealthMonitor {
@@ -276,37 +275,44 @@ impl HealthMonitor {
     pub fn new(cfg: HealthConfig) -> Self {
         Self {
             cfg,
-            marks: HashMap::new(),
+            lifetimes: Vec::new(),
+            rows: Vec::new(),
+            report: HealthReport {
+                apps: Vec::new(),
+                aggregate: 100.0,
+            },
         }
     }
 
-    /// Scores every registered DNN app and returns the report. Apps are
-    /// visited in sorted-name order; rigid apps (no serving surface)
-    /// are skipped; watermarks of apps that have departed the roster
-    /// are pruned.
-    pub fn observe(&mut self, exec: &Executor) -> HealthReport {
-        let roster = exec.dnn_snapshots(false);
-        self.marks
-            .retain(|n, _| snapshot_named(&roster, n).is_some());
+    /// Scores every registered DNN app and returns the report, which
+    /// the next observation refills. Apps are visited in sorted-name
+    /// order; rigid apps (no serving surface) and departed ones are
+    /// skipped.
+    pub fn observe(&mut self, exec: &Executor) -> &HealthReport {
+        exec.dnn_snapshots(false, &mut self.rows);
         let capacity = exec.config().queue_capacity;
-        let queued = roster.iter().map(|(_, s)| s.queue_depth).sum();
-        let pool = pool_pressure(queued, capacity, roster.len());
-        let mut apps = Vec::with_capacity(roster.len());
-        let mut aggregate = 100.0f32;
-        for (name, snap) in roster {
-            let mark = match self.marks.get_mut(&name) {
-                Some(mark) => mark,
-                // First sight: level with `snap`, so nothing is fresh yet.
-                None => self
-                    .marks
-                    .entry(name.clone())
-                    .or_insert(EventWatermark::seeded(&snap)),
+        let queued = self.rows.iter().map(|(_, _, snap)| snap.queue_depth).sum();
+        let pool = pool_pressure(queued, capacity, self.rows.len());
+        let primed = !self.lifetimes.is_empty();
+        let report = &mut self.report;
+        report.apps.clear();
+        report.aggregate = 100.0;
+        for (id, name, snap) in self.rows.drain(..) {
+            let first = || EventWatermark::first(&snap, primed);
+            let Some(mark) = lifetime(&mut self.lifetimes, id, first) else {
+                continue;
             };
-            let app = AppHealth::assess(&self.cfg, name, snap, mark, capacity, pool);
-            aggregate = aggregate.min(app.score);
-            apps.push(app);
+            let fresh = mark.advance(&snap);
+            let score = score(&self.cfg, &snap, capacity, pool, &fresh);
+            report.aggregate = report.aggregate.min(score);
+            report.apps.push(AppHealth {
+                app: name,
+                score,
+                fresh,
+                snapshot: snap,
+            });
         }
-        HealthReport { apps, aggregate }
+        report
     }
 }
 
@@ -462,31 +468,33 @@ mod tests {
         s.completed = 5;
         s.shed = 10;
         s.restarts = 2;
-        let mut mark = EventWatermark::seeded(&s);
-        assert_eq!(
-            mark.advance(&s),
-            (FreshEvents::default(), false),
-            "history is calm"
-        );
+        let mut mark = EventWatermark::first(&s, false);
+        assert_eq!(mark.advance(&s), FreshEvents::default(), "history is calm");
         s.shed = 12;
         s.stalls = 1;
-        let (fresh, reborn) = mark.advance(&s);
+        let fresh = mark.advance(&s);
         assert_eq!((fresh.shed, fresh.stalls, fresh.restarts), (2, 1, 0));
-        assert!(!reborn);
-        assert_eq!(mark.advance(&s).0, FreshEvents::default(), "consumed");
-        // A counter below its mark (deregister + re-register under the
-        // same name) starts a new lifetime: its own counters are fresh,
-        // even those that did not fall.
-        let mut reborn = snap();
-        reborn.shed = 1;
-        reborn.completed = 7;
-        let (fresh, new_lifetime) = mark.advance(&reborn);
-        assert!(new_lifetime);
-        assert_eq!((fresh.shed, fresh.completed), (1, 7));
+        assert_eq!(mark.advance(&s), FreshEvents::default(), "consumed");
         // Counting from zero (the controller's first sight), the whole
         // history is fresh.
-        let (fresh, new_lifetime) = EventWatermark::default().advance(&s);
-        assert_eq!((fresh.completed, fresh.shed, new_lifetime), (5, 12, false));
+        let fresh = EventWatermark::first(&s, true).advance(&s);
+        assert_eq!((fresh.completed, fresh.shed), (5, 12));
+    }
+
+    #[test]
+    fn lifetimes_hold_one_registration_per_slot() {
+        let id = |slot, gen| AppId { slot, gen };
+        let mut table = Lifetimes::new();
+        *lifetime(&mut table, id(2, 0), || 10).unwrap() += 1;
+        let same = lifetime(&mut table, id(2, 0), || 0);
+        assert_eq!(same, Some(&mut 11), "same lifetime");
+        assert_eq!(table, [None, None, Some((0, 11))]);
+        // A newer generation in the slot is a new lifetime: fresh state.
+        assert_eq!(lifetime(&mut table, id(2, 1), || 20), Some(&mut 20));
+        // The departed one has nothing left to report, and takes
+        // nothing from its successor.
+        assert_eq!(lifetime(&mut table, id(2, 0), || 30), None);
+        assert_eq!(table, [None, None, Some((1, 20))]);
     }
 
     #[test]
@@ -498,7 +506,7 @@ mod tests {
         exec.register_rigid("render").unwrap();
         let mut mon = HealthMonitor::new(HealthConfig::default());
         let r = mon.observe(&exec);
-        let order: Vec<&str> = r.apps.iter().map(|a| a.app.as_str()).collect();
+        let order: Vec<&str> = r.apps.iter().map(|a| &*a.app).collect();
         assert_eq!(order, ["alpha", "mid", "zeta"], "sorted, rigid skipped");
         assert!((r.aggregate - 100.0).abs() < f32::EPSILON);
         // Serve one request so the roster has activity, then churn.
@@ -508,13 +516,20 @@ mod tests {
             .unwrap();
         exec.deregister_dnn("mid").unwrap();
         let r = mon.observe(&exec);
-        let order: Vec<&str> = r.apps.iter().map(|a| a.app.as_str()).collect();
+        let order: Vec<&str> = r.apps.iter().map(|a| &*a.app).collect();
         assert_eq!(order, ["alpha", "zeta"], "departed apps leave the report");
-        assert!(!mon.marks.contains_key("mid"), "watermark pruned");
         assert!(
             r.apps.iter().all(|a| a.snapshot.p99.is_none()),
             "median only"
         );
+        // Churn reuses the departed app's slot: the state stays as
+        // large as the roster ever was.
+        for name in ["mid", "late"] {
+            register(&exec, name, 50.0);
+            assert_eq!(mon.observe(&exec).apps.len(), 3);
+            exec.deregister_dnn(name).unwrap();
+        }
+        assert_eq!(mon.lifetimes.len(), 3);
     }
 
     #[test]
@@ -534,6 +549,24 @@ mod tests {
         let r = mon.observe(&exec);
         assert_eq!(r.apps[0].fresh.shed, 2, "{:?}", r.apps[0]);
         assert!(r.aggregate <= 100.0 - HealthConfig::default().w_shed);
+    }
+
+    #[test]
+    fn a_reborn_tenant_that_out_counts_its_old_lifetime_is_read_afresh() {
+        let exec = crate::Executor::new(ExecutorConfig::default());
+        register(&exec, "cam", 10.0);
+        let mut mon = HealthMonitor::new(HealthConfig::default());
+        mon.observe(&exec);
+        shed(&exec, "cam", 2);
+        assert_eq!(mon.observe(&exec).apps[0].fresh.shed, 2);
+        // Deregistered and registered again between two observations:
+        // the new lifetime sheds more than the old one did, and every
+        // one of its sheds is fresh.
+        exec.deregister_dnn("cam").unwrap();
+        register(&exec, "cam", 10.0);
+        shed(&exec, "cam", 3);
+        let r = mon.observe(&exec);
+        assert_eq!(r.apps[0].fresh.shed, 3, "{:?}", r.apps[0]);
     }
 
     #[test]

@@ -27,7 +27,13 @@
 //!   pool-wide queue pressure, fresh sheds/restarts/stalls/knob
 //!   faults) in one pass over the roster, and a worst-tenant
 //!   aggregate. One watermark turns cumulative counters into fresh
-//!   deltas for the monitor, the ladder and the controller alike.
+//!   deltas for the monitor, the ladder and the controller alike, and
+//!   each keeps it per *registration*, not per name: every
+//!   [`Executor::register_dnn`] is a new lifetime with an identity of
+//!   its own (a registry slot and its generation), whose state starts
+//!   fresh whatever name it reuses. Names resolve to registrations only
+//!   at the edges (`submit`, `stats`, a ladder tick), and a warm control
+//!   turn that does not re-plan allocates nothing.
 //! - [`PressurePolicy`] — the graceful-degradation ladder: ticked per
 //!   app by its caller (not by the controller), it consumes the same
 //!   health score — degrading (f32→int8, then width one level at a
