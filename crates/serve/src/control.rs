@@ -23,7 +23,7 @@
 //! ladder*: a caller ticks it per app (the chaos and workload soaks
 //! do, between bursts) and it acts on the per-app health score — the
 //! one scorer [`crate::HealthMonitor`] also runs, over the app's
-//! snapshot and the pool-wide backlog of [`crate::Executor::pool_stats`]
+//! counters and the pool-wide backlog of [`crate::Executor::pool_stats`]
 //! — rather than a bag of ad-hoc triggers.
 //! The controller does not drive it: a re-allocation and a ladder
 //! would both own the knob surface. When an app's score falls below
@@ -52,8 +52,9 @@ use eml_nn::Precision;
 use eml_platform::Soc;
 
 use crate::error::Result;
-use crate::executor::{AppRow, Executor};
+use crate::executor::{AppRow, Executor, Reader};
 use crate::health::{lifetime, pool_pressure, score, EventWatermark, HealthConfig, Lifetimes};
+use crate::stats::Select;
 
 /// Control-loop tuning.
 #[derive(Debug, Clone, Copy)]
@@ -224,7 +225,7 @@ impl PressurePolicy {
     }
 
     /// One pressure evaluation for one app: computes the app's health
-    /// score from its current snapshot, steps a rung down when the
+    /// score from its current counters, steps a rung down when the
     /// score sinks below the pressure line, records calm when it
     /// clears the restore line, and restores a rung after a full clean
     /// calm window. Returns what (if anything) moved.
@@ -235,9 +236,10 @@ impl PressurePolicy {
     /// its next batch — so ticks should run at batch granularity or
     /// coarser.
     pub fn tick(&mut self, exec: &Executor, app: &str) -> Option<PressureAction> {
-        let (id, snap, _) = exec.observe(app).ok()?;
-        let p = exec.pool_stats();
-        let pool = pool_pressure(p.queue_depth, p.queue_capacity, p.serving);
+        let (id, snap) = exec.observe(app, Select::Nothing).ok()?;
+        let capacity = exec.config().queue_capacity;
+        let backlog = exec.pool_backlog();
+        let pool = pool_pressure(backlog.queued, capacity, backlog.serving);
         let cfg = self.cfg;
         let ladder = lifetime(&mut self.lifetimes, id, || AppLadder {
             steps: Vec::new(),
@@ -245,7 +247,7 @@ impl PressurePolicy {
             mark: EventWatermark::first(&snap, false),
         })?;
         let fresh = ladder.mark.advance(&snap);
-        let score = score(&cfg.health, &snap, p.queue_capacity, pool, &fresh);
+        let score = score(&cfg.health, &snap, capacity, pool, &fresh);
         if score < cfg.degrade_below {
             // Pressure: any recovery evidence is stale now.
             ladder.calm.reset();
@@ -382,7 +384,7 @@ impl ServeController {
         // would return per name, minus the p99 nothing here consumes),
         // resolved per spec below so apps are still accounted in spec
         // order — the per-cluster EWMA is order-sensitive.
-        exec.dnn_snapshots(true, &mut self.rows);
+        exec.dnn_snapshots(Reader::Control, &mut self.rows);
         let (window, threshold) = (self.cfg.miss_window, self.cfg.miss_threshold);
         let mut observed = 0usize;
         let mut triggered = false;
@@ -605,7 +607,7 @@ mod tests {
 
     /// The state `lifetimes` holds for `app`'s current registration.
     fn state_of<'a, T>(lifetimes: &'a Lifetimes<T>, exec: &Executor, app: &str) -> Option<&'a T> {
-        let (id, _, _) = exec.observe(app).unwrap();
+        let (id, _) = exec.observe(app, Select::Nothing).unwrap();
         match lifetimes.get(id.slot as usize)? {
             Some((gen, state)) if *gen == id.gen => Some(state),
             _ => None,

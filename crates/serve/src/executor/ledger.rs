@@ -63,7 +63,7 @@ use super::sched::{sched_word, KeyBasis, NOT_CLAIMABLE};
 use super::Completion;
 use crate::error::{Result, ServeError};
 use crate::fault::{FaultKind, FaultState, Injected};
-use crate::stats::{percentiles, with_scratch, AppStatsSnapshot, Window};
+use crate::stats::{percentiles, with_scratch, AppStatsSnapshot, Select, Window};
 
 /// One admitted request, from `submit` to its settlement.
 pub(super) struct PendingRequest {
@@ -881,31 +881,38 @@ impl AppLedger {
 
     /// One instant of the app (shared by [`super::Executor::stats`],
     /// the bulk `dnn_snapshots` and the final snapshot
-    /// `deregister_dnn` returns): every counter, the depths and the
-    /// latency window are copied in one critical section; the
-    /// percentiles are selected over the thread's scratch after it,
-    /// `p99` only if `want_p99`.
-    pub(super) fn snapshot(&self, want_p99: bool) -> AppStatsSnapshot {
-        with_scratch(|scratch| {
-            let mut snap = {
-                // The bare lock: this section changes nothing, so there
-                // is no word to publish.
-                let st = self.state.lock();
-                let mut snap = AppStatsSnapshot {
-                    queue_depth: st.pending.len(),
-                    in_flight: st.inflight.len(),
-                    restarts: st.restarts,
-                    stalls: st.stalls,
-                    band_cap: st.band_cap,
-                    admitted: st.admitted,
-                    ..st.stats.clone()
-                };
-                st.window.read_into(&mut snap, scratch);
-                snap
-            };
-            (snap.p50, snap.p99) = percentiles(scratch, want_p99);
+    /// `deregister_dnn` returns): every counter and the depths are
+    /// copied in one critical section, with the latency window as
+    /// `total_cmp` keys into the thread's scratch when `select` asks
+    /// for a percentile; the percentiles are selected after it.
+    pub(super) fn snapshot(&self, select: Select) -> AppStatsSnapshot {
+        if select == Select::Nothing {
+            return self.read(None);
+        }
+        with_scratch(|keys| {
+            let mut snap = self.read(Some(keys));
+            (snap.p50, snap.p99) = percentiles(keys, select);
             snap
         })
+    }
+
+    /// The locked half of [`AppLedger::snapshot`]: the window's keys go
+    /// to `keys` when given.
+    fn read(&self, keys: Option<&mut Vec<i64>>) -> AppStatsSnapshot {
+        // The bare lock: this section changes nothing, so there is no
+        // word to publish.
+        let st = self.state.lock();
+        let mut snap = AppStatsSnapshot {
+            queue_depth: st.pending.len(),
+            in_flight: st.inflight.len(),
+            restarts: st.restarts,
+            stalls: st.stalls,
+            band_cap: st.band_cap,
+            admitted: st.admitted,
+            ..st.stats.clone()
+        };
+        st.window.read_into(&mut snap, keys);
+        snap
     }
 }
 
@@ -925,7 +932,7 @@ mod tests {
             st.record(3, 1e-3, Some(true));
             st.record(2, 9e-3, Some(false));
         }
-        let s = ledger.snapshot(true);
+        let s = ledger.snapshot(Select::Both);
         assert_eq!((s.completed, s.missed, s.out_of_order), (2, 1, 1));
         assert_eq!((s.window_len, s.window_outcomes), (2, 2));
         assert!(s.admitted && s.p99 == Some(TimeSpan::from_secs(9e-3)));

@@ -96,7 +96,7 @@ use self::sched::{KeyBasis, PoolShared};
 use self::supervise::{spawn_driver_thread, Driver, Watchdog};
 use crate::error::{Result, ServeError};
 use crate::fault::{FaultKind, FaultPlan};
-use crate::stats::{AppStatsSnapshot, PoolSnapshot};
+use crate::stats::{AppStatsSnapshot, PoolSnapshot, Select};
 
 /// Executor configuration.
 #[derive(Debug, Clone)]
@@ -409,6 +409,30 @@ impl Registry {
 /// name (shared, not copied) and its snapshot.
 pub(crate) type AppRow = (AppId, Arc<str>, AppStatsSnapshot);
 
+/// Whom a bulk read ([`Executor::dnn_snapshots`]) is for, which says
+/// what it visits and what it selects: each reader pays only for what
+/// it consumes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Reader {
+    /// The health pass: live apps, counters only (no percentile).
+    Health,
+    /// The controller: departing and departed apps too, whose last
+    /// outcomes still count, with the median it feeds the latency
+    /// model.
+    Control,
+}
+
+/// The serving roster's backlog ([`Executor::pool_backlog`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Backlog {
+    /// DNN apps on the roster.
+    pub(crate) serving: usize,
+    /// Requests queued across them.
+    pub(crate) queued: usize,
+    /// Requests claimed by drivers but not yet settled.
+    pub(crate) in_flight: usize,
+}
+
 thread_local! {
     /// The calling thread's handles of the apps a bulk read visits:
     /// kept between reads (empty, so no app is held alive), as
@@ -490,31 +514,44 @@ impl Executor {
 
     /// A pool-level snapshot: driver census and the aggregate queue
     /// depth across every registered app. The pressure ladder keys its
-    /// pool term off this; tests assert the driver count is
+    /// pool term off the same sweep; tests assert the driver count is
     /// independent of the tenant count through it.
     pub fn pool_stats(&self) -> PoolSnapshot {
-        // Registry occupancy first (rank EXEC_APPS below EXEC_POOL),
-        // then the roster's handles: the scheduler lock is held only to
-        // clone them, so no driver's claim waits out the ledger sweep.
+        // Registry occupancy first (rank EXEC_APPS below EXEC_POOL).
         let apps = self.apps.lock().live();
-        let roster = self.pool.sched.lock().roster.clone();
-        let mut queue_depth = 0;
-        let mut in_flight = 0;
-        for app in &roster {
-            let st = app.ledger.lock();
-            queue_depth += st.depth();
-            in_flight += st.in_flight();
-        }
+        let backlog = self.pool_backlog();
         PoolSnapshot {
             drivers: self.drivers.len(),
             live_drivers: self.pool.live_drivers.load(Ordering::SeqCst),
             apps,
-            serving: roster.len(),
+            serving: backlog.serving,
             max_apps: self.cfg.max_apps,
-            queue_depth,
-            in_flight,
+            queue_depth: backlog.queued,
+            in_flight: backlog.in_flight,
             queue_capacity: self.cfg.queue_capacity,
         }
+    }
+
+    /// The serving roster's backlog, one ledger lock per app. The
+    /// scheduler lock is held only to copy the roster's handles into
+    /// the reading thread's handle list (kept between reads, as the
+    /// bulk read keeps it), so no driver's claim waits out the ledger
+    /// sweep, and a warm sweep allocates nothing.
+    pub(crate) fn pool_backlog(&self) -> Backlog {
+        let mut apps = READING.take();
+        apps.extend(self.pool.sched.lock().roster.iter().cloned());
+        let mut backlog = Backlog {
+            serving: apps.len(),
+            queued: 0,
+            in_flight: 0,
+        };
+        for app in apps.drain(..) {
+            let st = app.ledger.lock();
+            backlog.queued += st.depth();
+            backlog.in_flight += st.in_flight();
+        }
+        READING.set(apps);
+        backlog
     }
 
     /// Registers a dynamic-DNN application on the shared pool. No
@@ -674,7 +711,7 @@ impl Executor {
             .lock()
             .roster
             .retain(|a| !Arc::ptr_eq(a, &d));
-        let stats = d.ledger.snapshot(true);
+        let stats = d.ledger.snapshot(Select::Both);
         // Nothing writes the ledger's statistics any more, so the
         // tombstone takes them in place of the app — unless the name
         // was registered again while the app drained. Either way the
@@ -711,16 +748,16 @@ impl Executor {
 
     /// Reads a DNN app for *observation*, alive or departed (final
     /// statistics stay readable after deregistration): the
-    /// registration read, the [`Executor::stats`] snapshot and the
-    /// deadline. A live app (a draining one too) is read once the
-    /// registry lock is released, a tombstone under it.
-    pub(crate) fn observe(&self, app: &str) -> Result<(AppId, AppStatsSnapshot, Deadline)> {
+    /// registration read and its snapshot, with the percentiles
+    /// `select` asks for. A live app (a draining one too) is read once
+    /// the registry lock is released, a tombstone under it.
+    pub(crate) fn observe(&self, app: &str, select: Select) -> Result<(AppId, AppStatsSnapshot)> {
         let d = match self.apps.lock().names.get(app) {
             Some(AppEntry::Dnn(d) | AppEntry::Departing(d)) => Arc::clone(d),
-            Some(AppEntry::Departed(t)) => return Ok((t.id, t.stats.clone(), t.deadline)),
+            Some(AppEntry::Departed(t)) => return Ok((t.id, select.cut(&t.stats))),
             _ => return Err(ServeError::UnknownApp { app: app.into() }),
         };
-        Ok((d.id, d.ledger.snapshot(true), d.ledger.deadline()))
+        Ok((d.id, d.ledger.snapshot(select)))
     }
 
     /// Submits one sample (the model's per-sample input, flattened) for
@@ -880,7 +917,11 @@ impl Executor {
     ///
     /// [`ServeError::UnknownApp`] for unregistered or rigid names.
     pub fn deadline(&self, app: &str) -> Result<Option<TimeSpan>> {
-        self.observe(app).map(|(_, _, deadline)| deadline)
+        match self.apps.lock().names.get(app) {
+            Some(AppEntry::Dnn(d) | AppEntry::Departing(d)) => Ok(d.ledger.deadline()),
+            Some(AppEntry::Departed(t)) => Ok(t.deadline),
+            _ => Err(ServeError::UnknownApp { app: app.into() }),
+        }
     }
 
     /// A statistics snapshot of one app — one instant of it: every
@@ -894,7 +935,7 @@ impl Executor {
     ///
     /// [`ServeError::UnknownApp`] for unregistered or rigid names.
     pub fn stats(&self, app: &str) -> Result<AppStatsSnapshot> {
-        self.observe(app).map(|(_, stats, _)| stats)
+        self.observe(app, Select::Both).map(|(_, stats)| stats)
     }
 
     /// The control plane's bulk read: every DNN app's row, sorted by
@@ -903,13 +944,19 @@ impl Executor {
     /// the live apps' handles and copy the tombstones: submitters
     /// resolve names under the same lock) and the reading thread's
     /// handle list and percentile scratch for every tenant, so a warm
-    /// read allocates nothing. Rigid apps have no serving
-    /// surface and are skipped; departing apps and tombstones are
-    /// visited only when `departed_too` (the [`Executor::stats`] view).
-    /// Every bulk reader consumes the median only, so `p99` is left
-    /// unselected; each snapshot is otherwise field-for-field what
-    /// [`Executor::stats`] returns.
-    pub(crate) fn dnn_snapshots(&self, departed_too: bool, rows: &mut Vec<AppRow>) {
+    /// read allocates nothing. Rigid apps have no serving surface and
+    /// are skipped. The `reader` says the rest, so each pays only for
+    /// what it consumes: the health pass visits the live apps and reads
+    /// their counters alone (no window copy, no selection, so neither
+    /// percentile), the controller visits departing apps and
+    /// tombstones too and selects the median, on integer keys (see
+    /// [`crate::stats`]). Each snapshot is otherwise field for field
+    /// what [`Executor::stats`] returns.
+    pub(crate) fn dnn_snapshots(&self, reader: Reader, rows: &mut Vec<AppRow>) {
+        let (departed_too, select) = match reader {
+            Reader::Health => (false, Select::Nothing),
+            Reader::Control => (true, Select::Median),
+        };
         let mut apps = READING.take();
         rows.clear();
         for (name, entry) in &self.apps.lock().names {
@@ -917,11 +964,7 @@ impl Executor {
                 AppEntry::Dnn(d) => apps.push(Arc::clone(d)),
                 AppEntry::Departing(d) if departed_too => apps.push(Arc::clone(d)),
                 AppEntry::Departed(t) if departed_too => {
-                    let stats = AppStatsSnapshot {
-                        p99: None,
-                        ..t.stats.clone()
-                    };
-                    rows.push((t.id, Arc::clone(name), stats));
+                    rows.push((t.id, Arc::clone(name), select.cut(&t.stats)));
                 }
                 _ => {}
             }
@@ -930,7 +973,7 @@ impl Executor {
         apps.sort_unstable_by(|a, b| a.name.cmp(&b.name));
         rows.extend(
             apps.drain(..)
-                .map(|app| (app.id, Arc::clone(&app.name), app.ledger.snapshot(false))),
+                .map(|app| (app.id, Arc::clone(&app.name), app.ledger.snapshot(select))),
         );
         if tombstones > 0 {
             rows.sort_unstable_by(|a, b| a.1.cmp(&b.1));
@@ -1094,29 +1137,40 @@ mod tests {
         exec.deregister_dnn("gone").unwrap();
 
         let mut live = Vec::new();
-        exec.dnn_snapshots(false, &mut live);
+        exec.dnn_snapshots(Reader::Health, &mut live);
         let names: Vec<&str> = live.iter().map(|(_, name, _)| &**name).collect();
         assert_eq!(
             names,
             ["alpha", "mid", "zeta"],
             "sorted, rigid and departed skipped"
         );
-        assert_eq!(live[2].2.completed, 5);
-        assert!(live[2].2.p50.is_some() && live[1].2.p50.is_none());
+        assert_eq!((live[2].2.completed, live[2].2.window_len), (5, 5));
 
-        // The `stats()` view keeps the tombstone readable. Both views
-        // differ from `stats()` in the unselected `p99` alone, and
-        // every row carries the registration `stats()` read.
+        // The controller's view keeps the tombstone readable. Its rows
+        // carry the median `stats()` selects, bit for bit, and no p99;
+        // the health rows carry no percentile. Both views are
+        // otherwise `stats()` field for field, and every row carries
+        // the registration `stats()` read.
         let mut all = Vec::new();
-        exec.dnn_snapshots(true, &mut all);
+        exec.dnn_snapshots(Reader::Control, &mut all);
         let names: Vec<&str> = all.iter().map(|(_, name, _)| &**name).collect();
         assert_eq!(names, ["alpha", "gone", "mid", "zeta"]);
-        for (id, name, snap) in live.iter().chain(&all) {
-            let (solo_id, mut solo, _) = exec.observe(name).unwrap();
-            assert_eq!((snap.p99, id), (None, &solo_id), "{name}");
-            solo.p99 = None;
-            assert_eq!(format!("{snap:?}"), format!("{solo:?}"), "{name}");
+        let bits = |t: Option<TimeSpan>| t.map(|t| t.as_secs().to_bits());
+        for (reader, rows) in [(Reader::Health, &live), (Reader::Control, &all)] {
+            for (id, name, snap) in rows {
+                let (solo_id, mut solo) = exec.observe(name, Select::Both).unwrap();
+                assert_eq!(id, &solo_id, "{name}");
+                assert!(solo.p99.is_some() == solo.p50.is_some(), "{name}");
+                let p50 = match reader {
+                    Reader::Health => None,
+                    Reader::Control => solo.p50,
+                };
+                assert_eq!((bits(snap.p50), snap.p99), (bits(p50), None), "{name}");
+                (solo.p50, solo.p99) = (snap.p50, None);
+                assert_eq!(format!("{snap:?}"), format!("{solo:?}"), "{name}");
+            }
         }
+        assert!(all[3].2.p50.is_some() && all[2].2.p50.is_none());
         assert_eq!(
             all[1].2.completed, 3,
             "final statistics of the departed app"
@@ -2028,7 +2082,7 @@ mod tests {
     fn a_drained_slot_is_reused_a_generation_on() {
         let exec = tiny_executor(ExecutorConfig::default());
         let req = Requirements::new();
-        let id = |name: &str| exec.observe(name).unwrap().0;
+        let id = |name: &str| exec.observe(name, Select::Nothing).unwrap().0;
         let cam = id("cam");
         exec.register_dnn("mic", testbed::tiny_dnn(2), &req)
             .unwrap();
@@ -2119,7 +2173,7 @@ mod tests {
             Some(TimeSpan::from_millis(50.0))
         );
         let mut all = Vec::new();
-        exec.dnn_snapshots(true, &mut all);
+        exec.dnn_snapshots(Reader::Control, &mut all);
         assert_eq!(all.len(), 1, "the tombstone's row");
         let mut bulk = all[0].2.clone();
         assert_eq!(bulk.p99, None);

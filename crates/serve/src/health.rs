@@ -5,14 +5,15 @@
 //! but *reading* them is not free, and the reader runs on the cores it
 //! manages. One [`HealthMonitor::observe`] is one pass over the
 //! roster: one registry lock to clone the roster's handles (not one
-//! per tenant), per tenant one ledger lock plus an O(window) median
-//! selection after releasing it (see [`crate::stats`]; nothing here
-//! reads the p99, so it is not selected). The rows, the per-app state
-//! and the report are the monitor's own, refilled in place, so a warm
-//! observation allocates nothing. The pool-wide backlog term is summed
-//! from those same snapshots, so no second sweep locks the ledgers
-//! again. The cost is linear in the tenant count. The score folds the
-//! counters into a single `0–100` number per app:
+//! per tenant), and per tenant one ledger lock that copies the
+//! counters out. The score reads no percentile, so the pass copies no
+//! latency window and selects nothing (see [`crate::stats`]). The
+//! rows, the per-app state and the report are the monitor's own,
+//! refilled in place, so a warm observation allocates nothing. The
+//! pool-wide backlog term is summed from those same snapshots, so no
+//! second sweep locks the ledgers again. The cost is linear in the
+//! tenant count. The score folds the counters into a single `0–100`
+//! number per app:
 //!
 //! - **windowed miss rate** (gated on enough outcomes to be evidence),
 //! - **queue pressure** (depth as a fraction of capacity),
@@ -43,7 +44,7 @@
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-use crate::executor::{AppId, AppRow, Executor};
+use crate::executor::{AppId, AppRow, Executor, Reader};
 use crate::stats::AppStatsSnapshot;
 
 /// Tuning of the health score: one weight per signal, each the number
@@ -238,7 +239,9 @@ pub struct AppHealth {
     pub score: f32,
     /// Event deltas since the previous report.
     pub fresh: FreshEvents,
-    /// The snapshot the score was computed from.
+    /// The snapshot the score was computed from. The score reads
+    /// counters only, so the observation selects no percentile: `p50`
+    /// and `p99` are `None` ([`crate::Executor::stats`] has both).
     pub snapshot: AppStatsSnapshot,
 }
 
@@ -289,7 +292,7 @@ impl HealthMonitor {
     /// order; rigid apps (no serving surface) and departed ones are
     /// skipped.
     pub fn observe(&mut self, exec: &Executor) -> &HealthReport {
-        exec.dnn_snapshots(false, &mut self.rows);
+        exec.dnn_snapshots(Reader::Health, &mut self.rows);
         let capacity = exec.config().queue_capacity;
         let queued = self.rows.iter().map(|(_, _, snap)| snap.queue_depth).sum();
         let pool = pool_pressure(queued, capacity, self.rows.len());
@@ -509,19 +512,25 @@ mod tests {
         let order: Vec<&str> = r.apps.iter().map(|a| &*a.app).collect();
         assert_eq!(order, ["alpha", "mid", "zeta"], "sorted, rigid skipped");
         assert!((r.aggregate - 100.0).abs() < f32::EPSILON);
-        // Serve one request so the roster has activity, then churn.
-        exec.submit("mid", &sample())
-            .unwrap()
-            .wait_timeout(TIMEOUT)
-            .unwrap();
+        // Serve one request each so the windows are not empty, then
+        // churn.
+        for name in ["alpha", "mid"] {
+            exec.submit(name, &sample())
+                .unwrap()
+                .wait_timeout(TIMEOUT)
+                .unwrap();
+        }
         exec.deregister_dnn("mid").unwrap();
         let r = mon.observe(&exec);
         let order: Vec<&str> = r.apps.iter().map(|a| &*a.app).collect();
         assert_eq!(order, ["alpha", "zeta"], "departed apps leave the report");
         assert!(
-            r.apps.iter().all(|a| a.snapshot.p99.is_none()),
-            "median only"
+            r.apps
+                .iter()
+                .all(|a| a.snapshot.p50.is_none() && a.snapshot.p99.is_none()),
+            "no percentile"
         );
+        assert_eq!(r.apps[0].snapshot.window_len, 1, "{:?}", r.apps[0]);
         // Churn reuses the departed app's slot: the state stays as
         // large as the roster ever was.
         for name in ["mid", "late"] {

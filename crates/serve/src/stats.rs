@@ -19,15 +19,21 @@
 //!
 //! Cost model. Recording is O(1) and keeps nothing but the window
 //! itself — no sorted shadow, no per-app percentile buffer. A snapshot
-//! pays for its percentiles when it is read: one copy of the window
-//! into the *reading thread's* scratch `Vec<f64>` (`with_scratch`,
-//! kept between reads) under the ledger lock, then, with the lock
-//! released, one selection (`select_nth_unstable_by`) per requested
+//! pays only for the percentiles its reader consumes (`Select`): a
+//! counters-only read (the health pass, the degradation ladder) copies
+//! no window and selects nothing. A read that wants a percentile copies
+//! the window under the ledger lock into the *reading thread's*
+//! scratch (`with_scratch`, kept between reads), each latency as its
+//! `f64::total_cmp` key, an `i64`; then, with the lock released, it
+//! runs one integer selection (`select_nth_unstable`) per requested
 //! percentile, the p99 over the right partition the median selection
-//! leaves behind — O(window) expected, no sort, and no allocation once
-//! the scratch has grown to the window. The result is still the *exact*
-//! order statistic at index `round((n-1)·q)` under `f64::total_cmp`,
-//! bit for bit what sorting the window would give.
+//! leaves behind, and maps each winner back to its `f64` — O(window)
+//! expected, no sort, no float comparator, and no allocation once the
+//! scratch has grown to the window. The key map is an order
+//! isomorphism, so the result is still the *exact* order statistic at
+//! index `round((n-1)·q)` under `f64::total_cmp`, bit for bit what
+//! sorting the window would give, negatives, signed zeros and NaNs
+//! included.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -90,60 +96,102 @@ impl Window {
     }
 
     /// The window's share of a snapshot, the half that needs the ledger
-    /// lock: fills `snap`'s three `window_*` fields and copies the
-    /// latencies into `scratch` (contents irrelevant on entry), for
-    /// [`percentiles`] to select over once the lock is released.
-    pub(crate) fn read_into(&self, snap: &mut AppStatsSnapshot, scratch: &mut Vec<f64>) {
+    /// lock: fills `snap`'s three `window_*` fields and, given a
+    /// scratch (contents irrelevant on entry), copies the latencies
+    /// into it as [`total_key`]s, for [`percentiles`] to select over
+    /// once the lock is released.
+    pub(crate) fn read_into(&self, snap: &mut AppStatsSnapshot, keys: Option<&mut Vec<i64>>) {
         snap.window_len = self.latencies.len();
         snap.window_outcomes = self.recent_met.len();
         snap.window_miss_rate = match self.recent_met.len() {
             0 => 0.0,
             n => self.recent_missed as f64 / n as f64,
         };
+        let Some(keys) = keys else { return };
         let (front, back) = self.latencies.as_slices();
-        scratch.clear();
-        scratch.reserve(front.len() + back.len()); // one allocation at most, whatever the wrap
-        scratch.extend_from_slice(front);
-        scratch.extend_from_slice(back);
+        keys.clear();
+        keys.reserve(front.len() + back.len()); // one allocation at most, whatever the wrap
+        let key = |&x: &f64| total_key(x.to_bits() as i64);
+        keys.extend(front.iter().map(key));
+        keys.extend(back.iter().map(key));
+    }
+}
+
+/// The `f64::total_cmp` key of a float's bits, and back: a negative
+/// float's magnitude bits are flipped, so the keys order as plain
+/// integers exactly as the floats order under `total_cmp`. The map is
+/// its own inverse.
+fn total_key(bits: i64) -> i64 {
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// Which of the window's percentiles a snapshot selects: each reader
+/// pays for what it consumes and no more. Unselected percentiles read
+/// `None`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Select {
+    /// Counters only: no window copy, no selection.
+    Nothing,
+    /// The median.
+    Median,
+    /// The median and the p99.
+    Both,
+}
+
+impl Select {
+    /// A copy of `snap`, a fully selected snapshot (a tombstone's final
+    /// statistics), with the percentiles this selection leaves out
+    /// cleared.
+    pub(crate) fn cut(self, snap: &AppStatsSnapshot) -> AppStatsSnapshot {
+        let (p50, p99) = match self {
+            Select::Nothing => (None, None),
+            Select::Median => (snap.p50, None),
+            Select::Both => (snap.p50, snap.p99),
+        };
+        AppStatsSnapshot {
+            p50,
+            p99,
+            ..snap.clone()
+        }
     }
 }
 
 thread_local! {
     /// The calling thread's percentile scratch ([`with_scratch`]).
-    static SCRATCH: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
+    static SCRATCH: Cell<Vec<i64>> = const { Cell::new(Vec::new()) };
 }
 
 /// Runs `f` with the calling thread's percentile scratch, kept between
 /// reads. A control turn reads every tenant's window; a fresh
 /// window-sized buffer per read was a cold heap allocation in every
 /// turn.
-pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut Vec<f64>) -> R) -> R {
+pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut Vec<i64>) -> R) -> R {
     let mut scratch = SCRATCH.take();
     let r = f(&mut scratch);
     SCRATCH.set(scratch);
     r
 }
 
-/// The (p50, p99) of the window [`Window::read_into`] left in `scratch`
-/// (unspecified order on exit), by selection; p99 is skipped (`None`)
-/// unless `want_p99`. See the module docs.
+/// The (p50, p99) `select` asks for, of the window whose keys
+/// [`Window::read_into`] left in `keys` (unspecified order on exit),
+/// by selection. See the module docs.
 pub(crate) fn percentiles(
-    scratch: &mut [f64],
-    want_p99: bool,
+    keys: &mut [i64],
+    select: Select,
 ) -> (Option<TimeSpan>, Option<TimeSpan>) {
-    let n = scratch.len();
-    if n == 0 {
+    let n = keys.len();
+    if n == 0 || select == Select::Nothing {
         return (None, None);
     }
+    let secs = |key: i64| TimeSpan::from_secs(f64::from_bits(total_key(key) as u64));
     // Median first: it halves what the p99 selection has to look at.
     let i50 = percentile_index(n, 0.50);
-    let (_, median, above) = scratch.select_nth_unstable_by(i50, f64::total_cmp);
-    let p50 = TimeSpan::from_secs(*median);
-    let p99 = want_p99.then(|| match percentile_index(n, 0.99) - i50 {
-        0 => p50, // n ≤ 2: one order statistic serves both
-        up => TimeSpan::from_secs(*above.select_nth_unstable_by(up - 1, f64::total_cmp).1),
+    let (_, &mut median, above) = keys.select_nth_unstable(i50);
+    let p99 = (select == Select::Both).then(|| match percentile_index(n, 0.99) - i50 {
+        0 => secs(median), // n ≤ 2: one order statistic serves both
+        up => secs(*above.select_nth_unstable(up - 1).1),
     });
-    (Some(p50), p99)
+    (Some(secs(median)), p99)
 }
 
 /// Index of the `q`-quantile order statistic in a window of `n ≥ 1`.
@@ -298,15 +346,16 @@ mod tests {
     impl Window {
         /// What a snapshot reads of the window, copy-then-select as the
         /// ledger does it.
-        fn snapshot_with(&self, scratch: &mut Vec<f64>, want_p99: bool) -> AppStatsSnapshot {
+        fn snapshot_with(&self, keys: &mut Vec<i64>, select: Select) -> AppStatsSnapshot {
             let mut snap = AppStatsSnapshot::default();
-            self.read_into(&mut snap, scratch);
-            (snap.p50, snap.p99) = percentiles(scratch, want_p99);
+            let copy = select != Select::Nothing;
+            self.read_into(&mut snap, copy.then_some(&mut *keys));
+            (snap.p50, snap.p99) = percentiles(keys, select);
             snap
         }
 
         fn snapshot(&self) -> AppStatsSnapshot {
-            self.snapshot_with(&mut Vec::new(), true)
+            self.snapshot_with(&mut Vec::new(), Select::Both)
         }
 
         /// The copy-and-sort percentile the selection replaced: the
@@ -360,24 +409,58 @@ mod tests {
     }
 
     /// A hostile latency alphabet: signed zeros, subnormals, the
-    /// largest finite value, heavy duplicates and arbitrary magnitudes.
+    /// largest finite value, heavy duplicates, arbitrary magnitudes of
+    /// either sign, signed infinities and NaNs of either sign with
+    /// arbitrary payloads.
     fn hostile_latency(x: u64) -> f64 {
-        match x % 8 {
+        let sign = if x & 0x80 == 0 { 1.0 } else { -1.0 };
+        match x % 10 {
             0 => 0.0,
             1 => -0.0,
             2 => f64::from_bits((x >> 8) % (1 << 20) + 1), // subnormal
             3 => f64::MAX,
             4 => ((x >> 8) % 5) as f64 * 1e-3, // duplicates
             5 => -f64::from_bits((x >> 2) % f64::MAX.to_bits()),
+            6 => sign * f64::INFINITY,
+            // Exponent all ones, a non-zero payload, either sign.
+            7 => f64::from_bits(
+                (x & (1 << 63)) | 0x7ff0_0000_0000_0000 | ((x >> 8) % ((1 << 52) - 1) + 1),
+            ),
             _ => f64::from_bits((x >> 2) % f64::MAX.to_bits()), // any finite ≥ 0
+        }
+    }
+
+    #[test]
+    fn total_keys_order_as_total_cmp_and_map_back() {
+        let xs = [
+            f64::from_bits(0xfff8_0000_0000_0001), // -NaN
+            f64::NEG_INFINITY,
+            -f64::MAX,
+            -1.5,
+            -f64::from_bits(1),
+            -0.0,
+            0.0,
+            f64::from_bits(1),
+            1.5,
+            f64::MAX,
+            f64::INFINITY,
+            f64::from_bits(0x7ff0_0000_0000_0001), // +NaN
+        ];
+        let keys: Vec<i64> = xs.iter().map(|x| total_key(x.to_bits() as i64)).collect();
+        for (i, (a, ka)) in xs.iter().zip(&keys).enumerate() {
+            assert_eq!(total_key(*ka) as u64, a.to_bits(), "{a} maps back");
+            for (b, kb) in xs[i..].iter().zip(&keys[i..]) {
+                assert_eq!(ka.cmp(kb), a.total_cmp(b), "{a} vs {b}");
+            }
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(10_000))]
 
-        /// Selection returns the same order statistics as sorting, bit
-        /// for bit, whatever the window holds and however it slid.
+        /// Selection on integer keys returns the same order statistics
+        /// as sorting the floats, bit for bit, whatever the window
+        /// holds and however it slid, and only what was asked for.
         #[test]
         fn selected_percentiles_equal_the_sorted_reference(
             capacity in 1usize..=300,
@@ -390,27 +473,15 @@ mod tests {
             let bits = |t: Option<TimeSpan>| t.map(|t| t.as_secs().to_bits());
             let want = (bits(s.percentile_by_sort(0.50)), bits(s.percentile_by_sort(0.99)));
             // One scratch across calls, dirty on entry, as the bulk reader uses it.
-            let mut scratch = vec![f64::NAN; 7];
-            let both = s.snapshot_with(&mut scratch, true);
+            let mut keys = vec![i64::MIN; 7];
+            let both = s.snapshot_with(&mut keys, Select::Both);
             prop_assert_eq!((bits(both.p50), bits(both.p99)), want);
             prop_assert_eq!(both.window_len, draws.len().min(capacity));
-            let median_only = s.snapshot_with(&mut scratch, false);
-            prop_assert_eq!((bits(median_only.p50), median_only.p99), (want.0, None));
+            let median = s.snapshot_with(&mut keys, Select::Median);
+            prop_assert_eq!((bits(median.p50), median.p99), (want.0, None));
+            let counters = s.snapshot_with(&mut keys, Select::Nothing);
+            prop_assert_eq!((counters.p50, counters.p99), (None, None));
+            prop_assert_eq!(counters.window_len, both.window_len);
         }
-    }
-
-    #[test]
-    fn tiny_windows_share_one_order_statistic() {
-        // n ≤ 2 is where round((n-1)·q) gives i50 == i99.
-        let mut s = Window::new(4);
-        assert!(s.snapshot().p50.is_none() && s.snapshot().p99.is_none());
-        s.push(3e-3, None);
-        let one = s.snapshot();
-        assert_eq!((one.p50, one.p99), (s.percentile_by_sort(0.5), one.p50));
-        s.push(1e-3, None);
-        let two = s.snapshot();
-        assert_eq!(two.p50, Some(TimeSpan::from_secs(3e-3)), "round(0.5) = 1");
-        assert_eq!(two.p99, two.p50);
-        assert_eq!(two.p50, s.percentile_by_sort(0.5));
     }
 }

@@ -1,6 +1,7 @@
 //! The control turn's heap budget, pinned: after warm-up a health
-//! observation and a control epoch that does not re-plan allocate
-//! nothing, at one tenant and at a hundred.
+//! observation, a control epoch that does not re-plan and a
+//! degradation-ladder tick that moves no knob allocate nothing, at one
+//! tenant and at a hundred.
 //!
 //! One test in its own binary, like `request_allocs.rs`. The counts
 //! are the calling thread's ([`eml_testalloc::count`]), and the turn
@@ -14,7 +15,7 @@ use eml_platform::presets;
 use eml_platform::units::TimeSpan;
 use eml_serve::{
     testbed, ControllerConfig, EpochOutcome, Executor, ExecutorConfig, HealthConfig, HealthMonitor,
-    ServeController,
+    PressureConfig, PressurePolicy, ServeController,
 };
 use eml_testalloc::Allocs;
 
@@ -26,11 +27,20 @@ const TIMEOUT: Duration = Duration::from_secs(20);
 /// reading thread's percentile scratch is at its high water.
 const WINDOW: usize = 32;
 
+/// The allocations of one warm observation, epoch and round of ladder
+/// ticks.
+struct TurnAllocs {
+    observe: Allocs,
+    epoch: Allocs,
+    tick: Allocs,
+}
+
 /// Registers `tenants` tiny models with a generous deadline (every
-/// epoch tracks misses, none re-plans), warms a monitor and a
-/// controller up over two turns with fresh completions, and counts the
-/// allocations of one more observation and one more epoch.
-fn warm_turn_allocs(tenants: usize) -> (Allocs, Allocs) {
+/// epoch tracks misses, none re-plans, no tick moves a knob), warms a
+/// monitor, a controller and a ladder up over two turns with fresh
+/// completions, and counts the allocations of one more observation,
+/// one more epoch and one more tick of every tenant.
+fn warm_turn_allocs(tenants: usize) -> TurnAllocs {
     let exec = Executor::new(ExecutorConfig {
         stats_window: WINDOW,
         ..ExecutorConfig::default()
@@ -57,6 +67,8 @@ fn warm_turn_allocs(tenants: usize) -> (Allocs, Allocs) {
     );
     ctl.allocate_and_apply(&exec).unwrap();
     let mut monitor = HealthMonitor::new(HealthConfig::default());
+    let mut ladder = PressurePolicy::new(PressureConfig::default());
+    let mut tick_all = || names.iter().filter_map(|n| ladder.tick(&exec, n)).count();
     let sample = vec![0.25f32; 3 * 8 * 8];
     let serve = |name: &str| {
         exec.submit(name, &sample)
@@ -72,13 +84,15 @@ fn warm_turn_allocs(tenants: usize) -> (Allocs, Allocs) {
         names.iter().for_each(|n| serve(n));
         monitor.observe(&exec);
         ctl.control_epoch(&exec).unwrap();
+        assert_eq!(tick_all(), 0);
     }
     // Fresh outcomes for every tenant: the measured epoch feeds the
     // latency model and every miss tracker.
     names.iter().for_each(|n| serve(n));
     let (scored, observe) = eml_testalloc::count(|| monitor.observe(&exec).apps.len());
     let (outcome, epoch) = eml_testalloc::count(|| ctl.control_epoch(&exec).unwrap());
-    assert_eq!(scored, tenants);
+    let (moved, tick) = eml_testalloc::count(&mut tick_all);
+    assert_eq!((scored, moved), (tenants, 0));
     assert_eq!(
         outcome,
         EpochOutcome {
@@ -86,16 +100,25 @@ fn warm_turn_allocs(tenants: usize) -> (Allocs, Allocs) {
             observed: tenants,
         }
     );
-    (observe, epoch)
+    TurnAllocs {
+        observe,
+        epoch,
+        tick,
+    }
 }
 
 #[test]
 fn a_warm_control_turn_allocates_nothing() {
     for tenants in [1, 100] {
-        let (observe, epoch) = warm_turn_allocs(tenants);
+        let TurnAllocs {
+            observe,
+            epoch,
+            tick,
+        } = warm_turn_allocs(tenants);
         eprintln!(
-            "control_allocs: {tenants} tenants: observe {} allocations, control_epoch {}",
-            observe.count, epoch.count
+            "control_allocs: {tenants} tenants: observe {} allocations, control_epoch {}, \
+             {tenants} ticks {}",
+            observe.count, epoch.count, tick.count
         );
         assert_eq!(
             observe.count, 0,
@@ -105,5 +128,6 @@ fn a_warm_control_turn_allocates_nothing() {
             epoch.count, 0,
             "control_epoch at {tenants} tenants: {epoch:?}"
         );
+        assert_eq!(tick.count, 0, "tick at {tenants} tenants: {tick:?}");
     }
 }
