@@ -484,4 +484,19 @@ mod tests {
             prop_assert_eq!(counters.window_len, both.window_len);
         }
     }
+
+    #[test]
+    fn tiny_windows_share_one_order_statistic() {
+        // n ≤ 2 is where round((n-1)·q) gives i50 == i99.
+        let mut s = Window::new(4);
+        assert!(s.snapshot().p50.is_none() && s.snapshot().p99.is_none());
+        s.push(3e-3, None);
+        let one = s.snapshot();
+        assert_eq!((one.p50, one.p99), (s.percentile_by_sort(0.5), one.p50));
+        s.push(1e-3, None);
+        let two = s.snapshot();
+        assert_eq!(two.p50, Some(TimeSpan::from_secs(3e-3)), "round(0.5) = 1");
+        assert_eq!(two.p99, two.p50);
+        assert_eq!(two.p50, s.percentile_by_sort(0.5));
+    }
 }
