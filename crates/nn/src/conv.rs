@@ -17,8 +17,8 @@
 //! Both data precisions share this layer's semantics (see
 //! [`crate::gemm`]): at the default [`Precision::F32`] each
 //! (sample, group) pair lowers to `Out = W · im2col(x)` on the blocked
-//! GEMM kernel with a reusable scratch arena, parallelising over the
-//! batch; [`Precision::Int8`] runs the same structure on the quantised
+//! GEMM kernel into its thread's forward scratch (one per thread, not
+//! per layer: see [`crate::layer`]), parallelising over the batch; [`Precision::Int8`] runs the same structure on the quantised
 //! int8 kernel ([`crate::gemm::int8`]) — cached int8 weight panels, a
 //! one-pass quantise-and-lower of the input, exact `i32` accumulation
 //! and a fused requantisation epilogue, in one step that serves the
@@ -39,7 +39,10 @@
 //! epilogue. The backward pass shards
 //! weight-gradient accumulation per worker band (transposed shards, so
 //! the products need no strided packing) and reduces the shards after
-//! the parallel scope.
+//! the parallel scope. Its buffers, with the gradients and momenta,
+//! live in a training state the first training call creates, so a
+//! layer that only serves holds its weights, its packed panels and its
+//! observer.
 
 use std::ops::Range;
 
@@ -52,7 +55,10 @@ use crate::gemm::{
     PackedB8Ref, PackedBRef, QEpilogue, Rhs,
 };
 use crate::im2col::{col2im_add, im2col_packed, im2col_packed_i8, im2col_packed_lhs, ConvGeom};
-use crate::layer::{recycle, sgd_update_span, spare_f32, ChainSupport, Layer, LayerCost, OutBuf};
+use crate::layer::{
+    recycle, sgd_update_span, spare_f32, with_fwd_scratch, ChainSupport, Layer, LayerCost, OutBuf,
+    TrainState,
+};
 use crate::quant::{
     finite_max_abs, inv_or_zero, quantize_slice_i16, ActObserver, Precision, QAct, QActRef,
     I8_LEVELS,
@@ -144,22 +150,14 @@ pub struct Conv2d {
     w: Vec<f32>,
     /// Per-output-channel bias.
     b: Vec<f32>,
-    gw: Vec<f32>,
-    gb: Vec<f32>,
-    vw: Vec<f32>,
-    vb: Vec<f32>,
     active: usize,
     trainable: Range<usize>,
     cache: Option<Tensor>,
     precision: Precision,
-    scratch: Scratch,
     /// Weight panels pre-packed for the forward GEMM, one per executed
     /// group at the current width; `None` until the first forward and
     /// after every invalidation (see [`Conv2d::invalidate_packed`]).
     packed_w: Option<Vec<PackedA>>,
-    /// `Wᵀ` panels for the backward input-gradient GEMM, cached and
-    /// invalidated exactly like [`Conv2d::packed_w`].
-    packed_wt: Option<Vec<PackedA>>,
     /// Quantised int8 weight panels for [`Precision::Int8`] forward
     /// (per-tensor weight scale + one packed panel per executed
     /// group), cached and invalidated exactly like
@@ -168,46 +166,25 @@ pub struct Conv2d {
     /// Input-activation range observer for the int8 path (see
     /// [`ActObserver`]).
     act_obs: ActObserver,
+    /// Gradients, momenta and backward buffers; `None` until the
+    /// first training call.
+    train: Option<Box<TrainState<ConvBwd>>>,
 }
 
-/// Reusable per-layer buffers for the GEMM paths; they only grow, so
-/// steady-state forward/backward does no transient heap allocation
-/// beyond the output tensor. Sized one column-matrix slot per worker
-/// band ([`workers::band_count`]), so peak scratch is bounded by the
-/// machine's parallelism, not the batch size.
-#[derive(Default)]
-struct Scratch {
-    /// Packed im2col matrices (forward), one slot per worker band.
-    col: Vec<f32>,
-    /// Int8-forward band buffers: the packed quantised im2col matrix,
-    /// preceded by a quantised copy of the sample when the input
-    /// arrives as `f32` (chained layers hand over already-quantised
-    /// activations and skip that slot); one slot per worker band.
-    col8: Vec<i16>,
-    /// Column matrices (backward: im2col then gradient columns), one
-    /// slot per worker band.
+/// What only [`Conv2d`]'s backward reads. The band buffers only grow,
+/// one slot per worker band ([`workers::band_count`]), so peak scratch
+/// is bounded by the machine's parallelism, not the batch size.
+#[derive(Debug, Default)]
+struct ConvBwd {
+    /// Column matrices (im2col then gradient columns), one slot per
+    /// worker band.
     dcol: Vec<f32>,
     /// Transposed weight-gradient shards, one per worker band; reduced
     /// into the gradient buffer after the parallel scope.
     gw_shards: Vec<f32>,
-    /// Bias pre-divided by the chain-edge output scale (the
-    /// requantising [`QEpilogue`]'s operand), rebuilt per chained
-    /// forward without reallocating.
-    qbias: Vec<f32>,
-}
-
-impl std::fmt::Debug for Scratch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "Scratch(col: {}, col8: {}, dcol: {}, gw_shards: {}, qbias: {})",
-            self.col.len(),
-            self.col8.len(),
-            self.dcol.len(),
-            self.gw_shards.len(),
-            self.qbias.len()
-        )
-    }
+    /// `Wᵀ` panels for the input-gradient GEMM, cached and invalidated
+    /// exactly like [`Conv2d::packed_w`].
+    packed_wt: Option<Vec<PackedA>>,
 }
 
 impl Conv2d {
@@ -230,29 +207,27 @@ impl Conv2d {
             cfg,
             w,
             b: vec![0.0; cfg.out_channels],
-            gw: vec![0.0; w_len],
-            gb: vec![0.0; cfg.out_channels],
-            vw: vec![0.0; w_len],
-            vb: vec![0.0; cfg.out_channels],
             active: cfg.prune_groups,
             trainable: 0..cfg.prune_groups,
             cache: None,
             precision: Precision::default(),
-            scratch: Scratch::default(),
             packed_w: None,
-            packed_wt: None,
             packed_w8: None,
             act_obs: ActObserver::default(),
+            train: None,
         })
     }
 
-    /// Drops the cached packed weight panels (f32 and int8). Must be
+    /// Drops the cached packed weight panels (f32, int8 and the
+    /// backward's `Wᵀ`). Must be
     /// called whenever the weights, the active width or the precision
     /// change; the next GEMM forward re-packs lazily.
     fn invalidate_packed(&mut self) {
         self.packed_w = None;
-        self.packed_wt = None;
         self.packed_w8 = None;
+        if let Some(t) = &mut self.train {
+            t.bwd.packed_wt = None;
+        }
     }
 
     /// The currently selected data precision (see
@@ -387,14 +362,8 @@ impl Conv2d {
     /// rides the GEMM epilogue — the hot loop packs nothing. Every
     /// element of `out` is written.
     fn forward_gemm(&mut self, input: &Tensor, out: &mut Tensor, relu: bool) {
-        let (n, c_in, h, w) = {
-            let s = input.shape();
-            (s[0], s[1], s[2], s[3])
-        };
-        let (c_out, oh, ow) = {
-            let s = out.shape();
-            (s[1], s[2], s[3])
-        };
+        let [n, c_in, h, w]: [usize; 4] = input.shape().try_into().expect("rank-4 input");
+        let [_, c_out, oh, ow]: [usize; 4] = out.shape().try_into().expect("rank-4 output");
         let (groups_exec, opg) = self.exec_groups();
         let kdim = self.icg_count() * self.cfg.kernel * self.cfg.kernel;
         let ohw = oh * ow;
@@ -422,11 +391,9 @@ impl Conv2d {
         let packed_w = self.packed_w.as_ref().expect("packed above");
 
         // One column-matrix slot per band (bounded by the worker count,
-        // not the batch size); each band reuses its slot across samples.
+        // not the batch size), carved from the thread's scratch; each
+        // band reuses its slot across samples.
         let bands = workers::band_count(n, batch_par);
-        self.scratch
-            .col
-            .resize((bands * col_slot).max(self.scratch.col.len()), 0.0);
         let geom = self.geom(h, w, oh, ow);
         let bias = &self.b;
         let ep = |g: usize| {
@@ -438,36 +405,39 @@ impl Conv2d {
             }
         };
         let x = input.data();
-        workers::for_each_band(
-            out.data_mut(),
-            n,
-            sample_out,
-            &mut self.scratch.col,
-            col_slot,
-            &mut [],
-            0,
-            batch_par,
-            |n0, out_band, col, _| {
-                for (bi, out_s) in out_band.chunks_mut(sample_out).enumerate() {
-                    let x_s = &x[(n0 + bi) * sample_in..][..sample_in];
-                    for g in 0..groups_exec {
-                        im2col_packed(x_s, &geom.group(g), col);
-                        gemm_with(
-                            opg,
-                            ohw,
-                            kdim,
-                            Lhs::Packed(packed_w[g].as_ref()),
-                            Rhs::Packed(PackedBRef::new(&col[..col_slot], kdim, ohw)),
-                            0.0,
-                            &mut out_s[g * opg * ohw..][..opg * ohw],
-                            ohw,
-                            !batch_par,
-                            ep(g),
-                        );
+        with_fwd_scratch(|cols, _| {
+            cols.resize((bands * col_slot).max(cols.len()), 0.0);
+            workers::for_each_band(
+                out.data_mut(),
+                n,
+                sample_out,
+                cols,
+                col_slot,
+                &mut [],
+                0,
+                batch_par,
+                |n0, out_band, col, _| {
+                    for (bi, out_s) in out_band.chunks_mut(sample_out).enumerate() {
+                        let x_s = &x[(n0 + bi) * sample_in..][..sample_in];
+                        for g in 0..groups_exec {
+                            im2col_packed(x_s, &geom.group(g), col);
+                            gemm_with(
+                                opg,
+                                ohw,
+                                kdim,
+                                Lhs::Packed(packed_w[g].as_ref()),
+                                Rhs::Packed(PackedBRef::new(&col[..col_slot], kdim, ohw)),
+                                0.0,
+                                &mut out_s[g * opg * ohw..][..opg * ohw],
+                                ohw,
+                                !batch_par,
+                                ep(g),
+                            );
+                        }
                     }
-                }
-            },
-        );
+                },
+            );
+        });
     }
 
     /// Quantises + packs the active weight panels once per weight
@@ -539,48 +509,50 @@ impl Conv2d {
         let (w_scale, packed_w8) = self.packed_w8.as_ref().expect("packed above");
         let q_scale = x_scale * w_scale;
         let geom = self.geom(shape[2], shape[3], oh, ow);
-        let Scratch { col8, qbias, .. } = &mut self.scratch;
-        let (scale, bias, mut out) = match out_scale {
-            None => {
-                crate::quant::count_dequantise_pass();
-                let out = out_buf.f32(n, &out_shape[1..]);
-                (q_scale, &self.b[..], QAct::F32(out))
+        let out = with_fwd_scratch(|qbias, col8| {
+            let (scale, bias, mut out) = match out_scale {
+                None => {
+                    crate::quant::count_dequantise_pass();
+                    let out = out_buf.f32(n, &out_shape[1..]);
+                    (q_scale, &self.b[..], QAct::F32(out))
+                }
+                Some(s_out) => {
+                    // The whole epilogue runs on the output grid:
+                    // multiplier s_x·s_w/s_out, bias pre-divided (into
+                    // the thread's scratch — no per-call alloc).
+                    let inv_out = inv_or_zero(s_out);
+                    qbias.clear();
+                    qbias.extend(self.b.iter().map(|&b| b * inv_out));
+                    let out = out_buf.i16(n, &out_shape[1..], s_out);
+                    (q_scale * inv_out, &qbias[..], QAct::I8(out))
+                }
+            };
+            let mut ep = QEpilogue::scaled(scale);
+            if fuse_relu {
+                ep = ep.with_relu();
             }
-            Some(s_out) => {
-                // The whole epilogue runs on the output grid:
-                // multiplier s_x·s_w/s_out, bias pre-divided (into a
-                // reused scratch vector — no per-call alloc).
-                let inv_out = inv_or_zero(s_out);
-                qbias.clear();
-                qbias.extend(self.b.iter().map(|&b| b * inv_out));
-                let out = out_buf.i16(n, &out_shape[1..], s_out);
-                (q_scale * inv_out, &qbias[..], QAct::I8(out))
+            let pass = QConvPass {
+                input,
+                inv_x,
+                n,
+                sample_in: shape[1..].iter().product(),
+                sample_out: c_out * ohw,
+                geom,
+                groups_exec,
+                packed_w8,
+                ep,
+                bias,
+                opg,
+                ohw,
+                kdim,
+                batch_par: n > 1 && n * per_sample_macs >= crate::gemm::PAR_MIN_WORK_I8,
+            };
+            match &mut out {
+                QAct::F32(t) => pass.run(t.data_mut(), col8),
+                QAct::I8(q) => pass.run(q.data_mut(), col8),
             }
-        };
-        let mut ep = QEpilogue::scaled(scale);
-        if fuse_relu {
-            ep = ep.with_relu();
-        }
-        let pass = QConvPass {
-            input,
-            inv_x,
-            n,
-            sample_in: shape[1..].iter().product(),
-            sample_out: c_out * ohw,
-            geom,
-            groups_exec,
-            packed_w8,
-            ep,
-            bias,
-            opg,
-            ohw,
-            kdim,
-            batch_par: n > 1 && n * per_sample_macs >= crate::gemm::PAR_MIN_WORK_I8,
-        };
-        match &mut out {
-            QAct::F32(t) => pass.run(t.data_mut(), col8),
-            QAct::I8(q) => pass.run(q.data_mut(), col8),
-        }
+            out
+        });
         Ok(out)
     }
 
@@ -598,14 +570,8 @@ impl Conv2d {
     /// adjoint scatter are skipped entirely.
     fn backward_gemm(&mut self, grad_out: &Tensor, grad_in: Option<&mut Tensor>) {
         let input = self.cache.as_ref().expect("checked by backward");
-        let (n, c_in, h, w) = {
-            let s = input.shape();
-            (s[0], s[1], s[2], s[3])
-        };
-        let (c_out, oh, ow) = {
-            let s = grad_out.shape();
-            (s[1], s[2], s[3])
-        };
+        let [n, c_in, h, w]: [usize; 4] = input.shape().try_into().expect("rank-4 input");
+        let [_, c_out, oh, ow]: [usize; 4] = grad_out.shape().try_into().expect("rank-4 grad");
         let (groups_exec, opg) = self.exec_groups();
         let kdim = self.icg_count() * self.cfg.kernel * self.cfg.kernel;
         let ohw = oh * ow;
@@ -618,8 +584,11 @@ impl Conv2d {
         let sample_in = c_in * h * w;
         let sample_out = c_out * ohw;
         let go = grad_out.data();
+        let geom = self.geom(h, w, oh, ow);
+        let TrainState { gw, gb, bwd, .. } =
+            TrainState::of(&mut self.train, self.w.len(), self.b.len());
 
-        for (oc, gb) in self.gb.iter_mut().enumerate().take(c_out) {
+        for (oc, gb) in gb.iter_mut().enumerate().take(c_out) {
             for ni in 0..n {
                 let row = &go[ni * sample_out + oc * ohw..][..ohw];
                 *gb += row.iter().sum::<f32>();
@@ -630,9 +599,9 @@ impl Conv2d {
         // weight version (cache invalidated with `packed_w`) and shared
         // by every band (not needed on the first-layer fast path).
         let compute_gi = grad_in.is_some();
-        if compute_gi && self.packed_wt.is_none() {
+        if compute_gi && bwd.packed_wt.is_none() {
             let weights = &self.w;
-            self.packed_wt = Some(
+            bwd.packed_wt = Some(
                 (0..groups_exec)
                     .map(|g| {
                         PackedA::pack(
@@ -644,16 +613,13 @@ impl Conv2d {
                     .collect(),
             );
         }
-        let packed_wt: &[PackedA] = self.packed_wt.as_deref().unwrap_or(&[]);
+        let packed_wt: &[PackedA] = bwd.packed_wt.as_deref().unwrap_or(&[]);
 
-        let geom = self.geom(h, w, oh, ow);
         let per_sample_macs = groups_exec * opg * ohw * kdim;
         let batch_par = n > 1 && n * per_sample_macs >= crate::gemm::PAR_MIN_WORK;
         let bands = workers::band_count(n, batch_par);
         let shard_len = groups_exec * kdim * opg;
-        let Scratch {
-            dcol, gw_shards, ..
-        } = &mut self.scratch;
+        let (dcol, gw_shards) = (&mut bwd.dcol, &mut bwd.gw_shards);
         dcol.resize((bands * col_slot).max(dcol.len()), 0.0);
         gw_shards.resize((bands * shard_len).max(gw_shards.len()), 0.0);
         // Shards accumulate across the band's samples: start from zero.
@@ -731,7 +697,6 @@ impl Conv2d {
 
         // Reduce the transposed shards into the gradient buffer, band
         // by band (deterministic order).
-        let gw = &mut self.gw;
         for band in 0..bands {
             let shard = &gw_shards[band * shard_len..][..shard_len];
             for g in 0..groups_exec {
@@ -890,29 +855,26 @@ impl Layer for Conv2d {
         let g_lo = self.trainable.start.min(self.active);
         let g_hi = self.trainable.end.min(self.active);
         let (oc_lo, oc_hi) = (g_lo * out_per_group, g_hi.max(g_lo) * out_per_group);
+        // Without a training state the gradients and momenta are all
+        // zero, and a zero step leaves every parameter as it is.
+        let Some(t) = self.train.as_deref_mut() else {
+            return;
+        };
         sgd_update_span(
             &mut self.w,
-            &self.gw,
-            &mut self.vw,
+            &t.gw,
+            &mut t.vw,
             lr,
             momentum,
             oc_lo * weights_per_oc..oc_hi * weights_per_oc,
         );
-        sgd_update_span(
-            &mut self.b,
-            &self.gb,
-            &mut self.vb,
-            lr,
-            momentum,
-            oc_lo..oc_hi,
-        );
+        sgd_update_span(&mut self.b, &t.gb, &mut t.vb, lr, momentum, oc_lo..oc_hi);
         // The packed panels now describe stale weights.
         self.invalidate_packed();
     }
 
     fn zero_grads(&mut self) {
-        self.gw.fill(0.0);
-        self.gb.fill(0.0);
+        TrainState::zero_grads(&mut self.train);
     }
 
     fn set_active_groups(&mut self, active: usize) -> Result<()> {
@@ -1027,6 +989,12 @@ impl Conv2d {
         let k = self.cfg.kernel;
         ((oc * self.in_per_group() + icg) * k + ky) * k + kx
     }
+
+    /// The accumulated gradients `(gw, gb)` of a layer that has trained.
+    fn grads(&self) -> (&[f32], &[f32]) {
+        let t = self.train.as_deref().expect("a training call ran");
+        (&t.gw, &t.gb)
+    }
 }
 
 /// The original scalar loop nests, compiled only into tests: the oracle
@@ -1103,6 +1071,8 @@ impl crate::oracle::Oracle for Conv2d {
         let x = input.data();
         let go = grad_out.data();
         let gi = grad_in.data_mut();
+        let t = TrainState::of(&mut self.train, self.w.len(), self.b.len());
+        let (mut gw, mut gb) = (std::mem::take(&mut t.gw), std::mem::take(&mut t.gb));
         for ni in 0..n {
             for oc in 0..c_out {
                 let base = self.input_base(oc);
@@ -1112,7 +1082,7 @@ impl crate::oracle::Oracle for Conv2d {
                         if g == 0.0 {
                             continue;
                         }
-                        self.gb[oc] += g;
+                        gb[oc] += g;
                         for icg in 0..icg_count {
                             let ic = base + icg;
                             let plane = (ni * c_in + ic) * h * w;
@@ -1129,7 +1099,7 @@ impl crate::oracle::Oracle for Conv2d {
                                     }
                                     let woff = self.weight_offset(oc, icg, ky, kx);
                                     let xoff = row + ix as usize;
-                                    self.gw[woff] += g * x[xoff];
+                                    gw[woff] += g * x[xoff];
                                     gi[xoff] += g * self.w[woff];
                                 }
                             }
@@ -1138,6 +1108,8 @@ impl crate::oracle::Oracle for Conv2d {
                 }
             }
         }
+        let t = self.train.as_deref_mut().expect("created above");
+        (t.gw, t.gb) = (gw, gb);
         Ok(grad_in)
     }
 }
@@ -1322,9 +1294,9 @@ mod tests {
             c.invalidate_packed();
             let numeric = (lp - lm) / (2.0 * eps);
             assert!(
-                (numeric - c.gw[wi]).abs() < 2e-2,
+                (numeric - c.grads().0[wi]).abs() < 2e-2,
                 "weight {wi}: numeric {numeric} vs analytic {}",
-                c.gw[wi]
+                c.grads().0[wi]
             );
         }
         // Check a sample of input gradients.
@@ -1344,7 +1316,7 @@ mod tests {
             );
         }
         // Bias gradient: dL/db = number of output positions.
-        assert!((c.gb[0] - 16.0).abs() < 1e-4);
+        assert!((c.grads().1[0] - 16.0).abs() < 1e-4);
     }
 
     #[test]
@@ -1383,6 +1355,61 @@ mod tests {
         }
     }
 
+    /// A layer that has only served holds no training state, and
+    /// `zero_grads` and `sgd_step` on it allocate nothing and leave its
+    /// parameters bit-identical (its gradients and momenta would be
+    /// all zero).
+    #[test]
+    fn untrained_layer_steps_allocate_nothing() {
+        let mut c = Conv2d::new("c", grouped_cfg(), &mut rng()).unwrap();
+        let _ = c.forward(&Tensor::random(&[2, 8, 6, 6], &mut rng()), false);
+        let (w, b) = (c.w.clone(), c.b.clone());
+        let ((), allocs) = eml_testalloc::count(|| {
+            c.zero_grads();
+            c.sgd_step(0.1, 0.9);
+        });
+        assert_eq!(allocs.count, 0, "{} bytes allocated", allocs.bytes);
+        assert!(c.train.is_none(), "no training state without training");
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!((bits(&c.w), bits(&c.b)), (bits(&w), bits(&b)));
+    }
+
+    /// The training state appears on first use and starts from zero, so
+    /// a layer that served first (in both precisions, at another width,
+    /// with untrained steps) trains to bit-identical parameters as one
+    /// that trains from fresh.
+    #[test]
+    fn serving_first_then_training_matches_training_from_fresh() {
+        let x = Tensor::random(&[2, 4, 6, 6], &mut rng());
+        let train = |c: &mut Conv2d| {
+            c.set_active_groups(2).unwrap();
+            c.set_trainable_groups(1..4);
+            for _ in 0..3 {
+                c.zero_grads();
+                let y = c.forward(&x, true).unwrap();
+                // L = ½Σy², so dL/dy = y.
+                c.backward(&y).unwrap();
+                c.sgd_step(0.01, 0.9);
+            }
+        };
+        let mut fresh = Conv2d::new("c", grouped_cfg(), &mut rng()).unwrap();
+        train(&mut fresh);
+        let mut served = Conv2d::new("c", grouped_cfg(), &mut rng()).unwrap();
+        let x_full = Tensor::random(&[3, 8, 6, 6], &mut rng());
+        for precision in [Precision::Int8, Precision::F32] {
+            served.set_precision(precision);
+            let _ = served.forward(&x_full, false).unwrap();
+        }
+        served.zero_grads();
+        served.sgd_step(0.01, 0.9);
+        train(&mut served);
+        let bits = |c: &Conv2d| {
+            let v = c.w.iter().chain(&c.b);
+            v.map(|x| x.to_bits()).collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&served), bits(&fresh));
+    }
+
     /// The sharded parallel backward (per-band transposed gradient
     /// shards, reduced after the scope) must agree with the reference
     /// loops whatever the band count. The machine's real worker count
@@ -1419,10 +1446,10 @@ mod tests {
                     "bands {bands}: grad_in[{i}] {a} vs {b}"
                 );
             }
-            for (i, (&a, &b)) in reference.gw.iter().zip(&gemm.gw).enumerate() {
+            for (i, (&a, &b)) in reference.grads().0.iter().zip(gemm.grads().0).enumerate() {
                 assert!((a - b).abs() < 1e-3, "bands {bands}: gw[{i}] {a} vs {b}");
             }
-            for (i, (&a, &b)) in reference.gb.iter().zip(&gemm.gb).enumerate() {
+            for (i, (&a, &b)) in reference.grads().1.iter().zip(gemm.grads().1).enumerate() {
                 assert!((a - b).abs() < 1e-3, "bands {bands}: gb[{i}] {a} vs {b}");
             }
         }
@@ -1442,8 +1469,7 @@ mod tests {
         let mut fast = Conv2d::new("c", cfg, &mut rng()).unwrap();
         let _ = fast.forward(&x, true).unwrap();
         fast.backward_params(&go).unwrap();
-        assert_eq!(full.gw, fast.gw, "weight gradients must be identical");
-        assert_eq!(full.gb, fast.gb, "bias gradients must be identical");
+        assert_eq!(full.grads(), fast.grads(), "gradients must be identical");
     }
 
     /// Every public mutation of the weights or the execution geometry

@@ -1,6 +1,7 @@
 //! The [`Layer`] trait: the unit of composition for networks.
 //!
-//! Layers own their parameters, gradients and momentum buffers, and are
+//! Layers own their parameters and, from their first training call,
+//! their gradient and momentum buffers ([`TrainState`]); they are
 //! **width-aware**: layers that participate in the dynamic-DNN group
 //! partition (convolutions, the classifier) implement
 //! [`Layer::set_active_groups`] to restrict execution to the first `g` of
@@ -67,8 +68,9 @@ pub struct LayerCost {
 /// Batch dimension is always axis 0.
 ///
 /// `Send` is a supertrait so a whole [`crate::Network`] can move onto a
-/// serving thread; layers are owned data (weights, scratch, observers)
-/// with no thread affinity.
+/// serving thread; layers are owned data (weights, packed panels,
+/// observers, training state) with no thread affinity: forward scratch
+/// is the calling thread's.
 pub trait Layer: fmt::Debug + Send {
     /// A short human-readable name (e.g. `"conv1"`).
     fn name(&self) -> &str;
@@ -275,6 +277,67 @@ impl<T: Copy + Default> Spares<T> {
                 .min_by_key(|(_, (_, d))| d.capacity());
             let i = least.map_or(0, |(i, _)| i);
             self.0.swap_remove(i);
+        }
+    }
+}
+
+thread_local! {
+    /// The compute layers' forward scratch: an `f32` buffer (`Conv2d`'s
+    /// packed im2col columns, or a requantising step's pre-divided
+    /// bias) and an int8-grid buffer (the packed quantised columns or
+    /// input batch). Each only grows, to its thread's high water, so a
+    /// driver serving many tenants holds one copy, not one per layer.
+    static FWD_SCRATCH: RefCell<(Vec<f32>, Vec<i16>)> =
+        const { RefCell::new((Vec::new(), Vec::new())) };
+}
+
+/// Runs `f` on the calling thread's forward scratch, taken out of its
+/// thread-local for the call and put back after, never borrowed across
+/// it: a work-stealing `rayon` may run another step on this thread
+/// while it waits in a band scope, and that step finds an empty pair
+/// (and grows its own) instead of a held borrow.
+pub(crate) fn with_fwd_scratch<R>(f: impl FnOnce(&mut Vec<f32>, &mut Vec<i16>) -> R) -> R {
+    let (mut x, mut q) = FWD_SCRATCH.with(RefCell::take);
+    let r = f(&mut x, &mut q);
+    FWD_SCRATCH.with(|s| s.replace((x, q)));
+    r
+}
+
+/// A compute layer's training state: the gradient (`gw`, `gb`) and
+/// momentum (`vw`, `vb`) buffers of its weights and biases, and `B`,
+/// whatever only its backward reads. The first training call creates
+/// it zero-filled ([`TrainState::of`]), so a layer that only serves
+/// never holds it.
+#[derive(Debug)]
+pub(crate) struct TrainState<B> {
+    pub(crate) gw: Vec<f32>,
+    pub(crate) gb: Vec<f32>,
+    pub(crate) vw: Vec<f32>,
+    pub(crate) vb: Vec<f32>,
+    pub(crate) bwd: B,
+}
+
+impl<B: Default> TrainState<B> {
+    /// The state in `slot`, created zero-filled for `w_len` weights and
+    /// `b_len` biases (every group's, whatever the width) if there is
+    /// none yet.
+    pub(crate) fn of(slot: &mut Option<Box<Self>>, w_len: usize, b_len: usize) -> &mut Self {
+        slot.get_or_insert_with(|| {
+            Box::new(Self {
+                gw: vec![0.0; w_len],
+                gb: vec![0.0; b_len],
+                vw: vec![0.0; w_len],
+                vb: vec![0.0; b_len],
+                bwd: B::default(),
+            })
+        })
+    }
+
+    /// Clears the accumulated gradients; with no state there are none.
+    pub(crate) fn zero_grads(slot: &mut Option<Box<Self>>) {
+        if let Some(t) = slot {
+            t.gw.fill(0.0);
+            t.gb.fill(0.0);
         }
     }
 }

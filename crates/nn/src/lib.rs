@@ -74,3 +74,9 @@ pub use quant::{
     layer_io_events, reset_layer_io_events, ActObserver, ActScaleReport, Precision, QAct, QTensor,
 };
 pub use tensor::Tensor;
+
+// The unit tests pin what an untrained layer's training calls allocate
+// (nothing) by count.
+#[cfg(test)]
+#[global_allocator]
+static ALLOC: eml_testalloc::Counting = eml_testalloc::Counting;

@@ -18,6 +18,10 @@
 //! in the input-gradient product — are packed once per weight version
 //! and cached, invalidated on updates, width switches and precision
 //! changes; the bias add is fused into the forward GEMM's epilogue.
+//! The int8 step quantises into its thread's forward scratch (see
+//! [`crate::layer`]), and the gradients, momenta and the backward's
+//! `W` panels live in a training state the first training call
+//! creates.
 
 use std::ops::Range;
 
@@ -28,7 +32,10 @@ use crate::gemm::{
     gemm, gemm_i8, gemm_i8_q, gemm_with, pack_a8_i16, pack_a8_quantized, packed_a8_len, Epilogue,
     Lhs, MatRef, PackedA8Ref, PackedB, PackedB8, QEpilogue, Rhs,
 };
-use crate::layer::{recycle, sgd_update_span, spare_f32, ChainSupport, Layer, LayerCost, OutBuf};
+use crate::layer::{
+    recycle, sgd_update_span, spare_f32, with_fwd_scratch, ChainSupport, Layer, LayerCost, OutBuf,
+    TrainState,
+};
 use crate::quant::{finite_max_abs, inv_or_zero, ActObserver, Precision, QAct, QActRef, I8_LEVELS};
 use crate::tensor::Tensor;
 
@@ -44,30 +51,21 @@ pub struct Linear {
     /// Weights, laid out `[out][in]` row-major.
     w: Vec<f32>,
     b: Vec<f32>,
-    gw: Vec<f32>,
-    gb: Vec<f32>,
-    vw: Vec<f32>,
-    vb: Vec<f32>,
     cache: Option<Tensor>,
     precision: Precision,
     /// `Wᵀ` (active-width prefix) packed for the forward GEMM.
     packed_fwd: Option<PackedB>,
-    /// `W` (active-width prefix) packed for the input-gradient GEMM.
-    packed_bwd: Option<PackedB>,
     /// `Wᵀ` (active-width prefix) quantised and packed for the
     /// [`Precision::Int8`] forward: per-tensor weight scale + int8
     /// panels, invalidated exactly like [`Linear::packed_fwd`].
     packed_fwd8: Option<(f32, PackedB8)>,
-    /// Reusable buffer for the quantised, packed input batch of the
-    /// int8 forward; grows once, then reused.
-    qx_buf: Vec<i16>,
-    /// Bias pre-divided by the chain-edge output scale (the
-    /// requantising [`QEpilogue`]'s operand), rebuilt per chained
-    /// forward without reallocating.
-    qbias_buf: Vec<f32>,
     /// Input-activation range observer for the int8 path (see
     /// [`ActObserver`]).
     act_obs: ActObserver,
+    /// Gradients, momenta and `W` (active-width prefix) packed for the
+    /// input-gradient GEMM (invalidated exactly like
+    /// [`Linear::packed_fwd`]); `None` until the first training call.
+    train: Option<Box<TrainState<Option<PackedB>>>>,
 }
 
 impl Linear {
@@ -112,18 +110,12 @@ impl Linear {
             trainable: 0..prune_groups,
             w,
             b: vec![0.0; out_features],
-            gw: vec![0.0; in_features * out_features],
-            gb: vec![0.0; out_features],
-            vw: vec![0.0; in_features * out_features],
-            vb: vec![0.0; out_features],
             cache: None,
             precision: Precision::default(),
             packed_fwd: None,
-            packed_bwd: None,
             packed_fwd8: None,
-            qx_buf: Vec::new(),
-            qbias_buf: Vec::new(),
             act_obs: ActObserver::default(),
+            train: None,
         })
     }
 
@@ -132,8 +124,10 @@ impl Linear {
     /// change; the next GEMM pass re-packs lazily.
     fn invalidate_packed(&mut self) {
         self.packed_fwd = None;
-        self.packed_bwd = None;
         self.packed_fwd8 = None;
+        if let Some(t) = &mut self.train {
+            t.bwd = None;
+        }
     }
 
     /// The currently selected data precision (see
@@ -236,52 +230,48 @@ impl Linear {
         let out_features = self.out_features;
         self.ensure_packed_fwd8(f_active);
         let qx_len = packed_a8_len(n, f_active);
-        self.qx_buf.resize(qx_len.max(self.qx_buf.len()), 0);
-        let x_scale = match input {
-            QActRef::F32(t) => {
-                let (scale, inv) = self.act_obs.observe_scale(t.data(), train);
-                crate::quant::count_quantise_pass();
-                pack_a8_quantized(
-                    MatRef::new(t.data(), f_active),
-                    n,
-                    f_active,
-                    inv,
-                    &mut self.qx_buf,
-                );
-                scale
+        Ok(with_fwd_scratch(|qbias, qx_buf| {
+            qx_buf.resize(qx_len.max(qx_buf.len()), 0);
+            let x_scale = match input {
+                QActRef::F32(t) => {
+                    let (scale, inv) = self.act_obs.observe_scale(t.data(), train);
+                    crate::quant::count_quantise_pass();
+                    pack_a8_quantized(MatRef::new(t.data(), f_active), n, f_active, inv, qx_buf);
+                    scale
+                }
+                QActRef::I8(q) => {
+                    pack_a8_i16(q.data(), n, f_active, qx_buf);
+                    q.scale()
+                }
+            };
+            let (w_scale, packed) = self.packed_fwd8.as_ref().expect("packed above");
+            let q_scale = x_scale * w_scale;
+            let qx = PackedA8Ref::new(&qx_buf[..qx_len], n, f_active);
+            let (scale, bias, mut out) = match out_scale {
+                None => {
+                    crate::quant::count_dequantise_pass();
+                    let out = out_buf.f32(n, &[out_features]);
+                    (q_scale, &self.b[..], QAct::F32(out))
+                }
+                Some(s_out) => {
+                    let inv_out = inv_or_zero(s_out);
+                    qbias.clear();
+                    qbias.extend(self.b.iter().map(|&b| b * inv_out));
+                    let out = out_buf.i16(n, &[out_features], s_out);
+                    (q_scale * inv_out, &qbias[..], QAct::I8(out))
+                }
+            };
+            let mut ep = QEpilogue::scaled(scale).with_bias_col(bias);
+            if fuse_relu {
+                ep = ep.with_relu();
             }
-            QActRef::I8(q) => {
-                pack_a8_i16(q.data(), n, f_active, &mut self.qx_buf);
-                q.scale()
+            let (k, w, of) = (f_active, packed.as_ref(), out_features);
+            match &mut out {
+                QAct::F32(t) => gemm_i8(n, of, k, qx, w, t.data_mut(), of, true, ep),
+                QAct::I8(q) => gemm_i8_q(n, of, k, qx, w, q.data_mut(), of, true, ep),
             }
-        };
-        let (w_scale, packed) = self.packed_fwd8.as_ref().expect("packed above");
-        let q_scale = x_scale * w_scale;
-        let qx = PackedA8Ref::new(&self.qx_buf[..qx_len], n, f_active);
-        let (scale, bias, mut out) = match out_scale {
-            None => {
-                crate::quant::count_dequantise_pass();
-                let out = out_buf.f32(n, &[out_features]);
-                (q_scale, &self.b[..], QAct::F32(out))
-            }
-            Some(s_out) => {
-                let inv_out = inv_or_zero(s_out);
-                self.qbias_buf.clear();
-                self.qbias_buf.extend(self.b.iter().map(|&b| b * inv_out));
-                let out = out_buf.i16(n, &[out_features], s_out);
-                (q_scale * inv_out, &self.qbias_buf[..], QAct::I8(out))
-            }
-        };
-        let mut ep = QEpilogue::scaled(scale).with_bias_col(bias);
-        if fuse_relu {
-            ep = ep.with_relu();
-        }
-        let (k, w, of) = (f_active, packed.as_ref(), out_features);
-        match &mut out {
-            QAct::F32(t) => gemm_i8(n, of, k, qx, w, t.data_mut(), of, true, ep),
-            QAct::I8(q) => gemm_i8_q(n, of, k, qx, w, q.data_mut(), of, true, ep),
-        }
-        Ok(out)
+            out
+        }))
     }
 
     /// The `f32` forward `Y = X · Wᵀ + b` (then ReLU when `relu`) of
@@ -343,26 +333,27 @@ impl Layer for Linear {
         // weights (the forward cache holds the f32 input).
         let x = self.cache.as_ref().expect("checked above").data();
         let go = grad_out.data();
-        for row in go.chunks(self.out_features) {
-            for (gb, &g) in self.gb.iter_mut().zip(row) {
+        let (w, in_features, out_features) = (&self.w, self.in_features, self.out_features);
+        let TrainState { gw, gb, bwd, .. } = TrainState::of(&mut self.train, w.len(), self.b.len());
+        for row in go.chunks(out_features) {
+            for (gb, &g) in gb.iter_mut().zip(row) {
                 *gb += g;
             }
         }
         // gW += dYᵀ · X (into the f_active-column prefix).
         gemm(
-            self.out_features,
+            out_features,
             f_active,
             n,
-            MatRef::t(go, self.out_features),
+            MatRef::t(go, out_features),
             MatRef::new(x, f_active),
             1.0,
-            &mut self.gw,
-            self.in_features,
+            gw,
+            in_features,
             true,
         );
         // dX = dY · W (active-column prefix of W, cached packed).
-        let (w, in_features, out_features) = (&self.w, self.in_features, self.out_features);
-        let packed = self.packed_bwd.get_or_insert_with(|| {
+        let packed = bwd.get_or_insert_with(|| {
             PackedB::pack(MatRef::new(w, in_features), out_features, f_active)
         });
         gemm_with(
@@ -390,12 +381,17 @@ impl Layer for Linear {
         let g_lo = self.trainable.start.min(self.active);
         let g_hi = self.trainable.end.min(self.active);
         let (col_lo, col_hi) = (g_lo * per_group, g_hi.max(g_lo) * per_group);
+        // Without a training state the gradients and momenta are all
+        // zero, and a zero step leaves every parameter as it is.
+        let Some(t) = self.train.as_deref_mut() else {
+            return;
+        };
         for of in 0..self.out_features {
             let row = of * in_features..(of + 1) * in_features;
             sgd_update_span(
                 &mut self.w[row.clone()],
-                &self.gw[row.clone()],
-                &mut self.vw[row],
+                &t.gw[row.clone()],
+                &mut t.vw[row],
                 lr,
                 momentum,
                 col_lo..col_hi,
@@ -410,14 +406,13 @@ impl Layer for Linear {
         } else {
             0..0
         };
-        sgd_update_span(&mut self.b, &self.gb, &mut self.vb, lr, momentum, bias_span);
+        sgd_update_span(&mut self.b, &t.gb, &mut t.vb, lr, momentum, bias_span);
         // The packed operands now describe stale weights.
         self.invalidate_packed();
     }
 
     fn zero_grads(&mut self) {
-        self.gw.fill(0.0);
-        self.gb.fill(0.0);
+        TrainState::zero_grads(&mut self.train);
     }
 
     fn set_active_groups(&mut self, active: usize) -> Result<()> {
@@ -509,6 +504,15 @@ impl Layer for Linear {
     }
 }
 
+#[cfg(test)]
+impl Linear {
+    /// The accumulated gradients `(gw, gb)` of a layer that has trained.
+    fn grads(&self) -> (&[f32], &[f32]) {
+        let t = self.train.as_deref().expect("a training call ran");
+        (&t.gw, &t.gb)
+    }
+}
+
 /// The original row-by-row dot products, compiled only into tests: the
 /// oracle the GEMM path is checked against.
 #[cfg(test)]
@@ -543,6 +547,7 @@ impl crate::oracle::Oracle for Linear {
         let x = self.cache.as_ref().expect("checked above").data();
         let go = grad_out.data();
         let gi = grad_in.data_mut();
+        let t = TrainState::of(&mut self.train, self.w.len(), self.b.len());
         for ni in 0..n {
             let xrow = &x[ni * f_active..(ni + 1) * f_active];
             for of in 0..self.out_features {
@@ -550,10 +555,10 @@ impl crate::oracle::Oracle for Linear {
                 if g == 0.0 {
                     continue;
                 }
-                self.gb[of] += g;
+                t.gb[of] += g;
                 let wbase = of * self.in_features;
                 for fi in 0..f_active {
-                    self.gw[wbase + fi] += g * xrow[fi];
+                    t.gw[wbase + fi] += g * xrow[fi];
                     gi[ni * f_active + fi] += g * self.w[wbase + fi];
                 }
             }
@@ -638,9 +643,9 @@ mod tests {
             l.invalidate_packed();
             let numeric = (lp - lm) / (2.0 * eps);
             assert!(
-                (numeric - l.gw[wi]).abs() < 2e-2,
+                (numeric - l.grads().0[wi]).abs() < 2e-2,
                 "weight {wi}: numeric {numeric} vs {}",
-                l.gw[wi]
+                l.grads().0[wi]
             );
         }
         for &xi in &[0usize, 11] {
@@ -653,7 +658,7 @@ mod tests {
             assert!((numeric - gx.data()[xi]).abs() < 2e-2);
         }
         // dL/db = batch size per output.
-        assert!((l.gb[0] - 2.0).abs() < 1e-4);
+        assert!((l.grads().1[0] - 2.0).abs() < 1e-4);
     }
 
     #[test]
@@ -676,6 +681,60 @@ mod tests {
         }
         // Bias belongs to group 0, which is frozen here.
         assert_eq!(l.b[0], 0.0);
+    }
+
+    /// A layer that has only served holds no training state, and
+    /// `zero_grads` and `sgd_step` on it allocate nothing and leave its
+    /// parameters bit-identical (its gradients and momenta would be
+    /// all zero).
+    #[test]
+    fn untrained_layer_steps_allocate_nothing() {
+        let mut l = Linear::new("l", 8, 3, 4, &mut rng()).unwrap();
+        let _ = l.forward(&Tensor::random(&[2, 8], &mut rng()), false);
+        let (w, b) = (l.w.clone(), l.b.clone());
+        let ((), allocs) = eml_testalloc::count(|| {
+            l.zero_grads();
+            l.sgd_step(0.1, 0.9);
+        });
+        assert_eq!(allocs.count, 0, "{} bytes allocated", allocs.bytes);
+        assert!(l.train.is_none(), "no training state without training");
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!((bits(&l.w), bits(&l.b)), (bits(&w), bits(&b)));
+    }
+
+    /// The training state appears on first use and starts from zero, so
+    /// a layer that served first (in both precisions, at another width,
+    /// with untrained steps) trains to bit-identical parameters as one
+    /// that trains from fresh.
+    #[test]
+    fn serving_first_then_training_matches_training_from_fresh() {
+        let x = Tensor::random(&[3, 4], &mut rng());
+        let train = |l: &mut Linear| {
+            l.set_active_groups(2).unwrap();
+            for _ in 0..3 {
+                l.zero_grads();
+                let y = l.forward(&x, true).unwrap();
+                // L = ½Σy², so dL/dy = y.
+                l.backward(&y).unwrap();
+                l.sgd_step(0.01, 0.9);
+            }
+        };
+        let mut fresh = Linear::new("l", 8, 3, 4, &mut rng()).unwrap();
+        train(&mut fresh);
+        let mut served = Linear::new("l", 8, 3, 4, &mut rng()).unwrap();
+        let x_full = Tensor::random(&[5, 8], &mut rng());
+        for precision in [Precision::Int8, Precision::F32] {
+            served.set_precision(precision);
+            let _ = served.forward(&x_full, false).unwrap();
+        }
+        served.zero_grads();
+        served.sgd_step(0.01, 0.9);
+        train(&mut served);
+        let bits = |l: &Linear| {
+            let v = l.w.iter().chain(&l.b);
+            v.map(|x| x.to_bits()).collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&served), bits(&fresh));
     }
 
     #[test]

@@ -42,8 +42,8 @@
 //! — runs on shared compute kernels ([`nn::gemm`]): convolutions are
 //! lowered to matrix multiplication via [`nn::im2col`] and executed by
 //! a cache-blocked, register-tiled f32 GEMM with packed operand panels,
-//! reusable per-layer scratch arenas (steady state allocates nothing
-//! but the output tensor) and batch/row parallelism via a small worker
+//! per-thread forward scratch (steady state allocates nothing but the
+//! output tensor) and batch/row parallelism via a small worker
 //! pool. [`nn::Precision::Int8`] runs the same structure on an int8
 //! kernel with `i32` accumulation.
 //!
