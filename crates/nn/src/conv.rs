@@ -17,15 +17,16 @@
 //! Both data precisions share this layer's semantics (see
 //! [`crate::gemm`]): at the default [`Precision::F32`] each
 //! (sample, group) pair lowers to `Out = W · im2col(x)` on the blocked
-//! GEMM kernel into its thread's forward scratch (one per thread, not
-//! per layer: see [`crate::layer`]), parallelising over the batch; [`Precision::Int8`] runs the same structure on the quantised
-//! int8 kernel ([`crate::gemm::int8`]) — cached int8 weight panels, a
-//! one-pass quantise-and-lower of the input, exact `i32` accumulation
-//! and a fused requantisation epilogue, in one step that serves the
-//! per-layer forward and every place in an int8 chain (the executed
-//! form of the paper's data-precision knob). The original nested loop survives
-//! only in test builds, as the oracle the GEMM path is checked
-//! against.
+//! GEMM kernel, lowering into its thread's forward scratch (one per
+//! thread, not per layer: see [`crate::layer`]) and parallelising over
+//! the batch; [`Precision::Int8`] runs the same structure on the
+//! quantised int8 kernel ([`crate::gemm::int8`]) — cached int8 weight
+//! panels, a one-pass quantise-and-lower of the input, exact `i32`
+//! accumulation and a fused requantisation epilogue, in one step that
+//! serves the per-layer forward and every place in an int8 chain (the
+//! executed form of the paper's data-precision knob). The original
+//! nested loop survives only in test builds, as the oracle the GEMM
+//! path is checked against.
 //!
 //! The GEMM path keeps per-call overhead off the hot loop three ways:
 //! weight panels are packed once per weight version and cached
@@ -157,6 +158,8 @@ pub struct Conv2d {
     /// Weight panels pre-packed for the forward GEMM, one per executed
     /// group at the current width; `None` until the first forward and
     /// after every invalidation (see [`Conv2d::invalidate_packed`]).
+    /// With `packed_w8`, the only forward state a layer owns: the
+    /// columns they multiply are lowered into the thread's scratch.
     packed_w: Option<Vec<PackedA>>,
     /// Quantised int8 weight panels for [`Precision::Int8`] forward
     /// (per-tensor weight scale + one packed panel per executed
@@ -971,7 +974,7 @@ impl Layer for Conv2d {
     }
 }
 
-/// Index helpers of the reference loop nests below.
+/// Test helpers: the reference loop nests' indexing, and the gradients.
 #[cfg(test)]
 impl Conv2d {
     /// Base input-channel index (within the *active* input tensor) for

@@ -1,7 +1,7 @@
 //! The [`Layer`] trait: the unit of composition for networks.
 //!
 //! Layers own their parameters and, from their first training call,
-//! their gradient and momentum buffers ([`TrainState`]); they are
+//! their gradient and momentum buffers (a `TrainState`); they are
 //! **width-aware**: layers that participate in the dynamic-DNN group
 //! partition (convolutions, the classifier) implement
 //! [`Layer::set_active_groups`] to restrict execution to the first `g` of

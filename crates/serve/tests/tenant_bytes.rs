@@ -99,7 +99,7 @@ fn a_served_tiny_tenant_holds_what_inference_reads() {
     let register = phase(&mut mark);
     serve(&exec, &sample, 1);
     let first = phase(&mut mark);
-    serve(&exec, &sample, window + 44);
+    serve(&exec, &sample, window);
     let steady = phase(&mut mark);
     let total = per_tenant(start);
     eprintln!(
